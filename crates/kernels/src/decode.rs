@@ -32,17 +32,10 @@
 //! [`KernelProfile`]: dfss_gpusim::KernelProfile
 //! [`NmRagged`]: dfss_nmsparse::NmRagged
 
+use crate::micro::widen;
 use crate::simd;
 use dfss_nmsparse::{NmPattern, NmRagged};
-use dfss_tensor::{scratch_f32_from, scratch_f32_stale, Scalar, ScratchF32};
-
-/// Widen (and input-round) a row-major slice into a pooled f32 buffer —
-/// the per-stream counterpart of [`micro::widen`].
-///
-/// [`micro::widen`]: crate::micro::widen
-pub(crate) fn widen_slice<T: Scalar>(src: &[T]) -> ScratchF32 {
-    scratch_f32_from(src.len(), src.iter().map(|v| v.to_mul()))
-}
+use dfss_tensor::{scratch_f32_stale, Scalar};
 
 /// Dense decode scores of one stream: `acc[j] = dot(q̂, to_mul(K row j))`,
 /// the K rows widened in-register from their stored element type.
@@ -97,7 +90,7 @@ pub(crate) fn score_prune_stream<T: Scalar, S: Scalar>(
     nz_out: &mut [T],
     code_out: &mut [u8],
 ) {
-    let qw = widen_slice(q_row);
+    let qw = widen(q_row);
     let mut acc = scratch_f32_stale(len);
     decode_scores_widen(&qw, k_panel, d, &mut acc[..len]);
     prune_decode_row(pattern, &acc[..len], scale, nz_out, code_out);
@@ -113,7 +106,7 @@ pub(crate) fn score_dense_stream<T: Scalar, S: Scalar>(
     scale: f32,
     out: &mut [T],
 ) {
-    let qw = widen_slice(q_row);
+    let qw = widen(q_row);
     let mut acc = scratch_f32_stale(len);
     decode_scores_widen(&qw, k_panel, d, &mut acc[..len]);
     for (o, &x) in out.iter_mut().zip(acc.iter()) {

@@ -121,7 +121,7 @@ pub fn sddmm_ell_nm_fused<T: Scalar>(
     // panel — the same `axpy` microkernel (same serial-k-order sums) as the
     // dense GEMM and plain fused SDDMM, so packed scores are bit-identical
     // to theirs.
-    let qw = micro::widen(q);
+    let qw = micro::widen(q.as_slice());
     let kt = micro::widen_transposed(k);
     let mut nonzeros = vec![T::zero(); rows * kept_per_row];
     let mut codes = vec![0u8; rows * groups_per_row];
@@ -273,7 +273,7 @@ pub fn spmm_ell_nm<T: Scalar>(ctx: &mut GpuCtx, a: &EllNm<T>, v: &Matrix<T>) -> 
         return Matrix::zeros(rows, d);
     }
 
-    let vw = micro::widen(v);
+    let vw = micro::widen(v.as_slice());
     let mut out = vec![T::zero(); rows * d];
     // Batch rows per work item (one scratch accumulator per chunk).
     out.par_chunks_mut(d * ROW_CHUNK)
@@ -368,7 +368,7 @@ pub fn sddmm_ell_nm_fused_batched<T: Scalar>(
         };
     }
 
-    let qw = micro::widen_batched(q);
+    let qw = micro::widen(q.as_slice());
     // Per-panel widen-transposed K (same layout the single-head kernel
     // streams) packed back to back.
     let mut kts = dfss_tensor::scratch_f32(batch * d * kn);
@@ -458,7 +458,7 @@ pub fn spmm_ell_nm_batched<T: Scalar>(
         return BatchedMatrix::charge_only(batch, rows, d);
     }
 
-    let vw = micro::widen_batched(v);
+    let vw = micro::widen(v.as_slice());
     let mut out = vec![T::zero(); batch * rows * d];
     crate::batched::fan_out(
         &mut out,

@@ -98,7 +98,7 @@ pub fn gemm_nt<T: Scalar>(
     // and accumulate whole output rows with `axpy2` — per-element sums run
     // in serial k-order, the shape rustc vectorizes robustly, and row pairs
     // share every panel load.
-    let aw = micro::widen(a);
+    let aw = micro::widen(a.as_slice());
     let bt = micro::widen_transposed(b);
     let mut out = vec![T::zero(); m * n];
     out.par_chunks_mut(n * PAR_ROW_CHUNK)
@@ -173,8 +173,8 @@ pub fn gemm_nt_batched<T: Scalar>(
         return BatchedMatrix::charge_only(batch, m, n);
     }
 
-    let aw = micro::widen_batched(a);
-    let bp = micro::widen_packed_batched(b);
+    let aw = micro::widen(a.as_slice());
+    let bp = micro::widen_packed(b.as_slice(), batch, n, ka);
     let ppl = micro::packed_len(n, ka);
     let mut out = vec![T::zero(); batch * m * n];
     crate::batched::fan_out(
@@ -222,8 +222,8 @@ pub fn gemm_nn_batched<T: Scalar>(
         return BatchedMatrix::charge_only(batch, m, n);
     }
 
-    let aw = micro::widen_batched(a);
-    let bw = micro::widen_batched(b);
+    let aw = micro::widen(a.as_slice());
+    let bw = micro::widen(b.as_slice());
     let mut out = vec![T::zero(); batch * m * n];
     crate::batched::fan_out(&mut out, m * n, PAR_ROW_CHUNK * n, |p, e0, chunk| {
         nn_chunk_exec::<T>(
@@ -253,8 +253,8 @@ pub fn gemm_nn<T: Scalar>(
         return Matrix::zeros(m, n);
     }
 
-    let aw = micro::widen(a);
-    let bw = micro::widen(b);
+    let aw = micro::widen(a.as_slice());
+    let bw = micro::widen(b.as_slice());
     let mut out = vec![T::zero(); m * n];
     out.par_chunks_mut(n * PAR_ROW_CHUNK)
         .enumerate()
@@ -348,7 +348,7 @@ pub fn gemm_tn<T: Scalar>(
     // Host side: fused widen + transpose of A into a pooled panel, then the
     // NN accumulation pattern.
     let aw = micro::widen_transposed(a);
-    let bw = micro::widen(b);
+    let bw = micro::widen(b.as_slice());
     let mut out = vec![T::zero(); m * n];
     out.par_chunks_mut(n * PAR_ROW_CHUNK)
         .enumerate()

@@ -85,11 +85,15 @@ pub const TILE_ROWS: usize = 4;
 /// [`panel_product`] column tile reads one contiguous block instead of `ka`
 /// strided rows. The tail tile is zero-padded (the padding lanes never leave
 /// the register block). One packing pass per operand per launch.
-pub fn widen_packed<T: Scalar>(m: &Matrix<T>) -> ScratchF32 {
-    let (n, ka) = m.shape();
-    let tiles = n.div_ceil(TILE_COLS).max(1);
-    let mut out = dfss_tensor::scratch_f32(tiles * ka * TILE_COLS);
-    pack_into(m.as_slice(), ka, &mut out);
+///
+/// `src` holds `batch` stacked `n × ka` row-major panels; each becomes one
+/// block of [`packed_len`]`(n, ka)` f32s, stored panel-major.
+pub fn widen_packed<T: Scalar>(src: &[T], batch: usize, n: usize, ka: usize) -> ScratchF32 {
+    let pl = packed_len(n, ka);
+    let mut out = dfss_tensor::scratch_f32(batch * pl);
+    for (b, panel) in src.chunks_exact((n * ka).max(1)).enumerate() {
+        pack_into(panel, ka, &mut out[b * pl..(b + 1) * pl]);
+    }
     out
 }
 
@@ -110,25 +114,6 @@ pub fn pack_into<T: Scalar>(src: &[T], ka: usize, out: &mut [f32]) {
             block[kk * TILE_COLS + l] = v.to_mul();
         }
     }
-}
-
-/// Widen a whole batched stack into one pooled f32 buffer (panel-major, the
-/// same contiguous layout as the stack itself).
-pub fn widen_batched<T: Scalar>(m: &dfss_tensor::BatchedMatrix<T>) -> ScratchF32 {
-    scratch_f32_from(m.len(), m.as_slice().iter().map(|v| v.to_mul()))
-}
-
-/// Widen + tile-pack every panel of a batched stack (each `rows × cols`
-/// panel becomes one [`widen_packed`] block of `packed_len(rows, cols)`
-/// f32s, stored panel-major).
-pub fn widen_packed_batched<T: Scalar>(m: &dfss_tensor::BatchedMatrix<T>) -> ScratchF32 {
-    let (batch, n, ka) = m.shape();
-    let pl = packed_len(n, ka);
-    let mut out = dfss_tensor::scratch_f32(batch * pl);
-    for b in 0..batch {
-        pack_into(m.panel(b), ka, &mut out[b * pl..(b + 1) * pl]);
-    }
-    out
 }
 
 /// Register-tiled product of `rcnt ≤ 4` consecutive rows of `aw` (row-major,
@@ -172,11 +157,12 @@ pub fn panel_product(
     }
 }
 
-/// Widen (and input-round) a matrix into a pooled f32 buffer — the
+/// Widen (and input-round) row-major elements into a pooled f32 buffer — the
 /// tensor-core operand conversion (TF32 for f32 inputs, exact widening for
-/// bf16), allocation-free in steady state.
-pub fn widen<T: Scalar>(m: &Matrix<T>) -> ScratchF32 {
-    scratch_f32_from(m.len(), m.as_slice().iter().map(|v| v.to_mul()))
+/// bf16), allocation-free in steady state. `src` is one matrix's elements
+/// or a whole stack's (the layout is kept).
+pub fn widen<T: Scalar>(src: &[T]) -> ScratchF32 {
+    scratch_f32_from(src.len(), src.iter().map(|v| v.to_mul()))
 }
 
 /// Widen a `K×M` matrix directly into its `M×K` transpose (fused widen +
@@ -251,14 +237,14 @@ mod tests {
     fn widen_applies_tf32_rounding() {
         let x = 1.0f32 + 2.0f32.powi(-11); // dropped by TF32's 10-bit mantissa
         let m = Matrix::<f32>::from_vec(1, 2, vec![x, 0.5]);
-        let w = widen(&m);
+        let w = widen(m.as_slice());
         assert_eq!(&*w, &[1.0, 0.5]);
     }
 
     #[test]
     fn widen_bf16_is_exact() {
         let m = Matrix::<Bf16>::from_fn(2, 2, |r, c| Bf16::from_f32((r + c) as f32 * 0.25));
-        let w = widen(&m);
+        let w = widen(m.as_slice());
         assert_eq!(w[3], 0.5);
     }
 
@@ -266,7 +252,7 @@ mod tests {
     fn widen_transposed_matches_transpose_then_widen() {
         let mut rng = Rng::new(3);
         let m = Matrix::<f32>::random_normal(7, 5, 0.0, 1.0, &mut rng);
-        let expect = widen(&m.transpose());
+        let expect = widen(m.transpose().as_slice());
         let got = widen_transposed(&m);
         assert_eq!(&*expect, &*got);
     }
@@ -279,9 +265,9 @@ mod tests {
         for &(m, n, ka) in &[(7usize, 37usize, 13usize), (8, 32, 16), (5, 16, 8)] {
             let a = Matrix::<f32>::random_normal(m, ka, 0.0, 1.0, &mut rng);
             let b = Matrix::<f32>::random_normal(n, ka, 0.0, 1.0, &mut rng);
-            let aw = widen(&a);
+            let aw = widen(a.as_slice());
             let bt = widen_transposed(&b);
-            let bp = widen_packed(&b);
+            let bp = widen_packed(b.as_slice(), 1, n, ka);
             // Reference: serial axpy accumulation (the single-head order).
             let mut expect = vec![0.0f32; m * n];
             for i in 0..m {
@@ -310,7 +296,7 @@ mod tests {
     #[test]
     fn packed_layout_is_tile_major() {
         let m = Matrix::<f32>::from_fn(3, 2, |r, c| (r * 10 + c) as f32);
-        let p = widen_packed(&m);
+        let p = widen_packed(m.as_slice(), 1, 3, 2);
         assert_eq!(p.len(), packed_len(3, 2));
         // Tile 0, kk = 0 holds column 0 of rows 0..3 then zero padding.
         assert_eq!(&p[..4], &[0.0, 10.0, 20.0, 0.0]);

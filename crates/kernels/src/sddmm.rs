@@ -21,10 +21,10 @@
 use crate::ctx::{dense_class, GpuCtx};
 use crate::decode;
 use crate::micro;
+use crate::simd;
 use dfss_gpusim::{KernelProfile, Stage};
 use dfss_nmsparse::{NmBatch, NmCompressed, NmPattern, NmRagged};
-use dfss_tensor::{scratch_f32, scratch_f32_stale, BatchedMatrix, Matrix, RaggedBatch, Scalar};
-use rayon::prelude::*;
+use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, RaggedBatch, Scalar};
 
 /// ALU cost of pruning one M-group in the epilogue.
 ///
@@ -116,43 +116,71 @@ pub fn sddmm_nm_fused<T: Scalar>(
             vec![code; rows * groups_per_row],
         );
     }
-    let qw = micro::widen(q);
-    let kt = micro::widen_transposed(k);
-
-    let mut nonzeros = vec![T::zero(); rows * kept_per_row];
-    let mut codes = vec![0u8; rows * groups_per_row];
-
-    // Two Q-rows per work item, accumulated as an outer product over the
-    // widen-transposed K panel — the same `axpy`/`axpy2` microkernel (and
-    // therefore the same serial-k-order per-element sums) as the dense
-    // `gemm_nt`, so the fused epilogue prunes exactly the scores the dense
-    // GEMM would have produced.
-    nonzeros
-        .par_chunks_mut(2 * kept_per_row)
-        .zip(codes.par_chunks_mut(2 * groups_per_row))
-        .enumerate()
-        .for_each(|(pair_idx, (nz_chunk, code_chunk))| {
-            let i0 = pair_idx * 2;
-            let rows_here = nz_chunk.len() / kept_per_row;
-            // Accumulate the pair's score rows in the "registers" (a pooled
-            // scratch buffer, zero-filled on acquisition).
-            let mut acc = scratch_f32(rows_here * cols);
-            let q0 = &qw[i0 * dq..(i0 + 1) * dq];
-            if rows_here == 2 {
-                let q1 = &qw[(i0 + 1) * dq..(i0 + 2) * dq];
-                let (acc0, acc1) = acc.split_at_mut(cols);
-                for kk in 0..dq {
-                    micro::axpy2(acc0, acc1, q0[kk], q1[kk], &kt[kk * cols..(kk + 1) * cols]);
-                }
-            } else {
-                for kk in 0..dq {
-                    micro::axpy(&mut acc, q0[kk], &kt[kk * cols..(kk + 1) * cols]);
-                }
-            }
-            prune_rows_into(pattern, &acc, cols, scale, nz_chunk, code_chunk);
-        });
-
+    let (nonzeros, codes) = sddmm_nm_fused_exec(
+        pattern,
+        (1, rows, cols, dq),
+        q.as_slice(),
+        k.as_slice(),
+        scale,
+    );
     NmCompressed::from_parts(pattern, rows, cols, nonzeros, codes)
+}
+
+/// The one fused SDDMM exec body, over borrowed slices: `batch` stacked
+/// `rows × dq` Q panels against their `cols × dq` K panels. One pool
+/// fan-out over (panel, row-tile) work items; score rows accumulate in the
+/// register-tiled [`micro::panel_product`] (serial k-order per element, the
+/// dense `gemm_nt`'s sums) and spill once into a scratch block ("the
+/// registers"), which [`prune_rows_dispatch`] prunes straight into the
+/// stacked nonzero and code buffers. Solo [`sddmm_nm_fused`] is the
+/// one-panel case. A work item is [`crate::batched::ROW_TILE`] rows in
+/// every call, so a one-panel call of `r` rows uses at most `⌈r / 16⌉`
+/// pool threads (4 for a 64-row prefill chunk).
+fn sddmm_nm_fused_exec<T: Scalar>(
+    pattern: NmPattern,
+    (batch, rows, cols, dq): (usize, usize, usize, usize),
+    q: &[T],
+    k: &[T],
+    scale: f32,
+) -> (Vec<T>, Vec<u8>) {
+    let kept_per_row = pattern.kept_per_row(cols);
+    let groups_per_row = cols / pattern.m();
+    let qw = micro::widen(q);
+    let kp = micro::widen_packed(k, batch, cols, dq);
+    let ppl = micro::packed_len(cols, dq);
+
+    let mut nonzeros = vec![T::zero(); batch * rows * kept_per_row];
+    let mut codes = vec![0u8; batch * rows * groups_per_row];
+    crate::batched::fan_out2(
+        &mut nonzeros,
+        rows * kept_per_row,
+        crate::batched::ROW_TILE * kept_per_row,
+        &mut codes,
+        rows * groups_per_row,
+        crate::batched::ROW_TILE * groups_per_row,
+        |p, e0, nz_chunk, code_chunk| {
+            let qw_p = &qw[p * rows * dq..(p + 1) * rows * dq];
+            let kp_p = &kp[p * ppl..(p + 1) * ppl];
+            let rows_here = nz_chunk.len() / kept_per_row;
+            let row0 = e0 / kept_per_row;
+            let mut acc = scratch_f32_stale(micro::TILE_ROWS * cols);
+            let mut local = 0;
+            while local < rows_here {
+                let rcnt = micro::TILE_ROWS.min(rows_here - local);
+                micro::panel_product(qw_p, row0 + local, rcnt, dq, kp_p, cols, &mut acc);
+                prune_rows_dispatch(
+                    pattern,
+                    &acc[..rcnt * cols],
+                    cols,
+                    scale,
+                    &mut nz_chunk[local * kept_per_row..(local + rcnt) * kept_per_row],
+                    &mut code_chunk[local * groups_per_row..(local + rcnt) * groups_per_row],
+                );
+                local += rcnt;
+            }
+        },
+    );
+    (nonzeros, codes)
 }
 
 /// Fast 1:2 prune of score rows: per pair, keep the strictly larger value
@@ -178,6 +206,56 @@ fn prune_rows_into_1_2<T: Scalar>(
     }
 }
 
+/// Keep-mask of one NaN-free 2:4 group by rank: lane `i` is kept iff
+/// fewer than two lanes beat it, where lane `j` beats lane `i` iff
+/// `g[j] > g[i]`, or `g[j] == g[i]` and `j < i`. That is a strict total
+/// order on NaN-free groups, so exactly two lanes are kept — the same two
+/// [`NmPattern::select_group_into`]'s stable descending sort keeps.
+#[inline]
+fn rank_code_2_4(g: &[f32; 4]) -> u8 {
+    let mut beaten = [0u8; 4];
+    for i in 0..4 {
+        for j in i + 1..4 {
+            // On a tie the lower index `i` wins.
+            let j_wins = u8::from(g[j] > g[i]);
+            beaten[i] += j_wins;
+            beaten[j] += 1 - j_wins;
+        }
+    }
+    (0..4).fold(0, |code, i| code | (u8::from(beaten[i] < 2) << i))
+}
+
+/// Fast 2:4 prune of score rows: the branchless rank rule of
+/// [`rank_code_2_4`] per group. `>` is no order once a NaN is present, so
+/// a group containing one takes [`NmPattern::select_group_into`]'s
+/// insertion sort instead; codes and values are therefore bit-identical to
+/// [`prune_rows_into`] on every group.
+fn prune_rows_into_2_4<T: Scalar>(
+    scores: &[f32],
+    scale: f32,
+    nz_out: &mut [T],
+    code_out: &mut [u8],
+) {
+    let mut kept = [0usize; dfss_nmsparse::MAX_M];
+    for ((group, nz), code) in scores
+        .chunks_exact(4)
+        .zip(nz_out.chunks_exact_mut(2))
+        .zip(code_out.iter_mut())
+    {
+        let g: &[f32; 4] = group.try_into().expect("chunks_exact(4) yields 4 scores");
+        *code = if g.iter().any(|x| x.is_nan()) {
+            let n_kept = NmPattern::P2_4.select_group_into(g, &mut kept);
+            kept[..n_kept].iter().fold(0, |c, &i| c | (1 << i))
+        } else {
+            rank_code_2_4(g)
+        };
+        // Both rules keep exactly two lanes: the table's pair, ascending.
+        let [a, b] = simd::PAIRS_2_4[*code as usize];
+        nz[0] = T::from_acc(g[a as usize] * scale);
+        nz[1] = T::from_acc(g[b as usize] * scale);
+    }
+}
+
 /// Prune a block of score rows with the fastest epilogue for the pattern.
 fn prune_rows_dispatch<T: Scalar>(
     pattern: NmPattern,
@@ -187,10 +265,10 @@ fn prune_rows_dispatch<T: Scalar>(
     nz_out: &mut [T],
     code_out: &mut [u8],
 ) {
-    if pattern == NmPattern::P1_2 {
-        prune_rows_into_1_2(scores, scale, nz_out, code_out);
-    } else {
-        prune_rows_into(pattern, scores, cols, scale, nz_out, code_out);
+    match (pattern.n(), pattern.m()) {
+        (1, 2) => prune_rows_into_1_2(scores, scale, nz_out, code_out),
+        (2, 4) => prune_rows_into_2_4(scores, scale, nz_out, code_out),
+        _ => prune_rows_into(pattern, scores, cols, scale, nz_out, code_out),
     }
 }
 
@@ -219,8 +297,8 @@ fn fused_charge<T: Scalar>(
 /// stack in **one launch** — a single profile of exactly `batch ×` the
 /// per-panel [`sddmm_nm_fused`] cost (tiling hoisted out of the head loop),
 /// one pool fan-out over (panel, row-tile) work items, and nonzeros +
-/// metadata written straight into the stacked [`NmBatch`] buffers.
-/// Bit-identical to a per-panel [`sddmm_nm_fused`] loop.
+/// metadata written straight into the stacked [`NmBatch`] buffers — the
+/// same exec body as [`sddmm_nm_fused`].
 pub fn sddmm_nm_fused_batched<T: Scalar>(
     ctx: &mut GpuCtx,
     q: &BatchedMatrix<T>,
@@ -245,45 +323,12 @@ pub fn sddmm_nm_fused_batched<T: Scalar>(
     if !ctx.exec {
         return NmBatch::charge_only(pattern, batch, rows, cols);
     }
-
-    let kept_per_row = pattern.kept_per_row(cols);
-    let groups_per_row = cols / pattern.m();
-    let qw = micro::widen_batched(q);
-    let kp = micro::widen_packed_batched(k);
-    let ppl = micro::packed_len(cols, dq);
-
-    let mut nonzeros = vec![T::zero(); batch * rows * kept_per_row];
-    let mut codes = vec![0u8; batch * rows * groups_per_row];
-    crate::batched::fan_out2(
-        &mut nonzeros,
-        rows * kept_per_row,
-        crate::batched::ROW_TILE * kept_per_row,
-        &mut codes,
-        rows * groups_per_row,
-        crate::batched::ROW_TILE * groups_per_row,
-        |p, e0, nz_chunk, code_chunk| {
-            let qw_p = &qw[p * rows * dq..(p + 1) * rows * dq];
-            let kp_p = &kp[p * ppl..(p + 1) * ppl];
-            let rows_here = nz_chunk.len() / kept_per_row;
-            let row0 = e0 / kept_per_row;
-            // Score rows accumulate in the register-tiled microkernel and
-            // spill once into this scratch block ("the registers").
-            let mut acc = scratch_f32_stale(micro::TILE_ROWS * cols);
-            let mut local = 0;
-            while local < rows_here {
-                let rcnt = micro::TILE_ROWS.min(rows_here - local);
-                micro::panel_product(qw_p, row0 + local, rcnt, dq, kp_p, cols, &mut acc);
-                prune_rows_dispatch(
-                    pattern,
-                    &acc[..rcnt * cols],
-                    cols,
-                    scale,
-                    &mut nz_chunk[local * kept_per_row..(local + rcnt) * kept_per_row],
-                    &mut code_chunk[local * groups_per_row..(local + rcnt) * groups_per_row],
-                );
-                local += rcnt;
-            }
-        },
+    let (nonzeros, codes) = sddmm_nm_fused_exec(
+        pattern,
+        (batch, rows, cols, dq),
+        q.as_slice(),
+        k.as_slice(),
+        scale,
     );
     NmBatch::from_parts(pattern, batch, rows, cols, nonzeros, codes)
 }
@@ -676,6 +721,43 @@ mod tests {
         let f_ops = cf.timeline.entries()[0].alu_ops;
         let b_ops = cb.timeline.entries()[0].alu_ops;
         assert!(b_ops > 10 * f_ops, "bf16 {b_ops} vs float {f_ops}");
+    }
+
+    #[test]
+    fn branchless_2_4_epilogue_matches_select_on_every_special_group() {
+        // Every group of four over eight special values: 4096 groups.
+        let vals = [
+            f32::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            1.0,
+            2.0,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        let groups: Vec<[f32; 4]> = (0..4096usize)
+            .map(|i| std::array::from_fn(|lane| vals[(i >> (3 * lane)) & 7]))
+            .collect();
+        let scores: Vec<f32> = groups.iter().flatten().copied().collect();
+        let (mut nz_fast, mut code_fast) = (vec![0.0f32; 2 * 4096], vec![0u8; 4096]);
+        let (mut nz_ref, mut code_ref) = (vec![0.0f32; 2 * 4096], vec![0u8; 4096]);
+        let p = NmPattern::P2_4;
+        prune_rows_dispatch(p, &scores, 4, 0.5, &mut nz_fast, &mut code_fast);
+        prune_rows_into(p, &scores, 4, 0.5, &mut nz_ref, &mut code_ref);
+        assert_eq!(code_fast, code_ref);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&nz_fast), bits(&nz_ref));
+
+        // The rank rule alone agrees on all 2401 NaN-free groups and not on
+        // every NaN group, so the NaN fallback is load-bearing.
+        let (clean, nan): (Vec<_>, Vec<_>) = groups
+            .iter()
+            .zip(&code_ref)
+            .partition(|(g, _)| !g.iter().any(|x| x.is_nan()));
+        assert_eq!(clean.len(), 2401);
+        assert!(clean.iter().all(|(g, &c)| rank_code_2_4(g) == c));
+        assert!(nan.iter().any(|(g, &c)| rank_code_2_4(g) != c));
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   different bits. All backends use separate multiply and add.
 //! * **Element-wise ops vectorise freely.** [`Backend::axpy`],
 //!   [`Backend::axpy2`] and the register tiles of [`Backend::panel_tile`]
-//!   update independent output lanes in serial k-order; lane width does
-//!   not touch the per-lane operation order, so any width is
-//!   bit-identical.
+//!   and [`spmm_tile`] update independent output lanes in serial k-order;
+//!   lane width does not touch the per-lane operation order, so any width
+//!   is bit-identical.
 //! * **Reductions keep the scalar shape.** [`crate::micro::dot`]
 //!   accumulates into 8 lanes (serially across 8-blocks) and reduces with
 //!   a fixed tree `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))`. The AVX2
@@ -54,10 +54,13 @@
 // The one place the workspace's `unsafe_code = "deny"` is relaxed:
 // `std::arch` intrinsics are inherently `unsafe fn`. Safety arguments are
 // local and mechanical — every vector load/store stays inside `full`
-// (the largest lane multiple ≤ len) and every `target_feature` function is
+// (the largest lane multiple ≤ len; the SpMM tile's gathered rows stay in
+// bounds by its asserted slice lengths and total code decoding, and its
+// AVX-512 tail loads are lane-masked) and every `target_feature` function is
 // reached only through a `Backend` variant whose `available()` check passed.
 #![allow(unsafe_code)]
 
+use dfss_nmsparse::{NmPattern, MAX_M};
 use dfss_tensor::{tf32_round, Bf16, Scalar};
 use std::any::TypeId;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -371,6 +374,188 @@ pub fn axpy_widen_ref<S: Scalar>(acc: &mut [f32], s: f32, row: &[S]) {
     }
 }
 
+/// Compressed rows one [`spmm_tile`] call accumulates together. Every
+/// backend keeps all of them in registers for the whole group scan, so the
+/// `M` candidate V rows of a group are pulled into L1 once and serve every
+/// row of the tile.
+pub const SPMM_TILE_ROWS: usize = 4;
+
+/// Columns of one accumulator window of the scalar reference (and of the
+/// AVX-512 tile, `4 × 16` lanes per row).
+const SPMM_WINDOW: usize = 64;
+
+/// Lane pairs of the 2:4 code table, indexed by `code & 0xF`: the two
+/// lowest set bits, or lanes `(0, 1)` when fewer than two bits are set.
+/// Shared by the SpMM decode and the 2:4 prune epilogue.
+pub(crate) const PAIRS_2_4: [[u8; 2]; 16] = pairs_2_4();
+
+const fn pairs_2_4() -> [[u8; 2]; 16] {
+    let mut table = [[0, 1]; 16];
+    let mut code = 0usize;
+    while code < 16 {
+        let rest = code & code.wrapping_sub(1);
+        if code != 0 && rest != 0 {
+            table[code] = [code.trailing_zeros() as u8, rest.trailing_zeros() as u8];
+        }
+        code += 1;
+    }
+    table
+}
+
+/// Total decoding of one group's code byte into its kept lanes. Release
+/// builds do not validate codes, so every byte must decode to at most `N`
+/// lanes, each below `M`: the unchecked V loads then stay in bounds, and
+/// every backend reads the same rows for a malformed code. A well-formed
+/// code decodes to exactly its set bits, ascending.
+trait Lanes: Copy {
+    /// Kept values per group (the stride of a row's nonzeros per group).
+    fn n(self) -> usize;
+    /// Group width.
+    fn m(self) -> usize;
+    /// Write the kept lanes of `code` into `out`; returns how many.
+    fn decode(self, code: u8, out: &mut [usize; MAX_M]) -> usize;
+}
+
+/// 1:2: the kept lane is bit 1 of the code.
+#[derive(Clone, Copy)]
+struct Lanes1of2;
+
+impl Lanes for Lanes1of2 {
+    #[inline(always)]
+    fn n(self) -> usize {
+        1
+    }
+    #[inline(always)]
+    fn m(self) -> usize {
+        2
+    }
+    #[inline(always)]
+    fn decode(self, code: u8, out: &mut [usize; MAX_M]) -> usize {
+        out[0] = ((code >> 1) & 1) as usize;
+        1
+    }
+}
+
+/// 2:4: the [`PAIRS_2_4`] table.
+#[derive(Clone, Copy)]
+struct Lanes2of4;
+
+impl Lanes for Lanes2of4 {
+    #[inline(always)]
+    fn n(self) -> usize {
+        2
+    }
+    #[inline(always)]
+    fn m(self) -> usize {
+        4
+    }
+    #[inline(always)]
+    fn decode(self, code: u8, out: &mut [usize; MAX_M]) -> usize {
+        let [a, b] = PAIRS_2_4[(code & 0xF) as usize];
+        out[0] = a as usize;
+        out[1] = b as usize;
+        2
+    }
+}
+
+/// Any other N:M: a bit-scan of the low `M` bits that stops after `N` lanes.
+#[derive(Clone, Copy)]
+struct LanesScan {
+    n: usize,
+    m: usize,
+}
+
+impl Lanes for LanesScan {
+    #[inline(always)]
+    fn n(self) -> usize {
+        self.n
+    }
+    #[inline(always)]
+    fn m(self) -> usize {
+        self.m
+    }
+    #[inline(always)]
+    fn decode(self, code: u8, out: &mut [usize; MAX_M]) -> usize {
+        let mut bits = code & (u8::MAX >> (8 - self.m));
+        let mut kept = 0;
+        while bits != 0 && kept < self.n {
+            out[kept] = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            kept += 1;
+        }
+        kept
+    }
+}
+
+/// One scalar window of [`spmm_tile`]: `R` rows × columns `j0 .. j0 + w`
+/// (`w ≤ 64`), accumulated from `0.0` in ascending group, then lane, order.
+/// It defines the op's semantics, and the SIMD backends run their column
+/// tails through it, so those tails match the reference by construction.
+#[inline(always)]
+fn spmm_window_ref<T: Scalar, L: Lanes, const R: usize>(
+    lanes: L,
+    gpr: usize,
+    nz: &[T],
+    codes: &[u8],
+    v: &[f32],
+    d: usize,
+    j0: usize,
+    w: usize,
+    out: &mut [T],
+) {
+    let (n, m) = (lanes.n(), lanes.m());
+    let mut acc = [[0.0f32; SPMM_WINDOW]; R];
+    let mut sel = [0usize; MAX_M];
+    for g in 0..gpr {
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let kept = lanes.decode(codes[r * gpr + g], &mut sel);
+            for (i, &lane) in sel[..kept].iter().enumerate() {
+                let s = nz[(r * gpr + g) * n + i].to_mul();
+                let row = &v[(g * m + lane) * d + j0..][..w];
+                for (o, &x) in acc[..w].iter_mut().zip(row) {
+                    *o += s * x;
+                }
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        for (o, &x) in out[r * d + j0..][..w].iter_mut().zip(&acc[..w]) {
+            *o = T::from_acc(x);
+        }
+    }
+}
+
+fn spmm_rows_ref<T: Scalar, L: Lanes, const R: usize>(
+    lanes: L,
+    gpr: usize,
+    nz: &[T],
+    codes: &[u8],
+    v: &[f32],
+    d: usize,
+    out: &mut [T],
+) {
+    let mut j0 = 0;
+    while j0 < d {
+        let w = SPMM_WINDOW.min(d - j0);
+        spmm_window_ref::<T, L, R>(lanes, gpr, nz, codes, v, d, j0, w, out);
+        j0 += w;
+    }
+}
+
+/// Reference N:M SpMM tile: the bit-exact semantics of [`spmm_tile`].
+#[inline]
+pub fn spmm_tile_ref<T: Scalar>(
+    pattern: NmPattern,
+    rcnt: usize,
+    nz: &[T],
+    codes: &[u8],
+    v: &[f32],
+    d: usize,
+    out: &mut [T],
+) {
+    spmm_tile(Backend::Scalar, pattern, rcnt, nz, codes, v, d, out);
+}
+
 // ---------------------------------------------------------------------------
 // Dispatched operations.
 // ---------------------------------------------------------------------------
@@ -555,13 +740,104 @@ pub fn axpy_widen<S: Scalar>(backend: Backend, acc: &mut [f32], s: f32, row: &[S
     }
 }
 
+/// Register-tiled N:M SpMM: `rcnt ≤` [`SPMM_TILE_ROWS`] compressed rows
+/// against a widened `inner × d` V panel. `nz` holds the rows' kept values
+/// (`N` per group, row-major), `codes` one selection byte per group, and
+/// `out` the `rcnt × d` result:
+/// `out[r][j] = Σ to_mul(nz) · v[col][j]`, the terms added from `0.0` in
+/// ascending group, then lane, order (multiply, then add: no FMA) and
+/// converted once with `from_acc`. Codes decode totally — 1:2 as
+/// `(code >> 1) & 1`, 2:4 through a 16-entry table of `code & 0xF`, other
+/// patterns as a bit-scan of the low `M` bits that stops after `N` lanes —
+/// so any byte selects in-bounds V rows, the same ones on every backend.
+///
+/// The tile shape is per backend (AVX-512: 4 rows × 64 columns; AVX2:
+/// 4 rows × 16; NEON has no tile yet and runs the scalar reference); only
+/// the per-element order is fixed, so every backend is bit-identical to
+/// [`spmm_tile_ref`].
+///
+/// # Panics
+/// If `backend` is not available on this CPU, `rcnt` is outside `1..=4`,
+/// or a slice length disagrees with the shape above (the unchecked
+/// backends rely on these checks).
+pub fn spmm_tile<T: Scalar>(
+    backend: Backend,
+    pattern: NmPattern,
+    rcnt: usize,
+    nz: &[T],
+    codes: &[u8],
+    v: &[f32],
+    d: usize,
+    out: &mut [T],
+) {
+    assert!(
+        backend.available(),
+        "backend {} not available",
+        backend.name()
+    );
+    assert!(
+        (1..=SPMM_TILE_ROWS).contains(&rcnt),
+        "tile of {rcnt} rows (1..={SPMM_TILE_ROWS})"
+    );
+    let gpr = codes.len() / rcnt;
+    assert_eq!(
+        codes.len(),
+        rcnt * gpr,
+        "codes do not split into {rcnt} rows"
+    );
+    assert_eq!(
+        nz.len(),
+        rcnt * gpr * pattern.n(),
+        "nonzeros do not fit codes"
+    );
+    assert!(
+        v.len() >= gpr * pattern.m() * d,
+        "V panel shorter than A's columns"
+    );
+    assert_eq!(out.len(), rcnt * d, "output is not {rcnt} rows of {d}");
+    match (pattern.n(), pattern.m()) {
+        (1, 2) => spmm_tile_lanes(backend, Lanes1of2, rcnt, gpr, nz, codes, v, d, out),
+        (2, 4) => spmm_tile_lanes(backend, Lanes2of4, rcnt, gpr, nz, codes, v, d, out),
+        (n, m) => spmm_tile_lanes(backend, LanesScan { n, m }, rcnt, gpr, nz, codes, v, d, out),
+    }
+}
+
+#[inline]
+fn spmm_tile_lanes<T: Scalar, L: Lanes>(
+    backend: Backend,
+    lanes: L,
+    rcnt: usize,
+    gpr: usize,
+    nz: &[T],
+    codes: &[u8],
+    v: &[f32],
+    d: usize,
+    out: &mut [T],
+) {
+    match backend {
+        // SAFETY (both): `spmm_tile` checked the slice lengths against
+        // `rcnt`, `gpr`, `d` and the pattern, and `Lanes::decode` keeps every
+        // lane below `M` and every nonzero index below `N` per group.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe { x86::spmm_tile_avx512(lanes, rcnt, gpr, nz, codes, v, d, out) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { x86::spmm_tile_avx2(lanes, rcnt, gpr, nz, codes, v, d, out) },
+        _ => match rcnt {
+            4 => spmm_rows_ref::<T, L, 4>(lanes, gpr, nz, codes, v, d, out),
+            3 => spmm_rows_ref::<T, L, 3>(lanes, gpr, nz, codes, v, d, out),
+            2 => spmm_rows_ref::<T, L, 2>(lanes, gpr, nz, codes, v, d, out),
+            _ => spmm_rows_ref::<T, L, 1>(lanes, gpr, nz, codes, v, d, out),
+        },
+    }
+}
+
 // ---------------------------------------------------------------------------
 // x86-64 implementations.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::tf32_round;
+    use super::{tf32_round, Lanes, Scalar, MAX_M};
     use std::arch::x86_64::*;
 
     /// Horizontal sum of an 8-lane accumulator in the scalar tree order:
@@ -878,6 +1154,159 @@ mod x86 {
             max = max.max(*buf.get_unchecked(i));
         }
         max
+    }
+
+    /// # Safety
+    /// AVX-512F must be available, and the slices must have the lengths
+    /// `super::spmm_tile` checks for `rcnt` rows of `gpr` groups.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn spmm_tile_avx512<T: Scalar, L: Lanes>(
+        lanes: L,
+        rcnt: usize,
+        gpr: usize,
+        nz: &[T],
+        codes: &[u8],
+        v: &[f32],
+        d: usize,
+        out: &mut [T],
+    ) {
+        match rcnt {
+            4 => spmm_rows_avx512::<T, L, 4>(lanes, gpr, nz, codes, v, d, out),
+            3 => spmm_rows_avx512::<T, L, 3>(lanes, gpr, nz, codes, v, d, out),
+            2 => spmm_rows_avx512::<T, L, 2>(lanes, gpr, nz, codes, v, d, out),
+            _ => spmm_rows_avx512::<T, L, 1>(lanes, gpr, nz, codes, v, d, out),
+        }
+    }
+
+    /// `R` rows × a 64-column window in `4R` zmm accumulators. Vectors past
+    /// the window's width load under a lane mask (masked-off lanes touch no
+    /// memory), so column tails need no scalar loop.
+    ///
+    /// # Safety
+    /// As for `spmm_tile_avx512`, with `R` rows.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn spmm_rows_avx512<T: Scalar, L: Lanes, const R: usize>(
+        lanes: L,
+        gpr: usize,
+        nz: &[T],
+        codes: &[u8],
+        v: &[f32],
+        d: usize,
+        out: &mut [T],
+    ) {
+        let (n, m) = (lanes.n(), lanes.m());
+        let mut sel = [0usize; MAX_M];
+        let mut tile = [0.0f32; 64];
+        let mut j0 = 0;
+        while j0 < d {
+            let w = (d - j0).min(64);
+            let masks: [__mmask16; 4] = std::array::from_fn(|c| {
+                let live = w.saturating_sub(16 * c).min(16);
+                ((1u32 << live) - 1) as __mmask16
+            });
+            let mut acc = [[_mm512_setzero_ps(); 4]; R];
+            for g in 0..gpr {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let kept = lanes.decode(*codes.get_unchecked(r * gpr + g), &mut sel);
+                    for (i, &lane) in sel[..kept].iter().enumerate() {
+                        let s = _mm512_set1_ps(nz.get_unchecked((r * gpr + g) * n + i).to_mul());
+                        // `wrapping_add`: a fully masked vector may sit past
+                        // the end of `v`; its address is never dereferenced.
+                        let row = v.as_ptr().wrapping_add((g * m + lane) * d + j0);
+                        for (c, a) in acc.iter_mut().enumerate() {
+                            let x = _mm512_maskz_loadu_ps(masks[c], row.wrapping_add(16 * c));
+                            *a = _mm512_add_ps(*a, _mm512_mul_ps(s, x));
+                        }
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                for (c, a) in acc.iter().enumerate() {
+                    _mm512_storeu_ps(tile.as_mut_ptr().add(16 * c), *a);
+                }
+                let orow = out.get_unchecked_mut(r * d + j0..r * d + j0 + w);
+                for (o, &x) in orow.iter_mut().zip(&tile[..w]) {
+                    *o = T::from_acc(x);
+                }
+            }
+            j0 += w;
+        }
+    }
+
+    /// # Safety
+    /// AVX2 must be available, and the slices must have the lengths
+    /// `super::spmm_tile` checks for `rcnt` rows of `gpr` groups.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn spmm_tile_avx2<T: Scalar, L: Lanes>(
+        lanes: L,
+        rcnt: usize,
+        gpr: usize,
+        nz: &[T],
+        codes: &[u8],
+        v: &[f32],
+        d: usize,
+        out: &mut [T],
+    ) {
+        match rcnt {
+            4 => spmm_rows_avx2::<T, L, 4>(lanes, gpr, nz, codes, v, d, out),
+            3 => spmm_rows_avx2::<T, L, 3>(lanes, gpr, nz, codes, v, d, out),
+            2 => spmm_rows_avx2::<T, L, 2>(lanes, gpr, nz, codes, v, d, out),
+            _ => spmm_rows_avx2::<T, L, 1>(lanes, gpr, nz, codes, v, d, out),
+        }
+    }
+
+    /// `R` rows × 16 columns in `2R` ymm accumulators (a wider tile would
+    /// not fit the 16 registers); a column tail narrower than 16 runs the
+    /// scalar reference window.
+    ///
+    /// # Safety
+    /// As for `spmm_tile_avx2`, with `R` rows.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn spmm_rows_avx2<T: Scalar, L: Lanes, const R: usize>(
+        lanes: L,
+        gpr: usize,
+        nz: &[T],
+        codes: &[u8],
+        v: &[f32],
+        d: usize,
+        out: &mut [T],
+    ) {
+        let (n, m) = (lanes.n(), lanes.m());
+        let mut sel = [0usize; MAX_M];
+        let mut tile = [0.0f32; 16];
+        let full = d / 16 * 16;
+        let mut j0 = 0;
+        while j0 < full {
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            for g in 0..gpr {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let kept = lanes.decode(*codes.get_unchecked(r * gpr + g), &mut sel);
+                    for (i, &lane) in sel[..kept].iter().enumerate() {
+                        let s = _mm256_set1_ps(nz.get_unchecked((r * gpr + g) * n + i).to_mul());
+                        let row = v.as_ptr().add((g * m + lane) * d + j0);
+                        for (c, a) in acc.iter_mut().enumerate() {
+                            let x = _mm256_loadu_ps(row.add(8 * c));
+                            *a = _mm256_add_ps(*a, _mm256_mul_ps(s, x));
+                        }
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                for (c, a) in acc.iter().enumerate() {
+                    _mm256_storeu_ps(tile.as_mut_ptr().add(8 * c), *a);
+                }
+                let orow = out.get_unchecked_mut(r * d + j0..r * d + j0 + 16);
+                for (o, &x) in orow.iter_mut().zip(&tile) {
+                    *o = T::from_acc(x);
+                }
+            }
+            j0 += 16;
+        }
+        if full < d {
+            super::spmm_window_ref::<T, L, R>(lanes, gpr, nz, codes, v, d, full, d - full, out);
+        }
     }
 }
 

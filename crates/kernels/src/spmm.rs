@@ -12,8 +12,9 @@
 use crate::ctx::{sparse_class, GpuCtx};
 use crate::decode;
 use crate::micro;
+use crate::simd;
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_nmsparse::{Csr, NmBatch, NmCompressed, NmRagged};
+use dfss_nmsparse::{Csr, NmBatch, NmCompressed, NmPattern, NmRagged};
 use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, RaggedBatch, Scalar};
 use rayon::prelude::*;
 
@@ -63,108 +64,66 @@ pub fn spmm_nm<T: Scalar>(ctx: &mut GpuCtx, a: &NmCompressed<T>, v: &Matrix<T>) 
     if !ctx.exec {
         return Matrix::zeros(rows, d);
     }
-
-    // --- execution: batch rows per work item so one scratch accumulator
-    // serves the whole chunk. The hardware 1:2 pattern takes a direct
-    // indexed decode (one nonzero per group, the column is `2g` plus the
-    // code's high bit) — no per-nonzero callback or bit-scan loop; group
-    // order and per-element accumulation match `scan_row` exactly.
-    let vw = micro::widen(v);
-    let gpr = a.groups_per_row();
-    let p1_2 = a.pattern() == dfss_nmsparse::NmPattern::P1_2;
-    let mut out = vec![T::zero(); rows * d];
-    out.par_chunks_mut(d * ROW_CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let mut acc = scratch_f32_stale(d);
-            for (local, orow) in chunk.chunks_mut(d).enumerate() {
-                let r = ci * ROW_CHUNK + local;
-                acc.iter_mut().for_each(|x| *x = 0.0);
-                if p1_2 {
-                    let codes = &a.codes()[r * gpr..(r + 1) * gpr];
-                    for (g, (&code, val)) in codes.iter().zip(a.row_nonzeros(r)).enumerate() {
-                        debug_assert!(code == 1 || code == 2);
-                        let col = 2 * g + (code >> 1) as usize;
-                        micro::axpy(&mut acc, val.to_mul(), &vw[col * d..(col + 1) * d]);
-                    }
-                } else {
-                    a.scan_row(r, |col, val| {
-                        micro::axpy(&mut acc, val.to_mul(), &vw[col * d..(col + 1) * d]);
-                    });
-                }
-                for (o, &x) in orow.iter_mut().zip(acc.iter()) {
-                    *o = T::from_acc(x);
-                }
-            }
-        });
+    let out = spmm_nm_exec(
+        a.pattern(),
+        (1, rows, inner, d),
+        a.nonzeros(),
+        a.codes(),
+        v.as_slice(),
+    );
     Matrix::from_vec(rows, d, out)
 }
 
-/// One output row of the batched N:M SpMM, register-tiled over
-/// [`micro::TILE_COLS`]-wide column tiles: the accumulator tile stays in
-/// registers for the whole nonzero scan instead of streaming through L1 per
-/// nonzero. Per output element the adds run in the same ascending
-/// group/bit order as `scan_row`, so results are bit-identical to the
-/// single-head [`spmm_nm`] row loop.
-fn spmm_row_tiled<T: Scalar>(
-    nz_row: &[T],
-    codes_row: &[u8],
-    m: usize,
-    p1_2: bool,
-    vw: &[f32],
-    d: usize,
-    orow: &mut [T],
-) {
-    let mut j0 = 0usize;
-    while j0 < d {
-        let w = micro::TILE_COLS.min(d - j0);
-        let mut acc = [0.0f32; micro::TILE_COLS];
-        if p1_2 && w == micro::TILE_COLS {
-            // Hardware 1:2 fast path: one nonzero per group, direct decode.
-            for (g, (&code, val)) in codes_row.iter().zip(nz_row.iter()).enumerate() {
-                debug_assert!(code == 1 || code == 2);
-                let col = 2 * g + (code >> 1) as usize;
-                let vrow: &[f32; micro::TILE_COLS] = vw
-                    [col * d + j0..col * d + j0 + micro::TILE_COLS]
-                    .try_into()
-                    .unwrap();
-                let s = val.to_mul();
-                for (o, &x) in acc.iter_mut().zip(vrow) {
-                    *o += s * x;
-                }
+/// The one N:M SpMM exec body, over borrowed slices: `batch` stacked
+/// `rows × inner` compressed panels against their `inner × d` V panels.
+/// One pool fan-out over (panel, row-tile) work items, each cut into
+/// [`simd::SPMM_TILE_ROWS`]-row register tiles of [`simd::spmm_tile`];
+/// solo [`spmm_nm`] is the one-panel case. Per output element the terms add
+/// in ascending group/lane order (the `scan_row` order), and nonzeros
+/// convert with `to_mul` as the tile broadcasts them.
+fn spmm_nm_exec<T: Scalar>(
+    pattern: NmPattern,
+    (batch, rows, inner, d): (usize, usize, usize, usize),
+    nonzeros: &[T],
+    codes: &[u8],
+    v: &[T],
+) -> Vec<T> {
+    let vw = micro::widen(v);
+    let kept = pattern.kept_per_row(inner);
+    let gpr = inner / pattern.m();
+    let backend = simd::active();
+    let tile = simd::SPMM_TILE_ROWS * d;
+    let mut out = vec![T::zero(); batch * rows * d];
+    crate::batched::fan_out(
+        &mut out,
+        rows * d,
+        crate::batched::ROW_TILE * d,
+        |p, e0, chunk| {
+            let vw_p = &vw[p * inner * d..(p + 1) * inner * d];
+            for (t, orows) in chunk.chunks_mut(tile).enumerate() {
+                // Row index within the whole stack.
+                let r = p * rows + e0 / d + t * simd::SPMM_TILE_ROWS;
+                let rcnt = orows.len() / d;
+                simd::spmm_tile(
+                    backend,
+                    pattern,
+                    rcnt,
+                    &nonzeros[r * kept..(r + rcnt) * kept],
+                    &codes[r * gpr..(r + rcnt) * gpr],
+                    vw_p,
+                    d,
+                    orows,
+                );
             }
-        } else {
-            // General pattern (or tail tile): bit-scan decode per tile pass;
-            // the scan repeats per tile but each pass touches the same
-            // 64-byte V lines a full-row pass would.
-            let mut nz_pos = 0usize;
-            for (g, &code) in codes_row.iter().enumerate() {
-                let base = g * m;
-                let mut bits = code;
-                while bits != 0 {
-                    let bit = bits.trailing_zeros() as usize;
-                    let col = base + bit;
-                    let s = nz_row[nz_pos].to_mul();
-                    let vrow = &vw[col * d + j0..col * d + j0 + w];
-                    for (o, &x) in acc[..w].iter_mut().zip(vrow) {
-                        *o += s * x;
-                    }
-                    nz_pos += 1;
-                    bits &= bits - 1;
-                }
-            }
-        }
-        for (o, &x) in orow[j0..j0 + w].iter_mut().zip(acc[..w].iter()) {
-            *o = T::from_acc(x);
-        }
-        j0 += w;
-    }
+        },
+    );
+    out
 }
 
 /// Batched `O = Aᶜ · V` over a whole B×H stack in **one launch**: a single
 /// profile of exactly `batch ×` the per-panel [`spmm_nm`] cost (tiling
 /// hoisted out of the head loop) and one pool fan-out over (panel,
-/// row-tile) work items. Bit-identical to a per-panel [`spmm_nm`] loop.
+/// row-tile) work items — the same exec body as [`spmm_nm`].
 pub fn spmm_nm_batched<T: Scalar>(
     ctx: &mut GpuCtx,
     a: &NmBatch<T>,
@@ -186,35 +145,12 @@ pub fn spmm_nm_batched<T: Scalar>(
     if !ctx.exec {
         return BatchedMatrix::charge_only(batch, rows, d);
     }
-
-    let vw = micro::widen_batched(v);
-    let kept = a.kept_per_row();
-    let gpr = a.groups_per_row();
-    let m = a.pattern().m();
-    let p1_2 = a.pattern() == dfss_nmsparse::NmPattern::P1_2;
-    let mut out = vec![T::zero(); batch * rows * d];
-    crate::batched::fan_out(
-        &mut out,
-        rows * d,
-        crate::batched::ROW_TILE * d,
-        |p, e0, chunk| {
-            let vw_p = &vw[p * inner * d..(p + 1) * inner * d];
-            let nz_p = a.panel_nonzeros(p);
-            let code_p = a.panel_codes(p);
-            let row0 = e0 / d;
-            for (local, orow) in chunk.chunks_mut(d).enumerate() {
-                let r = row0 + local;
-                spmm_row_tiled(
-                    &nz_p[r * kept..(r + 1) * kept],
-                    &code_p[r * gpr..(r + 1) * gpr],
-                    m,
-                    p1_2,
-                    vw_p,
-                    d,
-                    orow,
-                );
-            }
-        },
+    let out = spmm_nm_exec(
+        a.pattern(),
+        (batch, rows, inner, d),
+        a.nonzeros(),
+        a.codes(),
+        v.as_slice(),
     );
     BatchedMatrix::from_vec(batch, rows, d, out)
 }
@@ -334,7 +270,7 @@ pub fn spmm_csr<T: Scalar>(ctx: &mut GpuCtx, a: &Csr<T>, v: &Matrix<T>) -> Matri
         return Matrix::zeros(rows, d);
     }
 
-    let vw = micro::widen(v);
+    let vw = micro::widen(v.as_slice());
     let mut out = vec![T::zero(); rows * d];
     out.par_chunks_mut(d * ROW_CHUNK)
         .enumerate()

@@ -14,7 +14,7 @@
 
 use dfss_gpusim::{KernelProfile, Stage};
 use dfss_kernels::{ell, gemm, sddmm, softmax, spmm, GpuCtx};
-use dfss_nmsparse::{BlockedEll, Csr, NmCompressed, NmPattern};
+use dfss_nmsparse::{BlockedEll, Csr, NmBatch, NmCompressed, NmPattern};
 use dfss_tensor::{BatchedMatrix, Matrix, Rng, Scalar};
 
 /// Pin the pool width before its lazy initialisation (call first in every
@@ -313,32 +313,101 @@ fn batched_softmax_matches_serial_panel_loop() {
     );
 }
 
-/// Batched N:M SpMM (both patterns): bit-identical outputs, exact batch ×
-/// charge.
+/// Independent serial reference of one N:M SpMM panel: `scan_row` plus a
+/// serial axpy per kept entry, in ascending column order.
+fn spmm_reference(a: &NmBatch<f32>, p: usize, v: &Matrix<f32>) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.rows() * v.cols());
+    for r in 0..a.rows() {
+        let mut acc = vec![0.0f32; v.cols()];
+        a.scan_row(p, r, |col, val| {
+            let s = val.to_mul();
+            for (o, x) in acc.iter_mut().zip(v.row(col)) {
+                *o += s * x.to_mul();
+            }
+        });
+        out.extend(acc.iter().map(|&x| f32::from_acc(x).to_bits()));
+    }
+    out
+}
+
+/// Batched and solo N:M SpMM: bit-identical to the serial reference at
+/// widths on both sides of every register-tile width and with 1-, 2- and
+/// 3-row tile tails; exact batch × charge.
 #[test]
 fn batched_spmm_matches_serial_panel_loop() {
     pin_pool();
-    let (batch, n, d) = (4usize, 64usize, 24usize); // d=24: column-tile tail
-    for pattern in [NmPattern::P1_2, NmPattern::P2_4] {
-        let scores = stack(batch, n, n, 50);
-        let v = stack(batch, n, d, 51);
-        let panels: Vec<NmCompressed<f32>> = (0..batch)
-            .map(|p| NmCompressed::compress(&scores.to_panel(p), pattern))
-            .collect();
-        let comp = dfss_nmsparse::NmBatch::from_panels(&panels);
-        let mut bctx = GpuCtx::a100();
-        let out = spmm::spmm_nm_batched(&mut bctx, &comp, &v);
-        let mut sctx = GpuCtx::a100();
-        for (p, panel) in panels.iter().enumerate() {
-            let single = rayon::with_serial(|| spmm::spmm_nm(&mut sctx, panel, &v.to_panel(p)));
-            assert_eq!(bits(&out.to_panel(p)), bits(&single), "{pattern} panel {p}");
+    let (batch, inner) = (3usize, 64usize);
+    for pattern in [
+        NmPattern::P1_2,
+        NmPattern::P2_4,
+        NmPattern::new(1, 4),
+        NmPattern::new(3, 4),
+    ] {
+        // 13, 18 and 35 rows: the last (panel, row-tile) work item of each
+        // panel ends in a 1-, 2- and 3-row register tile.
+        for rows in [13usize, 18, 35] {
+            let scores = stack(batch, rows, inner, 50);
+            let panels: Vec<NmCompressed<f32>> = (0..batch)
+                .map(|p| NmCompressed::compress(&scores.to_panel(p), pattern))
+                .collect();
+            let comp = NmBatch::from_panels(&panels);
+            for d in [1usize, 15, 16, 24, 64, 80, 128] {
+                let v = stack(batch, inner, d, 51);
+                let mut bctx = GpuCtx::a100();
+                let out = spmm::spmm_nm_batched(&mut bctx, &comp, &v);
+                let mut sctx = GpuCtx::a100();
+                for (p, panel) in panels.iter().enumerate() {
+                    let v_p = v.to_panel(p);
+                    let want = spmm_reference(&comp, p, &v_p);
+                    let single = rayon::with_serial(|| spmm::spmm_nm(&mut sctx, panel, &v_p));
+                    let what = format!("{pattern} rows {rows} d {d} panel {p}");
+                    assert_eq!(bits(&out.to_panel(p)), want, "batched {what}");
+                    assert_eq!(bits(&single), want, "solo {what}");
+                }
+                assert_batched_charge(
+                    &bctx.timeline.entries()[0],
+                    &sctx.timeline.entries()[0],
+                    batch as u64,
+                    "spmm_nm",
+                );
+            }
         }
-        assert_batched_charge(
-            &bctx.timeline.entries()[0],
-            &sctx.timeline.entries()[0],
-            batch as u64,
-            "spmm_nm",
-        );
+    }
+}
+
+/// Integer-valued Q and K make the scores tie heavily, so the prune
+/// epilogues' lower-index tie-break decides most groups: batched and solo
+/// fused SDDMM must match a prune of the dense scores bit for bit.
+#[test]
+fn batched_sddmm_with_tied_scores_matches_dense_prune() {
+    pin_pool();
+    let (batch, n, d) = (3usize, 40usize, 8usize);
+    let mut rng = Rng::new(23);
+    let mut ints = || BatchedMatrix::from_fn(batch, n, d, |_, _, _| rng.below(3) as f32 - 1.0);
+    let (q, k) = (ints(), ints());
+    for pattern in [
+        NmPattern::P1_2,
+        NmPattern::P2_4,
+        NmPattern::new(1, 4),
+        NmPattern::new(3, 4),
+    ] {
+        // A power-of-two scale keeps scaled scores exactly as tied as the
+        // raw ones the fused epilogue compares.
+        let comp = sddmm::sddmm_nm_fused_batched(&mut GpuCtx::a100(), &q, &k, 0.25, pattern);
+        for p in 0..batch {
+            let (q_p, k_p) = (q.to_panel(p), k.to_panel(p));
+            let single = sddmm::sddmm_nm_fused(&mut GpuCtx::a100(), &q_p, &k_p, 0.25, pattern);
+            let dense = gemm::gemm_nt(&mut GpuCtx::a100(), Stage::Qk, &q_p, &k_p, 0.25);
+            let want = NmCompressed::compress(&dense, pattern);
+            for (got, what) in [(comp.to_compressed(p), "batched"), (single, "solo")] {
+                assert_eq!(got.codes(), want.codes(), "{pattern} {what} codes {p}");
+                assert_eq!(
+                    bits(&got.decompress()),
+                    bits(&want.decompress()),
+                    "{pattern} {what} values {p}"
+                );
+            }
+        }
     }
 }
 

@@ -15,9 +15,10 @@
 
 use dfss_kernels::simd::{
     self, axpy2_ref, axpy_ref, axpy_widen, axpy_widen_ref, dot_ref, dot_widen, dot_widen_ref,
-    panel_tile_ref, row_max_ref, Backend,
+    panel_tile_ref, row_max_ref, spmm_tile, spmm_tile_ref, Backend,
 };
-use dfss_tensor::{Bf16, Rng};
+use dfss_nmsparse::NmPattern;
+use dfss_tensor::{Bf16, Rng, Scalar};
 
 /// Every backend the host CPU can actually run (always includes Scalar).
 fn available_backends() -> Vec<Backend> {
@@ -137,6 +138,106 @@ fn panel_tile_is_bit_identical_across_backends() {
             }
         }
     }
+}
+
+/// The documented total decode of one code byte: 1:2 keeps bit 1; 2:4 the
+/// two lowest set bits of the low nibble, or lanes (0, 1) with fewer than
+/// two set; other patterns the first `N` set bits of the low `M` bits.
+fn model_lanes(pattern: NmPattern, code: u8) -> Vec<usize> {
+    let (n, m) = (pattern.n(), pattern.m());
+    let set: Vec<usize> = (0..m).filter(|&b| (code >> b) & 1 == 1).collect();
+    match (n, m) {
+        (1, 2) => vec![usize::from((code >> 1) & 1)],
+        (2, 4) if set.len() < 2 => vec![0, 1],
+        _ => set.into_iter().take(n).collect(),
+    }
+}
+
+/// Code sets for `groups` groups: well-formed, all 0x00, all 0xFF, random
+/// bytes.
+fn code_sets(pattern: NmPattern, groups: usize, rng: &mut Rng) -> Vec<Vec<u8>> {
+    let (n, m) = (pattern.n(), pattern.m());
+    let valid = (0..groups)
+        .map(|_| {
+            rng.sample_indices(m, n)
+                .into_iter()
+                .fold(0u8, |c, lane| c | (1 << lane))
+        })
+        .collect();
+    let random = (0..groups).map(|_| rng.below(256) as u8).collect();
+    vec![valid, vec![0x00; groups], vec![0xFF; groups], random]
+}
+
+/// Every backend's N:M SpMM tile against the scalar reference, and the
+/// reference against a serial model of the documented decode, for one
+/// nonzero type over the given column counts.
+fn spmm_tile_gauntlet<T: Scalar>(seed: u64, widths: &[usize]) {
+    let mut rng = Rng::new(seed);
+    let gpr = 5usize;
+    for pattern in [
+        NmPattern::P1_2,
+        NmPattern::P2_4,
+        NmPattern::new(1, 4),
+        NmPattern::new(3, 4),
+    ] {
+        let (n, m) = (pattern.n(), pattern.m());
+        let inner = gpr * m;
+        for &d in widths {
+            // NaN and ±Inf in V, at most one special per column: no output
+            // element then meets two NaN sources, so payloads are exact.
+            let mut v = vec_of(inner * d, &mut rng);
+            for j in (0..d).step_by(3) {
+                let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][j / 3 % 3];
+                v[rng.below(inner) * d + j] = special;
+            }
+            for rcnt in 1usize..=4 {
+                let nz: Vec<T> = (0..rcnt * gpr * n)
+                    .map(|_| T::from_f32(rng.normal(0.0, 1.0)))
+                    .collect();
+                for codes in code_sets(pattern, rcnt * gpr, &mut rng) {
+                    let mut model = vec![T::zero(); rcnt * d];
+                    for (r, orow) in model.chunks_mut(d).enumerate() {
+                        let mut acc = vec![0.0f32; d];
+                        for g in 0..gpr {
+                            let lanes = model_lanes(pattern, codes[r * gpr + g]);
+                            for (i, lane) in lanes.into_iter().enumerate() {
+                                let s = nz[(r * gpr + g) * n + i].to_mul();
+                                let row = &v[(g * m + lane) * d..(g * m + lane + 1) * d];
+                                for (o, &x) in acc.iter_mut().zip(row) {
+                                    *o += s * x;
+                                }
+                            }
+                        }
+                        for (o, &x) in orow.iter_mut().zip(&acc) {
+                            *o = T::from_acc(x);
+                        }
+                    }
+                    let bits = |o: &[T]| o.iter().map(|x| x.to_f32().to_bits()).collect::<Vec<_>>();
+                    let what = format!("{pattern} d={d} rcnt={rcnt} codes={:?}", &codes[..2]);
+                    let mut want = vec![T::from_f32(-7.0); rcnt * d];
+                    spmm_tile_ref(pattern, rcnt, &nz, &codes, &v, d, &mut want);
+                    assert_eq!(bits(&want), bits(&model), "reference vs model, {what}");
+                    for backend in available_backends() {
+                        let mut got = vec![T::from_f32(-7.0); rcnt * d];
+                        spmm_tile(backend, pattern, rcnt, &nz, &codes, &v, d, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "{what} on {}", backend.name());
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn spmm_tile_is_bit_identical_across_backends() {
+    // Column counts cross every lane width (8, 16, and the 64-wide AVX-512
+    // window), so each backend's tail path runs; codes include malformed
+    // bytes, which must select the same in-bounds lanes everywhere.
+    spmm_tile_gauntlet::<f32>(
+        0x5A11,
+        &[1, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 80, 129],
+    );
+    spmm_tile_gauntlet::<Bf16>(0x5B16, &[5, 16, 64, 70]);
 }
 
 #[test]

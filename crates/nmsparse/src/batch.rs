@@ -32,6 +32,14 @@ pub struct NmBatch<T> {
 
 impl<T: Scalar> NmBatch<T> {
     /// Assemble from stacked parts (the fused batched SDDMM epilogue).
+    ///
+    /// Buffer lengths are always checked. Codes are **not** validated in
+    /// release builds: each should have exactly N of its low M bits set,
+    /// but only a `debug_assert!` checks that. The N:M SpMM decodes any
+    /// byte totally (in-bounds lanes, the same on every SIMD backend), so a
+    /// malformed code yields a wrong product, never an out-of-bounds read;
+    /// the bounds-checked bit-scan readers (`scan_row`, `decompress`) may
+    /// panic on one.
     pub fn from_parts(
         pattern: NmPattern,
         batch: usize,

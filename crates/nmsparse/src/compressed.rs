@@ -67,6 +67,14 @@ impl<T: Scalar> NmCompressed<T> {
     /// Assemble directly from parts (used by the fused SDDMM epilogue, which
     /// produces nonzeros and codes without ever materialising the dense
     /// matrix).
+    ///
+    /// Buffer lengths are always checked. Codes are **not** validated in
+    /// release builds: each should have exactly N of its low M bits set,
+    /// but only a `debug_assert!` checks that. The N:M SpMM decodes any
+    /// byte totally (in-bounds lanes, the same on every SIMD backend), so a
+    /// malformed code yields a wrong product, never an out-of-bounds read;
+    /// the bounds-checked bit-scan readers (`scan_row`, `decompress`) may
+    /// panic on one.
     pub fn from_parts(
         pattern: NmPattern,
         rows: usize,
