@@ -63,14 +63,15 @@
 //!
 //! A sixth sweep covers **shard scaling**: one fixed saturating prefill
 //! burst (every request submitted up front) runs through a `ShardedServer`
-//! at 1, 2 and 4 continuous-batching engines with work stealing on. The
+//! at 1, 2 and 4 pinned continuous-batching engines, each request admitted
+//! by the least-loaded shard and served there alone. The
 //! headline metric is **simulated-device tokens/sec** — total rows over
 //! the *slowest shard's* accumulated device time — the same deterministic
 //! device-side story the decode sweep gates on (wall-clock rides along
 //! un-gated: the host kernels already fan out over one shared worker pool,
 //! so OS-thread sharding cannot show clean host-side scaling on a small
-//! CI box). Per-shard lanes (served requests, chunks executed, chunks
-//! stolen, device seconds, wall goodput) ride in the artifact; full-mode
+//! CI box). Per-shard lanes (served requests, chunks executed, device
+//! seconds, wall goodput) ride in the artifact; full-mode
 //! artifacts must show the headline tokens/sec increasing monotonically
 //! 1 → 2 → 4. Served outputs are bit-compared to unchunked solo forwards
 //! on the reference subset, and `--check` re-proves that parity claim
@@ -108,7 +109,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const SCHEMA_VERSION: f64 = 6.0;
+const SCHEMA_VERSION: f64 = 7.0;
 
 /// Offered-load multipliers of the measured per-request capacity. The
 /// first is deliberately sub-capacity (the regime where a deadline policy
@@ -1350,7 +1351,6 @@ fn shard_workload() -> ShardSpec {
 struct ShardLane {
     served: u64,
     prefill_chunks: u64,
-    chunks_stolen: u64,
     sim_s: f64,
     goodput_rps: f64,
 }
@@ -1372,8 +1372,8 @@ struct ShardPoint {
 }
 
 /// Drive the fixed burst through `shards` continuous engines: submit
-/// everything up front (saturating — the pool is never empty until the
-/// end), wait for all of it, bit-compare the reference subset against
+/// everything up front (saturating — every shard has queued work until
+/// the end), wait for all of it, bit-compare the reference subset against
 /// unchunked solo forwards, and reconcile the per-shard counters.
 fn run_shard_point(
     mech: &Arc<dyn Attention<f32> + Send + Sync>,
@@ -1425,7 +1425,6 @@ fn run_shard_point(
         .map(|s| ShardLane {
             served: s.served,
             prefill_chunks: s.prefill_chunks,
-            chunks_stolen: s.chunks_stolen,
             sim_s: s.total_sim_latency_s,
             goodput_rps: s.served as f64 / wall_s.max(1e-9),
         })
@@ -1468,21 +1467,16 @@ fn run_shard_sweep(
         })
         .collect();
     println!(
-        "{:>7}  {:>9}  {:>12}  {:>12}  {:>12}  {:>8}",
-        "shards", "requests", "sim tok/s", "wall tok/s", "makespan s", "stolen"
+        "{:>7}  {:>9}  {:>12}  {:>12}  {:>12}",
+        "shards", "requests", "sim tok/s", "wall tok/s", "makespan s"
     );
     SHARD_COUNTS
         .iter()
         .map(|&shards| {
             let p = run_shard_point(mech, spec, shards, &requests);
             println!(
-                "{:>7}  {:>9}  {:>12.1}  {:>12.1}  {:>12.4}  {:>8}",
-                p.shards,
-                p.requests,
-                p.sim_tok_s,
-                p.wall_tok_s,
-                p.sim_makespan_s,
-                p.lanes.iter().map(|l| l.chunks_stolen).sum::<u64>()
+                "{:>7}  {:>9}  {:>12.1}  {:>12.1}  {:>12.4}",
+                p.shards, p.requests, p.sim_tok_s, p.wall_tok_s, p.sim_makespan_s
             );
             p
         })
@@ -1765,7 +1759,6 @@ fn main() {
                                     ("shard", Json::Num(i as f64)),
                                     ("served", Json::Num(l.served as f64)),
                                     ("prefill_chunks", Json::Num(l.prefill_chunks as f64)),
-                                    ("chunks_stolen", Json::Num(l.chunks_stolen as f64)),
                                     ("sim_s", Json::Num(l.sim_s)),
                                     ("goodput_rps", Json::Num(round3(l.goodput_rps))),
                                 ])
@@ -2374,14 +2367,7 @@ fn check(path: &str) -> Result<(), String> {
         }
         let mut lane_served = 0.0;
         for (j, lane) in lanes.iter().enumerate() {
-            for field in [
-                "shard",
-                "served",
-                "prefill_chunks",
-                "chunks_stolen",
-                "sim_s",
-                "goodput_rps",
-            ] {
+            for field in ["shard", "served", "prefill_chunks", "sim_s", "goodput_rps"] {
                 let x = lane
                     .get(field)
                     .and_then(Json::as_f64)
@@ -2547,8 +2533,8 @@ fn check(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `--check` side recompute: chunked, interleaved, possibly stolen
-/// execution on a fresh 2-shard continuous server must reproduce the
+/// `--check` side recompute: chunked, interleaved execution routed
+/// across a fresh 2-shard continuous server must reproduce the
 /// unchunked solo forward bit for bit — the acceptance claim of the
 /// continuous scheduler, proven live rather than trusted from the
 /// artifact.
@@ -2558,8 +2544,8 @@ fn verify_chunk_parity() -> Result<(), String> {
         Arc::clone(&mech),
         BatchPolicy::per_request(),
         // Chunks far smaller than the rows: every request is split and
-        // interleaved, and with two engines over one pool some chunks
-        // run stolen.
+        // interleaved, and the router spreads the requests over both
+        // engines.
         SchedPolicy::new(16, 32),
         KvConfig::default(),
         2,

@@ -91,6 +91,51 @@ impl DfssAttention {
         ctx.mem.free(comp_id);
         (out, comp)
     }
+
+    /// The ragged decode pipeline over a KV cache stored as `S` (the
+    /// compute type itself, or bf16 widened on load). Every kernel is
+    /// generic over the stored type, so both trait entry points share
+    /// this one body.
+    fn decode_ragged_stored<T: Scalar, S: Scalar>(
+        &self,
+        ctx: &mut GpuCtx,
+        q: &Matrix<T>,
+        k: &RaggedBatch<S>,
+        v: &RaggedBatch<S>,
+    ) -> Matrix<T> {
+        let streams = check_decode_ragged(q, k, v);
+        if streams == 0 {
+            return Matrix::zeros(0, v.cols());
+        }
+        let scale = 1.0 / (q.cols() as f32).sqrt();
+        // Every stream's compressed row lives simultaneously in the ragged
+        // launch.
+        let (mut kept, mut groups) = (0u64, 0u64);
+        for &len in k.lens() {
+            kept += NmRagged::<T>::kept_for(self.pattern, len) as u64;
+            groups += NmRagged::<T>::groups_for(self.pattern, len) as u64;
+        }
+        let comp_id = ctx.mem.alloc(
+            "scores_nm_decode",
+            kept * T::BYTES as u64 + (groups * 4).div_ceil(8),
+        );
+        let mut comp = if self.fused {
+            sddmm::sddmm_nm_fused_ragged(ctx, q, k, scale, self.pattern)
+        } else {
+            // The unfused ablation additionally materialises every stream's
+            // dense score row.
+            let dense_bytes = k.lens().iter().map(|&l| l as u64).sum::<u64>() * T::BYTES as u64;
+            let dense_id = ctx.mem.alloc("scores_decode_dense_unfused", dense_bytes);
+            let scores = gemm::gemm_nt_ragged(ctx, Stage::Qk, q, k, scale);
+            let comp = sddmm::dense_prune_ragged(ctx, &scores, self.pattern);
+            ctx.mem.free(dense_id);
+            comp
+        };
+        softmax::softmax_nm_ragged(ctx, &mut comp);
+        let out = spmm::spmm_nm_ragged(ctx, &comp, v);
+        ctx.mem.free(comp_id);
+        out
+    }
 }
 
 impl<T: Scalar> Attention<T> for DfssAttention {
@@ -237,38 +282,7 @@ impl<T: Scalar> Attention<T> for DfssAttention {
         k: &RaggedBatch<T>,
         v: &RaggedBatch<T>,
     ) -> Matrix<T> {
-        let streams = check_decode_ragged(q, k, v);
-        if streams == 0 {
-            return Matrix::zeros(0, v.cols());
-        }
-        let scale = 1.0 / (q.cols() as f32).sqrt();
-        // Every stream's compressed row lives simultaneously in the ragged
-        // launch.
-        let (mut kept, mut groups) = (0u64, 0u64);
-        for &len in k.lens() {
-            kept += NmRagged::<T>::kept_for(self.pattern, len) as u64;
-            groups += NmRagged::<T>::groups_for(self.pattern, len) as u64;
-        }
-        let comp_id = ctx.mem.alloc(
-            "scores_nm_decode",
-            kept * T::BYTES as u64 + (groups * 4).div_ceil(8),
-        );
-        let mut comp = if self.fused {
-            sddmm::sddmm_nm_fused_ragged(ctx, q, k, scale, self.pattern)
-        } else {
-            // The unfused ablation additionally materialises every stream's
-            // dense score row.
-            let dense_bytes = k.lens().iter().map(|&l| l as u64).sum::<u64>() * T::BYTES as u64;
-            let dense_id = ctx.mem.alloc("scores_decode_dense_unfused", dense_bytes);
-            let scores = gemm::gemm_nt_ragged(ctx, Stage::Qk, q, k, scale);
-            let comp = sddmm::dense_prune_ragged(ctx, &scores, self.pattern);
-            ctx.mem.free(dense_id);
-            comp
-        };
-        softmax::softmax_nm_ragged(ctx, &mut comp);
-        let out = spmm::spmm_nm_ragged(ctx, &comp, v);
-        ctx.mem.free(comp_id);
-        out
+        self.decode_ragged_stored(ctx, q, k, v)
     }
 
     /// Fused widen-on-load decode over a bf16-quantised KV cache: the same
@@ -286,34 +300,7 @@ impl<T: Scalar> Attention<T> for DfssAttention {
         k: &RaggedBatch<Bf16>,
         v: &RaggedBatch<Bf16>,
     ) -> Matrix<T> {
-        let streams = check_decode_ragged(q, k, v);
-        if streams == 0 {
-            return Matrix::zeros(0, v.cols());
-        }
-        let scale = 1.0 / (q.cols() as f32).sqrt();
-        let (mut kept, mut groups) = (0u64, 0u64);
-        for &len in k.lens() {
-            kept += NmRagged::<T>::kept_for(self.pattern, len) as u64;
-            groups += NmRagged::<T>::groups_for(self.pattern, len) as u64;
-        }
-        let comp_id = ctx.mem.alloc(
-            "scores_nm_decode",
-            kept * T::BYTES as u64 + (groups * 4).div_ceil(8),
-        );
-        let mut comp = if self.fused {
-            sddmm::sddmm_nm_fused_ragged(ctx, q, k, scale, self.pattern)
-        } else {
-            let dense_bytes = k.lens().iter().map(|&l| l as u64).sum::<u64>() * T::BYTES as u64;
-            let dense_id = ctx.mem.alloc("scores_decode_dense_unfused", dense_bytes);
-            let scores = gemm::gemm_nt_ragged(ctx, Stage::Qk, q, k, scale);
-            let comp = sddmm::dense_prune_ragged(ctx, &scores, self.pattern);
-            ctx.mem.free(dense_id);
-            comp
-        };
-        softmax::softmax_nm_ragged(ctx, &mut comp);
-        let out = spmm::spmm_nm_ragged(ctx, &comp, v);
-        ctx.mem.free(comp_id);
-        out
+        self.decode_ragged_stored(ctx, q, k, v)
     }
 
     /// The score matrix's rows (length `n`) are pruned in M-groups, so `n`

@@ -112,7 +112,7 @@ impl Default for HttpConfig {
 /// The attention backend behind the front door: one engine, or a
 /// sharded fleet reached through the same routes. Requests are
 /// delegated verbatim — the sharded arm keeps all of its routing
-/// semantics (session pinning, least-loaded prefill, work stealing) —
+/// semantics (session pinning, least-loaded prefill admission) —
 /// and the metrics path folds per-shard counters into one fleet rollup
 /// while also exporting each shard as a labelled gauge set.
 enum Backend {
@@ -314,7 +314,7 @@ impl HttpServer {
     /// [`bind`](Self::bind) over a sharded fleet: the same routes, the
     /// same typed errors and drain semantics, with requests fanned out
     /// by the [`ShardedServer`]'s routing policy (session-pinned
-    /// decode, least-loaded + work-stolen prefill). `GET /metrics`
+    /// decode, least-loaded prefill admission). `GET /metrics`
     /// reports the fleet rollup plus one labelled gauge set per shard
     /// (`dfss_shard_*{shard="i"}`), and [`shutdown`](Self::shutdown)
     /// drains every shard before returning the folded counters.
@@ -937,7 +937,6 @@ fn metrics_text(shared: &Shared) -> String {
         drain_force_closed: _,
         sched_iterations,
         prefill_chunks,
-        chunks_stolen,
     } = stats;
     let mut out = String::new();
     let mut line = |name: &str, value: f64| {
@@ -971,7 +970,6 @@ fn metrics_text(shared: &Shared) -> String {
     line("total_sim_latency_s", total_sim_latency_s);
     line("sched_iterations", sched_iterations as f64);
     line("prefill_chunks", prefill_chunks as f64);
-    line("chunks_stolen", chunks_stolen as f64);
     line(
         "http_connections_accepted",
         shared.accepted.load(Ordering::SeqCst) as f64,
@@ -1001,8 +999,8 @@ fn metrics_text(shared: &Shared) -> String {
         ));
     }
     // Sharded backend: the rollup above, plus one labelled gauge set
-    // per shard so dashboards can see routing balance, steal traffic,
-    // and per-pool KV reconciliation directly.
+    // per shard so dashboards can see routing balance and per-pool KV
+    // reconciliation directly.
     if let Some((per_stats, per_depths)) = shared.att.per_shard() {
         for (i, s) in per_stats.iter().enumerate() {
             let mut gauge = |name: &str, value: f64| {
@@ -1028,7 +1026,6 @@ fn metrics_text(shared: &Shared) -> String {
             gauge("deadline_sheds", s.deadline_sheds as f64);
             gauge("sched_iterations", s.sched_iterations as f64);
             gauge("prefill_chunks", s.prefill_chunks as f64);
-            gauge("chunks_stolen", s.chunks_stolen as f64);
             gauge("total_sim_latency_s", s.total_sim_latency_s);
         }
         for (i, d) in per_depths.iter().enumerate() {

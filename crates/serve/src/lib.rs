@@ -372,10 +372,6 @@ pub struct ServeStats {
     /// Prefill chunks executed by the continuous scheduler (a whole
     /// prefill contributes `ceil(rows / prefill_chunk)` of these).
     pub prefill_chunks: u64,
-    /// Prefill chunks this engine executed on another shard's behalf
-    /// (work stealing in a [`ShardedServer`]). Decode steps are
-    /// session-pinned and never counted here.
-    pub chunks_stolen: u64,
 }
 
 impl ServeStats {
@@ -432,7 +428,6 @@ impl ServeStats {
             drain_force_closed,
             sched_iterations,
             prefill_chunks,
-            chunks_stolen,
         } = other;
         self.served += served;
         self.rejected += rejected;
@@ -459,6 +454,5 @@ impl ServeStats {
         self.drain_force_closed += drain_force_closed;
         self.sched_iterations += sched_iterations;
         self.prefill_chunks += prefill_chunks;
-        self.chunks_stolen += chunks_stolen;
     }
 }

@@ -130,19 +130,6 @@ pub enum SchedEvent {
         /// The cancelled job.
         job: u64,
     },
-    /// A chunk of a queued prefill job was executed by a **foreign**
-    /// shard's engine (work stealing). Marked distinctly: steal
-    /// executions are outside the per-engine deterministic plan.
-    Steal {
-        /// The job the chunk belongs to.
-        job: u64,
-        /// First query row of the stolen chunk (inclusive).
-        lo: usize,
-        /// Last query row of the stolen chunk (exclusive).
-        hi: usize,
-        /// Index of the shard that executed the chunk.
-        by: usize,
-    },
 }
 
 /// The replayable event log of one scheduler. [`render`](Self::render)
@@ -210,9 +197,6 @@ impl SchedTrace {
                 }
                 SchedEvent::Cancel { job } => {
                     out.push_str(&format!("cancel job={job}\n"));
-                }
-                SchedEvent::Steal { job, lo, hi, by } => {
-                    out.push_str(&format!("steal job={job} rows={lo}..{hi} by={by}\n"));
                 }
             }
         }
@@ -323,16 +307,6 @@ impl Scheduler {
             });
         }
         steps
-    }
-
-    /// Record a chunk of a queued job executed by a foreign shard (work
-    /// stealing), and advance the job's cursor past it.
-    pub fn note_steal(&mut self, job: u64, lo: usize, hi: usize, by: usize) {
-        self.trace.push(SchedEvent::Steal { job, lo, hi, by });
-        if let Some(j) = self.jobs.iter_mut().find(|j| j.id == job) {
-            j.cursor = j.cursor.max(hi);
-        }
-        self.jobs.retain(|j| j.cursor < j.rows);
     }
 
     /// Pack the next iteration, or `None` when nothing is pending.
@@ -521,23 +495,5 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e, SchedEvent::Cancel { job: 0 })));
-    }
-
-    #[test]
-    fn steal_advances_the_cursor_and_is_marked_distinctly() {
-        let mut s = Scheduler::new(SchedPolicy::new(4, 64));
-        s.admit_prefill(0, 8);
-        s.note_steal(0, 0, 4, 3);
-        // The stolen rows never re-plan; the local plan resumes at row 4.
-        let plan = s.next_iteration().unwrap();
-        assert_eq!(
-            plan.chunks,
-            vec![ChunkPlan {
-                job: 0,
-                lo: 4,
-                hi: 8
-            }]
-        );
-        assert!(s.trace().render().contains("steal job=0 rows=0..4 by=3"));
     }
 }

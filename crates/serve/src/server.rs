@@ -28,7 +28,6 @@ use crate::faults::{FaultArm, FaultKind, FaultPlan, FaultyAttention};
 use crate::kv::{KvConfig, KvDtype, KvPool, PagedKvCache, SessionId};
 use crate::queue::{Bucket, BucketQueue, QueuedRequest};
 use crate::sched::{ChunkPlan, SchedPolicy, SchedTrace, Scheduler};
-use crate::shard::{StealChunk, StealPool};
 use crate::{BatchPolicy, DecodeRequest, ServeError, ServeStats, SessionError};
 use dfss_core::engine::{AttentionEngine, DecodeStep, ShapeKey, Ticket};
 use dfss_core::mechanism::{try_check_qkv, Attention, RequestError};
@@ -147,16 +146,8 @@ impl<T: Scalar> DecodeHandle<T> {
     }
 }
 
-pub(crate) type Reply<T> = SyncSender<Result<Served<T>, ServeError>>;
+type Reply<T> = SyncSender<Result<Served<T>, ServeError>>;
 type DecodeReply<T> = SyncSender<Result<ServedDecode<T>, ServeError>>;
-
-impl<T: Scalar> ResponseHandle<T> {
-    /// Build a handle over a raw reply channel — the sharded front door
-    /// replies from whichever shard finishes the job's last chunk.
-    pub(crate) fn from_rx(rx: Receiver<Result<Served<T>, ServeError>>) -> ResponseHandle<T> {
-        ResponseHandle { rx }
-    }
-}
 
 /// Synchronous admission view of one session (the caches themselves live
 /// on the batcher thread; the registry mirrors their geometry exactly).
@@ -465,14 +456,13 @@ impl<T: Scalar> AttentionServer<T> {
         policy: BatchPolicy,
         sched: SchedPolicy,
     ) -> AttentionServer<T> {
-        AttentionServer::start_continuous_inner(
+        AttentionServer::spawn(
             mech,
             policy,
-            sched,
             GpuCtx::a100(),
             KvConfig::default(),
             None,
-            None,
+            Some(sched),
         )
     }
 
@@ -484,7 +474,7 @@ impl<T: Scalar> AttentionServer<T> {
         sched: SchedPolicy,
         kv: KvConfig,
     ) -> AttentionServer<T> {
-        AttentionServer::start_continuous_inner(mech, policy, sched, GpuCtx::a100(), kv, None, None)
+        AttentionServer::spawn(mech, policy, GpuCtx::a100(), kv, None, Some(sched))
     }
 
     /// [`start_continuous`](Self::start_continuous) with a KV config and a
@@ -497,30 +487,7 @@ impl<T: Scalar> AttentionServer<T> {
         kv: KvConfig,
         faults: FaultPlan,
     ) -> AttentionServer<T> {
-        AttentionServer::start_continuous_inner(
-            mech,
-            policy,
-            sched,
-            GpuCtx::a100(),
-            kv,
-            Some(faults),
-            None,
-        )
-    }
-
-    /// One shard of a [`crate::ShardedServer`]: a continuous server that
-    /// additionally polls the shared steal pool for queued prefill chunks
-    /// (its own first, foreign shards' when otherwise idle).
-    pub(crate) fn start_continuous_inner(
-        mech: Arc<dyn Attention<T> + Send + Sync>,
-        policy: BatchPolicy,
-        sched: SchedPolicy,
-        ctx: GpuCtx,
-        kv: KvConfig,
-        faults: Option<FaultPlan>,
-        steal: Option<(usize, Arc<StealPool<T>>)>,
-    ) -> AttentionServer<T> {
-        AttentionServer::spawn(mech, policy, ctx, kv, faults, Some(sched), steal)
+        AttentionServer::spawn(mech, policy, GpuCtx::a100(), kv, Some(faults), Some(sched))
     }
 
     fn start_inner(
@@ -530,7 +497,7 @@ impl<T: Scalar> AttentionServer<T> {
         kv: KvConfig,
         faults: Option<FaultPlan>,
     ) -> AttentionServer<T> {
-        AttentionServer::spawn(mech, policy, ctx, kv, faults, None, None)
+        AttentionServer::spawn(mech, policy, ctx, kv, faults, None)
     }
 
     fn spawn(
@@ -540,7 +507,6 @@ impl<T: Scalar> AttentionServer<T> {
         kv: KvConfig,
         faults: Option<FaultPlan>,
         sched: Option<SchedPolicy>,
-        steal: Option<(usize, Arc<StealPool<T>>)>,
     ) -> AttentionServer<T> {
         let (tx, rx) = mpsc::channel::<Msg<T>>();
         // The governed capacity is the pool's physical capacity at the
@@ -584,7 +550,6 @@ impl<T: Scalar> AttentionServer<T> {
                     worker_trace,
                     arm,
                     rx,
-                    steal,
                 ),
                 None => batcher_loop(
                     worker_mech,
@@ -650,6 +615,12 @@ impl<T: Scalar> AttentionServer<T> {
             }
         }
         Ok(())
+    }
+
+    /// Requests enqueued but not yet launched (prefill + decode) — the
+    /// load signal a [`crate::ShardedServer`] routes prefill by.
+    pub(crate) fn depth(&self) -> u64 {
+        self.depth.load(Ordering::SeqCst)
     }
 
     /// The server's KV geometry and budget.
@@ -1546,9 +1517,7 @@ fn publish_trace(shared: &Mutex<SchedTrace>, sched: &Scheduler, published: &mut 
 /// isolation behave exactly as in the classic batcher; the decode
 /// determinism rule (a queued step launches before an append/extend/close/
 /// evict touches its session) is preserved by a forced decode flush,
-/// recorded distinctly in the trace. With a steal pool attached (sharded
-/// mode), the loop additionally executes queued pool chunks — its own
-/// shard's eagerly, foreign shards' only when otherwise idle.
+/// recorded distinctly in the trace.
 #[allow(clippy::too_many_arguments)]
 fn continuous_loop<T: Scalar>(
     mech: Arc<dyn Attention<T> + Send + Sync>,
@@ -1563,7 +1532,6 @@ fn continuous_loop<T: Scalar>(
     trace_out: Arc<Mutex<SchedTrace>>,
     arm: Arc<FaultArm>,
     rx: Receiver<Msg<T>>,
-    steal: Option<(usize, Arc<StealPool<T>>)>,
 ) {
     let mut engine = AttentionEngine::with_ctx(mech.as_ref(), ctx);
     let mut decode = DecodeState::new(kv);
@@ -1599,31 +1567,19 @@ fn continuous_loop<T: Scalar>(
     };
     let mut stopping = false;
     loop {
-        // Receive: block when idle (poll with a short timeout in sharded
-        // mode so foreign pool work can be stolen), drain greedily when
-        // the scheduler has work queued.
+        // Receive: block when idle, drain greedily when the scheduler has
+        // work queued.
         let msg = if stopping {
             None
         } else if sched.has_work() {
             rx.try_recv().ok()
         } else {
-            match &steal {
-                None => match rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => {
-                        stopping = true;
-                        None
-                    }
-                },
-                Some((_, pool)) if !pool.is_drained() => rx.try_recv().ok(),
-                Some(_) => match rx.recv_timeout(Duration::from_micros(500)) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        stopping = true;
-                        None
-                    }
-                },
+            match rx.recv() {
+                Ok(m) => Some(m),
+                Err(_) => {
+                    stopping = true;
+                    None
+                }
             }
         };
         let mut next = msg;
@@ -1763,7 +1719,7 @@ fn continuous_loop<T: Scalar>(
                 return;
             }
             for chunk in plan.chunks {
-                if !run_chunk(
+                run_chunk(
                     &mut engine,
                     &mut jobs,
                     &mut sched,
@@ -1771,29 +1727,13 @@ fn continuous_loop<T: Scalar>(
                     &arm,
                     &depth,
                     stats,
-                ) {
-                    return;
-                }
-            }
-        }
-        // Pool work (sharded mode): own-home chunks eagerly, one foreign
-        // (stolen) chunk per pass only when the local scheduler is idle.
-        if let Some((me, pool)) = &steal {
-            let allow_steal = !sched.has_work() || stopping;
-            if let Some(chunk) = pool.claim(*me, allow_steal) {
-                run_pool_chunk(&mut engine, chunk, *me, &mut sched, stats);
+                );
             }
         }
         publish_trace(&trace_out, &sched, &mut published);
         publish(&jobs, &decode);
-        if stopping {
-            let pool_drained = match &steal {
-                None => true,
-                Some((_, pool)) => pool.is_drained(),
-            };
-            if !sched.has_work() && decode.pending.is_empty() && pool_drained {
-                break;
-            }
+        if stopping && !sched.has_work() && decode.pending.is_empty() {
+            break;
         }
     }
     let _ = policy; // close cadence is the scheduler's; depth bound is enforced at admission
@@ -1806,8 +1746,8 @@ fn continuous_loop<T: Scalar>(
 /// Execute one planned prefill chunk: deadline shed, fault arming on the
 /// job's first chunk, one [`AttentionEngine::forward_chunk`] under panic
 /// isolation, output-row accumulation, and the completed-job reply.
-/// Returns `false` never today (kill-server faults fire at admission in
-/// continuous mode), kept `bool` to mirror [`serve_bucket`].
+/// Kill-server faults fire at admission in continuous mode, so a chunk
+/// never stops the loop.
 fn run_chunk<T: Scalar>(
     engine: &mut AttentionEngine<'_, T>,
     jobs: &mut HashMap<u64, PrefillJob<T>>,
@@ -1816,10 +1756,10 @@ fn run_chunk<T: Scalar>(
     arm: &FaultArm,
     depth: &AtomicU64,
     stats: &Mutex<ServeStats>,
-) -> bool {
+) {
     let now = Instant::now();
     let Some(job) = jobs.get_mut(&chunk.job) else {
-        return true;
+        return;
     };
     if expired(job.deadline, now) {
         lock_stats(stats).deadline_sheds += 1;
@@ -1829,7 +1769,7 @@ fn run_chunk<T: Scalar>(
         let _ = job.reply.send(Err(ServeError::DeadlineExceeded {
             queued_for: now.saturating_duration_since(job.submitted),
         }));
-        return true;
+        return;
     }
     if job.started.is_none() {
         job.started = Some(now);
@@ -1899,69 +1839,6 @@ fn run_chunk<T: Scalar>(
                 };
                 lock_stats(stats).served += 1;
                 let _ = job.reply.send(Ok(served));
-            }
-        }
-    }
-    engine.reset_timeline();
-    true
-}
-
-/// Execute one claimed steal-pool chunk on this shard's engine. Outputs
-/// are bit-identical whichever shard runs the chunk (same mechanism, same
-/// inputs, same kernels); the shard that completes the job's **last**
-/// chunk assembles the output rows in row order and replies.
-fn run_pool_chunk<T: Scalar>(
-    engine: &mut AttentionEngine<'_, T>,
-    chunk: StealChunk<T>,
-    me: usize,
-    sched: &mut Scheduler,
-    stats: &Mutex<ServeStats>,
-) {
-    let now = Instant::now();
-    let job = &chunk.job;
-    if expired(job.deadline, now) {
-        if job.shed() {
-            lock_stats(stats).deadline_sheds += 1;
-        }
-        return;
-    }
-    if job.is_dead() {
-        return;
-    }
-    if chunk.stolen {
-        sched.note_steal(job.id, chunk.lo, chunk.hi, me);
-    }
-    let q_rows = slice_rows(&job.q, chunk.lo, chunk.hi);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        engine.forward_chunk(&q_rows, &job.k, &job.v)
-    }));
-    match result {
-        Err(payload) => {
-            lock_stats(stats).batch_panics += 1;
-            engine.recover_after_panic();
-            job.fail(ServeError::BatchPanicked {
-                payload: panic_message(payload),
-            });
-        }
-        Ok(Err(e)) => {
-            job.fail(ServeError::Rejected(e));
-        }
-        Ok(Ok(res)) => {
-            {
-                let mut st = lock_stats(stats);
-                st.prefill_chunks += 1;
-                if chunk.stolen {
-                    st.chunks_stolen += 1;
-                }
-                st.total_sim_latency_s += res.sim_latency_s;
-            }
-            let out = res
-                .output
-                .expect("serving engines run in exec mode and materialise outputs");
-            if job.complete_chunk(chunk.idx, out.as_slice().to_vec(), res.sim_latency_s) {
-                // This shard finished the job's last chunk: it assembles
-                // and replies, and counts the serve in its own stats.
-                lock_stats(stats).served += 1;
             }
         }
     }

@@ -1,44 +1,40 @@
-//! Sharded multi-engine serving: N continuous-batching engines behind one
-//! front door, with work stealing for stateless prefill.
+//! Sharded multi-engine serving: N independent continuous-batching
+//! engines behind one router.
 //!
-//! A [`ShardedServer`] runs one [`AttentionServer`] per shard, each with
-//! its **own** batcher thread, engine and [`crate::KvPool`] (the configured
-//! byte budget is divided evenly across shards). Traffic splits by state:
+//! A [`ShardedServer`] runs one continuous [`AttentionServer`] per shard,
+//! each with its **own** batcher thread, engine, scheduler and
+//! [`crate::KvPool`] (the configured byte budget is divided evenly across
+//! shards). Shards are pinned engines: a request the router hands to a
+//! shard is admitted, scheduled and served by that shard alone. Traffic
+//! splits by state:
 //!
 //! * **Decode sessions are shard-pinned.** `open_session` hashes the
 //!   session id to a shard once (splitmix64 — stable for the session's
 //!   whole lifetime) and every later `append`/`extend`/`submit_decode`/
 //!   `close_session` goes to that shard. KV pages never migrate, so
 //!   decode outputs are bit-identical to a solo server's.
-//! * **Prefill is stateless and work-stolen.** `submit` validates at the
-//!   front door, enqueues the request as a [`StealJob`] of
-//!   `prefill_chunk`-row chunks on the shared [`StealPool`], homed on the
-//!   least-loaded shard. Every shard drains its *own* chunks eagerly and
-//!   steals *foreign* chunks only when its local scheduler is idle —
-//!   queued prefill never waits on a busy shard while another sits idle.
-//!   Chunk outputs are bit-identical whichever shard computes them (same
-//!   mechanism, same kernels), so stealing never changes results; the
-//!   shard that finishes a job's **last** chunk assembles the output rows
-//!   in row order and replies.
-//!
-//! Mechanisms that are not row-chunkable (the blocked-ELL hybrid) bypass
-//! the pool: their prefills run whole on the home shard's continuous
-//! server, preserving correctness at the cost of stealability.
+//! * **Prefill goes to the least-loaded shard.** `submit` picks the shard
+//!   with the fewest enqueued-but-unlaunched requests — the counter
+//!   [`BatchPolicy::max_queue_depth`] bounds — rotating ties round-robin,
+//!   and calls that shard's own `submit_with_deadline`. Validation, the
+//!   depth bound, rejection counts, deadlines and fault plans therefore
+//!   apply per shard exactly as on a single server, and the shard's
+//!   scheduler chunks the prefill (or runs it whole, for mechanisms that
+//!   are not row-chunkable). Every shard holds the same mechanism, so
+//!   outputs are bit-identical whichever shard serves them.
 
 use crate::faults::FaultPlan;
 use crate::kv::{KvConfig, SessionId};
 use crate::sched::SchedPolicy;
-use crate::server::{AttentionServer, Reply, ResponseHandle, Served};
+use crate::server::{AttentionServer, ResponseHandle};
 use crate::{
     BatchPolicy, DecodeHandle, DecodeRequest, QueueDepths, SchedTrace, ServeError, ServeStats,
-    SessionError, Ticket,
+    SessionError,
 };
-use dfss_core::engine::ShapeKey;
-use dfss_core::mechanism::{try_check_qkv, Attention};
+use dfss_core::mechanism::Attention;
 use dfss_tensor::{Matrix, Scalar};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -58,225 +54,14 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Mutable half of a [`StealJob`]: the claim cursor, the per-chunk output
-/// slots, and the reply channel the finishing shard consumes.
-struct StealState<T: Scalar> {
-    /// First unclaimed row (chunks are claimed in row order).
-    next_lo: usize,
-    /// One slot per chunk, filled by whichever shard ran it.
-    outputs: Vec<Option<Vec<T>>>,
-    /// Chunks completed so far.
-    done: usize,
-    sim_latency_s: f64,
-    /// When the job's first chunk was claimed (queue-wait mark).
-    started: Option<Instant>,
-    /// Taken exactly once — by the finisher, or by the first failure.
-    reply: Option<Reply<T>>,
-    /// Set on deadline shed or failure; later chunks are skipped.
-    dead: bool,
-}
-
-/// One stateless prefill request queued on the [`StealPool`] as
-/// `ceil(rows / chunk_rows)` independently executable row chunks.
-pub(crate) struct StealJob<T: Scalar> {
-    pub(crate) id: u64,
-    /// The shard the router homed the job on (its chunks are stolen only
-    /// by shards that would otherwise idle).
-    pub(crate) home: usize,
-    pub(crate) q: Matrix<T>,
-    pub(crate) k: Matrix<T>,
-    pub(crate) v: Matrix<T>,
-    chunk_rows: usize,
-    n_chunks: usize,
-    pub(crate) submitted: Instant,
-    pub(crate) deadline: Option<Instant>,
-    state: Mutex<StealState<T>>,
-}
-
-impl<T: Scalar> StealJob<T> {
-    /// Rows still unclaimed — the router's load signal for this job.
-    fn pending_rows(&self) -> usize {
-        let state = lock_healed(&self.state);
-        if state.dead {
-            0
-        } else {
-            self.q.rows() - state.next_lo
-        }
-    }
-
-    pub(crate) fn is_dead(&self) -> bool {
-        lock_healed(&self.state).dead
-    }
-
-    /// Claim the next chunk in row order. Returns `(lo, hi, idx, last)`.
-    /// Caller holds the pool's job-list lock, so claims are serialized.
-    fn claim_next(&self) -> (usize, usize, usize, bool) {
-        let mut state = lock_healed(&self.state);
-        let lo = state.next_lo;
-        let hi = (lo + self.chunk_rows).min(self.q.rows());
-        state.next_lo = hi;
-        if state.started.is_none() {
-            state.started = Some(Instant::now());
-        }
-        (lo, hi, lo / self.chunk_rows, hi == self.q.rows())
-    }
-
-    /// Deadline shed: mark the job dead and resolve its handle typed.
-    /// Returns whether this call performed the shed (counted once).
-    pub(crate) fn shed(&self) -> bool {
-        let mut state = lock_healed(&self.state);
-        if state.dead {
-            return false;
-        }
-        state.dead = true;
-        if let Some(reply) = state.reply.take() {
-            let _ = reply.send(Err(ServeError::DeadlineExceeded {
-                queued_for: self.submitted.elapsed(),
-            }));
-        }
-        true
-    }
-
-    /// Fail the whole job (chunk panic or typed launch rejection): later
-    /// chunks are skipped and the handle resolves with `e`. First failure
-    /// wins; repeats are no-ops.
-    pub(crate) fn fail(&self, e: ServeError) {
-        let mut state = lock_healed(&self.state);
-        if state.dead {
-            return;
-        }
-        state.dead = true;
-        if let Some(reply) = state.reply.take() {
-            let _ = reply.send(Err(e));
-        }
-    }
-
-    /// Record chunk `idx`'s output rows. If this was the job's last
-    /// outstanding chunk, assemble the full output in row order and reply
-    /// — returns `true` exactly once, on the finishing shard.
-    pub(crate) fn complete_chunk(&self, idx: usize, rows: Vec<T>, sim_latency_s: f64) -> bool {
-        let mut state = lock_healed(&self.state);
-        if state.dead {
-            return false;
-        }
-        debug_assert!(state.outputs[idx].is_none(), "chunk completed twice");
-        state.outputs[idx] = Some(rows);
-        state.done += 1;
-        state.sim_latency_s += sim_latency_s;
-        if state.done < self.n_chunks {
-            return false;
-        }
-        let Some(reply) = state.reply.take() else {
-            return false;
-        };
-        let (n, d) = self.q.shape();
-        let d_v = self.v.cols();
-        let mut out = Vec::with_capacity(n * d_v);
-        for slot in state.outputs.iter_mut() {
-            out.extend_from_slice(slot.as_ref().expect("all chunks done"));
-            *slot = None;
-        }
-        let started = state.started.unwrap_or(self.submitted);
-        let _ = reply.send(Ok(Served {
-            output: Matrix::from_vec(n, d_v, out),
-            ticket: Ticket(self.id),
-            bucket: ShapeKey { n, d, d_v },
-            batch_size: 1,
-            queue_wait: started.saturating_duration_since(self.submitted),
-            service: started.elapsed(),
-            latency: self.submitted.elapsed(),
-            sim_latency_s: state.sim_latency_s,
-        }));
-        true
-    }
-}
-
-/// One claimed chunk: the job, the row range, and whether the claiming
-/// shard is foreign (a steal).
-pub(crate) struct StealChunk<T: Scalar> {
-    pub(crate) job: Arc<StealJob<T>>,
-    /// Chunk ordinal within the job (`lo / chunk_rows`).
-    pub(crate) idx: usize,
-    pub(crate) lo: usize,
-    pub(crate) hi: usize,
-    /// `home != executing shard`: a stolen chunk.
-    pub(crate) stolen: bool,
-}
-
-/// The shared queue of stateless prefill chunks all shards drain.
-pub(crate) struct StealPool<T: Scalar> {
-    jobs: Mutex<Vec<Arc<StealJob<T>>>>,
-}
-
-impl<T: Scalar> StealPool<T> {
-    pub(crate) fn new() -> StealPool<T> {
-        StealPool {
-            jobs: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn push(&self, job: Arc<StealJob<T>>) {
-        lock_healed(&self.jobs).push(job);
-    }
-
-    /// Whether every queued chunk has been claimed (in-flight chunks are
-    /// finished by the shard that claimed them before it exits).
-    pub(crate) fn is_drained(&self) -> bool {
-        lock_healed(&self.jobs).is_empty()
-    }
-
-    /// Rows still unclaimed per home shard — the router's load signal.
-    fn pending_rows_by_home(&self, shards: usize) -> Vec<usize> {
-        let mut rows = vec![0usize; shards];
-        for job in lock_healed(&self.jobs).iter() {
-            rows[job.home] += job.pending_rows();
-        }
-        rows
-    }
-
-    /// Claim one chunk for shard `me`: its own oldest job first; a foreign
-    /// (stolen) one only when `allow_steal` — the caller passes its local
-    /// scheduler's idleness, so stealing never delays a shard's own work.
-    /// Jobs fully claimed (or dead) leave the queue.
-    pub(crate) fn claim(&self, me: usize, allow_steal: bool) -> Option<StealChunk<T>> {
-        let mut jobs = lock_healed(&self.jobs);
-        jobs.retain(|j| !j.is_dead());
-        let pos =
-            jobs.iter()
-                .position(|j| j.home == me)
-                .or(if allow_steal && !jobs.is_empty() {
-                    Some(0)
-                } else {
-                    None
-                })?;
-        let job = Arc::clone(&jobs[pos]);
-        let (lo, hi, idx, last) = job.claim_next();
-        if last {
-            jobs.remove(pos);
-        }
-        drop(jobs);
-        Some(StealChunk {
-            stolen: job.home != me,
-            job,
-            idx,
-            lo,
-            hi,
-        })
-    }
-}
-
-/// N continuous-batching engines behind one front door — shard-pinned
-/// decode sessions, least-loaded routing and work stealing for stateless
-/// prefill. See the crate docs for the full routing and stealing policy.
+/// N continuous-batching engines behind one router — shard-pinned decode
+/// sessions and least-loaded prefill admission. See the module docs for
+/// the routing policy.
 pub struct ShardedServer<T: Scalar> {
-    mech: Arc<dyn Attention<T> + Send + Sync>,
-    sched: SchedPolicy,
     shards: Vec<AttentionServer<T>>,
-    pool: Arc<StealPool<T>>,
     /// Global session id → (owning shard, that shard's local id).
     sessions: Mutex<HashMap<u64, (usize, SessionId)>>,
     next_session: AtomicU64,
-    next_job: AtomicU64,
     /// Rotating tie-break for least-loaded prefill routing.
     rr: AtomicU64,
 }
@@ -285,7 +70,9 @@ impl<T: Scalar> ShardedServer<T> {
     /// Start `shards` continuous engines over one mechanism. The KV byte
     /// budget in `kv` is divided evenly: each shard owns an independent
     /// pool of `budget_bytes / shards` (decode sessions are pinned, so a
-    /// shard's pool only ever backs its own sessions).
+    /// shard's pool only ever backs its own sessions). `policy` applies
+    /// to every shard on its own, so `max_queue_depth` bounds each
+    /// shard's queue.
     pub fn start(
         mech: Arc<dyn Attention<T> + Send + Sync>,
         policy: BatchPolicy,
@@ -296,23 +83,12 @@ impl<T: Scalar> ShardedServer<T> {
         ShardedServer::start_with_faults(mech, policy, sched, kv, shards, Vec::new())
     }
 
-    /// [`start`](Self::start) with one engine per host worker thread
-    /// (`rayon::current_num_threads()`), the deployment default.
-    pub fn start_auto(
-        mech: Arc<dyn Attention<T> + Send + Sync>,
-        policy: BatchPolicy,
-        sched: SchedPolicy,
-        kv: KvConfig,
-    ) -> ShardedServer<T> {
-        ShardedServer::start(mech, policy, sched, kv, rayon::current_num_threads().max(1))
-    }
-
     /// [`start`](Self::start) with a per-shard [`FaultPlan`] (chaos
-    /// testing): `plans[i]` fires on shard `i`'s front-door operations —
-    /// session traffic routed to it and decode launches it runs. Missing
-    /// entries mean no faults on that shard. (Pool prefill bypasses the
-    /// shard front doors, so prefill chunks fault only through deadline
-    /// expiry and real launch errors.)
+    /// testing): `plans[i]` keys on shard `i`'s own front-door operation
+    /// ordinals, exactly as on a solo server. Those ordinals count the
+    /// session traffic routed to the shard **and** the prefill
+    /// submissions the router sends it. Missing entries mean no faults on
+    /// that shard.
     pub fn start_with_faults(
         mech: Arc<dyn Attention<T> + Send + Sync>,
         policy: BatchPolicy,
@@ -322,34 +98,26 @@ impl<T: Scalar> ShardedServer<T> {
         mut plans: Vec<FaultPlan>,
     ) -> ShardedServer<T> {
         assert!(shards >= 1, "a sharded server needs at least one shard");
-        let pool = Arc::new(StealPool::new());
         let mut kv_shard = kv;
         kv_shard.budget_bytes = kv.budget_bytes / shards as u64;
         plans.resize(shards, FaultPlan::new());
         let servers = plans
-            .drain(..)
-            .enumerate()
-            .map(|(i, plan)| {
-                let faults = if plan.is_empty() { None } else { Some(plan) };
-                AttentionServer::start_continuous_inner(
-                    Arc::clone(&mech),
-                    policy,
-                    sched,
-                    dfss_kernels::GpuCtx::a100(),
-                    kv_shard,
-                    faults,
-                    Some((i, Arc::clone(&pool))),
-                )
+            .into_iter()
+            .map(|plan| {
+                let mech = Arc::clone(&mech);
+                if plan.is_empty() {
+                    AttentionServer::start_continuous_with_kv(mech, policy, sched, kv_shard)
+                } else {
+                    AttentionServer::start_continuous_with_kv_faults(
+                        mech, policy, sched, kv_shard, plan,
+                    )
+                }
             })
             .collect();
         ShardedServer {
-            mech,
-            sched,
             shards: servers,
-            pool,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
-            next_job: AtomicU64::new(0),
             rr: AtomicU64::new(0),
         }
     }
@@ -372,21 +140,21 @@ impl<T: Scalar> ShardedServer<T> {
             .map(|&(shard, _)| shard)
     }
 
-    /// Least-loaded shard by unclaimed pool rows, rotating ties so a
-    /// burst of equal-load submissions spreads round-robin.
+    /// The shard with the fewest enqueued-but-unlaunched requests,
+    /// rotating ties so a burst onto an idle fleet spreads round-robin.
     fn least_loaded(&self) -> usize {
         let n = self.shards.len();
-        let pending = self.pool.pending_rows_by_home(n);
         let start = self.rr.fetch_add(1, Ordering::Relaxed) as usize % n;
         (0..n)
             .map(|i| (start + i) % n)
-            .min_by_key(|&i| pending[i])
+            .min_by_key(|&i| self.shards[i].depth())
             .expect("at least one shard")
     }
 
-    /// Validate and enqueue one stateless prefill request. Chunkable
-    /// mechanisms go to the steal pool (least-loaded home, any shard may
-    /// execute chunks); non-chunkable ones run whole on the home shard.
+    /// Route one prefill request to the least-loaded shard, which admits
+    /// it through its own [`AttentionServer::submit`]: malformed requests
+    /// come back [`ServeError::Rejected`] and a shard at its depth bound
+    /// sheds with [`ServeError::Overloaded`], both counted on that shard.
     pub fn submit(
         &self,
         q: Matrix<T>,
@@ -396,11 +164,8 @@ impl<T: Scalar> ShardedServer<T> {
         self.submit_with_deadline(q, k, v, None)
     }
 
-    /// [`submit`](Self::submit) with a deadline: chunks claimed past it
-    /// are shed and the handle resolves with
-    /// [`ServeError::DeadlineExceeded`]. A job already partially computed
-    /// sheds its remaining chunks too — a late job never occupies launches
-    /// it cannot use.
+    /// [`submit`](Self::submit) with a deadline, enforced by the chosen
+    /// shard exactly as [`AttentionServer::submit_with_deadline`] does.
     pub fn submit_with_deadline(
         &self,
         q: Matrix<T>,
@@ -408,39 +173,7 @@ impl<T: Scalar> ShardedServer<T> {
         v: Matrix<T>,
         deadline: Option<Instant>,
     ) -> Result<ResponseHandle<T>, ServeError> {
-        if !self.mech.supports_row_chunking() {
-            let home = self.rr.fetch_add(1, Ordering::Relaxed) as usize % self.shards.len();
-            return self.shards[home].submit_with_deadline(q, k, v, deadline);
-        }
-        if let Err(e) = try_check_qkv(self.mech.as_ref(), &q, &k, &v) {
-            return Err(ServeError::Rejected(e));
-        }
-        let home = self.least_loaded();
-        let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        let (reply, rx) = mpsc::sync_channel(1);
-        let chunk_rows = self.sched.prefill_chunk;
-        let n_chunks = q.rows().div_ceil(chunk_rows);
-        self.pool.push(Arc::new(StealJob {
-            id,
-            home,
-            state: Mutex::new(StealState {
-                next_lo: 0,
-                outputs: vec![None; n_chunks],
-                done: 0,
-                sim_latency_s: 0.0,
-                started: None,
-                reply: Some(reply),
-                dead: false,
-            }),
-            q,
-            k,
-            v,
-            chunk_rows,
-            n_chunks,
-            submitted: Instant::now(),
-            deadline,
-        }));
-        Ok(ResponseHandle::from_rx(rx))
+        self.shards[self.least_loaded()].submit_with_deadline(q, k, v, deadline)
     }
 
     /// Open a decode session, pinning it to `splitmix64(id) % shards` for
@@ -499,8 +232,8 @@ impl<T: Scalar> ShardedServer<T> {
     }
 
     /// Enqueue one decode step on the session's owning shard — decode is
-    /// session-pinned and never stolen, so the step attends over exactly
-    /// the pages that shard holds for the session.
+    /// session-pinned, so the step attends over exactly the pages that
+    /// shard holds for the session.
     pub fn submit_decode(&self, req: DecodeRequest<T>) -> Result<DecodeHandle<T>, SessionError> {
         self.submit_decode_with_deadline(req, None)
     }
@@ -546,14 +279,14 @@ impl<T: Scalar> ShardedServer<T> {
     }
 
     /// Per-shard scheduler traces, in shard order. Each shard's trace is
-    /// deterministic given its own admission order; steal executions are
-    /// recorded distinctly on the executing shard.
+    /// deterministic given its own admission order.
     pub fn sched_traces(&self) -> Vec<SchedTrace> {
         self.shards.iter().map(|s| s.sched_trace()).collect()
     }
 
-    /// Drain all shards (every queued chunk — own or stolen — runs before
-    /// an engine exits) and return their lifetime counters in shard order.
+    /// Drain all shards (every admitted prefill and decode step runs
+    /// before its engine exits) and return their lifetime counters in
+    /// shard order.
     pub fn shutdown(self) -> Vec<ServeStats> {
         self.shards.into_iter().map(|s| s.shutdown()).collect()
     }

@@ -2,10 +2,14 @@
 //!
 //! - **Stable routing**: a decode session is pinned to one shard at open
 //!   and never moves — its KV pages live and die on that shard.
-//! - **Stealing is prefill-only**: work stealing moves stateless prefill
-//!   chunks between engines; decode steps always run on the session's
-//!   shard. Stolen chunks are marked distinctly in the executing shard's
-//!   trace, and outputs stay bit-identical to solo unsharded compute.
+//! - **Pinned engines**: each prefill is admitted by the least-loaded
+//!   shard and served there alone — its `AdmitPrefill` lands in that
+//!   shard's trace, decode steps run only on the session's shard, and
+//!   outputs stay bit-identical to solo unsharded compute.
+//! - **Per-shard admission**: sharded prefill goes through the chosen
+//!   shard's own front door, so a malformed request is counted as
+//!   `rejected` and `BatchPolicy::with_queue_depth` sheds typed
+//!   `Overloaded` per shard.
 //! - **Per-shard reconciliation**: after chaos-style faulted traffic on a
 //!   4-shard server, every shard's lifetime page counters balance
 //!   (`kv_pages_allocated == kv_pages_freed`) once all sessions close.
@@ -13,6 +17,7 @@
 //!   outputs on 1-shard and 4-shard servers.
 
 use dfss::prelude::*;
+use dfss_serve::sched::SchedEvent;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -87,13 +92,13 @@ fn sessions_pin_to_one_shard_for_their_whole_lifetime() {
 }
 
 #[test]
-fn stealing_moves_prefill_chunks_only_and_preserves_bit_parity() {
+fn least_loaded_routing_spreads_prefill_and_preserves_bit_parity() {
     let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
     let server = ShardedServer::start(
         Arc::clone(&mech),
         BatchPolicy::per_request(),
-        // Small chunks over big jobs: plenty of stealable work while the
-        // home shard grinds.
+        // Small chunks over big jobs: every prefill runs as many chunks on
+        // the shard that admitted it.
         SchedPolicy::new(16, 32),
         KvConfig::default(),
         2,
@@ -101,14 +106,14 @@ fn stealing_moves_prefill_chunks_only_and_preserves_bit_parity() {
     let d = 32usize;
     let n = 512usize;
     let mut rng = Rng::new(7);
-    // One decode session, pinned; its steps must never be stolen.
+    // One decode session, pinned; its steps run only on its own shard.
     let session = server.open_session(d, d).unwrap();
     let home = server.shard_of(session).unwrap();
     let k_row: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0)).collect();
     let v_row: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0)).collect();
     server.append(session, k_row, v_row).unwrap();
-    // A burst of big prefills: the pool fills faster than one engine
-    // drains, so the other shard steals.
+    // A burst of big prefills: the router spreads them by queue depth,
+    // rotating ties, so both shards take some.
     let mut inputs = Vec::new();
     let mut handles = Vec::new();
     for _ in 0..6 {
@@ -134,33 +139,104 @@ fn stealing_moves_prefill_chunks_only_and_preserves_bit_parity() {
         };
         assert!(
             bits_equal(served.output.as_slice(), solo.as_slice()),
-            "sharded (possibly stolen) output diverged from solo forward"
+            "sharded (routed and chunked) output diverged from solo forward"
         );
     }
     let traces = server.sched_traces();
     server.close_session(session).unwrap();
     let stats = server.shutdown();
-    let total_chunks: u64 = stats.iter().map(|s| s.prefill_chunks).sum();
-    let stolen: u64 = stats.iter().map(|s| s.chunks_stolen).sum();
+    // Every prefill was served exactly once, and each shard served some.
+    assert_eq!(stats.iter().map(|s| s.served).sum::<u64>(), 6);
+    for (i, shard) in stats.iter().enumerate() {
+        assert!(shard.served >= 1, "shard {i} served no prefill");
+    }
+    // A prefill is admitted and served by one shard alone: each shard's
+    // trace admits exactly the prefills that shard served.
+    for (i, (trace, shard)) in traces.iter().zip(&stats).enumerate() {
+        let admitted = trace
+            .events()
+            .iter()
+            .filter(|e| matches!(e, SchedEvent::AdmitPrefill { .. }))
+            .count() as u64;
+        assert_eq!(
+            admitted, shard.served,
+            "shard {i} served a prefill it never admitted"
+        );
+    }
     // Every job needs at least ceil(n/16) chunks.
+    let total_chunks: u64 = stats.iter().map(|s| s.prefill_chunks).sum();
     assert!(total_chunks >= 6 * (n as u64).div_ceil(16));
-    assert!(stolen <= total_chunks);
     // Decode ran only on the pinned shard.
     for (i, shard) in stats.iter().enumerate() {
         assert_eq!(shard.decode_steps, if i == home { 1 } else { 0 });
     }
-    // Steal executions are marked distinctly in the executing shard's
-    // trace, and the trace count reconciles with the stats counter.
-    let steal_events: u64 = traces
-        .iter()
-        .map(|t| {
-            t.render()
-                .lines()
-                .filter(|l| l.starts_with("steal "))
-                .count() as u64
+}
+
+#[test]
+fn malformed_sharded_prefill_is_rejected_and_counted_by_a_shard() {
+    let server = full_server(2);
+    let mut rng = Rng::new(5);
+    // K is narrower than Q: the chosen shard's admission check refuses it.
+    let q = Matrix::<f32>::random_normal(16, 8, 0.0, 1.0, &mut rng);
+    let k = Matrix::<f32>::random_normal(16, 4, 0.0, 1.0, &mut rng);
+    let v = Matrix::<f32>::random_normal(16, 8, 0.0, 1.0, &mut rng);
+    match server.submit(q, k, v) {
+        Err(ServeError::Rejected(_)) => {}
+        other => panic!("malformed prefill was not rejected typed: {other:?}"),
+    }
+    let live: u64 = server.stats_snapshot().iter().map(|s| s.rejected).sum();
+    assert_eq!(live, 1, "the fleet's live rollup missed the rejection");
+    let stats = server.shutdown();
+    assert_eq!(stats.iter().map(|s| s.rejected).sum::<u64>(), 1);
+    assert_eq!(stats.iter().map(|s| s.served).sum::<u64>(), 0);
+}
+
+#[test]
+fn queue_depth_bound_sheds_sharded_prefill_per_shard() {
+    let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
+    let server = ShardedServer::start(
+        Arc::clone(&mech),
+        BatchPolicy::per_request().with_queue_depth(1),
+        SchedPolicy::default(),
+        KvConfig::default(),
+        2,
+    );
+    let (n, d) = (1024usize, 64usize);
+    let mut rng = Rng::new(11);
+    // Build every input first so the submissions go back to back.
+    let inputs: Vec<_> = (0..8)
+        .map(|_| {
+            (
+                Matrix::<f32>::random_normal(n, d, 0.0, 1.0, &mut rng),
+                Matrix::<f32>::random_normal(n, d, 0.0, 1.0, &mut rng),
+                Matrix::<f32>::random_normal(n, d, 0.0, 1.0, &mut rng),
+            )
         })
-        .sum();
-    assert_eq!(steal_events, stolen);
+        .collect();
+    let mut handles = Vec::new();
+    let mut sheds = 0u64;
+    for (q, k, v) in inputs {
+        match server.submit(q, k, v) {
+            Ok(h) => handles.push(h),
+            Err(ServeError::Overloaded { depth }) => {
+                assert!(depth >= 1, "shed below the bound");
+                sheds += 1;
+            }
+            Err(e) => panic!("unexpected admission failure: {e:?}"),
+        }
+    }
+    assert!(
+        sheds >= 1,
+        "a 2-shard fleet at depth 1 admitted 8 back-to-back prefills"
+    );
+    let admitted = handles.len() as u64;
+    for h in handles {
+        h.wait_timeout(NO_HANG)
+            .expect("every admitted prefill is served");
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.iter().map(|s| s.overload_sheds).sum::<u64>(), sheds);
+    assert_eq!(stats.iter().map(|s| s.served).sum::<u64>(), admitted);
 }
 
 #[test]
@@ -304,7 +380,7 @@ fn sharded_http_front_door_serves_and_exports_per_shard_gauges() {
         )
     };
     // Prefill through both front doors must agree bitwise (the sharded
-    // path chunks and may steal; the control serves whole).
+    // path chunks on one shard; the control serves whole).
     let q = Matrix::<f32>::random_normal(24, d, 0.0, 1.0, &mut rng);
     let k = Matrix::<f32>::random_normal(24, d, 0.0, 1.0, &mut rng);
     let v = Matrix::<f32>::random_normal(24, d, 0.0, 1.0, &mut rng);
