@@ -37,6 +37,7 @@
 
 use dfss_bench::json::Json;
 use dfss_bench::{quick, results_dir, Report};
+use dfss_core::mechanism::KvViews;
 use dfss_core::{Attention, DfssAttention};
 use dfss_gpusim::Stage;
 use dfss_kernels::simd::{self, Backend};
@@ -576,6 +577,11 @@ fn run_simd_grid() -> (Vec<SimdMeasurement>, Vec<DecodeMeasurement>) {
         for (o, x) in vb.as_mut_slice().iter_mut().zip(vf.as_slice()) {
             *o = Bf16::from_f32(*x);
         }
+        let f32_kv = KvViews::packed(&kf, &vf);
+        let bf16_kv = KvViews::Bf16 {
+            k: kb.views(),
+            v: vb.views(),
+        };
 
         eprintln!("[speedup] simd decode: cache_len = {len} ...");
         let mut m = DecodeMeasurement {
@@ -586,15 +592,15 @@ fn run_simd_grid() -> (Vec<SimdMeasurement>, Vec<DecodeMeasurement>) {
         };
         // Warm-up.
         let mut ctx = GpuCtx::a100();
-        black_box(mech.decode_ragged(&mut ctx, &q, &kf, &vf));
-        black_box(mech.decode_ragged_bf16(&mut ctx, &q, &kb, &vb));
+        black_box(mech.decode_paged(&mut ctx, &q, &f32_kv, d));
+        black_box(mech.decode_paged(&mut ctx, &q, &bf16_kv, d));
         for _ in 0..decode_samples {
             let mut ctx = GpuCtx::a100();
             let t = Instant::now();
-            black_box(mech.decode_ragged(&mut ctx, &q, &kf, &vf));
+            black_box(mech.decode_paged(&mut ctx, &q, &f32_kv, d));
             m.f32_s.push(t.elapsed().as_secs_f64());
             let t = Instant::now();
-            black_box(mech.decode_ragged_bf16(&mut ctx, &q, &kb, &vb));
+            black_box(mech.decode_paged(&mut ctx, &q, &bf16_kv, d));
             m.bf16_s.push(t.elapsed().as_secs_f64());
         }
         decode.push(m);

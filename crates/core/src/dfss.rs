@@ -12,13 +12,13 @@
 //! and the blocked-ELL hybrid for long sequences (A.1.2).
 
 use crate::mechanism::{
-    check_decode, check_decode_ragged, check_qkv, check_qkv_batched, check_qkv_rows, Attention,
-    RequestError,
+    check_decode, check_decode_paged, check_qkv, check_qkv_batched, check_qkv_rows, Attention,
+    KvViews, RequestError,
 };
 use dfss_gpusim::Stage;
 use dfss_kernels::{ell, gemm, sddmm, softmax, spmm, GpuCtx};
 use dfss_nmsparse::{BlockedEll, NmCompressed, NmPattern, NmRagged};
-use dfss_tensor::{BatchedMatrix, Bf16, Matrix, RaggedBatch, Scalar};
+use dfss_tensor::{BatchedMatrix, Matrix, PagedPanel, Scalar};
 
 /// The Dfss attention mechanism.
 #[derive(Clone, Copy, Debug)]
@@ -92,47 +92,43 @@ impl DfssAttention {
         (out, comp)
     }
 
-    /// The ragged decode pipeline over a KV cache stored as `S` (the
-    /// compute type itself, or bf16 widened on load). Every kernel is
-    /// generic over the stored type, so both trait entry points share
-    /// this one body.
-    fn decode_ragged_stored<T: Scalar, S: Scalar>(
+    /// The ragged decode pipeline over K/V views stored as `S` (the compute
+    /// type itself, or bf16 widened on load). Every kernel is generic over
+    /// the stored type, so both storage widths share this one body.
+    fn decode_views<T: Scalar, S: Scalar>(
         &self,
         ctx: &mut GpuCtx,
         q: &Matrix<T>,
-        k: &RaggedBatch<S>,
-        v: &RaggedBatch<S>,
+        k: &[PagedPanel<'_, S>],
+        v: &[PagedPanel<'_, S>],
+        d_v: usize,
     ) -> Matrix<T> {
-        let streams = check_decode_ragged(q, k, v);
-        if streams == 0 {
-            return Matrix::zeros(0, v.cols());
-        }
         let scale = 1.0 / (q.cols() as f32).sqrt();
         // Every stream's compressed row lives simultaneously in the ragged
         // launch.
         let (mut kept, mut groups) = (0u64, 0u64);
-        for &len in k.lens() {
-            kept += NmRagged::<T>::kept_for(self.pattern, len) as u64;
-            groups += NmRagged::<T>::groups_for(self.pattern, len) as u64;
+        for view in k {
+            kept += NmRagged::<T>::kept_for(self.pattern, view.len) as u64;
+            groups += NmRagged::<T>::groups_for(self.pattern, view.len) as u64;
         }
         let comp_id = ctx.mem.alloc(
             "scores_nm_decode",
             kept * T::BYTES as u64 + (groups * 4).div_ceil(8),
         );
         let mut comp = if self.fused {
-            sddmm::sddmm_nm_fused_ragged(ctx, q, k, scale, self.pattern)
+            sddmm::sddmm_nm_fused_paged(ctx, q, k, scale, self.pattern)
         } else {
             // The unfused ablation additionally materialises every stream's
             // dense score row.
-            let dense_bytes = k.lens().iter().map(|&l| l as u64).sum::<u64>() * T::BYTES as u64;
+            let dense_bytes = k.iter().map(|view| view.len as u64).sum::<u64>() * T::BYTES as u64;
             let dense_id = ctx.mem.alloc("scores_decode_dense_unfused", dense_bytes);
-            let scores = gemm::gemm_nt_ragged(ctx, Stage::Qk, q, k, scale);
+            let scores = gemm::gemm_nt_paged(ctx, Stage::Qk, q, k, scale);
             let comp = sddmm::dense_prune_ragged(ctx, &scores, self.pattern);
             ctx.mem.free(dense_id);
             comp
         };
         softmax::softmax_nm_ragged(ctx, &mut comp);
-        let out = spmm::spmm_nm_ragged(ctx, &comp, v);
+        let out = spmm::spmm_nm_paged(ctx, &comp, v, d_v);
         ctx.mem.free(comp_id);
         out
     }
@@ -237,7 +233,8 @@ impl<T: Scalar> Attention<T> for DfssAttention {
     /// prefill, decode has no alignment rule, and the most recently cached
     /// positions are never pruned until their group fills. Pipeline: fused
     /// decode SDDMM (or the unfused ablation's dense row + separate prune)
-    /// → compressed decode softmax → decode SpMM on the sparse tensor core.
+    /// → compressed decode softmax → decode SpMM on the sparse tensor core,
+    /// run as the one-stream case of [`decode_paged`](Self::decode_paged).
     fn decode(
         &self,
         ctx: &mut GpuCtx,
@@ -245,62 +242,39 @@ impl<T: Scalar> Attention<T> for DfssAttention {
         k: &Matrix<T>,
         v: &Matrix<T>,
     ) -> Matrix<T> {
-        let (len, d) = check_decode(q_row, k, v);
-        let scale = 1.0 / (d as f32).sqrt();
-        let kept = NmRagged::<T>::kept_for(self.pattern, len) as u64;
-        let groups = NmRagged::<T>::groups_for(self.pattern, len) as u64;
-        let comp_bytes = kept * T::BYTES as u64 + (groups * 4).div_ceil(8);
-        let comp_id = ctx.mem.alloc("scores_nm_decode", comp_bytes);
-        let mut comp = if self.fused {
-            sddmm::sddmm_nm_decode(ctx, q_row, k, scale, self.pattern)
-        } else {
-            // The unfused ablation additionally materialises the dense row.
-            let dense_id = ctx
-                .mem
-                .alloc("scores_decode_dense_unfused", (len * T::BYTES) as u64);
-            let scores = gemm::gemm_nt_decode(ctx, Stage::Qk, q_row, k, scale);
-            let ragged = RaggedBatch::from_slices(1, &[scores.as_slice()]);
-            let comp = sddmm::dense_prune_ragged(ctx, &ragged, self.pattern);
-            ctx.mem.free(dense_id);
-            comp
+        check_decode(q_row, k, v);
+        let kv = KvViews::Native {
+            k: vec![PagedPanel::one_page(k.as_slice(), k.rows())],
+            v: vec![PagedPanel::one_page(v.as_slice(), v.rows())],
         };
-        softmax::softmax_nm_ragged(ctx, &mut comp);
-        let out = spmm::spmm_nm_decode(ctx, &comp, v);
-        ctx.mem.free(comp_id);
-        out
+        self.decode_paged(ctx, q_row, &kv, v.cols())
     }
 
-    /// Natively ragged batched decode: the whole stream batch runs through
-    /// one fused decode-SDDMM launch, one compressed decode-softmax launch
-    /// and one decode-SpMM launch, each charging a single profile equal to
-    /// the sum of the per-stream [`decode`](Self::decode) charges. Outputs
-    /// are bit-identical to the per-stream solo decode loop.
-    fn decode_ragged(
+    /// Natively ragged batched decode over the cache read in place: the
+    /// whole stream batch runs through one fused decode-SDDMM launch, one
+    /// compressed decode-softmax launch and one decode-SpMM launch, each
+    /// charging a single profile equal to the sum of the per-stream
+    /// [`decode`](Self::decode) charges. Outputs are bit-identical to the
+    /// per-stream solo decode loop. A bf16-quantised cache streams through
+    /// the decode microkernels at its stored 2-byte width (widened to f32
+    /// in-register, see `dfss_kernels::simd`), halving decode cache
+    /// traffic; because bf16 → f32 widening is exact and TF32 rounding keeps
+    /// every bf16 mantissa bit, outputs are bitwise identical to widening
+    /// the cache host-side and running the native pipeline.
+    fn decode_paged(
         &self,
         ctx: &mut GpuCtx,
         q: &Matrix<T>,
-        k: &RaggedBatch<T>,
-        v: &RaggedBatch<T>,
+        kv: &KvViews<'_, T>,
+        d_v: usize,
     ) -> Matrix<T> {
-        self.decode_ragged_stored(ctx, q, k, v)
-    }
-
-    /// Fused widen-on-load decode over a bf16-quantised KV cache: the same
-    /// three-launch pipeline as [`decode_ragged`](Attention::decode_ragged),
-    /// but the cached K/V panels stream through the decode microkernels at
-    /// their stored 2-byte width (widened to f32 in-register, see
-    /// `dfss_kernels::simd`), halving decode cache traffic. Because bf16 →
-    /// f32 widening is exact and TF32 rounding keeps every bf16 mantissa
-    /// bit, outputs are bitwise identical to widening the cache host-side
-    /// and running the `T = f32` decode pipeline.
-    fn decode_ragged_bf16(
-        &self,
-        ctx: &mut GpuCtx,
-        q: &Matrix<T>,
-        k: &RaggedBatch<Bf16>,
-        v: &RaggedBatch<Bf16>,
-    ) -> Matrix<T> {
-        self.decode_ragged_stored(ctx, q, k, v)
+        if check_decode_paged(q, kv, d_v) == 0 {
+            return Matrix::zeros(0, d_v);
+        }
+        match kv {
+            KvViews::Native { k, v } => self.decode_views(ctx, q, k, v, d_v),
+            KvViews::Bf16 { k, v } => self.decode_views(ctx, q, k, v, d_v),
+        }
     }
 
     /// The score matrix's rows (length `n`) are pruned in M-groups, so `n`

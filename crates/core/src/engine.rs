@@ -23,8 +23,9 @@
 //! [`flush_decode`](AttentionEngine::flush_decode) batches **decode steps**
 //! — one new query row per stream against that stream's cached K/V, with
 //! per-stream lengths free to differ — into one **ragged** launch per op
-//! ([`RaggedBatch`] packing, per-stream charges summed into a single
-//! profile), bit-identical to a per-stream solo
+//! (only the query rows are packed; the kernels read each stream's cached
+//! K/V in place through its page table, per-stream charges summed into a
+//! single profile), bit-identical to a per-stream solo
 //! [`Attention::decode`] loop.
 //!
 //! `simulate_encoder`, the serving layer (`dfss-serve`) and the load
@@ -65,9 +66,9 @@
 //! assert_eq!(engine.last_decode().launches(), 3);
 //! ```
 
-use crate::mechanism::{try_check_qkv, try_check_qkv_rows, Attention, RequestError};
+use crate::mechanism::{try_check_qkv, try_check_qkv_rows, Attention, KvViews, RequestError};
 use dfss_kernels::GpuCtx;
-use dfss_tensor::{BatchedMatrix, Bf16, Matrix, PagedPanel, RaggedBatch, Scalar};
+use dfss_tensor::{BatchedMatrix, Bf16, Matrix, PagedPanel, Scalar};
 
 /// Identifier of a submitted request, unique per engine for its lifetime.
 /// Tickets are issued in submission order.
@@ -133,11 +134,13 @@ impl FlushReport {
 
 /// Where one stream's cached K or V rows live in caller storage.
 ///
-/// The engine's pack step copies the rows into the ragged launch layout
-/// exactly once either way, and the copy order is identical, so a paged
-/// source produces **bit-identical** launches to a contiguous slab of the
-/// same rows (pinned by `paged_steps_match_contiguous_steps` here and the
-/// workspace proptest `paged_decode_matches_contiguous`).
+/// The engine never copies these rows: it hands each source to the decode
+/// kernels as a [`PagedPanel`] view (a contiguous slab is the one-page
+/// view), and the kernels read every row in place in the same order either
+/// way, so a paged source produces **bit-identical** launches to a
+/// contiguous slab of the same rows (pinned by
+/// `paged_steps_match_contiguous_steps` here and the workspace proptest
+/// `paged_decode_matches_contiguous`).
 #[derive(Clone, Debug)]
 pub enum KvRows<'a, T> {
     /// One contiguous row-major slab (`len × width` elements).
@@ -215,8 +218,8 @@ impl<'a, T> KvRows<'a, T> {
 /// stream's new query row and its cached K/V rows — either contiguous
 /// row-major slabs (`len × d` / `len × d_v` elements) or page tables of
 /// fixed-size blocks ([`KvRows`]). The serving layer's session caches hand
-/// these out without copying; the engine packs a whole batch of steps into
-/// one ragged launch per op.
+/// these out without copying; the engine runs a whole batch of steps as
+/// one ragged launch per op that reads them in place.
 #[derive(Clone, Debug)]
 pub struct DecodeStep<'a, T> {
     /// The new query row (`d` elements).
@@ -355,6 +358,36 @@ fn check_page_table<E>(
         });
     }
     Ok(())
+}
+
+/// The K/V page views of one decode bucket's steps, in bucket order (a
+/// contiguous slab is the one-page view). `quantized` is the bucket's key,
+/// so every source matches it.
+fn bucket_views<'a, T: Scalar>(
+    steps: &[DecodeStep<'a, T>],
+    idxs: &[usize],
+    quantized: bool,
+) -> KvViews<'a, T> {
+    let bucket = idxs.iter().map(|&i| &steps[i]);
+    if quantized {
+        let view = |rows: &KvRows<'a, T>, len| {
+            rows.as_panel_bf16(len)
+                .expect("a bf16 bucket holds bf16 sources")
+        };
+        KvViews::Bf16 {
+            k: bucket.clone().map(|s| view(&s.k_rows, s.len)).collect(),
+            v: bucket.map(|s| view(&s.v_rows, s.len)).collect(),
+        }
+    } else {
+        let view = |rows: &KvRows<'a, T>, len| {
+            rows.as_panel(len)
+                .expect("a native bucket holds native sources")
+        };
+        KvViews::Native {
+            k: bucket.clone().map(|s| view(&s.k_rows, s.len)).collect(),
+            v: bucket.map(|s| view(&s.v_rows, s.len)).collect(),
+        }
+    }
 }
 
 /// One completed prefill **chunk** out of a
@@ -621,11 +654,12 @@ impl<'m, T: Scalar> AttentionEngine<'m, T> {
     /// Batch a set of **decode steps** (one new query row per stream
     /// against its own cached K/V length) into ragged launches: steps group
     /// into `(d, d_v)` buckets (cached lengths stay ragged within a
-    /// bucket), each bucket packs into a [`RaggedBatch`] and runs one
-    /// `decode_ragged` — **one launch per op** across all its streams, with
-    /// per-stream charges summed into a single profile — and outputs unpack
-    /// per step, bit-identical to a per-stream solo `decode` loop. Results
-    /// come back in step order.
+    /// bucket), each bucket packs its query rows and runs one
+    /// [`decode_paged`](Attention::decode_paged) over borrowed views of its
+    /// steps' K/V pages — **one launch per op** across all its streams, with
+    /// per-stream charges summed into a single profile, and no copy of any
+    /// cached row — and outputs unpack per step, bit-identical to a
+    /// per-stream solo `decode` loop. Results come back in step order.
     ///
     /// A flush with **zero steps is a no-op** — no launch is recorded, no
     /// ticket issued, and the decode report resets to empty (never a
@@ -664,35 +698,11 @@ impl<'m, T: Scalar> AttentionEngine<'m, T> {
             }
             let q = Matrix::from_vec(idxs.len(), d, q_data);
 
+            // Only the query rows were packed: the kernels read every
+            // step's K/V in place.
+            let kv = bucket_views(steps, &idxs, quantized);
             let mark = self.ctx.timeline.entries().len();
-            let out = if quantized {
-                let k_panels: Vec<PagedPanel<'_, Bf16>> = idxs
-                    .iter()
-                    .map(|&i| steps[i].k_rows.as_panel_bf16(steps[i].len).unwrap())
-                    .collect();
-                let v_panels: Vec<PagedPanel<'_, Bf16>> = idxs
-                    .iter()
-                    .map(|&i| steps[i].v_rows.as_panel_bf16(steps[i].len).unwrap())
-                    .collect();
-                let k = RaggedBatch::gather_paged(d, &k_panels);
-                let v = RaggedBatch::gather_paged(d_v, &v_panels);
-                self.mech.decode_ragged_bf16(&mut self.ctx, &q, &k, &v)
-            } else {
-                // Contiguous and paged sources share one pack path: a slab
-                // is the degenerate one-page table, so `gather_paged`
-                // reproduces the PR 5 `from_slices` layout bit-for-bit.
-                let k_panels: Vec<PagedPanel<'_, T>> = idxs
-                    .iter()
-                    .map(|&i| steps[i].k_rows.as_panel(steps[i].len).unwrap())
-                    .collect();
-                let v_panels: Vec<PagedPanel<'_, T>> = idxs
-                    .iter()
-                    .map(|&i| steps[i].v_rows.as_panel(steps[i].len).unwrap())
-                    .collect();
-                let k = RaggedBatch::gather_paged(d, &k_panels);
-                let v = RaggedBatch::gather_paged(d_v, &v_panels);
-                self.mech.decode_ragged(&mut self.ctx, &q, &k, &v)
-            };
+            let out = self.mech.decode_paged(&mut self.ctx, &q, &kv, d_v);
             let new_entries = &self.ctx.timeline.entries()[mark..];
             let sim_latency_s: f64 = new_entries.iter().map(|e| e.latency(&self.ctx.dev)).sum();
             let launches: u64 = new_entries.iter().map(|e| e.launches).sum();
@@ -1182,42 +1192,20 @@ mod tests {
 
     #[test]
     fn paged_steps_match_contiguous_steps() {
-        // Shred each stream's K/V slab into fixed-size pages (with a dead
-        // tail: pages hold more elements than rows_per_page × width needs)
-        // and decode both ways — the ragged launches must be bit-identical.
+        // Shred each stream's K/V slab into fixed-size pages and decode both
+        // ways — the ragged launches must be bit-identical. Every page has a
+        // NaN dead tail longer than a row and not a multiple of the width,
+        // and rows past `len` on the last page are NaN too, so a reader that
+        // strides or stops by anything but `rows_per_page` and `len`
+        // poisons the output. Page sizes of 1, 3 and 16 rows; lengths 16 and
+        // 48 end exactly on a page boundary.
         let mech = DfssAttention::new(NmPattern::P1_2);
         let mut rng = Rng::new(41);
-        let lens = [5usize, 16, 7];
+        let lens = [5usize, 16, 7, 48];
         let (d, d_v) = (8usize, 8usize);
         let caches: Vec<(Matrix<f32>, Matrix<f32>)> =
             lens.iter().map(|&l| cache(l, d, d_v, &mut rng)).collect();
         let q = Matrix::<f32>::random_normal(lens.len(), d, 0.0, 1.0, &mut rng);
-
-        // rows_per_page = 3 does not divide any of the lengths evenly.
-        let rows_per_page = 3usize;
-        let page_elems = rows_per_page * d + 5; // dead tail of 5 elements
-        let shred = |slab: &[f32], len: usize, width: usize| -> Vec<Vec<f32>> {
-            (0..len.div_ceil(rows_per_page))
-                .map(|p| {
-                    let lo = p * rows_per_page * width;
-                    let hi = slab.len().min(lo + rows_per_page * width);
-                    let mut page = slab[lo..hi].to_vec();
-                    page.resize(page_elems, f32::NAN); // dead tail must never be read
-                    page
-                })
-                .collect()
-        };
-        let k_pages: Vec<Vec<Vec<f32>>> = caches
-            .iter()
-            .zip(&lens)
-            .map(|((k, _), &l)| shred(k.as_slice(), l, d))
-            .collect();
-        let v_pages: Vec<Vec<Vec<f32>>> = caches
-            .iter()
-            .zip(&lens)
-            .map(|((_, v), &l)| shred(v.as_slice(), l, d_v))
-            .collect();
-
         let contiguous: Vec<DecodeStep<'_, f32>> = caches
             .iter()
             .enumerate()
@@ -1225,47 +1213,75 @@ mod tests {
                 DecodeStep::contiguous(q.row(i), k.as_slice(), v.as_slice(), lens[i], d, d_v)
             })
             .collect();
-        let paged: Vec<DecodeStep<'_, f32>> = (0..lens.len())
-            .map(|i| DecodeStep {
-                q_row: q.row(i),
-                k_rows: KvRows::Paged {
-                    pages: k_pages[i].iter().map(|p| p.as_slice()).collect(),
-                    rows_per_page,
-                },
-                v_rows: KvRows::Paged {
-                    pages: v_pages[i].iter().map(|p| p.as_slice()).collect(),
-                    rows_per_page,
-                },
-                len: lens[i],
-                d,
-                d_v,
-            })
-            .collect();
-
         let mut eng_c = AttentionEngine::new(&mech);
-        let mut eng_p = AttentionEngine::new(&mech);
         let out_c = eng_c.flush_decode(&contiguous).unwrap();
-        let out_p = eng_p.flush_decode(&paged).unwrap();
-        assert_eq!(out_c.len(), out_p.len());
-        for (i, (c, p)) in out_c.iter().zip(&out_p).enumerate() {
-            let (c, p) = (c.output.as_ref().unwrap(), p.output.as_ref().unwrap());
-            let same = c
-                .as_slice()
+
+        for rows_per_page in [1usize, 3, 16] {
+            let shred = |slab: &[f32], len: usize, width: usize| -> Vec<Vec<f32>> {
+                (0..len.div_ceil(rows_per_page))
+                    .map(|p| {
+                        let lo = p * rows_per_page * width;
+                        let hi = slab.len().min(lo + rows_per_page * width);
+                        let mut page = slab[lo..hi].to_vec();
+                        page.resize(rows_per_page * width + width + 5, f32::NAN);
+                        page
+                    })
+                    .collect()
+            };
+            let k_pages: Vec<Vec<Vec<f32>>> = caches
                 .iter()
-                .zip(p.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "stream {i} diverged between paged and contiguous");
+                .zip(&lens)
+                .map(|((k, _), &l)| shred(k.as_slice(), l, d))
+                .collect();
+            let v_pages: Vec<Vec<Vec<f32>>> = caches
+                .iter()
+                .zip(&lens)
+                .map(|((_, v), &l)| shred(v.as_slice(), l, d_v))
+                .collect();
+            let paged: Vec<DecodeStep<'_, f32>> = (0..lens.len())
+                .map(|i| DecodeStep {
+                    q_row: q.row(i),
+                    k_rows: KvRows::Paged {
+                        pages: k_pages[i].iter().map(|p| p.as_slice()).collect(),
+                        rows_per_page,
+                    },
+                    v_rows: KvRows::Paged {
+                        pages: v_pages[i].iter().map(|p| p.as_slice()).collect(),
+                        rows_per_page,
+                    },
+                    len: lens[i],
+                    d,
+                    d_v,
+                })
+                .collect();
+
+            let mut eng_p = AttentionEngine::new(&mech);
+            let out_p = eng_p.flush_decode(&paged).unwrap();
+            assert_eq!(out_c.len(), out_p.len());
+            for (i, (c, p)) in out_c.iter().zip(&out_p).enumerate() {
+                let (c, p) = (c.output.as_ref().unwrap(), p.output.as_ref().unwrap());
+                let same = c
+                    .as_slice()
+                    .iter()
+                    .zip(p.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(
+                    same,
+                    "stream {i} diverged between paged and contiguous at \
+                     {rows_per_page} rows/page"
+                );
+            }
+            // Same launch count and charges either way: the kernels read the
+            // same rows in the same order, so they cannot tell.
+            assert_eq!(
+                eng_c.last_decode().launches(),
+                eng_p.last_decode().launches()
+            );
+            assert_eq!(
+                eng_c.ctx().timeline.total_bytes(),
+                eng_p.ctx().timeline.total_bytes()
+            );
         }
-        // Same launch count and charges either way: the pack result is the
-        // same contiguous layout, so the kernels cannot tell.
-        assert_eq!(
-            eng_c.last_decode().launches(),
-            eng_p.last_decode().launches()
-        );
-        assert_eq!(
-            eng_c.ctx().timeline.total_bytes(),
-            eng_p.ctx().timeline.total_bytes()
-        );
     }
 
     #[test]
@@ -1279,11 +1295,21 @@ mod tests {
         let (d, d_v) = (8usize, 8usize);
         let rows_per_page = 4usize;
         let q = Matrix::<f32>::random_normal(lens.len(), d, 0.0, 1.0, &mut rng);
+        // Live rows are random; rows past `len` on the last page and a dead
+        // tail of `width + 3` elements (not a multiple of the width) are
+        // NaN, so the widen-on-load reader must touch live rows only.
         let make_pages = |len: usize, width: usize, rng: &mut Rng| -> Vec<Vec<Bf16>> {
             (0..len.div_ceil(rows_per_page))
-                .map(|_| {
-                    (0..rows_per_page * width)
-                        .map(|_| Bf16::from_f32(rng.normal(0.0, 1.0)))
+                .map(|p| {
+                    let live = (len - p * rows_per_page).min(rows_per_page) * width;
+                    (0..rows_per_page * width + width + 3)
+                        .map(|e| {
+                            if e < live {
+                                Bf16::from_f32(rng.normal(0.0, 1.0))
+                            } else {
+                                Bf16::from_f32(f32::NAN)
+                            }
+                        })
                         .collect()
                 })
                 .collect()
@@ -1295,8 +1321,11 @@ mod tests {
         let widen = |pages: &[Vec<Bf16>], len: usize, width: usize| -> Vec<f32> {
             pages
                 .iter()
-                .flat_map(|p| p.iter().map(|x| x.to_f32()))
-                .take(len * width)
+                .enumerate()
+                .flat_map(|(p, page)| {
+                    let live = (len - p * rows_per_page).min(rows_per_page) * width;
+                    page[..live].iter().map(|x| x.to_f32())
+                })
                 .collect()
         };
         let k_host: Vec<Vec<f32>> = k_pages

@@ -2,7 +2,52 @@
 
 use dfss_gpusim::Stage;
 use dfss_kernels::{gemm, softmax, GpuCtx};
-use dfss_tensor::{BatchedMatrix, Bf16, Matrix, RaggedBatch, Scalar};
+use dfss_tensor::{BatchedMatrix, Bf16, Matrix, PagedPanel, RaggedBatch, Scalar};
+
+/// The cached K/V of a ragged decode batch, borrowed in place: one
+/// [`PagedPanel`] view per stream at the element width the cache stores.
+/// Entry `i` of `k` and `v` is stream `i`'s cache (K rows `d` wide, V rows
+/// `d_v` wide). A contiguous slab — and one panel of a packed
+/// [`RaggedBatch`] — is the one-page view; K and V always share one storage
+/// width.
+#[derive(Clone, Debug)]
+pub enum KvViews<'a, T> {
+    /// Rows stored at the compute type `T`.
+    Native {
+        /// Cached keys, one view per stream.
+        k: Vec<PagedPanel<'a, T>>,
+        /// Cached values, one view per stream.
+        v: Vec<PagedPanel<'a, T>>,
+    },
+    /// Rows stored **bf16-quantised** whatever `T` is: decode widens them
+    /// to f32 on load, so a native kernel reads the cache at 2 bytes per
+    /// element.
+    Bf16 {
+        /// Cached keys, one view per stream.
+        k: Vec<PagedPanel<'a, Bf16>>,
+        /// Cached values, one view per stream.
+        v: Vec<PagedPanel<'a, Bf16>>,
+    },
+}
+
+impl<'a, T: Scalar> KvViews<'a, T> {
+    /// One-page views of packed K/V stacks.
+    pub fn packed(k: &'a RaggedBatch<T>, v: &'a RaggedBatch<T>) -> KvViews<'a, T> {
+        KvViews::Native {
+            k: k.views(),
+            v: v.views(),
+        }
+    }
+
+    /// Stream `s`'s cached K and V copied out as `T` matrices (`len × d`
+    /// and `len × d_v`, bf16 rows widened exactly).
+    fn to_matrices(&self, s: usize, d: usize, d_v: usize) -> (Matrix<T>, Matrix<T>) {
+        match self {
+            KvViews::Native { k, v } => (k[s].to_matrix(d), v[s].to_matrix(d_v)),
+            KvViews::Bf16 { k, v } => (k[s].to_matrix(d), v[s].to_matrix(d_v)),
+        }
+    }
+}
 
 /// An attention mechanism: `O = attend(Q, K, V)` with `Q, K, V : n×d`.
 ///
@@ -98,20 +143,61 @@ pub trait Attention<T: Scalar> {
         out
     }
 
-    /// Batched decode across **ragged streams**: row `i` of `q` is stream
-    /// `i`'s new query row, panel `i` of `k`/`v` its cached K/V (lengths
-    /// may differ per stream) — **one launch per op** for the whole ragged
-    /// batch, outputs bit-identical to a per-stream [`decode`](Self::decode)
-    /// loop. Returns the `streams × d_v` output, one row per stream.
+    /// Batched decode across **ragged streams**, reading every stream's
+    /// cached K/V in place: row `i` of `q` is stream `i`'s new query row,
+    /// entry `i` of `kv`'s K and V views its cache (lengths may differ per
+    /// stream; V rows are `d_v` wide) — **one launch per op** for the whole
+    /// ragged batch, outputs bit-identical to a per-stream
+    /// [`decode`](Self::decode) loop. Returns the `streams × d_v` output,
+    /// one row per stream.
     ///
-    /// The default runs the per-stream loop and merges the per-stream
-    /// kernel logs positionally into batched launches (one launch per op,
-    /// per-stream charges summed — the same model as the batched prefill
-    /// default), reserving the remaining streams' transient working sets
-    /// alongside the first stream's run (sized from stream 0, the same
-    /// first-panel approximation `forward_batched` uses). Mechanisms with
-    /// natively ragged kernels (Dfss) override it with single-profile
-    /// whole-batch launches.
+    /// The default runs the per-stream loop, copying each stream's K/V
+    /// straight from its pages into the `T` matrices `decode` takes (bf16
+    /// rows widened exactly; the kernels then read and charge `T`-width
+    /// rows), and merges the per-stream kernel logs positionally into
+    /// batched launches (one launch per op, per-stream charges summed — the
+    /// same model as the batched prefill default), reserving the remaining
+    /// streams' transient working sets alongside the first stream's run
+    /// (sized from stream 0, the same first-panel approximation
+    /// `forward_batched` uses). Mechanisms with natively ragged kernels
+    /// (Dfss) override it with single-profile whole-batch launches that
+    /// read the pages at their stored width.
+    fn decode_paged(
+        &self,
+        ctx: &mut GpuCtx,
+        q: &Matrix<T>,
+        kv: &KvViews<'_, T>,
+        d_v: usize,
+    ) -> Matrix<T> {
+        let streams = check_decode_paged(q, kv, d_v);
+        let mut out = Matrix::zeros(streams, d_v);
+        if streams == 0 {
+            return out;
+        }
+        let d = q.cols();
+        let one = |ctx: &mut GpuCtx, s: usize| {
+            let (k, v) = kv.to_matrices(s, d, d_v);
+            self.decode(ctx, &Matrix::from_vec(1, d, q.row(s).to_vec()), &k, &v)
+        };
+        let mark = ctx.timeline.entries().len();
+        let resident = ctx.mem.current();
+        ctx.mem.begin_window();
+        out.row_mut(0).copy_from_slice(one(ctx, 0).as_slice());
+        let transient = ctx.mem.window_peak().saturating_sub(resident);
+        let rsv = ctx.mem.alloc(
+            "decode_streams_concurrent",
+            (streams as u64 - 1) * transient,
+        );
+        for s in 1..streams {
+            out.row_mut(s).copy_from_slice(one(ctx, s).as_slice());
+        }
+        ctx.mem.free(rsv);
+        batch_panel_launches(ctx, mark, streams);
+        out
+    }
+
+    /// [`decode_paged`](Self::decode_paged) over packed K/V stacks (panel
+    /// `i` = stream `i`'s cache), read as one-page views.
     fn decode_ragged(
         &self,
         ctx: &mut GpuCtx,
@@ -119,58 +205,8 @@ pub trait Attention<T: Scalar> {
         k: &RaggedBatch<T>,
         v: &RaggedBatch<T>,
     ) -> Matrix<T> {
-        let streams = check_decode_ragged(q, k, v);
-        let mut out = Matrix::zeros(streams, v.cols());
-        if streams == 0 {
-            return out;
-        }
-        let mark = ctx.timeline.entries().len();
-        let resident = ctx.mem.current();
-        ctx.mem.begin_window();
-        let q0 = Matrix::from_vec(1, q.cols(), q.row(0).to_vec());
-        let o0 = self.decode(ctx, &q0, &k.to_panel(0), &v.to_panel(0));
-        out.row_mut(0).copy_from_slice(o0.as_slice());
-        let transient = ctx.mem.window_peak().saturating_sub(resident);
-        let rsv = ctx.mem.alloc(
-            "decode_streams_concurrent",
-            (streams as u64 - 1) * transient,
-        );
-        for s in 1..streams {
-            let qs = Matrix::from_vec(1, q.cols(), q.row(s).to_vec());
-            let os = self.decode(ctx, &qs, &k.to_panel(s), &v.to_panel(s));
-            out.row_mut(s).copy_from_slice(os.as_slice());
-        }
-        ctx.mem.free(rsv);
-        batch_panel_launches(ctx, mark, streams);
-        out
-    }
-
-    /// [`decode_ragged`](Self::decode_ragged) over a **bf16-quantised KV
-    /// cache**: the cached K/V panels arrive at their stored 2-byte width
-    /// and are widened to the compute type on load. Queries and outputs
-    /// stay `T`.
-    ///
-    /// The default widens the panels to `T` host-side and delegates to
-    /// [`decode_ragged`](Self::decode_ragged) — correct for any mechanism,
-    /// and honest about its traffic (the kernels really do read widened
-    /// `T`-width panels, so they charge `T::BYTES`). Mechanisms with
-    /// fused widen-on-load decode kernels (Dfss) override this to stream
-    /// the cache at 2 bytes per element.
-    fn decode_ragged_bf16(
-        &self,
-        ctx: &mut GpuCtx,
-        q: &Matrix<T>,
-        k: &RaggedBatch<Bf16>,
-        v: &RaggedBatch<Bf16>,
-    ) -> Matrix<T> {
-        let widen = |b: &RaggedBatch<Bf16>| {
-            let mut out = RaggedBatch::<T>::zeros(b.cols(), b.lens());
-            for (o, x) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-                *o = T::from_f32(x.to_f32());
-            }
-            out
-        };
-        self.decode_ragged(ctx, q, &widen(k), &widen(v))
+        assert_eq!(q.cols(), k.cols(), "query width mismatch");
+        self.decode_paged(ctx, q, &KvViews::packed(k, v), v.cols())
     }
 
     /// Validate that this mechanism can run an `n × d` request, without
@@ -442,24 +478,24 @@ pub fn check_decode<T: Scalar>(q_row: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) 
 }
 
 /// Ragged batched counterpart of [`check_decode`]; returns the stream
-/// count. Row `i` of `q` pairs with panel `i` of `k` and `v`, whose row
-/// counts must agree per stream (column counts may differ between K and V).
-/// The cached panels' element type `S` may differ from the compute type
-/// `T` (bf16-quantised KV).
-pub fn check_decode_ragged<T: Scalar, S: Scalar>(
-    q: &Matrix<T>,
-    k: &RaggedBatch<S>,
-    v: &RaggedBatch<S>,
-) -> usize {
-    let streams = k.streams();
-    assert_eq!(q.rows(), streams, "one query row per stream");
-    assert_eq!(q.cols(), k.cols(), "query width mismatch");
-    assert_eq!(k.lens(), v.lens(), "per-stream K/V length mismatch");
+/// count. Row `i` of `q` pairs with entry `i` of the K and V views, whose
+/// row counts must agree per stream; every view's page table must hold its
+/// rows (K rows `q.cols()` wide, V rows `d_v` wide).
+pub fn check_decode_paged<T: Scalar>(q: &Matrix<T>, kv: &KvViews<'_, T>, d_v: usize) -> usize {
+    fn lens<S>(views: &[PagedPanel<'_, S>], width: usize) -> Vec<usize> {
+        views.iter().map(|view| view.checked_len(width)).collect()
+    }
+    let (k_lens, v_lens) = match kv {
+        KvViews::Native { k, v } => (lens(k, q.cols()), lens(v, d_v)),
+        KvViews::Bf16 { k, v } => (lens(k, q.cols()), lens(v, d_v)),
+    };
+    assert_eq!(q.rows(), k_lens.len(), "one query row per stream");
+    assert_eq!(k_lens, v_lens, "per-stream K/V length mismatch");
     assert!(
-        k.lens().iter().all(|&l| l > 0),
+        k_lens.iter().all(|&l| l > 0),
         "decode against an empty cache"
     );
-    streams
+    k_lens.len()
 }
 
 /// Validate common attention preconditions; returns `(n, d)`.

@@ -3,12 +3,16 @@
 //! A decode step computes one new score row per stream (the stream's fresh
 //! query row against its cached keys), prunes it N:M over full M-groups
 //! with a dense tail (see [`NmRagged`]), normalises the kept values, and
-//! contracts them with the cached V rows. The **solo** entry points
-//! (`*_decode`) and the **ragged batched** entry points (`*_ragged`) in the
-//! kernel family modules both drive the routines in this module, so a
-//! ragged launch over B streams is bit-identical to a per-stream solo
-//! decode loop by construction — the launch accounting is the only
-//! difference (one summed [`KernelProfile`] vs. B per-stream profiles).
+//! contracts them with the cached V rows. Each kernel family has one exec
+//! body per op (`*_paged`), which reads every stream's cached K/V **in
+//! place** through a [`PagedPanel`] view — a serving session's pool pages
+//! or, as the one-page case, a contiguous slab. The ragged entry points
+//! (`*_ragged`, over a packed [`RaggedBatch`](dfss_tensor::RaggedBatch))
+//! and the solo entry points (`*_decode`, one stream) are thin wrappers
+//! that pass one-page views into that body, so the solo loop, a packed
+//! ragged launch and a paged launch over the same rows are bit-identical
+//! by construction — the launch accounting is the only difference (one
+//! summed [`KernelProfile`] vs. B per-stream profiles).
 //!
 //! Unlike the prefill score kernels (serial-k `axpy` outer products), the
 //! decode scores use the lane-blocked [`micro::dot`] shape: a decode step
@@ -35,14 +39,20 @@
 use crate::micro::widen;
 use crate::simd;
 use dfss_nmsparse::{NmPattern, NmRagged};
-use dfss_tensor::{scratch_f32_stale, Scalar};
+use dfss_tensor::{scratch_f32_stale, PagedPanel, Scalar};
 
 /// Dense decode scores of one stream: `acc[j] = dot(q̂, to_mul(K row j))`,
-/// the K rows widened in-register from their stored element type.
-pub(crate) fn decode_scores_widen<S: Scalar>(qw: &[f32], k_panel: &[S], d: usize, acc: &mut [f32]) {
+/// the K rows read in place from their pages and widened in-register from
+/// their stored element type. `acc` holds exactly `k.len` scores.
+pub(crate) fn decode_scores_widen<S: Scalar>(
+    qw: &[f32],
+    k: &PagedPanel<'_, S>,
+    d: usize,
+    acc: &mut [f32],
+) {
     let backend = simd::active();
-    for (j, o) in acc.iter_mut().enumerate() {
-        *o = simd::dot_widen(backend, qw, &k_panel[j * d..(j + 1) * d]);
+    for (j, row) in k.rows(d).enumerate() {
+        acc[j] = simd::dot_widen(backend, qw, row);
     }
 }
 
@@ -78,21 +88,21 @@ pub(crate) fn prune_decode_row<T: Scalar>(
 }
 
 /// Fused score + prune of one stream: widen the query row, stream the
-/// cached K panel at its stored width (widen-on-load), take one dot per
+/// cached K pages at their stored width (widen-on-load), take one dot per
 /// cached position, prune into the stream's output slices.
 pub(crate) fn score_prune_stream<T: Scalar, S: Scalar>(
     q_row: &[T],
-    k_panel: &[S],
-    len: usize,
+    k: &PagedPanel<'_, S>,
     d: usize,
     scale: f32,
     pattern: NmPattern,
     nz_out: &mut [T],
     code_out: &mut [u8],
 ) {
+    let len = k.len;
     let qw = widen(q_row);
     let mut acc = scratch_f32_stale(len);
-    decode_scores_widen(&qw, k_panel, d, &mut acc[..len]);
+    decode_scores_widen(&qw, k, d, &mut acc[..len]);
     prune_decode_row(pattern, &acc[..len], scale, nz_out, code_out);
 }
 
@@ -100,15 +110,15 @@ pub(crate) fn score_prune_stream<T: Scalar, S: Scalar>(
 /// scale applied at write time like the dense GEMM epilogue.
 pub(crate) fn score_dense_stream<T: Scalar, S: Scalar>(
     q_row: &[T],
-    k_panel: &[S],
-    len: usize,
+    k: &PagedPanel<'_, S>,
     d: usize,
     scale: f32,
     out: &mut [T],
 ) {
+    let len = k.len;
     let qw = widen(q_row);
     let mut acc = scratch_f32_stale(len);
-    decode_scores_widen(&qw, k_panel, d, &mut acc[..len]);
+    decode_scores_widen(&qw, k, d, &mut acc[..len]);
     for (o, &x) in out.iter_mut().zip(acc.iter()) {
         *o = T::from_acc(x * scale);
     }
@@ -148,29 +158,45 @@ pub(crate) fn prune_values_stream<T: Scalar>(
 }
 
 /// SpMM of one stream: contract row `i` of the compressed stack with the
-/// stream's cached V panel (streamed at its stored width, widen-on-load)
-/// into one output row.
+/// stream's cached V rows (read in place from their pages at the stored
+/// width, widen-on-load) into one output row.
 pub(crate) fn spmm_decode_stream<T: Scalar, S: Scalar>(
     a: &NmRagged<T>,
     i: usize,
-    v_panel: &[S],
+    v: &PagedPanel<'_, S>,
     d_v: usize,
     out_row: &mut [T],
 ) {
     let backend = simd::active();
+    let rpp = v.rows_per_page;
     let mut acc = scratch_f32_stale(d_v);
     acc.iter_mut().for_each(|x| *x = 0.0);
+    // `scan_row` visits kept columns in ascending order, so the page
+    // holding row `col` is found by moving a cursor forward, never by
+    // dividing.
+    let (mut page, mut first) = (0usize, 0usize);
     a.scan_row(i, |col, val| {
+        while col >= first + rpp {
+            page += 1;
+            first += rpp;
+        }
+        let at = (col - first) * d_v;
         simd::axpy_widen(
             backend,
             &mut acc[..d_v],
             val.to_mul(),
-            &v_panel[col * d_v..(col + 1) * d_v],
+            &v.pages[page][at..at + d_v],
         );
     });
     for (o, &x) in out_row.iter_mut().zip(acc.iter()) {
         *o = T::from_acc(x);
     }
+}
+
+/// Per-stream live row counts of a launch's cached K or V views, asserting
+/// each view's page table against the row width.
+pub(crate) fn view_lens<S>(views: &[PagedPanel<'_, S>], width: usize) -> Vec<usize> {
+    views.iter().map(|view| view.checked_len(width)).collect()
 }
 
 /// Allocate a ragged compressed stack for the given per-stream lengths and

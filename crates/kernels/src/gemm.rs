@@ -15,7 +15,7 @@
 use crate::ctx::{dense_class, GpuCtx};
 use crate::micro;
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, RaggedBatch, Scalar};
+use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
 use rayon::prelude::*;
 
 /// Minimum per-thread row chunk, to avoid rayon overhead on small matrices.
@@ -377,9 +377,8 @@ fn decode_score_charge<T: Scalar, S: Scalar>(
 
 /// Solo dense decode scores: `scale · q·Kᵀ` for one stream's new query row
 /// against its cached K (`len × d`) → a `1 × len` score row. The unfused
-/// decode ablation's first half; uses the same lane-blocked dot inner
-/// routine as the ragged entry point so the per-stream solo loop is
-/// bit-identical to [`gemm_nt_ragged`].
+/// decode ablation's first half, and the one-stream case of
+/// [`gemm_nt_paged`], so the per-stream solo loop is bit-identical to it.
 pub fn gemm_nt_decode<T: Scalar, S: Scalar>(
     ctx: &mut GpuCtx,
     stage: Stage,
@@ -387,29 +386,14 @@ pub fn gemm_nt_decode<T: Scalar, S: Scalar>(
     k: &Matrix<S>,
     scale: f32,
 ) -> Matrix<T> {
-    assert_eq!(q_row.rows(), 1, "decode takes a single query row");
-    let (len, d) = k.shape();
-    assert_eq!(q_row.cols(), d, "inner dimensions differ");
-    let (reads, writes, macs) = decode_score_charge::<T, S>(ctx, len, d);
-    ctx.record(
-        KernelProfile::new("gemm_nt_decode", stage)
-            .with_traffic(reads, writes)
-            .with_tc(macs, dense_class::<T>()),
-    );
-    if !ctx.exec {
-        return Matrix::zeros(1, len);
-    }
-    let mut out = vec![T::zero(); len];
-    crate::decode::score_dense_stream(q_row.row(0), k.as_slice(), len, d, scale, &mut out);
-    Matrix::from_vec(1, len, out)
+    assert_eq!(q_row.cols(), k.cols(), "inner dimensions differ");
+    let view = PagedPanel::one_page(k.as_slice(), k.rows());
+    let scores = gemm_nt_paged(ctx, stage, q_row, &[view], scale);
+    Matrix::from_vec(1, k.rows(), scores.as_slice().to_vec())
 }
 
-/// Ragged batched dense decode scores: every stream's new query row (row
-/// `i` of `q`) against its own cached K panel, in **one launch** — a single
-/// profile summing the per-stream [`gemm_nt_decode`] charges, one pool
-/// fan-out over streams. Returns each stream's score row as a `cols == 1`
-/// panel (one scalar per cached position). Bit-identical to the per-stream
-/// solo loop.
+/// Ragged batched dense decode scores over a packed stack: the
+/// one-page-per-stream case of [`gemm_nt_paged`].
 pub fn gemm_nt_ragged<T: Scalar, S: Scalar>(
     ctx: &mut GpuCtx,
     stage: Stage,
@@ -417,12 +401,28 @@ pub fn gemm_nt_ragged<T: Scalar, S: Scalar>(
     k: &RaggedBatch<S>,
     scale: f32,
 ) -> RaggedBatch<T> {
-    let streams = k.streams();
-    assert_eq!(q.rows(), streams, "one query row per stream");
-    let d = k.cols();
-    assert_eq!(q.cols(), d, "inner dimensions differ");
+    assert_eq!(q.cols(), k.cols(), "inner dimensions differ");
+    gemm_nt_paged(ctx, stage, q, &k.views(), scale)
+}
+
+/// Ragged batched dense decode scores: every stream's new query row (row
+/// `i` of `q`, width `d = q.cols()`) against its own cached K, read in
+/// place through the stream's [`PagedPanel`] view, in **one launch** — a
+/// single profile summing the per-stream charges, one pool fan-out over
+/// streams. Returns each stream's score row as a `cols == 1` panel (one
+/// scalar per cached position).
+pub fn gemm_nt_paged<T: Scalar, S: Scalar>(
+    ctx: &mut GpuCtx,
+    stage: Stage,
+    q: &Matrix<T>,
+    k: &[PagedPanel<'_, S>],
+    scale: f32,
+) -> RaggedBatch<T> {
+    assert_eq!(q.rows(), k.len(), "one query row per stream");
+    let d = q.cols();
+    let lens = crate::decode::view_lens(k, d);
     let (mut reads, mut writes, mut macs) = (0u64, 0u64, 0u64);
-    for &len in k.lens() {
+    for &len in &lens {
         let (r, w, m) = decode_score_charge::<T, S>(ctx, len, d);
         reads += r;
         writes += w;
@@ -433,13 +433,13 @@ pub fn gemm_nt_ragged<T: Scalar, S: Scalar>(
             .with_traffic(reads, writes)
             .with_tc(macs, dense_class::<T>()),
     );
-    let mut out = RaggedBatch::zeros(1, k.lens());
+    let mut out = RaggedBatch::zeros(1, &lens);
     if !ctx.exec {
         return out;
     }
     let items: Vec<(usize, &mut [T])> = out.panels_mut().into_iter().enumerate().collect();
     items.into_par_iter().for_each(|(s, panel)| {
-        crate::decode::score_dense_stream(q.row(s), k.panel(s), k.len_of(s), d, scale, panel);
+        crate::decode::score_dense_stream(q.row(s), &k[s], d, scale, panel);
     });
     out
 }

@@ -24,7 +24,7 @@ use crate::micro;
 use crate::simd;
 use dfss_gpusim::{KernelProfile, Stage};
 use dfss_nmsparse::{NmBatch, NmCompressed, NmPattern, NmRagged};
-use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, RaggedBatch, Scalar};
+use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
 
 /// ALU cost of pruning one M-group in the epilogue.
 ///
@@ -451,11 +451,10 @@ pub fn dense_prune_batched<T: Scalar>(
 /// Per-stream cost counters `(reads, writes, macs, alu)` of one fused
 /// decode score + prune: a `1 × len` score row against the `len × d` cached
 /// K panel, N:M-pruned over full M-groups with a dense tail (see
-/// [`NmRagged`]). Shared by the solo and ragged entry points so a ragged
-/// launch charges exactly the sum of its streams' solo charges. The K
-/// panel is charged at its stored element width `S` (half the traffic
-/// when the serving layer quantises the KV cache to bf16); the query row
-/// and pruned outputs stay at the compute width `T`.
+/// [`NmRagged`]). A ragged launch charges exactly the sum of its streams'
+/// solo charges. The K panel is charged at its stored element width `S`
+/// (half the traffic when the serving layer quantises the KV cache to
+/// bf16); the query row and pruned outputs stay at the compute width `T`.
 fn decode_charge<T: Scalar, S: Scalar>(
     ctx: &GpuCtx,
     len: usize,
@@ -493,8 +492,9 @@ fn decode_prune_charge<T: Scalar>(len: usize, pattern: NmPattern) -> (u64, u64, 
 /// Solo fused decode step: `compress(scale · q·Kᵀ)` for **one** stream —
 /// the new query row (`1 × d`) against the stream's cached `K` (`len × d`),
 /// pruned N:M over full M-groups with the dense tail kept (see
-/// [`NmRagged`]). Records one per-stream profile; the per-stream solo
-/// decode loop the ragged launch is measured against.
+/// [`NmRagged`]). The one-stream case of [`sddmm_nm_fused_paged`]: records
+/// one per-stream profile; the per-stream solo decode loop the ragged launch
+/// is measured against.
 pub fn sddmm_nm_decode<T: Scalar, S: Scalar>(
     ctx: &mut GpuCtx,
     q_row: &Matrix<T>,
@@ -502,39 +502,13 @@ pub fn sddmm_nm_decode<T: Scalar, S: Scalar>(
     scale: f32,
     pattern: NmPattern,
 ) -> NmRagged<T> {
-    assert_eq!(q_row.rows(), 1, "decode takes a single query row");
-    let (len, dk) = k.shape();
-    assert_eq!(q_row.cols(), dk, "inner dimensions differ");
-    let (reads, writes, macs, alu) = decode_charge::<T, S>(ctx, len, dk, pattern);
-    ctx.record(
-        KernelProfile::new("sddmm_nm_decode", Stage::Qk)
-            .with_traffic(reads, writes)
-            .with_tc(macs, dense_class::<T>())
-            .with_alu(alu),
-    );
-    if !ctx.exec {
-        return NmRagged::zeros(pattern, &[len]);
-    }
-    let mut nonzeros = vec![T::zero(); NmRagged::<T>::kept_for(pattern, len)];
-    let mut codes = vec![0u8; NmRagged::<T>::groups_for(pattern, len)];
-    decode::score_prune_stream(
-        q_row.row(0),
-        k.as_slice(),
-        len,
-        dk,
-        scale,
-        pattern,
-        &mut nonzeros,
-        &mut codes,
-    );
-    NmRagged::from_parts(pattern, vec![len], nonzeros, codes)
+    assert_eq!(q_row.cols(), k.cols(), "inner dimensions differ");
+    let view = PagedPanel::one_page(k.as_slice(), k.rows());
+    sddmm_nm_fused_paged(ctx, q_row, &[view], scale, pattern)
 }
 
-/// Ragged batched fused decode: every stream's new query row (row `i` of
-/// `q`) against its own cached K panel, in **one launch** — a single
-/// profile whose counters are the sum of the per-stream
-/// [`sddmm_nm_decode`] charges, one pool fan-out over streams.
-/// Bit-identical to the per-stream solo loop (shared inner routines).
+/// Ragged batched fused decode over a packed stack: the one-page-per-stream
+/// case of [`sddmm_nm_fused_paged`].
 pub fn sddmm_nm_fused_ragged<T: Scalar, S: Scalar>(
     ctx: &mut GpuCtx,
     q: &Matrix<T>,
@@ -542,12 +516,28 @@ pub fn sddmm_nm_fused_ragged<T: Scalar, S: Scalar>(
     scale: f32,
     pattern: NmPattern,
 ) -> NmRagged<T> {
-    let streams = k.streams();
-    assert_eq!(q.rows(), streams, "one query row per stream");
-    let d = k.cols();
-    assert_eq!(q.cols(), d, "inner dimensions differ");
+    assert_eq!(q.cols(), k.cols(), "inner dimensions differ");
+    sddmm_nm_fused_paged(ctx, q, &k.views(), scale, pattern)
+}
+
+/// Ragged batched fused decode: every stream's new query row (row `i` of
+/// `q`, width `d = q.cols()`) against its own cached K, read in place
+/// through the stream's [`PagedPanel`] view, in **one launch** — a single
+/// profile whose counters are the sum of the per-stream charges, one pool
+/// fan-out over streams. Bit-identical to the per-stream solo loop (shared
+/// inner routines).
+pub fn sddmm_nm_fused_paged<T: Scalar, S: Scalar>(
+    ctx: &mut GpuCtx,
+    q: &Matrix<T>,
+    k: &[PagedPanel<'_, S>],
+    scale: f32,
+    pattern: NmPattern,
+) -> NmRagged<T> {
+    assert_eq!(q.rows(), k.len(), "one query row per stream");
+    let d = q.cols();
+    let lens = decode::view_lens(k, d);
     let (mut reads, mut writes, mut macs, mut alu) = (0u64, 0u64, 0u64, 0u64);
-    for &len in k.lens() {
+    for &len in &lens {
         let (r, w, m, a) = decode_charge::<T, S>(ctx, len, d, pattern);
         reads += r;
         writes += w;
@@ -561,19 +551,10 @@ pub fn sddmm_nm_fused_ragged<T: Scalar, S: Scalar>(
             .with_alu(alu),
     );
     if !ctx.exec {
-        return NmRagged::zeros(pattern, k.lens());
+        return NmRagged::zeros(pattern, &lens);
     }
-    decode::build_ragged(pattern, k.lens(), |s, nz, code| {
-        decode::score_prune_stream(
-            q.row(s),
-            k.panel(s),
-            k.len_of(s),
-            d,
-            scale,
-            pattern,
-            nz,
-            code,
-        );
+    decode::build_ragged(pattern, &lens, |s, nz, code| {
+        decode::score_prune_stream(q.row(s), &k[s], d, scale, pattern, nz, code);
     })
 }
 

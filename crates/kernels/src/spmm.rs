@@ -15,7 +15,7 @@ use crate::micro;
 use crate::simd;
 use dfss_gpusim::{KernelProfile, Stage};
 use dfss_nmsparse::{Csr, NmBatch, NmCompressed, NmPattern, NmRagged};
-use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, RaggedBatch, Scalar};
+use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
 use rayon::prelude::*;
 
 /// Output rows per parallel work item: one scratch accumulator and one shim
@@ -158,10 +158,9 @@ pub fn spmm_nm_batched<T: Scalar>(
 /// Per-stream cost counters `(reads, writes, macs)` of one decode SpMM:
 /// the stream's compressed score row (kept values + metadata) against its
 /// cached `len × d_v` V panel, one output row. Same tiled model as
-/// [`spmm_nm`] with a one-row output grid; shared by the solo and ragged
-/// entry points so the ragged launch charges exactly the per-stream sum.
-/// The V panel is charged at its stored element width `S`; compressed
-/// scores and outputs stay at the compute width `T`.
+/// [`spmm_nm`] with a one-row output grid; a ragged launch charges exactly
+/// the per-stream sum. The V panel is charged at its stored element width
+/// `S`; compressed scores and outputs stay at the compute width `T`.
 fn spmm_decode_charge<T: Scalar, S: Scalar>(
     ctx: &GpuCtx,
     len: usize,
@@ -180,45 +179,42 @@ fn spmm_decode_charge<T: Scalar, S: Scalar>(
 
 /// Solo decode SpMM: one stream's compressed score row (with dense tail)
 /// against its cached V (`len × d_v`) on the simulated sparse tensor core
-/// → a `1 × d_v` output row. Records one per-stream profile.
+/// → a `1 × d_v` output row. The one-stream case of [`spmm_nm_paged`]:
+/// records one per-stream profile.
 pub fn spmm_nm_decode<T: Scalar, S: Scalar>(
     ctx: &mut GpuCtx,
     a: &NmRagged<T>,
     v: &Matrix<S>,
 ) -> Matrix<T> {
-    assert_eq!(a.streams(), 1, "solo decode takes a single stream");
-    let len = a.len_of(0);
-    let (vr, d_v) = v.shape();
-    assert_eq!(len, vr, "cached length {len} != V rows {vr}");
-    let (reads, writes, macs) =
-        spmm_decode_charge::<T, S>(ctx, len, d_v, a.kept_of(0), a.groups_of(0));
-    ctx.record(
-        KernelProfile::new("spmm_nm_decode", Stage::Av)
-            .with_traffic(reads, writes)
-            .with_tc(macs, sparse_class::<T>()),
-    );
-    if !ctx.exec {
-        return Matrix::zeros(1, d_v);
-    }
-    let mut out = vec![T::zero(); d_v];
-    decode::spmm_decode_stream(a, 0, v.as_slice(), d_v, &mut out);
-    Matrix::from_vec(1, d_v, out)
+    let view = PagedPanel::one_page(v.as_slice(), v.rows());
+    spmm_nm_paged(ctx, a, &[view], v.cols())
 }
 
-/// Ragged batched decode SpMM: every stream's compressed score row against
-/// its own cached V panel, in **one launch** — a single profile summing the
-/// per-stream [`spmm_nm_decode`] charges, one pool fan-out over streams.
-/// Returns the `streams × d_v` output (one row per stream). Bit-identical
-/// to the per-stream solo loop (shared inner routine).
+/// Ragged batched decode SpMM over a packed stack: the one-page-per-stream
+/// case of [`spmm_nm_paged`].
 pub fn spmm_nm_ragged<T: Scalar, S: Scalar>(
     ctx: &mut GpuCtx,
     a: &NmRagged<T>,
     v: &RaggedBatch<S>,
 ) -> Matrix<T> {
+    spmm_nm_paged(ctx, a, &v.views(), v.cols())
+}
+
+/// Ragged batched decode SpMM: every stream's compressed score row against
+/// its own cached V rows (width `d_v`), read in place through the stream's
+/// [`PagedPanel`] view, in **one launch** — a single profile summing the
+/// per-stream charges, one pool fan-out over streams. Returns the
+/// `streams × d_v` output (one row per stream). Bit-identical to the
+/// per-stream solo loop (shared inner routine).
+pub fn spmm_nm_paged<T: Scalar, S: Scalar>(
+    ctx: &mut GpuCtx,
+    a: &NmRagged<T>,
+    v: &[PagedPanel<'_, S>],
+    d_v: usize,
+) -> Matrix<T> {
     let streams = a.streams();
-    assert_eq!(streams, v.streams(), "stream counts differ");
-    assert_eq!(a.lens(), v.lens(), "cached lengths differ");
-    let d_v = v.cols();
+    assert_eq!(streams, v.len(), "stream counts differ");
+    assert_eq!(a.lens(), decode::view_lens(v, d_v), "cached lengths differ");
     let (mut reads, mut writes, mut macs) = (0u64, 0u64, 0u64);
     for i in 0..streams {
         let (r, w, m) =
@@ -238,7 +234,7 @@ pub fn spmm_nm_ragged<T: Scalar, S: Scalar>(
     let mut out = vec![T::zero(); streams * d_v];
     let items: Vec<(usize, &mut [T])> = out.chunks_mut(d_v.max(1)).enumerate().collect();
     items.into_par_iter().for_each(|(s, orow)| {
-        decode::spmm_decode_stream(a, s, v.panel(s), d_v, orow);
+        decode::spmm_decode_stream(a, s, &v[s], d_v, orow);
     });
     Matrix::from_vec(streams, d_v, out)
 }

@@ -5,7 +5,7 @@
 use dfss_gpusim::Stage;
 use dfss_kernels::{gemm, sddmm, softmax, spmm, GpuCtx};
 use dfss_nmsparse::{NmPattern, NmRagged};
-use dfss_tensor::{Matrix, RaggedBatch, Rng};
+use dfss_tensor::{Matrix, PagedPanel, RaggedBatch, Rng};
 
 /// Ragged decode fixture: B streams with deliberately misaligned cached
 /// lengths (odd lens exercise the dense tail), one query row each.
@@ -281,4 +281,146 @@ fn ragged_kept_counts_follow_the_dense_tail_rule() {
     ] {
         assert_eq!(NmRagged::<f32>::kept_for(pattern, len), want_kept);
     }
+}
+
+/// Shred a contiguous `len × width` slab into pages of `rows_per_page`
+/// rows, each `rows_per_page × width + dead` elements long. Rows past
+/// `len` on the last page and every page's dead tail are NaN, so a reader
+/// that touches anything but the live rows poisons its output.
+fn paginate(slab: &[f32], width: usize, rows_per_page: usize, dead: usize) -> Vec<Vec<f32>> {
+    let len = slab.len() / width;
+    (0..len.div_ceil(rows_per_page))
+        .map(|p| {
+            let lo = p * rows_per_page * width;
+            let hi = slab.len().min(lo + rows_per_page * width);
+            let mut page = slab[lo..hi].to_vec();
+            page.resize(rows_per_page * width + dead, f32::NAN);
+            page
+        })
+        .collect()
+}
+
+fn view_of(pages: &[Vec<f32>], rows_per_page: usize, len: usize) -> PagedPanel<'_, f32> {
+    PagedPanel {
+        pages: pages.iter().map(Vec::as_slice).collect(),
+        rows_per_page,
+        len,
+    }
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Run the fused decode pipeline and the dense score kernel once over
+/// page views and once over the same rows packed, and require bitwise
+/// equal outputs and equal charges from single launches.
+fn assert_views_match_packed(
+    f: &Fixture,
+    k_views: &[PagedPanel<'_, f32>],
+    v_views: &[PagedPanel<'_, f32>],
+) {
+    let pattern = NmPattern::P1_2;
+    let (kb, vb) = (ragged_of(&f.k_panels), ragged_of(&f.v_panels));
+    let mut pctx = GpuCtx::a100();
+    let mut paged = sddmm::sddmm_nm_fused_paged(&mut pctx, &f.q, k_views, 0.25, pattern);
+    softmax::softmax_nm_ragged(&mut pctx, &mut paged);
+    let out_p = spmm::spmm_nm_paged(&mut pctx, &paged, v_views, f.d_v);
+    let scores_p = gemm::gemm_nt_paged(&mut pctx, Stage::Qk, &f.q, k_views, 0.5);
+    let mut rctx = GpuCtx::a100();
+    let mut packed = sddmm::sddmm_nm_fused_ragged(&mut rctx, &f.q, &kb, 0.25, pattern);
+    softmax::softmax_nm_ragged(&mut rctx, &mut packed);
+    let out_r = spmm::spmm_nm_ragged(&mut rctx, &packed, &vb);
+    let scores_r = gemm::gemm_nt_ragged(&mut rctx, Stage::Qk, &f.q, &kb, 0.5);
+
+    for s in 0..k_views.len() {
+        assert_eq!(paged.row_codes(s), packed.row_codes(s), "stream {s} codes");
+    }
+    assert_eq!(bits(paged.nonzeros()), bits(packed.nonzeros()));
+    assert_eq!(bits(out_p.as_slice()), bits(out_r.as_slice()));
+    assert_eq!(bits(scores_p.as_slice()), bits(scores_r.as_slice()));
+    assert_eq!(pctx.timeline.launches(), 4);
+    assert_eq!(pctx.timeline.total_bytes(), rctx.timeline.total_bytes());
+}
+
+#[test]
+fn paged_views_match_packed_launch_bitwise() {
+    // Every stream's K and V shredded into pages with NaN dead tails longer
+    // than a row, at several page sizes, including lengths that end exactly
+    // on a page boundary (16 and 48 at 1, 16 and 48 rows per page).
+    let lens = [5usize, 16, 33, 48];
+    let f = fixture(&lens, 8, 4, 9);
+    for rows_per_page in [1usize, 3, 16, 48] {
+        let k_pages: Vec<Vec<Vec<f32>>> = f
+            .k_panels
+            .iter()
+            .map(|k| paginate(k.as_slice(), f.d, rows_per_page, f.d + 3))
+            .collect();
+        let v_pages: Vec<Vec<Vec<f32>>> = f
+            .v_panels
+            .iter()
+            .map(|v| paginate(v.as_slice(), f.d_v, rows_per_page, f.d_v + 3))
+            .collect();
+        let k_views: Vec<PagedPanel<'_, f32>> = k_pages
+            .iter()
+            .zip(&lens)
+            .map(|(p, &l)| view_of(p, rows_per_page, l))
+            .collect();
+        let v_views: Vec<PagedPanel<'_, f32>> = v_pages
+            .iter()
+            .zip(&lens)
+            .map(|(p, &l)| view_of(p, rows_per_page, l))
+            .collect();
+        assert_views_match_packed(&f, &k_views, &v_views);
+    }
+}
+
+#[test]
+fn one_launch_mixes_page_geometries_across_streams() {
+    // Stream 0: 3 rows in pages of 2 (NaN dead tail and NaN row past len);
+    // stream 1: a contiguous slab as the one-page view; stream 2:
+    // rows_per_page larger than len (one partial page, NaN past len);
+    // stream 3: one row per page.
+    let lens = [3usize, 2, 1, 4];
+    let f = fixture(&lens, 8, 4, 10);
+    let geometry = [(2usize, 11usize), (2, 0), (4, 0), (1, 5)];
+    let k_pages: Vec<Vec<Vec<f32>>> = f
+        .k_panels
+        .iter()
+        .zip(&geometry)
+        .map(|(k, &(rpp, dead))| paginate(k.as_slice(), f.d, rpp, dead))
+        .collect();
+    let v_pages: Vec<Vec<Vec<f32>>> = f
+        .v_panels
+        .iter()
+        .zip(&geometry)
+        .map(|(v, &(rpp, dead))| paginate(v.as_slice(), f.d_v, rpp, dead))
+        .collect();
+    let k_views: Vec<PagedPanel<'_, f32>> = (0..lens.len())
+        .map(|s| match s {
+            1 => PagedPanel::one_page(f.k_panels[s].as_slice(), lens[s]),
+            _ => view_of(&k_pages[s], geometry[s].0, lens[s]),
+        })
+        .collect();
+    let v_views: Vec<PagedPanel<'_, f32>> = (0..lens.len())
+        .map(|s| match s {
+            1 => PagedPanel::one_page(f.v_panels[s].as_slice(), lens[s]),
+            _ => view_of(&v_pages[s], geometry[s].0, lens[s]),
+        })
+        .collect();
+    assert_views_match_packed(&f, &k_views, &v_views);
+}
+
+#[test]
+#[should_panic(expected = "page table holds")]
+fn paged_views_reject_wrong_page_counts() {
+    let f = fixture(&[3], 2, 2, 11);
+    let page = [0.0f32; 4];
+    let short = PagedPanel {
+        pages: vec![&page[..]],
+        rows_per_page: 2,
+        len: 3, // needs 2 pages
+    };
+    let mut ctx = GpuCtx::a100();
+    let _ = sddmm::sddmm_nm_fused_paged(&mut ctx, &f.q, &[short], 1.0, NmPattern::P1_2);
 }

@@ -13,9 +13,9 @@
 //! a server started without a plan never wraps its mechanism and performs
 //! no per-operation lookups.
 
-use dfss_core::mechanism::{Attention, RequestError};
+use dfss_core::mechanism::{Attention, KvViews, RequestError};
 use dfss_kernels::GpuCtx;
-use dfss_tensor::{BatchedMatrix, Matrix, RaggedBatch, Scalar};
+use dfss_tensor::{BatchedMatrix, Matrix, Scalar};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -203,15 +203,15 @@ impl<T: Scalar> Attention<T> for FaultyAttention<T> {
         self.inner.decode(ctx, q_row, k, v)
     }
 
-    fn decode_ragged(
+    fn decode_paged(
         &self,
         ctx: &mut GpuCtx,
         q: &Matrix<T>,
-        k: &RaggedBatch<T>,
-        v: &RaggedBatch<T>,
+        kv: &KvViews<'_, T>,
+        d_v: usize,
     ) -> Matrix<T> {
         self.arm.trip();
-        self.inner.decode_ragged(ctx, q, k, v)
+        self.inner.decode_paged(ctx, q, kv, d_v)
     }
 
     fn check_shape(&self, n: usize, d: usize) -> Result<(), RequestError> {

@@ -19,12 +19,13 @@
 //! `rows_per_page × d` elements is dead and never read). K and V sides
 //! keep separate page tables so `d ≠ d_v` sessions waste nothing.
 //!
-//! The engine consumes the table directly:
+//! The decode kernels read the table in place:
 //! [`k_rows`](PagedKvCache::k_rows)/[`v_rows`](PagedKvCache::v_rows)
-//! borrow the pool's pages into a [`KvRows::Paged`] source, and the
-//! engine's `gather_paged` pack produces the exact contiguous launch
-//! layout the PR 5 slabs produced — bit-identical, pinned by the
-//! `paged_decode_matches_contiguous` workspace proptest.
+//! borrow the pool's pages into a [`KvRows::Paged`] source, the engine
+//! hands it on as a page view, and the kernels walk the pages row by row
+//! without copying them — bit-identical to decoding the same rows from one
+//! contiguous slab, pinned by the `paged_decode_matches_contiguous`
+//! workspace proptest.
 
 use dfss_core::engine::KvRows;
 use dfss_core::mechanism::RequestError;
@@ -536,7 +537,8 @@ impl<T: Scalar> PagedKvCache<T> {
         self.len = 0;
     }
 
-    /// The cached keys as a borrowed page table for the engine's pack.
+    /// The cached keys as a borrowed page table the decode kernels read in
+    /// place.
     pub fn k_rows<'p>(&self, pool: &'p KvPool<T>) -> KvRows<'p, T> {
         KvRows::Paged {
             pages: self.k_pages.iter().map(|&id| pool.page(id)).collect(),
@@ -544,7 +546,8 @@ impl<T: Scalar> PagedKvCache<T> {
         }
     }
 
-    /// The cached values as a borrowed page table for the engine's pack.
+    /// The cached values as a borrowed page table the decode kernels read in
+    /// place.
     pub fn v_rows<'p>(&self, pool: &'p KvPool<T>) -> KvRows<'p, T> {
         KvRows::Paged {
             pages: self.v_pages.iter().map(|&id| pool.page(id)).collect(),
@@ -649,9 +652,9 @@ impl<T: Scalar> PagedKvCache<T> {
 }
 
 impl PagedKvCache<Bf16> {
-    /// The cached bf16 keys as a borrowed page table for the engine's
-    /// pack, tagged quantised so a `T`-computing engine routes the step
-    /// through its fused widen-on-load decode path.
+    /// The cached bf16 keys as a borrowed page table the decode kernels
+    /// read in place, tagged quantised so a `T`-computing engine routes the
+    /// step through its fused widen-on-load decode path.
     pub fn k_rows_quant<'p, T: Scalar>(&self, pool: &'p KvPool<Bf16>) -> KvRows<'p, T> {
         KvRows::PagedBf16 {
             pages: self.k_pages.iter().map(|&id| pool.page(id)).collect(),

@@ -2433,6 +2433,82 @@ mod tests {
     }
 
     #[test]
+    fn empty_fault_plan_leaves_bf16_kv_decode_untouched() {
+        // A fault plan wraps the mechanism in a fault-tripping delegate.
+        // With nothing armed the wrapper must be invisible: a bf16-KV step
+        // keeps the mechanism's own widen-on-load launch, so the outputs
+        // AND the simulated charge (bf16-width cache reads) match a server
+        // started without a plan, on both serving loops.
+        let mech: Arc<dyn Attention<f32> + Send + Sync> =
+            Arc::new(DfssAttention::new(NmPattern::P1_2));
+        let kv = KvConfig {
+            kv_dtype: KvDtype::Bf16,
+            ..KvConfig::default()
+        };
+        let policy = BatchPolicy::per_request;
+        let sched = SchedPolicy::default;
+        let pairs = [
+            (
+                AttentionServer::start_with_kv(Arc::clone(&mech), policy(), kv),
+                AttentionServer::start_with_kv_faults(
+                    Arc::clone(&mech),
+                    policy(),
+                    kv,
+                    FaultPlan::new(),
+                ),
+            ),
+            (
+                AttentionServer::start_continuous_with_kv(Arc::clone(&mech), policy(), sched(), kv),
+                AttentionServer::start_continuous_with_kv_faults(
+                    Arc::clone(&mech),
+                    policy(),
+                    sched(),
+                    kv,
+                    FaultPlan::new(),
+                ),
+            ),
+        ];
+        let mut rng = Rng::new(53);
+        let (len, d) = (300usize, 16usize);
+        let k = Matrix::<f32>::random_normal(len, d, 0.0, 1.0, &mut rng);
+        let v = Matrix::<f32>::random_normal(len, d, 0.0, 1.0, &mut rng);
+        let q = row(d, &mut rng);
+        let serve_one = |server: &AttentionServer<f32>| {
+            let s = server.open_session(d, d).unwrap();
+            server.extend(s, k.clone(), v.clone()).unwrap();
+            let served = server
+                .submit_decode(DecodeRequest {
+                    session: s,
+                    q_row: q.clone(),
+                })
+                .unwrap()
+                .wait()
+                .expect("served");
+            server.close_session(s).unwrap();
+            served
+        };
+        for (plain, planned) in pairs {
+            let (a, b) = (serve_one(&plain), serve_one(&planned));
+            assert_eq!(
+                a.sim_latency_s.to_bits(),
+                b.sim_latency_s.to_bits(),
+                "an empty plan changed the simulated charge ({} vs {})",
+                a.sim_latency_s,
+                b.sim_latency_s
+            );
+            let same = a
+                .output
+                .as_slice()
+                .iter()
+                .zip(b.output.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "an empty plan changed the decode output");
+            let _ = plain.shutdown();
+            let _ = planned.shutdown();
+        }
+    }
+
+    #[test]
     fn bf16_kv_halves_governed_bytes_and_doubles_capacity() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         // A budget of one f32 page (= two bf16 pages): a session needs one

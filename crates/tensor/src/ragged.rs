@@ -17,15 +17,18 @@ use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 
 /// Borrowed view of one stream's rows stored in **fixed-size pages** — the
-/// paged-KV counterpart of a contiguous row slab.
+/// form in which the decode kernels read a stream's cached K or V.
 ///
 /// `pages` lists the stream's blocks in table order; page `p` holds rows
-/// `[p·rows_per_page, (p+1)·rows_per_page)` of the logical `len × cols`
+/// `[p·rows_per_page, (p+1)·rows_per_page)` of the logical `len × width`
 /// panel, row-major within the page. Every page slice must hold at least
-/// `rows_per_page × cols` elements (pool pages may carry a dead tail when
+/// `rows_per_page × width` elements (pool pages may carry a dead tail when
 /// the page size is not a multiple of the row width); only the first `len`
 /// rows across the sequence are live, so the last page is usually partially
-/// filled.
+/// filled. The row width is not stored: the reader supplies it.
+///
+/// A contiguous slab is the one-page view ([`one_page`](Self::one_page)),
+/// so one panel of a [`RaggedBatch`] and a paged KV table share one reader.
 #[derive(Clone, Debug)]
 pub struct PagedPanel<'a, T> {
     /// The stream's pages, in table order.
@@ -34,6 +37,65 @@ pub struct PagedPanel<'a, T> {
     pub rows_per_page: usize,
     /// Live rows of the panel.
     pub len: usize,
+}
+
+impl<'a, T> PagedPanel<'a, T> {
+    /// View a contiguous row-major slab of `len` rows as a one-page table.
+    pub fn one_page(slab: &'a [T], len: usize) -> PagedPanel<'a, T> {
+        PagedPanel {
+            pages: if len == 0 { Vec::new() } else { vec![slab] },
+            rows_per_page: len.max(1),
+            len,
+        }
+    }
+
+    /// The live row count, after asserting that the table holds `len` rows
+    /// of `width` elements: a positive `rows_per_page`, exactly the pages
+    /// `len` implies, and no page shorter than `rows_per_page × width`
+    /// elements.
+    pub fn checked_len(&self, width: usize) -> usize {
+        assert!(self.rows_per_page > 0, "rows_per_page must be positive");
+        assert_eq!(
+            self.pages.len(),
+            self.len.div_ceil(self.rows_per_page),
+            "page table holds {} pages for {} rows at {} rows/page",
+            self.pages.len(),
+            self.len,
+            self.rows_per_page
+        );
+        for page in &self.pages {
+            assert!(
+                page.len() >= self.rows_per_page * width,
+                "page holds {} elements, need at least rows_per_page x width = {} x {width}",
+                page.len(),
+                self.rows_per_page
+            );
+        }
+        self.len
+    }
+
+    /// The `len` live rows (`width` elements each) in order, read in place
+    /// page by page: all `rows_per_page` rows of every page but the last,
+    /// and the remainder of the last.
+    pub fn rows(&self, width: usize) -> impl Iterator<Item = &'a [T]> + '_ {
+        let rpp = self.rows_per_page;
+        self.pages.iter().enumerate().flat_map(move |(p, &page)| {
+            let live = self.len.saturating_sub(p * rpp).min(rpp);
+            page[..live * width].chunks_exact(width)
+        })
+    }
+}
+
+impl<S: Scalar> PagedPanel<'_, S> {
+    /// Copy the live rows out as a `len × width` matrix, converting each
+    /// element through f32 (exact for `f32 → f32` and `bf16 → f32`).
+    pub fn to_matrix<U: Scalar>(&self, width: usize) -> Matrix<U> {
+        let mut data = Vec::with_capacity(self.len * width);
+        for row in self.rows(width) {
+            data.extend(row.iter().map(|&x| U::from_f32(x.to_f32())));
+        }
+        Matrix::from_vec(self.len, width, data)
+    }
 }
 
 /// A contiguous stack of row-major panels with per-panel row counts and a
@@ -74,9 +136,9 @@ impl<T: Scalar> RaggedBatch<T> {
     }
 
     /// Pack borrowed per-stream row slices (each `lens[i] × cols` elements,
-    /// row-major — e.g. a serving session's contiguous KV-cache rows) into
-    /// one stack. This is the decode path's *pack* step, the ragged
-    /// counterpart of `BatchedMatrix::gather`.
+    /// row-major) into one stack — the ragged counterpart of
+    /// `BatchedMatrix::gather`. Serving decode does not pack: the engine
+    /// hands the kernels [`PagedPanel`] views of the KV pages instead.
     pub fn from_slices(cols: usize, parts: &[&[T]]) -> RaggedBatch<T> {
         assert!(cols > 0, "cols must be positive");
         let mut lens = Vec::with_capacity(parts.len());
@@ -90,50 +152,6 @@ impl<T: Scalar> RaggedBatch<T> {
             );
             lens.push(p.len() / cols);
             data.extend_from_slice(p);
-        }
-        let offsets = offsets_of(&lens);
-        RaggedBatch {
-            cols,
-            lens,
-            offsets,
-            data,
-        }
-    }
-
-    /// Pack borrowed **paged** row storage into the same contiguous launch
-    /// layout as [`from_slices`](Self::from_slices) — the paged-KV decode
-    /// path's *pack* step.
-    ///
-    /// Rows are copied page by page in table order, so the result is
-    /// bit-identical to packing the same rows from one contiguous slab: a
-    /// contiguous slab is exactly the degenerate one-page table
-    /// (`rows_per_page == len`). Panels may mix page geometries freely.
-    pub fn gather_paged(cols: usize, panels: &[PagedPanel<'_, T>]) -> RaggedBatch<T> {
-        assert!(cols > 0, "cols must be positive");
-        let lens: Vec<usize> = panels.iter().map(|p| p.len).collect();
-        let mut data = Vec::with_capacity(lens.iter().sum::<usize>() * cols);
-        for panel in panels {
-            assert!(panel.rows_per_page > 0, "rows_per_page must be positive");
-            assert_eq!(
-                panel.pages.len(),
-                panel.len.div_ceil(panel.rows_per_page),
-                "page table holds {} pages for {} rows at {} rows/page",
-                panel.pages.len(),
-                panel.len,
-                panel.rows_per_page
-            );
-            let mut remaining = panel.len;
-            for page in &panel.pages {
-                let take = remaining.min(panel.rows_per_page);
-                assert!(
-                    page.len() >= panel.rows_per_page * cols,
-                    "page holds {} elements, need at least rows_per_page x cols = {} x {cols}",
-                    page.len(),
-                    panel.rows_per_page
-                );
-                data.extend_from_slice(&page[..take * cols]);
-                remaining -= take;
-            }
         }
         let offsets = offsets_of(&lens);
         RaggedBatch {
@@ -202,6 +220,14 @@ impl<T: Scalar> RaggedBatch<T> {
     #[inline]
     pub fn panel(&self, i: usize) -> &[T] {
         &self.data[self.offsets[i] * self.cols..self.offsets[i + 1] * self.cols]
+    }
+
+    /// One-page [`PagedPanel`] views of every panel, in stream order — the
+    /// form the decode kernels read.
+    pub fn views(&self) -> Vec<PagedPanel<'_, T>> {
+        (0..self.streams())
+            .map(|i| PagedPanel::one_page(self.panel(i), self.lens[i]))
+            .collect()
     }
 
     /// Mutable contiguous slice of panel `i`.
@@ -307,80 +333,6 @@ mod tests {
         assert_eq!(rb.lens(), &[3, 1]);
         assert_eq!(rb.panel(0), &s0);
         assert_eq!(rb.panel(1), &s1);
-    }
-
-    #[test]
-    fn gather_paged_matches_contiguous_pack_bitwise() {
-        // 5 rows × 2 cols split over pages of 2 rows (last page partial),
-        // against the same rows packed from one contiguous slab.
-        let rows: Vec<f32> = (0..10).map(|i| i as f32 * 0.37 + 0.1).collect();
-        let pages: Vec<&[f32]> = vec![&rows[0..4], &rows[4..8], &rows[8..10]];
-        // Pad the tail page to a full page allocation (dead tail).
-        let tail_page: Vec<f32> = [&rows[8..10], &[999.0, 999.0][..]].concat();
-        let padded: Vec<&[f32]> = vec![pages[0], pages[1], &tail_page];
-        let paged = RaggedBatch::gather_paged(
-            2,
-            &[PagedPanel {
-                pages: padded,
-                rows_per_page: 2,
-                len: 5,
-            }],
-        );
-        let contiguous = RaggedBatch::from_slices(2, &[&rows]);
-        assert_eq!(paged.lens(), contiguous.lens());
-        for (a, b) in paged.as_slice().iter().zip(contiguous.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn gather_paged_mixes_page_geometries_across_streams() {
-        // Stream 0: 3 rows in pages of 2; stream 1: contiguous slab as the
-        // degenerate one-page table; stream 2: rows_per_page larger than
-        // len (single partial page).
-        let a: Vec<f32> = (0..6).map(|i| i as f32).collect();
-        // Tail page is a full fixed-size block with a dead tail.
-        let a_tail: Vec<f32> = vec![a[4], a[5], 99.0, 99.0];
-        let b: Vec<f32> = (0..4).map(|i| -(i as f32)).collect();
-        let c: Vec<f32> = vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0];
-        let rb = RaggedBatch::gather_paged(
-            2,
-            &[
-                PagedPanel {
-                    pages: vec![&a[0..4], &a_tail],
-                    rows_per_page: 2,
-                    len: 3,
-                },
-                PagedPanel {
-                    pages: vec![&b],
-                    rows_per_page: 2,
-                    len: 2,
-                },
-                PagedPanel {
-                    pages: vec![&c],
-                    rows_per_page: 4,
-                    len: 1,
-                },
-            ],
-        );
-        assert_eq!(rb.lens(), &[3, 2, 1]);
-        assert_eq!(rb.panel(0), &a[..]);
-        assert_eq!(rb.panel(1), &b[..]);
-        assert_eq!(rb.panel(2), &[7.0, 8.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "page table holds")]
-    fn gather_paged_rejects_wrong_page_counts() {
-        let page = [0.0f32; 4];
-        let _ = RaggedBatch::gather_paged(
-            2,
-            &[PagedPanel {
-                pages: vec![&page],
-                rows_per_page: 2,
-                len: 3, // needs 2 pages
-            }],
-        );
     }
 
     #[test]
