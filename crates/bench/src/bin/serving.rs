@@ -8,9 +8,13 @@
 //! * **baseline** — the per-request loop a deployment without a batcher
 //!   runs: a FIFO worker serving each request as one solo
 //!   `Attention::forward` with a fresh context, no coalescing;
-//! * **batched** — `dfss-serve` with shape-bucketed coalescing and a
-//!   max-batch + deadline close policy, one batched launch per op per
-//!   closed bucket through the `AttentionEngine`.
+//! * **batched** — `dfss-serve`'s serving loop under a `SchedPolicy` that
+//!   keeps every prefill whole (`prefill_chunk` = the largest shape's `n`,
+//!   `iter_budget_rows` = `max_batch` × that `n`): same-shape jobs that
+//!   queued while the worker was busy share one batched launch per op
+//!   through the `AttentionEngine`, at most `max_batch` per launch. Groups
+//!   form from the backlog, never by waiting, so the `max_delay_ms` the
+//!   artifact records is not applied.
 //!
 //! Reported per (load, policy): host wall-clock p50/p95/p99, simulated-
 //! device p50 (the device latency of the batch each request rode in), mean
@@ -46,8 +50,9 @@
 //! single-threaded — so the gate holds in quick mode too.
 //!
 //! A fourth sweep covers **overload**: the same Poisson generator drives
-//! the batched server at 0.6/1.0/1.5/2.0× its own saturated-burst
-//! capacity with `max_queue_depth` bounding the unlaunched backlog.
+//! the batched server (same whole-job policy) at 0.6/1.0/1.5/2.0× its own
+//! saturated-burst capacity with `max_queue_depth` bounding the
+//! unresolved backlog.
 //! Reported per load: goodput, the typed-shed rate
 //! (`ServeError::Overloaded` at admission) and p50/p99 of the served
 //! requests. The artifact must show **zero** sheds at the sub-capacity
@@ -112,9 +117,9 @@ use std::time::{Duration, Instant};
 const SCHEMA_VERSION: f64 = 7.0;
 
 /// Offered-load multipliers of the measured per-request capacity. The
-/// first is deliberately sub-capacity (the regime where a deadline policy
-/// pays for batches that never fill); the rest saturate the per-request
-/// loop so the batcher's higher throughput shows up in the tails.
+/// first is deliberately sub-capacity (the regime where a backlog to
+/// group rarely forms); the rest saturate the per-request loop so the
+/// batched server's higher throughput shows up in the tails.
 const LOAD_MULTS: [f64; 4] = [0.6, 1.05, 1.2, 1.4];
 /// How many of the swept loads the batched policy must win on p50 for a
 /// full-mode artifact to be acceptable.
@@ -322,15 +327,30 @@ fn run_baseline(
     summarize(host_ms, sim_ms, 1.0, makespan)
 }
 
+/// The batched server of the load and overload sweeps: a scheduler policy
+/// that keeps every prefill of `spec` whole — chunks as large as the
+/// largest `n`, and room for `max_batch` such jobs per iteration — so the
+/// `batched` column measures cross-request batching.
+fn start_batched(
+    mech: &Arc<dyn Attention<f32> + Send + Sync>,
+    spec: &WorkloadSpec,
+    policy: BatchPolicy,
+) -> AttentionServer<f32> {
+    let n = spec.shapes.iter().map(|&(n, _)| n).max().expect("shapes");
+    let sched = SchedPolicy::new(n, spec.max_batch * n);
+    AttentionServer::start_continuous_with_kv(Arc::clone(mech), policy, sched, KvConfig::default())
+}
+
 /// Offer one request stream to the batched server and collect tails.
 /// Outputs on the reference subset are asserted bit-identical to solo
 /// forward.
 fn run_batched(
     mech: &Arc<dyn Attention<f32> + Send + Sync>,
+    spec: &WorkloadSpec,
     policy: BatchPolicy,
     requests: &[Request],
 ) -> PolicyResult {
-    let server = AttentionServer::start(Arc::clone(mech), policy);
+    let server = start_batched(mech, spec, policy);
     let start = Instant::now();
     let mut handles = Vec::with_capacity(requests.len());
     for req in requests {
@@ -752,7 +772,7 @@ fn run_memory_sweep(
 }
 
 /// Saturated throughput of the **batched** server itself: a warm
-/// back-to-back burst through `submit`, full buckets all the way down.
+/// back-to-back burst through `submit`, full groups all the way down.
 /// This is the rate the server cannot exceed, so offered overloads are
 /// scaled against it — 2× this rate *must* grow the queue.
 fn measure_batched_capacity(
@@ -772,8 +792,9 @@ fn measure_batched_capacity(
             )
         })
         .collect();
-    let server = AttentionServer::start(
-        Arc::clone(mech),
+    let server = start_batched(
+        mech,
+        spec,
         BatchPolicy::batched(spec.max_batch, spec.max_delay),
     );
     let submit_all = |range: std::ops::Range<usize>| {
@@ -815,12 +836,13 @@ struct OverloadPoint {
 /// request is served (references stay bit-identical under overload).
 fn run_overload_point(
     mech: &Arc<dyn Attention<f32> + Send + Sync>,
+    spec: &WorkloadSpec,
     policy: BatchPolicy,
     mult: f64,
     rate: f64,
     requests: &[Request],
 ) -> OverloadPoint {
-    let server = AttentionServer::start(Arc::clone(mech), policy);
+    let server = start_batched(mech, spec, policy);
     let start = Instant::now();
     let mut handles = Vec::with_capacity(requests.len());
     let mut shed = 0u64;
@@ -889,7 +911,7 @@ fn run_overload_sweep(
         .map(|(i, &mult)| {
             let rate = mult * batched_capacity_rps;
             let requests = build_requests(&ospec, mech.as_ref(), rate, 3000 + i as u64);
-            let p = run_overload_point(mech, policy, mult, rate, &requests);
+            let p = run_overload_point(mech, &ospec, policy, mult, rate, &requests);
             println!(
                 "{:>6.2}  {:>9.1}  {:>8}  {:>6}  {:>8.1}%  {:>10.1}  {:>10.3}",
                 p.load_mult,
@@ -973,7 +995,7 @@ fn run_chaos_row(mech: &Arc<dyn Attention<f32> + Send + Sync>, spec: &WorkloadSp
     assert!(panicked >= 1, "the injected panic must fail its batch");
     assert!(
         post_fault_served > 0,
-        "requests after the poisoned batch must be served — the batcher recovered"
+        "requests after the poisoned batch must be served — the worker recovered"
     );
     assert!(stats.batch_panics >= 1);
     ChaosRow {
@@ -1159,7 +1181,7 @@ fn measure_http_capacity(mech: &Arc<dyn Attention<f32> + Send + Sync>, spec: &Ht
             t.join().expect("capacity client");
         }
     };
-    run_round(1); // warm: listener, threads, allocator, batcher
+    run_round(1); // warm: listener, threads, allocator, worker
     let t0 = Instant::now();
     run_round(per_client);
     let capacity = (clients * per_client) as f64 / t0.elapsed().as_secs_f64().max(1e-9);
@@ -1268,7 +1290,7 @@ fn run_http_point(
     );
     assert_eq!(
         stats.served, ok,
-        "the batcher's served count must agree with the 200s on the wire"
+        "the server's served count must agree with the 200s on the wire"
     );
     client_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let (p50_ms, p99_ms) = if client_ms.is_empty() {
@@ -1532,7 +1554,7 @@ fn main() {
         let rate = mult * capacity_rps;
         let requests = build_requests(&spec, mech.as_ref(), rate, 1000 + li as u64);
         let baseline = run_baseline(&mech, &requests);
-        let batched = run_batched(&mech, batched_policy, &requests);
+        let batched = run_batched(&mech, &spec, batched_policy, &requests);
         let speedup = baseline.p50_ms / batched.p50_ms.max(1e-9);
         if batched.p50_ms < baseline.p50_ms {
             wins += 1;

@@ -5,7 +5,7 @@
 //! `submit_decode` — on one shared counter in call order, so a plan built
 //! from a seed (or by hand) fires at exactly the same operations on every
 //! run with the same traffic. Faults ride the admitted request to the
-//! batcher and trip at launch, so a panic genuinely unwinds *mid-flush*
+//! worker and trip at launch, so a panic genuinely unwinds *mid-flush*
 //! — through the engine and the mechanism — exactly like a kernel bug
 //! would.
 //!
@@ -24,16 +24,17 @@ use std::time::Duration;
 /// What a [`FaultPlan`] entry does to the operation it targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The batched launch containing the targeted prefill or decode
-    /// request panics mid-flush ("injected kernel panic"). Every request
-    /// packed into that batch fails with
+    /// The launch containing the targeted prefill or decode request
+    /// panics mid-flush ("injected kernel panic"). Every request packed
+    /// into that launch fails with
     /// [`ServeError::BatchPanicked`](crate::ServeError::BatchPanicked);
     /// the server recovers and keeps serving. Ignored on session
     /// operations (open/append/extend), which never launch.
     PanicInBatch,
-    /// The batched launch containing the targeted request sleeps this
-    /// long before running — artificial launch slowness for exercising
-    /// deadlines and queue growth. Ignored on session operations.
+    /// The launch containing the targeted request sleeps this long before
+    /// running — artificial launch slowness for exercising deadlines and
+    /// queue growth. A chunked prefill sleeps at its first chunk only.
+    /// Ignored on session operations.
     SlowLaunch(Duration),
     /// The targeted session operation (`open_session`, `append`,
     /// `extend`) is admitted as if the pool had zero free pages: typed
@@ -41,14 +42,19 @@ pub enum FaultKind {
     /// nothing reserved. Ignored on prefill/decode submissions, which
     /// take no pages.
     ExhaustPool,
-    /// The batcher thread dies (returns without draining) when the batch
-    /// containing the targeted request closes — the hard-crash case.
-    /// Outstanding and later handles resolve with
+    /// The worker thread dies (returns without draining) — the hard-crash
+    /// case. A targeted prefill fires when the worker drains it from the
+    /// channel; a targeted decode step fires when the ragged launch that
+    /// would carry it begins. A request whose deadline has already passed
+    /// at that point never fires: it is shed as
+    /// [`ServeError::DeadlineExceeded`](crate::ServeError::DeadlineExceeded)
+    /// like any expired request. Once fired, outstanding and later
+    /// handles resolve with
     /// [`ServeError::ServerGone`](crate::ServeError::ServerGone); nothing
     /// blocks forever.
     KillServer,
     /// **Wire fault** (interpreted by the socket-level chaos client, not
-    /// the batcher): the client sends roughly half the request's bytes,
+    /// the worker): the client sends roughly half the request's bytes,
     /// then closes the connection. The server must drop the
     /// half-request silently — no response, no hung handler, no leaked
     /// session state.
@@ -66,9 +72,9 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Whether this fault acts at the socket layer (client-side, keyed
-    /// by wire-request ordinal) rather than inside the batcher (keyed
+    /// by wire-request ordinal) rather than inside the worker (keyed
     /// by front-door operation ordinal). The server's own fault lookup
-    /// ignores wire faults; the chaos client ignores batcher faults.
+    /// ignores wire faults; the chaos client ignores worker faults.
     pub fn is_wire(&self) -> bool {
         matches!(
             self,
@@ -126,9 +132,9 @@ impl FaultPlan {
     }
 }
 
-/// The armed-fault latch shared between the batcher and the fault-wrapped
-/// mechanism: the batcher arms it from the tags riding a closing batch,
-/// the wrapper trips it at the first batched kernel entry point.
+/// The armed-fault latch shared between the worker and the fault-wrapped
+/// mechanism: the worker arms it from the tags riding a launch, the
+/// wrapper trips it at the first kernel entry point.
 #[derive(Debug, Default)]
 pub(crate) struct FaultArm {
     panic_next: AtomicBool,
@@ -148,8 +154,17 @@ impl FaultArm {
         self.slow_next_ns.fetch_max(ns, Ordering::SeqCst);
     }
 
+    /// Arm whatever launch fault `fault` carries (a no-op for the others).
+    pub fn arm_for(&self, fault: Option<FaultKind>) {
+        match fault {
+            Some(FaultKind::PanicInBatch) => self.arm_panic(),
+            Some(FaultKind::SlowLaunch(delay)) => self.arm_slow(delay),
+            _ => {}
+        }
+    }
+
     /// Fire-and-clear: sleep if slowness is armed, then panic if a panic
-    /// is armed. Called on the batcher thread at launch entry.
+    /// is armed. Called on the worker thread at launch entry.
     fn trip(&self) {
         let ns = self.slow_next_ns.swap(0, Ordering::SeqCst);
         if ns > 0 {

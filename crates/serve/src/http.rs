@@ -6,7 +6,7 @@
 //! panic isolation, reconciled counters — stops mattering the moment a
 //! real client can only reach the server through a socket. This module
 //! extends those guarantees to the wire, on `std::net::TcpListener`
-//! and plain threads (no tokio, matching the batcher's no-dependency
+//! and plain threads (no tokio, matching the serving worker's no-dependency
 //! style):
 //!
 //! * **Endpoints** — `POST /v1/prefill`, `POST /v1/sessions`,
@@ -19,7 +19,7 @@
 //!   a typed `408`, an oversized payload a typed `413`, and neither can
 //!   hang the acceptor. A hard connection cap sheds excess connections
 //!   with `503 Retry-After`, riding the same transient-error contract as
-//!   the batcher's `Overloaded` ([`crate::retry`]). Malformed bytes can
+//!   the server's `Overloaded` ([`crate::retry`]). Malformed bytes can
 //!   never panic the parser — every parse error is a typed `400`
 //!   (pinned by a fuzz proptest in `tests/http_chaos.rs`).
 //! * **Total error mapping** — [`status_for_serve`],
@@ -30,7 +30,7 @@
 //!   flips `readyz` to `503` immediately, serves in-flight connections
 //!   under [`HttpConfig::drain_deadline`], then force-closes stragglers
 //!   (counted in [`ServeStats::drain_force_closed`]) and drains the
-//!   batcher itself — lifetime counters reconcile
+//!   serving worker itself — lifetime counters reconcile
 //!   (`kv_pages_allocated == kv_pages_freed`) even when clients
 //!   abandoned their sessions mid-flight.
 //!
@@ -84,7 +84,7 @@ pub struct HttpConfig {
     /// Per-connection write deadline: a client that stops reading its
     /// response cannot pin the handler past this.
     pub write_timeout: Duration,
-    /// Bound on waiting for the batcher to serve an admitted request
+    /// Bound on waiting for the worker to serve an admitted request
     /// before answering `504` (the handle stays typed either way).
     pub response_timeout: Duration,
     /// Header/body byte budgets ([`WireLimits`]); exceeding them is a
@@ -369,7 +369,7 @@ impl HttpServer {
     /// Graceful drain: stop accepting, flip `readyz` to `503`
     /// immediately, serve in-flight connections until
     /// [`HttpConfig::drain_deadline`], force-close stragglers, then
-    /// drain the batcher. Returns the reconciled lifetime counters with
+    /// drain the worker. Returns the reconciled lifetime counters with
     /// the HTTP-layer counters folded in.
     pub fn shutdown(mut self) -> ServeStats {
         let inner = self.inner.take().expect("server is live");
@@ -427,11 +427,11 @@ fn drain(inner: Inner) -> ServeStats {
     let parse_rejects = shared.parse_rejects.load(Ordering::SeqCst);
     let force_closed = shared.force_closed.load(Ordering::SeqCst);
     // 5. Every thread holding the state is joined, so this is the last
-    //    reference; drain the batcher and fold in the wire counters.
+    //    reference; drain the worker and fold in the wire counters.
     let mut stats = match Arc::try_unwrap(shared) {
         Ok(shared) => shared.att.shutdown(),
         // Unreachable once every thread is joined, but stay typed: the
-        // batcher still drains on Drop, and the counters still report.
+        // worker still drains on Drop, and the counters still report.
         Err(arc) => arc.att.stats_snapshot(),
     };
     stats.http_connections_accepted = accepted;
@@ -930,7 +930,7 @@ fn metrics_text(shared: &Shared) -> String {
         overload_sheds,
         total_sim_latency_s,
         // The HTTP counters in the snapshot are zero (they live here,
-        // not in the batcher) — exported from the shared atomics below.
+        // not in the worker) — exported from the shared atomics below.
         http_connections_accepted: _,
         http_connections_shed: _,
         http_parse_rejects: _,
@@ -1193,7 +1193,7 @@ impl HttpClient {
 mod tests {
     use super::*;
     use crate::retry::{with_backoff, Backoff};
-    use crate::{BatchPolicy, FaultKind, FaultPlan, KvConfig};
+    use crate::{BatchPolicy, FaultKind, FaultPlan, KvConfig, SchedPolicy};
     use dfss_core::dfss::DfssAttention;
     use dfss_core::full::FullAttention;
     use dfss_core::mechanism::Attention;
@@ -1439,12 +1439,14 @@ mod tests {
 
     #[test]
     fn overload_shed_rides_the_wire_as_503_retry_after() {
-        // Queue depth 1 with a slow-close policy: the second submission
+        // Queue depth 1, and the first request rides a slowed launch
+        // (front-door op 0), so it stays unresolved: the second submission
         // is shed at admission and the wire answer is a typed 503.
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let att = AttentionServer::start(
+        let att = AttentionServer::start_with_faults(
             mech,
-            BatchPolicy::batched(1000, Duration::from_millis(100)).with_queue_depth(1),
+            BatchPolicy::per_request().with_queue_depth(1),
+            FaultPlan::new().inject(0, FaultKind::SlowLaunch(Duration::from_millis(300))),
         );
         let server = HttpServer::bind(att, quick_config()).unwrap();
         let addr = server.local_addr();
@@ -1453,7 +1455,7 @@ mod tests {
             ("k", matrix_body(&Matrix::<f32>::zeros(4, 4))),
             ("v", matrix_body(&Matrix::<f32>::zeros(4, 4))),
         ]);
-        // First request occupies the queue (its bucket waits 100ms);
+        // First request occupies the queue (its launch sleeps 300 ms);
         // fire it from a second thread and shed the overlapping one.
         let mut bg = HttpClient::connect(addr);
         let bg_body = body.clone();
@@ -1630,32 +1632,55 @@ mod tests {
 
     #[test]
     fn metrics_exports_queue_depths() {
+        // Work in flight shows in the gauges: a prefill and a decode step
+        // each ride a slowed launch (front-door ops 2 and 3, in whichever
+        // order they arrive), and each must read 1 on `/metrics` while
+        // its launch runs.
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let att =
-            AttentionServer::start(mech, BatchPolicy::batched(1000, Duration::from_millis(150)));
+        let slow = FaultKind::SlowLaunch(Duration::from_millis(400));
+        let att = AttentionServer::start_continuous_with_kv_faults(
+            mech,
+            BatchPolicy::per_request(),
+            SchedPolicy::default(),
+            KvConfig::default(),
+            FaultPlan::new().inject(2, slow).inject(3, slow),
+        );
+        let session = att.open_session(4, 4).unwrap();
+        att.extend(session, Matrix::zeros(2, 4), Matrix::zeros(2, 4))
+            .unwrap();
         let server = HttpServer::bind(att, quick_config()).unwrap();
         let addr = server.local_addr();
-        let body = Json::obj(vec![
-            ("q", matrix_body(&Matrix::<f32>::zeros(4, 4))),
-            ("k", matrix_body(&Matrix::<f32>::zeros(4, 4))),
-            ("v", matrix_body(&Matrix::<f32>::zeros(4, 4))),
-        ]);
+        let zeros = || matrix_body(&Matrix::<f32>::zeros(4, 4));
+        let prefill = Json::obj(vec![("q", zeros()), ("k", zeros()), ("v", zeros())]);
+        let step = Json::obj(vec![("q_row", Json::f32_row(&[0.0; 4]))]);
+        let path = format!("/v1/sessions/{}/decode", session.0);
         let mut bg = HttpClient::connect(addr);
-        let t = std::thread::spawn(move || bg.call("POST", "/v1/prefill", Some(&body)));
-        std::thread::sleep(Duration::from_millis(50));
+        let t_prefill = std::thread::spawn(move || bg.call("POST", "/v1/prefill", Some(&prefill)));
+        let mut bg = HttpClient::connect(addr);
+        let t_decode = std::thread::spawn(move || bg.call("POST", &path, Some(&step)));
         let mut client = HttpClient::connect(addr);
-        let metrics = client.request("GET", "/metrics", None).expect("metrics");
-        let text = String::from_utf8(metrics.body).unwrap();
+        let (mut saw_prefill, mut saw_decode) = (false, false);
+        let mut text = String::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !(saw_prefill && saw_decode) && Instant::now() < deadline {
+            let metrics = client.request("GET", "/metrics", None).expect("metrics");
+            text = String::from_utf8(metrics.body).unwrap();
+            saw_prefill |= text.contains("dfss_queue_depth_prefill{n=\"4\",d=\"4\"} 1");
+            saw_decode |= text.contains("dfss_queue_depth_decode 1");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(saw_prefill, "the prefill in flight never showed:\n{text}");
         assert!(
-            text.contains("dfss_queue_depth_prefill{n=\"4\",d=\"4\"} 1"),
-            "queued request missing from depth gauges:\n{text}"
+            saw_decode,
+            "the decode step in flight never showed:\n{text}"
         );
         let backend = dfss_kernels::simd::active().name();
         assert!(
             text.contains(&format!("dfss_simd_backend{{name=\"{backend}\"}} 1")),
             "metrics missing the dispatched SIMD backend:\n{text}"
         );
-        assert!(t.join().unwrap().is_ok());
+        assert!(t_prefill.join().unwrap().is_ok());
+        assert!(t_decode.join().unwrap().is_ok());
         let _ = server.shutdown();
     }
 

@@ -3,12 +3,14 @@
 //! The ROADMAP's heavy-traffic story, in two kinds of traffic:
 //!
 //! * **Prefill** — independent `(Q, K, V)` requests arrive at unpredictable
-//!   times; the server admits them into **shape buckets**, closes a bucket
-//!   when it is full (`max_batch`) or its oldest request has waited long
-//!   enough (`max_delay`), and runs the closed batch through the
-//!   [`AttentionEngine`] as **one batched launch per op** — the deployment
-//!   regime the paper motivates with its "drop-in module at inference time"
-//!   claim (§5.2, A.1.2).
+//!   times; each becomes a resumable **job** that the continuous scheduler
+//!   ([`sched`]) plans in chunks of at most
+//!   [`SchedPolicy::prefill_chunk`] rows. Chunks that cover a whole job and
+//!   share its shape run through the [`AttentionEngine`] as **one batched
+//!   launch per op** over at most [`BatchPolicy::max_batch`] jobs — the
+//!   deployment regime the paper motivates with its "drop-in module at
+//!   inference time" claim (§5.2, A.1.2). Longer jobs run chunk by chunk,
+//!   interleaved with decode.
 //! * **Decode** — the traffic that dominates production inference: each
 //!   open **session** owns an append-only KV page table ([`PagedKvCache`])
 //!   over one server-owned block pool ([`KvPool`]), and every
@@ -26,9 +28,9 @@
 //! sessions ([`SessionError::Evicted`] for the victim's later steps) —
 //! never as unbounded growth or a panic.
 //!
-//! Failures are **isolated and typed**: every batched launch runs under
-//! `catch_unwind`, so a panicking kernel fails only its own batch's
-//! requests ([`ServeError::BatchPanicked`]) while the batcher recovers the
+//! Failures are **isolated and typed**: every launch runs under
+//! `catch_unwind`, so a panicking kernel fails only its own launch's
+//! requests ([`ServeError::BatchPanicked`]) while the worker recovers the
 //! engine and keeps serving, and the registry mutex heals from poisoning
 //! by rebuilding its governor counters from the per-session metadata.
 //! Requests may carry deadlines (expired ones are shed *before* packing
@@ -39,9 +41,9 @@
 //! slowness, and forced pool exhaustion at chosen operation indices for
 //! deterministic chaos testing — zero cost when absent.
 //!
-//! Architecture (no tokio — a plain batcher thread; the batched launches
-//! themselves fan out on the vendored rayon-compat worker pool like every
-//! other kernel):
+//! Architecture (no tokio — one plain worker thread per server, running
+//! the one serving loop; the launches themselves fan out on the vendored
+//! rayon-compat worker pool like every other kernel):
 //!
 //! ```text
 //!  clients ── submit(Q,K,V) ───────────► admission (typed RequestError)
@@ -49,12 +51,14 @@
 //!          ── submit_decode(q_row) ────► admission (session + width checks)
 //!                                   │ mpsc
 //!                                   ▼
-//!                            batcher thread
-//!              shape-bucketed prefill queue + decode queue
-//!                   (max_batch reached | max_delay due)
-//!                                   │ closed batch
+//!                            worker thread
+//!            drain the channel, then one scheduler iteration:
+//!            every ready decode step + planned prefill chunks
+//!                                   │
 //!                                   ▼
-//!              engine.flush()  /  engine.flush_decode(steps)
+//!         engine.flush_decode(steps)       all ready decode steps
+//!         engine.flush()                   whole jobs, one group per shape
+//!         engine.forward_chunk(rows)       each partial chunk
 //!                                   │ one (ragged) launch per op
 //!                                   ▼
 //!              ResponseHandle / DecodeHandle ::wait() on each client
@@ -78,7 +82,7 @@
 //!
 //! let mech: Arc<dyn Attention<f32> + Send + Sync> =
 //!     Arc::new(DfssAttention::new(NmPattern::P1_2));
-//! let server = AttentionServer::start(mech, BatchPolicy::batched(8, Duration::from_millis(1)));
+//! let server = AttentionServer::start(mech, BatchPolicy::batched(8, Duration::ZERO));
 //!
 //! // A decode session: open, prime the cache, then decode step by step.
 //! let session = server.open_session(16, 16).unwrap();
@@ -100,7 +104,6 @@
 mod faults;
 pub mod http;
 mod kv;
-mod queue;
 pub mod retry;
 pub mod sched;
 mod server;
@@ -121,65 +124,56 @@ pub use shard::ShardedServer;
 
 use std::time::Duration;
 
-/// When the batcher closes a bucket (or the decode queue) and launches it.
+/// How the worker batches prefill, and how deep its queue may grow.
 ///
-/// The two closing rules interact as follows, for prefill buckets and the
-/// decode queue alike:
-///
-/// * **`max_batch`** closes *immediately on admission*: the push that fills
-///   a bucket to `max_batch` launches it synchronously, without waiting for
-///   the deadline.
-/// * **`max_delay`** closes a *partial* bucket, measured from the admission
-///   of its **oldest** waiting request — later arrivals never extend the
-///   wait. A request therefore waits at most `max_delay` before its launch
-///   starts.
-/// * An expired deadline with **nothing pending is a no-op**: the batcher
-///   never emits a zero-size launch, and an idle server records no batches
-///   (pinned by `queue::tests::empty_queue_has_no_deadline_and_no_due_buckets`
-///   and the engine's empty-flush tests).
-///
-/// **Load shedding**: with [`max_queue_depth`](Self::max_queue_depth) set,
-/// admission counts requests that are enqueued but not yet launched
-/// (prefill and decode together) and refuses submissions beyond the bound
-/// with typed [`ServeError::Overloaded`] / [`SessionError::Overloaded`] —
-/// queue memory stays bounded at any offered load, and callers get an
-/// immediate, retryable signal ([`retry::with_backoff`]) instead of an
-/// ever-growing tail latency.
+/// * **`max_batch`** caps a whole-job group. Planned chunks that each
+///   cover a whole prefill job and share its [`ShapeKey`] run as one
+///   batched launch per op over at most `max_batch` jobs. A group is
+///   whatever backlog the worker's channel drain found, so nothing waits
+///   for batch-mates, and a job longer than
+///   [`SchedPolicy::prefill_chunk`] runs chunk by chunk and never joins a
+///   group. Decode steps are not capped: every ready step packs into the
+///   next iteration.
+/// * **Load shedding**: with [`max_queue_depth`](Self::max_queue_depth)
+///   set, admission counts unresolved requests — a prefill from admission
+///   until it finishes or fails, on every path, and a decode step until
+///   its launch begins — and refuses submissions beyond the bound with
+///   typed [`ServeError::Overloaded`] / [`SessionError::Overloaded`].
+///   Queue memory stays bounded at any offered load, and callers get an
+///   immediate, retryable signal ([`retry::with_backoff`]) instead of an
+///   ever-growing tail latency.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Close a bucket as soon as it holds this many requests.
+    /// Most whole prefill jobs of one shape that share a batched launch.
     pub max_batch: usize,
-    /// Close a bucket once its oldest request has waited this long.
-    pub max_delay: Duration,
     /// Refuse new submissions while this many requests (prefill + decode)
-    /// are already queued and unlaunched. `None` (the default) admits
-    /// without bound.
+    /// are unresolved. `None` (the default) admits without bound.
     pub max_queue_depth: Option<usize>,
 }
 
 impl BatchPolicy {
-    /// Serve every request as its own launch the moment it arrives — the
-    /// per-request-loop baseline of the serving bench.
+    /// Run every prefill job as its own launch — the per-request-loop
+    /// baseline of the serving bench.
     pub fn per_request() -> BatchPolicy {
         BatchPolicy {
             max_batch: 1,
-            max_delay: Duration::ZERO,
             max_queue_depth: None,
         }
     }
 
-    /// Coalesce up to `max_batch` same-shape requests, waiting at most
-    /// `max_delay` for stragglers.
-    pub fn batched(max_batch: usize, max_delay: Duration) -> BatchPolicy {
+    /// Group up to `max_batch` same-shape whole jobs per launch.
+    /// `_max_delay` is ignored: a group forms from the backlog already
+    /// queued, never by waiting. The parameter stays so existing callers
+    /// keep compiling.
+    pub fn batched(max_batch: usize, _max_delay: Duration) -> BatchPolicy {
         assert!(max_batch >= 1, "max_batch must be at least 1");
         BatchPolicy {
             max_batch,
-            max_delay,
             max_queue_depth: None,
         }
     }
 
-    /// Bound the admission queue: submissions beyond `depth` unlaunched
+    /// Bound the admission queue: submissions beyond `depth` unresolved
     /// requests are shed with a typed `Overloaded` error.
     pub fn with_queue_depth(mut self, depth: usize) -> BatchPolicy {
         assert!(depth >= 1, "max_queue_depth must be at least 1");
@@ -250,16 +244,16 @@ impl std::error::Error for SessionError {}
 /// gets one of these — never a hang, never a propagated panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// The server is gone (shut down, or the batcher thread died) and the
+    /// The server is gone (shut down, or the worker thread died) and the
     /// request will never be served.
     ServerGone,
     /// The request failed validation with a typed error — at the front
     /// door, or at launch if the mechanism's constraints diverged after
     /// admission (kept typed so the worker never panics on it).
     Rejected(RequestError),
-    /// The batched launch this request was packed into panicked. Only the
-    /// panicking batch's own requests fail — the server recovers the
-    /// engine and keeps serving. `payload` is the panic message.
+    /// The launch this request was packed into panicked. Only that
+    /// launch's own requests fail — the server recovers the engine and
+    /// keeps serving. `payload` is the panic message.
     BatchPanicked {
         /// The panic's message (downcast from the unwind payload).
         payload: String,
@@ -311,9 +305,11 @@ pub struct ServeStats {
     pub served: u64,
     /// Requests rejected at admission with a typed error.
     pub rejected: u64,
-    /// Batched prefill launches executed (closed buckets).
+    /// Whole-job prefill launches executed: one per same-shape group run
+    /// as one [`AttentionEngine::flush`](dfss_core::engine::AttentionEngine::flush).
+    /// Chunked jobs count in `prefill_chunks` only.
     pub batches: u64,
-    /// Largest prefill batch observed.
+    /// Largest whole-job prefill group observed.
     pub max_batch: usize,
     /// Decode steps served to completion.
     pub decode_steps: u64,
@@ -342,7 +338,7 @@ pub struct ServeStats {
     /// Session operations refused with [`SessionError::KvBudgetExhausted`].
     pub admission_rejections: u64,
     /// Batched launches (prefill or decode) that panicked and were
-    /// isolated: their requests failed typed, the batcher kept serving.
+    /// isolated: their requests failed typed, the worker kept serving.
     pub batch_panics: u64,
     /// Requests shed with [`ServeError::DeadlineExceeded`] before packing.
     pub deadline_sheds: u64,
@@ -366,16 +362,16 @@ pub struct ServeStats {
     /// Connections force-closed because they outlived the graceful
     /// drain deadline at shutdown.
     pub drain_force_closed: u64,
-    /// Continuous-scheduler iterations executed (zero under the classic
-    /// flush-cadence batcher).
+    /// Scheduler iterations executed.
     pub sched_iterations: u64,
-    /// Prefill chunks executed by the continuous scheduler (a whole
-    /// prefill contributes `ceil(rows / prefill_chunk)` of these).
+    /// Prefill chunks executed. A job planned whole is one chunk; a longer
+    /// job contributes at least `ceil(rows / prefill_chunk)`.
     pub prefill_chunks: u64,
 }
 
 impl ServeStats {
-    /// Mean requests per batched prefill launch.
+    /// Mean prefill requests served per whole-job launch — the mean group
+    /// size when every prefill runs whole.
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0

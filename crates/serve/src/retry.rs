@@ -2,7 +2,7 @@
 //!
 //! Load shedding ([`ServeError::Overloaded`], [`SessionError::Overloaded`])
 //! and KV back-pressure ([`SessionError::KvBudgetExhausted`]) are
-//! *transient*: the condition clears as the batcher drains the queue or
+//! *transient*: the condition clears as the worker drains the queue or
 //! other sessions close. [`with_backoff`] wraps an operation so those
 //! errors are retried on a capped exponential schedule with **full
 //! jitter** (each sleep is drawn uniformly from `[0, cap(base · 2ᵃ)]`,

@@ -1,16 +1,20 @@
-//! The attention server: admission front door + batcher thread.
+//! The attention server: an admission front door on the caller's thread
+//! and one worker thread running the one serving loop.
 //!
-//! Prefill requests flow through the shape-bucketed queue exactly as
-//! before; decode traffic adds a session registry (synchronous admission
-//! checks on the caller's thread), per-session [`PagedKvCache`] page
-//! tables over one batcher-owned [`KvPool`], and a decode queue that
-//! coalesces steps from different sessions into one ragged launch per op.
+//! The worker drains the front door's channel, then runs one
+//! [`Scheduler`] iteration: every ready decode step as one ragged launch
+//! per op, then the planned prefill chunks. Chunks that cover a whole job
+//! and share its shape run as one batched launch per op (bucket batching
+//! is this loop's whole-job case); partial chunks run one launch each.
+//! Sessions add a registry (synchronous admission checks on the caller's
+//! thread) and per-session [`PagedKvCache`] page tables over one
+//! worker-owned [`KvPool`].
 //!
 //! **Decode determinism**: a decode step attends over exactly the rows its
-//! session had appended before the step was submitted. The batcher
-//! enforces this by flushing the decode queue before applying an append or
-//! close for a session that already has a queued step — cache mutations
-//! can never race ahead of a waiting decode.
+//! session had appended before the step was submitted. The worker
+//! enforces this by flushing the queued decode steps before applying an
+//! append, extend, close or eviction for a session that has one queued —
+//! cache mutations can never race ahead of a waiting decode.
 //!
 //! **Memory governance**: the registry mirrors every session's page count,
 //! so admission *reserves* pool pages synchronously before a row is
@@ -19,19 +23,17 @@
 //! [`KvConfig::evict_idle`], evicts idle sessions in deterministic LRU
 //! order (oldest `last_used`, ties to the smallest id) until the
 //! reservation fits. Every session-mutating message is sent **while the
-//! registry lock is held**, so the batcher observes mutations in the exact
+//! registry lock is held**, so the worker observes mutations in the exact
 //! order the accounting admitted them — its pool allocation can therefore
-//! never fail, and the budget is enforced without the batcher ever
+//! never fail, and the budget is enforced without the worker ever
 //! blocking a client.
 
 use crate::faults::{FaultArm, FaultKind, FaultPlan, FaultyAttention};
 use crate::kv::{KvConfig, KvDtype, KvPool, PagedKvCache, SessionId};
-use crate::queue::{Bucket, BucketQueue, QueuedRequest};
-use crate::sched::{ChunkPlan, SchedPolicy, SchedTrace, Scheduler};
+use crate::sched::{ChunkPlan, IterationPlan, SchedPolicy, SchedTrace, Scheduler};
 use crate::{BatchPolicy, DecodeRequest, ServeError, ServeStats, SessionError};
 use dfss_core::engine::{AttentionEngine, DecodeStep, ShapeKey, Ticket};
 use dfss_core::mechanism::{try_check_qkv, Attention, RequestError};
-use dfss_kernels::GpuCtx;
 use dfss_tensor::{Bf16, Matrix, Scalar};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,20 +48,23 @@ use std::time::{Duration, Instant};
 pub struct Served<T: Scalar> {
     /// The attention output, bit-identical to a solo `forward` call.
     pub output: Matrix<T>,
-    /// Engine ticket (monotone in launch order across the server's life).
+    /// Reply ticket: one sequence per server, shared with decode replies,
+    /// monotone in the order replies are issued.
     pub ticket: Ticket,
-    /// Shape bucket the request was batched in.
+    /// The request's shape.
     pub bucket: ShapeKey,
-    /// Requests that shared this request's batched launch.
+    /// Jobs that shared this request's batched launch (1 for a job run
+    /// chunk by chunk).
     pub batch_size: usize,
-    /// Admission → bucket close (time spent waiting for batch-mates).
+    /// Admission → first launch.
     pub queue_wait: std::time::Duration,
-    /// Bucket close → outputs ready (host wall-clock of the launches).
+    /// First launch → output ready (host wall-clock of the launches).
     pub service: std::time::Duration,
     /// Admission → response (end-to-end host latency).
     pub latency: std::time::Duration,
-    /// Simulated-device latency of the request's whole batch (one launch
-    /// per op; every request in the batch waits for the full launch).
+    /// Simulated-device latency of the request's launches: of its whole
+    /// group's launch (every job in it waits for the full launch), or the
+    /// sum over its chunks.
     pub sim_latency_s: f64,
 }
 
@@ -77,9 +82,9 @@ pub struct ServedDecode<T: Scalar> {
     pub cached_len: usize,
     /// Concurrent streams that shared the step's ragged launch.
     pub batch_size: usize,
-    /// Admission → decode-queue close.
+    /// Admission → launch.
     pub queue_wait: std::time::Duration,
-    /// Queue close → outputs ready (host wall-clock of the launches).
+    /// Launch → outputs ready (host wall-clock of the launches).
     pub service: std::time::Duration,
     /// Admission → response (end-to-end host latency).
     pub latency: std::time::Duration,
@@ -94,7 +99,7 @@ pub struct ResponseHandle<T: Scalar> {
 }
 
 impl<T: Scalar> ResponseHandle<T> {
-    /// Block until the request is served, or fail typed: a dead batcher
+    /// Block until the request is served, or fail typed: a dead worker
     /// (crash or shutdown before service) surfaces as
     /// [`ServeError::ServerGone`], never a hang or a propagated panic.
     pub fn wait(self) -> Result<Served<T>, ServeError> {
@@ -124,7 +129,7 @@ pub struct DecodeHandle<T: Scalar> {
 }
 
 impl<T: Scalar> DecodeHandle<T> {
-    /// Block until the step is served, or fail typed: a dead batcher
+    /// Block until the step is served, or fail typed: a dead worker
     /// surfaces as [`ServeError::ServerGone`], never a hang.
     pub fn wait(self) -> Result<ServedDecode<T>, ServeError> {
         match self.rx.recv() {
@@ -150,7 +155,7 @@ type Reply<T> = SyncSender<Result<Served<T>, ServeError>>;
 type DecodeReply<T> = SyncSender<Result<ServedDecode<T>, ServeError>>;
 
 /// Synchronous admission view of one session (the caches themselves live
-/// on the batcher thread; the registry mirrors their geometry exactly).
+/// on the worker thread; the registry mirrors their geometry exactly).
 struct SessionMeta {
     d: usize,
     d_v: usize,
@@ -174,15 +179,15 @@ struct SessionMeta {
 }
 
 /// The shared admission state: session metadata plus the KV governor —
-/// a synchronous mirror of the batcher's pool occupancy that lets the
+/// a synchronous mirror of the worker's pool occupancy that lets the
 /// front door reserve pages (and so apply back-pressure) without a
-/// round-trip to the batcher thread.
+/// round-trip to the worker thread.
 struct Registry {
     sessions: HashMap<u64, SessionMeta>,
     /// Pool pages the budget admits in total.
     capacity_pages: usize,
     /// Pages reserved by open sessions (== the pool's allocated count
-    /// once the batcher has drained the channel).
+    /// once the worker has drained the channel).
     pages_used: usize,
     /// Logical bytes cached across open sessions.
     kv_bytes: u64,
@@ -260,7 +265,7 @@ impl Registry {
 /// Lock the registry, healing a poisoned mutex instead of propagating the
 /// panic: the guard is taken out of the `PoisonError` and the governor's
 /// invariants are restored from the per-session metadata. One panicked
-/// thread (a client killed mid-call, a batcher fault) therefore cannot
+/// thread (a client killed mid-call, a worker fault) therefore cannot
 /// brick every later API call — the poison-recovery half of the server's
 /// panic-isolation story.
 fn lock_healed(registry: &Mutex<Registry>) -> MutexGuard<'_, Registry> {
@@ -274,30 +279,51 @@ fn lock_healed(registry: &Mutex<Registry>) -> MutexGuard<'_, Registry> {
     }
 }
 
-/// Lock the shared lifetime counters, healing poison. The serve paths
-/// catch panics before they can unwind through an increment, but the
-/// counters are observable live (`/metrics`), so a reader must never be
-/// brickable by a writer's death either.
-fn lock_stats(stats: &Mutex<ServeStats>) -> MutexGuard<'_, ServeStats> {
-    match stats.lock() {
+/// Lock a mutex shared with the worker, healing poison. The serve paths
+/// catch panics before they can unwind through a critical section, but
+/// the counters, gauges and trace are observable live (`/metrics`), so a
+/// reader must never be brickable by a writer's death either.
+pub(crate) fn lock<U>(m: &Mutex<U>) -> MutexGuard<'_, U> {
+    match m.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-/// A live snapshot of the batcher's queues — what `GET /metrics` reports
-/// as per-bucket depth gauges. Refreshed by the batcher once per loop
-/// iteration, so it trails the true queue by at most one message drain.
+/// A live snapshot of the worker's unfinished work — what `GET /metrics`
+/// reports as depth gauges. The worker publishes it right after each
+/// channel drain, before the iteration it drained for runs, and again
+/// before it blocks idle, so the gauges show work in flight, read empty
+/// on an idle server, and trail the channel by at most one drain.
 #[derive(Clone, Debug, Default)]
 pub struct QueueDepths {
-    /// Open prefill buckets: shape key → requests waiting in it.
+    /// Admitted prefill jobs not yet finished or failed, per shape,
+    /// sorted by `(n, d, d_v)`.
     pub prefill: Vec<(ShapeKey, usize)>,
-    /// Decode steps queued for the next ragged launch.
+    /// Decode steps drained for the next (or the running) ragged launch.
     pub decode: usize,
 }
 
+/// A prefill request as admitted: everything but its matrices.
+struct Admission<T: Scalar> {
+    key: ShapeKey,
+    /// When the client submitted it (queue-wait measurement origin).
+    submitted: Instant,
+    /// Absolute shed point: a job still unlaunched (or mid-way through
+    /// its chunks) after this instant is dropped with `DeadlineExceeded`.
+    deadline: Option<Instant>,
+    /// Injected fault, taken (armed) at the job's first launch.
+    fault: Option<FaultKind>,
+    reply: Reply<T>,
+}
+
 enum Msg<T: Scalar> {
-    Request(QueuedRequest<T, Reply<T>>),
+    Request {
+        q: Matrix<T>,
+        k: Matrix<T>,
+        v: Matrix<T>,
+        adm: Admission<T>,
+    },
     Open {
         id: u64,
         d: usize,
@@ -320,14 +346,7 @@ enum Msg<T: Scalar> {
     Evict {
         id: u64,
     },
-    Decode {
-        id: u64,
-        q_row: Vec<T>,
-        submitted: Instant,
-        deadline: Option<Instant>,
-        fault: Option<FaultKind>,
-        reply: DecodeReply<T>,
-    },
+    Decode(PendingDecode<T>),
     Shutdown,
 }
 
@@ -335,17 +354,21 @@ enum Msg<T: Scalar> {
 ///
 /// `submit` is the prefill admission front door: it validates the triple
 /// against the mechanism's shape constraints on the caller's thread (typed
-/// [`RequestError`], never a panic) and enqueues it to the batcher thread,
-/// returning a [`ResponseHandle`] immediately. The batcher coalesces
-/// same-shape requests per [`BatchPolicy`] and serves each closed bucket as
-/// one [`AttentionEngine::flush`] — a single batched launch per op.
+/// [`RequestError`], never a panic) and enqueues it to the worker thread,
+/// returning a [`ResponseHandle`] immediately. The worker's [`Scheduler`]
+/// plans each job in chunks under the server's [`SchedPolicy`]; whole-job
+/// chunks of one shape run together as one [`AttentionEngine::flush`] — a
+/// single batched launch per op over at most [`BatchPolicy::max_batch`]
+/// jobs — and partial chunks as one [`AttentionEngine::forward_chunk`]
+/// each. A mechanism without row chunking
+/// ([`Attention::supports_row_chunking`]) always runs its jobs whole.
 ///
 /// `open_session` / `append` / `submit_decode` / `close_session` are the
 /// decode front door: sessions own [`PagedKvCache`] page tables over one
-/// batcher-owned [`KvPool`], admission checks (shapes **and** the KV page
-/// budget) run synchronously against a shared registry, and queued decode
-/// steps close into one [`AttentionEngine::flush_decode`] per batch — a
-/// single **ragged** launch per op across all streams, whatever their
+/// worker-owned [`KvPool`], admission checks (shapes **and** the KV page
+/// budget) run synchronously against a shared registry, and every decode
+/// step ready at an iteration joins one [`AttentionEngine::flush_decode`] —
+/// a single **ragged** launch per op across all streams, whatever their
 /// cached lengths.
 pub struct AttentionServer<T: Scalar> {
     mech: Arc<dyn Attention<T> + Send + Sync>,
@@ -358,128 +381,86 @@ pub struct AttentionServer<T: Scalar> {
     /// Front-door operation ordinal — the key space of [`FaultPlan`].
     next_op: AtomicU64,
     faults: Option<Arc<FaultPlan>>,
-    /// Requests enqueued but not yet launched (prefill + decode), the
-    /// quantity [`BatchPolicy::max_queue_depth`] bounds.
+    /// Unresolved requests, the quantity [`BatchPolicy::max_queue_depth`]
+    /// bounds: a prefill counts from admission until it finishes or
+    /// fails, a decode step until its launch begins.
     depth: Arc<AtomicU64>,
     registry: Arc<Mutex<Registry>>,
-    /// Lifetime counters, shared with the batcher so observers can read
+    /// Lifetime counters, shared with the worker so observers can read
     /// them live ([`stats_snapshot`](Self::stats_snapshot)) instead of
     /// only at shutdown.
     stats: Arc<Mutex<ServeStats>>,
-    /// Live queue-depth snapshot, refreshed by the batcher each loop.
+    /// Live queue-depth snapshot, published by the worker.
     depths: Arc<Mutex<QueueDepths>>,
-    /// The continuous scheduler's replayable event log (empty under the
-    /// classic flush-cadence batcher), published incrementally by the
-    /// worker once per loop pass.
+    /// The scheduler's replayable event log, published by the worker
+    /// before each iteration runs.
     sched_trace: Arc<Mutex<SchedTrace>>,
     worker: Option<JoinHandle<()>>,
 }
 
 impl<T: Scalar> AttentionServer<T> {
     /// Start a server on the paper's evaluation device (A100 simulation)
-    /// with an unbounded KV budget.
+    /// with the default [`SchedPolicy`] and an unbounded KV budget.
     pub fn start(
         mech: Arc<dyn Attention<T> + Send + Sync>,
         policy: BatchPolicy,
     ) -> AttentionServer<T> {
-        AttentionServer::start_with_ctx(mech, policy, GpuCtx::a100())
+        AttentionServer::spawn(
+            mech,
+            policy,
+            SchedPolicy::default(),
+            KvConfig::default(),
+            None,
+        )
     }
 
-    /// Start a server with an explicit KV geometry and byte budget (A100
-    /// simulation context).
+    /// [`start`](Self::start) with an explicit KV geometry and byte
+    /// budget.
     pub fn start_with_kv(
         mech: Arc<dyn Attention<T> + Send + Sync>,
         policy: BatchPolicy,
         kv: KvConfig,
     ) -> AttentionServer<T> {
-        AttentionServer::start_inner(mech, policy, GpuCtx::a100(), kv, None)
+        AttentionServer::spawn(mech, policy, SchedPolicy::default(), kv, None)
     }
 
-    /// Start a server whose engine runs on a caller-provided context
-    /// (device config and exec mode carry over).
-    pub fn start_with_ctx(
-        mech: Arc<dyn Attention<T> + Send + Sync>,
-        policy: BatchPolicy,
-        ctx: GpuCtx,
-    ) -> AttentionServer<T> {
-        AttentionServer::start_with_ctx_kv(mech, policy, ctx, KvConfig::default())
-    }
-
-    /// Start a server with both a caller-provided context and KV config.
-    pub fn start_with_ctx_kv(
-        mech: Arc<dyn Attention<T> + Send + Sync>,
-        policy: BatchPolicy,
-        ctx: GpuCtx,
-        kv: KvConfig,
-    ) -> AttentionServer<T> {
-        AttentionServer::start_inner(mech, policy, ctx, kv, None)
-    }
-
-    /// Start a server with a deterministic [`FaultPlan`] (chaos testing):
-    /// the plan's faults fire at the scheduled front-door operation
-    /// indices — see [`FaultKind`] for what each does. A100 context,
-    /// unbounded KV budget.
+    /// [`start`](Self::start) with a deterministic [`FaultPlan`] (chaos
+    /// testing): the plan's faults fire at the scheduled front-door
+    /// operation indices — see [`FaultKind`] for what each does.
     pub fn start_with_faults(
         mech: Arc<dyn Attention<T> + Send + Sync>,
         policy: BatchPolicy,
         faults: FaultPlan,
     ) -> AttentionServer<T> {
-        AttentionServer::start_inner(
+        AttentionServer::spawn(
             mech,
             policy,
-            GpuCtx::a100(),
+            SchedPolicy::default(),
             KvConfig::default(),
             Some(faults),
         )
     }
 
-    /// [`start_with_faults`](Self::start_with_faults) with an explicit KV
-    /// geometry and budget.
-    pub fn start_with_kv_faults(
-        mech: Arc<dyn Attention<T> + Send + Sync>,
-        policy: BatchPolicy,
-        kv: KvConfig,
-        faults: FaultPlan,
-    ) -> AttentionServer<T> {
-        AttentionServer::start_inner(mech, policy, GpuCtx::a100(), kv, Some(faults))
-    }
-
-    /// Start a **continuous batching** server: instead of the separate
-    /// prefill/decode flush cadence, one admission loop packs — every
-    /// scheduler iteration — all ready decode steps together with chunked
-    /// prefill work (`SchedPolicy::prefill_chunk`-row slices, resumable
-    /// across iterations) under `SchedPolicy::iter_budget_rows`. No decode
-    /// step waits behind a whole cold prefill; no prefill starves under
-    /// decode-heavy load. A100 context, unbounded KV budget.
-    pub fn start_continuous(
-        mech: Arc<dyn Attention<T> + Send + Sync>,
-        policy: BatchPolicy,
-        sched: SchedPolicy,
-    ) -> AttentionServer<T> {
-        AttentionServer::spawn(
-            mech,
-            policy,
-            GpuCtx::a100(),
-            KvConfig::default(),
-            None,
-            Some(sched),
-        )
-    }
-
-    /// [`start_continuous`](Self::start_continuous) with an explicit KV
-    /// geometry and byte budget.
+    /// Start a server with an explicit [`SchedPolicy`], KV geometry and
+    /// byte budget. Each scheduler iteration packs every ready decode
+    /// step with prefill chunks of at most `SchedPolicy::prefill_chunk`
+    /// rows, resumable across iterations, under
+    /// `SchedPolicy::iter_budget_rows`: no decode step waits behind a
+    /// whole cold prefill, and no prefill starves under decode-heavy
+    /// load. A `prefill_chunk` at least every request's `n` (and a budget
+    /// of `max_batch` such jobs) keeps every prefill whole, which is
+    /// bucket batching.
     pub fn start_continuous_with_kv(
         mech: Arc<dyn Attention<T> + Send + Sync>,
         policy: BatchPolicy,
         sched: SchedPolicy,
         kv: KvConfig,
     ) -> AttentionServer<T> {
-        AttentionServer::spawn(mech, policy, GpuCtx::a100(), kv, None, Some(sched))
+        AttentionServer::spawn(mech, policy, sched, kv, None)
     }
 
-    /// [`start_continuous`](Self::start_continuous) with a KV config and a
-    /// deterministic [`FaultPlan`] — the chaos harness for the continuous
-    /// path.
+    /// [`start_continuous_with_kv`](Self::start_continuous_with_kv) with a
+    /// deterministic [`FaultPlan`].
     pub fn start_continuous_with_kv_faults(
         mech: Arc<dyn Attention<T> + Send + Sync>,
         policy: BatchPolicy,
@@ -487,26 +468,15 @@ impl<T: Scalar> AttentionServer<T> {
         kv: KvConfig,
         faults: FaultPlan,
     ) -> AttentionServer<T> {
-        AttentionServer::spawn(mech, policy, GpuCtx::a100(), kv, Some(faults), Some(sched))
-    }
-
-    fn start_inner(
-        mech: Arc<dyn Attention<T> + Send + Sync>,
-        policy: BatchPolicy,
-        ctx: GpuCtx,
-        kv: KvConfig,
-        faults: Option<FaultPlan>,
-    ) -> AttentionServer<T> {
-        AttentionServer::spawn(mech, policy, ctx, kv, faults, None)
+        AttentionServer::spawn(mech, policy, sched, kv, Some(faults))
     }
 
     fn spawn(
         mech: Arc<dyn Attention<T> + Send + Sync>,
         policy: BatchPolicy,
-        ctx: GpuCtx,
+        sched: SchedPolicy,
         kv: KvConfig,
         faults: Option<FaultPlan>,
-        sched: Option<SchedPolicy>,
     ) -> AttentionServer<T> {
         let (tx, rx) = mpsc::channel::<Msg<T>>();
         // The governed capacity is the pool's physical capacity at the
@@ -514,6 +484,9 @@ impl<T: Scalar> AttentionServer<T> {
         // compute for the same byte budget.
         let registry = Arc::new(Mutex::new(Registry::new(kv.storage_capacity_pages::<T>())));
         let depth = Arc::new(AtomicU64::new(0));
+        let stats = Arc::new(Mutex::new(ServeStats::default()));
+        let depths = Arc::new(Mutex::new(QueueDepths::default()));
+        let sched_trace = Arc::new(Mutex::new(SchedTrace::default()));
         let arm = Arc::new(FaultArm::default());
         // Fault injection is zero-cost when absent: without a plan the
         // engine runs the mechanism directly (no wrapper, no per-launch
@@ -526,45 +499,46 @@ impl<T: Scalar> AttentionServer<T> {
         } else {
             Arc::clone(&mech)
         };
-        let stats = Arc::new(Mutex::new(ServeStats::default()));
-        let depths = Arc::new(Mutex::new(QueueDepths::default()));
-        let sched_trace = Arc::new(Mutex::new(SchedTrace::default()));
-        let worker_registry = Arc::clone(&registry);
-        let worker_depth = Arc::clone(&depth);
-        let worker_stats = Arc::clone(&stats);
-        let worker_depths = Arc::clone(&depths);
-        let worker_trace = Arc::clone(&sched_trace);
+        // Without row-separable scores (the blocked-ELL hybrid) a job must
+        // run whole: an unbounded chunk and budget plan every job as one
+        // whole chunk, so correctness never depends on chunking.
+        let sched = if mech.supports_row_chunking() {
+            sched
+        } else {
+            SchedPolicy::new(usize::MAX, usize::MAX)
+        };
+        let (w_registry, w_depth, w_stats, w_depths, w_trace) = (
+            Arc::clone(&registry),
+            Arc::clone(&depth),
+            Arc::clone(&stats),
+            Arc::clone(&depths),
+            Arc::clone(&sched_trace),
+        );
         let worker = std::thread::Builder::new()
-            .name("dfss-serve-batcher".into())
-            .spawn(move || match sched {
-                Some(sched) => continuous_loop(
-                    worker_mech,
-                    policy,
-                    sched,
-                    ctx,
+            .name("dfss-serve-worker".into())
+            .spawn(move || {
+                Worker {
+                    engine: AttentionEngine::new(worker_mech.as_ref()),
+                    sched: Scheduler::new(sched),
+                    jobs: HashMap::new(),
+                    store: KvStore::new(&kv),
                     kv,
-                    worker_registry,
-                    worker_depth,
-                    worker_stats,
-                    worker_depths,
-                    worker_trace,
+                    pending: Vec::new(),
+                    max_batch: policy.max_batch,
+                    next_job: 0,
+                    next_step: 0,
+                    next_ticket: 0,
+                    published: 0,
+                    registry: w_registry,
+                    depth: w_depth,
+                    stats: w_stats,
+                    depths: w_depths,
+                    trace_out: w_trace,
                     arm,
-                    rx,
-                ),
-                None => batcher_loop(
-                    worker_mech,
-                    policy,
-                    ctx,
-                    kv,
-                    worker_registry,
-                    worker_depth,
-                    worker_stats,
-                    worker_depths,
-                    arm,
-                    rx,
-                ),
+                }
+                .run(rx)
             })
-            .expect("spawn batcher thread");
+            .expect("spawn the serving worker");
         AttentionServer {
             mech,
             tx,
@@ -584,15 +558,13 @@ impl<T: Scalar> AttentionServer<T> {
         }
     }
 
-    /// The continuous scheduler's replayable event log so far (empty for
-    /// a classic flush-cadence server). Logical content only — two
-    /// servers fed the same admission sequence under the same policy
-    /// render byte-identical traces ([`SchedTrace::render`]).
+    /// The scheduler's replayable event log so far. Logical content only —
+    /// two servers fed the same admission sequence under the same policy
+    /// render byte-identical traces ([`SchedTrace::render`]). The worker
+    /// publishes an iteration before running it, so a client holding a
+    /// reply finds the iteration that served it here.
     pub fn sched_trace(&self) -> SchedTrace {
-        match self.sched_trace.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+        lock(&self.sched_trace).clone()
     }
 
     /// The fault scheduled for this front-door operation, consuming one
@@ -604,8 +576,8 @@ impl<T: Scalar> AttentionServer<T> {
         plan.get(op)
     }
 
-    /// Shed at admission when the unlaunched-request count is at the
-    /// policy bound. Returns the observed depth on refusal.
+    /// Shed at admission when the unresolved-request count ([`depth`](Self::depth))
+    /// is at the policy bound. Returns the observed depth on refusal.
     fn check_depth(&self) -> Result<(), usize> {
         if let Some(bound) = self.policy.max_queue_depth {
             let depth = self.depth.load(Ordering::SeqCst) as usize;
@@ -617,8 +589,10 @@ impl<T: Scalar> AttentionServer<T> {
         Ok(())
     }
 
-    /// Requests enqueued but not yet launched (prefill + decode) — the
-    /// load signal a [`crate::ShardedServer`] routes prefill by.
+    /// Unresolved requests — a prefill from admission until it finishes
+    /// or fails, a decode step until its launch begins. The quantity
+    /// [`BatchPolicy::max_queue_depth`] bounds, and the load signal a
+    /// [`crate::ShardedServer`] routes prefill by.
     pub(crate) fn depth(&self) -> u64 {
         self.depth.load(Ordering::SeqCst)
     }
@@ -642,10 +616,10 @@ impl<T: Scalar> AttentionServer<T> {
         self.submit_with_deadline(q, k, v, None)
     }
 
-    /// [`submit`](Self::submit) with a deadline: if the request is still
-    /// queued (its bucket unclosed) past `deadline`, it is shed *before*
-    /// packing and its handle resolves with
-    /// [`ServeError::DeadlineExceeded`] — it never occupies a launch it
+    /// [`submit`](Self::submit) with a deadline: if the job has not
+    /// launched by `deadline` — or, run chunk by chunk, has chunks left
+    /// then — it is shed before its next launch and its handle resolves
+    /// with [`ServeError::DeadlineExceeded`]: it never occupies a launch it
     /// cannot use.
     pub fn submit_with_deadline(
         &self,
@@ -663,21 +637,23 @@ impl<T: Scalar> AttentionServer<T> {
             return Err(ServeError::Overloaded { depth });
         }
         self.depth.fetch_add(1, Ordering::SeqCst);
-        // Rendezvous capacity 1: the batcher never blocks sending a
+        // Rendezvous capacity 1: the worker never blocks sending a
         // response, clients may wait lazily.
         let (reply, rx) = mpsc::sync_channel(1);
-        let msg = Msg::Request(QueuedRequest {
-            q,
-            k,
-            v,
+        let adm = Admission {
+            key: ShapeKey {
+                n: q.rows(),
+                d: q.cols(),
+                d_v: v.cols(),
+            },
             submitted: Instant::now(),
             deadline,
             fault,
             reply,
-        });
-        // A dropped batcher surfaces as ServerGone on wait(); submission
+        };
+        // A dropped worker surfaces as ServerGone on wait(); submission
         // itself stays infallible for valid requests.
-        let _ = self.tx.send(msg);
+        let _ = self.tx.send(Msg::Request { q, k, v, adm });
         Ok(ResponseHandle { rx })
     }
 
@@ -749,7 +725,7 @@ impl<T: Scalar> AttentionServer<T> {
     /// Reserve `need` pool pages for `requester`, evicting idle sessions
     /// in deterministic LRU order when the policy allows. Caller holds the
     /// registry lock; eviction messages go out under that same lock so the
-    /// batcher frees the victims' pages before the requester's rows land.
+    /// worker frees the victims' pages before the requester's rows land.
     fn reserve_pages(
         &self,
         reg: &mut Registry,
@@ -805,7 +781,7 @@ impl<T: Scalar> AttentionServer<T> {
     /// Append one position (a key row and a value row) to a session's
     /// cache. Width mismatches and budget exhaustion are rejected
     /// synchronously with typed errors; the rows themselves land on the
-    /// batcher thread in submission order, so a subsequent decode step
+    /// worker thread in submission order, so a subsequent decode step
     /// always sees them.
     pub fn append(
         &self,
@@ -842,7 +818,7 @@ impl<T: Scalar> AttentionServer<T> {
             }
             self.reserve_pages(&mut reg, session.0, need)?;
             self.charge_rows(&mut reg, session.0, 1, need);
-            // Send under the lock: the batcher sees mutations in admission
+            // Send under the lock: the worker sees mutations in admission
             // order, so the pages reserved above are free when this lands.
             let _ = self.tx.send(Msg::Append {
                 id: session.0,
@@ -954,14 +930,14 @@ impl<T: Scalar> AttentionServer<T> {
             let meta = reg.sessions.get_mut(&req.session.0).expect("checked above");
             meta.inflight += 1;
             reg.touch(req.session.0);
-            let _ = self.tx.send(Msg::Decode {
+            let _ = self.tx.send(Msg::Decode(PendingDecode {
                 id: req.session.0,
                 q_row: req.q_row,
                 submitted: Instant::now(),
                 deadline,
                 fault,
                 reply,
-            });
+            }));
         }
         Ok(DecodeHandle { rx })
     }
@@ -984,20 +960,20 @@ impl<T: Scalar> AttentionServer<T> {
         Ok(())
     }
 
-    /// Drain every open bucket and queued decode step, stop the batcher and
-    /// return lifetime counters. Sessions still open are drained too —
-    /// their pages count as freed, so a clean shutdown always reconciles
-    /// to `kv_pages_allocated == kv_pages_freed`.
+    /// Serve every admitted prefill job and queued decode step, stop the
+    /// worker and return lifetime counters. Sessions still open are
+    /// drained too — their pages count as freed, so a clean shutdown
+    /// always reconciles to `kv_pages_allocated == kv_pages_freed`.
     pub fn shutdown(mut self) -> ServeStats {
         let _ = self.tx.send(Msg::Shutdown);
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
-        let mut stats = lock_stats(&self.stats).clone();
+        let mut stats = lock(&self.stats).clone();
         stats.rejected = self.rejected.load(Ordering::Relaxed);
         stats.overload_sheds = self.overload_sheds.load(Ordering::Relaxed);
         let mut reg = lock_healed(&self.registry);
-        // The batcher's exit released every remaining cache into the pool;
+        // The worker's exit released every remaining cache into the pool;
         // mirror that drain here so the lifetime counters reconcile.
         let remaining: u64 = reg.sessions.values().map(|m| m.pages as u64).sum();
         reg.kv_pages_freed += remaining;
@@ -1015,10 +991,10 @@ impl<T: Scalar> AttentionServer<T> {
     /// A live copy of the lifetime counters — the same aggregates
     /// [`shutdown`](Self::shutdown) returns, readable while the server
     /// is serving (`GET /metrics` is built on this). Counters the
-    /// batcher owns trail its in-progress launch by at most one lock
+    /// worker owns trail its in-progress launch by at most one lock
     /// acquisition.
     pub fn stats_snapshot(&self) -> ServeStats {
-        let mut stats = lock_stats(&self.stats).clone();
+        let mut stats = lock(&self.stats).clone();
         stats.rejected = self.rejected.load(Ordering::Relaxed);
         stats.overload_sheds = self.overload_sheds.load(Ordering::Relaxed);
         let reg = lock_healed(&self.registry);
@@ -1030,13 +1006,11 @@ impl<T: Scalar> AttentionServer<T> {
         stats
     }
 
-    /// The batcher's live queue-depth snapshot (per-bucket prefill
-    /// depths + the decode queue), refreshed once per batcher loop.
+    /// The worker's live queue-depth snapshot (unfinished prefill jobs
+    /// per shape + drained decode steps); see [`QueueDepths`] for when it
+    /// is published.
     pub fn queue_depths(&self) -> QueueDepths {
-        match self.depths.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+        lock(&self.depths).clone()
     }
 
     /// Test hook: kill a thread while it holds the registry lock with
@@ -1064,7 +1038,7 @@ impl<T: Scalar> Drop for AttentionServer<T> {
     }
 }
 
-/// One queued decode step on the batcher thread.
+/// One queued decode step on the worker thread.
 struct PendingDecode<T: Scalar> {
     id: u64,
     q_row: Vec<T>,
@@ -1074,7 +1048,7 @@ struct PendingDecode<T: Scalar> {
     reply: DecodeReply<T>,
 }
 
-/// The batcher's KV storage, resolved once from [`KvConfig::kv_dtype`]:
+/// The worker's KV storage, resolved once from [`KvConfig::kv_dtype`]:
 /// one pool plus the per-session page tables over it, either at the
 /// compute dtype (`Native`) or bf16-quantised (`Quant`). Appends narrow
 /// at write time in the `Quant` arm; decode steps carry the stored pages
@@ -1252,237 +1226,22 @@ impl<T: Scalar> KvStore<T> {
     }
 }
 
-/// The batcher thread's session + decode state: the KV store (pool +
-/// per-session page tables) and the queued steps.
-struct DecodeState<T: Scalar> {
-    store: KvStore<T>,
-    config: KvConfig,
-    pending: Vec<PendingDecode<T>>,
-}
-
-impl<T: Scalar> DecodeState<T> {
-    fn new(config: KvConfig) -> DecodeState<T> {
-        DecodeState {
-            store: KvStore::new(&config),
-            config,
-            pending: Vec::new(),
-        }
-    }
-
-    fn next_deadline(&self, policy: &BatchPolicy) -> Option<Instant> {
-        self.pending
-            .iter()
-            .map(|p| p.submitted + policy.max_delay)
-            .min()
-    }
-
-    fn has_pending_for(&self, id: u64) -> bool {
-        self.pending.iter().any(|p| p.id == id)
-    }
-}
-
-/// The batcher thread: shape-bucketed prefill admission plus the decode
-/// queue, max-batch + deadline close policy for both, one engine flush per
-/// closed batch.
-fn batcher_loop<T: Scalar>(
-    mech: Arc<dyn Attention<T> + Send + Sync>,
-    policy: BatchPolicy,
-    ctx: GpuCtx,
-    kv: KvConfig,
-    registry: Arc<Mutex<Registry>>,
-    depth: Arc<AtomicU64>,
-    stats: Arc<Mutex<ServeStats>>,
-    depths: Arc<Mutex<QueueDepths>>,
-    arm: Arc<FaultArm>,
-    rx: Receiver<Msg<T>>,
-) {
-    let mut engine = AttentionEngine::with_ctx(mech.as_ref(), ctx);
-    let mut queue: BucketQueue<T, Reply<T>> = BucketQueue::new(policy);
-    let mut decode = DecodeState::new(kv);
-    let stats = &*stats;
-    // Publish the (empty) queue geometry once per loop iteration so
-    // observers read depths at most one message drain stale.
-    let publish = |queue: &BucketQueue<T, Reply<T>>, decode: &DecodeState<T>| {
-        let snapshot = QueueDepths {
-            prefill: queue.depths(),
-            decode: decode.pending.len(),
-        };
-        match depths.lock() {
-            Ok(mut guard) => *guard = snapshot,
-            Err(poisoned) => *poisoned.into_inner() = snapshot,
-        }
-    };
-    let mut stopping = false;
-    while !stopping {
-        let deadline = match (queue.next_deadline(), decode.next_deadline(&policy)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let msg = match deadline {
-            None => match rx.recv() {
-                Ok(m) => Some(m),
-                Err(_) => break, // all senders gone: drain and stop
-            },
-            Some(deadline) => {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(timeout) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        };
-        // Greedily drain everything already waiting in the channel before
-        // closing any bucket: when a launch kept the batcher busy, the
-        // backlog that built up behind it coalesces into full batches
-        // instead of trickling out one deadline-expired request at a time.
-        let mut next = msg;
-        loop {
-            match next {
-                Some(Msg::Request(req)) => {
-                    if let Some(full) = queue.push(req) {
-                        if !serve_bucket(&mut engine, full, &arm, &depth, stats) {
-                            return;
-                        }
-                    }
-                }
-                Some(Msg::Open { id, d, d_v }) => {
-                    // Admission validated that a page can hold the widths.
-                    if decode.store.open(&decode.config, id, d, d_v) {
-                        lock_stats(stats).sessions_opened += 1;
-                    }
-                }
-                Some(Msg::Append { id, k_row, v_row }) => {
-                    // Determinism: a queued decode for this session must
-                    // launch against the cache as of its submission.
-                    if decode.has_pending_for(id)
-                        && !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats)
-                    {
-                        return;
-                    }
-                    // Admission reserved the pages under the registry lock
-                    // before this message was sent, so the pool cannot
-                    // come up short here.
-                    if decode.store.append(id, &k_row, &v_row) {
-                        lock_stats(stats).kv_rows_appended += 1;
-                    }
-                }
-                Some(Msg::Extend { id, k, v }) => {
-                    if decode.has_pending_for(id)
-                        && !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats)
-                    {
-                        return;
-                    }
-                    let rows = k.rows();
-                    if decode.store.extend(id, &k, &v) {
-                        lock_stats(stats).kv_rows_appended += rows as u64;
-                    }
-                }
-                Some(Msg::Close { id }) => {
-                    if decode.has_pending_for(id)
-                        && !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats)
-                    {
-                        return;
-                    }
-                    if decode.store.close(id) {
-                        lock_stats(stats).sessions_closed += 1;
-                    }
-                }
-                Some(Msg::Evict { id }) => {
-                    // Victims are idle by construction (inflight == 0),
-                    // but flush anyway so a queued step can never attend
-                    // over freed pages.
-                    if decode.has_pending_for(id)
-                        && !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats)
-                    {
-                        return;
-                    }
-                    decode.store.evict(id);
-                }
-                Some(Msg::Decode {
-                    id,
-                    q_row,
-                    submitted,
-                    deadline,
-                    fault,
-                    reply,
-                }) => {
-                    decode.pending.push(PendingDecode {
-                        id,
-                        q_row,
-                        submitted,
-                        deadline,
-                        fault,
-                        reply,
-                    });
-                    if decode.pending.len() >= policy.max_batch
-                        && !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats)
-                    {
-                        return;
-                    }
-                }
-                Some(Msg::Shutdown) => {
-                    stopping = true;
-                    break;
-                }
-                None => break,
-            }
-            next = rx.try_recv().ok();
-        }
-        let now = Instant::now();
-        for due in queue.take_due(now) {
-            if !serve_bucket(&mut engine, due, &arm, &depth, stats) {
-                return;
-            }
-        }
-        if decode
-            .next_deadline(&policy)
-            .is_some_and(|deadline| deadline <= now)
-            && !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats)
-        {
-            return;
-        }
-        publish(&queue, &decode);
-    }
-    for bucket in queue.take_all() {
-        if !serve_bucket(&mut engine, bucket, &arm, &depth, stats) {
-            return;
-        }
-    }
-    if !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats) {
-        return;
-    }
-    // Shutdown drain: return every open session's pages to the pool so the
-    // pool invariants (free + used == capacity, no leaked pages) verify even
-    // when clients abandon sessions without closing them.
-    decode.store.release_all();
-    debug_assert!(decode.store.check_invariants().is_ok());
-    publish(&queue, &decode);
-}
-
-/// One prefill job resumable across continuous-scheduler iterations: the
-/// admitted triple plus the output rows accumulated chunk by chunk.
+/// One admitted prefill job, resumable across scheduler iterations: the
+/// triple plus the output rows accumulated chunk by chunk.
 struct PrefillJob<T: Scalar> {
-    id: u64,
     q: Matrix<T>,
     k: Matrix<T>,
     v: Matrix<T>,
-    /// Output rows completed so far (row-major, grows front to back —
-    /// chunks are planned in row order).
+    /// Output rows completed so far (row-major; chunks run in row order).
     out: Vec<T>,
     sim_latency_s: f64,
-    /// Whether the job's first chunk has launched (fault arming point).
-    launched: bool,
-    submitted: Instant,
-    /// First chunk's launch time (queue-wait measurement point).
+    /// First launch (queue-wait measurement point).
     started: Option<Instant>,
-    deadline: Option<Instant>,
-    fault: Option<FaultKind>,
-    reply: Reply<T>,
+    adm: Admission<T>,
 }
 
-/// Copy rows `[lo, hi)` of `m` into a fresh matrix — the chunk slice the
-/// scheduler hands to [`AttentionEngine::forward_chunk`].
+/// Copy rows `[lo, hi)` of `m` into a fresh matrix — the chunk slice
+/// [`AttentionEngine::forward_chunk`] runs.
 fn slice_rows<T: Scalar>(m: &Matrix<T>, lo: usize, hi: usize) -> Matrix<T> {
     let d = m.cols();
     let mut rows = Vec::with_capacity((hi - lo) * d);
@@ -1492,357 +1251,499 @@ fn slice_rows<T: Scalar>(m: &Matrix<T>, lo: usize, hi: usize) -> Matrix<T> {
     Matrix::from_vec(hi - lo, d, rows)
 }
 
-/// Append the scheduler's unpublished events to the shared trace.
-fn publish_trace(shared: &Mutex<SchedTrace>, sched: &Scheduler, published: &mut usize) {
-    let events = sched.trace().events();
-    if *published >= events.len() {
-        return;
-    }
-    let mut guard = match shared.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    for e in &events[*published..] {
-        guard.push(e.clone());
-    }
-    *published = events.len();
-}
+const EXEC: &str = "serving engines run in exec mode and materialise outputs";
 
-/// The continuous-batching worker: one admission loop that, every
-/// scheduler iteration, flushes **all ready decode steps** and then runs
-/// the iteration's planned prefill chunks — the single-cadence replacement
-/// for the separate prefill/decode flushes of [`batcher_loop`].
+/// The worker thread and its state: the one serving loop.
 ///
-/// Sessions, KV governance, fault arming, deadline shedding and panic
-/// isolation behave exactly as in the classic batcher; the decode
-/// determinism rule (a queued step launches before an append/extend/close/
-/// evict touches its session) is preserved by a forced decode flush,
-/// recorded distinctly in the trace.
-#[allow(clippy::too_many_arguments)]
-fn continuous_loop<T: Scalar>(
-    mech: Arc<dyn Attention<T> + Send + Sync>,
-    policy: BatchPolicy,
-    sched_policy: SchedPolicy,
-    ctx: GpuCtx,
+/// Every pass drains the channel, then runs one [`Scheduler`] iteration:
+/// every ready decode step as one ragged flush, then the planned prefill
+/// chunks. Sessions, KV governance, fault arming, deadline shedding and
+/// panic isolation are the worker's too; the decode determinism rule (a
+/// queued step launches before an append/extend/close/evict touches its
+/// session) is kept by a forced decode flush, recorded in the trace.
+struct Worker<'m, T: Scalar> {
+    engine: AttentionEngine<'m, T>,
+    sched: Scheduler,
+    /// Admitted prefill jobs by id, until they finish or fail.
+    jobs: HashMap<u64, PrefillJob<T>>,
+    store: KvStore<T>,
     kv: KvConfig,
+    /// Decode steps drained and not yet launched, in admission order.
+    pending: Vec<PendingDecode<T>>,
+    max_batch: usize,
+    next_job: u64,
+    next_step: u64,
+    /// Ticket of the next successful reply, prefill or decode.
+    next_ticket: u64,
+    /// Scheduler events already copied to `trace_out`.
+    published: usize,
     registry: Arc<Mutex<Registry>>,
     depth: Arc<AtomicU64>,
     stats: Arc<Mutex<ServeStats>>,
     depths: Arc<Mutex<QueueDepths>>,
     trace_out: Arc<Mutex<SchedTrace>>,
     arm: Arc<FaultArm>,
-    rx: Receiver<Msg<T>>,
-) {
-    let mut engine = AttentionEngine::with_ctx(mech.as_ref(), ctx);
-    let mut decode = DecodeState::new(kv);
-    let mut sched = Scheduler::new(sched_policy);
-    let mut jobs: HashMap<u64, PrefillJob<T>> = HashMap::new();
-    let mut next_job: u64 = 0;
-    let mut next_step: u64 = 0;
-    let mut published = 0usize;
-    let stats = &*stats;
-    let chunkable = mech.supports_row_chunking();
-    let publish = |jobs: &HashMap<u64, PrefillJob<T>>, decode: &DecodeState<T>| {
-        let mut prefill: Vec<(ShapeKey, usize)> = Vec::new();
-        for job in jobs.values() {
-            let key = ShapeKey {
-                n: job.q.rows(),
-                d: job.q.cols(),
-                d_v: job.v.cols(),
+}
+
+impl<T: Scalar> Worker<'_, T> {
+    fn run(mut self, rx: Receiver<Msg<T>>) {
+        let mut stopping = false;
+        loop {
+            // Block when idle, drain greedily when work is queued.
+            let mut next = if stopping {
+                None
+            } else if self.sched.has_work() {
+                rx.try_recv().ok()
+            } else {
+                self.publish();
+                match rx.recv() {
+                    Ok(m) => Some(m),
+                    Err(_) => {
+                        stopping = true;
+                        None
+                    }
+                }
             };
-            match prefill.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, n)) => *n += 1,
-                None => prefill.push((key, 1)),
-            }
-        }
-        prefill.sort_by_key(|(k, _)| (k.n, k.d, k.d_v));
-        let snapshot = QueueDepths {
-            prefill,
-            decode: decode.pending.len(),
-        };
-        match depths.lock() {
-            Ok(mut guard) => *guard = snapshot,
-            Err(poisoned) => *poisoned.into_inner() = snapshot,
-        }
-    };
-    let mut stopping = false;
-    loop {
-        // Receive: block when idle, drain greedily when the scheduler has
-        // work queued.
-        let msg = if stopping {
-            None
-        } else if sched.has_work() {
-            rx.try_recv().ok()
-        } else {
-            match rx.recv() {
-                Ok(m) => Some(m),
-                Err(_) => {
-                    stopping = true;
-                    None
-                }
-            }
-        };
-        let mut next = msg;
-        while let Some(m) = next.take() {
-            match m {
-                Msg::Request(req) => {
-                    if req.fault == Some(FaultKind::KillServer) {
-                        return;
-                    }
-                    if chunkable {
-                        let id = next_job;
-                        next_job += 1;
-                        sched.admit_prefill(id, req.q.rows());
-                        jobs.insert(
-                            id,
-                            PrefillJob {
-                                id,
-                                q: req.q,
-                                k: req.k,
-                                v: req.v,
-                                out: Vec::new(),
-                                sim_latency_s: 0.0,
-                                launched: false,
-                                submitted: req.submitted,
-                                started: None,
-                                deadline: req.deadline,
-                                fault: req.fault,
-                                reply: req.reply,
-                            },
-                        );
-                    } else {
-                        // Mechanisms without row-separable scores (the
-                        // blocked-ELL hybrid) run whole, as one
-                        // single-request bucket — correctness never
-                        // depends on chunking being safe.
-                        let key = ShapeKey {
-                            n: req.q.rows(),
-                            d: req.q.cols(),
-                            d_v: req.v.cols(),
-                        };
-                        let oldest = req.submitted;
-                        let bucket = Bucket {
-                            key,
-                            requests: vec![req],
-                            oldest,
-                        };
-                        if !serve_bucket(&mut engine, bucket, &arm, &depth, stats) {
-                            return;
-                        }
-                    }
-                }
-                Msg::Open { id, d, d_v } => {
-                    if decode.store.open(&decode.config, id, d, d_v) {
-                        lock_stats(stats).sessions_opened += 1;
-                    }
-                }
-                Msg::Append { id, k_row, v_row } => {
-                    if decode.has_pending_for(id) {
-                        let _ = sched.force_decode_flush();
-                        if !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats) {
-                            return;
-                        }
-                    }
-                    if decode.store.append(id, &k_row, &v_row) {
-                        lock_stats(stats).kv_rows_appended += 1;
-                    }
-                }
-                Msg::Extend { id, k, v } => {
-                    if decode.has_pending_for(id) {
-                        let _ = sched.force_decode_flush();
-                        if !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats) {
-                            return;
-                        }
-                    }
-                    let rows = k.rows();
-                    if decode.store.extend(id, &k, &v) {
-                        lock_stats(stats).kv_rows_appended += rows as u64;
-                    }
-                }
-                Msg::Close { id } => {
-                    if decode.has_pending_for(id) {
-                        let _ = sched.force_decode_flush();
-                        if !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats) {
-                            return;
-                        }
-                    }
-                    if decode.store.close(id) {
-                        lock_stats(stats).sessions_closed += 1;
-                    }
-                }
-                Msg::Evict { id } => {
-                    if decode.has_pending_for(id) {
-                        let _ = sched.force_decode_flush();
-                        if !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats) {
-                            return;
-                        }
-                    }
-                    decode.store.evict(id);
-                }
-                Msg::Decode {
-                    id,
-                    q_row,
-                    submitted,
-                    deadline,
-                    fault,
-                    reply,
-                } => {
-                    decode.pending.push(PendingDecode {
-                        id,
-                        q_row,
-                        submitted,
-                        deadline,
-                        fault,
-                        reply,
-                    });
-                    sched.admit_decode(next_step);
-                    next_step += 1;
-                }
-                Msg::Shutdown => {
+            while let Some(msg) = next.take() {
+                if let Msg::Shutdown = msg {
                     stopping = true;
                     break;
                 }
+                if !self.admit(msg) {
+                    return;
+                }
+                next = rx.try_recv().ok();
             }
-            next = rx.try_recv().ok();
+            let plan = self.sched.next_iteration();
+            // Publish before the iteration runs: the gauges show the work
+            // in flight, and a client replied to from this iteration finds
+            // it in the trace already.
+            self.publish();
+            match plan {
+                Some(plan) => {
+                    lock(&self.stats).sched_iterations += 1;
+                    if !self.execute(plan) {
+                        return;
+                    }
+                }
+                None if stopping => break,
+                None => {}
+            }
         }
-        // One scheduler iteration: all ready decode first, then the
-        // planned prefill chunks.
-        if let Some(plan) = sched.next_iteration() {
-            lock_stats(stats).sched_iterations += 1;
-            // Publish the iteration event *before* executing it: a client
-            // whose reply arrives from this iteration must find it in the
-            // trace already.
-            publish_trace(&trace_out, &sched, &mut published);
-            if !plan.decode.is_empty()
-                && !serve_decode(&mut engine, &mut decode, &registry, &arm, &depth, stats)
-            {
+        // Shutdown drain: return every open session's pages to the pool so
+        // the pool invariants (free + used == capacity, no leaked pages)
+        // verify even when clients abandon sessions without closing them.
+        self.store.release_all();
+        debug_assert!(self.store.check_invariants().is_ok());
+    }
+
+    /// Apply one drained message. `false` when an injected
+    /// [`FaultKind::KillServer`] fires.
+    fn admit(&mut self, msg: Msg<T>) -> bool {
+        match msg {
+            Msg::Request { q, k, v, adm } => {
+                // An expired request is shed at its launch, never killed.
+                if adm.fault == Some(FaultKind::KillServer)
+                    && !expired(adm.deadline, Instant::now())
+                {
+                    return false;
+                }
+                let id = self.next_job;
+                self.next_job += 1;
+                self.sched.admit_prefill(id, q.rows());
+                let job = PrefillJob {
+                    q,
+                    k,
+                    v,
+                    out: Vec::new(),
+                    sim_latency_s: 0.0,
+                    started: None,
+                    adm,
+                };
+                self.jobs.insert(id, job);
+            }
+            Msg::Open { id, d, d_v } => {
+                // Admission validated that a page can hold the widths.
+                if self.store.open(&self.kv, id, d, d_v) {
+                    lock(&self.stats).sessions_opened += 1;
+                }
+            }
+            // Admission reserved the pages under the registry lock before
+            // sending, so the pool cannot come up short on the mutations.
+            Msg::Append { id, k_row, v_row } => {
+                if !self.settle(id) {
+                    return false;
+                }
+                if self.store.append(id, &k_row, &v_row) {
+                    lock(&self.stats).kv_rows_appended += 1;
+                }
+            }
+            Msg::Extend { id, k, v } => {
+                if !self.settle(id) {
+                    return false;
+                }
+                if self.store.extend(id, &k, &v) {
+                    lock(&self.stats).kv_rows_appended += k.rows() as u64;
+                }
+            }
+            Msg::Close { id } => {
+                if !self.settle(id) {
+                    return false;
+                }
+                if self.store.close(id) {
+                    lock(&self.stats).sessions_closed += 1;
+                }
+            }
+            Msg::Evict { id } => {
+                // Victims are idle by construction (inflight == 0), but
+                // settle anyway so a queued step never reads freed pages.
+                if !self.settle(id) {
+                    return false;
+                }
+                self.store.evict(id);
+            }
+            Msg::Decode(step) => {
+                self.pending.push(step);
+                self.sched.admit_decode(self.next_step);
+                self.next_step += 1;
+            }
+            Msg::Shutdown => {}
+        }
+        true
+    }
+
+    /// Launch the queued decode steps before a mutation of session `id`
+    /// lands, if one of them reads it: a step attends over exactly the
+    /// rows cached at its submission. `false` on an injected kill.
+    fn settle(&mut self, id: u64) -> bool {
+        if !self.pending.iter().any(|p| p.id == id) {
+            return true;
+        }
+        let _ = self.sched.force_decode_flush();
+        self.serve_decode()
+    }
+
+    /// Run one planned iteration: the decode steps, then the prefill
+    /// chunks. Chunks that each cover a whole job and share its shape run
+    /// as one batched launch over at most `max_batch` jobs; partial chunks
+    /// run one launch each. `false` on an injected kill.
+    fn execute(&mut self, plan: IterationPlan) -> bool {
+        if !plan.decode.is_empty() && !self.serve_decode() {
+            return false;
+        }
+        let mut groups: Vec<(ShapeKey, Vec<u64>)> = Vec::new();
+        for chunk in plan.chunks {
+            let Some(job) = self.jobs.get(&chunk.job) else {
+                continue;
+            };
+            let (key, whole) = (job.adm.key, chunk.lo == 0 && chunk.hi == job.q.rows());
+            if !whole {
+                self.run_chunk(chunk);
+                continue;
+            }
+            let open = groups
+                .iter_mut()
+                .find(|(k, ids)| *k == key && ids.len() < self.max_batch);
+            match open {
+                Some((_, ids)) => ids.push(chunk.job),
+                None => groups.push((key, vec![chunk.job])),
+            }
+        }
+        for (_, ids) in groups {
+            self.run_group(&ids);
+        }
+        true
+    }
+
+    /// Launch whole jobs of one shape as one [`AttentionEngine::flush`] —
+    /// one batched launch per op — and reply to each. Expired jobs are
+    /// shed before packing (their faults never arm); a panic fails only
+    /// this group's jobs.
+    fn run_group(&mut self, ids: &[u64]) {
+        let now = Instant::now();
+        let mut packed = Vec::with_capacity(ids.len());
+        for id in ids {
+            let Some(PrefillJob {
+                q, k, v, mut adm, ..
+            }) = self.jobs.remove(id)
+            else {
+                continue;
+            };
+            if expired(adm.deadline, now) {
+                self.shed(adm, now);
+                continue;
+            }
+            self.arm.arm_for(adm.fault.take());
+            match self.engine.submit(q, k, v) {
+                Ok(_) => packed.push(adm),
+                // Admission ran the same checks; stay typed if they diverge.
+                Err(e) => self.fail(adm, ServeError::Rejected(e)),
+            }
+        }
+        if packed.is_empty() {
+            return;
+        }
+        let results = match catch_unwind(AssertUnwindSafe(|| self.engine.flush())) {
+            Ok(results) => results,
+            Err(payload) => {
+                let payload = self.recover(payload);
+                for adm in packed {
+                    let payload = payload.clone();
+                    self.fail(adm, ServeError::BatchPanicked { payload });
+                }
                 return;
             }
-            for chunk in plan.chunks {
-                run_chunk(
-                    &mut engine,
-                    &mut jobs,
-                    &mut sched,
-                    chunk,
-                    &arm,
-                    &depth,
-                    stats,
-                );
-            }
+        };
+        {
+            let mut st = lock(&self.stats);
+            st.batches += 1;
+            st.max_batch = st.max_batch.max(packed.len());
+            st.prefill_chunks += packed.len() as u64;
+            st.total_sim_latency_s += self.engine.last_flush().sim_latency_s();
         }
-        publish_trace(&trace_out, &sched, &mut published);
-        publish(&jobs, &decode);
-        if stopping && !sched.has_work() && decode.pending.is_empty() {
-            break;
+        // Results come back in submission order, matching `packed`.
+        for (res, adm) in results.into_iter().zip(packed) {
+            let output = res.output.expect(EXEC);
+            self.reply(adm, output, now, res.batch_size, res.sim_latency_s);
         }
+        self.engine.reset_timeline();
     }
-    let _ = policy; // close cadence is the scheduler's; depth bound is enforced at admission
-    decode.store.release_all();
-    debug_assert!(decode.store.check_invariants().is_ok());
-    publish_trace(&trace_out, &sched, &mut published);
-    publish(&jobs, &decode);
-}
 
-/// Execute one planned prefill chunk: deadline shed, fault arming on the
-/// job's first chunk, one [`AttentionEngine::forward_chunk`] under panic
-/// isolation, output-row accumulation, and the completed-job reply.
-/// Kill-server faults fire at admission in continuous mode, so a chunk
-/// never stops the loop.
-fn run_chunk<T: Scalar>(
-    engine: &mut AttentionEngine<'_, T>,
-    jobs: &mut HashMap<u64, PrefillJob<T>>,
-    sched: &mut Scheduler,
-    chunk: ChunkPlan,
-    arm: &FaultArm,
-    depth: &AtomicU64,
-    stats: &Mutex<ServeStats>,
-) {
-    let now = Instant::now();
-    let Some(job) = jobs.get_mut(&chunk.job) else {
-        return;
-    };
-    if expired(job.deadline, now) {
-        lock_stats(stats).deadline_sheds += 1;
-        sched.cancel(chunk.job);
-        let job = jobs.remove(&chunk.job).expect("job present above");
-        depth.fetch_sub(1, Ordering::SeqCst);
-        let _ = job.reply.send(Err(ServeError::DeadlineExceeded {
-            queued_for: now.saturating_duration_since(job.submitted),
+    /// Run one partial chunk through [`AttentionEngine::forward_chunk`],
+    /// accumulating its output rows; the job replies when its last chunk
+    /// lands. A job past its deadline is shed before the chunk launches.
+    fn run_chunk(&mut self, chunk: ChunkPlan) {
+        let now = Instant::now();
+        let Some(job) = self.jobs.get_mut(&chunk.job) else {
+            return;
+        };
+        if expired(job.adm.deadline, now) {
+            let job = self.drop_job(chunk.job);
+            self.shed(job.adm, now);
+            return;
+        }
+        job.started.get_or_insert(now);
+        self.arm.arm_for(job.adm.fault.take());
+        let q_rows = slice_rows(&job.q, chunk.lo, chunk.hi);
+        let engine = &mut self.engine;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            engine.forward_chunk(&q_rows, &job.k, &job.v)
         }));
-        return;
-    }
-    if job.started.is_none() {
-        job.started = Some(now);
-    }
-    if !job.launched {
-        job.launched = true;
-        match job.fault {
-            Some(FaultKind::PanicInBatch) => arm.arm_panic(),
-            Some(FaultKind::SlowLaunch(delay)) => arm.arm_slow(delay),
-            _ => {}
-        }
-    }
-    let q_rows = slice_rows(&job.q, chunk.lo, chunk.hi);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        engine.forward_chunk(&q_rows, &job.k, &job.v)
-    }));
-    match result {
-        Err(payload) => {
-            // The chunk's launch panicked: fail this job alone, restore
-            // the engine, keep the loop (and every other job) serving.
-            lock_stats(stats).batch_panics += 1;
-            engine.recover_after_panic();
-            let msg = panic_message(payload);
-            sched.cancel(chunk.job);
-            let job = jobs.remove(&chunk.job).expect("job present above");
-            depth.fetch_sub(1, Ordering::SeqCst);
-            let _ = job
-                .reply
-                .send(Err(ServeError::BatchPanicked { payload: msg }));
-        }
-        Ok(Err(e)) => {
-            sched.cancel(chunk.job);
-            let job = jobs.remove(&chunk.job).expect("job present above");
-            depth.fetch_sub(1, Ordering::SeqCst);
-            let _ = job.reply.send(Err(ServeError::Rejected(e)));
-        }
-        Ok(Ok(res)) => {
-            job.sim_latency_s += res.sim_latency_s;
-            job.out.extend_from_slice(
-                res.output
-                    .as_ref()
-                    .expect("serving engines run in exec mode and materialise outputs")
-                    .as_slice(),
-            );
-            {
-                let mut st = lock_stats(stats);
-                st.prefill_chunks += 1;
-                st.total_sim_latency_s += res.sim_latency_s;
+        match result {
+            Err(payload) => {
+                let payload = self.recover(payload);
+                let job = self.drop_job(chunk.job);
+                self.fail(job.adm, ServeError::BatchPanicked { payload });
             }
-            if chunk.hi == job.q.rows() {
-                let job = jobs.remove(&chunk.job).expect("job present above");
-                depth.fetch_sub(1, Ordering::SeqCst);
-                let (n, d) = job.q.shape();
-                let d_v = job.v.cols();
-                let started = job.started.unwrap_or(now);
-                let served = Served {
-                    output: Matrix::from_vec(n, d_v, job.out),
-                    // Continuous jobs are identified by admission ordinal
-                    // (monotone, like engine tickets in launch order).
-                    ticket: Ticket(job.id),
-                    bucket: ShapeKey { n, d, d_v },
-                    batch_size: 1,
-                    queue_wait: started.saturating_duration_since(job.submitted),
-                    service: started.elapsed(),
-                    latency: job.submitted.elapsed(),
-                    sim_latency_s: job.sim_latency_s,
-                };
-                lock_stats(stats).served += 1;
-                let _ = job.reply.send(Ok(served));
+            Ok(Err(e)) => {
+                let job = self.drop_job(chunk.job);
+                self.fail(job.adm, ServeError::Rejected(e));
+            }
+            Ok(Ok(res)) => {
+                job.sim_latency_s += res.sim_latency_s;
+                job.out
+                    .extend_from_slice(res.output.as_ref().expect(EXEC).as_slice());
+                {
+                    let mut st = lock(&self.stats);
+                    st.prefill_chunks += 1;
+                    st.total_sim_latency_s += res.sim_latency_s;
+                }
+                if chunk.hi == job.q.rows() {
+                    let job = self.drop_job(chunk.job);
+                    let output = Matrix::from_vec(job.q.rows(), job.v.cols(), job.out);
+                    let started = job.started.unwrap_or(now);
+                    self.reply(job.adm, output, started, 1, job.sim_latency_s);
+                }
             }
         }
+        self.engine.reset_timeline();
     }
-    engine.reset_timeline();
+
+    /// Take a job out of the map and the scheduler (a no-op for the
+    /// scheduler once the job's last chunk was planned).
+    fn drop_job(&mut self, id: u64) -> PrefillJob<T> {
+        self.sched.cancel(id);
+        self.jobs.remove(&id).expect("the job was looked up above")
+    }
+
+    /// Count an isolated launch panic, restore the engine, and return the
+    /// panic's message for the failed requests.
+    fn recover(&mut self, payload: Box<dyn std::any::Any + Send>) -> String {
+        lock(&self.stats).batch_panics += 1;
+        self.engine.recover_after_panic();
+        panic_message(payload)
+    }
+
+    /// Reply to a finished prefill with its output and latency breakdown;
+    /// it stops counting toward the depth bound.
+    fn reply(
+        &mut self,
+        adm: Admission<T>,
+        output: Matrix<T>,
+        started: Instant,
+        batch_size: usize,
+        sim_latency_s: f64,
+    ) {
+        let served = Served {
+            output,
+            ticket: Ticket(self.next_ticket),
+            bucket: adm.key,
+            batch_size,
+            queue_wait: started.saturating_duration_since(adm.submitted),
+            service: started.elapsed(),
+            latency: adm.submitted.elapsed(),
+            sim_latency_s,
+        };
+        self.next_ticket += 1;
+        lock(&self.stats).served += 1;
+        self.depth.fetch_sub(1, Ordering::SeqCst);
+        let _ = adm.reply.send(Ok(served));
+    }
+
+    /// Resolve a prefill with a typed error; it stops counting toward the
+    /// depth bound.
+    fn fail(&self, adm: Admission<T>, err: ServeError) {
+        self.depth.fetch_sub(1, Ordering::SeqCst);
+        let _ = adm.reply.send(Err(err));
+    }
+
+    /// Shed an expired prefill before its next launch.
+    fn shed(&self, adm: Admission<T>, now: Instant) {
+        lock(&self.stats).deadline_sheds += 1;
+        let queued_for = now.saturating_duration_since(adm.submitted);
+        self.fail(adm, ServeError::DeadlineExceeded { queued_for });
+    }
+
+    /// Launch the queued decode steps as one ragged flush (one launch per
+    /// op across all streams) and reply to each. A call with nothing
+    /// queued is a no-op.
+    ///
+    /// Expired deadlines shed typed before packing, and shed steps never
+    /// arm their injected fault; an in-flush panic fails only these steps
+    /// ([`ServeError::BatchPanicked`]). The sessions' inflight marks are
+    /// always released. `false` only on an injected
+    /// [`FaultKind::KillServer`] riding a live step.
+    fn serve_decode(&mut self) -> bool {
+        if self.pending.is_empty() {
+            return true;
+        }
+        let now = Instant::now();
+        let pending = std::mem::take(&mut self.pending);
+        self.depth.fetch_sub(pending.len() as u64, Ordering::SeqCst);
+        if pending
+            .iter()
+            .any(|p| p.fault == Some(FaultKind::KillServer) && !expired(p.deadline, now))
+        {
+            return false;
+        }
+        // Admission validated widths and non-empty caches; a session whose
+        // cache vanished between admission and launch gets a typed
+        // rejection, not a panic.
+        let mut live: Vec<&PendingDecode<T>> = Vec::with_capacity(pending.len());
+        for p in &pending {
+            if expired(p.deadline, now) {
+                lock(&self.stats).deadline_sheds += 1;
+                let _ = p.reply.send(Err(ServeError::DeadlineExceeded {
+                    queued_for: now.saturating_duration_since(p.submitted),
+                }));
+                continue;
+            }
+            match self.store.len_of(p.id) {
+                Some(len) if len > 0 => live.push(p),
+                _ => {
+                    let _ = p
+                        .reply
+                        .send(Err(ServeError::Rejected(RequestError::EmptyRequest)));
+                }
+            }
+        }
+        if !live.is_empty() {
+            for p in &live {
+                self.arm.arm_for(p.fault);
+            }
+            let steps: Vec<DecodeStep<'_, T>> = live
+                .iter()
+                .map(|p| self.store.step(p.id, &p.q_row))
+                .collect();
+            let engine = &mut self.engine;
+            match catch_unwind(AssertUnwindSafe(|| engine.flush_decode(&steps))) {
+                Err(payload) => {
+                    // Decode reads the caches, never writes them, so the
+                    // sessions survive the panic untouched.
+                    let payload = self.recover(payload);
+                    for p in &live {
+                        let _ = p.reply.send(Err(ServeError::BatchPanicked {
+                            payload: payload.clone(),
+                        }));
+                    }
+                }
+                Ok(Ok(results)) => {
+                    let service = now.elapsed();
+                    let mut st = lock(&self.stats);
+                    // One batch per ragged launch group: the engine buckets
+                    // steps by (d, d_v), so a flush over mixed-width
+                    // sessions runs (and counts) several launches.
+                    for bucket in &self.engine.last_decode().buckets {
+                        st.decode_batches += 1;
+                        st.max_decode_batch = st.max_decode_batch.max(bucket.streams);
+                    }
+                    st.total_sim_latency_s += self.engine.last_decode().sim_latency_s();
+                    // Results come back in step order, matching `live`.
+                    for (res, p) in results.into_iter().zip(&live) {
+                        st.decode_steps += 1;
+                        let served = ServedDecode {
+                            output: res.output.expect(EXEC),
+                            ticket: Ticket(self.next_ticket),
+                            session: SessionId(p.id),
+                            cached_len: res.cached_len,
+                            batch_size: res.batch_size,
+                            queue_wait: now.saturating_duration_since(p.submitted),
+                            service,
+                            latency: p.submitted.elapsed(),
+                            sim_latency_s: res.sim_latency_s,
+                        };
+                        self.next_ticket += 1;
+                        let _ = p.reply.send(Ok(served));
+                    }
+                }
+                Ok(Err(e)) => {
+                    for p in &live {
+                        let _ = p.reply.send(Err(ServeError::Rejected(e.clone())));
+                    }
+                }
+            }
+            self.engine.reset_timeline();
+        }
+        // Every queued step is resolved now — the sessions are idle again
+        // and eligible for eviction.
+        release_inflight(&self.registry, pending.iter().map(|p| p.id));
+        true
+    }
+
+    /// Copy new scheduler events to the shared trace and refresh the
+    /// queue-depth gauges.
+    fn publish(&mut self) {
+        let events = self.sched.trace().events();
+        if self.published < events.len() {
+            let mut trace = lock(&self.trace_out);
+            for e in &events[self.published..] {
+                trace.push(e.clone());
+            }
+            self.published = events.len();
+        }
+        let mut prefill: Vec<(ShapeKey, usize)> = Vec::new();
+        for job in self.jobs.values() {
+            match prefill.iter_mut().find(|(k, _)| *k == job.adm.key) {
+                Some((_, n)) => *n += 1,
+                None => prefill.push((job.adm.key, 1)),
+            }
+        }
+        prefill.sort_by_key(|(k, _)| (k.n, k.d, k.d_v));
+        *lock(&self.depths) = QueueDepths {
+            prefill,
+            decode: self.pending.len(),
+        };
+    }
 }
 
 /// Best-effort human-readable panic payload (panics carry `&str` or
@@ -1855,236 +1756,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// Launch one closed prefill bucket: engine submit × B, one flush (one
-/// batched launch per op), reply per request with its latency breakdown.
-///
-/// Expired-deadline requests are shed *before* packing — they get a typed
-/// [`ServeError::DeadlineExceeded`] instead of occupying batch slots. A
-/// panic inside the flush is caught here: every request packed into the
-/// batch fails with [`ServeError::BatchPanicked`] and the engine is
-/// restored to a serviceable state, so one poisoned batch never takes the
-/// batcher down. Returns `false` only when an injected [`FaultKind::KillServer`]
-/// fires — the caller must exit immediately without draining (the
-/// hard-crash simulation).
-fn serve_bucket<T: Scalar>(
-    engine: &mut AttentionEngine<'_, T>,
-    bucket: Bucket<T, Reply<T>>,
-    arm: &FaultArm,
-    depth: &AtomicU64,
-    stats: &Mutex<ServeStats>,
-) -> bool {
-    let closed_at = Instant::now();
-    depth.fetch_sub(bucket.requests.len() as u64, Ordering::SeqCst);
-    // Deadline shed before packing: an expired request never occupies a
-    // batch slot and its injected fault (if any) never arms.
-    let mut live = Vec::with_capacity(bucket.requests.len());
-    for req in bucket.requests {
-        if expired(req.deadline, closed_at) {
-            lock_stats(stats).deadline_sheds += 1;
-            let _ = req.reply.send(Err(ServeError::DeadlineExceeded {
-                queued_for: closed_at.saturating_duration_since(req.submitted),
-            }));
-        } else {
-            live.push(req);
-        }
-    }
-    if live.is_empty() {
-        return true;
-    }
-    if live.iter().any(|r| r.fault == Some(FaultKind::KillServer)) {
-        return false;
-    }
-    for req in &live {
-        match req.fault {
-            Some(FaultKind::PanicInBatch) => arm.arm_panic(),
-            Some(FaultKind::SlowLaunch(delay)) => arm.arm_slow(delay),
-            _ => {}
-        }
-    }
-    let mut waiting = Vec::with_capacity(live.len());
-    for req in live {
-        match engine.submit(req.q, req.k, req.v) {
-            Ok(_) => waiting.push((req.reply, req.submitted)),
-            Err(e) => {
-                // Admission already validated; a typed reply (not a panic)
-                // keeps the batcher alive if constraints ever diverge.
-                let _ = req.reply.send(Err(ServeError::Rejected(e)));
-            }
-        }
-    }
-    let results = match catch_unwind(AssertUnwindSafe(|| engine.flush())) {
-        Ok(results) => results,
-        Err(payload) => {
-            // The panic unwound mid-flush: the batch is lost, the server
-            // is not. Fail exactly the requests that were packed into it,
-            // restore the engine, and keep serving.
-            lock_stats(stats).batch_panics += 1;
-            engine.recover_after_panic();
-            let msg = panic_message(payload);
-            for (reply, _) in waiting {
-                let _ = reply.send(Err(ServeError::BatchPanicked {
-                    payload: msg.clone(),
-                }));
-            }
-            return true;
-        }
-    };
-    let service = closed_at.elapsed();
-    let mut st = lock_stats(stats);
-    st.batches += 1;
-    st.max_batch = st.max_batch.max(results.len());
-    st.total_sim_latency_s += engine.last_flush().sim_latency_s();
-    // Flush results come back in ticket (= submission) order, matching
-    // `waiting`.
-    for (res, (reply, submitted)) in results.into_iter().zip(waiting) {
-        st.served += 1;
-        let served = Served {
-            output: res
-                .output
-                .expect("serving engines run in exec mode and materialise outputs"),
-            ticket: res.ticket,
-            bucket: res.bucket,
-            batch_size: res.batch_size,
-            queue_wait: closed_at.saturating_duration_since(submitted),
-            service,
-            latency: submitted.elapsed(),
-            sim_latency_s: res.sim_latency_s,
-        };
-        let _ = reply.send(Ok(served));
-    }
-    drop(st);
-    // Bound the owned context: the timeline's job is done once the flush
-    // report is folded into the stats.
-    engine.reset_timeline();
-    true
-}
-
-/// Launch the queued decode steps as one ragged flush (one launch per op
-/// across all streams), reply per step with its latency breakdown. A call
-/// with nothing queued is a no-op.
-///
-/// Same failure domains as [`serve_bucket`]: expired deadlines shed typed
-/// before packing, an in-flush panic fails only this batch's steps
-/// ([`ServeError::BatchPanicked`]) and always releases the sessions'
-/// inflight marks. Returns `false` only on an injected
-/// [`FaultKind::KillServer`].
-fn serve_decode<T: Scalar>(
-    engine: &mut AttentionEngine<'_, T>,
-    decode: &mut DecodeState<T>,
-    registry: &Mutex<Registry>,
-    arm: &FaultArm,
-    depth: &AtomicU64,
-    stats: &Mutex<ServeStats>,
-) -> bool {
-    if decode.pending.is_empty() {
-        return true;
-    }
-    let closed_at = Instant::now();
-    let pending = std::mem::take(&mut decode.pending);
-    depth.fetch_sub(pending.len() as u64, Ordering::SeqCst);
-    if pending
-        .iter()
-        .any(|p| p.fault == Some(FaultKind::KillServer) && !expired(p.deadline, closed_at))
-    {
-        return false;
-    }
-    // Admission validated widths and non-empty caches; a session whose
-    // cache vanished between admission and launch (registry/batcher race on
-    // a close) gets a typed rejection, not a panic. Expired deadlines shed
-    // typed before packing; shed steps never arm their injected fault.
-    let mut live: Vec<&PendingDecode<T>> = Vec::with_capacity(pending.len());
-    for p in &pending {
-        if expired(p.deadline, closed_at) {
-            lock_stats(stats).deadline_sheds += 1;
-            let _ = p.reply.send(Err(ServeError::DeadlineExceeded {
-                queued_for: closed_at.saturating_duration_since(p.submitted),
-            }));
-            continue;
-        }
-        match decode.store.len_of(p.id) {
-            Some(len) if len > 0 => live.push(p),
-            _ => {
-                let _ = p
-                    .reply
-                    .send(Err(ServeError::Rejected(RequestError::EmptyRequest)));
-            }
-        }
-    }
-    if live.is_empty() {
-        release_inflight(registry, pending.iter().map(|p| p.id));
-        return true;
-    }
-    for p in &live {
-        match p.fault {
-            Some(FaultKind::PanicInBatch) => arm.arm_panic(),
-            Some(FaultKind::SlowLaunch(delay)) => arm.arm_slow(delay),
-            _ => {}
-        }
-    }
-    let steps: Vec<DecodeStep<'_, T>> = live
-        .iter()
-        .map(|p| decode.store.step(p.id, &p.q_row))
-        .collect();
-    match catch_unwind(AssertUnwindSafe(|| engine.flush_decode(&steps))) {
-        Err(payload) => {
-            // The ragged flush panicked: fail this batch's steps typed,
-            // restore the engine, release the sessions' inflight marks (the
-            // caches themselves are untouched — decode reads them, never
-            // writes), and keep serving.
-            lock_stats(stats).batch_panics += 1;
-            engine.recover_after_panic();
-            let msg = panic_message(payload);
-            for p in &live {
-                let _ = p.reply.send(Err(ServeError::BatchPanicked {
-                    payload: msg.clone(),
-                }));
-            }
-            release_inflight(registry, pending.iter().map(|p| p.id));
-            return true;
-        }
-        Ok(Ok(results)) => {
-            let service = closed_at.elapsed();
-            let mut st = lock_stats(stats);
-            // One "batch" per ragged launch group: the engine buckets steps
-            // by (d, d_v), so a flush over mixed-width sessions runs (and
-            // counts) several launches, each sized by its own streams.
-            for bucket in &engine.last_decode().buckets {
-                st.decode_batches += 1;
-                st.max_decode_batch = st.max_decode_batch.max(bucket.streams);
-            }
-            st.total_sim_latency_s += engine.last_decode().sim_latency_s();
-            // Results come back in step order, matching `live`.
-            for (res, p) in results.into_iter().zip(&live) {
-                st.decode_steps += 1;
-                let served = ServedDecode {
-                    output: res
-                        .output
-                        .expect("serving engines run in exec mode and materialise outputs"),
-                    ticket: res.ticket,
-                    session: SessionId(p.id),
-                    cached_len: res.cached_len,
-                    batch_size: res.batch_size,
-                    queue_wait: closed_at.saturating_duration_since(p.submitted),
-                    service,
-                    latency: p.submitted.elapsed(),
-                    sim_latency_s: res.sim_latency_s,
-                };
-                let _ = p.reply.send(Ok(served));
-            }
-        }
-        Ok(Err(e)) => {
-            for p in &live {
-                let _ = p.reply.send(Err(ServeError::Rejected(e.clone())));
-            }
-        }
-    }
-    // Every queued step is resolved now — the sessions are idle again and
-    // eligible for eviction.
-    release_inflight(registry, pending.iter().map(|p| p.id));
-    engine.reset_timeline();
-    true
 }
 
 /// Whether a request's deadline has passed as of `now`.
@@ -2109,9 +1780,59 @@ mod tests {
     use crate::SessionError;
     use dfss_core::dfss::DfssAttention;
     use dfss_core::full::FullAttention;
+    use dfss_kernels::GpuCtx;
     use dfss_nmsparse::NmPattern;
     use dfss_tensor::Rng;
     use std::time::Duration;
+
+    /// How long a `SlowLaunch` holds the worker while a test queues a
+    /// backlog behind it.
+    const HOLD: Duration = Duration::from_millis(300);
+
+    /// A plan that slows front-door operation `op` by [`HOLD`].
+    fn slow_op(op: u64) -> FaultPlan {
+        FaultPlan::new().inject(op, FaultKind::SlowLaunch(HOLD))
+    }
+
+    /// Block until the worker has begun its first iteration. With a
+    /// `SlowLaunch` riding that iteration, everything submitted next waits
+    /// in the channel and is drained as one backlog.
+    fn wait_for_first_iteration(server: &AttentionServer<f32>) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.stats_snapshot().sched_iterations == 0 {
+            assert!(Instant::now() < deadline, "the worker never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Hold the worker in a decode launch: a session (front-door ops 0
+    /// and 1) and one step (op 2), so the server's plan must be
+    /// `slow_op(2)`. Prefill counters stay untouched.
+    fn hold_with_decode(server: &AttentionServer<f32>, rng: &mut Rng) -> DecodeHandle<f32> {
+        let s = server.open_session(8, 8).unwrap();
+        server
+            .extend(
+                s,
+                Matrix::random_normal(4, 8, 0.0, 1.0, &mut *rng),
+                Matrix::random_normal(4, 8, 0.0, 1.0, &mut *rng),
+            )
+            .unwrap();
+        let q_row = row(8, rng);
+        let held = server
+            .submit_decode(DecodeRequest { session: s, q_row })
+            .unwrap();
+        wait_for_first_iteration(server);
+        held
+    }
+
+    /// Hold the worker in a prefill launch: the plan must slow the
+    /// submission's front-door op. Decode counters stay untouched.
+    fn hold_with_prefill(server: &AttentionServer<f32>, rng: &mut Rng) -> ResponseHandle<f32> {
+        let (q, k, v) = request(16, 8, rng);
+        let held = server.submit(q, k, v).unwrap();
+        wait_for_first_iteration(server);
+        held
+    }
 
     fn request(n: usize, d: usize, rng: &mut Rng) -> (Matrix<f32>, Matrix<f32>, Matrix<f32>) {
         (
@@ -2162,14 +1883,17 @@ mod tests {
     }
 
     #[test]
-    fn max_batch_fills_before_deadline() {
+    fn queued_backlog_fills_a_launch_up_to_max_batch() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        // Deadline far away: only the max-batch close can fire quickly.
-        let server = AttentionServer::start(
+        let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(3, Duration::from_secs(600)),
+            BatchPolicy::batched(3, Duration::ZERO),
+            slow_op(2),
         );
         let mut rng = Rng::new(5);
+        // Three same-shape jobs queue behind a held decode launch and are
+        // drained together: one group, one launch.
+        let _held = hold_with_decode(&server, &mut rng);
         let mut handles = Vec::new();
         for _ in 0..3 {
             let (q, k, v) = request(16, 8, &mut rng);
@@ -2185,34 +1909,19 @@ mod tests {
     }
 
     #[test]
-    fn deadline_closes_partial_buckets() {
-        let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start(
-            Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::from_millis(10)),
-        );
-        let mut rng = Rng::new(7);
-        let (q, k, v) = request(16, 8, &mut rng);
-        let t0 = Instant::now();
-        let served = server.submit(q, k, v).unwrap().wait().expect("served");
-        assert!(
-            t0.elapsed() >= Duration::from_millis(10),
-            "closed too early"
-        );
-        assert_eq!(served.batch_size, 1);
-        assert!(served.queue_wait >= Duration::from_millis(9));
-        let _ = server.shutdown();
-    }
-
-    #[test]
     fn heterogeneous_shapes_never_share_a_launch() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
-        let server = AttentionServer::start(
+        // Chunks and budget that keep all six jobs whole in one iteration.
+        let server = AttentionServer::start_continuous_with_kv_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(8, Duration::from_millis(5)),
+            BatchPolicy::batched(8, Duration::ZERO),
+            SchedPolicy::new(64, 8 * 64),
+            KvConfig::default(),
+            slow_op(2),
         );
         let mut rng = Rng::new(9);
+        let _held = hold_with_decode(&server, &mut rng);
         let mut handles = Vec::new();
         for i in 0..6 {
             let n = if i % 2 == 0 { 32 } else { 64 };
@@ -2259,14 +1968,17 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_open_buckets() {
+    fn shutdown_drains_queued_prefills() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        // Deadline far in the future: only the shutdown drain can serve.
-        let server = AttentionServer::start(
+        let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::from_secs(600)),
+            BatchPolicy::batched(1000, Duration::ZERO),
+            slow_op(2),
         );
         let mut rng = Rng::new(13);
+        // The jobs are still in the channel when shutdown starts: the
+        // drain serves them.
+        let _held = hold_with_decode(&server, &mut rng);
         let mut handles = Vec::new();
         for _ in 0..4 {
             let (q, k, v) = request(16, 8, &mut rng);
@@ -2283,9 +1995,12 @@ mod tests {
     fn decode_steps_batch_across_sessions_and_match_solo_decode() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
-        let server = AttentionServer::start(
+        // Front-door ops: three opens and three extends (0..6), then the
+        // holding prefill (6).
+        let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(3, Duration::from_secs(600)),
+            BatchPolicy::batched(3, Duration::ZERO),
+            slow_op(6),
         );
         let mut rng = Rng::new(17);
         let (d, d_v) = (8usize, 8usize);
@@ -2302,7 +2017,9 @@ mod tests {
             caches.push((k, v));
         }
         let q_rows: Vec<Vec<f32>> = lens.iter().map(|_| row(d, &mut rng)).collect();
-        // max_batch = 3: the third submission closes the decode batch.
+        // The steps queue behind a held launch, so one iteration packs
+        // all three.
+        let _held = hold_with_prefill(&server, &mut rng);
         let handles: Vec<DecodeHandle<f32>> = sessions
             .iter()
             .zip(&q_rows)
@@ -2438,7 +2155,7 @@ mod tests {
         // With nothing armed the wrapper must be invisible: a bf16-KV step
         // keeps the mechanism's own widen-on-load launch, so the outputs
         // AND the simulated charge (bf16-width cache reads) match a server
-        // started without a plan, on both serving loops.
+        // started without a plan.
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
         let kv = KvConfig {
@@ -2447,27 +2164,16 @@ mod tests {
         };
         let policy = BatchPolicy::per_request;
         let sched = SchedPolicy::default;
-        let pairs = [
-            (
-                AttentionServer::start_with_kv(Arc::clone(&mech), policy(), kv),
-                AttentionServer::start_with_kv_faults(
-                    Arc::clone(&mech),
-                    policy(),
-                    kv,
-                    FaultPlan::new(),
-                ),
+        let pairs = [(
+            AttentionServer::start_continuous_with_kv(Arc::clone(&mech), policy(), sched(), kv),
+            AttentionServer::start_continuous_with_kv_faults(
+                Arc::clone(&mech),
+                policy(),
+                sched(),
+                kv,
+                FaultPlan::new(),
             ),
-            (
-                AttentionServer::start_continuous_with_kv(Arc::clone(&mech), policy(), sched(), kv),
-                AttentionServer::start_continuous_with_kv_faults(
-                    Arc::clone(&mech),
-                    policy(),
-                    sched(),
-                    kv,
-                    FaultPlan::new(),
-                ),
-            ),
-        ];
+        )];
         let mut rng = Rng::new(53);
         let (len, d) = (300usize, 16usize);
         let k = Matrix::<f32>::random_normal(len, d, 0.0, 1.0, &mut rng);
@@ -2559,16 +2265,17 @@ mod tests {
     #[test]
     fn appends_after_a_queued_decode_do_not_leak_into_it() {
         // The decode step must see the cache as of its submission even if
-        // an append for the same session arrives while it waits for
-        // batch-mates.
+        // an append for the same session is drained right behind it.
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
-        let server = AttentionServer::start(
+        let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::from_secs(600)),
+            BatchPolicy::per_request(),
+            slow_op(2),
         );
         let mut rng = Rng::new(19);
         let (d, d_v) = (8usize, 8usize);
+        let _held = hold_with_decode(&server, &mut rng);
         let s = server.open_session(d, d_v).unwrap();
         let k = Matrix::<f32>::random_normal(6, d, 0.0, 1.0, &mut rng);
         let v = Matrix::<f32>::random_normal(6, d_v, 0.0, 1.0, &mut rng);
@@ -2641,9 +2348,11 @@ mod tests {
     fn shutdown_drains_queued_decode_steps() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
-        let server = AttentionServer::start(
+        // Front-door ops: open 0, extend 1, the holding prefill 2.
+        let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::from_secs(600)),
+            BatchPolicy::per_request(),
+            slow_op(2),
         );
         let mut rng = Rng::new(23);
         let s = server.open_session(8, 8).unwrap();
@@ -2654,6 +2363,8 @@ mod tests {
                 Matrix::random_normal(4, 8, 0.0, 1.0, &mut rng),
             )
             .unwrap();
+        // The step is still in the channel when shutdown starts.
+        let _held = hold_with_prefill(&server, &mut rng);
         let handle = server
             .submit_decode(DecodeRequest {
                 session: s,
@@ -2672,12 +2383,15 @@ mod tests {
         // launch group, each sized by its own streams — not one flush-wide
         // blob.
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start(
+        // Front-door ops: open + extend per session (0..4), then the
+        // holding prefill (4).
+        let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(2, Duration::from_secs(600)),
+            BatchPolicy::batched(2, Duration::ZERO),
+            slow_op(4),
         );
         let mut rng = Rng::new(29);
-        let mut handles = Vec::new();
+        let mut sessions = Vec::new();
         for d in [4usize, 8] {
             let s = server.open_session(d, d).unwrap();
             server
@@ -2687,6 +2401,12 @@ mod tests {
                     Matrix::random_normal(5, d, 0.0, 1.0, &mut rng),
                 )
                 .unwrap();
+            sessions.push((s, d));
+        }
+        // Both steps queue behind a held launch: one flush carries them.
+        let _held = hold_with_prefill(&server, &mut rng);
+        let mut handles = Vec::new();
+        for (s, d) in sessions {
             handles.push(
                 server
                     .submit_decode(DecodeRequest {
@@ -2852,12 +2572,14 @@ mod tests {
     #[test]
     fn inflight_sessions_are_never_evicted() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        // Decode queue holds steps until shutdown (huge batch + deadline),
-        // so s1 stays inflight while the newcomer asks for pages.
-        let server = AttentionServer::start_with_kv(
+        // The step (front-door op 2) rides a slowed launch, so s1 stays
+        // inflight while the newcomer asks for pages.
+        let server = AttentionServer::start_continuous_with_kv_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::from_secs(600)),
+            BatchPolicy::per_request(),
+            SchedPolicy::default(),
             tight_kv(2, true),
+            slow_op(2),
         );
         let mut rng = Rng::new(47);
         let s1 = server.open_session(4, 4).unwrap();
@@ -2912,8 +2634,8 @@ mod tests {
 
     #[test]
     fn idle_server_records_no_batches() {
-        // Deadline-close with an empty queue must be a no-op: a server that
-        // saw no traffic reports zero launches of either kind.
+        // An idle worker blocks on its channel: a server that saw no
+        // traffic reports zero launches of either kind.
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let server: AttentionServer<f32> = AttentionServer::start(
             Arc::clone(&mech),
@@ -2979,20 +2701,26 @@ mod tests {
     #[test]
     fn batch_panic_fails_only_its_batch_and_the_server_keeps_serving() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let plan = FaultPlan::new().inject(0, FaultKind::PanicInBatch);
+        // Ops 0..3 hold the worker; the panic rides request 0 (op 3).
+        let plan = slow_op(2).inject(3, FaultKind::PanicInBatch);
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(2, Duration::from_millis(5)),
+            BatchPolicy::batched(2, Duration::ZERO),
             plan,
         );
         let mut rng = Rng::new(61);
-        // First batch of two is poisoned by the fault riding request 0:
-        // both its requests fail typed, with the payload preserved.
-        let (q, k, v) = request(16, 8, &mut rng);
-        let h0 = server.submit(q, k, v).unwrap();
-        let (q, k, v) = request(16, 8, &mut rng);
-        let h1 = server.submit(q, k, v).unwrap();
-        for h in [h0, h1] {
+        let _held = hold_with_decode(&server, &mut rng);
+        // Four jobs drain together and split into two groups of two. The
+        // first is poisoned by the fault riding request 0: both its
+        // requests fail typed, with the payload preserved.
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            let (q, k, v) = request(16, 8, &mut rng);
+            handles.push(server.submit(q, k, v).unwrap());
+        }
+        let h3 = handles.pop().unwrap();
+        let h2 = handles.pop().unwrap();
+        for h in handles {
             match h.wait().expect_err("batch poisoned") {
                 ServeError::BatchPanicked { payload } => {
                     assert!(payload.contains("injected kernel panic"));
@@ -3000,11 +2728,7 @@ mod tests {
                 other => panic!("want BatchPanicked, got {other}"),
             }
         }
-        // The next batch is served normally by the same recovered batcher.
-        let (q, k, v) = request(16, 8, &mut rng);
-        let h2 = server.submit(q, k, v).unwrap();
-        let (q, k, v) = request(16, 8, &mut rng);
-        let h3 = server.submit(q, k, v).unwrap();
+        // The next group is served normally by the same recovered worker.
         assert!(h2.wait().is_ok());
         assert!(h3.wait().is_ok());
         let stats = server.shutdown();
@@ -3060,14 +2784,16 @@ mod tests {
     #[test]
     fn expired_deadlines_shed_typed_before_packing() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start(
+        let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(8, Duration::from_millis(20)),
+            BatchPolicy::batched(8, Duration::ZERO),
+            slow_op(2),
         );
         let mut rng = Rng::new(71);
+        let _held = hold_with_decode(&server, &mut rng);
         let (q, k, v) = request(16, 8, &mut rng);
-        // Already expired at submission: shed when the bucket closes,
-        // never packed into the launch.
+        // Already expired at submission: drained in one group with the
+        // live request, shed before packing, never launched.
         let past = Instant::now() - Duration::from_millis(1);
         let doomed = server.submit_with_deadline(q, k, v, Some(past)).unwrap();
         let (q, k, v) = request(16, 8, &mut rng);
@@ -3130,11 +2856,13 @@ mod tests {
     fn queue_depth_bound_sheds_submissions_typed() {
         use crate::retry::Transient;
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        // Huge batch + deadline: the two admitted requests stay queued, so
+        // The first request rides a slowed launch, and a prefill counts
+        // until it finishes: both admitted requests stay unresolved, so
         // the third submission observes the bound deterministically.
-        let server = AttentionServer::start(
+        let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::from_secs(600)).with_queue_depth(2),
+            BatchPolicy::batched(1000, Duration::ZERO).with_queue_depth(2),
+            slow_op(0),
         );
         let mut rng = Rng::new(79);
         let (q, k, v) = request(16, 8, &mut rng);
@@ -3172,7 +2900,7 @@ mod tests {
     }
 
     #[test]
-    fn killed_batcher_never_blocks_waiters() {
+    fn killed_worker_never_blocks_waiters() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let plan = FaultPlan::new().inject(0, FaultKind::KillServer);
         let server =
@@ -3194,17 +2922,83 @@ mod tests {
     }
 
     #[test]
+    fn expired_kill_request_is_shed_and_the_worker_keeps_serving() {
+        // A kill riding a request whose deadline already passed never
+        // fires: the request is shed typed like any expired one, and the
+        // next valid request is served.
+        let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
+        let server = AttentionServer::start_continuous_with_kv_faults(
+            Arc::clone(&mech),
+            BatchPolicy::per_request(),
+            SchedPolicy::default(),
+            KvConfig::default(),
+            FaultPlan::new().inject(0, FaultKind::KillServer),
+        );
+        let mut rng = Rng::new(87);
+        let (q, k, v) = request(16, 8, &mut rng);
+        let past = Instant::now() - Duration::from_millis(1);
+        let doomed = server.submit_with_deadline(q, k, v, Some(past)).unwrap();
+        let (q, k, v) = request(16, 8, &mut rng);
+        let live = server.submit(q, k, v).unwrap();
+        assert!(matches!(
+            doomed.wait_timeout(Duration::from_secs(30)),
+            Err(ServeError::DeadlineExceeded { .. })
+        ));
+        assert!(live.wait_timeout(Duration::from_secs(30)).is_ok());
+        let stats = server.shutdown();
+        assert_eq!((stats.deadline_sheds, stats.served), (1, 1));
+    }
+
+    #[test]
+    fn prefill_and_decode_replies_draw_one_ticket_sequence() {
+        // Whole-job, chunked and decode replies from one server never
+        // share a ticket: one sequence, in reply order.
+        let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
+        let server = AttentionServer::start_continuous_with_kv(
+            Arc::clone(&mech),
+            BatchPolicy::per_request(),
+            SchedPolicy::new(16, 32),
+            KvConfig::default(),
+        );
+        let mut rng = Rng::new(91);
+        let s = server.open_session(8, 8).unwrap();
+        server
+            .extend(
+                s,
+                Matrix::random_normal(3, 8, 0.0, 1.0, &mut rng),
+                Matrix::random_normal(3, 8, 0.0, 1.0, &mut rng),
+            )
+            .unwrap();
+        let mut tickets = Vec::new();
+        for n in [16usize, 40, 16] {
+            let (q, k, v) = request(n, 8, &mut rng);
+            tickets.push(server.submit(q, k, v).unwrap().wait().unwrap().ticket);
+            let q_row = row(8, &mut rng);
+            let step = DecodeRequest { session: s, q_row };
+            tickets.push(server.submit_decode(step).unwrap().wait().unwrap().ticket);
+        }
+        let mut sorted = tickets.clone();
+        sorted.sort();
+        sorted.dedup();
+        assert_eq!(sorted.len(), tickets.len(), "tickets repeat: {tickets:?}");
+        assert!(tickets.windows(2).all(|w| w[0] < w[1]), "{tickets:?}");
+        let _ = server.shutdown();
+    }
+
+    #[test]
     fn wait_blocked_before_shutdown_resolves_never_hangs() {
         // The latent drain race: a caller already blocked in wait() when
         // shutdown() starts must resolve — served by the drain or typed
         // ServerGone — never hang on a channel whose sender is being torn
-        // down. Pinned with a bucket that would otherwise stay open 600 s.
+        // down. Pinned with a request queued behind a held launch.
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start(
+        let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::from_secs(600)),
+            BatchPolicy::per_request(),
+            slow_op(2),
         );
         let mut rng = Rng::new(97);
+        let _held = hold_with_decode(&server, &mut rng);
         let (q, k, v) = request(16, 8, &mut rng);
         let h = server.submit(q, k, v).unwrap();
         let waiter = std::thread::spawn(move || h.wait());
@@ -3225,15 +3019,17 @@ mod tests {
     #[test]
     fn wait_timeout_is_typed_and_rewaitable() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start(
+        let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::from_secs(600)),
+            BatchPolicy::per_request(),
+            slow_op(2),
         );
         let mut rng = Rng::new(89);
+        let _held = hold_with_decode(&server, &mut rng);
         let (q, k, v) = request(16, 8, &mut rng);
         let h = server.submit(q, k, v).unwrap();
-        // The bucket stays open for 600 s; a bounded wait gives up typed
-        // instead of blocking.
+        // The request waits behind a held launch; a bounded wait gives up
+        // typed instead of blocking.
         assert!(matches!(
             h.wait_timeout(Duration::from_millis(30)),
             Err(ServeError::WaitTimeout)
@@ -3252,9 +3048,10 @@ mod tests {
         // Ordinals: open = 0, extend = 1, open = 2, extend = 3, decode = 4,
         // decode = 5 — the second queued step rides a slowed launch.
         let plan = FaultPlan::new().inject(5, FaultKind::SlowLaunch(Duration::from_millis(2)));
-        let server = AttentionServer::start_with_kv_faults(
+        let server = AttentionServer::start_continuous_with_kv_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::from_secs(600)),
+            BatchPolicy::per_request(),
+            SchedPolicy::default(),
             tight_kv(8, false),
             plan,
         );

@@ -1,8 +1,8 @@
 //! Sharded multi-engine serving: N independent continuous-batching
 //! engines behind one router.
 //!
-//! A [`ShardedServer`] runs one continuous [`AttentionServer`] per shard,
-//! each with its **own** batcher thread, engine, scheduler and
+//! A [`ShardedServer`] runs one [`AttentionServer`] per shard, each with
+//! its **own** worker thread, engine, scheduler and
 //! [`crate::KvPool`] (the configured byte budget is divided evenly across
 //! shards). Shards are pinned engines: a request the router hands to a
 //! shard is admitted, scheduled and served by that shard alone. Traffic
@@ -14,7 +14,7 @@
 //!   `close_session` goes to that shard. KV pages never migrate, so
 //!   decode outputs are bit-identical to a solo server's.
 //! * **Prefill goes to the least-loaded shard.** `submit` picks the shard
-//!   with the fewest enqueued-but-unlaunched requests — the counter
+//!   with the fewest unresolved requests — the counter
 //!   [`BatchPolicy::max_queue_depth`] bounds — rotating ties round-robin,
 //!   and calls that shard's own `submit_with_deadline`. Validation, the
 //!   depth bound, rejection counts, deadlines and fault plans therefore
@@ -26,7 +26,7 @@
 use crate::faults::FaultPlan;
 use crate::kv::{KvConfig, SessionId};
 use crate::sched::SchedPolicy;
-use crate::server::{AttentionServer, ResponseHandle};
+use crate::server::{lock, AttentionServer, ResponseHandle};
 use crate::{
     BatchPolicy, DecodeHandle, DecodeRequest, QueueDepths, SchedTrace, ServeError, ServeStats,
     SessionError,
@@ -35,15 +35,8 @@ use dfss_core::mechanism::Attention;
 use dfss_tensor::{Matrix, Scalar};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-fn lock_healed<'a, U>(m: &'a Mutex<U>) -> MutexGuard<'a, U> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// The splitmix64 finalizer — the session→shard hash. Deterministic,
 /// well-mixed for sequential ids, and dependency-free.
@@ -135,12 +128,12 @@ impl<T: Scalar> ShardedServer<T> {
     /// The shard a session is pinned to — constant for the session's
     /// whole lifetime ([`None`] once closed or never opened).
     pub fn shard_of(&self, session: SessionId) -> Option<usize> {
-        lock_healed(&self.sessions)
+        lock(&self.sessions)
             .get(&session.0)
             .map(|&(shard, _)| shard)
     }
 
-    /// The shard with the fewest enqueued-but-unlaunched requests,
+    /// The shard with the fewest unresolved requests,
     /// rotating ties so a burst onto an idle fleet spreads round-robin.
     fn least_loaded(&self) -> usize {
         let n = self.shards.len();
@@ -183,13 +176,13 @@ impl<T: Scalar> ShardedServer<T> {
         let gid = self.next_session.fetch_add(1, Ordering::Relaxed);
         let shard = (splitmix64(gid) % self.shards.len() as u64) as usize;
         let local = self.shards[shard].open_session(d, d_v)?;
-        lock_healed(&self.sessions).insert(gid, (shard, local));
+        lock(&self.sessions).insert(gid, (shard, local));
         Ok(SessionId(gid))
     }
 
     /// Look up a global session, or fail typed.
     fn route(&self, session: SessionId) -> Result<(usize, SessionId), SessionError> {
-        lock_healed(&self.sessions)
+        lock(&self.sessions)
             .get(&session.0)
             .copied()
             .ok_or(SessionError::UnknownSession(session))
@@ -263,7 +256,7 @@ impl<T: Scalar> ShardedServer<T> {
         let res = self.shards[shard]
             .close_session(local)
             .map_err(|e| ShardedServer::<T>::reglobal(e, session));
-        lock_healed(&self.sessions).remove(&session.0);
+        lock(&self.sessions).remove(&session.0);
         res
     }
 

@@ -3,7 +3,7 @@
 //! This is the byte-level half of the HTTP front door
 //! ([`crate::http`]): request parsing with **bounded** header/body
 //! limits, response serialisation, and the JSON value type the endpoint
-//! bodies use. The design constraints mirror the batcher's no-tokio
+//! bodies use. The design constraints mirror the serving worker's no-tokio
 //! style, plus one that only matters at a network boundary: **parsing
 //! arbitrary bytes can never panic**. Every malformed input is a typed
 //! [`WireError`] (the front door maps it to a `400`), every slow or

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Bounded wait: long enough that a live batcher always answers, short
+/// Bounded wait: long enough that a live server always answers, short
 /// enough that a hang fails the test instead of wedging CI.
 const NO_HANG: Duration = Duration::from_secs(30);
 

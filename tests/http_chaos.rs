@@ -1,6 +1,6 @@
 //! Chaos at the wire: random serving traffic driven through the HTTP
 //! front door with a random seeded [`FaultPlan`] spanning **both** fault
-//! layers — batcher faults (injected panics, slow launches, pool
+//! layers — worker faults (injected panics, slow launches, pool
 //! exhaustion) keyed by front-door operation ordinal, and socket faults
 //! (mid-request disconnects, stalled response reads, garbage bytes)
 //! keyed by wire-request ordinal and interpreted by the chaos client.
@@ -116,7 +116,7 @@ proptest! {
     fn wire_chaos_stays_typed_isolated_and_reconciled(
         seed in 0u64..10_000,
         ops in proptest::collection::vec(0usize..8, 14),
-        // One shared ordinal space: the batcher walks it by front-door
+        // One shared ordinal space: the worker walks it by front-door
         // operation index, the chaos client by wire-request index. The
         // two counters drift once a wire fault eats an exchange — that
         // is fine, the schedule stays deterministic for a given input.

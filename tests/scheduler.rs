@@ -16,6 +16,9 @@
 //!   serial vs parallel kernel execution, and against a pure replay of
 //!   the admission sequence (the property that makes the trace an
 //!   executable spec for `RAYON_NUM_THREADS=1` vs default CI legs).
+//! - **Whole-job grouping**: chunks that each cover a whole job and share
+//!   its shape run as one batched launch over at most `max_batch` jobs —
+//!   bucket batching as the scheduler's whole-job case.
 
 use dfss::prelude::*;
 use dfss_serve::sched::SchedEvent;
@@ -23,7 +26,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Bounded wait: long enough that a live batcher always answers, short
+/// Bounded wait: long enough that a live server always answers, short
 /// enough that a hang fails the test instead of wedging CI.
 const NO_HANG: Duration = Duration::from_secs(30);
 
@@ -148,10 +151,11 @@ proptest! {
             0 => Arc::new(FullAttention),
             _ => Arc::new(DfssAttention::new(NmPattern::P2_4)),
         };
-        let server = AttentionServer::start_continuous(
+        let server = AttentionServer::start_continuous_with_kv(
             Arc::clone(&mech),
             BatchPolicy::per_request(),
             SchedPolicy::new(5, 8), // chunks of 5 rows: every prefill splits
+            KvConfig::default(),
         );
         let mut rng = Rng::new(seed);
         // A decode session interleaves with the chunked prefills.
@@ -211,7 +215,12 @@ fn server_traces_are_byte_identical_across_runs_and_match_pure_replay() {
     let rows = [23usize, 7, 40];
     let run = || {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start_continuous(mech, BatchPolicy::per_request(), policy);
+        let server = AttentionServer::start_continuous_with_kv(
+            mech,
+            BatchPolicy::per_request(),
+            policy,
+            KvConfig::default(),
+        );
         let mut rng = Rng::new(11);
         let d = 8usize;
         for &n in &rows {
@@ -253,7 +262,12 @@ fn trace_is_identical_under_serial_kernel_execution() {
     let run = || {
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
-        let server = AttentionServer::start_continuous(mech, BatchPolicy::per_request(), policy);
+        let server = AttentionServer::start_continuous_with_kv(
+            mech,
+            BatchPolicy::per_request(),
+            policy,
+            KvConfig::default(),
+        );
         let mut rng = Rng::new(3);
         for _ in 0..2 {
             let q = Matrix::<f32>::random_normal(12, 8, 0.0, 1.0, &mut rng);
@@ -274,9 +288,10 @@ fn trace_is_identical_under_serial_kernel_execution() {
     assert_eq!(parallel.as_bytes(), serial.as_bytes());
 }
 
-/// Mechanisms without row-separable scores (the blocked-ELL hybrid) fall
-/// back to whole-prefill execution on the continuous server: outputs stay
-/// bit-identical to solo forward and the trace records no chunked jobs.
+/// Mechanisms without row-separable scores (the blocked-ELL hybrid) run
+/// every prefill whole: the scheduler plans the job as exactly one chunk
+/// covering all its rows, whatever the server's `SchedPolicy`, and the
+/// output stays bit-identical to solo forward.
 #[test]
 fn non_chunkable_mechanism_runs_whole_and_matches_solo() {
     let mech_concrete = DfssEllAttention::new(NmPattern::P2_4, 8, 2);
@@ -285,10 +300,11 @@ fn non_chunkable_mechanism_runs_whole_and_matches_solo() {
         "the ELL hybrid's sliding window depends on global row indices"
     );
     let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(mech_concrete);
-    let server = AttentionServer::start_continuous(
+    let server = AttentionServer::start_continuous_with_kv(
         Arc::clone(&mech),
         BatchPolicy::per_request(),
         SchedPolicy::new(5, 8),
+        KvConfig::default(),
     );
     let mut rng = Rng::new(5);
     let (n, d) = (32usize, 16usize);
@@ -304,13 +320,20 @@ fn non_chunkable_mechanism_runs_whole_and_matches_solo() {
     assert!(bits_equal(served.output.as_slice(), solo.as_slice()));
     let trace = server.sched_trace();
     let stats = server.shutdown();
-    assert_eq!(stats.prefill_chunks, 0, "whole-prefill fallback chunked");
-    assert!(
-        !trace
-            .events()
-            .iter()
-            .any(|e| matches!(e, SchedEvent::AdmitPrefill { .. })),
-        "non-chunkable prefill must bypass the chunk scheduler"
+    assert_eq!(stats.prefill_chunks, 1, "a whole job is one chunk");
+    let planned: Vec<(u64, usize, usize)> = trace
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            SchedEvent::Iteration { chunks, .. } => Some(chunks.clone()),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    assert_eq!(
+        planned,
+        vec![(0, 0, n)],
+        "planned as exactly one whole chunk"
     );
 }
 
@@ -321,10 +344,11 @@ fn non_chunkable_mechanism_runs_whole_and_matches_solo() {
 #[test]
 fn forced_decode_flush_is_traced_and_preserves_decode_determinism() {
     let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-    let server = AttentionServer::start_continuous(
+    let server = AttentionServer::start_continuous_with_kv(
         Arc::clone(&mech),
         BatchPolicy::per_request(),
         SchedPolicy::default(),
+        KvConfig::default(),
     );
     let d = 8usize;
     let mut rng = Rng::new(9);
@@ -339,7 +363,7 @@ fn forced_decode_flush_is_traced_and_preserves_decode_determinism() {
             q_row: q_row.clone(),
         })
         .unwrap();
-    // Race an append right behind the queued step: the batcher must
+    // Race an append right behind the queued step: the worker must
     // flush the step before the row lands.
     let k2: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0)).collect();
     let v2: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0)).collect();
@@ -361,4 +385,120 @@ fn forced_decode_flush_is_traced_and_preserves_decode_determinism() {
     assert!(bits_equal(got.output.as_slice(), solo.as_slice()));
     server.close_session(session).unwrap();
     server.shutdown();
+}
+
+/// Block until `server` has begun its first scheduler iteration. With a
+/// `SlowLaunch` riding that iteration, everything submitted next waits in
+/// the channel and is drained as one backlog.
+fn wait_for_first_iteration(server: &AttentionServer<f32>) {
+    let deadline = std::time::Instant::now() + NO_HANG;
+    while server.stats_snapshot().sched_iterations == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the worker never started"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Submit every triple behind a held launch and return the served
+/// outputs with their batch sizes, each checked bit-identical to solo
+/// forward. Front-door op 0 is the holding prefill, which the server's
+/// plan must slow.
+fn serve_behind_a_hold(
+    server: &AttentionServer<f32>,
+    mech: &(dyn Attention<f32> + Send + Sync),
+    hold: (Matrix<f32>, Matrix<f32>, Matrix<f32>),
+    jobs: &[(Matrix<f32>, Matrix<f32>, Matrix<f32>)],
+) -> Vec<usize> {
+    let held = server.submit(hold.0, hold.1, hold.2).unwrap();
+    wait_for_first_iteration(server);
+    let handles: Vec<_> = jobs
+        .iter()
+        .map(|(q, k, v)| server.submit(q.clone(), k.clone(), v.clone()).unwrap())
+        .collect();
+    assert_eq!(held.wait_timeout(NO_HANG).unwrap().batch_size, 1);
+    handles
+        .into_iter()
+        .zip(jobs)
+        .map(|(h, (q, k, v))| {
+            let served = h.wait_timeout(NO_HANG).unwrap();
+            let solo = solo_forward(mech, q, k, v);
+            assert!(
+                bits_equal(served.output.as_slice(), solo.as_slice()),
+                "grouped output diverged from solo forward"
+            );
+            served.batch_size
+        })
+        .collect()
+}
+
+fn triple(n: usize, d: usize, rng: &mut Rng) -> (Matrix<f32>, Matrix<f32>, Matrix<f32>) {
+    (
+        Matrix::random_normal(n, d, 0.0, 1.0, &mut *rng),
+        Matrix::random_normal(n, d, 0.0, 1.0, &mut *rng),
+        Matrix::random_normal(n, d, 0.0, 1.0, &mut *rng),
+    )
+}
+
+/// Bucket batching is the whole-job case of the one loop: whole prefills
+/// of one shape that queued behind a held launch share one batched launch
+/// of at most `max_batch` jobs, and `batches` counts those launches. A
+/// different shape, or a job longer than `prefill_chunk`, never joins a
+/// group. A non-chunkable mechanism's jobs are planned whole and group
+/// the same way. Every output is bit-identical to solo forward.
+#[test]
+fn whole_jobs_of_one_shape_share_a_launch_up_to_max_batch() {
+    let slow = FaultPlan::new().inject(0, FaultKind::SlowLaunch(Duration::from_millis(300)));
+    let mut rng = Rng::new(21);
+
+    let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(DfssAttention::new(NmPattern::P2_4));
+    let server = AttentionServer::start_continuous_with_kv_faults(
+        Arc::clone(&mech),
+        BatchPolicy::batched(3, Duration::ZERO),
+        SchedPolicy::new(16, 1024),
+        KvConfig::default(),
+        slow.clone(),
+    );
+    let hold = triple(16, 8, &mut rng);
+    // Five jobs of one shape, two of another, and one longer than a chunk.
+    let mut jobs: Vec<_> = (0..5).map(|_| triple(16, 8, &mut rng)).collect();
+    jobs.extend((0..2).map(|_| triple(8, 8, &mut rng)));
+    jobs.push(triple(32, 8, &mut rng));
+    let sizes = serve_behind_a_hold(&server, mech.as_ref(), hold, &jobs);
+    assert_eq!(sizes, vec![3, 3, 3, 2, 2, 2, 2, 1]);
+    let stats = server.shutdown();
+    // The hold, groups of 3 + 2 (n = 16) and 2 (n = 8); the long job's two
+    // chunks are no group launch.
+    assert_eq!(stats.batches, 4);
+    assert_eq!(stats.max_batch, 3);
+    assert_eq!(stats.prefill_chunks, 1 + 7 + 2);
+    assert_eq!(stats.served, 9);
+
+    let mech: Arc<dyn Attention<f32> + Send + Sync> =
+        Arc::new(DfssEllAttention::new(NmPattern::P2_4, 8, 2));
+    let server = AttentionServer::start_continuous_with_kv_faults(
+        Arc::clone(&mech),
+        BatchPolicy::batched(4, Duration::ZERO),
+        SchedPolicy::new(5, 8),
+        KvConfig::default(),
+        slow,
+    );
+    let hold = triple(32, 16, &mut rng);
+    let jobs: Vec<_> = (0..3).map(|_| triple(32, 16, &mut rng)).collect();
+    let sizes = serve_behind_a_hold(&server, mech.as_ref(), hold, &jobs);
+    assert_eq!(sizes, vec![3, 3, 3]);
+    let trace = server.sched_trace();
+    let stats = server.shutdown();
+    assert_eq!((stats.batches, stats.prefill_chunks), (2, 4));
+    let planned: Vec<(u64, usize, usize)> = trace
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            SchedEvent::Iteration { chunks, .. } => Some(chunks.clone()),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    assert_eq!(planned, (0..4).map(|job| (job, 0, 32)).collect::<Vec<_>>());
 }
