@@ -9,14 +9,17 @@
 //!
 //! Three variants share the code: the production fused kernel, the unfused
 //! ablation (separate prune kernel — what §2.3 says existing libraries do),
-//! and the blocked-ELL hybrid for long sequences (A.1.2).
+//! and the blocked-ELL hybrid for long sequences (A.1.2). On the host the
+//! fused prefill runs all three stages through the row-tile driver
+//! ([`dfss_kernels::rowtile`]), charged as the three launches above; the
+//! ablation, `forward_with_weights` and decode run the staged kernels.
 
 use crate::mechanism::{
     check_decode, check_decode_paged, check_qkv, check_qkv_batched, check_qkv_rows, Attention,
     KvViews, RequestError,
 };
 use dfss_gpusim::Stage;
-use dfss_kernels::{ell, gemm, sddmm, softmax, spmm, GpuCtx};
+use dfss_kernels::{ell, gemm, rowtile, sddmm, softmax, spmm, GpuCtx};
 use dfss_nmsparse::{BlockedEll, NmCompressed, NmPattern, NmRagged};
 use dfss_tensor::{BatchedMatrix, Matrix, PagedPanel, Scalar};
 
@@ -59,6 +62,13 @@ impl DfssAttention {
         self.pattern
     }
 
+    /// Device bytes of `rows` compressed score rows over `cols` keys:
+    /// `rows·cols·N/M` values plus 4 bits of metadata per group.
+    fn compressed_bytes<T: Scalar>(&self, rows: usize, cols: usize) -> u64 {
+        let nz_bytes = (rows * self.pattern.kept_per_row(cols) * T::BYTES) as u64;
+        nz_bytes + ((rows * cols / self.pattern.m()) as u64 * 4).div_ceil(8)
+    }
+
     /// Run the pipeline and also return the normalised sparse attention
     /// weights (used by the quality experiments and Figure 19).
     pub fn forward_with_weights<T: Scalar>(
@@ -70,11 +80,9 @@ impl DfssAttention {
     ) -> (Matrix<T>, NmCompressed<T>) {
         let (n, d) = check_qkv(q, k, v);
         let scale = 1.0 / (d as f32).sqrt();
-        // Compressed scores: n²·N/M values + 4-bit-per-group metadata.
-        let kept = self.pattern.kept_per_row(n);
-        let nz_bytes = (n * kept * T::BYTES) as u64;
-        let meta_bytes = ((n * n / self.pattern.m()) as u64 * 4).div_ceil(8);
-        let comp_id = ctx.mem.alloc("scores_nm_compressed", nz_bytes + meta_bytes);
+        let comp_id = ctx
+            .mem
+            .alloc("scores_nm_compressed", self.compressed_bytes::<T>(n, n));
         let mut comp = if self.fused {
             sddmm::sddmm_nm_fused(ctx, q, k, scale, self.pattern)
         } else {
@@ -139,14 +147,28 @@ impl<T: Scalar> Attention<T> for DfssAttention {
         format!("Dfss {} ({})", self.pattern, T::NAME)
     }
 
+    /// The fused pipeline runs on the row-tile driver (charged as the three
+    /// staged launches); the unfused ablation runs the staged kernels.
     fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
-        self.forward_with_weights(ctx, q, k, v).0
+        if !self.fused {
+            return self.forward_with_weights(ctx, q, k, v).0;
+        }
+        let (n, d) = check_qkv(q, k, v);
+        let scale = 1.0 / (d as f32).sqrt();
+        let comp_id = ctx
+            .mem
+            .alloc("scores_nm_compressed", self.compressed_bytes::<T>(n, n));
+        let out = rowtile::attend(ctx, Some(self.pattern), q, k, v, scale);
+        ctx.mem.free(comp_id);
+        out
     }
 
     /// Natively batched pipeline: the whole B×H stack runs through one
     /// fused-SDDMM launch, one compressed-softmax launch and one SpMM
     /// launch, each charging a single profile of exactly `batch ×` the
-    /// per-head cost. Outputs are bit-identical to a per-head loop.
+    /// per-head cost — executed by the row-tile driver (the unfused
+    /// ablation runs the staged kernels). Outputs are bit-identical to a
+    /// per-head loop.
     fn forward_batched(
         &self,
         ctx: &mut GpuCtx,
@@ -156,26 +178,26 @@ impl<T: Scalar> Attention<T> for DfssAttention {
     ) -> BatchedMatrix<T> {
         let (batch, n, d) = check_qkv_batched(q, k, v);
         let scale = 1.0 / (d as f32).sqrt();
-        // Compressed scores for the whole stack live simultaneously: the
-        // batched launch's peak footprint is batch × the per-head one.
-        let kept = self.pattern.kept_per_row(n);
-        let nz_bytes = (batch * n * kept * T::BYTES) as u64;
-        let meta_bytes = ((batch * n * n / self.pattern.m()) as u64 * 4).div_ceil(8);
-        let comp_id = ctx.mem.alloc("scores_nm_compressed", nz_bytes + meta_bytes);
-        let mut comp = if self.fused {
-            sddmm::sddmm_nm_fused_batched(ctx, q, k, scale, self.pattern)
+        // On the device the compressed scores of the whole stack live
+        // simultaneously: the batched launch's peak footprint is batch ×
+        // the per-head one.
+        let comp_id = ctx.mem.alloc(
+            "scores_nm_compressed",
+            self.compressed_bytes::<T>(batch * n, n),
+        );
+        let out = if self.fused {
+            rowtile::attend_batched(ctx, Some(self.pattern), q, k, v, scale)
         } else {
             // The unfused path additionally materialises every panel's
             // dense scores.
             let dense_id = ctx
                 .mem
                 .alloc("scores_dense_unfused", (batch * n * n * T::BYTES) as u64);
-            let comp = sddmm::sddmm_nm_unfused_batched(ctx, q, k, scale, self.pattern);
+            let mut comp = sddmm::sddmm_nm_unfused_batched(ctx, q, k, scale, self.pattern);
             ctx.mem.free(dense_id);
-            comp
+            softmax::softmax_nm_batched(ctx, &mut comp);
+            spmm::spmm_nm_batched(ctx, &comp, v)
         };
-        softmax::softmax_nm_batched(ctx, &mut comp);
-        let out = spmm::spmm_nm_batched(ctx, &comp, v);
         ctx.mem.free(comp_id);
         out
     }
@@ -185,7 +207,8 @@ impl<T: Scalar> Attention<T> for DfssAttention {
     /// `n/M` groups exactly as the whole-Q kernel does (the prune epilogue
     /// is per score row and never looks at the query row's global index),
     /// compressed softmax and SpMM are per-row too — so stacking chunk
-    /// outputs is bit-identical to [`forward`](Attention::forward).
+    /// outputs (the row-tile driver's, or the unfused ablation's staged
+    /// kernels') is bit-identical to [`forward`](Attention::forward).
     fn forward_rows(
         &self,
         ctx: &mut GpuCtx,
@@ -195,25 +218,22 @@ impl<T: Scalar> Attention<T> for DfssAttention {
     ) -> Matrix<T> {
         let (c, n, d) = check_qkv_rows(q_rows, k, v);
         let scale = 1.0 / (d as f32).sqrt();
-        // Compressed chunk scores: c·n·N/M values + metadata for c rows.
-        let kept = self.pattern.kept_per_row(n);
-        let nz_bytes = (c * kept * T::BYTES) as u64;
-        let meta_bytes = ((c * n / self.pattern.m()) as u64 * 4).div_ceil(8);
-        let comp_id = ctx.mem.alloc("scores_nm_compressed", nz_bytes + meta_bytes);
-        let mut comp = if self.fused {
-            sddmm::sddmm_nm_fused(ctx, q_rows, k, scale, self.pattern)
+        let comp_id = ctx
+            .mem
+            .alloc("scores_nm_compressed", self.compressed_bytes::<T>(c, n));
+        let out = if self.fused {
+            rowtile::attend(ctx, Some(self.pattern), q_rows, k, v, scale)
         } else {
             // The unfused ablation additionally materialises the chunk's
             // dense c × n score panel.
             let dense_id = ctx
                 .mem
                 .alloc("scores_dense_unfused", (c * n * T::BYTES) as u64);
-            let comp = sddmm::sddmm_nm_unfused(ctx, q_rows, k, scale, self.pattern);
+            let mut comp = sddmm::sddmm_nm_unfused(ctx, q_rows, k, scale, self.pattern);
             ctx.mem.free(dense_id);
-            comp
+            softmax::softmax_nm(ctx, &mut comp);
+            spmm::spmm_nm(ctx, &comp, v)
         };
-        softmax::softmax_nm(ctx, &mut comp);
-        let out = spmm::spmm_nm(ctx, &comp, v);
         ctx.mem.free(comp_id);
         out
     }
@@ -624,6 +644,135 @@ mod tests {
             assert!(same, "head {b} diverged");
         }
         assert_eq!(bctx.timeline.total_bytes(), sctx.timeline.total_bytes());
+    }
+
+    /// The staged three-launch pipeline the row-tile entry points replaced,
+    /// with the memory-ledger calls the mechanisms made around it: dense
+    /// (`pattern == None`) or fused N:M, for `q` rows against `k`'s keys.
+    fn staged_forward(
+        ctx: &mut GpuCtx,
+        pattern: Option<NmPattern>,
+        q: &Matrix<f32>,
+        k: &Matrix<f32>,
+        v: &Matrix<f32>,
+    ) -> Matrix<f32> {
+        let (c, n) = (q.rows(), k.rows());
+        let scale = 1.0 / (q.cols() as f32).sqrt();
+        match pattern {
+            None => {
+                let scores_id = ctx.mem.alloc("scores_dense", (c * n * 4) as u64);
+                let scores = gemm::gemm_nt(ctx, Stage::Qk, q, k, scale);
+                let weights_id = ctx.mem.alloc("weights_dense", (c * n * 4) as u64);
+                let weights = softmax::softmax_dense(ctx, &scores);
+                ctx.mem.free(scores_id);
+                let out = gemm::gemm_nn(ctx, Stage::Av, &weights, v);
+                ctx.mem.free(weights_id);
+                out
+            }
+            Some(p) => {
+                let bytes = DfssAttention::new(p).compressed_bytes::<f32>(c, n);
+                let comp_id = ctx.mem.alloc("scores_nm_compressed", bytes);
+                let mut comp = sddmm::sddmm_nm_fused(ctx, q, k, scale, p);
+                softmax::softmax_nm(ctx, &mut comp);
+                let out = spmm::spmm_nm(ctx, &comp, v);
+                ctx.mem.free(comp_id);
+                out
+            }
+        }
+    }
+
+    /// [`staged_forward`] over a whole stack with the batched kernels.
+    fn staged_forward_batched(
+        ctx: &mut GpuCtx,
+        pattern: Option<NmPattern>,
+        q: &BatchedMatrix<f32>,
+        k: &BatchedMatrix<f32>,
+        v: &BatchedMatrix<f32>,
+    ) -> BatchedMatrix<f32> {
+        let (batch, n, d) = q.shape();
+        let scale = 1.0 / (d as f32).sqrt();
+        match pattern {
+            None => {
+                let bytes = (batch * n * n * 4) as u64;
+                let scores_id = ctx.mem.alloc("scores_dense", bytes);
+                let scores = gemm::gemm_nt_batched(ctx, Stage::Qk, q, k, scale);
+                let weights_id = ctx.mem.alloc("weights_dense", bytes);
+                let weights = softmax::softmax_dense_batched(ctx, &scores);
+                ctx.mem.free(scores_id);
+                let out = gemm::gemm_nn_batched(ctx, Stage::Av, &weights, v);
+                ctx.mem.free(weights_id);
+                out
+            }
+            Some(p) => {
+                let bytes = DfssAttention::new(p).compressed_bytes::<f32>(batch * n, n);
+                let comp_id = ctx.mem.alloc("scores_nm_compressed", bytes);
+                let mut comp = sddmm::sddmm_nm_fused_batched(ctx, q, k, scale, p);
+                softmax::softmax_nm_batched(ctx, &mut comp);
+                let out = spmm::spmm_nm_batched(ctx, &comp, v);
+                ctx.mem.free(comp_id);
+                out
+            }
+        }
+    }
+
+    /// Every mechanism entry point that drives the row-tile driver — Full's
+    /// and fused Dfss's `forward`, `forward_batched` and `forward_rows` —
+    /// returns the staged pipeline's bits and records its profiles and
+    /// memory peak, in exec and in charge-only mode.
+    #[test]
+    fn row_tile_entry_points_match_staged_pipeline() {
+        let (batch, n, d) = (3usize, 40usize, 16usize);
+        let mut rng = Rng::new(16);
+        let qb = BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
+        let kb = BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
+        let vb = BatchedMatrix::<f32>::random_normal(batch, n, 24, 0.0, 1.0, &mut rng);
+        let (q, k, v) = (qb.to_panel(1), kb.to_panel(1), vb.to_panel(1));
+        // A 13-row chunk, the `forward_rows` shape.
+        let q_rows = Matrix::from_vec(13, d, q.as_slice()[7 * d..20 * d].to_vec());
+        let mechs: [(Option<NmPattern>, Box<dyn Attention<f32>>); 3] = [
+            (None, Box::new(crate::full::FullAttention)),
+            (
+                Some(NmPattern::P1_2),
+                Box::new(DfssAttention::new(NmPattern::P1_2)),
+            ),
+            (
+                Some(NmPattern::P2_4),
+                Box::new(DfssAttention::new(NmPattern::P2_4)),
+            ),
+        ];
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let ledger = |ctx: &GpuCtx| (format!("{:?}", ctx.timeline.entries()), ctx.mem.peak());
+        for exec in [true, false] {
+            let ctx = || GpuCtx {
+                exec,
+                ..GpuCtx::a100()
+            };
+            for (pattern, mech) in &mechs {
+                let what = format!("{} exec {exec}", mech.name());
+                let (mut got, mut want) = (ctx(), ctx());
+                let out = mech.forward_batched(&mut got, &qb, &kb, &vb);
+                let expect = staged_forward_batched(&mut want, *pattern, &qb, &kb, &vb);
+                assert_eq!(ledger(&got), ledger(&want), "forward_batched {what}");
+                if exec {
+                    assert_eq!(bits(out.as_slice()), bits(expect.as_slice()), "{what}");
+                }
+                for (rows, entry) in [(&q, "forward"), (&q_rows, "forward_rows")] {
+                    let (mut got, mut want) = (ctx(), ctx());
+                    let out = if entry == "forward" {
+                        mech.forward(&mut got, rows, &k, &v)
+                    } else {
+                        mech.forward_rows(&mut got, rows, &k, &v)
+                    };
+                    let expect = staged_forward(&mut want, *pattern, rows, &k, &v);
+                    assert_eq!(ledger(&got), ledger(&want), "{entry} {what}");
+                    assert_eq!(
+                        bits(out.as_slice()),
+                        bits(expect.as_slice()),
+                        "{entry} {what}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Full (dense) attention — Equation (1), the baseline of every experiment.
 
 use crate::mechanism::{check_qkv, check_qkv_batched, Attention};
-use dfss_gpusim::Stage;
-use dfss_kernels::{gemm, softmax, GpuCtx};
+use dfss_kernels::{rowtile, GpuCtx};
 use dfss_tensor::{BatchedMatrix, Matrix, Scalar};
 
 /// `O = softmax(QKᵀ/√d) · V`, all dense.
@@ -17,21 +16,21 @@ impl<T: Scalar> Attention<T> for FullAttention {
     fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
         let (n, d) = check_qkv(q, k, v);
         let scale = <Self as Attention<T>>::scale_for(self, d);
-        // The dense n×n score matrix is materialised — this allocation is
-        // exactly what Dfss avoids (§3.4).
+        // On the device the dense n×n score matrix and its softmax are
+        // materialised — the allocations Dfss avoids (§3.4). The host runs
+        // the row-tile driver, which holds one tile's scores at a time.
         let scores_id = ctx.mem.alloc("scores_dense", (n * n * T::BYTES) as u64);
-        let scores = gemm::gemm_nt(ctx, Stage::Qk, q, k, scale);
         let weights_id = ctx.mem.alloc("weights_dense", (n * n * T::BYTES) as u64);
-        let weights = softmax::softmax_dense(ctx, &scores);
+        let out = rowtile::attend(ctx, None, q, k, v, scale);
         ctx.mem.free(scores_id);
-        let out = gemm::gemm_nn(ctx, Stage::Av, &weights, v);
         ctx.mem.free(weights_id);
         out
     }
 
-    /// Natively batched dense pipeline: one GEMM / softmax / GEMM launch
+    /// Natively batched dense pipeline: the GEMM / softmax / GEMM launches
     /// for the whole B×H stack, each charging `batch ×` the per-head cost
-    /// in a single profile. Bit-identical to a per-head loop.
+    /// in a single profile, executed by the row-tile driver. Bit-identical
+    /// to a per-head loop.
     fn forward_batched(
         &self,
         ctx: &mut GpuCtx,
@@ -41,25 +40,23 @@ impl<T: Scalar> Attention<T> for FullAttention {
     ) -> BatchedMatrix<T> {
         let (batch, n, d) = check_qkv_batched(q, k, v);
         let scale = <Self as Attention<T>>::scale_for(self, d);
-        // Every panel's dense n×n scores are live at once in the batched
-        // launch — the footprint Dfss's compressed stack avoids.
+        // On the device every panel's dense n×n scores are live at once in
+        // the batched launch — the footprint Dfss's compressed stack avoids.
         let scores_id = ctx
             .mem
             .alloc("scores_dense", (batch * n * n * T::BYTES) as u64);
-        let scores = gemm::gemm_nt_batched(ctx, Stage::Qk, q, k, scale);
         let weights_id = ctx
             .mem
             .alloc("weights_dense", (batch * n * n * T::BYTES) as u64);
-        let weights = softmax::softmax_dense_batched(ctx, &scores);
+        let out = rowtile::attend_batched(ctx, None, q, k, v, scale);
         ctx.mem.free(scores_id);
-        let out = gemm::gemm_nn_batched(ctx, Stage::Av, &weights, v);
         ctx.mem.free(weights_id);
         out
     }
 
     /// Dense scores are row-separable: the default rectangular
-    /// [`Attention::forward_rows`] pipeline (same kernels, same serial-k
-    /// accumulation per element) stacks bit-identically to
+    /// [`Attention::forward_rows`] pipeline (the same row-tile driver, the
+    /// same serial-k accumulation per element) stacks bit-identically to
     /// [`forward`](Attention::forward), so chunked prefill is safe.
     fn supports_row_chunking(&self) -> bool {
         true
@@ -83,6 +80,7 @@ pub fn reference_attention(q: &Matrix<f32>, k: &Matrix<f32>, v: &Matrix<f32>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfss_gpusim::Stage;
     use dfss_tensor::Rng;
 
     #[test]

@@ -1,7 +1,7 @@
 //! The attention-mechanism interface.
 
 use dfss_gpusim::Stage;
-use dfss_kernels::{gemm, softmax, GpuCtx};
+use dfss_kernels::{gemm, rowtile, softmax, GpuCtx};
 use dfss_tensor::{BatchedMatrix, Bf16, Matrix, PagedPanel, RaggedBatch, Scalar};
 
 /// The cached K/V of a ragged decode batch, borrowed in place: one
@@ -239,9 +239,9 @@ pub trait Attention<T: Scalar> {
     /// blocked-ELL sliding window).
     ///
     /// The default runs the generic dense pipeline on the rectangular
-    /// `c × n` score panel (the same kernels, allocation names and charge
-    /// shapes as the dense baseline). Mechanisms with a native sparse
-    /// pipeline (Dfss) override it.
+    /// `c × n` score panel (the row-tile driver, with the allocation names
+    /// and charge shapes of the dense baseline). Mechanisms with a native
+    /// sparse pipeline (Dfss) override it.
     fn forward_rows(
         &self,
         ctx: &mut GpuCtx,
@@ -252,11 +252,9 @@ pub trait Attention<T: Scalar> {
         let (c, n, d) = check_qkv_rows(q_rows, k, v);
         let scale = self.scale_for(d);
         let scores_id = ctx.mem.alloc("scores_dense", (c * n * T::BYTES) as u64);
-        let scores = gemm::gemm_nt(ctx, Stage::Qk, q_rows, k, scale);
         let weights_id = ctx.mem.alloc("weights_dense", (c * n * T::BYTES) as u64);
-        let weights = softmax::softmax_dense(ctx, &scores);
+        let out = rowtile::attend(ctx, None, q_rows, k, v, scale);
         ctx.mem.free(scores_id);
-        let out = gemm::gemm_nn(ctx, Stage::Av, &weights, v);
         ctx.mem.free(weights_id);
         out
     }

@@ -1,19 +1,21 @@
-//! Shared plumbing for the batched B×H kernel entry points.
+//! The pool fan-out shared by the prefill exec bodies.
 //!
-//! A batched kernel processes the whole batch × heads volume in **one
-//! simulated launch**: it records a single [`KernelProfile`] whose counters
-//! are exactly `batch ×` the per-panel charge (shape work such as
-//! `GpuCtx::tile_for` runs once per launch, not once per head), and executes
-//! as **one pool fan-out** over (panel, row-tile) work items — the host
-//! analogue of FlashAttention-style kernels folding the (batch, head) grid
-//! into the launch grid.
+//! A launch covers `batch` same-shape panels (a solo `gemm_nt`,
+//! `sddmm_nm_fused` or `spmm_nm` call is the one-panel case). It records
+//! a single [`KernelProfile`] whose counters are exactly `batch ×` the
+//! per-panel charge (shape work such as `GpuCtx::tile_for` runs once per
+//! launch, not once per head), and executes as **one pool fan-out** over
+//! (panel, 16-row tile) work items — the host analogue of folding the
+//! (batch, head) grid into the launch grid. The row-tile attention driver
+//! ([`crate::rowtile`]) runs QK, softmax and AV of a work item inside one
+//! such fan-out.
 //!
 //! [`KernelProfile`]: dfss_gpusim::KernelProfile
 
 use rayon::prelude::*;
 
-/// Rows per (panel, row-tile) work item of a batched launch (matches the
-/// single-head kernels' row batching so work-item granularity is familiar).
+/// Rows per (panel, row-tile) work item. At n = 4096 a tile's dense f32
+/// scores take 256 KiB, inside a core's L2.
 pub(crate) const ROW_TILE: usize = 16;
 
 /// Fan out over (panel, row-tile) work items of a stacked output buffer.

@@ -7,10 +7,14 @@
 //! `(2·T·K + T·T) · sizeof(T)` bytes, which reproduces the Table 5 count
 //! `n²(2d/T + 1)` for the n×d·d×n attention score GEMM.
 //!
-//! On the host side the kernel computes the exact same result with rayon
-//! parallelism over row panels and contiguous dot products (the `NT` layout
-//! is the microkernel; `NN`/`TN` transpose an operand once, which a real GPU
-//! kernel does for free via `ldmatrix` and is therefore *not* charged).
+//! On the host each kernel computes the same result with one pool fan-out
+//! over 16-row output tiles. `NT` packs B once per call into tile-major
+//! blocks and accumulates 4-row register tiles with
+//! [`micro::panel_product`]; `NN` streams B rows through row-pair
+//! [`micro::axpy2`] updates, skipping zero A entries; `TN` widen-transposes
+//! A once and then runs the `NN` loop. Every per-element sum runs in serial
+//! k-order. Packing and transposing are layout work a real GPU kernel gets
+//! for free from `ldmatrix`, so neither is charged.
 
 use crate::ctx::{dense_class, GpuCtx};
 use crate::micro;
@@ -50,7 +54,7 @@ fn record_gemm<T: Scalar>(
 /// Record one batched launch covering `batch` same-shape GEMMs: a single
 /// profile whose counters are exactly `batch ×` the per-panel charge.
 /// Tiling (`tile_for`) is computed once per launch, not once per panel.
-fn record_gemm_batched<T: Scalar>(
+pub(crate) fn record_gemm_batched<T: Scalar>(
     ctx: &mut GpuCtx,
     name: &'static str,
     stage: Stage,
@@ -78,7 +82,8 @@ fn record_gemm_batched<T: Scalar>(
 /// `C = scale · (A · Bᵀ)`; `A: M×K`, `B: N×K`, `C: M×N`.
 ///
 /// This is the natural layout for the attention score matrix
-/// (`Q·Kᵀ` with both `Q` and `K` stored row-major `n×d`).
+/// (`Q·Kᵀ` with both `Q` and `K` stored row-major `n×d`). The one-panel
+/// case of [`gemm_nt_batched`]'s exec body, so both are bit-identical.
 pub fn gemm_nt<T: Scalar>(
     ctx: &mut GpuCtx,
     stage: Stage,
@@ -93,70 +98,14 @@ pub fn gemm_nt<T: Scalar>(
     if !ctx.exec {
         return Matrix::zeros(m, n);
     }
-
-    // Outer-product microkernel: stream a widen-transposed B panel (`ka×n`)
-    // and accumulate whole output rows with `axpy2` — per-element sums run
-    // in serial k-order, the shape rustc vectorizes robustly, and row pairs
-    // share every panel load.
-    let aw = micro::widen(a.as_slice());
-    let bt = micro::widen_transposed(b);
-    let mut out = vec![T::zero(); m * n];
-    out.par_chunks_mut(n * PAR_ROW_CHUNK)
-        .enumerate()
-        .for_each(|(chunk_idx, chunk)| {
-            let row0 = chunk_idx * PAR_ROW_CHUNK;
-            let rows_here = chunk.len() / n;
-            // Stale scratch: both accumulators are zeroed per output row.
-            let mut acc0 = scratch_f32_stale(n);
-            let mut acc1 = scratch_f32_stale(n);
-            let mut local = 0;
-            while local + 2 <= rows_here {
-                let i = row0 + local;
-                acc0.iter_mut().for_each(|v| *v = 0.0);
-                acc1.iter_mut().for_each(|v| *v = 0.0);
-                let a0 = &aw[i * ka..(i + 1) * ka];
-                let a1 = &aw[(i + 1) * ka..(i + 2) * ka];
-                for kk in 0..ka {
-                    micro::axpy2(
-                        &mut acc0,
-                        &mut acc1,
-                        a0[kk],
-                        a1[kk],
-                        &bt[kk * n..(kk + 1) * n],
-                    );
-                }
-                let (o0, rest) = chunk[local * n..].split_at_mut(n);
-                let o1 = &mut rest[..n];
-                for (o, &v) in o0.iter_mut().zip(acc0.iter()) {
-                    *o = T::from_acc(v * scale);
-                }
-                for (o, &v) in o1.iter_mut().zip(acc1.iter()) {
-                    *o = T::from_acc(v * scale);
-                }
-                local += 2;
-            }
-            if local < rows_here {
-                let i = row0 + local;
-                acc0.iter_mut().for_each(|v| *v = 0.0);
-                let arow = &aw[i * ka..(i + 1) * ka];
-                for kk in 0..ka {
-                    micro::axpy(&mut acc0, arow[kk], &bt[kk * n..(kk + 1) * n]);
-                }
-                let orow = &mut chunk[local * n..(local + 1) * n];
-                for (o, &v) in orow.iter_mut().zip(acc0.iter()) {
-                    *o = T::from_acc(v * scale);
-                }
-            }
-        });
+    let out = gemm_nt_exec((1, m, n, ka), a.as_slice(), b.as_slice(), scale);
     Matrix::from_vec(m, n, out)
 }
 
 /// Batched `C = scale · (A · Bᵀ)` over a whole B×H stack in **one launch**:
 /// `A: batch×M×K`, `B: batch×N×K`, `C: batch×M×N`. Charges a single profile
-/// of exactly `batch ×` the per-panel [`gemm_nt`] cost and fans out once
-/// over (panel, row-tile) work items. Per-element sums run in serial
-/// k-order through the register-tiled [`micro::panel_product`], so results
-/// are bit-identical to a per-panel [`gemm_nt`] loop.
+/// of exactly `batch ×` the per-panel [`gemm_nt`] cost; the same exec body
+/// as [`gemm_nt`].
 pub fn gemm_nt_batched<T: Scalar>(
     ctx: &mut GpuCtx,
     stage: Stage,
@@ -172,9 +121,24 @@ pub fn gemm_nt_batched<T: Scalar>(
     if !ctx.exec {
         return BatchedMatrix::charge_only(batch, m, n);
     }
+    let out = gemm_nt_exec((batch, m, n, ka), a.as_slice(), b.as_slice(), scale);
+    BatchedMatrix::from_vec(batch, m, n, out)
+}
 
-    let aw = micro::widen(a.as_slice());
-    let bp = micro::widen_packed(b.as_slice(), batch, n, ka);
+/// The one NT exec body, over borrowed slices: `batch` stacked `m × ka`
+/// A panels against their `n × ka` B panels. One pool fan-out over (panel,
+/// row-tile) work items; each output row block accumulates in the
+/// register-tiled [`micro::panel_product`] against B packed once per call,
+/// so per-element sums run in serial k-order (the scores every kernel that
+/// computes them shares), and converts once with `from_acc(x · scale)`.
+fn gemm_nt_exec<T: Scalar>(
+    (batch, m, n, ka): (usize, usize, usize, usize),
+    a: &[T],
+    b: &[T],
+    scale: f32,
+) -> Vec<T> {
+    let aw = micro::widen(a);
+    let bp = micro::widen_packed(b, batch, n, ka);
     let ppl = micro::packed_len(n, ka);
     let mut out = vec![T::zero(); batch * m * n];
     crate::batched::fan_out(
@@ -184,24 +148,18 @@ pub fn gemm_nt_batched<T: Scalar>(
         |p, e0, chunk| {
             let aw_p = &aw[p * m * ka..(p + 1) * m * ka];
             let bp_p = &bp[p * ppl..(p + 1) * ppl];
-            let rows_here = chunk.len() / n;
-            let row0 = e0 / n;
             let mut acc = scratch_f32_stale(micro::TILE_ROWS * n);
-            let mut local = 0;
-            while local < rows_here {
-                let rcnt = micro::TILE_ROWS.min(rows_here - local);
-                micro::panel_product(aw_p, row0 + local, rcnt, ka, bp_p, n, &mut acc);
-                for (o, &v) in chunk[local * n..(local + rcnt) * n]
-                    .iter_mut()
-                    .zip(acc[..rcnt * n].iter())
-                {
+            for (t, orows) in chunk.chunks_mut(micro::TILE_ROWS * n).enumerate() {
+                let rcnt = orows.len() / n;
+                let i0 = e0 / n + t * micro::TILE_ROWS;
+                micro::panel_product(aw_p, i0, rcnt, ka, bp_p, n, &mut acc);
+                for (o, &v) in orows.iter_mut().zip(acc.iter()) {
                     *o = T::from_acc(v * scale);
                 }
-                local += rcnt;
             }
         },
     );
-    BatchedMatrix::from_vec(batch, m, n, out)
+    out
 }
 
 /// Batched `C = A · B` over a whole B×H stack in one launch (`A: batch×M×K`,
@@ -271,7 +229,7 @@ pub fn gemm_nn<T: Scalar>(
 /// skipping — rather than multiplying by zero — also keeps non-finite B
 /// values from poisoning outputs the old code left finite); only a
 /// both-nonzero pair takes the fused `axpy2`.
-fn nn_chunk_exec<T: Scalar>(
+pub(crate) fn nn_chunk_exec<T: Scalar>(
     aw: &[f32],
     bw: &[f32],
     chunk: &mut [T],

@@ -19,6 +19,9 @@
 //!   CSR softmax; register-cached vs streaming traffic per row length.
 //! * [`spmm`] — N:M SpMM on the simulated sparse tensor core, CSR SpMM with
 //!   the vector tiling of Figure 10(B), blocked-ELL × N:M hybrid SpMM.
+//! * [`rowtile`] — the row-tile attention driver: QK → prune → softmax → AV
+//!   on one 16-row tile at a time, bit-identical to (and charged as) the
+//!   three staged launches, without their whole-stack intermediates.
 //! * [`topk`] — explicit top-k row selection + CSR encoding, charged
 //!   honestly (it is the overhead §4.3 says sinks the top-k baseline).
 //! * [`ctx`] — the [`GpuCtx`] bundle of device config, kernel timeline and
@@ -32,6 +35,7 @@ pub(crate) mod decode;
 pub mod ell;
 pub mod gemm;
 pub mod micro;
+pub mod rowtile;
 pub mod sddmm;
 pub mod simd;
 pub mod softmax;

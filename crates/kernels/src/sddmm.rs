@@ -90,16 +90,7 @@ pub fn sddmm_nm_fused<T: Scalar>(
     assert_eq!(dq, dk, "inner dimensions differ");
     assert_eq!(cols % pattern.m(), 0);
 
-    // --- simulated cost -------------------------------------------------
-    // Input traffic: identical to the dense GEMM (Figure 7 tiling). Output
-    // traffic: nonzeros + metadata only — the zero-overhead claim.
-    let (reads, writes, macs, groups) = fused_charge::<T>(ctx, rows, cols, dq, pattern);
-    ctx.record(
-        KernelProfile::new("sddmm_nm_fused", Stage::Qk)
-            .with_traffic(reads, writes)
-            .with_tc(macs, dense_class::<T>())
-            .with_alu(groups * epilogue_ops_per_group(pattern)),
-    );
+    record_fused::<T>(ctx, pattern, 1, rows, cols, dq);
 
     // --- execution ------------------------------------------------------
     let kept_per_row = pattern.kept_per_row(cols);
@@ -257,7 +248,7 @@ fn prune_rows_into_2_4<T: Scalar>(
 }
 
 /// Prune a block of score rows with the fastest epilogue for the pattern.
-fn prune_rows_dispatch<T: Scalar>(
+pub(crate) fn prune_rows_dispatch<T: Scalar>(
     pattern: NmPattern,
     scores: &[f32],
     cols: usize,
@@ -272,15 +263,18 @@ fn prune_rows_dispatch<T: Scalar>(
     }
 }
 
-/// The per-panel cost counters of one fused SDDMM (shared by the single and
-/// batched entry points so the batched charge is exactly `batch ×` this).
-fn fused_charge<T: Scalar>(
-    ctx: &GpuCtx,
+/// Record one fused-SDDMM launch over `batch` same-shape panels: a single
+/// profile of exactly `batch ×` the per-panel charge, shared by every entry
+/// point. Input traffic is the dense GEMM's (Figure 7 tiling); output
+/// traffic is nonzeros + metadata only — the zero-overhead claim.
+pub(crate) fn record_fused<T: Scalar>(
+    ctx: &mut GpuCtx,
+    pattern: NmPattern,
+    batch: usize,
     rows: usize,
     cols: usize,
     d: usize,
-    pattern: NmPattern,
-) -> (u64, u64, u64, u64) {
+) {
     let tm = ctx.tile_for(rows) as u64;
     let tn = ctx.tile_for(cols) as u64;
     let (rows64, cols64, d64) = (rows as u64, cols as u64, d as u64);
@@ -290,7 +284,13 @@ fn fused_charge<T: Scalar>(
     let nz_bytes = rows64 * kept * T::BYTES as u64;
     let meta_bytes = (rows64 * (cols64 / pattern.m() as u64) * 4).div_ceil(8);
     let groups = rows64 * cols64 / pattern.m() as u64;
-    (reads, nz_bytes + meta_bytes, rows64 * cols64 * d64, groups)
+    let b64 = batch as u64;
+    ctx.record(
+        KernelProfile::new("sddmm_nm_fused", Stage::Qk)
+            .with_traffic(b64 * reads, b64 * (nz_bytes + meta_bytes))
+            .with_tc(b64 * rows64 * cols64 * d64, dense_class::<T>())
+            .with_alu(b64 * groups * epilogue_ops_per_group(pattern)),
+    );
 }
 
 /// Batched fused SDDMM: `compress_{N:M}(scale · Q·Kᵀ)` for a whole B×H
@@ -312,14 +312,7 @@ pub fn sddmm_nm_fused_batched<T: Scalar>(
     assert_eq!(dq, dk, "inner dimensions differ");
     assert_eq!(cols % pattern.m(), 0);
 
-    let (reads, writes, macs, groups) = fused_charge::<T>(ctx, rows, cols, dq, pattern);
-    let b64 = batch as u64;
-    ctx.record(
-        KernelProfile::new("sddmm_nm_fused", Stage::Qk)
-            .with_traffic(b64 * reads, b64 * writes)
-            .with_tc(b64 * macs, dense_class::<T>())
-            .with_alu(b64 * groups * epilogue_ops_per_group(pattern)),
-    );
+    record_fused::<T>(ctx, pattern, batch, rows, cols, dq);
     if !ctx.exec {
         return NmBatch::charge_only(pattern, batch, rows, cols);
     }

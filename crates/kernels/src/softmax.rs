@@ -24,7 +24,7 @@ fn record_softmax<T: Scalar>(ctx: &mut GpuCtx, name: &'static str, rows: usize, 
 /// One batched launch covering `batch` same-shape softmaxes: a single
 /// profile of exactly `batch ×` the per-panel charge (the cache-regime pass
 /// count depends only on `row_len` and is computed once per launch).
-fn record_softmax_batched<T: Scalar>(
+pub(crate) fn record_softmax_batched<T: Scalar>(
     ctx: &mut GpuCtx,
     name: &'static str,
     batch: usize,
@@ -61,7 +61,7 @@ fn row_max(buf: &[f32]) -> f32 {
 /// lane-blocked max, the shared exp pass, and the normalising multiply
 /// fused into the narrowing write-back — one fewer pass over the row than
 /// the textbook four, with bit-identical results.
-fn softmax_into<T: Scalar>(row: &mut [T], buf: &mut [f32]) {
+pub(crate) fn softmax_into<T: Scalar>(row: &mut [T], buf: &mut [f32]) {
     let buf = &mut buf[..row.len()];
     for (b, v) in buf.iter_mut().zip(row.iter()) {
         *b = v.to_f32();

@@ -22,29 +22,36 @@ use rayon::prelude::*;
 /// item serve a whole batch of rows (shared with the blocked-ELL SpMM).
 pub(crate) const ROW_CHUNK: usize = 16;
 
-/// Per-panel cost counters of the N:M SpMM (shared by the single and
-/// batched entry points so the batched charge is exactly `batch ×` this).
-fn spmm_nm_charge<T: Scalar>(
-    ctx: &GpuCtx,
+/// Record one N:M SpMM launch over `batch` same-shape panels (`rows × inner`
+/// compressed A against `inner × d` V): a single profile of exactly
+/// `batch ×` the per-panel charge, shared by every entry point.
+pub(crate) fn record_spmm_nm<T: Scalar>(
+    ctx: &mut GpuCtx,
+    pattern: NmPattern,
+    batch: usize,
     rows: usize,
     inner: usize,
     d: usize,
-    kept_per_row: usize,
-    groups_per_row: usize,
-) -> (u64, u64, u64) {
+) {
     // Block tiling like the dense GEMM, but the A panel is compressed
     // (nonzeros + metadata) and MACs run on the sparse unit.
+    let (kept, groups) = (pattern.kept_per_row(inner), inner / pattern.m());
     let tm = ctx.tile_for(rows) as u64;
     let tn = ctx.tile_for(d) as u64;
     let tiles = (rows as u64).div_ceil(tm) * (d as u64).div_ceil(tn);
-    let kept_row_bytes = (kept_per_row * T::BYTES) as u64;
-    let meta_row_bytes = (groups_per_row as u64 * 4).div_ceil(8);
+    let kept_row_bytes = (kept * T::BYTES) as u64;
+    let meta_row_bytes = (groups as u64 * 4).div_ceil(8);
     let a_panel = tm * (kept_row_bytes + meta_row_bytes);
     let v_panel = (inner as u64) * tn * T::BYTES as u64;
     let reads = tiles * (a_panel + v_panel);
     let writes = (rows * d * T::BYTES) as u64;
-    let phys_macs = (rows * kept_per_row * d) as u64;
-    (reads, writes, phys_macs)
+    let phys_macs = (rows * kept * d) as u64;
+    let b64 = batch as u64;
+    ctx.record(
+        KernelProfile::new("spmm_nm", Stage::Av)
+            .with_traffic(b64 * reads, b64 * writes)
+            .with_tc(b64 * phys_macs, sparse_class::<T>()),
+    );
 }
 
 /// `O = Aᶜ · V` where `Aᶜ` is N:M-compressed `n×n` and `V` is `n×d`.
@@ -54,13 +61,7 @@ pub fn spmm_nm<T: Scalar>(ctx: &mut GpuCtx, a: &NmCompressed<T>, v: &Matrix<T>) 
     let (vr, d) = v.shape();
     assert_eq!(inner, vr, "A cols {} != V rows {vr}", inner);
 
-    let (reads, writes, phys_macs) =
-        spmm_nm_charge::<T>(ctx, rows, inner, d, a.kept_per_row(), a.groups_per_row());
-    ctx.record(
-        KernelProfile::new("spmm_nm", Stage::Av)
-            .with_traffic(reads, writes)
-            .with_tc(phys_macs, sparse_class::<T>()),
-    );
+    record_spmm_nm::<T>(ctx, a.pattern(), 1, rows, inner, d);
     if !ctx.exec {
         return Matrix::zeros(rows, d);
     }
@@ -134,14 +135,7 @@ pub fn spmm_nm_batched<T: Scalar>(
     assert_eq!(batch, bb, "batch sizes differ");
     assert_eq!(inner, vr, "A cols {inner} != V rows {vr}");
 
-    let (reads, writes, phys_macs) =
-        spmm_nm_charge::<T>(ctx, rows, inner, d, a.kept_per_row(), a.groups_per_row());
-    let b64 = batch as u64;
-    ctx.record(
-        KernelProfile::new("spmm_nm", Stage::Av)
-            .with_traffic(b64 * reads, b64 * writes)
-            .with_tc(b64 * phys_macs, sparse_class::<T>()),
-    );
+    record_spmm_nm::<T>(ctx, a.pattern(), batch, rows, inner, d);
     if !ctx.exec {
         return BatchedMatrix::charge_only(batch, rows, d);
     }

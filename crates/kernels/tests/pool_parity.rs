@@ -7,15 +7,17 @@
 //! outputs must be bit-identical to a **per-panel serial loop** of the
 //! single-head kernels (for all five kernel families), and their single
 //! recorded profile must charge **exactly batch ×** the single-head
-//! `KernelProfile` in one launch.
+//! `KernelProfile` in one launch. The row-tile attention driver must
+//! equal the staged three-launch pipeline it replaces, bit for bit and
+//! profile for profile.
 //!
 //! `RAYON_NUM_THREADS=4` is pinned before the first pool use so the fan-out
 //! paths are exercised even on single-core CI runners.
 
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_kernels::{ell, gemm, sddmm, softmax, spmm, GpuCtx};
+use dfss_kernels::{ell, gemm, rowtile, sddmm, softmax, spmm, GpuCtx};
 use dfss_nmsparse::{BlockedEll, Csr, NmBatch, NmCompressed, NmPattern};
-use dfss_tensor::{BatchedMatrix, Matrix, Rng, Scalar};
+use dfss_tensor::{BatchedMatrix, Bf16, Matrix, Rng, Scalar};
 
 /// Pin the pool width before its lazy initialisation (call first in every
 /// test; whichever test runs first wins the race, all set the same value).
@@ -482,6 +484,156 @@ fn batched_charge_only_profiles_match_executed() {
     assert_eq!(e.bytes_written, c.bytes_written);
     assert_eq!(e.tc_macs, c.tc_macs);
     assert_eq!(e.alu_ops, c.alu_ops);
+}
+
+/// The staged three-launch pipeline the row-tile driver replaces: dense
+/// (`prune == None`) or fused N:M, over a whole stack.
+fn staged_batched<T: Scalar>(
+    ctx: &mut GpuCtx,
+    prune: Option<NmPattern>,
+    (q, k, v): (&BatchedMatrix<T>, &BatchedMatrix<T>, &BatchedMatrix<T>),
+    scale: f32,
+) -> BatchedMatrix<T> {
+    match prune {
+        None => {
+            let scores = gemm::gemm_nt_batched(ctx, Stage::Qk, q, k, scale);
+            let weights = softmax::softmax_dense_batched(ctx, &scores);
+            gemm::gemm_nn_batched(ctx, Stage::Av, &weights, v)
+        }
+        Some(pattern) => {
+            let mut comp = sddmm::sddmm_nm_fused_batched(ctx, q, k, scale, pattern);
+            softmax::softmax_nm_batched(ctx, &mut comp);
+            spmm::spmm_nm_batched(ctx, &comp, v)
+        }
+    }
+}
+
+/// [`staged_batched`] on one panel, through the solo kernels.
+fn staged_solo<T: Scalar>(
+    ctx: &mut GpuCtx,
+    prune: Option<NmPattern>,
+    (q, k, v): (&Matrix<T>, &Matrix<T>, &Matrix<T>),
+    scale: f32,
+) -> Matrix<T> {
+    match prune {
+        None => {
+            let scores = gemm::gemm_nt(ctx, Stage::Qk, q, k, scale);
+            let weights = softmax::softmax_dense(ctx, &scores);
+            gemm::gemm_nn(ctx, Stage::Av, &weights, v)
+        }
+        Some(pattern) => {
+            let mut comp = sddmm::sddmm_nm_fused(ctx, q, k, scale, pattern);
+            softmax::softmax_nm(ctx, &mut comp);
+            spmm::spmm_nm(ctx, &comp, v)
+        }
+    }
+}
+
+/// Every pipeline the driver runs: dense, the two hardware patterns and
+/// two general ones.
+fn driver_pipelines() -> [Option<NmPattern>; 5] {
+    [
+        None,
+        Some(NmPattern::P1_2),
+        Some(NmPattern::P2_4),
+        Some(NmPattern::new(1, 4)),
+        Some(NmPattern::new(3, 4)),
+    ]
+}
+
+/// Driver inputs: 3 panels of 37 query rows (not a multiple of 16 or 4)
+/// against `keys` keys, head dim 16 and a 20-wide V, with a NaN, a +∞ and
+/// a −∞ planted in Q.
+fn driver_inputs<T: Scalar>(
+    keys: usize,
+    seed: u64,
+) -> (BatchedMatrix<T>, BatchedMatrix<T>, BatchedMatrix<T>) {
+    let (batch, rows, d, d_v) = (3usize, 37usize, 16usize, 20usize);
+    let mut rng = Rng::new(seed);
+    let mut q = BatchedMatrix::<T>::random_normal(batch, rows, d, 0.0, 1.0, &mut rng);
+    let k = BatchedMatrix::<T>::random_normal(batch, keys, d, 0.0, 1.0, &mut rng);
+    let v = BatchedMatrix::<T>::random_normal(batch, keys, d_v, 0.0, 1.0, &mut rng);
+    q.panel_mut(0)[5 * d + 3] = T::from_f32(f32::NAN);
+    q.panel_mut(1)[36 * d] = T::from_f32(f32::INFINITY);
+    q.panel_mut(2)[17 * d + 2] = T::from_f32(f32::NEG_INFINITY);
+    (q, k, v)
+}
+
+/// The row-tile driver against the staged launches, bit for bit, batched
+/// and solo, pooled and serial, for one scalar type.
+fn check_driver_matches_staged<T: Scalar>() {
+    let scale = 0.25;
+    // Key counts that are multiples of every M here but not of 64 (nor of
+    // the 16-column pack tile), and never equal to the 37 query rows.
+    for keys in [44usize, 100] {
+        let (q, k, v) = driver_inputs::<T>(keys, 80 + keys as u64);
+        for prune in driver_pipelines() {
+            let what = format!("{} {prune:?} keys {keys}", T::NAME);
+            let want = staged_batched(&mut GpuCtx::a100(), prune, (&q, &k, &v), scale);
+            let got = rowtile::attend_batched(&mut GpuCtx::a100(), prune, &q, &k, &v, scale);
+            let serial = rayon::with_serial(|| {
+                rowtile::attend_batched(&mut GpuCtx::a100(), prune, &q, &k, &v, scale)
+            });
+            for p in 0..q.batch() {
+                let want_p = bits(&want.to_panel(p));
+                assert_eq!(bits(&got.to_panel(p)), want_p, "batched {what} panel {p}");
+                assert_eq!(bits(&serial.to_panel(p)), want_p, "serial {what} panel {p}");
+                let (q_p, k_p, v_p) = (q.to_panel(p), k.to_panel(p), v.to_panel(p));
+                let solo = rowtile::attend(&mut GpuCtx::a100(), prune, &q_p, &k_p, &v_p, scale);
+                let staged = staged_solo(&mut GpuCtx::a100(), prune, (&q_p, &k_p, &v_p), scale);
+                assert_eq!(bits(&staged), want_p, "staged solo {what} panel {p}");
+                assert_eq!(bits(&solo), want_p, "solo {what} panel {p}");
+            }
+            // The planted +∞ reaches the output (∞ − ∞ in the softmax), and
+            // rows without a planted value stay finite.
+            let nan = |r: usize| got.row(1, r).iter().all(|x| x.to_f32().is_nan());
+            let finite = |r: usize| got.row(1, r).iter().all(|x| x.to_f32().is_finite());
+            assert!(nan(36) && finite(0), "{what}");
+        }
+    }
+}
+
+/// The row-tile driver (QK → prune → softmax → AV per 16-row tile) is
+/// bit-identical to the staged three-launch pipeline it replaces, at f32
+/// and bf16, for the dense pipeline and every N:M pattern.
+#[test]
+fn row_tile_driver_matches_staged_pipeline() {
+    pin_pool();
+    check_driver_matches_staged::<f32>();
+    check_driver_matches_staged::<Bf16>();
+}
+
+/// Both driver entry points record the staged pipeline's profiles (names,
+/// stages, counters, order) and leave the memory ledger as the staged
+/// kernels do, in exec and in charge-only mode; charge-only executes
+/// nothing.
+#[test]
+fn row_tile_driver_charges_like_staged_pipeline() {
+    pin_pool();
+    let (q, k, v) = driver_inputs::<f32>(44, 90);
+    let (q_p, k_p, v_p) = (q.to_panel(1), k.to_panel(1), v.to_panel(1));
+    let ledger = |ctx: &GpuCtx| (format!("{:?}", ctx.timeline.entries()), ctx.mem.peak());
+    for exec in [true, false] {
+        let ctx = || {
+            let mut ctx = GpuCtx::a100();
+            ctx.exec = exec;
+            ctx
+        };
+        for prune in driver_pipelines() {
+            let what = format!("{prune:?} exec {exec}");
+            let (mut drv, mut stg) = (ctx(), ctx());
+            let out = rowtile::attend_batched(&mut drv, prune, &q, &k, &v, 0.5);
+            let _ = staged_batched(&mut stg, prune, (&q, &k, &v), 0.5);
+            assert_eq!(out.is_materialized(), exec, "batched {what}");
+            assert_eq!(drv.timeline.entries().len(), 3, "batched {what}");
+            assert_eq!(ledger(&drv), ledger(&stg), "batched {what}");
+
+            let (mut drv, mut stg) = (ctx(), ctx());
+            let _ = rowtile::attend(&mut drv, prune, &q_p, &k_p, &v_p, 0.5);
+            let _ = staged_solo(&mut stg, prune, (&q_p, &k_p, &v_p), 0.5);
+            assert_eq!(ledger(&drv), ledger(&stg), "solo {what}");
+        }
+    }
 }
 
 #[test]
