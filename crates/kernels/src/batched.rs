@@ -1,7 +1,8 @@
 //! The pool fan-out shared by the prefill exec bodies.
 //!
-//! A launch covers `batch` same-shape panels (a solo `gemm_nt`,
-//! `sddmm_nm_fused` or `spmm_nm` call is the one-panel case). It records
+//! A launch covers `batch` same-shape panels (a solo `gemm_nt`, `gemm_nn`,
+//! `sddmm_nm_fused`, `dense_prune`, `spmm_nm` or blocked-ELL call is the
+//! one-panel case). It records
 //! a single [`KernelProfile`] whose counters are exactly `batch ×` the
 //! per-panel charge (shape work such as `GpuCtx::tile_for` runs once per
 //! launch, not once per head), and executes as **one pool fan-out** over
@@ -14,8 +15,9 @@
 
 use rayon::prelude::*;
 
-/// Rows per (panel, row-tile) work item. At n = 4096 a tile's dense f32
-/// scores take 256 KiB, inside a core's L2.
+/// Rows per (panel, row-tile) work item, and per work item of the row-wise
+/// softmax and CSR SpMM. At n = 4096 a tile's dense f32 scores take
+/// 256 KiB, inside a core's L2.
 pub(crate) const ROW_TILE: usize = 16;
 
 /// Fan out over (panel, row-tile) work items of a stacked output buffer.

@@ -8,16 +8,22 @@
 //! place** through a [`PagedPanel`] view — a serving session's pool pages
 //! or, as the one-page case, a contiguous slab. The ragged entry points
 //! (`*_ragged`, over a packed [`RaggedBatch`](dfss_tensor::RaggedBatch))
-//! and the solo entry points (`*_decode`, one stream) are thin wrappers
-//! that pass one-page views into that body, so the solo loop, a packed
-//! ragged launch and a paged launch over the same rows are bit-identical
-//! by construction — the launch accounting is the only difference (one
-//! summed [`KernelProfile`] vs. B per-stream profiles).
+//! are thin wrappers that pass one-page views into that body, and a solo
+//! step is a one-view launch, so a per-stream loop, a packed ragged launch
+//! and a paged launch over the same rows are bit-identical by construction
+//! — the launch accounting is the only difference (one summed
+//! [`KernelProfile`] vs. B per-stream profiles).
 //!
-//! Unlike the prefill score kernels (serial-k `axpy` outer products), the
-//! decode scores use the lane-blocked [`micro::dot`] shape: a decode step
-//! has one output row per stream, so there is no operand panel to stream
-//! and the dot's higher arithmetic intensity wins. Decode outputs are
+//! The prune runs the prefill selection over a row's full M-groups — the
+//! scaled epilogue `prune_rows_dispatch` after the fused score, the
+//! verbatim [`NmPattern::compress_groups_into`] in the unfused ablation —
+//! and then keeps the dense tail.
+//!
+//! Unlike the prefill score kernels (serial-k outer products through
+//! [`micro::panel_product`]), the decode scores use the lane-blocked
+//! [`micro::dot`] shape: a decode step has one output row per stream, so
+//! there is no operand panel to stream and the dot's higher arithmetic
+//! intensity wins. Decode outputs are
 //! therefore *not* bit-comparable to a prefill forward over the same cache
 //! — only to other decode paths, which is the invariant the engine pins.
 //!
@@ -37,6 +43,7 @@
 //! [`NmRagged`]: dfss_nmsparse::NmRagged
 
 use crate::micro::widen;
+use crate::sddmm::prune_rows_dispatch;
 use crate::simd;
 use dfss_nmsparse::{NmPattern, NmRagged};
 use dfss_tensor::{scratch_f32_stale, PagedPanel, Scalar};
@@ -56,9 +63,10 @@ pub(crate) fn decode_scores_widen<S: Scalar>(
     }
 }
 
-/// Prune one decode score row from f32 accumulators: N:M selection over the
-/// full M-groups (same [`NmPattern::select_group_into`] semantics as the
-/// prefill epilogue, scale applied at write time), dense tail copied kept.
+/// Prune one decode score row from f32 accumulators: the full M-groups
+/// through the prefill epilogue ([`prune_rows_dispatch`], selection on the
+/// raw scores, scale applied at write time), then the dense tail kept,
+/// scaled the same way.
 pub(crate) fn prune_decode_row<T: Scalar>(
     pattern: NmPattern,
     scores: &[f32],
@@ -66,25 +74,12 @@ pub(crate) fn prune_decode_row<T: Scalar>(
     nz_out: &mut [T],
     code_out: &mut [u8],
 ) {
-    let m = pattern.m();
-    let groups = scores.len() / m;
-    let mut kept = [0usize; dfss_nmsparse::MAX_M];
-    let mut nz_pos = 0usize;
-    for (g, chunk) in scores[..groups * m].chunks_exact(m).enumerate() {
-        let n_kept = pattern.select_group_into(chunk, &mut kept);
-        let mut code = 0u8;
-        for &ki in &kept[..n_kept] {
-            code |= 1 << ki;
-            nz_out[nz_pos] = T::from_acc(chunk[ki] * scale);
-            nz_pos += 1;
-        }
-        code_out[g] = code;
+    let full = scores.len() / pattern.m() * pattern.m();
+    let (nz_groups, nz_tail) = nz_out.split_at_mut(full / pattern.m() * pattern.n());
+    prune_rows_dispatch(pattern, &scores[..full], scale, nz_groups, code_out);
+    for (o, &s) in nz_tail.iter_mut().zip(&scores[full..]) {
+        *o = T::from_acc(s * scale);
     }
-    for &s in &scores[groups * m..] {
-        nz_out[nz_pos] = T::from_acc(s * scale);
-        nz_pos += 1;
-    }
-    debug_assert_eq!(nz_pos, nz_out.len());
 }
 
 /// Fused score + prune of one stream: widen the query row, stream the
@@ -125,36 +120,18 @@ pub(crate) fn score_dense_stream<T: Scalar, S: Scalar>(
 }
 
 /// Standalone prune of one stream's already-narrowed score values (the
-/// unfused ablation's second half): selection on the widened values, kept
-/// entries copied verbatim like the prefill `dense_prune`.
+/// unfused ablation's second half): the full M-groups through the prefill
+/// `dense_prune`'s verbatim-copy selection, then the dense tail copied.
 pub(crate) fn prune_values_stream<T: Scalar>(
     pattern: NmPattern,
     scores: &[T],
     nz_out: &mut [T],
     code_out: &mut [u8],
 ) {
-    let m = pattern.m();
-    let groups = scores.len() / m;
-    let mut group_scores = [0.0f32; dfss_nmsparse::MAX_M];
-    let mut kept = [0usize; dfss_nmsparse::MAX_M];
-    let mut nz_pos = 0usize;
-    for (g, chunk) in scores[..groups * m].chunks_exact(m).enumerate() {
-        for (s, v) in group_scores.iter_mut().zip(chunk) {
-            *s = v.to_f32();
-        }
-        let n_kept = pattern.select_group_into(&group_scores[..m], &mut kept);
-        let mut code = 0u8;
-        for &ki in &kept[..n_kept] {
-            code |= 1 << ki;
-            nz_out[nz_pos] = chunk[ki];
-            nz_pos += 1;
-        }
-        code_out[g] = code;
-    }
-    for &v in &scores[groups * m..] {
-        nz_out[nz_pos] = v;
-        nz_pos += 1;
-    }
+    let full = scores.len() / pattern.m() * pattern.m();
+    let (nz_groups, nz_tail) = nz_out.split_at_mut(full / pattern.m() * pattern.n());
+    pattern.compress_groups_into(&scores[..full], nz_groups, code_out);
+    nz_tail.copy_from_slice(&scores[full..]);
 }
 
 /// SpMM of one stream: contract row `i` of the compressed stack with the

@@ -9,14 +9,24 @@
 //! The compressed result is stored *packed*: each row keeps only the
 //! `ell_width · block` columns of its active blocks, pruned N:M within.
 //! [`EllNm`] carries the packing map so SpMM can gather the right V rows.
+//!
+//! Each op has one exec body over borrowed slices and one charge helper;
+//! the solo kernel is the one-panel case of the batched one, so both are
+//! bit-identical. The SDDMM prunes with the fused SDDMM's epilogue
+//! (`sddmm::prune_rows_dispatch`), and the SpMM reads rows with the
+//! compressed formats' one code scan ([`scan_codes`]).
 
+use crate::batched::{fan_out, fan_out2, ROW_TILE};
 use crate::ctx::{dense_class, sparse_class, GpuCtx};
-use crate::micro;
-use crate::spmm::ROW_CHUNK;
+use crate::{micro, sddmm};
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_nmsparse::{BlockedEll, NmBatch, NmCompressed, NmPattern};
-use dfss_tensor::{scratch_f32, scratch_f32_stale, BatchedMatrix, Matrix, Scalar};
-use rayon::prelude::*;
+use dfss_nmsparse::{scan_codes, BlockedEll, NmBatch, NmCompressed, NmPattern};
+use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, Scalar};
+
+/// One launch's shape: `(batch, rows, inner, d)` — `batch` panels of
+/// `rows` output rows over `inner` dense columns (the keys of the SDDMM,
+/// the V rows of the SpMM) and width `d` (the head dim, or V's width).
+type Shape = (usize, usize, usize, usize);
 
 /// An attention weight matrix under hybrid blocked-ELL × N:M sparsity.
 #[derive(Clone, Debug)]
@@ -29,14 +39,6 @@ pub struct EllNm<T> {
 }
 
 impl<T: Scalar> EllNm<T> {
-    /// Dense column index of packed column `pc` for a row in row-block `rb`.
-    #[inline]
-    pub fn dense_col(&self, rb: usize, pc: usize) -> usize {
-        let b = self.ell.block();
-        let active = self.ell.row_active(rb);
-        active[pc / b] as usize * b + pc % b
-    }
-
     /// Overall density (active fraction × N/M).
     pub fn density(&self) -> f64 {
         self.ell.hybrid_density(self.packed.pattern().density())
@@ -46,254 +48,6 @@ impl<T: Scalar> EllNm<T> {
     pub fn bytes(&self) -> usize {
         self.packed.bytes() + self.ell.row_blocks() * self.ell.ell_width() * 4
     }
-}
-
-/// Per-panel cost counters of the hybrid fused SDDMM (shared by the single
-/// and batched entry points so the batched charge is exactly `batch ×`
-/// this).
-fn ell_sddmm_charge<T: Scalar>(
-    ell: &BlockedEll,
-    rows: usize,
-    d: usize,
-    pattern: NmPattern,
-) -> (u64, u64, u64, u64) {
-    let b = ell.block();
-    let packed_cols = ell.ell_width() * b;
-    let kept_per_row = pattern.kept_per_row(packed_cols);
-    let groups_per_row = packed_cols / pattern.m();
-    let active_tiles = (ell.row_blocks() * ell.ell_width()) as u64;
-    let reads = active_tiles * (2 * b * d) as u64 * T::BYTES as u64;
-    let nz_bytes = (rows * kept_per_row * T::BYTES) as u64;
-    let meta_bytes = ((rows * groups_per_row) as u64 * 4).div_ceil(8);
-    let macs = active_tiles * (b * b * d) as u64;
-    let groups = (rows * groups_per_row) as u64;
-    (reads, nz_bytes + meta_bytes, macs, groups)
-}
-
-/// Fused SDDMM + N:M prune restricted to the active blocks of `ell`.
-///
-/// Inactive blocks are never computed (their tiles are skipped in the launch
-/// grid), never written, and act as −∞ for the subsequent softmax.
-pub fn sddmm_ell_nm_fused<T: Scalar>(
-    ctx: &mut GpuCtx,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    scale: f32,
-    pattern: NmPattern,
-    ell: &BlockedEll,
-) -> EllNm<T> {
-    let (rows, d) = q.shape();
-    let (kn, dk) = k.shape();
-    assert_eq!(d, dk);
-    assert_eq!(rows, ell.rows());
-    assert_eq!(kn, ell.cols());
-    let b = ell.block();
-    assert_eq!(b % pattern.m(), 0, "block size must be a multiple of M");
-
-    let packed_cols = ell.ell_width() * b;
-    let kept_per_row = pattern.kept_per_row(packed_cols);
-    let groups_per_row = packed_cols / pattern.m();
-
-    // Simulated cost: only active tiles compute & load operands.
-    let (reads, writes, macs, groups) = ell_sddmm_charge::<T>(ell, rows, d, pattern);
-    ctx.record(
-        KernelProfile::new("sddmm_ell_nm_fused", Stage::Qk)
-            .with_traffic(reads, writes)
-            .with_tc(macs, dense_class::<T>())
-            .with_alu(groups * 12),
-    );
-
-    if !ctx.exec {
-        let code = (0..pattern.n()).fold(0u8, |acc, i| acc | (1 << i));
-        return EllNm {
-            ell: ell.clone(),
-            packed: NmCompressed::from_parts(
-                pattern,
-                rows,
-                packed_cols,
-                vec![T::zero(); rows * kept_per_row],
-                vec![code; rows * groups_per_row],
-            ),
-        };
-    }
-    // Execution: per row, compute scores for active blocks only, packed.
-    // Scores accumulate as an outer product over the widen-transposed K
-    // panel — the same `axpy` microkernel (same serial-k-order sums) as the
-    // dense GEMM and plain fused SDDMM, so packed scores are bit-identical
-    // to theirs.
-    let qw = micro::widen(q.as_slice());
-    let kt = micro::widen_transposed(k);
-    let mut nonzeros = vec![T::zero(); rows * kept_per_row];
-    let mut codes = vec![0u8; rows * groups_per_row];
-
-    nonzeros
-        .par_chunks_mut(kept_per_row)
-        .zip(codes.par_chunks_mut(groups_per_row))
-        .enumerate()
-        .for_each(|(i, (nz_row, code_row))| {
-            let mut acc = scratch_f32(packed_cols);
-            ell_sddmm_row(
-                &qw[i * d..(i + 1) * d],
-                &kt,
-                kn,
-                ell,
-                i / b,
-                b,
-                pattern,
-                scale,
-                &mut acc,
-                nz_row,
-                code_row,
-            );
-        });
-
-    EllNm {
-        ell: ell.clone(),
-        packed: NmCompressed::from_parts(pattern, rows, packed_cols, nonzeros, codes),
-    }
-}
-
-/// One packed score row of the hybrid SDDMM: active-block outer-product
-/// accumulation into `acc` (caller-zeroed) followed by the N:M prune.
-/// Shared by the single-head and batched entry points so both produce
-/// bit-identical rows.
-#[allow(clippy::too_many_arguments)]
-fn ell_sddmm_row<T: Scalar>(
-    qrow: &[f32],
-    kt: &[f32],
-    kn: usize,
-    ell: &BlockedEll,
-    rb: usize,
-    b: usize,
-    pattern: NmPattern,
-    scale: f32,
-    acc: &mut [f32],
-    nz_row: &mut [T],
-    code_row: &mut [u8],
-) {
-    for (kk, &qv) in qrow.iter().enumerate() {
-        let krow = &kt[kk * kn..(kk + 1) * kn];
-        for (slot, &cb) in ell.row_active(rb).iter().enumerate() {
-            let col0 = cb as usize * b;
-            micro::axpy(
-                &mut acc[slot * b..(slot + 1) * b],
-                qv,
-                &krow[col0..col0 + b],
-            );
-        }
-    }
-    // Prune the packed row.
-    let mut nz_pos = 0usize;
-    let mut kept = [0usize; dfss_nmsparse::MAX_M];
-    for (g, chunk) in acc.chunks_exact(pattern.m()).enumerate() {
-        let n_kept = pattern.select_group_into(chunk, &mut kept);
-        let mut code = 0u8;
-        for &kidx in &kept[..n_kept] {
-            code |= 1 << kidx;
-            nz_row[nz_pos] = T::from_acc(chunk[kidx] * scale);
-            nz_pos += 1;
-        }
-        code_row[g] = code;
-    }
-}
-
-/// Softmax over the packed compressed rows (inactive blocks contribute
-/// nothing, kept entries normalise to 1).
-pub fn softmax_ell_nm<T: Scalar>(ctx: &mut GpuCtx, a: &mut EllNm<T>) {
-    crate::softmax::softmax_nm(ctx, &mut a.packed);
-}
-
-/// Per-panel cost counters of the hybrid SpMM (tiling computed once, shared
-/// by the single and batched entry points).
-fn ell_spmm_charge<T: Scalar>(
-    ctx: &GpuCtx,
-    ell: &BlockedEll,
-    rows: usize,
-    d: usize,
-    kept_per_row: usize,
-    groups_per_row: usize,
-) -> (u64, u64, u64) {
-    // Like spmm_nm but only active-block V panels are loaded.
-    let tm = ctx.tile_for(rows) as u64;
-    let tiles_m = (rows as u64).div_ceil(tm);
-    let kept_row_bytes = (kept_per_row * T::BYTES) as u64;
-    let meta_row_bytes = (groups_per_row as u64 * 4).div_ceil(8);
-    let packed_inner = (ell.ell_width() * ell.block()) as u64;
-    let v_panel = packed_inner * d as u64 * T::BYTES as u64;
-    let reads = tiles_m * (tm * (kept_row_bytes + meta_row_bytes) + v_panel);
-    let writes = (rows * d * T::BYTES) as u64;
-    let phys_macs = (rows * kept_per_row * d) as u64;
-    (reads, writes, phys_macs)
-}
-
-/// One output row of the hybrid SpMM (shared single/batched): packed scan,
-/// dense-column gather, `axpy` into the caller's zeroed accumulator.
-fn ell_spmm_row<T: Scalar>(
-    packed_row: impl FnOnce(&mut dyn FnMut(usize, T)),
-    ell: &BlockedEll,
-    rb: usize,
-    vw: &[f32],
-    d: usize,
-    acc: &mut [f32],
-    orow: &mut [T],
-) {
-    let b = ell.block();
-    acc.iter_mut().for_each(|x| *x = 0.0);
-    packed_row(&mut |pc, val: T| {
-        let active = ell.row_active(rb);
-        let col = active[pc / b] as usize * b + pc % b;
-        micro::axpy(acc, val.to_mul(), &vw[col * d..(col + 1) * d]);
-    });
-    for (o, &x) in orow.iter_mut().zip(acc.iter()) {
-        *o = T::from_acc(x);
-    }
-}
-
-/// `O = Aᶜ · V` for hybrid blocked-ELL × N:M `A`.
-pub fn spmm_ell_nm<T: Scalar>(ctx: &mut GpuCtx, a: &EllNm<T>, v: &Matrix<T>) -> Matrix<T> {
-    let rows = a.packed.rows();
-    let (vr, d) = v.shape();
-    assert_eq!(vr, a.ell.cols());
-    let b = a.ell.block();
-
-    let (reads, writes, phys_macs) = ell_spmm_charge::<T>(
-        ctx,
-        &a.ell,
-        rows,
-        d,
-        a.packed.kept_per_row(),
-        a.packed.groups_per_row(),
-    );
-    ctx.record(
-        KernelProfile::new("spmm_ell_nm", Stage::Av)
-            .with_traffic(reads, writes)
-            .with_tc(phys_macs, sparse_class::<T>()),
-    );
-    if !ctx.exec {
-        return Matrix::zeros(rows, d);
-    }
-
-    let vw = micro::widen(v.as_slice());
-    let mut out = vec![T::zero(); rows * d];
-    // Batch rows per work item (one scratch accumulator per chunk).
-    out.par_chunks_mut(d * ROW_CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let mut acc = scratch_f32_stale(d);
-            for (local, orow) in chunk.chunks_mut(d).enumerate() {
-                let r = ci * ROW_CHUNK + local;
-                ell_spmm_row(
-                    |f| a.packed.scan_row(r, f),
-                    &a.ell,
-                    r / b,
-                    &vw,
-                    d,
-                    &mut acc,
-                    orow,
-                );
-            }
-        });
-    Matrix::from_vec(rows, d, out)
 }
 
 /// An attention weight stack under hybrid blocked-ELL × N:M sparsity: one
@@ -308,14 +62,6 @@ pub struct EllNmBatch<T> {
 }
 
 impl<T: Scalar> EllNmBatch<T> {
-    /// Copy panel `b` out as a standalone [`EllNm`].
-    pub fn to_ell_nm(&self, b: usize) -> EllNm<T> {
-        EllNm {
-            ell: self.ell.clone(),
-            packed: self.packed.to_compressed(b),
-        }
-    }
-
     /// Overall density (active fraction × N/M).
     pub fn density(&self) -> f64 {
         self.ell.hybrid_density(self.packed.pattern().density())
@@ -328,10 +74,71 @@ impl<T: Scalar> EllNmBatch<T> {
     }
 }
 
+/// Check a hybrid fused SDDMM's shapes against its block map and record
+/// its one launch: a single profile of exactly `batch ×` the per-panel
+/// charge, where only active tiles compute and load operands. Returns the
+/// packed row width.
+fn record_ell_sddmm<T: Scalar>(
+    ctx: &mut GpuCtx,
+    ell: &BlockedEll,
+    pattern: NmPattern,
+    (batch, rows, kn, d): Shape,
+    k_cols: usize,
+) -> usize {
+    assert_eq!(d, k_cols);
+    assert_eq!(rows, ell.rows());
+    assert_eq!(kn, ell.cols());
+    let b = ell.block();
+    assert_eq!(b % pattern.m(), 0, "block size must be a multiple of M");
+    let packed_cols = ell.ell_width() * b;
+    let kept_per_row = pattern.kept_per_row(packed_cols);
+    let groups_per_row = packed_cols / pattern.m();
+    let active_tiles = (ell.row_blocks() * ell.ell_width()) as u64;
+    let reads = active_tiles * (2 * b * d) as u64 * T::BYTES as u64;
+    let nz_bytes = (rows * kept_per_row * T::BYTES) as u64;
+    let meta_bytes = ((rows * groups_per_row) as u64 * 4).div_ceil(8);
+    let macs = active_tiles * (b * b * d) as u64;
+    let groups = (rows * groups_per_row) as u64;
+    let b64 = batch as u64;
+    ctx.record(
+        KernelProfile::new("sddmm_ell_nm_fused", Stage::Qk)
+            .with_traffic(b64 * reads, b64 * (nz_bytes + meta_bytes))
+            .with_tc(b64 * macs, dense_class::<T>())
+            .with_alu(b64 * groups * 12),
+    );
+    packed_cols
+}
+
+/// Fused SDDMM + N:M prune restricted to the active blocks of `ell`.
+///
+/// Inactive blocks are never computed (their tiles are skipped in the launch
+/// grid), never written, and act as −∞ for the subsequent softmax. The
+/// one-panel case of [`sddmm_ell_nm_fused_batched`]'s exec body.
+pub fn sddmm_ell_nm_fused<T: Scalar>(
+    ctx: &mut GpuCtx,
+    q: &Matrix<T>,
+    k: &Matrix<T>,
+    scale: f32,
+    pattern: NmPattern,
+    ell: &BlockedEll,
+) -> EllNm<T> {
+    let shape = (1, q.rows(), k.rows(), q.cols());
+    let packed_cols = record_ell_sddmm::<T>(ctx, ell, pattern, shape, k.cols());
+    let packed = if ctx.exec {
+        let (nz, codes) = ell_sddmm_exec(pattern, ell, shape, q.as_slice(), k.as_slice(), scale);
+        NmCompressed::from_parts(pattern, q.rows(), packed_cols, nz, codes)
+    } else {
+        NmCompressed::zeros(pattern, q.rows(), packed_cols)
+    };
+    EllNm {
+        ell: ell.clone(),
+        packed,
+    }
+}
+
 /// Batched hybrid fused SDDMM over a whole B×H stack in **one launch**: a
 /// single profile of exactly `batch ×` the per-panel
-/// [`sddmm_ell_nm_fused`] cost and one pool fan-out over (panel, row-tile)
-/// work items. Bit-identical to a per-panel loop.
+/// [`sddmm_ell_nm_fused`] cost and the same exec body.
 pub fn sddmm_ell_nm_fused_batched<T: Scalar>(
     ctx: &mut GpuCtx,
     q: &BatchedMatrix<T>,
@@ -341,83 +148,80 @@ pub fn sddmm_ell_nm_fused_batched<T: Scalar>(
     ell: &BlockedEll,
 ) -> EllNmBatch<T> {
     let (batch, rows, d) = q.shape();
-    let (bb, kn, dk) = k.shape();
-    assert_eq!(batch, bb, "batch sizes differ");
-    assert_eq!(d, dk);
-    assert_eq!(rows, ell.rows());
-    assert_eq!(kn, ell.cols());
-    let b = ell.block();
-    assert_eq!(b % pattern.m(), 0, "block size must be a multiple of M");
+    assert_eq!(batch, k.batch(), "batch sizes differ");
+    let shape = (batch, rows, k.rows(), d);
+    let packed_cols = record_ell_sddmm::<T>(ctx, ell, pattern, shape, k.cols());
+    let packed = if ctx.exec {
+        let (nz, codes) = ell_sddmm_exec(pattern, ell, shape, q.as_slice(), k.as_slice(), scale);
+        NmBatch::from_parts(pattern, batch, rows, packed_cols, nz, codes)
+    } else {
+        NmBatch::charge_only(pattern, batch, rows, packed_cols)
+    };
+    EllNmBatch {
+        ell: ell.clone(),
+        packed,
+    }
+}
 
+/// The one hybrid SDDMM exec body, over borrowed slices: `batch` stacked
+/// `rows × d` Q panels against their `kn × d` K panels, K widened and
+/// transposed once per call, one pool fan-out over (panel, row-tile) work
+/// items. Each packed score row accumulates its active blocks as an
+/// [`micro::axpy`] outer product (serial k-order, so the packed scores are
+/// bit-identical to the dense ones) and is pruned by the fused SDDMM's
+/// epilogue.
+fn ell_sddmm_exec<T: Scalar>(
+    pattern: NmPattern,
+    ell: &BlockedEll,
+    (batch, rows, kn, d): Shape,
+    q: &[T],
+    k: &[T],
+    scale: f32,
+) -> (Vec<T>, Vec<u8>) {
+    let b = ell.block();
     let packed_cols = ell.ell_width() * b;
     let kept_per_row = pattern.kept_per_row(packed_cols);
     let groups_per_row = packed_cols / pattern.m();
-
-    let (reads, writes, macs, groups) = ell_sddmm_charge::<T>(ell, rows, d, pattern);
-    let b64 = batch as u64;
-    ctx.record(
-        KernelProfile::new("sddmm_ell_nm_fused", Stage::Qk)
-            .with_traffic(b64 * reads, b64 * writes)
-            .with_tc(b64 * macs, dense_class::<T>())
-            .with_alu(b64 * groups * 12),
-    );
-    if !ctx.exec {
-        return EllNmBatch {
-            ell: ell.clone(),
-            packed: NmBatch::charge_only(pattern, batch, rows, packed_cols),
-        };
-    }
-
-    let qw = micro::widen(q.as_slice());
-    // Per-panel widen-transposed K (same layout the single-head kernel
-    // streams) packed back to back.
-    let mut kts = dfss_tensor::scratch_f32(batch * d * kn);
-    for p in 0..batch {
-        let dst = &mut kts[p * d * kn..(p + 1) * d * kn];
-        for (j, row) in k.panel(p).chunks_exact(d.max(1)).enumerate() {
-            for (kk, v) in row.iter().enumerate() {
-                dst[kk * kn + j] = v.to_mul();
-            }
-        }
-    }
+    let qw = micro::widen(q);
+    let kt = micro::widen_transposed(k, batch, kn, d);
     let mut nonzeros = vec![T::zero(); batch * rows * kept_per_row];
     let mut codes = vec![0u8; batch * rows * groups_per_row];
-    crate::batched::fan_out2(
+    fan_out2(
         &mut nonzeros,
         rows * kept_per_row,
-        crate::batched::ROW_TILE * kept_per_row,
+        ROW_TILE * kept_per_row,
         &mut codes,
         rows * groups_per_row,
-        crate::batched::ROW_TILE * groups_per_row,
+        ROW_TILE * groups_per_row,
         |p, e0, nz_chunk, code_chunk| {
-            let qw_p = &qw[p * rows * d..(p + 1) * rows * d];
-            let kt_p = &kts[p * d * kn..(p + 1) * d * kn];
-            let row0 = e0 / kept_per_row;
-            let rows_here = nz_chunk.len() / kept_per_row;
+            let kt_p = &kt[p * d * kn..(p + 1) * d * kn];
             let mut acc = scratch_f32_stale(packed_cols);
-            for local in 0..rows_here {
-                let r = row0 + local;
-                acc.iter_mut().for_each(|x| *x = 0.0);
-                ell_sddmm_row(
-                    &qw_p[r * d..(r + 1) * d],
-                    kt_p,
-                    kn,
-                    ell,
-                    r / b,
-                    b,
-                    pattern,
-                    scale,
-                    &mut acc,
-                    &mut nz_chunk[local * kept_per_row..(local + 1) * kept_per_row],
-                    &mut code_chunk[local * groups_per_row..(local + 1) * groups_per_row],
-                );
+            let rows_here = nz_chunk
+                .chunks_exact_mut(kept_per_row)
+                .zip(code_chunk.chunks_exact_mut(groups_per_row));
+            for (local, (nz_row, code_row)) in rows_here.enumerate() {
+                let r = e0 / kept_per_row + local;
+                let qrow = &qw[(p * rows + r) * d..(p * rows + r + 1) * d];
+                acc.fill(0.0);
+                for (kk, &qv) in qrow.iter().enumerate() {
+                    let krow = &kt_p[kk * kn..(kk + 1) * kn];
+                    for (slot, &cb) in ell.row_active(r / b).iter().enumerate() {
+                        let col0 = cb as usize * b;
+                        let acc_slot = &mut acc[slot * b..(slot + 1) * b];
+                        micro::axpy(acc_slot, qv, &krow[col0..col0 + b]);
+                    }
+                }
+                sddmm::prune_rows_dispatch(pattern, &acc, scale, nz_row, code_row);
             }
         },
     );
-    EllNmBatch {
-        ell: ell.clone(),
-        packed: NmBatch::from_parts(pattern, batch, rows, packed_cols, nonzeros, codes),
-    }
+    (nonzeros, codes)
+}
+
+/// Softmax over the packed compressed rows (inactive blocks contribute
+/// nothing, kept entries normalise to 1).
+pub fn softmax_ell_nm<T: Scalar>(ctx: &mut GpuCtx, a: &mut EllNm<T>) {
+    crate::softmax::softmax_nm(ctx, &mut a.packed);
 }
 
 /// Batched softmax over the packed compressed stack (one launch for every
@@ -426,63 +230,109 @@ pub fn softmax_ell_nm_batched<T: Scalar>(ctx: &mut GpuCtx, a: &mut EllNmBatch<T>
     crate::softmax::softmax_nm_batched(ctx, &mut a.packed);
 }
 
-/// Batched `O = Aᶜ · V` for hybrid blocked-ELL × N:M stacks in one launch
-/// (single profile = `batch ×` the per-panel [`spmm_ell_nm`] cost, tiling
-/// hoisted). Bit-identical to a per-panel loop.
-pub fn spmm_ell_nm_batched<T: Scalar>(
-    ctx: &mut GpuCtx,
-    a: &EllNmBatch<T>,
-    v: &BatchedMatrix<T>,
-) -> BatchedMatrix<T> {
-    let (batch, rows) = (a.packed.batch(), a.packed.rows());
-    let (bb, vr, d) = v.shape();
-    assert_eq!(batch, bb, "batch sizes differ");
-    assert_eq!(vr, a.ell.cols());
-    let b = a.ell.block();
+/// A packed compressed panel or stack as the hybrid SpMM reads it: the
+/// pattern, the packed row width, the nonzeros and the codes.
+type Packed<'a, T> = (NmPattern, usize, &'a [T], &'a [u8]);
 
-    let (reads, writes, phys_macs) = ell_spmm_charge::<T>(
-        ctx,
-        &a.ell,
-        rows,
-        d,
-        a.packed.kept_per_row(),
-        a.packed.groups_per_row(),
-    );
+/// Check a hybrid SpMM's V height against its block map and record its
+/// one launch: like `spmm_nm`, but only active-block V panels are loaded;
+/// a single profile of exactly `batch ×` the per-panel charge.
+fn record_ell_spmm<T: Scalar>(
+    ctx: &mut GpuCtx,
+    ell: &BlockedEll,
+    (batch, rows, vr, d): Shape,
+    (pattern, packed_cols, ..): Packed<'_, T>,
+) {
+    assert_eq!(vr, ell.cols());
+    let tm = ctx.tile_for(rows) as u64;
+    let tiles_m = (rows as u64).div_ceil(tm);
+    let kept = pattern.kept_per_row(packed_cols);
+    let kept_row_bytes = (kept * T::BYTES) as u64;
+    let meta_row_bytes = ((packed_cols / pattern.m()) as u64 * 4).div_ceil(8);
+    let packed_inner = (ell.ell_width() * ell.block()) as u64;
+    let v_panel = packed_inner * d as u64 * T::BYTES as u64;
+    let reads = tiles_m * (tm * (kept_row_bytes + meta_row_bytes) + v_panel);
+    let writes = (rows * d * T::BYTES) as u64;
+    let phys_macs = (rows * kept * d) as u64;
     let b64 = batch as u64;
     ctx.record(
         KernelProfile::new("spmm_ell_nm", Stage::Av)
             .with_traffic(b64 * reads, b64 * writes)
             .with_tc(b64 * phys_macs, sparse_class::<T>()),
     );
-    if !ctx.exec {
-        return BatchedMatrix::charge_only(batch, rows, d);
-    }
+}
 
-    let vw = micro::widen(v.as_slice());
+/// `O = Aᶜ · V` for hybrid blocked-ELL × N:M `A`: the one-panel case of
+/// [`spmm_ell_nm_batched`]'s exec body.
+pub fn spmm_ell_nm<T: Scalar>(ctx: &mut GpuCtx, a: &EllNm<T>, v: &Matrix<T>) -> Matrix<T> {
+    let p = &a.packed;
+    let packed = (p.pattern(), p.cols(), p.nonzeros(), p.codes());
+    let shape = (1, p.rows(), v.rows(), v.cols());
+    record_ell_spmm(ctx, &a.ell, shape, packed);
+    if !ctx.exec {
+        return Matrix::zeros(p.rows(), v.cols());
+    }
+    let out = ell_spmm_exec(&a.ell, shape, packed, v.as_slice());
+    Matrix::from_vec(p.rows(), v.cols(), out)
+}
+
+/// Batched `O = Aᶜ · V` for hybrid blocked-ELL × N:M stacks in one launch
+/// (single profile = `batch ×` the per-panel [`spmm_ell_nm`] cost); the
+/// same exec body as [`spmm_ell_nm`].
+pub fn spmm_ell_nm_batched<T: Scalar>(
+    ctx: &mut GpuCtx,
+    a: &EllNmBatch<T>,
+    v: &BatchedMatrix<T>,
+) -> BatchedMatrix<T> {
+    let p = &a.packed;
+    assert_eq!(p.batch(), v.batch(), "batch sizes differ");
+    let packed = (p.pattern(), p.cols(), p.nonzeros(), p.codes());
+    let shape = (p.batch(), p.rows(), v.rows(), v.cols());
+    record_ell_spmm(ctx, &a.ell, shape, packed);
+    if !ctx.exec {
+        return BatchedMatrix::charge_only(p.batch(), p.rows(), v.cols());
+    }
+    let out = ell_spmm_exec(&a.ell, shape, packed, v.as_slice());
+    BatchedMatrix::from_vec(p.batch(), p.rows(), v.cols(), out)
+}
+
+/// The one hybrid SpMM exec body, over borrowed slices: `batch` stacked
+/// packed compressed panels (`rows × packed_cols`) against their `vr × d`
+/// V panels, one pool fan-out over (panel, row-tile) work items. Each
+/// output row scans its codes, maps every kept packed column to its dense
+/// column through the row block's active list, and [`micro::axpy`]s that
+/// V row into an f32 accumulator in ascending column order.
+fn ell_spmm_exec<T: Scalar>(
+    ell: &BlockedEll,
+    (batch, rows, vr, d): Shape,
+    (pattern, packed_cols, nonzeros, codes): Packed<'_, T>,
+    v: &[T],
+) -> Vec<T> {
+    let b = ell.block();
+    let (kept, gpr) = (pattern.kept_per_row(packed_cols), packed_cols / pattern.m());
+    let vw = micro::widen(v);
     let mut out = vec![T::zero(); batch * rows * d];
-    crate::batched::fan_out(
-        &mut out,
-        rows * d,
-        crate::batched::ROW_TILE * d,
-        |p, e0, chunk| {
-            let vw_p = &vw[p * vr * d..(p + 1) * vr * d];
-            let row0 = e0 / d;
-            let mut acc = scratch_f32_stale(d);
-            for (local, orow) in chunk.chunks_mut(d).enumerate() {
-                let r = row0 + local;
-                ell_spmm_row(
-                    |f| a.packed.scan_row(p, r, f),
-                    &a.ell,
-                    r / b,
-                    vw_p,
-                    d,
-                    &mut acc,
-                    orow,
-                );
+    fan_out(&mut out, rows * d, ROW_TILE * d, |p, e0, chunk| {
+        let vw_p = &vw[p * vr * d..(p + 1) * vr * d];
+        let mut acc = scratch_f32_stale(d);
+        for (local, orow) in chunk.chunks_mut(d).enumerate() {
+            let r = e0 / d + local;
+            let (row, active) = (p * rows + r, ell.row_active(r / b));
+            acc.fill(0.0);
+            let (row_codes, row_nz) = (
+                &codes[row * gpr..(row + 1) * gpr],
+                &nonzeros[row * kept..(row + 1) * kept],
+            );
+            scan_codes(pattern.m(), row_codes, row_nz, |pc, val| {
+                let col = active[pc / b] as usize * b + pc % b;
+                micro::axpy(&mut acc, val.to_mul(), &vw_p[col * d..(col + 1) * d]);
+            });
+            for (o, &x) in orow.iter_mut().zip(acc.iter()) {
+                *o = T::from_acc(x);
             }
-        },
-    );
-    BatchedMatrix::from_vec(batch, rows, d, out)
+        }
+    });
+    out
 }
 
 #[cfg(test)]
@@ -591,18 +441,35 @@ mod tests {
         );
     }
 
+    /// With every block active the packed order is the dense order, so the
+    /// hybrid SDDMM must equal the plain fused SDDMM bit for bit — scores,
+    /// scale, selection and rounding — for every pattern and dtype, and a
+    /// NaN in Q (a whole NaN score row) selects alike in both.
+    fn check_dense_ell_equals_plain_fused_sddmm<T: Scalar>() {
+        let n = 64;
+        let mut rng = Rng::new(4);
+        let mut q = Matrix::<T>::random_normal(n, 16, 0.0, 1.0, &mut rng);
+        let k = Matrix::<T>::random_normal(n, 16, 0.0, 1.0, &mut rng);
+        q.set(9, 5, T::from_f32(f32::NAN));
+        let ell = BlockedEll::dense(n, n, 16);
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f32().to_bits()).collect::<Vec<_>>();
+        for pattern in [NmPattern::P1_2, NmPattern::P2_4, NmPattern::new(1, 4)] {
+            let mut c1 = GpuCtx::a100();
+            let mut c2 = GpuCtx::a100();
+            let hybrid = sddmm_ell_nm_fused(&mut c1, &q, &k, 0.25, pattern, &ell);
+            let plain = crate::sddmm::sddmm_nm_fused(&mut c2, &q, &k, 0.25, pattern);
+            let what = format!("{} {pattern}", T::NAME);
+            assert_eq!(hybrid.packed.codes(), plain.codes(), "{what} codes");
+            let (h, p) = (hybrid.packed.nonzeros(), plain.nonzeros());
+            assert_eq!(bits(h), bits(p), "{what} values");
+            assert!(h[9 * pattern.kept_per_row(n)].to_f32().is_nan(), "{what}");
+        }
+    }
+
     #[test]
     fn dense_ell_equals_plain_fused_sddmm() {
-        let n = 64;
-        let (q, k, _) = setup(n, 16, 4);
-        let ell = BlockedEll::dense(n, n, 16);
-        let mut c1 = GpuCtx::a100();
-        let mut c2 = GpuCtx::a100();
-        let hybrid = sddmm_ell_nm_fused(&mut c1, &q, &k, 1.0, NmPattern::P1_2, &ell);
-        let plain = crate::sddmm::sddmm_nm_fused(&mut c2, &q, &k, 1.0, NmPattern::P1_2);
-        // With all blocks active, packed order == dense order.
-        assert_eq!(hybrid.packed.codes(), plain.codes());
-        assert!(hybrid.packed.decompress().max_abs_diff(&plain.decompress()) < 1e-5);
+        check_dense_ell_equals_plain_fused_sddmm::<f32>();
+        check_dense_ell_equals_plain_fused_sddmm::<dfss_tensor::Bf16>();
     }
 
     #[test]

@@ -7,23 +7,25 @@
 //! `(2·T·K + T·T) · sizeof(T)` bytes, which reproduces the Table 5 count
 //! `n²(2d/T + 1)` for the n×d·d×n attention score GEMM.
 //!
-//! On the host each kernel computes the same result with one pool fan-out
-//! over 16-row output tiles. `NT` packs B once per call into tile-major
-//! blocks and accumulates 4-row register tiles with
-//! [`micro::panel_product`]; `NN` streams B rows through row-pair
-//! [`micro::axpy2`] updates, skipping zero A entries; `TN` widen-transposes
-//! A once and then runs the `NN` loop. Every per-element sum runs in serial
-//! k-order. Packing and transposing are layout work a real GPU kernel gets
-//! for free from `ldmatrix`, so neither is charged.
+//! Two layouts, `NT` (`A·Bᵀ`, the score GEMM) and `NN` (`A·B`, the AV
+//! product and the model's projections), each with one exec body over
+//! borrowed slices: the solo kernel is the one-panel case of the batched
+//! one, and both make one pool fan-out over (panel, 16-row tile) work
+//! items. `NT` packs B once per call into tile-major blocks and accumulates
+//! 4-row register tiles with [`micro::panel_product`]; `NN` streams B rows
+//! through row-pair [`micro::axpy2`] updates, skipping zero A entries.
+//! Every per-element sum runs in serial k-order. Packing is layout work a
+//! real GPU kernel gets for free from `ldmatrix`, so it is not charged.
+//!
+//! The decode score row (`gemm_nt_paged`, one query row per stream against
+//! its cached K pages) shares the decode kernels' per-stream routines.
 
+use crate::batched::{fan_out, ROW_TILE};
 use crate::ctx::{dense_class, GpuCtx};
 use crate::micro;
 use dfss_gpusim::{KernelProfile, Stage};
 use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
 use rayon::prelude::*;
-
-/// Minimum per-thread row chunk, to avoid rayon overhead on small matrices.
-const PAR_ROW_CHUNK: usize = 16;
 
 /// Charge the simulated cost of a dense `M×K · K×N` GEMM without executing
 /// it here — for mechanisms that fuse the product into a custom host loop
@@ -36,24 +38,12 @@ pub fn charge_gemm<T: Scalar>(
     n: usize,
     k: usize,
 ) {
-    record_gemm::<T>(ctx, name, stage, m, n, k);
-}
-
-/// Record the simulated profile for a dense `M×K · K×N` GEMM.
-fn record_gemm<T: Scalar>(
-    ctx: &mut GpuCtx,
-    name: &'static str,
-    stage: Stage,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
     record_gemm_batched::<T>(ctx, name, stage, 1, m, n, k);
 }
 
-/// Record one batched launch covering `batch` same-shape GEMMs: a single
-/// profile whose counters are exactly `batch ×` the per-panel charge.
-/// Tiling (`tile_for`) is computed once per launch, not once per panel.
+/// Record one launch covering `batch` same-shape GEMMs: a single profile
+/// whose counters are exactly `batch ×` the per-panel charge. Tiling
+/// (`tile_for`) is computed once per launch, not once per panel.
 pub(crate) fn record_gemm_batched<T: Scalar>(
     ctx: &mut GpuCtx,
     name: &'static str,
@@ -94,7 +84,7 @@ pub fn gemm_nt<T: Scalar>(
     let (m, ka) = a.shape();
     let (n, kb) = b.shape();
     assert_eq!(ka, kb, "inner dimensions differ: {ka} vs {kb}");
-    record_gemm::<T>(ctx, "gemm_nt", stage, m, n, ka);
+    record_gemm_batched::<T>(ctx, "gemm_nt", stage, 1, m, n, ka);
     if !ctx.exec {
         return Matrix::zeros(m, n);
     }
@@ -141,30 +131,44 @@ fn gemm_nt_exec<T: Scalar>(
     let bp = micro::widen_packed(b, batch, n, ka);
     let ppl = micro::packed_len(n, ka);
     let mut out = vec![T::zero(); batch * m * n];
-    crate::batched::fan_out(
-        &mut out,
-        m * n,
-        crate::batched::ROW_TILE * n,
-        |p, e0, chunk| {
-            let aw_p = &aw[p * m * ka..(p + 1) * m * ka];
-            let bp_p = &bp[p * ppl..(p + 1) * ppl];
-            let mut acc = scratch_f32_stale(micro::TILE_ROWS * n);
-            for (t, orows) in chunk.chunks_mut(micro::TILE_ROWS * n).enumerate() {
-                let rcnt = orows.len() / n;
-                let i0 = e0 / n + t * micro::TILE_ROWS;
-                micro::panel_product(aw_p, i0, rcnt, ka, bp_p, n, &mut acc);
-                for (o, &v) in orows.iter_mut().zip(acc.iter()) {
-                    *o = T::from_acc(v * scale);
-                }
+    fan_out(&mut out, m * n, ROW_TILE * n, |p, e0, chunk| {
+        let aw_p = &aw[p * m * ka..(p + 1) * m * ka];
+        let bp_p = &bp[p * ppl..(p + 1) * ppl];
+        let mut acc = scratch_f32_stale(micro::TILE_ROWS * n);
+        for (t, orows) in chunk.chunks_mut(micro::TILE_ROWS * n).enumerate() {
+            let rcnt = orows.len() / n;
+            let i0 = e0 / n + t * micro::TILE_ROWS;
+            micro::panel_product(aw_p, i0, rcnt, ka, bp_p, n, &mut acc);
+            for (o, &v) in orows.iter_mut().zip(acc.iter()) {
+                *o = T::from_acc(v * scale);
             }
-        },
-    );
+        }
+    });
     out
+}
+
+/// `C = A · B`; `A: M×K`, `B: K×N`, `C: M×N` (e.g. `A·V`). The one-panel
+/// case of [`gemm_nn_batched`]'s exec body, so both are bit-identical.
+pub fn gemm_nn<T: Scalar>(
+    ctx: &mut GpuCtx,
+    stage: Stage,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+) -> Matrix<T> {
+    let (m, ka) = a.shape();
+    let (kb, n) = b.shape();
+    assert_eq!(ka, kb, "inner dimensions differ: {ka} vs {kb}");
+    record_gemm_batched::<T>(ctx, "gemm_nn", stage, 1, m, n, ka);
+    if !ctx.exec {
+        return Matrix::zeros(m, n);
+    }
+    let out = gemm_nn_exec((1, m, n, ka), a.as_slice(), b.as_slice());
+    Matrix::from_vec(m, n, out)
 }
 
 /// Batched `C = A · B` over a whole B×H stack in one launch (`A: batch×M×K`,
 /// `B: batch×K×N`); single profile = `batch ×` the per-panel [`gemm_nn`]
-/// cost, bit-identical results to a per-panel loop.
+/// cost; the same exec body as [`gemm_nn`].
 pub fn gemm_nn_batched<T: Scalar>(
     ctx: &mut GpuCtx,
     stage: Stage,
@@ -179,50 +183,30 @@ pub fn gemm_nn_batched<T: Scalar>(
     if !ctx.exec {
         return BatchedMatrix::charge_only(batch, m, n);
     }
-
-    let aw = micro::widen(a.as_slice());
-    let bw = micro::widen(b.as_slice());
-    let mut out = vec![T::zero(); batch * m * n];
-    crate::batched::fan_out(&mut out, m * n, PAR_ROW_CHUNK * n, |p, e0, chunk| {
-        nn_chunk_exec::<T>(
-            &aw[p * m * ka..(p + 1) * m * ka],
-            &bw[p * ka * n..(p + 1) * ka * n],
-            chunk,
-            e0 / n,
-            n,
-            ka,
-        );
-    });
+    let out = gemm_nn_exec((batch, m, n, ka), a.as_slice(), b.as_slice());
     BatchedMatrix::from_vec(batch, m, n, out)
 }
 
-/// `C = A · B`; `A: M×K`, `B: K×N`, `C: M×N` (e.g. `A·V`).
-pub fn gemm_nn<T: Scalar>(
-    ctx: &mut GpuCtx,
-    stage: Stage,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-) -> Matrix<T> {
-    let (m, ka) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(ka, kb, "inner dimensions differ: {ka} vs {kb}");
-    record_gemm::<T>(ctx, "gemm_nn", stage, m, n, ka);
-    if !ctx.exec {
-        return Matrix::zeros(m, n);
-    }
-
-    let aw = micro::widen(a.as_slice());
-    let bw = micro::widen(b.as_slice());
-    let mut out = vec![T::zero(); m * n];
-    out.par_chunks_mut(n * PAR_ROW_CHUNK)
-        .enumerate()
-        .for_each(|(chunk_idx, chunk)| {
-            nn_chunk_exec::<T>(&aw, &bw, chunk, chunk_idx * PAR_ROW_CHUNK, n, ka);
-        });
-    Matrix::from_vec(m, n, out)
+/// The one NN exec body, over borrowed slices: `batch` stacked `m × ka`
+/// A panels against their `ka × n` B panels, one pool fan-out over (panel,
+/// row-tile) work items, each running [`nn_chunk_exec`].
+fn gemm_nn_exec<T: Scalar>(
+    (batch, m, n, ka): (usize, usize, usize, usize),
+    a: &[T],
+    b: &[T],
+) -> Vec<T> {
+    let aw = micro::widen(a);
+    let bw = micro::widen(b);
+    let mut out = vec![T::zero(); batch * m * n];
+    fan_out(&mut out, m * n, ROW_TILE * n, |p, e0, chunk| {
+        let aw_p = &aw[p * m * ka..(p + 1) * m * ka];
+        let bw_p = &bw[p * ka * n..(p + 1) * ka * n];
+        nn_chunk_exec::<T>(aw_p, bw_p, chunk, e0 / n, n, ka);
+    });
+    out
 }
 
-/// Shared NN/TN row-accumulation: output rows of `chunk` are built by
+/// NN row accumulation: output rows of `chunk` are built by
 /// streaming B rows, pairing output rows so each B row is loaded once for
 /// two accumulators. Rows whose A entry is zero are skipped exactly as the
 /// single-row path skips them (pruned entries cost nothing numerically, and
@@ -288,34 +272,6 @@ pub(crate) fn nn_chunk_exec<T: Scalar>(
     }
 }
 
-/// `C = Aᵀ · B`; `A: K×M`, `B: K×N`, `C: M×N` (gradient layouts).
-pub fn gemm_tn<T: Scalar>(
-    ctx: &mut GpuCtx,
-    stage: Stage,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-) -> Matrix<T> {
-    let (ka, m) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(ka, kb, "inner dimensions differ: {ka} vs {kb}");
-    record_gemm::<T>(ctx, "gemm_tn", stage, m, n, ka);
-    if !ctx.exec {
-        return Matrix::zeros(m, n);
-    }
-
-    // Host side: fused widen + transpose of A into a pooled panel, then the
-    // NN accumulation pattern.
-    let aw = micro::widen_transposed(a);
-    let bw = micro::widen(b.as_slice());
-    let mut out = vec![T::zero(); m * n];
-    out.par_chunks_mut(n * PAR_ROW_CHUNK)
-        .enumerate()
-        .for_each(|(chunk_idx, chunk)| {
-            nn_chunk_exec::<T>(&aw, &bw, chunk, chunk_idx * PAR_ROW_CHUNK, n, ka);
-        });
-    Matrix::from_vec(m, n, out)
-}
-
 /// Per-stream charge of one dense decode score row (`1 × len` against the
 /// `len × d` cached panel): the `m = 1` tiled-GEMM model. The cached K
 /// panel is charged at its stored element width `S`; the query row and
@@ -331,36 +287,6 @@ fn decode_score_charge<T: Scalar, S: Scalar>(
     let reads = tiles * (d64 * T::BYTES as u64 + d64 * tn * S::BYTES as u64);
     let writes = len64 * T::BYTES as u64;
     (reads, writes, len64 * d64)
-}
-
-/// Solo dense decode scores: `scale · q·Kᵀ` for one stream's new query row
-/// against its cached K (`len × d`) → a `1 × len` score row. The unfused
-/// decode ablation's first half, and the one-stream case of
-/// [`gemm_nt_paged`], so the per-stream solo loop is bit-identical to it.
-pub fn gemm_nt_decode<T: Scalar, S: Scalar>(
-    ctx: &mut GpuCtx,
-    stage: Stage,
-    q_row: &Matrix<T>,
-    k: &Matrix<S>,
-    scale: f32,
-) -> Matrix<T> {
-    assert_eq!(q_row.cols(), k.cols(), "inner dimensions differ");
-    let view = PagedPanel::one_page(k.as_slice(), k.rows());
-    let scores = gemm_nt_paged(ctx, stage, q_row, &[view], scale);
-    Matrix::from_vec(1, k.rows(), scores.as_slice().to_vec())
-}
-
-/// Ragged batched dense decode scores over a packed stack: the
-/// one-page-per-stream case of [`gemm_nt_paged`].
-pub fn gemm_nt_ragged<T: Scalar, S: Scalar>(
-    ctx: &mut GpuCtx,
-    stage: Stage,
-    q: &Matrix<T>,
-    k: &RaggedBatch<S>,
-    scale: f32,
-) -> RaggedBatch<T> {
-    assert_eq!(q.cols(), k.cols(), "inner dimensions differ");
-    gemm_nt_paged(ctx, stage, q, &k.views(), scale)
 }
 
 /// Ragged batched dense decode scores: every stream's new query row (row
@@ -435,16 +361,6 @@ mod tests {
         let mut ctx = ctx();
         let c = gemm_nn(&mut ctx, Stage::Av, &a, &b);
         assert!(c.max_abs_diff(&a.matmul_ref(&b)) < 2e-2);
-    }
-
-    #[test]
-    fn tn_matches_reference() {
-        let mut rng = Rng::new(3);
-        let a = Matrix::<f32>::random_normal(31, 9, 0.0, 1.0, &mut rng);
-        let b = Matrix::<f32>::random_normal(31, 13, 0.0, 1.0, &mut rng);
-        let mut ctx = ctx();
-        let c = gemm_tn(&mut ctx, Stage::NonAttention, &a, &b);
-        assert!(c.max_abs_diff(&a.transpose().matmul_ref(&b)) < 2e-2);
     }
 
     #[test]

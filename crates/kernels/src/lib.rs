@@ -10,15 +10,22 @@
 //! deep learning software stack that dynamically prunes a dense matrix and
 //! generates its sparse encoding with zero overhead" (§3.4).
 //!
-//! Kernel inventory:
-//! * [`gemm`] — tiled dense GEMM (`NT`, `NN`, `TN` layouts), f32 accumulate,
+//! Kernel inventory. Each family has one exec body over borrowed slices:
+//! a solo kernel is the one-panel case of its batched twin, and a decode
+//! kernel is one launch over per-stream [`PagedPanel`] views (a packed
+//! ragged stack is the one-page-per-stream case).
+//! * [`gemm`] — tiled dense GEMM (`NT` and `NN` layouts), f32 accumulate,
 //!   TF32 input rounding on the `float` path.
 //! * [`sddmm`] — fused SDDMM + N:M prune epilogue, the unfused ablation, and
-//!   the standalone dense-prune kernel.
+//!   the standalone dense-prune kernel. The scaled N:M selection of
+//!   accumulators is written once (`prune_rows_dispatch`, which the
+//!   blocked-ELL SDDMM, the decode prune and the row-tile driver share);
+//!   the verbatim one is [`NmPattern::compress_groups_into`].
 //! * [`softmax`] — dense softmax, compressed N:M softmax (half-length rows),
 //!   CSR softmax; register-cached vs streaming traffic per row length.
 //! * [`spmm`] — N:M SpMM on the simulated sparse tensor core, CSR SpMM with
-//!   the vector tiling of Figure 10(B), blocked-ELL × N:M hybrid SpMM.
+//!   the vector tiling of Figure 10(B).
+//! * [`ell`] — the blocked-ELL × N:M hybrid SDDMM, softmax and SpMM.
 //! * [`rowtile`] — the row-tile attention driver: QK → prune → softmax → AV
 //!   on one 16-row tile at a time, bit-identical to (and charged as) the
 //!   three staged launches, without their whole-stack intermediates.
@@ -28,6 +35,9 @@
 //!   memory tracker threaded through every kernel.
 //! * [`simd`] — explicit-SIMD microkernel backends (AVX2 / AVX-512 / NEON)
 //!   with one-time runtime dispatch; every hot loop above routes through it.
+//!
+//! [`PagedPanel`]: dfss_tensor::PagedPanel
+//! [`NmPattern::compress_groups_into`]: dfss_nmsparse::NmPattern::compress_groups_into
 
 pub mod batched;
 pub mod ctx;

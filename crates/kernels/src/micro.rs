@@ -12,18 +12,21 @@
 //!
 //! Loop-shape inventory:
 //!
+//! * [`panel_product`] — the register-tiled score microkernel: 4 rows × 16
+//!   columns per tile, accumulated in registers over the whole k extent
+//!   against a [`widen_packed`] operand. `gemm_nt`, the fused SDDMM and the
+//!   row-tile driver compute every dense score with it. Per-element sums
+//!   run in *serial left-to-right* k-order, so scores are bit-identical
+//!   across every kernel that computes them.
 //! * [`axpy`] / [`axpy2`] — `acc[j] += s · row[j]` over a long contiguous
-//!   row. The lanes are independent. Score kernels (`gemm_nt`, fused SDDMM,
-//!   blocked-ELL SDDMM) run as an **outer product over the K dimension**
-//!   against a widen-transposed operand panel, accumulating whole output
-//!   rows; this reproduces the *serial left-to-right* per-element summation
-//!   order, so scores are bit-identical across every kernel that computes
-//!   them, and [`axpy2`] processes two output rows per operand-panel pass
-//!   (the panel stream is the bandwidth bottleneck).
+//!   row; the lanes are independent. `gemm_nn` streams B rows through them,
+//!   [`axpy2`] updating two output rows per B-row load. The blocked-ELL
+//!   SDDMM accumulates its active blocks as an outer product over a
+//!   [`widen_transposed`] K panel, in the same serial k-order as
+//!   [`panel_product`]; the CSR and blocked-ELL SpMMs gather V rows with
+//!   [`axpy`].
 //! * [`dot`] — 8-lane blocked reduction, for call sites that genuinely need
 //!   a single standalone dot product.
-//! * [`panel_product`] — register-tiled batched microkernel (4 rows × 16
-//!   columns per tile, accumulated in registers over the whole k extent).
 //!
 //! Operand widening ([`widen`], [`widen_transposed`]) goes through the
 //! thread-local scratch arena: the f32 copies (and the per-row accumulators
@@ -32,7 +35,7 @@
 //! arena warm for the whole process lifetime.
 
 use crate::simd;
-use dfss_tensor::{scratch_f32_from, Matrix, Scalar, ScratchF32};
+use dfss_tensor::{scratch_f32_from, Scalar, ScratchF32};
 
 /// Accumulator width of the [`dot`] microkernel. Eight f32 lanes = one AVX2
 /// register (or two NEON registers).
@@ -42,9 +45,9 @@ pub const LANES: usize = 8;
 /// (8 lane accumulators, pairwise tree reduce — see [`simd::dot_ref`]).
 ///
 /// `a` and `b` must have equal length. The result is *not* equal to a serial
-/// left-to-right sum (the score kernels use the [`axpy`] form precisely so
-/// their sums stay serial-order); use this only where a standalone dot is
-/// needed and no cross-kernel bit-identity is required.
+/// left-to-right sum (the prefill score kernels use [`panel_product`]
+/// precisely so their sums stay serial-order); use this only where a
+/// standalone dot is needed and no cross-kernel bit-identity is required.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     simd::active().dot(a, b)
@@ -122,11 +125,10 @@ pub fn pack_into<T: Scalar>(src: &[T], ka: usize, out: &mut [f32]) {
 /// `acc` with the row sums (no caller zeroing needed — accumulation happens
 /// in registers and spills once per tile).
 ///
-/// Per-element sums run in serial k-order, exactly like the [`axpy`] /
-/// [`axpy2`] accumulation of the single-head kernels, so results are
-/// bit-identical to them; only the memory traffic differs (the accumulator
-/// block stays in registers and the packed panel streams contiguously).
-/// This is the batched launches' microkernel.
+/// Per-element sums run in serial k-order, exactly like an [`axpy`]
+/// outer-product accumulation, so results are bit-identical to one; only
+/// the memory traffic differs (the accumulator block stays in registers
+/// and the packed panel streams contiguously).
 pub fn panel_product(
     aw: &[f32],
     i0: usize,
@@ -165,14 +167,24 @@ pub fn widen<T: Scalar>(src: &[T]) -> ScratchF32 {
     scratch_f32_from(src.len(), src.iter().map(|v| v.to_mul()))
 }
 
-/// Widen a `K×M` matrix directly into its `M×K` transpose (fused widen +
+/// Widen `batch` stacked `rows × cols` row-major panels directly into
+/// their `cols × rows` transposes, stored panel-major (fused widen +
 /// transpose, one pass, no intermediate `Matrix`).
-pub fn widen_transposed<T: Scalar>(m: &Matrix<T>) -> ScratchF32 {
-    let (k, cols) = m.shape();
-    let mut out = dfss_tensor::scratch_f32(k * cols);
-    for (kk, row) in m.as_slice().chunks_exact(cols.max(1)).enumerate() {
-        for (c, v) in row.iter().enumerate() {
-            out[c * k + kk] = v.to_mul();
+pub fn widen_transposed<T: Scalar>(
+    src: &[T],
+    batch: usize,
+    rows: usize,
+    cols: usize,
+) -> ScratchF32 {
+    let mut out = dfss_tensor::scratch_f32(batch * rows * cols);
+    for (panel, dst) in src
+        .chunks_exact((rows * cols).max(1))
+        .zip(out.chunks_exact_mut((rows * cols).max(1)))
+    {
+        for (r, row) in panel.chunks_exact(cols.max(1)).enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                dst[c * rows + r] = v.to_mul();
+            }
         }
     }
     out
@@ -181,7 +193,7 @@ pub fn widen_transposed<T: Scalar>(m: &Matrix<T>) -> ScratchF32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfss_tensor::{Bf16, Rng};
+    use dfss_tensor::{Bf16, Matrix, Rng};
 
     #[test]
     fn dot_matches_serial_within_rounding() {
@@ -253,7 +265,7 @@ mod tests {
         let mut rng = Rng::new(3);
         let m = Matrix::<f32>::random_normal(7, 5, 0.0, 1.0, &mut rng);
         let expect = widen(m.transpose().as_slice());
-        let got = widen_transposed(&m);
+        let got = widen_transposed(m.as_slice(), 1, 7, 5);
         assert_eq!(&*expect, &*got);
     }
 
@@ -266,7 +278,7 @@ mod tests {
             let a = Matrix::<f32>::random_normal(m, ka, 0.0, 1.0, &mut rng);
             let b = Matrix::<f32>::random_normal(n, ka, 0.0, 1.0, &mut rng);
             let aw = widen(a.as_slice());
-            let bt = widen_transposed(&b);
+            let bt = widen_transposed(b.as_slice(), 1, n, ka);
             let bp = widen_packed(b.as_slice(), 1, n, ka);
             // Reference: serial axpy accumulation (the single-head order).
             let mut expect = vec![0.0f32; m * n];

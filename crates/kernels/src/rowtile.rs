@@ -203,7 +203,7 @@ fn nm_stages<T: Scalar>(
     let kept = pattern.kept_per_row(cols);
     let nz = &mut nz[..rcnt * kept];
     let codes = &mut codes[..rcnt * (cols / pattern.m())];
-    sddmm::prune_rows_dispatch(pattern, scores, cols, scale, nz, codes);
+    sddmm::prune_rows_dispatch(pattern, scores, scale, nz, codes);
     for (row, buf) in nz
         .chunks_exact_mut(kept.max(1))
         .zip(scores.chunks_exact_mut(cols.max(1)))

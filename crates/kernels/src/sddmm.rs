@@ -46,34 +46,28 @@ fn epilogue_ops_per_group(pattern: NmPattern) -> u64 {
     }
 }
 
-/// Shared epilogue: prune rows of a score panel into nonzeros + codes.
+/// Shared epilogue: prune a block of whole M-groups of f32 scores (one
+/// score row, or rows back to back) into `from_acc(x · scale)` nonzeros +
+/// codes, selecting on the unscaled scores.
 fn prune_rows_into<T: Scalar>(
     pattern: NmPattern,
     scores: &[f32],
-    cols: usize,
     scale: f32,
     nz_out: &mut [T],
     code_out: &mut [u8],
 ) {
-    let m = pattern.m();
-    let n_keep = pattern.n();
     let mut nz_pos = 0usize;
-    let mut code_pos = 0usize;
     let mut kept = [0usize; dfss_nmsparse::MAX_M];
-    for row in scores.chunks_exact(cols) {
-        for chunk in row.chunks_exact(m) {
-            let n_kept = pattern.select_group_into(chunk, &mut kept);
-            let mut code = 0u8;
-            for &kidx in &kept[..n_kept] {
-                code |= 1 << kidx;
-                nz_out[nz_pos] = T::from_acc(chunk[kidx] * scale);
-                nz_pos += 1;
-            }
-            code_out[code_pos] = code;
-            code_pos += 1;
+    for (chunk, code) in scores.chunks_exact(pattern.m()).zip(code_out.iter_mut()) {
+        let n_kept = pattern.select_group_into(chunk, &mut kept);
+        *code = 0;
+        for &kidx in &kept[..n_kept] {
+            *code |= 1 << kidx;
+            nz_out[nz_pos] = T::from_acc(chunk[kidx] * scale);
+            nz_pos += 1;
         }
     }
-    debug_assert_eq!(nz_pos, scores.len() / m * n_keep);
+    debug_assert_eq!(nz_pos, scores.len() / pattern.m() * pattern.n());
 }
 
 /// Fused SDDMM: `compress_{N:M}(scale · Q·Kᵀ)` without materialising the
@@ -91,21 +85,8 @@ pub fn sddmm_nm_fused<T: Scalar>(
     assert_eq!(cols % pattern.m(), 0);
 
     record_fused::<T>(ctx, pattern, 1, rows, cols, dq);
-
-    // --- execution ------------------------------------------------------
-    let kept_per_row = pattern.kept_per_row(cols);
-    let groups_per_row = cols / pattern.m();
     if !ctx.exec {
-        // Charge-only: a structurally valid compressed result (keep the
-        // first N of every M-group) with zero values.
-        let code = (0..pattern.n()).fold(0u8, |acc, i| acc | (1 << i));
-        return NmCompressed::from_parts(
-            pattern,
-            rows,
-            cols,
-            vec![T::zero(); rows * kept_per_row],
-            vec![code; rows * groups_per_row],
-        );
+        return NmCompressed::zeros(pattern, rows, cols);
     }
     let (nonzeros, codes) = sddmm_nm_fused_exec(
         pattern,
@@ -162,7 +143,6 @@ fn sddmm_nm_fused_exec<T: Scalar>(
                 prune_rows_dispatch(
                     pattern,
                     &acc[..rcnt * cols],
-                    cols,
                     scale,
                     &mut nz_chunk[local * kept_per_row..(local + rcnt) * kept_per_row],
                     &mut code_chunk[local * groups_per_row..(local + rcnt) * groups_per_row],
@@ -247,11 +227,13 @@ fn prune_rows_into_2_4<T: Scalar>(
     }
 }
 
-/// Prune a block of score rows with the fastest epilogue for the pattern.
+/// Prune a block of whole M-groups of f32 scores with the fastest
+/// epilogue for the pattern: the one scaled N:M selection every kernel that
+/// prunes accumulators runs (fused SDDMM, blocked-ELL SDDMM, the row-tile
+/// driver and the decode prune).
 pub(crate) fn prune_rows_dispatch<T: Scalar>(
     pattern: NmPattern,
     scores: &[f32],
-    cols: usize,
     scale: f32,
     nz_out: &mut [T],
     code_out: &mut [u8],
@@ -259,7 +241,7 @@ pub(crate) fn prune_rows_dispatch<T: Scalar>(
     match (pattern.n(), pattern.m()) {
         (1, 2) => prune_rows_into_1_2(scores, scale, nz_out, code_out),
         (2, 4) => prune_rows_into_2_4(scores, scale, nz_out, code_out),
-        _ => prune_rows_into(pattern, scores, cols, scale, nz_out, code_out),
+        _ => prune_rows_into(pattern, scores, scale, nz_out, code_out),
     }
 }
 
@@ -329,34 +311,76 @@ pub fn sddmm_nm_fused_batched<T: Scalar>(
 /// Standalone prune kernel (the unfused path): reads a dense score matrix
 /// from memory, writes nonzeros + metadata. This is what "current software
 /// library designed for pruning under N:M sparsity" does and what §2.3 says
-/// offsets the benefit of sparsity.
+/// offsets the benefit of sparsity. The one-panel case of
+/// [`dense_prune_batched`]'s exec body.
 pub fn dense_prune<T: Scalar>(
     ctx: &mut GpuCtx,
     scores: &Matrix<T>,
     pattern: NmPattern,
 ) -> NmCompressed<T> {
     let (rows, cols) = scores.shape();
+    record_dense_prune::<T>(ctx, pattern, 1, rows, cols);
+    if !ctx.exec {
+        return NmCompressed::zeros(pattern, rows, cols);
+    }
+    let (nonzeros, codes) = dense_prune_exec(pattern, (1, rows, cols), scores.as_slice());
+    NmCompressed::from_parts(pattern, rows, cols, nonzeros, codes)
+}
+
+/// Record one standalone-prune launch over `batch` same-shape panels: a
+/// single profile of exactly `batch ×` the per-panel charge (the dense
+/// scores read back, nonzeros + metadata written).
+fn record_dense_prune<T: Scalar>(
+    ctx: &mut GpuCtx,
+    pattern: NmPattern,
+    batch: usize,
+    rows: usize,
+    cols: usize,
+) {
     let kept = pattern.kept_per_row(cols) as u64;
     let groups = (rows * cols / pattern.m()) as u64;
     let nz_bytes = rows as u64 * kept * T::BYTES as u64;
     let meta_bytes = (groups * 4).div_ceil(8);
+    let b64 = batch as u64;
     ctx.record(
         KernelProfile::new("dense_prune", Stage::Overhead)
-            .with_traffic(scores.bytes() as u64, nz_bytes + meta_bytes)
-            .with_alu(groups * epilogue_ops_per_group(pattern)),
+            .with_traffic(
+                b64 * (rows * cols * T::BYTES) as u64,
+                b64 * (nz_bytes + meta_bytes),
+            )
+            .with_alu(b64 * groups * epilogue_ops_per_group(pattern)),
     );
-    if !ctx.exec {
-        let code = (0..pattern.n()).fold(0u8, |acc, i| acc | (1 << i));
-        let kept = pattern.kept_per_row(cols);
-        return NmCompressed::from_parts(
-            pattern,
-            rows,
-            cols,
-            vec![T::zero(); rows * kept],
-            vec![code; rows * cols / pattern.m()],
-        );
-    }
-    NmCompressed::compress(scores, pattern)
+}
+
+/// The one standalone-prune exec body, over a borrowed stack of `batch`
+/// `rows × cols` score panels: one pool fan-out over (panel, row-tile) work
+/// items, each a run of whole groups through
+/// [`NmPattern::compress_groups_into`] (kept values copied verbatim, so
+/// every panel equals `NmCompressed::compress` of it).
+fn dense_prune_exec<T: Scalar>(
+    pattern: NmPattern,
+    (batch, rows, cols): (usize, usize, usize),
+    scores: &[T],
+) -> (Vec<T>, Vec<u8>) {
+    let kept_per_row = pattern.kept_per_row(cols);
+    let groups_per_row = cols / pattern.m();
+    let mut nonzeros = vec![T::zero(); batch * rows * kept_per_row];
+    let mut codes = vec![0u8; batch * rows * groups_per_row];
+    crate::batched::fan_out2(
+        &mut nonzeros,
+        rows * kept_per_row,
+        crate::batched::ROW_TILE * kept_per_row,
+        &mut codes,
+        rows * groups_per_row,
+        crate::batched::ROW_TILE * groups_per_row,
+        |p, e0, nz_chunk, code_chunk| {
+            let row0 = p * rows + e0 / kept_per_row;
+            let rows_here = nz_chunk.len() / kept_per_row;
+            let block = &scores[row0 * cols..(row0 + rows_here) * cols];
+            pattern.compress_groups_into(block, nz_chunk, code_chunk);
+        },
+    );
+    (nonzeros, codes)
 }
 
 /// Unfused ablation: dense GEMM writes the n×n scores, then a separate
@@ -374,70 +398,19 @@ pub fn sddmm_nm_unfused<T: Scalar>(
 }
 
 /// Batched standalone prune kernel: one launch over the whole stack, a
-/// single profile of exactly `batch ×` the per-panel [`dense_prune`] cost.
-/// Panel results are bit-identical to `NmCompressed::compress` of each
-/// panel (the same group selection, values copied unscaled).
+/// single profile of exactly `batch ×` the per-panel [`dense_prune`] cost,
+/// and the same exec body.
 pub fn dense_prune_batched<T: Scalar>(
     ctx: &mut GpuCtx,
     scores: &BatchedMatrix<T>,
     pattern: NmPattern,
 ) -> NmBatch<T> {
     let (batch, rows, cols) = scores.shape();
-    assert_eq!(cols % pattern.m(), 0);
-    let kept = pattern.kept_per_row(cols) as u64;
-    let groups = (rows * cols / pattern.m()) as u64;
-    let nz_bytes = rows as u64 * kept * T::BYTES as u64;
-    let meta_bytes = (groups * 4).div_ceil(8);
-    let b64 = batch as u64;
-    ctx.record(
-        KernelProfile::new("dense_prune", Stage::Overhead)
-            .with_traffic(
-                b64 * (rows * cols * T::BYTES) as u64,
-                b64 * (nz_bytes + meta_bytes),
-            )
-            .with_alu(b64 * groups * epilogue_ops_per_group(pattern)),
-    );
+    record_dense_prune::<T>(ctx, pattern, batch, rows, cols);
     if !ctx.exec {
         return NmBatch::charge_only(pattern, batch, rows, cols);
     }
-
-    let kept_per_row = pattern.kept_per_row(cols);
-    let groups_per_row = cols / pattern.m();
-    let mut nonzeros = vec![T::zero(); batch * rows * kept_per_row];
-    let mut codes = vec![0u8; batch * rows * groups_per_row];
-    crate::batched::fan_out2(
-        &mut nonzeros,
-        rows * kept_per_row,
-        crate::batched::ROW_TILE * kept_per_row,
-        &mut codes,
-        rows * groups_per_row,
-        crate::batched::ROW_TILE * groups_per_row,
-        |p, e0, nz_chunk, code_chunk| {
-            let row0 = e0 / kept_per_row;
-            let rows_here = nz_chunk.len() / kept_per_row;
-            let m = pattern.m();
-            let mut group_scores = [0.0f32; dfss_nmsparse::MAX_M];
-            let mut kept_idx = [0usize; dfss_nmsparse::MAX_M];
-            let mut nz_pos = 0usize;
-            let mut code_pos = 0usize;
-            for r in row0..row0 + rows_here {
-                for chunk in scores.row(p, r).chunks_exact(m) {
-                    for (s, v) in group_scores.iter_mut().zip(chunk) {
-                        *s = v.to_f32();
-                    }
-                    let n_kept = pattern.select_group_into(&group_scores[..m], &mut kept_idx);
-                    let mut code = 0u8;
-                    for &ki in &kept_idx[..n_kept] {
-                        code |= 1 << ki;
-                        nz_chunk[nz_pos] = chunk[ki];
-                        nz_pos += 1;
-                    }
-                    code_chunk[code_pos] = code;
-                    code_pos += 1;
-                }
-            }
-        },
-    );
+    let (nonzeros, codes) = dense_prune_exec(pattern, (batch, rows, cols), scores.as_slice());
     NmBatch::from_parts(pattern, batch, rows, cols, nonzeros, codes)
 }
 
@@ -480,24 +453,6 @@ fn decode_prune_charge<T: Scalar>(len: usize, pattern: NmPattern) -> (u64, u64, 
         kept * T::BYTES as u64 + (groups * 4).div_ceil(8),
         groups * epilogue_ops_per_group(pattern),
     )
-}
-
-/// Solo fused decode step: `compress(scale · q·Kᵀ)` for **one** stream —
-/// the new query row (`1 × d`) against the stream's cached `K` (`len × d`),
-/// pruned N:M over full M-groups with the dense tail kept (see
-/// [`NmRagged`]). The one-stream case of [`sddmm_nm_fused_paged`]: records
-/// one per-stream profile; the per-stream solo decode loop the ragged launch
-/// is measured against.
-pub fn sddmm_nm_decode<T: Scalar, S: Scalar>(
-    ctx: &mut GpuCtx,
-    q_row: &Matrix<T>,
-    k: &Matrix<S>,
-    scale: f32,
-    pattern: NmPattern,
-) -> NmRagged<T> {
-    assert_eq!(q_row.cols(), k.cols(), "inner dimensions differ");
-    let view = PagedPanel::one_page(k.as_slice(), k.rows());
-    sddmm_nm_fused_paged(ctx, q_row, &[view], scale, pattern)
 }
 
 /// Ragged batched fused decode over a packed stack: the one-page-per-stream
@@ -699,7 +654,6 @@ mod tests {
 
     #[test]
     fn branchless_2_4_epilogue_matches_select_on_every_special_group() {
-        // Every group of four over eight special values: 4096 groups.
         let vals = [
             f32::NEG_INFINITY,
             -1.0,
@@ -710,6 +664,8 @@ mod tests {
             f32::INFINITY,
             f32::NAN,
         ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Every group of four over the eight special values: 4096 groups.
         let groups: Vec<[f32; 4]> = (0..4096usize)
             .map(|i| std::array::from_fn(|lane| vals[(i >> (3 * lane)) & 7]))
             .collect();
@@ -717,10 +673,9 @@ mod tests {
         let (mut nz_fast, mut code_fast) = (vec![0.0f32; 2 * 4096], vec![0u8; 4096]);
         let (mut nz_ref, mut code_ref) = (vec![0.0f32; 2 * 4096], vec![0u8; 4096]);
         let p = NmPattern::P2_4;
-        prune_rows_dispatch(p, &scores, 4, 0.5, &mut nz_fast, &mut code_fast);
-        prune_rows_into(p, &scores, 4, 0.5, &mut nz_ref, &mut code_ref);
+        prune_rows_dispatch(p, &scores, 0.5, &mut nz_fast, &mut code_fast);
+        prune_rows_into(p, &scores, 0.5, &mut nz_ref, &mut code_ref);
         assert_eq!(code_fast, code_ref);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&nz_fast), bits(&nz_ref));
 
         // The rank rule alone agrees on all 2401 NaN-free groups and not on
@@ -732,6 +687,41 @@ mod tests {
         assert_eq!(clean.len(), 2401);
         assert!(clean.iter().all(|(g, &c)| rank_code_2_4(g) == c));
         assert!(nan.iter().any(|(g, &c)| rank_code_2_4(g) != c));
+
+        // Every pair over the same values: the branchless 1:2 epilogue.
+        let pairs: Vec<f32> = (0..64usize)
+            .flat_map(|i| [vals[i & 7], vals[i >> 3]])
+            .collect();
+        let (mut nz_fast, mut code_fast) = (vec![0.0f32; 64], vec![0u8; 64]);
+        let (mut nz_ref, mut code_ref) = (vec![0.0f32; 64], vec![0u8; 64]);
+        let p = NmPattern::P1_2;
+        prune_rows_dispatch(p, &pairs, 0.5, &mut nz_fast, &mut code_fast);
+        prune_rows_into(p, &pairs, 0.5, &mut nz_ref, &mut code_ref);
+        assert_eq!(code_fast, code_ref);
+        assert_eq!(bits(&nz_fast), bits(&nz_ref));
+
+        // The decode prune row: its full groups through the same epilogue,
+        // its dense tail (1 or 3 positions, or the whole of a row shorter
+        // than M) kept and scaled.
+        for p in [NmPattern::P1_2, NmPattern::P2_4, NmPattern::new(1, 4)] {
+            let (n, m) = (p.n(), p.m());
+            for tail in [1usize, 3].into_iter().filter(|&t| t < m) {
+                for full in [0usize, 64] {
+                    let row = &scores[..full + tail];
+                    let kept = full / m * n + tail;
+                    let (mut nz, mut codes) = (vec![7.0f32; kept], vec![0u8; full / m]);
+                    crate::decode::prune_decode_row(p, row, 0.5, &mut nz, &mut codes);
+                    let (mut want, mut want_codes) = (vec![0.0f32; kept], vec![0u8; full / m]);
+                    prune_rows_into(p, &row[..full], 0.5, &mut want, &mut want_codes);
+                    for (w, &x) in want[full / m * n..].iter_mut().zip(&row[full..]) {
+                        *w = x * 0.5;
+                    }
+                    let what = format!("{p} decode row of {}", full + tail);
+                    assert_eq!(codes, want_codes, "{what}");
+                    assert_eq!(bits(&nz), bits(&want), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

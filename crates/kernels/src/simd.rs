@@ -1141,7 +1141,10 @@ mod x86 {
         let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
         let mut c = 0;
         while c < full {
-            acc = _mm256_max_ps(acc, _mm256_loadu_ps(buf.as_ptr().add(c)));
+            // `max_ps(a, b)` returns `b` when either is NaN: with the
+            // accumulator second, a NaN lane of `buf` is ignored (as
+            // `f32::max` ignores it) and `acc` never becomes NaN.
+            acc = _mm256_max_ps(_mm256_loadu_ps(buf.as_ptr().add(c)), acc);
             c += 8;
         }
         let hi = _mm256_extractf128_ps::<1>(acc);
@@ -1535,6 +1538,10 @@ mod neon {
         let full = buf.len() / 4 * 4;
         let mut acc = vdupq_n_f32(f32::NEG_INFINITY);
         let mut c = 0;
+        // Unlike `row_max_ref`, `vmaxq_f32` propagates NaN, so an all-NaN
+        // row softmaxes to NaN here and to zeros on every other backend
+        // (ARCHITECTURE.md, "The parity contract"); no aarch64 target is
+        // built to test a fix.
         while c < full {
             acc = vmaxq_f32(acc, vld1q_f32(buf.as_ptr().add(c)));
             c += 4;

@@ -8,6 +8,7 @@
 //! — the paper's explanation for its better-than-theoretical speedup
 //! (Appendix A.4).
 
+use crate::batched::ROW_TILE;
 use crate::GpuCtx;
 use dfss_gpusim::{KernelProfile, Stage};
 use dfss_nmsparse::{Csr, NmBatch, NmCompressed, NmRagged};
@@ -16,10 +17,6 @@ use rayon::prelude::*;
 
 /// ALU ops per element: exp ≈ 4, plus max/sum/normalise passes ≈ 2.
 const OPS_PER_ELEM: u64 = 6;
-
-fn record_softmax<T: Scalar>(ctx: &mut GpuCtx, name: &'static str, rows: usize, row_len: usize) {
-    record_softmax_batched::<T>(ctx, name, 1, rows, row_len);
-}
 
 /// One batched launch covering `batch` same-shape softmaxes: a single
 /// profile of exactly `batch ×` the per-panel charge (the cache-regime pass
@@ -39,10 +36,6 @@ pub(crate) fn record_softmax_batched<T: Scalar>(
             .with_alu(elems * OPS_PER_ELEM),
     );
 }
-
-/// Rows per parallel work item: one scratch acquisition and one shim item
-/// serve a whole batch of rows.
-const ROW_CHUNK: usize = 16;
 
 /// Lane-blocked row maximum (a serial `fold(NEG_INFINITY, f32::max)` is a
 /// scalar dependency chain the vectorizer cannot break), dispatched to the
@@ -72,18 +65,13 @@ pub(crate) fn softmax_into<T: Scalar>(row: &mut [T], buf: &mut [f32]) {
     }
 }
 
-/// Stable softmax of one row, through a pooled f32 scratch buffer.
-fn softmax_slice<T: Scalar>(row: &mut [T]) {
-    let mut buf = dfss_tensor::scratch_f32_stale(row.len());
-    softmax_into(row, &mut buf);
-}
-
-/// Row-batched parallel softmax over a flat `rows × row_len` buffer.
+/// Row-batched parallel softmax over a flat `rows × row_len` buffer: one
+/// pool work item (and one scratch acquisition) per [`ROW_TILE`] rows.
 fn softmax_rows<T: Scalar>(data: &mut [T], row_len: usize) {
     if row_len == 0 {
         return;
     }
-    data.par_chunks_mut(row_len * ROW_CHUNK).for_each(|chunk| {
+    data.par_chunks_mut(row_len * ROW_TILE).for_each(|chunk| {
         // Stale scratch: `softmax_into`'s widening copy overwrites it.
         let mut buf = dfss_tensor::scratch_f32_stale(row_len);
         for row in chunk.chunks_mut(row_len) {
@@ -95,7 +83,7 @@ fn softmax_rows<T: Scalar>(data: &mut [T], row_len: usize) {
 /// Dense row-wise softmax: `A = softmax(S)` over each length-n row.
 pub fn softmax_dense<T: Scalar>(ctx: &mut GpuCtx, scores: &Matrix<T>) -> Matrix<T> {
     let (rows, cols) = scores.shape();
-    record_softmax::<T>(ctx, "softmax_dense", rows, cols);
+    record_softmax_batched::<T>(ctx, "softmax_dense", 1, rows, cols);
     if !ctx.exec {
         return scores.clone();
     }
@@ -114,7 +102,7 @@ pub fn softmax_dense<T: Scalar>(ctx: &mut GpuCtx, scores: &Matrix<T>) -> Matrix<
 pub fn softmax_nm<T: Scalar>(ctx: &mut GpuCtx, comp: &mut NmCompressed<T>) {
     let rows = comp.rows();
     let kept = comp.kept_per_row();
-    record_softmax::<T>(ctx, "softmax_nm", rows, kept);
+    record_softmax_batched::<T>(ctx, "softmax_nm", 1, rows, kept);
     if !ctx.exec {
         return;
     }
@@ -194,12 +182,13 @@ pub fn softmax_csr<T: Scalar>(ctx: &mut GpuCtx, csr: &mut Csr<T>) {
     } else {
         csr.nnz() / rows.max(1)
     };
-    record_softmax::<T>(ctx, "softmax_csr", rows, avg_len);
+    record_softmax_batched::<T>(ctx, "softmax_csr", 1, rows, avg_len);
     if !ctx.exec {
         return;
     }
     for r in 0..rows {
-        softmax_slice(csr.row_vals_mut(r));
+        let row = csr.row_vals_mut(r);
+        softmax_into(row, &mut dfss_tensor::scratch_f32_stale(row.len()));
     }
 }
 
@@ -287,8 +276,8 @@ mod tests {
         // Dense row of 4096 streams (3 read passes); Dfss row of 2048 is
         // cached (1 pass) — the super-theoretical speedup mechanism.
         let mut ctx = GpuCtx::a100();
-        record_softmax::<f32>(&mut ctx, "dense", 1, 4096);
-        record_softmax::<f32>(&mut ctx, "nm", 1, 2048);
+        record_softmax_batched::<f32>(&mut ctx, "dense", 1, 1, 4096);
+        record_softmax_batched::<f32>(&mut ctx, "nm", 1, 1, 2048);
         let e = ctx.timeline.entries();
         let dense_per_elem = e[0].bytes_read as f64 / 4096.0;
         let nm_per_elem = e[1].bytes_read as f64 / 2048.0;

@@ -9,6 +9,7 @@
 //!   which is the structural reason Proposition 4.3 bounds top-k speedup so
 //!   tightly.
 
+use crate::batched::ROW_TILE;
 use crate::ctx::{sparse_class, GpuCtx};
 use crate::decode;
 use crate::micro;
@@ -17,10 +18,6 @@ use dfss_gpusim::{KernelProfile, Stage};
 use dfss_nmsparse::{Csr, NmBatch, NmCompressed, NmPattern, NmRagged};
 use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
 use rayon::prelude::*;
-
-/// Output rows per parallel work item: one scratch accumulator and one shim
-/// item serve a whole batch of rows (shared with the blocked-ELL SpMM).
-pub(crate) const ROW_CHUNK: usize = 16;
 
 /// Record one N:M SpMM launch over `batch` same-shape panels (`rows × inner`
 /// compressed A against `inner × d` V): a single profile of exactly
@@ -95,29 +92,24 @@ fn spmm_nm_exec<T: Scalar>(
     let backend = simd::active();
     let tile = simd::SPMM_TILE_ROWS * d;
     let mut out = vec![T::zero(); batch * rows * d];
-    crate::batched::fan_out(
-        &mut out,
-        rows * d,
-        crate::batched::ROW_TILE * d,
-        |p, e0, chunk| {
-            let vw_p = &vw[p * inner * d..(p + 1) * inner * d];
-            for (t, orows) in chunk.chunks_mut(tile).enumerate() {
-                // Row index within the whole stack.
-                let r = p * rows + e0 / d + t * simd::SPMM_TILE_ROWS;
-                let rcnt = orows.len() / d;
-                simd::spmm_tile(
-                    backend,
-                    pattern,
-                    rcnt,
-                    &nonzeros[r * kept..(r + rcnt) * kept],
-                    &codes[r * gpr..(r + rcnt) * gpr],
-                    vw_p,
-                    d,
-                    orows,
-                );
-            }
-        },
-    );
+    crate::batched::fan_out(&mut out, rows * d, ROW_TILE * d, |p, e0, chunk| {
+        let vw_p = &vw[p * inner * d..(p + 1) * inner * d];
+        for (t, orows) in chunk.chunks_mut(tile).enumerate() {
+            // Row index within the whole stack.
+            let r = p * rows + e0 / d + t * simd::SPMM_TILE_ROWS;
+            let rcnt = orows.len() / d;
+            simd::spmm_tile(
+                backend,
+                pattern,
+                rcnt,
+                &nonzeros[r * kept..(r + rcnt) * kept],
+                &codes[r * gpr..(r + rcnt) * gpr],
+                vw_p,
+                d,
+                orows,
+            );
+        }
+    });
     out
 }
 
@@ -169,19 +161,6 @@ fn spmm_decode_charge<T: Scalar, S: Scalar>(
     let reads = tiles * (a_row + v_panel);
     let writes = (d_v * T::BYTES) as u64;
     (reads, writes, (kept * d_v) as u64)
-}
-
-/// Solo decode SpMM: one stream's compressed score row (with dense tail)
-/// against its cached V (`len × d_v`) on the simulated sparse tensor core
-/// → a `1 × d_v` output row. The one-stream case of [`spmm_nm_paged`]:
-/// records one per-stream profile.
-pub fn spmm_nm_decode<T: Scalar, S: Scalar>(
-    ctx: &mut GpuCtx,
-    a: &NmRagged<T>,
-    v: &Matrix<S>,
-) -> Matrix<T> {
-    let view = PagedPanel::one_page(v.as_slice(), v.rows());
-    spmm_nm_paged(ctx, a, &[view], v.cols())
 }
 
 /// Ragged batched decode SpMM over a packed stack: the one-page-per-stream
@@ -262,12 +241,12 @@ pub fn spmm_csr<T: Scalar>(ctx: &mut GpuCtx, a: &Csr<T>, v: &Matrix<T>) -> Matri
 
     let vw = micro::widen(v.as_slice());
     let mut out = vec![T::zero(); rows * d];
-    out.par_chunks_mut(d * ROW_CHUNK)
+    out.par_chunks_mut(d * ROW_TILE)
         .enumerate()
         .for_each(|(ci, chunk)| {
             let mut acc = scratch_f32_stale(d);
             for (local, orow) in chunk.chunks_mut(d).enumerate() {
-                let r = ci * ROW_CHUNK + local;
+                let r = ci * ROW_TILE + local;
                 let (cols, vals) = a.row(r);
                 acc.iter_mut().for_each(|x| *x = 0.0);
                 for (&c, &val) in cols.iter().zip(vals) {

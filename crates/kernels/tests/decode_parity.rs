@@ -1,6 +1,7 @@
 //! Decode-kernel contract: a ragged launch over B streams is bit-identical
-//! to the per-stream solo decode loop, records exactly ONE profile per op,
-//! and its counters are the sum of the per-stream solo charges.
+//! to the per-stream solo decode loop (one launch per stream over a
+//! one-page view of its cache), records exactly ONE profile per op, and its
+//! counters are the sum of the per-stream solo charges.
 
 use dfss_gpusim::Stage;
 use dfss_kernels::{gemm, sddmm, softmax, spmm, GpuCtx};
@@ -46,6 +47,11 @@ fn q_row(f: &Fixture, s: usize) -> Matrix<f32> {
     Matrix::from_vec(1, f.d, f.q.row(s).to_vec())
 }
 
+/// One stream's cache as the one-page view a solo decode step launches on.
+fn one_view(panel: &Matrix<f32>) -> [PagedPanel<'_, f32>; 1] {
+    [PagedPanel::one_page(panel.as_slice(), panel.rows())]
+}
+
 const LENS: [usize; 4] = [7, 16, 33, 2];
 
 #[test]
@@ -60,7 +66,8 @@ fn fused_ragged_bit_identical_to_solo_loop_with_summed_charges() {
 
     let mut sctx = GpuCtx::a100();
     for (s, k) in f.k_panels.iter().enumerate() {
-        let solo = sddmm::sddmm_nm_decode(&mut sctx, &q_row(&f, s), k, 0.25, pattern);
+        let solo =
+            sddmm::sddmm_nm_fused_paged(&mut sctx, &q_row(&f, s), &one_view(k), 0.25, pattern);
         assert_eq!(solo.row_codes(0), ragged.row_codes(s), "stream {s} codes");
         let same = solo
             .row_nonzeros(0)
@@ -83,10 +90,10 @@ fn dense_tail_is_kept_verbatim() {
     // hold the scaled score of the newest cached position.
     let f = fixture(&[7], 8, 4, 2);
     let mut ctx = GpuCtx::a100();
-    let comp = sddmm::sddmm_nm_decode(
+    let comp = sddmm::sddmm_nm_fused_paged(
         &mut ctx,
         &q_row(&f, 0),
-        &f.k_panels[0],
+        &one_view(&f.k_panels[0]),
         1.0,
         NmPattern::P1_2,
     );
@@ -110,7 +117,13 @@ fn unfused_ragged_matches_fused_selection() {
     let mut c1 = GpuCtx::a100();
     let fused = sddmm::sddmm_nm_fused_ragged(&mut c1, &f.q, &ragged_of(&f.k_panels), 0.5, pattern);
     let mut c2 = GpuCtx::a100();
-    let scores = gemm::gemm_nt_ragged(&mut c2, Stage::Qk, &f.q, &ragged_of(&f.k_panels), 0.5);
+    let scores = gemm::gemm_nt_paged(
+        &mut c2,
+        Stage::Qk,
+        &f.q,
+        &ragged_of(&f.k_panels).views(),
+        0.5,
+    );
     let unfused = sddmm::dense_prune_ragged(&mut c2, &scores, pattern);
     for s in 0..LENS.len() {
         assert_eq!(fused.row_codes(s), unfused.row_codes(s), "stream {s}");
@@ -127,15 +140,16 @@ fn unfused_ragged_matches_fused_selection() {
 }
 
 #[test]
-fn gemm_nt_ragged_bit_identical_to_solo_rows() {
+fn dense_decode_scores_bit_identical_to_solo_rows() {
     let f = fixture(&LENS, 16, 8, 4);
     let mut rctx = GpuCtx::a100();
-    let ragged = gemm::gemm_nt_ragged(&mut rctx, Stage::Qk, &f.q, &ragged_of(&f.k_panels), 0.125);
+    let kb = ragged_of(&f.k_panels);
+    let ragged = gemm::gemm_nt_paged(&mut rctx, Stage::Qk, &f.q, &kb.views(), 0.125);
     let mut sctx = GpuCtx::a100();
     for (s, k) in f.k_panels.iter().enumerate() {
-        let solo = gemm::gemm_nt_decode(&mut sctx, Stage::Qk, &q_row(&f, s), k, 0.125);
+        let solo = gemm::gemm_nt_paged(&mut sctx, Stage::Qk, &q_row(&f, s), &one_view(k), 0.125);
         let same = solo
-            .as_slice()
+            .panel(0)
             .iter()
             .zip(ragged.panel(s))
             .all(|(a, b)| a.to_bits() == b.to_bits());
@@ -158,7 +172,8 @@ fn softmax_ragged_rows_are_distributions_and_charges_sum() {
 
     let mut sctx = GpuCtx::a100();
     for (s, k) in f.k_panels.iter().enumerate() {
-        let mut solo = sddmm::sddmm_nm_decode(&mut sctx, &q_row(&f, s), k, 1.0, pattern);
+        let mut solo =
+            sddmm::sddmm_nm_fused_paged(&mut sctx, &q_row(&f, s), &one_view(k), 1.0, pattern);
         softmax::softmax_nm_ragged(&mut sctx, &mut solo);
         let same = solo
             .row_nonzeros(0)
@@ -190,10 +205,10 @@ fn full_decode_pipeline_ragged_matches_solo_loop() {
 
     let mut sctx = GpuCtx::a100();
     for s in 0..LENS.len() {
-        let mut solo =
-            sddmm::sddmm_nm_decode(&mut sctx, &q_row(&f, s), &f.k_panels[s], 0.25, pattern);
+        let k = one_view(&f.k_panels[s]);
+        let mut solo = sddmm::sddmm_nm_fused_paged(&mut sctx, &q_row(&f, s), &k, 0.25, pattern);
         softmax::softmax_nm_ragged(&mut sctx, &mut solo);
-        let orow = spmm::spmm_nm_decode(&mut sctx, &solo, &f.v_panels[s]);
+        let orow = spmm::spmm_nm_paged(&mut sctx, &solo, &one_view(&f.v_panels[s]), f.d_v);
         let same = orow
             .as_slice()
             .iter()
@@ -214,9 +229,10 @@ fn decode_output_approximates_dense_row_attention() {
     let pattern = NmPattern::P1_2;
     let scale = 1.0 / (32.0f32).sqrt();
     let mut ctx = GpuCtx::a100();
-    let mut comp = sddmm::sddmm_nm_decode(&mut ctx, &q_row(&f, 0), &f.k_panels[0], scale, pattern);
+    let k = one_view(&f.k_panels[0]);
+    let mut comp = sddmm::sddmm_nm_fused_paged(&mut ctx, &q_row(&f, 0), &k, scale, pattern);
     softmax::softmax_nm_ragged(&mut ctx, &mut comp);
-    let sparse = spmm::spmm_nm_decode(&mut ctx, &comp, &f.v_panels[0]);
+    let sparse = spmm::spmm_nm_paged(&mut ctx, &comp, &one_view(&f.v_panels[0]), f.d_v);
 
     // Dense reference.
     let mut scores: Vec<f32> = (0..64)
@@ -331,7 +347,7 @@ fn assert_views_match_packed(
     let mut packed = sddmm::sddmm_nm_fused_ragged(&mut rctx, &f.q, &kb, 0.25, pattern);
     softmax::softmax_nm_ragged(&mut rctx, &mut packed);
     let out_r = spmm::spmm_nm_ragged(&mut rctx, &packed, &vb);
-    let scores_r = gemm::gemm_nt_ragged(&mut rctx, Stage::Qk, &f.q, &kb, 0.5);
+    let scores_r = gemm::gemm_nt_paged(&mut rctx, Stage::Qk, &f.q, &kb.views(), 0.5);
 
     for s in 0..k_views.len() {
         assert_eq!(paged.row_codes(s), packed.row_codes(s), "stream {s} codes");

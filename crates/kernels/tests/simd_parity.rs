@@ -249,15 +249,28 @@ fn row_max_is_bit_identical_across_backends() {
             buf[len / 2] = f32::NEG_INFINITY;
             buf[len - 1] = 100.0;
         }
-        let want = row_max_ref(&buf);
-        for backend in available_backends() {
-            let got = backend.row_max(&buf);
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "row_max len {len} on {}",
-                backend.name()
-            );
+        // NaN is ignored like `f32::max` ignores it: an all-NaN row's max is
+        // −∞ (so its softmax is the zero row), and a part-NaN row's max is
+        // that of its other entries, wherever the NaNs fall in the lanes.
+        let mut part_nan = buf.clone();
+        for i in (0..len).step_by(3) {
+            part_nan[i] = f32::NAN;
+        }
+        for (what, buf) in [
+            ("finite", buf),
+            ("part-NaN", part_nan),
+            ("all-NaN", vec![f32::NAN; len]),
+        ] {
+            let want = row_max_ref(&buf);
+            for backend in available_backends() {
+                let got = backend.row_max(&buf);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "row_max {what} len {len} on {}",
+                    backend.name()
+                );
+            }
         }
     }
 }

@@ -11,7 +11,7 @@
 //! (shape + pattern with empty buffers) so latency experiments never
 //! materialise `batch × n²/2` values nobody reads.
 
-use crate::compressed::NmCompressed;
+use crate::compressed::{scan_codes, NmCompressed};
 use crate::pattern::NmPattern;
 use dfss_tensor::Scalar;
 
@@ -227,28 +227,15 @@ impl<T: Scalar> NmBatch<T> {
         )
     }
 
-    /// Call `f(dense_col, value)` for every kept entry of row `r` of panel
-    /// `b`, ascending column order (the batched SpMM hot path).
+    /// Call `f(col, value)` for every kept entry of row `r` of panel `b`,
+    /// ascending column order (see [`scan_codes`]).
     #[inline]
-    pub fn scan_row(&self, b: usize, r: usize, mut f: impl FnMut(usize, T)) {
-        let m = self.pattern.m();
-        let kept = self.kept_per_row();
-        let gpr = self.groups_per_row();
-        let nz_start = (b * self.rows + r) * kept;
-        let code_start = (b * self.rows + r) * gpr;
-        let row_nz = &self.nonzeros[nz_start..nz_start + kept];
-        let row_codes = &self.codes[code_start..code_start + gpr];
-        let mut nz_pos = 0usize;
-        for (g, &code) in row_codes.iter().enumerate() {
-            let base = g * m;
-            let mut bits = code;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                f(base + bit, row_nz[nz_pos]);
-                nz_pos += 1;
-                bits &= bits - 1;
-            }
-        }
+    pub fn scan_row(&self, b: usize, r: usize, f: impl FnMut(usize, T)) {
+        let (kept, gpr) = (self.kept_per_row(), self.groups_per_row());
+        let row = b * self.rows + r;
+        let row_nz = &self.nonzeros[row * kept..(row + 1) * kept];
+        let row_codes = &self.codes[row * gpr..(row + 1) * gpr];
+        scan_codes(self.pattern.m(), row_codes, row_nz, f);
     }
 
     /// Nonzero storage footprint in bytes for the whole stack (placeholders

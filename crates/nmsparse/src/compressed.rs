@@ -31,37 +31,22 @@ impl<T: Scalar> NmCompressed<T> {
     /// entries (by value — softmax is monotone, paper §3.1).
     pub fn compress(dense: &Matrix<T>, pattern: NmPattern) -> NmCompressed<T> {
         let (rows, cols) = dense.shape();
-        assert!(pattern.m() <= 8, "bitmask codes support M ≤ 8");
-        assert_eq!(cols % pattern.m(), 0);
-        let kept_per_row = pattern.kept_per_row(cols);
-        let groups_per_row = cols / pattern.m();
+        let mut out = NmCompressed::zeros(pattern, rows, cols);
+        // Rows are contiguous and whole groups, so one pass covers them all.
+        pattern.compress_groups_into(dense.as_slice(), &mut out.nonzeros, &mut out.codes);
+        out
+    }
 
-        let mut nonzeros = Vec::with_capacity(rows * kept_per_row);
-        let mut codes = Vec::with_capacity(rows * groups_per_row);
-        let mut scores = vec![0.0f32; pattern.m()];
-        let mut kept = [0usize; crate::MAX_M];
-        for r in 0..rows {
-            let row = dense.row(r);
-            for chunk in row.chunks_exact(pattern.m()) {
-                for (s, v) in scores.iter_mut().zip(chunk) {
-                    *s = v.to_f32();
-                }
-                let n_kept = pattern.select_group_into(&scores, &mut kept);
-                let mut code = 0u8;
-                for &k in &kept[..n_kept] {
-                    code |= 1 << k;
-                    nonzeros.push(chunk[k]);
-                }
-                codes.push(code);
-            }
-        }
-        NmCompressed {
+    /// Structurally valid all-zero matrix (first-N selection per group) —
+    /// what charge-only (`!exec`) kernels return.
+    pub fn zeros(pattern: NmPattern, rows: usize, cols: usize) -> NmCompressed<T> {
+        NmCompressed::from_parts(
             pattern,
             rows,
             cols,
-            nonzeros,
-            codes,
-        }
+            vec![T::zero(); rows * pattern.kept_per_row(cols)],
+            vec![pattern.first_n_code(); rows * cols / pattern.m()],
+        )
     }
 
     /// Assemble directly from parts (used by the fused SDDMM epilogue, which
@@ -153,59 +138,29 @@ impl<T: Scalar> NmCompressed<T> {
         &self.codes
     }
 
-    /// Iterate `(dense_col, value)` pairs of a row in ascending column
+    /// Iterate `(col, value)` pairs of a row in ascending column
     /// order.
-    pub fn iter_row(&self, r: usize) -> impl Iterator<Item = (usize, T)> + '_ {
-        let m = self.pattern.m();
-        let gpr = self.groups_per_row();
-        let row_nz = self.row_nonzeros(r);
-        let row_codes = &self.codes[r * gpr..(r + 1) * gpr];
-        let mut nz_pos = 0usize;
-        row_codes.iter().enumerate().flat_map(move |(g, &code)| {
-            let base = g * m;
-            let mut out = Vec::with_capacity(self.pattern.n());
-            for bit in 0..m {
-                if code & (1 << bit) != 0 {
-                    out.push((base + bit, row_nz[nz_pos]));
-                    nz_pos += 1;
-                }
-            }
-            out
-        })
+    pub fn iter_row(&self, r: usize) -> impl Iterator<Item = (usize, T)> {
+        let mut out = Vec::with_capacity(self.kept_per_row());
+        self.scan_row(r, |c, v| out.push((c, v)));
+        out.into_iter()
     }
 
-    /// Allocation-free row scan: calls `f(dense_col, value)` for every kept
-    /// entry of row `r` in ascending column order. This is the hot path of
-    /// the SpMM kernel.
+    /// Allocation-free row scan: calls `f(col, value)` for every kept
+    /// entry of row `r` in ascending column order (see [`scan_codes`]).
     #[inline]
-    pub fn scan_row(&self, r: usize, mut f: impl FnMut(usize, T)) {
-        let m = self.pattern.m();
+    pub fn scan_row(&self, r: usize, f: impl FnMut(usize, T)) {
         let gpr = self.groups_per_row();
-        let row_nz = self.row_nonzeros(r);
         let row_codes = &self.codes[r * gpr..(r + 1) * gpr];
-        let mut nz_pos = 0usize;
-        for (g, &code) in row_codes.iter().enumerate() {
-            let base = g * m;
-            let mut bits = code;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                f(base + bit, row_nz[nz_pos]);
-                nz_pos += 1;
-                bits &= bits - 1;
-            }
-        }
+        scan_codes(self.pattern.m(), row_codes, self.row_nonzeros(r), f);
     }
 
     /// Reconstruct the dense matrix (zeros at pruned positions).
     pub fn decompress(&self) -> Matrix<T> {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
-            // Collect first to release the immutable borrow of `self`.
-            let entries: Vec<(usize, T)> = self.iter_row(r).collect();
             let row = out.row_mut(r);
-            for (c, v) in entries {
-                row[c] = v;
-            }
+            self.scan_row(r, |c, v| row[c] = v);
         }
         out
     }
@@ -329,6 +284,26 @@ impl<T: Scalar> NmCompressed<T> {
             pattern, rows, cols, nonzeros, codes,
         ))
     }
+}
+
+/// The one group-code bit scan every compressed format reads rows with:
+/// calls `f(col, value)` for every kept entry of a row given as its group
+/// codes (`codes[g]` covers columns `g·m .. (g+1)·m`) and kept values, in
+/// ascending column order, and returns how many kept values it read.
+#[inline]
+pub fn scan_codes<T: Copy>(m: usize, codes: &[u8], nz: &[T], mut f: impl FnMut(usize, T)) -> usize {
+    let mut nz_pos = 0usize;
+    for (g, &code) in codes.iter().enumerate() {
+        let base = g * m;
+        let mut bits = code;
+        while bits != 0 {
+            let bit = bits.trailing_zeros() as usize;
+            f(base + bit, nz[nz_pos]);
+            nz_pos += 1;
+            bits &= bits - 1;
+        }
+    }
+    nz_pos
 }
 
 /// Position of the single set bit of a 1:2 bitmask code.

@@ -36,7 +36,7 @@ pub mod ragged;
 
 pub use batch::NmBatch;
 pub use blocked_ell::BlockedEll;
-pub use compressed::NmCompressed;
+pub use compressed::{scan_codes, NmCompressed};
 pub use csr::Csr;
 pub use meta::MetaError;
 pub use pattern::{NmPattern, MAX_M};

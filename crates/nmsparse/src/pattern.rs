@@ -112,6 +112,43 @@ impl NmPattern {
         self.n
     }
 
+    /// The code of a group that keeps its first N lanes — the selection
+    /// charge-only placeholders carry.
+    pub(crate) fn first_n_code(&self) -> u8 {
+        (0..self.n).fold(0u8, |acc, i| acc | (1 << i))
+    }
+
+    /// Prune a run of whole M-groups (one row, or rows back to back),
+    /// copying the kept values **verbatim**: each group is selected by
+    /// [`select_group_into`](Self::select_group_into) on its widened values,
+    /// its bitmask goes to `code_out` and its kept values, ascending, to
+    /// `nz_out`. `NmCompressed::compress` and the standalone prune kernels
+    /// all run this one routine.
+    pub fn compress_groups_into<T: Scalar>(
+        &self,
+        groups: &[T],
+        nz_out: &mut [T],
+        code_out: &mut [u8],
+    ) {
+        debug_assert_eq!(groups.len() % self.m, 0);
+        let mut scores = [0.0f32; MAX_M];
+        let mut kept = [0usize; MAX_M];
+        let mut nz_pos = 0;
+        for (chunk, code) in groups.chunks_exact(self.m).zip(code_out.iter_mut()) {
+            for (s, v) in scores.iter_mut().zip(chunk) {
+                *s = v.to_f32();
+            }
+            let n_kept = self.select_group_into(&scores[..self.m], &mut kept);
+            *code = 0;
+            for &k in &kept[..n_kept] {
+                *code |= 1 << k;
+                nz_out[nz_pos] = chunk[k];
+                nz_pos += 1;
+            }
+        }
+        debug_assert_eq!(nz_pos, groups.len() / self.m * self.n);
+    }
+
     /// Boolean keep-mask over a full row (`row.len()` must be a multiple of
     /// M).
     pub fn mask_row(&self, row: &[f32], mask: &mut [bool]) {

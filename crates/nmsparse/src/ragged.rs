@@ -21,6 +21,7 @@
 //! `kept(i) = ⌊len/M⌋·N + len mod M` values and one code byte per full
 //! group.
 
+use crate::compressed::scan_codes;
 use crate::pattern::NmPattern;
 use dfss_tensor::Scalar;
 
@@ -80,12 +81,11 @@ impl<T: Scalar> NmRagged<T> {
     /// what charge-only (`!exec`) decode kernels return.
     pub fn zeros(pattern: NmPattern, lens: &[usize]) -> NmRagged<T> {
         let (nz_offsets, code_offsets) = Self::offsets(pattern, lens);
-        let code = (0..pattern.n()).fold(0u8, |acc, i| acc | (1 << i));
         NmRagged {
             pattern,
             lens: lens.to_vec(),
             nonzeros: vec![T::zero(); nz_offsets[lens.len()]],
-            codes: vec![code; code_offsets[lens.len()]],
+            codes: vec![pattern.first_n_code(); code_offsets[lens.len()]],
             nz_offsets,
             code_offsets,
         }
@@ -185,24 +185,15 @@ impl<T: Scalar> NmRagged<T> {
         out
     }
 
-    /// Call `f(dense_col, value)` for every kept entry of row `i`, ascending
-    /// column order: full groups by their code bits, then the dense tail.
+    /// Call `f(col, value)` for every kept entry of row `i`, ascending
+    /// column order: full groups by their code bits (see [`scan_codes`]),
+    /// then the dense tail.
     #[inline]
     pub fn scan_row(&self, i: usize, mut f: impl FnMut(usize, T)) {
         let m = self.pattern.m();
         let row_nz = self.row_nonzeros(i);
         let row_codes = self.row_codes(i);
-        let mut nz_pos = 0usize;
-        for (g, &code) in row_codes.iter().enumerate() {
-            let base = g * m;
-            let mut bits = code;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                f(base + bit, row_nz[nz_pos]);
-                nz_pos += 1;
-                bits &= bits - 1;
-            }
-        }
+        let nz_pos = scan_codes(m, row_codes, row_nz, &mut f);
         let tail_base = row_codes.len() * m;
         for (t, &v) in row_nz[nz_pos..].iter().enumerate() {
             f(tail_base + t, v);
