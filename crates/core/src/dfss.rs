@@ -69,8 +69,9 @@ impl DfssAttention {
         nz_bytes + ((rows * cols / self.pattern.m()) as u64 * 4).div_ceil(8)
     }
 
-    /// Run the pipeline and also return the normalised sparse attention
-    /// weights (used by the quality experiments and Figure 19).
+    /// Run the staged pipeline and also return the normalised sparse
+    /// attention weights (used by the quality experiments and Figure 19).
+    /// `q` may be any `c` query rows, like [`forward`](Attention::forward).
     pub fn forward_with_weights<T: Scalar>(
         &self,
         ctx: &mut GpuCtx,
@@ -78,18 +79,18 @@ impl DfssAttention {
         k: &Matrix<T>,
         v: &Matrix<T>,
     ) -> (Matrix<T>, NmCompressed<T>) {
-        let (n, d) = check_qkv(q, k, v);
+        let (c, n, d) = check_qkv_rows(q, k, v);
         let scale = 1.0 / (d as f32).sqrt();
         let comp_id = ctx
             .mem
-            .alloc("scores_nm_compressed", self.compressed_bytes::<T>(n, n));
+            .alloc("scores_nm_compressed", self.compressed_bytes::<T>(c, n));
         let mut comp = if self.fused {
             sddmm::sddmm_nm_fused(ctx, q, k, scale, self.pattern)
         } else {
             // The unfused path additionally materialises the dense scores.
             let dense_id = ctx
                 .mem
-                .alloc("scores_dense_unfused", (n * n * T::BYTES) as u64);
+                .alloc("scores_dense_unfused", (c * n * T::BYTES) as u64);
             let comp = sddmm::sddmm_nm_unfused(ctx, q, k, scale, self.pattern);
             ctx.mem.free(dense_id);
             comp
@@ -148,16 +149,21 @@ impl<T: Scalar> Attention<T> for DfssAttention {
     }
 
     /// The fused pipeline runs on the row-tile driver (charged as the three
-    /// staged launches); the unfused ablation runs the staged kernels.
+    /// staged launches); the unfused ablation runs the staged kernels. `q`
+    /// may be any `c` query rows: each of the `c` score rows is pruned over
+    /// its `n/M` groups exactly as in the whole-Q run (the prune epilogue
+    /// never looks at the query row's global index), and the compressed
+    /// softmax and SpMM are per-row too — so chunk outputs stack
+    /// bit-identically to a whole-Q forward.
     fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
         if !self.fused {
             return self.forward_with_weights(ctx, q, k, v).0;
         }
-        let (n, d) = check_qkv(q, k, v);
+        let (c, n, d) = check_qkv_rows(q, k, v);
         let scale = 1.0 / (d as f32).sqrt();
         let comp_id = ctx
             .mem
-            .alloc("scores_nm_compressed", self.compressed_bytes::<T>(n, n));
+            .alloc("scores_nm_compressed", self.compressed_bytes::<T>(c, n));
         let out = rowtile::attend(ctx, Some(self.pattern), q, k, v, scale);
         ctx.mem.free(comp_id);
         out
@@ -197,42 +203,6 @@ impl<T: Scalar> Attention<T> for DfssAttention {
             ctx.mem.free(dense_id);
             softmax::softmax_nm_batched(ctx, &mut comp);
             spmm::spmm_nm_batched(ctx, &comp, v)
-        };
-        ctx.mem.free(comp_id);
-        out
-    }
-
-    /// Rectangular N:M pipeline for a `c × d` query chunk against the full
-    /// `n`-key K/V: fused SDDMM prunes each of the `c` score rows over its
-    /// `n/M` groups exactly as the whole-Q kernel does (the prune epilogue
-    /// is per score row and never looks at the query row's global index),
-    /// compressed softmax and SpMM are per-row too — so stacking chunk
-    /// outputs (the row-tile driver's, or the unfused ablation's staged
-    /// kernels') is bit-identical to [`forward`](Attention::forward).
-    fn forward_rows(
-        &self,
-        ctx: &mut GpuCtx,
-        q_rows: &Matrix<T>,
-        k: &Matrix<T>,
-        v: &Matrix<T>,
-    ) -> Matrix<T> {
-        let (c, n, d) = check_qkv_rows(q_rows, k, v);
-        let scale = 1.0 / (d as f32).sqrt();
-        let comp_id = ctx
-            .mem
-            .alloc("scores_nm_compressed", self.compressed_bytes::<T>(c, n));
-        let out = if self.fused {
-            rowtile::attend(ctx, Some(self.pattern), q_rows, k, v, scale)
-        } else {
-            // The unfused ablation additionally materialises the chunk's
-            // dense c × n score panel.
-            let dense_id = ctx
-                .mem
-                .alloc("scores_dense_unfused", (c * n * T::BYTES) as u64);
-            let mut comp = sddmm::sddmm_nm_unfused(ctx, q_rows, k, scale, self.pattern);
-            ctx.mem.free(dense_id);
-            softmax::softmax_nm(ctx, &mut comp);
-            spmm::spmm_nm(ctx, &comp, v)
         };
         ctx.mem.free(comp_id);
         out
@@ -716,9 +686,10 @@ mod tests {
     }
 
     /// Every mechanism entry point that drives the row-tile driver — Full's
-    /// and fused Dfss's `forward`, `forward_batched` and `forward_rows` —
-    /// returns the staged pipeline's bits and records its profiles and
-    /// memory peak, in exec and in charge-only mode.
+    /// and fused Dfss's `forward_batched`, and `forward` over a whole Q and
+    /// over a chunk of its rows — returns the staged pipeline's bits and
+    /// records its profiles and memory peak, in exec and in charge-only
+    /// mode.
     #[test]
     fn row_tile_entry_points_match_staged_pipeline() {
         let (batch, n, d) = (3usize, 40usize, 16usize);
@@ -727,7 +698,7 @@ mod tests {
         let kb = BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
         let vb = BatchedMatrix::<f32>::random_normal(batch, n, 24, 0.0, 1.0, &mut rng);
         let (q, k, v) = (qb.to_panel(1), kb.to_panel(1), vb.to_panel(1));
-        // A 13-row chunk, the `forward_rows` shape.
+        // A 13-row chunk of Q.
         let q_rows = Matrix::from_vec(13, d, q.as_slice()[7 * d..20 * d].to_vec());
         let mechs: [(Option<NmPattern>, Box<dyn Attention<f32>>); 3] = [
             (None, Box::new(crate::full::FullAttention)),
@@ -756,13 +727,9 @@ mod tests {
                 if exec {
                     assert_eq!(bits(out.as_slice()), bits(expect.as_slice()), "{what}");
                 }
-                for (rows, entry) in [(&q, "forward"), (&q_rows, "forward_rows")] {
+                for (rows, entry) in [(&q, "forward"), (&q_rows, "forward chunk")] {
                     let (mut got, mut want) = (ctx(), ctx());
-                    let out = if entry == "forward" {
-                        mech.forward(&mut got, rows, &k, &v)
-                    } else {
-                        mech.forward_rows(&mut got, rows, &k, &v)
-                    };
+                    let out = mech.forward(&mut got, rows, &k, &v);
                     let expect = staged_forward(&mut want, *pattern, rows, &k, &v);
                     assert_eq!(ledger(&got), ledger(&want), "{entry} {what}");
                     assert_eq!(

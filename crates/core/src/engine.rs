@@ -1,36 +1,31 @@
 //! The reusable attention execution engine — batching as a *service*, not
 //! a call convention.
 //!
-//! Before this module, every caller that wanted the paper's one-launch-per-
-//! op batching (A.1.2) hand-assembled `BatchedMatrix` stacks, created a
-//! fresh `GpuCtx` per call and re-derived the launch shape work each time.
-//! [`AttentionEngine`] owns that per-launch state across calls — the device
-//! context (timeline + memory ledger), the request queue, and the pack/
-//! unpack plumbing — and exposes the serving-shaped surface the ROADMAP
-//! asks for:
+//! [`AttentionEngine`] owns the per-launch state a caller would otherwise
+//! rebuild on every call — the simulated device context (timeline + memory
+//! ledger) and the pack/unpack plumbing of the paper's one-launch-per-op
+//! batching (A.1.2) — and has one entry point per kind of traffic:
 //!
-//! * [`submit`](AttentionEngine::submit) — admit one `(Q, K, V)` request,
-//!   validated against the mechanism's shape constraints with a typed
-//!   [`RequestError`] (never a panic), returning a [`Ticket`];
-//! * [`flush`](AttentionEngine::flush) — pack everything pending into one
-//!   contiguous stack **per shape bucket** (heterogeneous requests sharing
-//!   a bucket coalesce via [`BatchedMatrix::gather`]), run a single
-//!   `forward_batched` per bucket (one simulated launch per op), and unpack
-//!   per-request outputs bit-identically to what a solo
-//!   [`Attention::forward`] would have produced.
+//! * [`launch`](AttentionEngine::launch) — **prefill**: borrowed
+//!   `(q_rows, k, v)` chunks, validated against the mechanism's shape
+//!   constraints with a typed [`RequestError`] (never a panic) before
+//!   anything runs. One chunk — a whole request, or a row slice of one for
+//!   a mechanism that can chunk — runs [`Attention::forward`]; two or more
+//!   whole requests of one shape gather into one stack and run a single
+//!   `forward_batched` (one simulated launch per op). Outputs are
+//!   bit-identical to solo `forward` calls.
+//!   [`forward_chunk`](AttentionEngine::forward_chunk) is its one-chunk
+//!   case.
+//! * [`flush_decode`](AttentionEngine::flush_decode) — **decode**: one new
+//!   query row per stream against that stream's cached K/V, with
+//!   per-stream lengths free to differ, as one **ragged** launch per op
+//!   (only the query rows are packed; the kernels read each stream's cached
+//!   K/V in place through its page table, per-stream charges summed into a
+//!   single profile), bit-identical to a per-stream solo
+//!   [`Attention::decode`] loop.
 //!
-//! Decode traffic gets the same treatment:
-//! [`flush_decode`](AttentionEngine::flush_decode) batches **decode steps**
-//! — one new query row per stream against that stream's cached K/V, with
-//! per-stream lengths free to differ — into one **ragged** launch per op
-//! (only the query rows are packed; the kernels read each stream's cached
-//! K/V in place through its page table, per-stream charges summed into a
-//! single profile), bit-identical to a per-stream solo
-//! [`Attention::decode`] loop.
-//!
-//! `simulate_encoder`, the serving layer (`dfss-serve`) and the load
-//! generator all sit on this engine; none of them touch `BatchedMatrix`
-//! assembly directly.
+//! The serving layer (`dfss-serve`) and the load generator sit on this
+//! engine; none of them touch `BatchedMatrix` assembly directly.
 //!
 //! ```
 //! use dfss_core::dfss::DfssAttention;
@@ -66,71 +61,9 @@
 //! assert_eq!(engine.last_decode().launches(), 3);
 //! ```
 
-use crate::mechanism::{try_check_qkv, try_check_qkv_rows, Attention, KvViews, RequestError};
+use crate::mechanism::{try_check_qkv, Attention, KvViews, RequestError};
 use dfss_kernels::GpuCtx;
 use dfss_tensor::{BatchedMatrix, Bf16, Matrix, PagedPanel, Scalar};
-
-/// Identifier of a submitted request, unique per engine for its lifetime.
-/// Tickets are issued in submission order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Ticket(pub u64);
-
-/// The shape bucket a request is admitted into: requests agree on the
-/// sequence length, head dim and value dim, so their panels can stack into
-/// one batched launch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ShapeKey {
-    pub n: usize,
-    pub d: usize,
-    pub d_v: usize,
-}
-
-struct PendingRequest<T> {
-    ticket: Ticket,
-    q: Matrix<T>,
-    k: Matrix<T>,
-    v: Matrix<T>,
-}
-
-/// One completed request out of a [`flush`](AttentionEngine::flush).
-#[derive(Debug)]
-pub struct FlushedRequest<T: Scalar> {
-    pub ticket: Ticket,
-    /// The attention output — `None` only under a charge-only context
-    /// (`ctx.exec == false`), where kernels skip the numeric work.
-    pub output: Option<Matrix<T>>,
-    /// Shape bucket the request was batched in.
-    pub bucket: ShapeKey,
-    /// How many requests shared the request's batched launch.
-    pub batch_size: usize,
-    /// Simulated-device latency of the bucket's launches (the whole batch —
-    /// every request in it waits for the full launch).
-    pub sim_latency_s: f64,
-}
-
-/// Per-bucket accounting of one flush.
-#[derive(Clone, Debug)]
-pub struct BucketReport {
-    pub bucket: ShapeKey,
-    pub batch_size: usize,
-    /// Simulated-device latency of this bucket's launches.
-    pub sim_latency_s: f64,
-    /// Kernel launches this bucket recorded (one per op).
-    pub launches: u64,
-}
-
-/// Accounting of one [`flush`](AttentionEngine::flush).
-#[derive(Clone, Debug, Default)]
-pub struct FlushReport {
-    pub buckets: Vec<BucketReport>,
-}
-
-impl FlushReport {
-    /// Total simulated-device latency across the flush's buckets.
-    pub fn sim_latency_s(&self) -> f64 {
-        self.buckets.iter().map(|b| b.sim_latency_s).sum()
-    }
-}
 
 /// Where one stream's cached K or V rows live in caller storage.
 ///
@@ -391,18 +324,20 @@ fn bucket_views<'a, T: Scalar>(
 }
 
 /// One completed prefill **chunk** out of a
-/// [`forward_chunk`](AttentionEngine::forward_chunk) — a `c`-row slice of a
-/// session's query run against the full K/V, the resumable unit the
-/// continuous batching scheduler interleaves with decode steps.
+/// [`launch`](AttentionEngine::launch) — `c` query rows of one request run
+/// against its full K/V: the whole request, or a row slice of it (the
+/// resumable unit the continuous batching scheduler interleaves with decode
+/// steps).
 #[derive(Debug)]
 pub struct FlushedChunk<T: Scalar> {
     /// Query rows in the chunk.
     pub rows: usize,
     /// The `c × d_v` output rows — `None` under a charge-only context.
     pub output: Option<Matrix<T>>,
-    /// Simulated-device latency of the chunk's launches.
+    /// Simulated-device latency of the launch the chunk rode — every chunk
+    /// of a batched group waits for the whole launch.
     pub sim_latency_s: f64,
-    /// Kernel launches the chunk recorded (one per op).
+    /// Kernel launches that launch recorded (one per op).
     pub launches: u64,
 }
 
@@ -410,8 +345,6 @@ pub struct FlushedChunk<T: Scalar> {
 /// [`flush_decode`](AttentionEngine::flush_decode).
 #[derive(Debug)]
 pub struct FlushedDecode<T: Scalar> {
-    /// Ticket of the step (monotone with the engine's prefill tickets).
-    pub ticket: Ticket,
     /// The `1 × d_v` output row — `None` under a charge-only context.
     pub output: Option<Matrix<T>>,
     /// Streams that shared the step's ragged launch (its `(d, d_v)`
@@ -467,14 +400,11 @@ impl DecodeFlushReport {
 ///
 /// The engine borrows the mechanism (mechanisms are small, often `Copy`
 /// structs; the serving layer owns one per server) and owns the simulated
-/// device context, reusing it across flushes instead of recreating it per
+/// device context, reusing it across launches instead of recreating it per
 /// call.
 pub struct AttentionEngine<'m, T: Scalar> {
     mech: &'m dyn Attention<T>,
     ctx: GpuCtx,
-    pending: Vec<PendingRequest<T>>,
-    next_ticket: u64,
-    last_flush: FlushReport,
     last_decode: DecodeFlushReport,
 }
 
@@ -490,9 +420,6 @@ impl<'m, T: Scalar> AttentionEngine<'m, T> {
         AttentionEngine {
             mech,
             ctx,
-            pending: Vec::new(),
-            next_ticket: 0,
-            last_flush: FlushReport::default(),
             last_decode: DecodeFlushReport::default(),
         }
     }
@@ -507,148 +434,97 @@ impl<'m, T: Scalar> AttentionEngine<'m, T> {
         &self.ctx
     }
 
-    /// Mutable device context — callers that interleave non-attention
-    /// kernels with submits (the encoder simulation) record them here so
-    /// the timeline stays in program order.
-    pub fn ctx_mut(&mut self) -> &mut GpuCtx {
-        &mut self.ctx
-    }
-
-    /// Consume the engine, returning its context (with the full timeline).
-    pub fn into_ctx(self) -> GpuCtx {
-        self.ctx
-    }
-
-    /// Requests admitted but not yet flushed.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Accounting of the most recent [`flush`](Self::flush).
-    pub fn last_flush(&self) -> &FlushReport {
-        &self.last_flush
-    }
-
     /// Accounting of the most recent [`flush_decode`](Self::flush_decode).
     pub fn last_decode(&self) -> &DecodeFlushReport {
         &self.last_decode
     }
 
-    /// Validate and admit one request. Returns its [`Ticket`]; malformed
-    /// triples and shapes the mechanism cannot run come back as typed
-    /// errors without touching engine state.
-    pub fn submit(
+    /// Launch prefill **chunks** — each `(q_rows, k, v)` is `c` query rows
+    /// of one request against its full `n`-key K/V — as one launch group,
+    /// returning one [`FlushedChunk`] per chunk, in chunk order.
+    ///
+    /// * One chunk runs the mechanism's [`forward`](Attention::forward): a
+    ///   whole request (`c = n`), or — when the mechanism
+    ///   [`supports_row_chunking`](Attention::supports_row_chunking) — a
+    ///   row slice of one, bit-identical to those rows of the whole-Q
+    ///   forward (the parity contract the scheduler gauntlet and the
+    ///   serving bench's `--check` pin).
+    /// * Two or more chunks must be whole requests of one shape: they
+    ///   gather into one contiguous stack and run a single
+    ///   [`forward_batched`](Attention::forward_batched) — one simulated
+    ///   launch per op for the group — and unpack bit-identically to solo
+    ///   `forward` calls.
+    ///
+    /// Every chunk is validated before anything launches: a malformed
+    /// triple, a shape the mechanism cannot run, a partial chunk of a
+    /// mechanism that cannot chunk, or a group that is not whole requests
+    /// of one shape comes back as a typed error with no launch recorded.
+    /// No chunks is a no-op.
+    pub fn launch(
         &mut self,
-        q: Matrix<T>,
-        k: Matrix<T>,
-        v: Matrix<T>,
-    ) -> Result<Ticket, RequestError> {
-        try_check_qkv(self.mech, &q, &k, &v)?;
-        let ticket = Ticket(self.next_ticket);
-        self.next_ticket += 1;
-        self.pending.push(PendingRequest { ticket, q, k, v });
-        Ok(ticket)
-    }
-
-    /// Run everything pending: requests group into shape buckets (admission
-    /// order preserved within a bucket, buckets in first-seen order), each
-    /// bucket packs into one contiguous stack and runs a single
-    /// `forward_batched` — one simulated launch per op for the whole bucket
-    /// — and outputs unpack per request, bit-identical to solo `forward`
-    /// calls. Results are returned in ticket (= submission) order.
-    pub fn flush(&mut self) -> Vec<FlushedRequest<T>> {
-        let pending = std::mem::take(&mut self.pending);
-        let mut report = FlushReport::default();
-        if pending.is_empty() {
-            self.last_flush = report;
-            return Vec::new();
+        chunks: &[(&Matrix<T>, &Matrix<T>, &Matrix<T>)],
+    ) -> Result<Vec<FlushedChunk<T>>, RequestError> {
+        for &(q, k, v) in chunks {
+            try_check_qkv(self.mech, q, k, v)?;
         }
-
-        // Shape-bucket the queue, preserving order within buckets.
-        let mut buckets: Vec<(ShapeKey, Vec<PendingRequest<T>>)> = Vec::new();
-        for req in pending {
-            let key = ShapeKey {
-                n: req.q.rows(),
-                d: req.q.cols(),
-                d_v: req.v.cols(),
-            };
-            match buckets.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, reqs)) => reqs.push(req),
-                None => buckets.push((key, vec![req])),
-            }
-        }
-
-        let mut results: Vec<FlushedRequest<T>> = Vec::new();
-        for (key, reqs) in buckets {
-            let batch_size = reqs.len();
-            let qs: Vec<&Matrix<T>> = reqs.iter().map(|r| &r.q).collect();
-            let ks: Vec<&Matrix<T>> = reqs.iter().map(|r| &r.k).collect();
-            let vs: Vec<&Matrix<T>> = reqs.iter().map(|r| &r.v).collect();
-            let qb = BatchedMatrix::gather(&qs);
-            let kb = BatchedMatrix::gather(&ks);
-            let vb = BatchedMatrix::gather(&vs);
-
-            let mark = self.ctx.timeline.entries().len();
-            let out = self.mech.forward_batched(&mut self.ctx, &qb, &kb, &vb);
-            let new_entries = &self.ctx.timeline.entries()[mark..];
-            let sim_latency_s: f64 = new_entries.iter().map(|e| e.latency(&self.ctx.dev)).sum();
-            let launches: u64 = new_entries.iter().map(|e| e.launches).sum();
-            report.buckets.push(BucketReport {
-                bucket: key,
-                batch_size,
-                sim_latency_s,
-                launches,
+        let Some(&(q0, _, v0)) = chunks.first() else {
+            return Ok(Vec::new());
+        };
+        let whole_of_one_shape = |&(q, k, v): &(&Matrix<T>, &Matrix<T>, &Matrix<T>)| {
+            q.rows() == k.rows() && (q.shape(), v.cols()) == (q0.shape(), v0.cols())
+        };
+        if chunks.len() > 1 && !chunks.iter().all(whole_of_one_shape) {
+            return Err(RequestError::Unsupported {
+                mechanism: self.mech.name(),
+                reason: "a batched launch takes whole requests of one shape".into(),
             });
+        }
 
-            let mut outputs: Vec<Option<Matrix<T>>> = if out.is_materialized() {
+        let mark = self.ctx.timeline.entries().len();
+        let outputs: Vec<Option<Matrix<T>>> = if let [(q, k, v)] = chunks {
+            let out = self.mech.forward(&mut self.ctx, q, k, v);
+            vec![self.ctx.exec.then_some(out)]
+        } else {
+            let stack = |part: usize| {
+                let panels: Vec<&Matrix<T>> =
+                    chunks.iter().map(|c| [c.0, c.1, c.2][part]).collect();
+                BatchedMatrix::gather(&panels)
+            };
+            let out = self
+                .mech
+                .forward_batched(&mut self.ctx, &stack(0), &stack(1), &stack(2));
+            if out.is_materialized() {
                 out.into_panels().into_iter().map(Some).collect()
             } else {
-                (0..batch_size).map(|_| None).collect()
-            };
-            for (req, output) in reqs.into_iter().zip(outputs.drain(..)) {
-                results.push(FlushedRequest {
-                    ticket: req.ticket,
-                    output,
-                    bucket: key,
-                    batch_size,
-                    sim_latency_s,
-                });
+                chunks.iter().map(|_| None).collect()
             }
-        }
-        results.sort_by_key(|r| r.ticket);
-        self.last_flush = report;
-        results
+        };
+        let entries = &self.ctx.timeline.entries()[mark..];
+        let sim_latency_s: f64 = entries.iter().map(|e| e.latency(&self.ctx.dev)).sum();
+        let launches: u64 = entries.iter().map(|e| e.launches).sum();
+        Ok(chunks
+            .iter()
+            .zip(outputs)
+            .map(|(&(q, _, _), output)| FlushedChunk {
+                rows: q.rows(),
+                output,
+                sim_latency_s,
+                launches,
+            })
+            .collect())
     }
 
-    /// Run an **already-packed** B×H stack through the engine as one
-    /// bucket — the encoder-simulation fast path. Callers that hold their
-    /// panels in a contiguous stack (e.g. a `split_heads` result) skip the
-    /// per-request queue and the gather/unpack copies while keeping the
-    /// engine's one-launch-per-op execution, owned context and flush
-    /// accounting. Equivalent to submitting each panel and flushing.
-    pub fn flush_stack(
+    /// Run one prefill chunk — the one-chunk case of
+    /// [`launch`](Self::launch): `q_rows` (`c × d`) against the full
+    /// `n`-key K/V through the mechanism's `forward`.
+    pub fn forward_chunk(
         &mut self,
-        q: &BatchedMatrix<T>,
-        k: &BatchedMatrix<T>,
-        v: &BatchedMatrix<T>,
-    ) -> BatchedMatrix<T> {
-        let key = ShapeKey {
-            n: q.rows(),
-            d: q.cols(),
-            d_v: v.cols(),
-        };
-        let mark = self.ctx.timeline.entries().len();
-        let out = self.mech.forward_batched(&mut self.ctx, q, k, v);
-        let new_entries = &self.ctx.timeline.entries()[mark..];
-        self.last_flush = FlushReport {
-            buckets: vec![BucketReport {
-                bucket: key,
-                batch_size: q.batch(),
-                sim_latency_s: new_entries.iter().map(|e| e.latency(&self.ctx.dev)).sum(),
-                launches: new_entries.iter().map(|e| e.launches).sum(),
-            }],
-        };
-        out
+        q_rows: &Matrix<T>,
+        k: &Matrix<T>,
+        v: &Matrix<T>,
+    ) -> Result<FlushedChunk<T>, RequestError> {
+        let mut done = self.launch(&[(q_rows, k, v)])?;
+        Ok(done.pop().expect("one chunk in, one result out"))
     }
 
     /// Batch a set of **decode steps** (one new query row per stream
@@ -661,11 +537,11 @@ impl<'m, T: Scalar> AttentionEngine<'m, T> {
     /// cached row — and outputs unpack per step, bit-identical to a
     /// per-stream solo `decode` loop. Results come back in step order.
     ///
-    /// A flush with **zero steps is a no-op** — no launch is recorded, no
-    /// ticket issued, and the decode report resets to empty (never a
-    /// zero-size launch). Malformed steps fail the whole flush with a typed
-    /// error before any launch; callers that validated at admission (the
-    /// serving layer) never see one.
+    /// A flush with **zero steps is a no-op** — no launch is recorded and
+    /// the decode report resets to empty (never a zero-size launch).
+    /// Malformed steps fail the whole flush with a typed error before any
+    /// launch; callers that validated at admission (the serving layer)
+    /// never see one.
     pub fn flush_decode(
         &mut self,
         steps: &[DecodeStep<'_, T>],
@@ -687,10 +563,8 @@ impl<'m, T: Scalar> AttentionEngine<'m, T> {
                 None => buckets.push((key, vec![i])),
             }
         }
-        let first_ticket = self.next_ticket;
-        self.next_ticket += steps.len() as u64;
 
-        let mut results: Vec<FlushedDecode<T>> = Vec::with_capacity(steps.len());
+        let mut results: Vec<(usize, FlushedDecode<T>)> = Vec::with_capacity(steps.len());
         for ((d, d_v, quantized), idxs) in buckets {
             let mut q_data = Vec::with_capacity(idxs.len() * d);
             for &i in &idxs {
@@ -720,51 +594,17 @@ impl<'m, T: Scalar> AttentionEngine<'m, T> {
                     .ctx
                     .exec
                     .then(|| Matrix::from_vec(1, d_v, out.row(row).to_vec()));
-                results.push(FlushedDecode {
-                    ticket: Ticket(first_ticket + i as u64),
+                let done = FlushedDecode {
                     output,
                     batch_size: idxs.len(),
                     cached_len: steps[i].len,
                     sim_latency_s,
-                });
+                };
+                results.push((i, done));
             }
         }
-        results.sort_by_key(|r| r.ticket);
-        Ok(results)
-    }
-
-    /// Run one resumable **prefill chunk** — a `c × d` row slice of a
-    /// session's query against the full `n`-key K/V — as an immediate
-    /// launch group, bypassing the pending queue (the continuous scheduler
-    /// owns its own queue and calls this once per packed chunk).
-    ///
-    /// When the mechanism
-    /// [`supports_row_chunking`](Attention::supports_row_chunking), the
-    /// output is **bit-identical** to rows `[lo, lo+c)` of a whole-Q solo
-    /// [`Attention::forward`] — the parity contract the scheduler gauntlet
-    /// and the serving bench's `--check` pin. Malformed chunks come back as
-    /// typed errors without recording a launch; ticket numbering is not
-    /// consumed (chunks belong to a session-level request, not to a fresh
-    /// ticket).
-    pub fn forward_chunk(
-        &mut self,
-        q_rows: &Matrix<T>,
-        k: &Matrix<T>,
-        v: &Matrix<T>,
-    ) -> Result<FlushedChunk<T>, RequestError> {
-        let (rows, _n) = try_check_qkv_rows(self.mech, q_rows, k, v)?;
-        let mark = self.ctx.timeline.entries().len();
-        let out = self.mech.forward_rows(&mut self.ctx, q_rows, k, v);
-        let new_entries = &self.ctx.timeline.entries()[mark..];
-        let sim_latency_s: f64 = new_entries.iter().map(|e| e.latency(&self.ctx.dev)).sum();
-        let launches: u64 = new_entries.iter().map(|e| e.launches).sum();
-        let output = self.ctx.exec.then_some(out);
-        Ok(FlushedChunk {
-            rows,
-            output,
-            sim_latency_s,
-            launches,
-        })
+        results.sort_by_key(|&(i, _)| i);
+        Ok(results.into_iter().map(|(_, done)| done).collect())
     }
 
     /// Drop the accumulated kernel timeline (the memory ledger keeps its
@@ -775,33 +615,20 @@ impl<'m, T: Scalar> AttentionEngine<'m, T> {
     }
 
     /// Restore the engine to a serviceable state after a panic unwound
-    /// through [`flush`](Self::flush) or
+    /// through [`launch`](Self::launch) or
     /// [`flush_decode`](Self::flush_decode) and was caught by the caller
-    /// (the serving layer's batch-panic isolation).
-    ///
-    /// A panic mid-flush can leave half-admitted pending requests, a
-    /// partially recorded launch timeline, and stale flush reports behind;
-    /// this drops all three so the next flush starts clean. Ticket
-    /// numbering is **not** rewound — tickets stay monotone across the
-    /// engine's whole life, failed launches included, so later results
-    /// never alias an abandoned request's ticket.
+    /// (the serving layer's batch-panic isolation): a panic mid-launch can
+    /// leave a partially recorded launch timeline and a stale decode report
+    /// behind, and this drops both so the next launch starts clean.
     pub fn recover_after_panic(&mut self) {
-        self.pending.clear();
         self.ctx.reset_timeline();
-        self.last_flush = FlushReport::default();
         self.last_decode = DecodeFlushReport::default();
     }
 }
 
 impl<T: Scalar> std::fmt::Debug for AttentionEngine<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "AttentionEngine<{}> for {:?} ({} pending)",
-            T::NAME,
-            self.mech.name(),
-            self.pending.len()
-        )
+        write!(f, "AttentionEngine<{}> for {:?}", T::NAME, self.mech.name())
     }
 }
 
@@ -821,137 +648,109 @@ mod tests {
         )
     }
 
+    fn bits(m: &Matrix<f32>) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn flush_is_bit_identical_to_solo_forward_across_buckets() {
+    fn launch_is_bit_identical_to_solo_forward_per_group() {
         let mech = DfssAttention::new(NmPattern::P1_2);
         let mut engine = AttentionEngine::new(&mech);
         let mut rng = Rng::new(7);
-        // Heterogeneous queue: two shape buckets interleaved.
+        // Two shape groups interleaved in arrival order.
         let shapes = [(32, 16), (64, 8), (32, 16), (64, 8), (32, 16)];
-        let mut solo = Vec::new();
-        for &(n, d) in &shapes {
-            let (q, k, v) = request(n, d, &mut rng);
-            let mut sctx = GpuCtx::a100();
-            solo.push(mech.forward(&mut sctx, &q, &k, &v));
-            engine.submit(q, k, v).unwrap();
-        }
-        assert_eq!(engine.pending(), 5);
-        let results = engine.flush();
-        assert_eq!(engine.pending(), 0);
-        assert_eq!(results.len(), 5);
-        for (i, (res, want)) in results.iter().zip(&solo).enumerate() {
-            assert_eq!(res.ticket, Ticket(i as u64));
-            let got = res.output.as_ref().expect("exec mode");
-            let same = got
-                .as_slice()
+        let reqs: Vec<_> = shapes
+            .iter()
+            .map(|&(n, d)| request(n, d, &mut rng))
+            .collect();
+        let solo: Vec<Matrix<f32>> = reqs
+            .iter()
+            .map(|(q, k, v)| mech.forward(&mut GpuCtx::a100(), q, k, v))
+            .collect();
+        for (n, size) in [(32usize, 3usize), (64, 2)] {
+            let idxs: Vec<usize> = (0..reqs.len()).filter(|&i| reqs[i].0.rows() == n).collect();
+            let group: Vec<_> = idxs
                 .iter()
-                .zip(want.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "request {i} diverged from solo forward");
+                .map(|&i| (&reqs[i].0, &reqs[i].1, &reqs[i].2))
+                .collect();
+            let done = engine.launch(&group).unwrap();
+            assert_eq!(done.len(), size);
+            for (res, &i) in done.iter().zip(&idxs) {
+                assert_eq!(res.rows, n);
+                assert!(res.sim_latency_s > 0.0);
+                let got = res.output.as_ref().expect("exec mode");
+                assert_eq!(bits(got), bits(&solo[i]), "request {i} diverged from solo");
+            }
         }
-        // Two buckets: (32,16) × 3 and (64,8) × 2.
-        let report = engine.last_flush();
-        assert_eq!(report.buckets.len(), 2);
-        assert_eq!(report.buckets[0].batch_size, 3);
-        assert_eq!(report.buckets[1].batch_size, 2);
-        assert!(report.sim_latency_s() > 0.0);
     }
 
     #[test]
-    fn one_launch_per_op_per_bucket() {
-        // Dfss runs 3 ops (fused SDDMM, softmax, SpMM): a flush with two
-        // buckets must record exactly 6 launches no matter how many
-        // requests each bucket holds.
+    fn one_launch_per_op_per_group() {
+        // Dfss runs 3 ops (fused SDDMM, softmax, SpMM): two groups record
+        // exactly 6 launches no matter how many requests each holds.
         let mech = DfssAttention::new(NmPattern::P1_2);
         let mut engine = AttentionEngine::new(&mech);
         let mut rng = Rng::new(9);
-        for &(n, d) in &[(32, 8), (32, 8), (32, 8), (64, 8), (64, 8)] {
-            let (q, k, v) = request(n, d, &mut rng);
-            engine.submit(q, k, v).unwrap();
+        for (n, size) in [(32usize, 3usize), (64, 2)] {
+            let reqs: Vec<_> = (0..size).map(|_| request(n, 8, &mut rng)).collect();
+            let group: Vec<_> = reqs.iter().map(|(q, k, v)| (q, k, v)).collect();
+            let done = engine.launch(&group).unwrap();
+            assert!(done.iter().all(|r| r.launches == 3));
         }
-        let _ = engine.flush();
         assert_eq!(engine.ctx().timeline.launches(), 6);
-        for b in &engine.last_flush().buckets {
-            assert_eq!(b.launches, 3);
-        }
     }
 
     #[test]
-    fn submit_rejects_unservable_requests_without_queueing() {
+    fn launch_rejects_unservable_chunks_without_launching() {
         let mech = DfssAttention::new(NmPattern::P1_2);
         let mut engine = AttentionEngine::new(&mech);
+        let mut rng = Rng::new(10);
         // n = 31 is not a multiple of M = 2 → typed rejection.
         let q = Matrix::<f32>::zeros(31, 8);
-        let err = engine.submit(q.clone(), q.clone(), q.clone()).unwrap_err();
+        let err = engine.launch(&[(&q, &q, &q)]).unwrap_err();
         assert!(matches!(err, RequestError::Unsupported { .. }));
         // Mismatched K → typed rejection.
-        let q32 = Matrix::<f32>::zeros(32, 8);
+        let (q32, k32, v32) = request(32, 8, &mut rng);
         let k_bad = Matrix::<f32>::zeros(32, 4);
-        let err = engine.submit(q32.clone(), k_bad, q32.clone()).unwrap_err();
+        let err = engine.launch(&[(&q32, &k_bad, &v32)]).unwrap_err();
         assert!(matches!(err, RequestError::KShapeMismatch { .. }));
-        assert_eq!(engine.pending(), 0);
-        assert!(engine.flush().is_empty());
+        // A zero-width V has nothing to attend into.
+        let v_empty = Matrix::<f32>::zeros(32, 0);
+        let err = engine.launch(&[(&q32, &k32, &v_empty)]).unwrap_err();
+        assert_eq!(err, RequestError::EmptyRequest);
+        // One bad chunk fails the whole group before anything runs.
+        let err = engine
+            .launch(&[(&q32, &k32, &v32), (&q32, &k_bad, &v32)])
+            .unwrap_err();
+        assert!(matches!(err, RequestError::KShapeMismatch { .. }));
+        // A group holds whole requests of one shape only.
+        let (q64, k64, v64) = request(64, 8, &mut rng);
+        let q_rows = q64.take_rows(0, 32);
+        for group in [
+            [(&q32, &k32, &v32), (&q64, &k64, &v64)],
+            [(&q32, &k32, &v32), (&q_rows, &k64, &v64)],
+        ] {
+            let err = engine.launch(&group).unwrap_err();
+            assert!(matches!(err, RequestError::Unsupported { .. }));
+        }
+        assert_eq!(engine.ctx().timeline.launches(), 0);
+        assert!(engine.ctx().timeline.is_empty());
     }
 
     #[test]
-    fn tickets_are_unique_across_flushes_and_ctx_persists() {
+    fn ctx_persists_across_launches_until_reset() {
         let mech = FullAttention;
         let mut engine = AttentionEngine::new(&mech);
         let mut rng = Rng::new(11);
         let (q, k, v) = request(16, 8, &mut rng);
-        let t0 = engine.submit(q.clone(), k.clone(), v.clone()).unwrap();
-        let _ = engine.flush();
+        engine.launch(&[(&q, &k, &v)]).unwrap();
         let launches_after_first = engine.ctx().timeline.launches();
-        let t1 = engine.submit(q, k, v).unwrap();
-        assert!(t1 > t0, "tickets must be monotone across flushes");
-        let _ = engine.flush();
+        engine.launch(&[(&q, &k, &v)]).unwrap();
         // The context is owned and reused: the timeline accumulated both
-        // flushes' launches until explicitly reset.
+        // launches until explicitly reset.
         assert_eq!(engine.ctx().timeline.launches(), 2 * launches_after_first);
         engine.reset_timeline();
         assert_eq!(engine.ctx().timeline.launches(), 0);
-    }
-
-    #[test]
-    fn flush_stack_matches_submit_flush() {
-        // The pre-packed fast path runs the same launches and reports the
-        // same accounting as the queued path, with bit-identical outputs.
-        let mech = DfssAttention::new(NmPattern::P1_2);
-        let mut rng = Rng::new(21);
-        let (batch, n, d) = (4usize, 32usize, 16usize);
-        let qb = dfss_tensor::BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
-        let kb = dfss_tensor::BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
-        let vb = dfss_tensor::BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
-
-        let mut queued = AttentionEngine::new(&mech);
-        for b in 0..batch {
-            queued
-                .submit(qb.to_panel(b), kb.to_panel(b), vb.to_panel(b))
-                .unwrap();
-        }
-        let queued_out = queued.flush();
-
-        let mut stacked = AttentionEngine::new(&mech);
-        let out = stacked.flush_stack(&qb, &kb, &vb);
-        assert_eq!(out.shape(), (batch, n, d));
-        for (b, res) in queued_out.iter().enumerate() {
-            let want = res.output.as_ref().unwrap();
-            let same = out
-                .panel(b)
-                .iter()
-                .zip(want.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "panel {b} diverged between stack and queued paths");
-        }
-        assert_eq!(
-            stacked.ctx().timeline.total_bytes(),
-            queued.ctx().timeline.total_bytes()
-        );
-        let (sr, qr) = (stacked.last_flush(), queued.last_flush());
-        assert_eq!(sr.buckets.len(), 1);
-        assert_eq!(sr.buckets[0].batch_size, batch);
-        assert_eq!(sr.buckets[0].launches, qr.buckets[0].launches);
-        assert!((sr.sim_latency_s() - qr.sim_latency_s()).abs() < 1e-15);
     }
 
     fn cache(len: usize, d: usize, d_v: usize, rng: &mut Rng) -> (Matrix<f32>, Matrix<f32>) {
@@ -991,7 +790,6 @@ mod tests {
         assert_eq!(engine.last_decode().buckets[0].total_cached, 62);
 
         for (i, res) in results.iter().enumerate() {
-            assert_eq!(res.ticket, Ticket(i as u64));
             assert_eq!(res.cached_len, lens[i]);
             assert_eq!(res.batch_size, lens.len());
             let got = res.output.as_ref().expect("exec mode");
@@ -1041,7 +839,7 @@ mod tests {
         let results = engine.flush_decode(&steps).unwrap();
         assert_eq!(results.len(), 4);
         for (i, res) in results.iter().enumerate() {
-            assert_eq!(res.ticket, Ticket(i as u64));
+            assert_eq!(res.cached_len, lens[i]);
             assert_eq!(res.batch_size, 2);
             assert_eq!(res.output.as_ref().unwrap().cols(), shapes[i].1);
         }
@@ -1058,25 +856,21 @@ mod tests {
     #[test]
     fn empty_decode_flush_is_a_no_op_not_a_zero_size_launch() {
         let mech = DfssAttention::new(NmPattern::P1_2);
-        let mut engine = AttentionEngine::new(&mech);
+        let mut engine: AttentionEngine<'_, f32> = AttentionEngine::new(&mech);
         let results = engine.flush_decode(&[]).unwrap();
         assert!(results.is_empty());
         assert_eq!(engine.ctx().timeline.launches(), 0);
         assert!(engine.ctx().timeline.is_empty());
         assert!(engine.last_decode().buckets.is_empty());
-        // And no ticket was consumed: the next prefill ticket is still 0.
-        let mut rng = Rng::new(35);
-        let (q, k, v) = request(16, 8, &mut rng);
-        assert_eq!(engine.submit(q, k, v).unwrap(), Ticket(0));
     }
 
     #[test]
-    fn empty_prefill_flush_is_a_no_op_too() {
+    fn empty_launch_is_a_no_op_too() {
         let mech = FullAttention;
         let mut engine: AttentionEngine<'_, f32> = AttentionEngine::new(&mech);
-        assert!(engine.flush().is_empty());
+        assert!(engine.launch(&[]).unwrap().is_empty());
         assert_eq!(engine.ctx().timeline.launches(), 0);
-        assert!(engine.last_flush().buckets.is_empty());
+        assert!(engine.ctx().timeline.is_empty());
     }
 
     /// A mechanism that panics on its next forward while armed — stand-in
@@ -1111,22 +905,17 @@ mod tests {
         let mut engine = AttentionEngine::new(&mech);
         let mut rng = Rng::new(61);
         let (q, k, v) = request(16, 8, &mut rng);
-        engine.submit(q.clone(), k.clone(), v.clone()).unwrap();
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            let _ = engine.flush();
+            let _ = engine.launch(&[(&q, &k, &v)]);
         }));
-        assert!(unwound.is_err(), "armed mechanism must panic mid-flush");
+        assert!(unwound.is_err(), "armed mechanism must panic mid-launch");
         engine.recover_after_panic();
-        assert_eq!(engine.pending(), 0);
         assert!(engine.ctx().timeline.is_empty());
-        assert!(engine.last_flush().buckets.is_empty());
-        // The next flush serves normally on a fresh, still-monotone ticket.
-        let t = engine.submit(q, k, v).unwrap();
-        assert!(t > Ticket(0), "tickets never rewind across a recovery");
-        let results = engine.flush();
-        assert_eq!(results.len(), 1);
-        assert!(results[0].output.is_some());
-        assert_eq!(results[0].ticket, t);
+        assert!(engine.last_decode().buckets.is_empty());
+        // The next launch serves normally.
+        let done = engine.launch(&[(&q, &k, &v)]).unwrap();
+        assert_eq!(done.len(), 1);
+        assert!(done[0].output.is_some());
     }
 
     #[test]
@@ -1173,21 +962,6 @@ mod tests {
         let err = engine.flush_decode(&[thin_page]).unwrap_err();
         assert!(matches!(err, RequestError::DecodeShapeMismatch { .. }));
         assert_eq!(engine.ctx().timeline.launches(), 0);
-    }
-
-    #[test]
-    fn decode_and_prefill_share_the_ticket_sequence() {
-        let mech = DfssAttention::new(NmPattern::P1_2);
-        let mut engine = AttentionEngine::new(&mech);
-        let mut rng = Rng::new(37);
-        let (q, k, v) = request(16, 8, &mut rng);
-        let t0 = engine.submit(q, k, v).unwrap();
-        let _ = engine.flush();
-        let (kc, vc) = cache(8, 8, 8, &mut rng);
-        let q_row: Vec<f32> = (0..8).map(|_| rng.normal(0.0, 1.0)).collect();
-        let step = DecodeStep::contiguous(&q_row, kc.as_slice(), vc.as_slice(), 8, 8, 8);
-        let res = engine.flush_decode(&[step]).unwrap();
-        assert!(res[0].ticket > t0, "decode tickets continue the sequence");
     }
 
     #[test]
@@ -1412,30 +1186,30 @@ mod tests {
     }
 
     #[test]
-    fn charge_only_flush_reports_costs_without_outputs() {
+    fn charge_only_launch_reports_costs_without_outputs() {
         let mech = DfssAttention::new(NmPattern::P1_2);
         let mut exec_engine = AttentionEngine::new(&mech);
         let mut charge_engine = AttentionEngine::with_ctx(&mech, GpuCtx::a100_charge_only());
         let mut rng = Rng::new(13);
-        for _ in 0..3 {
-            let (q, k, v) = request(32, 16, &mut rng);
-            exec_engine.submit(q.clone(), k.clone(), v.clone()).unwrap();
-            charge_engine.submit(q, k, v).unwrap();
+        let reqs: Vec<_> = (0..3).map(|_| request(32, 16, &mut rng)).collect();
+        let group: Vec<_> = reqs.iter().map(|(q, k, v)| (q, k, v)).collect();
+        // A group and a single partial chunk, both ways.
+        let chunk = reqs[0].0.take_rows(4, 20);
+        for launch in [group, vec![(&chunk, &reqs[0].1, &reqs[0].2)]] {
+            let exec_out = exec_engine.launch(&launch).unwrap();
+            let charge_out = charge_engine.launch(&launch).unwrap();
+            assert!(exec_out.iter().all(|r| r.output.is_some()));
+            assert!(charge_out.iter().all(|r| r.output.is_none()));
+            // Identical charges either way.
+            for (e, c) in exec_out.iter().zip(&charge_out) {
+                assert_eq!((e.rows, e.launches), (c.rows, c.launches));
+                assert!((e.sim_latency_s - c.sim_latency_s).abs() < 1e-15);
+            }
+            assert_eq!(
+                exec_engine.ctx().timeline.total_bytes(),
+                charge_engine.ctx().timeline.total_bytes()
+            );
         }
-        let exec_out = exec_engine.flush();
-        let charge_out = charge_engine.flush();
-        assert!(exec_out.iter().all(|r| r.output.is_some()));
-        assert!(charge_out.iter().all(|r| r.output.is_none()));
-        // Identical charges either way.
-        assert_eq!(
-            exec_engine.ctx().timeline.total_bytes(),
-            charge_engine.ctx().timeline.total_bytes()
-        );
-        assert!(
-            (exec_engine.last_flush().sim_latency_s() - charge_engine.last_flush().sim_latency_s())
-                .abs()
-                < 1e-15
-        );
     }
 
     /// The continuous-batching parity contract: for every chunk-opted-in
@@ -1483,6 +1257,39 @@ mod tests {
                 let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(solo_bits, got_bits, "{name} chunk={chunk}");
             }
+        }
+    }
+
+    /// A mechanism that cannot chunk runs a whole chunk through its own
+    /// `forward` — never a dense stand-in — and refuses a partial one typed,
+    /// before anything launches.
+    #[test]
+    fn forward_chunk_runs_the_mechanism_and_refuses_partial_chunks_it_cannot_chunk() {
+        use crate::dfss::DfssEllAttention;
+        use crate::sparse_baselines::LocalAttention;
+        let mechs: Vec<Box<dyn Attention<f32>>> = vec![
+            Box::new(LocalAttention::new(4)),
+            Box::new(DfssEllAttention::new(NmPattern::P2_4, 8, 2)),
+        ];
+        let mut rng = Rng::new(3);
+        let (q, k, v) = request(32, 16, &mut rng);
+        for mech in &mechs {
+            assert!(!mech.supports_row_chunking(), "{}", mech.name());
+            let solo = mech.forward(&mut GpuCtx::a100(), &q, &k, &v);
+            let mut engine = AttentionEngine::new(mech.as_ref());
+            let whole = engine.forward_chunk(&q, &k, &v).unwrap();
+            let got = whole.output.as_ref().expect("exec mode");
+            assert_eq!(bits(got), bits(&solo), "{}", mech.name());
+            engine.reset_timeline();
+            let err = engine
+                .forward_chunk(&q.take_rows(0, 16), &k, &v)
+                .unwrap_err();
+            assert!(
+                matches!(err, RequestError::Unsupported { .. }),
+                "{}: {err}",
+                mech.name()
+            );
+            assert!(engine.ctx().timeline.is_empty(), "{}", mech.name());
         }
     }
 

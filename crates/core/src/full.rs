@@ -1,6 +1,6 @@
 //! Full (dense) attention — Equation (1), the baseline of every experiment.
 
-use crate::mechanism::{check_qkv, check_qkv_batched, Attention};
+use crate::mechanism::{check_qkv, check_qkv_batched, check_qkv_rows, Attention};
 use dfss_kernels::{rowtile, GpuCtx};
 use dfss_tensor::{BatchedMatrix, Matrix, Scalar};
 
@@ -13,14 +13,16 @@ impl<T: Scalar> Attention<T> for FullAttention {
         format!("Transformer ({})", T::NAME)
     }
 
+    /// `q` may be any `c` query rows: the dense pipeline runs on the
+    /// rectangular `c × n` score panel.
     fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
-        let (n, d) = check_qkv(q, k, v);
+        let (c, n, d) = check_qkv_rows(q, k, v);
         let scale = <Self as Attention<T>>::scale_for(self, d);
-        // On the device the dense n×n score matrix and its softmax are
+        // On the device the dense c×n score matrix and its softmax are
         // materialised — the allocations Dfss avoids (§3.4). The host runs
         // the row-tile driver, which holds one tile's scores at a time.
-        let scores_id = ctx.mem.alloc("scores_dense", (n * n * T::BYTES) as u64);
-        let weights_id = ctx.mem.alloc("weights_dense", (n * n * T::BYTES) as u64);
+        let scores_id = ctx.mem.alloc("scores_dense", (c * n * T::BYTES) as u64);
+        let weights_id = ctx.mem.alloc("weights_dense", (c * n * T::BYTES) as u64);
         let out = rowtile::attend(ctx, None, q, k, v, scale);
         ctx.mem.free(scores_id);
         ctx.mem.free(weights_id);
@@ -54,10 +56,9 @@ impl<T: Scalar> Attention<T> for FullAttention {
         out
     }
 
-    /// Dense scores are row-separable: the default rectangular
-    /// [`Attention::forward_rows`] pipeline (the same row-tile driver, the
-    /// same serial-k accumulation per element) stacks bit-identically to
-    /// [`forward`](Attention::forward), so chunked prefill is safe.
+    /// Dense scores are row-separable: a chunk of query rows runs the same
+    /// row-tile driver with the same serial-k accumulation per element, so
+    /// chunk outputs stack bit-identically to a whole-Q forward.
     fn supports_row_chunking(&self) -> bool {
         true
     }

@@ -1,7 +1,7 @@
 //! The attention-mechanism interface.
 
 use dfss_gpusim::Stage;
-use dfss_kernels::{gemm, rowtile, softmax, GpuCtx};
+use dfss_kernels::{gemm, softmax, GpuCtx};
 use dfss_tensor::{BatchedMatrix, Bf16, Matrix, PagedPanel, RaggedBatch, Scalar};
 
 /// The cached K/V of a ragged decode batch, borrowed in place: one
@@ -59,7 +59,11 @@ pub trait Attention<T: Scalar> {
     /// Display name as used in the paper's figures (e.g. `"Dfss 1:2"`).
     fn name(&self) -> String;
 
-    /// Compute the attention output.
+    /// Compute the attention output of `q` (`c × d`) against `k` (`n × d`)
+    /// and `v` (`n × d_v`). Every mechanism runs square Q (`c = n`); one
+    /// that [`supports_row_chunking`](Self::supports_row_chunking) also runs
+    /// any `c ≥ 1` query rows — a **chunk** of a prefill's Q, the resumable
+    /// unit a continuous batching scheduler interleaves with decode steps.
     fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T>;
 
     /// Compute the attention output for a whole B×H stack — **one launch
@@ -223,50 +227,21 @@ pub trait Attention<T: Scalar> {
         Ok(())
     }
 
-    /// Compute a **row slice** of the prefill output: `q_rows` is a `c × d`
-    /// chunk of the full query matrix, attended against the *full* `K`
-    /// (`n × d`) and `V` (`n × d_v`) — the resumable unit a continuous
-    /// batching scheduler interleaves with decode steps.
+    /// Whether [`forward`](Self::forward) accepts a chunk of Q's rows, with
+    /// chunk outputs stacking **bit-identically** to one whole-Q forward.
     ///
-    /// The contract, when [`supports_row_chunking`](Self::supports_row_chunking)
-    /// is `true`: for any partition of Q's rows, stacking the chunk outputs
-    /// in row order is **bit-identical** to one [`forward`](Self::forward)
-    /// over the whole Q. That holds whenever the mechanism's score
-    /// pipeline is row-separable over the key columns — scores keep the
-    /// serial-k per-element sum order, softmax and any pruning act per
-    /// score row — which is true of the dense pipeline and of Dfss's N:M
-    /// epilogue, but *not* of row-position-dependent structures (the
-    /// blocked-ELL sliding window).
+    /// The contract when `true`: for any partition of Q's rows, stacking
+    /// the chunk outputs in row order is bit-identical to one `forward`
+    /// over the whole Q. That holds whenever the mechanism's score pipeline
+    /// is row-separable over the key columns — scores keep the serial-k
+    /// per-element sum order, softmax and any pruning act per score row —
+    /// which is true of the dense pipeline and of Dfss's N:M epilogue, but
+    /// *not* of row-position-dependent structures (the blocked-ELL sliding
+    /// window).
     ///
-    /// The default runs the generic dense pipeline on the rectangular
-    /// `c × n` score panel (the row-tile driver, with the allocation names
-    /// and charge shapes of the dense baseline). Mechanisms with a native
-    /// sparse pipeline (Dfss) override it.
-    fn forward_rows(
-        &self,
-        ctx: &mut GpuCtx,
-        q_rows: &Matrix<T>,
-        k: &Matrix<T>,
-        v: &Matrix<T>,
-    ) -> Matrix<T> {
-        let (c, n, d) = check_qkv_rows(q_rows, k, v);
-        let scale = self.scale_for(d);
-        let scores_id = ctx.mem.alloc("scores_dense", (c * n * T::BYTES) as u64);
-        let weights_id = ctx.mem.alloc("weights_dense", (c * n * T::BYTES) as u64);
-        let out = rowtile::attend(ctx, None, q_rows, k, v, scale);
-        ctx.mem.free(scores_id);
-        ctx.mem.free(weights_id);
-        out
-    }
-
-    /// Whether [`forward_rows`](Self::forward_rows) chunk outputs stack
-    /// bit-identically to one whole-Q [`forward`](Self::forward).
-    ///
-    /// `false` (the default) tells the serving scheduler to run this
-    /// mechanism's prefills whole — correctness never depends on a
-    /// mechanism opting in. Row-separable mechanisms (the dense
-    /// transformer, Dfss N:M) override this to `true` to unlock chunked,
-    /// decode-interleaved prefill.
+    /// `false` (the default) keeps Q square and tells the serving scheduler
+    /// to run this mechanism's prefills whole — correctness never depends
+    /// on a mechanism opting in.
     fn supports_row_chunking(&self) -> bool {
         false
     }
@@ -314,21 +289,28 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-/// Non-panicking counterpart of [`check_qkv`]: validates the Q/K/V triple
-/// and the mechanism's own shape constraints, returning `(n, d)`.
+/// Non-panicking validation of a `(Q, K, V)` triple and the mechanism's own
+/// shape constraints, returning `(c, d)`: `c × d` query rows against `n × d`
+/// keys and `n × d_v` values. A whole request has `c = n`; a chunk of its
+/// query rows (`c < n`) passes only when the mechanism
+/// [`supports_row_chunking`](Attention::supports_row_chunking). The
+/// mechanism's [`Attention::check_shape`] runs against the **key count** `n`
+/// — structural constraints like N:M group alignment bind the score-row
+/// width, not the number of query rows.
 pub fn try_check_qkv<T: Scalar>(
     mech: &dyn Attention<T>,
     q: &Matrix<T>,
     k: &Matrix<T>,
     v: &Matrix<T>,
 ) -> Result<(usize, usize), RequestError> {
-    let (n, d) = q.shape();
-    if n == 0 || d == 0 {
+    let (c, d) = q.shape();
+    let n = k.rows();
+    if c == 0 || d == 0 || v.cols() == 0 {
         return Err(RequestError::EmptyRequest);
     }
-    if k.shape() != (n, d) {
+    if k.cols() != d || c > n {
         return Err(RequestError::KShapeMismatch {
-            q: (n, d),
+            q: (c, d),
             k: k.shape(),
         });
     }
@@ -338,13 +320,20 @@ pub fn try_check_qkv<T: Scalar>(
             v_rows: v.rows(),
         });
     }
+    if c < n && !mech.supports_row_chunking() {
+        return Err(RequestError::Unsupported {
+            mechanism: mech.name(),
+            reason: format!("cannot run a chunk of {c} of its {n} query rows"),
+        });
+    }
     mech.check_shape(n, d)?;
-    Ok((n, d))
+    Ok((c, d))
 }
 
-/// Validate a chunked-prefill triple — a `c × d` query row slice against the
-/// full `n × d` K and `n`-row V — returning `(c, n, d)`. Panicking twin of
-/// [`try_check_qkv_rows`], for kernel-level callers that already validated.
+/// Validate a chunked-prefill triple — `c × d` query rows against `n × d`
+/// K and `n`-row V — returning `(c, n, d)`. Panicking twin of
+/// [`try_check_qkv`] for mechanisms that run row chunks, called after the
+/// front door validated.
 pub fn check_qkv_rows<T: Scalar>(
     q_rows: &Matrix<T>,
     k: &Matrix<T>,
@@ -357,38 +346,6 @@ pub fn check_qkv_rows<T: Scalar>(
     assert_eq!(d, dk, "Q chunk and K disagree on head dim");
     assert_eq!(v.rows(), n, "V rows != key count");
     (c, n, d)
-}
-
-/// Non-panicking validation of a chunked-prefill triple (`c × d` query rows,
-/// full `n × d` K, `n`-row V), returning `(c, n)`. The mechanism's own
-/// [`Attention::check_shape`] runs against the **key count** `n` — structural
-/// constraints like N:M group alignment bind the score-row width, not the
-/// number of query rows in this chunk.
-pub fn try_check_qkv_rows<T: Scalar>(
-    mech: &dyn Attention<T>,
-    q_rows: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-) -> Result<(usize, usize), RequestError> {
-    let (c, d) = q_rows.shape();
-    if c == 0 || d == 0 {
-        return Err(RequestError::EmptyRequest);
-    }
-    let (n, dk) = k.shape();
-    if n == 0 || dk != d {
-        return Err(RequestError::KShapeMismatch {
-            q: (c, d),
-            k: (n, dk),
-        });
-    }
-    if v.rows() != n {
-        return Err(RequestError::VRowsMismatch {
-            n,
-            v_rows: v.rows(),
-        });
-    }
-    mech.check_shape(n, d)?;
-    Ok((c, n))
 }
 
 /// Merge the per-panel kernel logs recorded since `mark` into batched
@@ -696,6 +653,22 @@ mod tests {
         assert_eq!(
             try_check_qkv(&Id, &empty, &empty, &empty),
             Err(RequestError::EmptyRequest)
+        );
+        // Zero-width V: nothing to attend into.
+        let no_cols = Matrix::<f32>::zeros(8, 0);
+        assert_eq!(
+            try_check_qkv(&Id, &q, &q, &no_cols),
+            Err(RequestError::EmptyRequest)
+        );
+        // A partial chunk of Q's rows needs a mechanism that can chunk.
+        let chunk = Matrix::<f32>::zeros(3, 4);
+        assert!(matches!(
+            try_check_qkv(&Id, &chunk, &q, &v),
+            Err(RequestError::Unsupported { .. })
+        ));
+        assert_eq!(
+            try_check_qkv(&crate::full::FullAttention, &chunk, &q, &v),
+            Ok((3, 4))
         );
     }
 

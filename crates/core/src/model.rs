@@ -7,7 +7,6 @@
 //! so a single run yields end-to-end latency, the attention-vs-others
 //! breakdown, and peak memory.
 
-use crate::engine::AttentionEngine;
 use crate::mechanism::Attention;
 use dfss_gpusim::{KernelProfile, Stage};
 use dfss_kernels::{gemm, GpuCtx};
@@ -52,12 +51,10 @@ impl SimModelConfig {
 /// final hidden states (numerics are real; the interesting outputs are in
 /// `ctx.timeline` / `ctx.mem`).
 ///
-/// Multi-head attention rides the [`AttentionEngine`]: every layer splits
-/// its heads into one contiguous stack and runs it through the engine's
-/// pre-packed `flush_stack` bucket — one batched launch per op across the
-/// head grid (A.1.2), the same engine the serving layer queues into. The
-/// engine temporarily takes ownership of `ctx` so non-attention kernels and
-/// attention launches share one timeline in program order.
+/// Multi-head attention splits every layer's heads into one contiguous
+/// stack and runs one [`Attention::forward_batched`] over it — one batched
+/// launch per op across the head grid (A.1.2) — on the same `ctx` as the
+/// non-attention kernels, so the timeline stays in program order.
 pub fn simulate_encoder<T: Scalar>(
     ctx: &mut GpuCtx,
     cfg: &SimModelConfig,
@@ -67,14 +64,9 @@ pub fn simulate_encoder<T: Scalar>(
     let n = cfg.seq_len;
     let dm = cfg.d_model();
     let mut rng = Rng::new(seed);
-    let placeholder = GpuCtx::new(ctx.dev.clone());
-    let mut engine = AttentionEngine::with_ctx(mech, std::mem::replace(ctx, placeholder));
 
     let mut x: Matrix<T> = Matrix::random_normal(n, dm, 0.0, 1.0, &mut rng);
-    let x_id = engine
-        .ctx_mut()
-        .mem
-        .alloc("activations", (n * dm * T::BYTES) as u64);
+    let x_id = ctx.mem.alloc("activations", (n * dm * T::BYTES) as u64);
 
     // Static weights live for the whole pass.
     let wq: Matrix<T> = Matrix::random_normal(dm, dm, 0.0, 0.05, &mut rng);
@@ -84,29 +76,24 @@ pub fn simulate_encoder<T: Scalar>(
     let w1: Matrix<T> = Matrix::random_normal(dm, cfg.d_ffn, 0.0, 0.05, &mut rng);
     let w2: Matrix<T> = Matrix::random_normal(cfg.d_ffn, dm, 0.0, 0.05, &mut rng);
     let weights_bytes = ((4 * dm * dm + 2 * dm * cfg.d_ffn) * T::BYTES) as u64;
-    let w_id = engine.ctx_mut().mem.alloc("weights", weights_bytes);
+    let w_id = ctx.mem.alloc("weights", weights_bytes);
 
     for _layer in 0..cfg.layers {
         // QKV projections (Others).
-        let qkv_id = engine
-            .ctx_mut()
-            .mem
-            .alloc("qkv", (3 * n * dm * T::BYTES) as u64);
-        let q = gemm::gemm_nn(engine.ctx_mut(), Stage::NonAttention, &x, &wq);
-        let k = gemm::gemm_nn(engine.ctx_mut(), Stage::NonAttention, &x, &wk);
-        let v = gemm::gemm_nn(engine.ctx_mut(), Stage::NonAttention, &x, &wv);
+        let qkv_id = ctx.mem.alloc("qkv", (3 * n * dm * T::BYTES) as u64);
+        let q = gemm::gemm_nn(ctx, Stage::NonAttention, &x, &wq);
+        let k = gemm::gemm_nn(ctx, Stage::NonAttention, &x, &wk);
+        let v = gemm::gemm_nn(ctx, Stage::NonAttention, &x, &wv);
 
-        // Batched multi-head attention through the engine's pre-packed
-        // fast path: head panels are split once into a contiguous stack and
-        // run as one bucket — one launch per op for the whole head grid,
-        // with no per-request pack/unpack copies. Natively batched
-        // mechanisms (Dfss, dense) charge one profile per kernel, the rest
-        // run per head with their launches collapsed by the default
-        // `forward_batched`.
+        // Batched multi-head attention: head panels are split once into a
+        // contiguous stack and run as one launch per op for the whole head
+        // grid. Natively batched mechanisms (Dfss, dense) charge one
+        // profile per kernel, the rest run per head with their launches
+        // collapsed by the default `forward_batched`.
         let qh = BatchedMatrix::split_heads(&q, cfg.heads);
         let kh = BatchedMatrix::split_heads(&k, cfg.heads);
         let vh = BatchedMatrix::split_heads(&v, cfg.heads);
-        let ob = engine.flush_stack(&qh, &kh, &vh);
+        let ob = mech.forward_batched(ctx, &qh, &kh, &vh);
         let concat: Matrix<T> = if ob.is_materialized() {
             ob.merge_heads()
         } else {
@@ -115,11 +102,11 @@ pub fn simulate_encoder<T: Scalar>(
             Matrix::zeros(n, dm)
         };
         // Output projection (Others).
-        let attn_out = gemm::gemm_nn(engine.ctx_mut(), Stage::NonAttention, &concat, &wo);
-        engine.ctx_mut().mem.free(qkv_id);
+        let attn_out = gemm::gemm_nn(ctx, Stage::NonAttention, &concat, &wo);
+        ctx.mem.free(qkv_id);
 
         // Residual + LayerNorm (Others, element-wise).
-        engine.ctx_mut().record(
+        ctx.record(
             KernelProfile::new("residual_ln", Stage::NonAttention)
                 .with_traffic((2 * n * dm * T::BYTES) as u64, (n * dm * T::BYTES) as u64)
                 .with_alu((n * dm * 8) as u64),
@@ -130,12 +117,11 @@ pub fn simulate_encoder<T: Scalar>(
         }
 
         // FFN (Others): two GEMMs + GELU.
-        let ffn_id = engine
-            .ctx_mut()
+        let ffn_id = ctx
             .mem
             .alloc("ffn_hidden", (n * cfg.d_ffn * T::BYTES) as u64);
-        let mid = gemm::gemm_nn(engine.ctx_mut(), Stage::NonAttention, &h1, &w1);
-        engine.ctx_mut().record(
+        let mid = gemm::gemm_nn(ctx, Stage::NonAttention, &h1, &w1);
+        ctx.record(
             KernelProfile::new("gelu", Stage::NonAttention)
                 .with_traffic(
                     (n * cfg.d_ffn * T::BYTES) as u64,
@@ -144,9 +130,9 @@ pub fn simulate_encoder<T: Scalar>(
                 .with_alu((n * cfg.d_ffn * 8) as u64),
         );
         let mid = mid.map(|v| T::from_f32(dfss_tensor::math::gelu(v.to_f32())));
-        let ffn_out = gemm::gemm_nn(engine.ctx_mut(), Stage::NonAttention, &mid, &w2);
-        engine.ctx_mut().mem.free(ffn_id);
-        engine.ctx_mut().record(
+        let ffn_out = gemm::gemm_nn(ctx, Stage::NonAttention, &mid, &w2);
+        ctx.mem.free(ffn_id);
+        ctx.record(
             KernelProfile::new("residual_ln", Stage::NonAttention)
                 .with_traffic((2 * n * dm * T::BYTES) as u64, (n * dm * T::BYTES) as u64)
                 .with_alu((n * dm * 8) as u64),
@@ -157,9 +143,8 @@ pub fn simulate_encoder<T: Scalar>(
         }
         x = h2;
     }
-    engine.ctx_mut().mem.free(w_id);
-    engine.ctx_mut().mem.free(x_id);
-    *ctx = engine.into_ctx();
+    ctx.mem.free(w_id);
+    ctx.mem.free(x_id);
     x
 }
 

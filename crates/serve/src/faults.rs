@@ -176,9 +176,11 @@ impl FaultArm {
     }
 }
 
-/// A delegating mechanism wrapper that trips armed faults at the batched
-/// launch entry points — the panic unwinds from inside the mechanism call,
-/// exactly where a real kernel bug would surface.
+/// A delegating mechanism wrapper that trips armed faults at the engine's
+/// launch entry points — `forward` (one chunk), `forward_batched` (a group
+/// of whole jobs) and `decode_paged` (a ragged decode launch) — so the
+/// panic unwinds from inside the mechanism call, exactly where a real
+/// kernel bug would surface.
 pub(crate) struct FaultyAttention<T: Scalar> {
     pub inner: Arc<dyn Attention<T> + Send + Sync>,
     pub arm: Arc<FaultArm>,
@@ -190,6 +192,7 @@ impl<T: Scalar> Attention<T> for FaultyAttention<T> {
     }
 
     fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
+        self.arm.trip();
         self.inner.forward(ctx, q, k, v)
     }
 
@@ -231,20 +234,6 @@ impl<T: Scalar> Attention<T> for FaultyAttention<T> {
 
     fn check_shape(&self, n: usize, d: usize) -> Result<(), RequestError> {
         self.inner.check_shape(n, d)
-    }
-
-    fn forward_rows(
-        &self,
-        ctx: &mut GpuCtx,
-        q_rows: &Matrix<T>,
-        k: &Matrix<T>,
-        v: &Matrix<T>,
-    ) -> Matrix<T> {
-        // Chunked prefill is a launch entry point too: an armed fault
-        // trips inside the chunk, unwinding through the mechanism exactly
-        // like the batched paths.
-        self.arm.trip();
-        self.inner.forward_rows(ctx, q_rows, k, v)
     }
 
     fn supports_row_chunking(&self) -> bool {
@@ -289,5 +278,14 @@ mod tests {
         // The latch cleared: the next launch runs clean.
         let out = mech.forward_batched(&mut ctx, &q, &q, &q);
         assert_eq!(out.shape(), (1, 4, 4));
+
+        // The one-chunk entry trips the same way, once.
+        let (rows, kv) = (Matrix::<f32>::zeros(2, 4), Matrix::<f32>::zeros(4, 4));
+        arm.arm_panic();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _ = mech.forward(&mut ctx, &rows, &kv, &kv);
+        }));
+        assert!(unwound.is_err(), "armed wrapper must panic at a chunk");
+        assert_eq!(mech.forward(&mut ctx, &rows, &kv, &kv).shape(), (2, 4));
     }
 }

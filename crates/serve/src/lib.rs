@@ -57,8 +57,8 @@
 //!                                   │
 //!                                   ▼
 //!         engine.flush_decode(steps)       all ready decode steps
-//!         engine.flush()                   whole jobs, one group per shape
-//!         engine.forward_chunk(rows)       each partial chunk
+//!         engine.launch(chunks)            each partial chunk, then whole
+//!                                          jobs, one group per shape
 //!                                   │ one (ragged) launch per op
 //!                                   ▼
 //!              ResponseHandle / DecodeHandle ::wait() on each client
@@ -110,7 +110,7 @@ mod server;
 mod shard;
 pub mod wire;
 
-pub use dfss_core::engine::{KvRows, ShapeKey, Ticket};
+pub use dfss_core::engine::KvRows;
 pub use dfss_core::mechanism::RequestError;
 pub use faults::{FaultKind, FaultPlan};
 pub use kv::{
@@ -118,7 +118,8 @@ pub use kv::{
 };
 pub use sched::{ChunkPlan, IterationPlan, SchedEvent, SchedPolicy, SchedTrace, Scheduler};
 pub use server::{
-    AttentionServer, DecodeHandle, QueueDepths, ResponseHandle, Served, ServedDecode,
+    AttentionServer, DecodeHandle, QueueDepths, ResponseHandle, Served, ServedDecode, ShapeKey,
+    Ticket,
 };
 pub use shard::ShardedServer;
 
@@ -306,7 +307,7 @@ pub struct ServeStats {
     /// Requests rejected at admission with a typed error.
     pub rejected: u64,
     /// Whole-job prefill launches executed: one per same-shape group run
-    /// as one [`AttentionEngine::flush`](dfss_core::engine::AttentionEngine::flush).
+    /// as one [`AttentionEngine::launch`](dfss_core::engine::AttentionEngine::launch).
     /// Chunked jobs count in `prefill_chunks` only.
     pub batches: u64,
     /// Largest whole-job prefill group observed.

@@ -32,9 +32,10 @@ use crate::faults::{FaultArm, FaultKind, FaultPlan, FaultyAttention};
 use crate::kv::{KvConfig, KvDtype, KvPool, PagedKvCache, SessionId};
 use crate::sched::{ChunkPlan, IterationPlan, SchedPolicy, SchedTrace, Scheduler};
 use crate::{BatchPolicy, DecodeRequest, ServeError, ServeStats, SessionError};
-use dfss_core::engine::{AttentionEngine, DecodeStep, ShapeKey, Ticket};
+use dfss_core::engine::{AttentionEngine, DecodeStep};
 use dfss_core::mechanism::{try_check_qkv, Attention, RequestError};
 use dfss_tensor::{Bf16, Matrix, Scalar};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,13 +44,29 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Reply ticket: one sequence per server, shared by prefill and decode
+/// replies, monotone in the order replies are issued.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Ticket(pub u64);
+
+/// The shape a prefill job is admitted with. Whole jobs that agree on the
+/// sequence length, head dim and value dim stack into one batched launch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ShapeKey {
+    /// Sequence length (query rows = keys).
+    pub n: usize,
+    /// Query/key width.
+    pub d: usize,
+    /// Value width.
+    pub d_v: usize,
+}
+
 /// One served prefill request, with its latency breakdown.
 #[derive(Debug)]
 pub struct Served<T: Scalar> {
     /// The attention output, bit-identical to a solo `forward` call.
     pub output: Matrix<T>,
-    /// Reply ticket: one sequence per server, shared with decode replies,
-    /// monotone in the order replies are issued.
+    /// Reply ticket (see [`Ticket`]).
     pub ticket: Ticket,
     /// The request's shape.
     pub bucket: ShapeKey,
@@ -74,7 +91,7 @@ pub struct ServedDecode<T: Scalar> {
     /// The `1 × d_v` output row, bit-identical to a solo decode of the
     /// session's cache.
     pub output: Matrix<T>,
-    /// Engine ticket (shared sequence with prefill tickets).
+    /// Reply ticket (see [`Ticket`]).
     pub ticket: Ticket,
     /// The session the step decoded.
     pub session: SessionId,
@@ -356,12 +373,12 @@ enum Msg<T: Scalar> {
 /// against the mechanism's shape constraints on the caller's thread (typed
 /// [`RequestError`], never a panic) and enqueues it to the worker thread,
 /// returning a [`ResponseHandle`] immediately. The worker's [`Scheduler`]
-/// plans each job in chunks under the server's [`SchedPolicy`]; whole-job
-/// chunks of one shape run together as one [`AttentionEngine::flush`] — a
-/// single batched launch per op over at most [`BatchPolicy::max_batch`]
-/// jobs — and partial chunks as one [`AttentionEngine::forward_chunk`]
-/// each. A mechanism without row chunking
-/// ([`Attention::supports_row_chunking`]) always runs its jobs whole.
+/// plans each job in chunks under the server's [`SchedPolicy`], and every
+/// launch is one [`AttentionEngine::launch`]: whole-job chunks of one shape
+/// run together — a single batched launch per op over at most
+/// [`BatchPolicy::max_batch`] jobs — and partial chunks one at a time. A
+/// mechanism without row chunking ([`Attention::supports_row_chunking`])
+/// always runs its jobs whole.
 ///
 /// `open_session` / `append` / `submit_decode` / `close_session` are the
 /// decode front door: sessions own [`PagedKvCache`] page tables over one
@@ -629,7 +646,16 @@ impl<T: Scalar> AttentionServer<T> {
         deadline: Option<Instant>,
     ) -> Result<ResponseHandle<T>, ServeError> {
         let fault = self.next_fault();
-        if let Err(e) = try_check_qkv(self.mech.as_ref(), &q, &k, &v) {
+        let checked = if q.rows() < k.rows() {
+            // A request is a whole Q; only the worker cuts it into chunks.
+            Err(RequestError::KShapeMismatch {
+                q: q.shape(),
+                k: k.shape(),
+            })
+        } else {
+            try_check_qkv(self.mech.as_ref(), &q, &k, &v)
+        };
+        if let Err(e) = checked {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Rejected(e));
         }
@@ -1240,15 +1266,11 @@ struct PrefillJob<T: Scalar> {
     adm: Admission<T>,
 }
 
-/// Copy rows `[lo, hi)` of `m` into a fresh matrix — the chunk slice
-/// [`AttentionEngine::forward_chunk`] runs.
-fn slice_rows<T: Scalar>(m: &Matrix<T>, lo: usize, hi: usize) -> Matrix<T> {
-    let d = m.cols();
-    let mut rows = Vec::with_capacity((hi - lo) * d);
-    for r in lo..hi {
-        rows.extend_from_slice(m.row(r));
+impl<T: Scalar> PrefillJob<T> {
+    /// Whether `chunk` covers the whole job.
+    fn is_whole(&self, chunk: &ChunkPlan) -> bool {
+        chunk.lo == 0 && chunk.hi == self.q.rows()
     }
-    Matrix::from_vec(hi - lo, d, rows)
 }
 
 const EXEC: &str = "serving engines run in exec mode and materialise outputs";
@@ -1424,136 +1446,119 @@ impl<T: Scalar> Worker<'_, T> {
     }
 
     /// Run one planned iteration: the decode steps, then the prefill
-    /// chunks. Chunks that each cover a whole job and share its shape run
-    /// as one batched launch over at most `max_batch` jobs; partial chunks
-    /// run one launch each. `false` on an injected kill.
+    /// chunks — partial chunks one launch each in plan order, then chunks
+    /// that each cover a whole job, grouped by shape into one batched
+    /// launch over at most `max_batch` jobs. `false` on an injected kill.
     fn execute(&mut self, plan: IterationPlan) -> bool {
         if !plan.decode.is_empty() && !self.serve_decode() {
             return false;
         }
-        let mut groups: Vec<(ShapeKey, Vec<u64>)> = Vec::new();
+        let mut groups: Vec<(ShapeKey, Vec<ChunkPlan>)> = Vec::new();
         for chunk in plan.chunks {
             let Some(job) = self.jobs.get(&chunk.job) else {
                 continue;
             };
-            let (key, whole) = (job.adm.key, chunk.lo == 0 && chunk.hi == job.q.rows());
-            if !whole {
-                self.run_chunk(chunk);
+            if !job.is_whole(&chunk) {
+                self.launch(&[chunk]);
                 continue;
             }
+            let key = job.adm.key;
             let open = groups
                 .iter_mut()
-                .find(|(k, ids)| *k == key && ids.len() < self.max_batch);
+                .find(|(k, group)| *k == key && group.len() < self.max_batch);
             match open {
-                Some((_, ids)) => ids.push(chunk.job),
-                None => groups.push((key, vec![chunk.job])),
+                Some((_, group)) => group.push(chunk),
+                None => groups.push((key, vec![chunk])),
             }
         }
-        for (_, ids) in groups {
-            self.run_group(&ids);
+        for (_, group) in groups {
+            self.launch(&group);
         }
         true
     }
 
-    /// Launch whole jobs of one shape as one [`AttentionEngine::flush`] —
-    /// one batched launch per op — and reply to each. Expired jobs are
-    /// shed before packing (their faults never arm); a panic fails only
-    /// this group's jobs.
-    fn run_group(&mut self, ids: &[u64]) {
+    /// Launch planned chunks — one partial chunk, or whole jobs of one
+    /// shape — as one [`AttentionEngine::launch`], append each chunk's
+    /// output rows to its job, and reply to a job when its last row lands.
+    /// Expired jobs are shed before the launch (their faults never arm); a
+    /// panic or a typed launch error fails only this launch's jobs.
+    fn launch(&mut self, chunks: &[ChunkPlan]) {
         let now = Instant::now();
-        let mut packed = Vec::with_capacity(ids.len());
-        for id in ids {
-            let Some(PrefillJob {
-                q, k, v, mut adm, ..
-            }) = self.jobs.remove(id)
-            else {
+        let mut live = Vec::with_capacity(chunks.len());
+        for &chunk in chunks {
+            let Some(job) = self.jobs.get_mut(&chunk.job) else {
                 continue;
             };
-            if expired(adm.deadline, now) {
-                self.shed(adm, now);
+            if expired(job.adm.deadline, now) {
+                let job = self.drop_job(chunk.job);
+                self.shed(job.adm, now);
                 continue;
             }
-            self.arm.arm_for(adm.fault.take());
-            match self.engine.submit(q, k, v) {
-                Ok(_) => packed.push(adm),
-                // Admission ran the same checks; stay typed if they diverge.
-                Err(e) => self.fail(adm, ServeError::Rejected(e)),
-            }
+            job.started.get_or_insert(now);
+            self.arm.arm_for(job.adm.fault.take());
+            live.push(chunk);
         }
-        if packed.is_empty() {
+        let Some(first) = live.first() else {
             return;
-        }
-        let results = match catch_unwind(AssertUnwindSafe(|| self.engine.flush())) {
-            Ok(results) => results,
-            Err(payload) => {
-                let payload = self.recover(payload);
-                for adm in packed {
-                    let payload = payload.clone();
-                    self.fail(adm, ServeError::BatchPanicked { payload });
+        };
+        let whole = self.jobs[&first.job].is_whole(first);
+
+        let jobs = &self.jobs;
+        let q_rows: Vec<Cow<'_, Matrix<T>>> = live
+            .iter()
+            .map(|c| {
+                let job = &jobs[&c.job];
+                if job.is_whole(c) {
+                    Cow::Borrowed(&job.q)
+                } else {
+                    Cow::Owned(job.q.take_rows(c.lo, c.hi))
+                }
+            })
+            .collect();
+        let triples: Vec<_> = live
+            .iter()
+            .zip(&q_rows)
+            .map(|(c, q)| (q.as_ref(), &jobs[&c.job].k, &jobs[&c.job].v))
+            .collect();
+        let engine = &mut self.engine;
+        let result = match catch_unwind(AssertUnwindSafe(|| engine.launch(&triples))) {
+            Ok(launched) => launched.map_err(ServeError::Rejected),
+            Err(payload) => Err(ServeError::BatchPanicked {
+                payload: self.recover(payload),
+            }),
+        };
+        let done = match result {
+            Ok(done) => done,
+            // Admission ran the same checks, so a typed launch error means
+            // they diverged; either way only this launch's jobs fail.
+            Err(err) => {
+                for c in &live {
+                    let job = self.drop_job(c.job);
+                    self.fail(job.adm, err.clone());
                 }
                 return;
             }
         };
         {
             let mut st = lock(&self.stats);
-            st.batches += 1;
-            st.max_batch = st.max_batch.max(packed.len());
-            st.prefill_chunks += packed.len() as u64;
-            st.total_sim_latency_s += self.engine.last_flush().sim_latency_s();
-        }
-        // Results come back in submission order, matching `packed`.
-        for (res, adm) in results.into_iter().zip(packed) {
-            let output = res.output.expect(EXEC);
-            self.reply(adm, output, now, res.batch_size, res.sim_latency_s);
-        }
-        self.engine.reset_timeline();
-    }
-
-    /// Run one partial chunk through [`AttentionEngine::forward_chunk`],
-    /// accumulating its output rows; the job replies when its last chunk
-    /// lands. A job past its deadline is shed before the chunk launches.
-    fn run_chunk(&mut self, chunk: ChunkPlan) {
-        let now = Instant::now();
-        let Some(job) = self.jobs.get_mut(&chunk.job) else {
-            return;
-        };
-        if expired(job.adm.deadline, now) {
-            let job = self.drop_job(chunk.job);
-            self.shed(job.adm, now);
-            return;
-        }
-        job.started.get_or_insert(now);
-        self.arm.arm_for(job.adm.fault.take());
-        let q_rows = slice_rows(&job.q, chunk.lo, chunk.hi);
-        let engine = &mut self.engine;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            engine.forward_chunk(&q_rows, &job.k, &job.v)
-        }));
-        match result {
-            Err(payload) => {
-                let payload = self.recover(payload);
-                let job = self.drop_job(chunk.job);
-                self.fail(job.adm, ServeError::BatchPanicked { payload });
+            st.prefill_chunks += live.len() as u64;
+            // Every chunk rode the one launch.
+            st.total_sim_latency_s += done[0].sim_latency_s;
+            if whole {
+                st.batches += 1;
+                st.max_batch = st.max_batch.max(live.len());
             }
-            Ok(Err(e)) => {
-                let job = self.drop_job(chunk.job);
-                self.fail(job.adm, ServeError::Rejected(e));
-            }
-            Ok(Ok(res)) => {
-                job.sim_latency_s += res.sim_latency_s;
-                job.out
-                    .extend_from_slice(res.output.as_ref().expect(EXEC).as_slice());
-                {
-                    let mut st = lock(&self.stats);
-                    st.prefill_chunks += 1;
-                    st.total_sim_latency_s += res.sim_latency_s;
-                }
-                if chunk.hi == job.q.rows() {
-                    let job = self.drop_job(chunk.job);
-                    let output = Matrix::from_vec(job.q.rows(), job.v.cols(), job.out);
-                    let started = job.started.unwrap_or(now);
-                    self.reply(job.adm, output, started, 1, job.sim_latency_s);
-                }
+        }
+        for (c, res) in live.iter().zip(done) {
+            let job = self.jobs.get_mut(&c.job).expect("live jobs are mapped");
+            job.sim_latency_s += res.sim_latency_s;
+            job.out
+                .extend_from_slice(res.output.as_ref().expect(EXEC).as_slice());
+            if c.hi == job.q.rows() {
+                let job = self.drop_job(c.job);
+                let output = Matrix::from_vec(job.q.rows(), job.v.cols(), job.out);
+                let started = job.started.unwrap_or(now);
+                self.reply(job.adm, output, started, live.len(), job.sim_latency_s);
             }
         }
         self.engine.reset_timeline();
@@ -1965,6 +1970,40 @@ mod tests {
         assert_eq!(served.batch_size, 1);
         let stats = server.shutdown();
         assert_eq!((stats.served, stats.rejected), (1, 2));
+    }
+
+    #[test]
+    fn zero_width_v_is_rejected_at_admission_and_holds_no_queue_slot() {
+        let mech: Arc<dyn Attention<f32> + Send + Sync> =
+            Arc::new(DfssAttention::new(NmPattern::P1_2));
+        let policy = BatchPolicy::batched(8, Duration::ZERO).with_queue_depth(1);
+        let server = AttentionServer::start(Arc::clone(&mech), policy);
+        let mut rng = Rng::new(12);
+        let (q, k, v) = request(32, 16, &mut rng);
+        let err = server
+            .submit(q.clone(), k.clone(), Matrix::zeros(32, 0))
+            .unwrap_err();
+        assert_eq!(err, ServeError::Rejected(RequestError::EmptyRequest));
+        // The one queue slot is still free for the next request.
+        let served = server.submit(q, k, v).unwrap().wait().expect("served");
+        assert_eq!(served.output.shape(), (32, 16));
+        let stats = server.shutdown();
+        assert_eq!((stats.served, stats.rejected), (1, 1));
+    }
+
+    #[test]
+    fn a_request_is_a_whole_q_even_for_a_chunking_mechanism() {
+        let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
+        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::per_request());
+        let mut rng = Rng::new(13);
+        let (q, k, v) = request(32, 8, &mut rng);
+        // Fewer query rows than keys is a chunk, which only the worker cuts.
+        let err = server.submit(q.take_rows(0, 16), k, v).unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::Rejected(RequestError::KShapeMismatch { .. })
+        ));
+        assert_eq!(server.shutdown().rejected, 1);
     }
 
     #[test]

@@ -114,16 +114,11 @@ impl<T: Scalar> BatchedMatrix<T> {
     }
 
     /// Scatter the stack back into per-panel matrices (the serving path's
-    /// *unpack* step). Bit-preserving: panel `b` of the result holds exactly
-    /// the bytes [`panel(b)`](Self::panel) held.
+    /// *unpack* step): always `batch` of them, zero-sized panels included.
+    /// Bit-preserving: panel `b` of the result holds exactly the bytes
+    /// [`panel(b)`](Self::panel) held.
     pub fn into_panels(self) -> Vec<Matrix<T>> {
-        self.assert_materialized();
-        let (rows, cols) = (self.rows, self.cols);
-        let pl = self.panel_len().max(1);
-        self.data
-            .chunks(pl)
-            .map(|p| Matrix::from_vec(rows, cols, p.to_vec()))
-            .collect()
+        (0..self.batch).map(|b| self.to_panel(b)).collect()
     }
 
     /// Split an `n × (H·d_head)` activation into an H-panel stack of
@@ -423,6 +418,11 @@ mod tests {
         for (x, y) in back[1].as_slice().iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+        // Zero-width panels still unpack one matrix per panel.
+        let empty = Matrix::<f32>::zeros(3, 0);
+        let back = BatchedMatrix::gather(&[&empty, &empty]).into_panels();
+        assert_eq!(back.len(), 2);
+        assert!(back.iter().all(|p| p.shape() == (3, 0)));
     }
 
     #[test]

@@ -136,12 +136,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The serving contract: pack → batched forward → unpack over randomly
-    // bucketed heterogeneous requests is bit-identical to per-request solo
-    // `forward`, for both the Dfss pipeline and the dense baseline. The
-    // engine shape-buckets an interleaved request stream, coalesces each
-    // bucket into one batched launch per op, and unpacks per-request
-    // outputs; tickets come back in submission order.
+    // The serving contract of the engine's one prefill launch call, for
+    // both the Dfss pipeline and the dense baseline: an interleaved stream
+    // of random-shape requests, grouped by shape in arrival order, runs
+    // one launch per group (pack → batched forward → unpack), bit-identical
+    // to per-request solo `forward`; and a random partial chunk of a
+    // request's query rows is bit-identical to those rows of its solo
+    // `forward`.
     #[test]
     fn engine_pack_forward_unpack_matches_solo(
         seed in 0u64..10_000,
@@ -155,6 +156,7 @@ proptest! {
         let count = 2 + (seed as usize % 7); // 2..=8 requests
         let mut engine = AttentionEngine::new(mech);
         let mut rng = Rng::new(seed);
+        let mut reqs = Vec::new();
         let mut solo = Vec::new();
         for &p in picks.iter().take(count) {
             let (n, d) = shapes[p];
@@ -163,21 +165,37 @@ proptest! {
             let v = Matrix::<f32>::random_normal(n, d, 0.0, 1.0, &mut rng);
             let mut sctx = GpuCtx::a100();
             solo.push(mech.forward(&mut sctx, &q, &k, &v));
-            engine.submit(q, k, v).expect("servable shapes");
+            reqs.push((p, q, k, v));
         }
-        let results = engine.flush();
-        prop_assert_eq!(results.len(), solo.len());
-        for (i, (res, want)) in results.iter().zip(&solo).enumerate() {
-            prop_assert_eq!(res.ticket, dfss_core::Ticket(i as u64));
-            let got = res.output.as_ref().expect("exec mode");
-            prop_assert_eq!(got.shape(), want.shape());
-            let same = got
-                .as_slice()
-                .iter()
-                .zip(want.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            prop_assert!(same, "request {} diverged from solo forward", i);
+        let same_bits = |got: &[f32], want: &[f32]| {
+            got.len() == want.len() && got.iter().zip(want).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        for shape in 0..shapes.len() {
+            let idxs: Vec<usize> = (0..reqs.len()).filter(|&i| reqs[i].0 == shape).collect();
+            let group: Vec<_> = idxs.iter().map(|&i| (&reqs[i].1, &reqs[i].2, &reqs[i].3)).collect();
+            let done = engine.launch(&group).expect("servable shapes");
+            prop_assert_eq!(done.len(), idxs.len());
+            for (res, &i) in done.iter().zip(&idxs) {
+                let got = res.output.as_ref().expect("exec mode");
+                prop_assert_eq!(got.shape(), solo[i].shape());
+                prop_assert!(same_bits(got.as_slice(), solo[i].as_slice()),
+                    "request {} diverged from solo forward", i);
+            }
+            engine.reset_timeline();
         }
+        // A random partial chunk [lo, hi) of one request's query rows.
+        let pick = rng.below(reqs.len());
+        let (_, q, k, v) = &reqs[pick];
+        let n = q.rows();
+        let c = 1 + rng.below(n - 1);
+        let lo = rng.below(n - c + 1);
+        let hi = lo + c;
+        let done = engine.forward_chunk(&q.take_rows(lo, hi), k, v).expect("servable chunk");
+        let d_v = v.cols();
+        let got = done.output.as_ref().expect("exec mode");
+        prop_assert_eq!(got.shape(), (hi - lo, d_v));
+        prop_assert!(same_bits(got.as_slice(), &solo[pick].as_slice()[lo * d_v..hi * d_v]),
+            "chunk [{}, {}) of request {} diverged from solo forward", lo, hi, pick);
     }
 }
 
