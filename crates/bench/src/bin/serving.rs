@@ -66,21 +66,9 @@
 //! failure, and requests submitted after the poisoned batch being served
 //! normally — the recovery story, measured.
 //!
-//! A sixth sweep covers **shard scaling**: one fixed saturating prefill
-//! burst (every request submitted up front) runs through a `ShardedServer`
-//! at 1, 2 and 4 pinned continuous-batching engines, each request admitted
-//! by the least-loaded shard and served there alone. The
-//! headline metric is **simulated-device tokens/sec** — total rows over
-//! the *slowest shard's* accumulated device time — the same deterministic
-//! device-side story the decode sweep gates on (wall-clock rides along
-//! un-gated: the host kernels already fan out over one shared worker pool,
-//! so OS-thread sharding cannot show clean host-side scaling on a small
-//! CI box). Per-shard lanes (served requests, chunks executed, device
-//! seconds, wall goodput) ride in the artifact; full-mode
-//! artifacts must show the headline tokens/sec increasing monotonically
-//! 1 → 2 → 4. Served outputs are bit-compared to unchunked solo forwards
-//! on the reference subset, and `--check` re-proves that parity claim
-//! live on a fresh 2-shard server.
+//! `--check` re-proves the continuous scheduler's parity claim live: a
+//! fresh continuous server with chunks far smaller than its requests must
+//! reproduce the unchunked solo forward bit for bit.
 //!
 //! `--check` also gates **p99** (not just p50) on the overload and HTTP
 //! sweeps: every row with served traffic must report a positive p50 and a
@@ -107,14 +95,14 @@ use dfss_serve::http::{HttpConfig, HttpServer};
 use dfss_serve::wire::{self, Json as WireJson, RequestReader, WireLimits};
 use dfss_serve::{
     AttentionServer, BatchPolicy, DecodeRequest, FaultKind, FaultPlan, KvConfig, SchedPolicy,
-    ServeError, ServeStats, Served, SessionError, SessionId, ShardedServer,
+    ServeError, ServeStats, Served, SessionError, SessionId,
 };
 use dfss_tensor::{Matrix, Rng};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const SCHEMA_VERSION: f64 = 7.0;
+const SCHEMA_VERSION: f64 = 8.0;
 
 /// Offered-load multipliers of the measured per-request capacity. The
 /// first is deliberately sub-capacity (the regime where a backlog to
@@ -133,10 +121,6 @@ const MIN_DECODE_WINS: usize = 2;
 const OVERLOAD_MULTS: [f64; 4] = [0.6, 1.0, 1.5, 2.0];
 /// Queue bound for the overload sweep, in units of `max_batch`.
 const OVERLOAD_DEPTH_BATCHES: usize = 4;
-/// Shard-scaling sweep: engine counts to run the fixed saturating prefill
-/// burst across. The artifact must show simulated-device tokens/sec
-/// increasing monotonically along this sequence.
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 struct WorkloadSpec {
     shapes: Vec<(usize, usize)>,
@@ -1345,166 +1329,6 @@ fn run_http_sweep(
         .collect()
 }
 
-/// Shard-scaling shape: request count, prefill shape, and the continuous
-/// scheduler's chunk policy shared by every shard count.
-struct ShardSpec {
-    requests: usize,
-    shape: (usize, usize),
-    sched: SchedPolicy,
-}
-
-fn shard_workload() -> ShardSpec {
-    if quick() {
-        ShardSpec {
-            requests: 16,
-            shape: (96, 32),
-            sched: SchedPolicy::new(24, 48),
-        }
-    } else {
-        ShardSpec {
-            requests: 32,
-            shape: (256, 64),
-            sched: SchedPolicy::new(64, 128),
-        }
-    }
-}
-
-/// What one engine actually executed in a shard-scaling point.
-struct ShardLane {
-    served: u64,
-    prefill_chunks: u64,
-    sim_s: f64,
-    goodput_rps: f64,
-}
-
-/// One shard count's measurement of the fixed saturating burst.
-struct ShardPoint {
-    shards: usize,
-    requests: usize,
-    rows_total: u64,
-    wall_s: f64,
-    wall_tok_s: f64,
-    /// The slowest shard's accumulated simulated-device time — the
-    /// fleet's device-side makespan under perfect overlap.
-    sim_makespan_s: f64,
-    /// `rows_total / sim_makespan_s`: the deterministic headline the
-    /// monotone scaling gate runs on.
-    sim_tok_s: f64,
-    lanes: Vec<ShardLane>,
-}
-
-/// Drive the fixed burst through `shards` continuous engines: submit
-/// everything up front (saturating — every shard has queued work until
-/// the end), wait for all of it, bit-compare the reference subset against
-/// unchunked solo forwards, and reconcile the per-shard counters.
-fn run_shard_point(
-    mech: &Arc<dyn Attention<f32> + Send + Sync>,
-    spec: &ShardSpec,
-    shards: usize,
-    requests: &[Request],
-) -> ShardPoint {
-    let server = ShardedServer::start(
-        Arc::clone(mech),
-        BatchPolicy::per_request(),
-        spec.sched,
-        KvConfig::default(),
-        shards,
-    );
-    let start = Instant::now();
-    let handles: Vec<_> = requests
-        .iter()
-        .map(|r| {
-            server
-                .submit(r.q.clone(), r.k.clone(), r.v.clone())
-                .expect("shard sweep has no queue bound")
-        })
-        .collect();
-    for (i, h) in handles.into_iter().enumerate() {
-        let out = h.wait().expect("saturating burst requests are served");
-        if let Some(reference) = &requests[i].reference {
-            assert_bit_identical(reference, &out.output, i, "shards");
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let stats = server.shutdown();
-    let served: u64 = stats.iter().map(|s| s.served).sum();
-    assert_eq!(served, requests.len() as u64);
-    let (n, _) = spec.shape;
-    let min_chunks = requests.len() as u64 * (n as u64).div_ceil(spec.sched.prefill_chunk as u64);
-    let chunks: u64 = stats.iter().map(|s| s.prefill_chunks).sum();
-    assert!(
-        chunks >= min_chunks,
-        "{chunks} chunks executed for a burst needing at least {min_chunks} — chunking never engaged"
-    );
-    let rows_total = requests.len() as u64 * n as u64;
-    let sim_makespan_s = stats
-        .iter()
-        .map(|s| s.total_sim_latency_s)
-        .fold(0.0f64, f64::max);
-    assert!(sim_makespan_s > 0.0);
-    let lanes = stats
-        .iter()
-        .map(|s| ShardLane {
-            served: s.served,
-            prefill_chunks: s.prefill_chunks,
-            sim_s: s.total_sim_latency_s,
-            goodput_rps: s.served as f64 / wall_s.max(1e-9),
-        })
-        .collect();
-    ShardPoint {
-        shards,
-        requests: requests.len(),
-        rows_total,
-        wall_s,
-        wall_tok_s: rows_total as f64 / wall_s.max(1e-9),
-        sim_makespan_s,
-        sim_tok_s: rows_total as f64 / sim_makespan_s,
-        lanes,
-    }
-}
-
-fn run_shard_sweep(
-    mech: &Arc<dyn Attention<f32> + Send + Sync>,
-    spec: &ShardSpec,
-) -> Vec<ShardPoint> {
-    // One fixed burst, reused verbatim at every shard count.
-    let mut rng = Rng::new(0x5CA1E);
-    let (n, d) = spec.shape;
-    let requests: Vec<Request> = (0..spec.requests)
-        .map(|i| {
-            let q = Matrix::random_normal(n, d, 0.0, 1.0, &mut rng);
-            let k = Matrix::random_normal(n, d, 0.0, 1.0, &mut rng);
-            let v = Matrix::random_normal(n, d, 0.0, 1.0, &mut rng);
-            let reference = (i % 4 == 0).then(|| {
-                let mut ctx = GpuCtx::a100();
-                mech.forward(&mut ctx, &q, &k, &v)
-            });
-            Request {
-                q,
-                k,
-                v,
-                arrival: Duration::ZERO,
-                reference,
-            }
-        })
-        .collect();
-    println!(
-        "{:>7}  {:>9}  {:>12}  {:>12}  {:>12}",
-        "shards", "requests", "sim tok/s", "wall tok/s", "makespan s"
-    );
-    SHARD_COUNTS
-        .iter()
-        .map(|&shards| {
-            let p = run_shard_point(mech, spec, shards, &requests);
-            println!(
-                "{:>7}  {:>9}  {:>12.1}  {:>12.1}  {:>12.4}",
-                p.shards, p.requests, p.sim_tok_s, p.wall_tok_s, p.sim_makespan_s
-            );
-            p
-        })
-        .collect()
-}
-
 fn round3(x: f64) -> f64 {
     (x * 1e3).round() / 1e3
 }
@@ -1737,61 +1561,6 @@ fn main() {
         chaos.batch_panics
     );
 
-    // Shard-scaling sweep: the fixed saturating burst across 1/2/4
-    // continuous engines. The monotone gate runs on the deterministic
-    // simulated-device tokens/sec, full mode only (quick mode's burst is
-    // small enough that a single straggler chunk can flatten a step).
-    let sspec = shard_workload();
-    eprintln!(
-        "[serving] shard sweep ({} requests of {}x{}, chunk {} rows)",
-        sspec.requests, sspec.shape.0, sspec.shape.1, sspec.sched.prefill_chunk
-    );
-    let shard_points = run_shard_sweep(&mech, &sspec);
-    if !quick() {
-        for pair in shard_points.windows(2) {
-            assert!(
-                pair[1].sim_tok_s > pair[0].sim_tok_s,
-                "tokens/sec did not scale monotonically: {} shards -> {:.1}, {} shards -> {:.1}",
-                pair[0].shards,
-                pair[0].sim_tok_s,
-                pair[1].shards,
-                pair[1].sim_tok_s
-            );
-        }
-    }
-    let shard_rows: Vec<Json> = shard_points
-        .iter()
-        .map(|p| {
-            Json::obj(vec![
-                ("shards", Json::Num(p.shards as f64)),
-                ("requests", Json::Num(p.requests as f64)),
-                ("rows_total", Json::Num(p.rows_total as f64)),
-                ("wall_s", Json::Num(round3(p.wall_s))),
-                ("wall_tok_s", Json::Num(round3(p.wall_tok_s))),
-                ("sim_makespan_s", Json::Num(p.sim_makespan_s)),
-                ("sim_tok_s", Json::Num(round3(p.sim_tok_s))),
-                (
-                    "lanes",
-                    Json::Arr(
-                        p.lanes
-                            .iter()
-                            .enumerate()
-                            .map(|(i, l)| {
-                                Json::obj(vec![
-                                    ("shard", Json::Num(i as f64)),
-                                    ("served", Json::Num(l.served as f64)),
-                                    ("prefill_chunks", Json::Num(l.prefill_chunks as f64)),
-                                    ("sim_s", Json::Num(l.sim_s)),
-                                    ("goodput_rps", Json::Num(round3(l.goodput_rps))),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-
     // HTTP front-door sweep: the overload story again, measured at the
     // socket — goodput, client-observed tails, and the typed 503 shed
     // rate over loopback against the wire-measured capacity.
@@ -1915,20 +1684,6 @@ fn main() {
                     Json::Num(chaos.post_fault_served as f64),
                 ),
                 ("batch_panics", Json::Num(chaos.batch_panics as f64)),
-            ]),
-        ),
-        (
-            "shards",
-            Json::obj(vec![
-                ("shape_n", Json::Num(sspec.shape.0 as f64)),
-                ("shape_d", Json::Num(sspec.shape.1 as f64)),
-                ("requests", Json::Num(sspec.requests as f64)),
-                ("prefill_chunk", Json::Num(sspec.sched.prefill_chunk as f64)),
-                (
-                    "iter_budget_rows",
-                    Json::Num(sspec.sched.iter_budget_rows as f64),
-                ),
-                ("rows", Json::Arr(shard_rows)),
             ]),
         ),
         (
@@ -2326,102 +2081,6 @@ fn check(path: &str) -> Result<(), String> {
         return Err("chaos: nothing served after the injected panic — no recovery shown".into());
     }
 
-    // Shard-scaling section: structure, per-lane reconciliation (every
-    // request served exactly once across the fleet), and — on full-mode
-    // artifacts — the monotone simulated tokens/sec gate along the
-    // swept shard counts.
-    let shards = doc.get("shards").ok_or("missing shards section")?;
-    for field in [
-        "shape_n",
-        "shape_d",
-        "requests",
-        "prefill_chunk",
-        "iter_budget_rows",
-    ] {
-        let x = shards
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric shards.{field}"))?;
-        if !x.is_finite() || x <= 0.0 {
-            return Err(format!("shards.{field} = {x} not finite positive"));
-        }
-    }
-    let srows = shards
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("missing shards.rows array")?;
-    if srows.len() < 2 {
-        return Err(format!(
-            "need >= 2 shard-scaling points, got {}",
-            srows.len()
-        ));
-    }
-    let mut scaling: Vec<(f64, f64)> = Vec::new();
-    for (i, r) in srows.iter().enumerate() {
-        for field in [
-            "shards",
-            "requests",
-            "rows_total",
-            "wall_s",
-            "wall_tok_s",
-            "sim_makespan_s",
-            "sim_tok_s",
-        ] {
-            let x = r
-                .get(field)
-                .and_then(Json::as_f64)
-                .ok_or(format!("shard row {i}: missing numeric {field}"))?;
-            if !x.is_finite() || x <= 0.0 {
-                return Err(format!("shard row {i}: {field} = {x} not finite positive"));
-            }
-        }
-        let get = |f: &str| r.get(f).and_then(Json::as_f64).unwrap_or(0.0);
-        let lanes = r
-            .get("lanes")
-            .and_then(Json::as_arr)
-            .ok_or(format!("shard row {i}: missing lanes array"))?;
-        if lanes.len() != get("shards") as usize {
-            return Err(format!(
-                "shard row {i}: {} lanes for {} shards",
-                lanes.len(),
-                get("shards")
-            ));
-        }
-        let mut lane_served = 0.0;
-        for (j, lane) in lanes.iter().enumerate() {
-            for field in ["shard", "served", "prefill_chunks", "sim_s", "goodput_rps"] {
-                let x = lane
-                    .get(field)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("shard row {i} lane {j}: missing numeric {field}"))?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(format!(
-                        "shard row {i} lane {j}: {field} = {x} not finite non-negative"
-                    ));
-                }
-            }
-            lane_served += lane.get("served").and_then(Json::as_f64).unwrap_or(0.0);
-        }
-        if lane_served != get("requests") {
-            return Err(format!(
-                "shard row {i}: lanes served {lane_served} != requests {} — the fleet lost or double-served a request",
-                get("requests")
-            ));
-        }
-        scaling.push((get("shards"), get("sim_tok_s")));
-    }
-    scaling.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-    if mode == "full" {
-        for pair in scaling.windows(2) {
-            if pair[1].1 <= pair[0].1 {
-                return Err(format!(
-                    "full-mode artifact: tokens/sec not monotone over shard counts ({} shards -> {:.1}, {} shards -> {:.1})",
-                    pair[0].0, pair[0].1, pair[1].0, pair[1].1
-                ));
-            }
-        }
-    }
-
     // HTTP section: the same back-pressure gates, but measured at the
     // socket — and every wire 503 must reconcile against a typed shed
     // counter (queue bound or connection cap), nothing unaccounted.
@@ -2546,31 +2205,27 @@ fn check(path: &str) -> Result<(), String> {
     verify_chunk_parity()?;
 
     println!(
-        "{path}: schema OK (bench_serving {mode} mode, {} loads, {wins} p50 wins, {} decode points, {decode_wins} decode stream-count wins, {} memory budgets, {starved_rejections} rejections at {starved_mult}x, {heavy_shed} sheds at {heavy_mult}x overload, {c_panicked} panicked/{c_post} served post-fault in chaos, {} shard points, {h_heavy_shed} wire 503s at {h_heavy_mult}x over http, chunk parity re-proven)",
+        "{path}: schema OK (bench_serving {mode} mode, {} loads, {wins} p50 wins, {} decode points, {decode_wins} decode stream-count wins, {} memory budgets, {starved_rejections} rejections at {starved_mult}x, {heavy_shed} sheds at {heavy_mult}x overload, {c_panicked} panicked/{c_post} served post-fault in chaos, {h_heavy_shed} wire 503s at {h_heavy_mult}x over http, chunk parity re-proven)",
         loads.len(),
         drows.len(),
-        mrows.len(),
-        srows.len()
+        mrows.len()
     );
     Ok(())
 }
 
-/// `--check` side recompute: chunked, interleaved execution routed
-/// across a fresh 2-shard continuous server must reproduce the
-/// unchunked solo forward bit for bit — the acceptance claim of the
-/// continuous scheduler, proven live rather than trusted from the
-/// artifact.
+/// `--check` side recompute: chunked, interleaved execution on a fresh
+/// continuous server must reproduce the unchunked solo forward bit for
+/// bit — the acceptance claim of the continuous scheduler, proven live
+/// rather than trusted from the artifact.
 fn verify_chunk_parity() -> Result<(), String> {
     let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(DfssAttention::new(NmPattern::P1_2));
-    let server = ShardedServer::start(
+    let server = AttentionServer::start_continuous_with_kv(
         Arc::clone(&mech),
         BatchPolicy::per_request(),
-        // Chunks far smaller than the rows: every request is split and
-        // interleaved, and the router spreads the requests over both
-        // engines.
+        // Chunks far smaller than the rows: every request is split into
+        // at least three chunks, interleaved with the others'.
         SchedPolicy::new(16, 32),
         KvConfig::default(),
-        2,
     );
     let mut rng = Rng::new(0x5EED);
     let (n, d) = (48usize, 32usize);
@@ -2601,8 +2256,7 @@ fn verify_chunk_parity() -> Result<(), String> {
             }
         }
     }
-    let stats = server.shutdown();
-    let chunks: u64 = stats.iter().map(|s| s.prefill_chunks).sum();
+    let chunks = server.shutdown().prefill_chunks;
     let min_chunks = 6 * (n as u64).div_ceil(16);
     if chunks < min_chunks {
         return Err(format!(

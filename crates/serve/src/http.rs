@@ -1,6 +1,5 @@
-//! The HTTP/1.1 front door: a hardened network edge over
-//! [`AttentionServer`] — or, via [`HttpServer::bind_sharded`], over a
-//! whole [`ShardedServer`] fleet behind the same routes.
+//! The HTTP/1.1 front door: a hardened network edge over one
+//! [`AttentionServer`], bound with [`HttpServer::bind`].
 //!
 //! Everything PR 7 guaranteed in-process — typed sheds, deadlines,
 //! panic isolation, reconciled counters — stops mattering the moment a
@@ -54,8 +53,7 @@
 
 use crate::wire::{self, Json, Request, RequestReader, WireError, WireLimits};
 use crate::{
-    AttentionServer, DecodeHandle, DecodeRequest, QueueDepths, RequestError, ResponseHandle,
-    ServeError, ServeStats, SessionError, SessionId, ShapeKey, ShardedServer,
+    AttentionServer, DecodeRequest, RequestError, ServeError, ServeStats, SessionError, SessionId,
 };
 use dfss_tensor::Matrix;
 use std::collections::HashMap;
@@ -109,147 +107,10 @@ impl Default for HttpConfig {
     }
 }
 
-/// The attention backend behind the front door: one engine, or a
-/// sharded fleet reached through the same routes. Requests are
-/// delegated verbatim — the sharded arm keeps all of its routing
-/// semantics (session pinning, least-loaded prefill admission) —
-/// and the metrics path folds per-shard counters into one fleet rollup
-/// while also exporting each shard as a labelled gauge set.
-enum Backend {
-    Single(AttentionServer<f32>),
-    Sharded(ShardedServer<f32>),
-}
-
-impl Backend {
-    fn submit(
-        &self,
-        q: Matrix<f32>,
-        k: Matrix<f32>,
-        v: Matrix<f32>,
-    ) -> Result<ResponseHandle<f32>, ServeError> {
-        match self {
-            Backend::Single(att) => att.submit(q, k, v),
-            Backend::Sharded(fleet) => fleet.submit(q, k, v),
-        }
-    }
-
-    fn open_session(&self, d: usize, d_v: usize) -> Result<SessionId, SessionError> {
-        match self {
-            Backend::Single(att) => att.open_session(d, d_v),
-            Backend::Sharded(fleet) => fleet.open_session(d, d_v),
-        }
-    }
-
-    fn append(
-        &self,
-        session: SessionId,
-        k_row: Vec<f32>,
-        v_row: Vec<f32>,
-    ) -> Result<(), SessionError> {
-        match self {
-            Backend::Single(att) => att.append(session, k_row, v_row),
-            Backend::Sharded(fleet) => fleet.append(session, k_row, v_row),
-        }
-    }
-
-    fn extend(
-        &self,
-        session: SessionId,
-        k: Matrix<f32>,
-        v: Matrix<f32>,
-    ) -> Result<(), SessionError> {
-        match self {
-            Backend::Single(att) => att.extend(session, k, v),
-            Backend::Sharded(fleet) => fleet.extend(session, k, v),
-        }
-    }
-
-    fn submit_decode(&self, req: DecodeRequest<f32>) -> Result<DecodeHandle<f32>, SessionError> {
-        match self {
-            Backend::Single(att) => att.submit_decode(req),
-            Backend::Sharded(fleet) => fleet.submit_decode(req),
-        }
-    }
-
-    fn close_session(&self, session: SessionId) -> Result<(), SessionError> {
-        match self {
-            Backend::Single(att) => att.close_session(session),
-            Backend::Sharded(fleet) => fleet.close_session(session),
-        }
-    }
-
-    /// Fleet rollup of the live counters (see [`ServeStats::absorb`]
-    /// for the per-field fold rules).
-    fn stats_snapshot(&self) -> ServeStats {
-        match self {
-            Backend::Single(att) => att.stats_snapshot(),
-            Backend::Sharded(fleet) => {
-                let mut folded = ServeStats::default();
-                for shard in fleet.stats_snapshot() {
-                    folded.absorb(&shard);
-                }
-                folded
-            }
-        }
-    }
-
-    /// Live queue depths, summed across shards (prefill buckets merge
-    /// by shape key).
-    fn queue_depths(&self) -> QueueDepths {
-        match self {
-            Backend::Single(att) => att.queue_depths(),
-            Backend::Sharded(fleet) => {
-                let mut decode = 0usize;
-                let mut prefill: Vec<(ShapeKey, usize)> = Vec::new();
-                for depths in fleet.queue_depths() {
-                    decode += depths.decode;
-                    for (key, depth) in depths.prefill {
-                        match prefill.iter_mut().find(|(k, _)| *k == key) {
-                            Some((_, have)) => *have += depth,
-                            None => prefill.push((key, depth)),
-                        }
-                    }
-                }
-                QueueDepths { prefill, decode }
-            }
-        }
-    }
-
-    /// Per-shard counters and queue depths (None for a single engine).
-    fn per_shard(&self) -> Option<(Vec<ServeStats>, Vec<QueueDepths>)> {
-        match self {
-            Backend::Single(_) => None,
-            Backend::Sharded(fleet) => Some((fleet.stats_snapshot(), fleet.queue_depths())),
-        }
-    }
-
-    /// Drain every engine and return the folded lifetime counters.
-    fn shutdown(self) -> ServeStats {
-        match self {
-            Backend::Single(att) => att.shutdown(),
-            Backend::Sharded(fleet) => {
-                let mut folded = ServeStats::default();
-                for shard in fleet.shutdown() {
-                    folded.absorb(&shard);
-                }
-                folded
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn poison_registry_for_test(&self) {
-        match self {
-            Backend::Single(att) => att.poison_registry_for_test(),
-            Backend::Sharded(fleet) => fleet.shard(0).poison_registry_for_test(),
-        }
-    }
-}
-
 /// State shared between the acceptor, the connection handlers, and the
 /// drain path.
 struct Shared {
-    att: Backend,
+    att: AttentionServer<f32>,
     config: HttpConfig,
     draining: AtomicBool,
     active: AtomicUsize,
@@ -303,29 +164,11 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
-    /// Bind a loopback listener and start accepting. The
-    /// [`AttentionServer`] may carry any policy, KV budget, or
-    /// [`crate::FaultPlan`] — the front door inherits all of its typed
-    /// semantics.
+    /// Bind a loopback listener over one engine and start accepting —
+    /// the front door's only constructor. The [`AttentionServer`] may
+    /// carry any policy, KV budget, or [`crate::FaultPlan`] — the front
+    /// door inherits all of its typed semantics.
     pub fn bind(att: AttentionServer<f32>, config: HttpConfig) -> std::io::Result<HttpServer> {
-        HttpServer::bind_backend(Backend::Single(att), config)
-    }
-
-    /// [`bind`](Self::bind) over a sharded fleet: the same routes, the
-    /// same typed errors and drain semantics, with requests fanned out
-    /// by the [`ShardedServer`]'s routing policy (session-pinned
-    /// decode, least-loaded prefill admission). `GET /metrics`
-    /// reports the fleet rollup plus one labelled gauge set per shard
-    /// (`dfss_shard_*{shard="i"}`), and [`shutdown`](Self::shutdown)
-    /// drains every shard before returning the folded counters.
-    pub fn bind_sharded(
-        fleet: ShardedServer<f32>,
-        config: HttpConfig,
-    ) -> std::io::Result<HttpServer> {
-        HttpServer::bind_backend(Backend::Sharded(fleet), config)
-    }
-
-    fn bind_backend(att: Backend, config: HttpConfig) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -904,7 +747,9 @@ fn decode(shared: &Shared, session: SessionId, body: &[u8]) -> Reply {
 }
 
 /// `GET /metrics` — every [`ServeStats`] counter as a
-/// `dfss_<name> <value>` line, plus the live per-bucket queue depths.
+/// `dfss_<name> <value>` line, plus the live queue depths: one prefill
+/// sample per admitted shape, labelled with all three of its `n`, `d`
+/// and `d_v` so no two samples share a label set.
 /// The destructuring is deliberately exhaustive: adding a `ServeStats`
 /// field without exporting it is a compile error.
 fn metrics_text(shared: &Shared) -> String {
@@ -994,46 +839,9 @@ fn metrics_text(shared: &Shared) -> String {
     line("queue_depth_decode", depths.decode as f64);
     for (key, depth) in depths.prefill {
         out.push_str(&format!(
-            "dfss_queue_depth_prefill{{n=\"{}\",d=\"{}\"}} {}\n",
-            key.n, key.d, depth
+            "dfss_queue_depth_prefill{{n=\"{}\",d=\"{}\",d_v=\"{}\"}} {}\n",
+            key.n, key.d, key.d_v, depth
         ));
-    }
-    // Sharded backend: the rollup above, plus one labelled gauge set
-    // per shard so dashboards can see routing balance and per-pool KV
-    // reconciliation directly.
-    if let Some((per_stats, per_depths)) = shared.att.per_shard() {
-        for (i, s) in per_stats.iter().enumerate() {
-            let mut gauge = |name: &str, value: f64| {
-                if value.fract() == 0.0 && value.abs() < 1e15 {
-                    out.push_str(&format!(
-                        "dfss_shard_{name}{{shard=\"{i}\"}} {}\n",
-                        value as i64
-                    ));
-                } else {
-                    out.push_str(&format!("dfss_shard_{name}{{shard=\"{i}\"}} {value}\n"));
-                }
-            };
-            gauge("served", s.served as f64);
-            gauge("decode_steps", s.decode_steps as f64);
-            gauge("sessions_opened", s.sessions_opened as f64);
-            gauge("sessions_closed", s.sessions_closed as f64);
-            gauge("kv_bytes_peak", s.kv_bytes_peak as f64);
-            gauge("kv_pages_allocated", s.kv_pages_allocated as f64);
-            gauge("kv_pages_freed", s.kv_pages_freed as f64);
-            gauge("evictions", s.evictions as f64);
-            gauge("admission_rejections", s.admission_rejections as f64);
-            gauge("batch_panics", s.batch_panics as f64);
-            gauge("deadline_sheds", s.deadline_sheds as f64);
-            gauge("sched_iterations", s.sched_iterations as f64);
-            gauge("prefill_chunks", s.prefill_chunks as f64);
-            gauge("total_sim_latency_s", s.total_sim_latency_s);
-        }
-        for (i, d) in per_depths.iter().enumerate() {
-            out.push_str(&format!(
-                "dfss_shard_queue_depth_decode{{shard=\"{i}\"}} {}\n",
-                d.decode
-            ));
-        }
     }
     // Which SIMD microkernel backend this process dispatched to (pinned
     // once at pool startup; `DFSS_SIMD` overrides — see dfss-kernels).
@@ -1229,30 +1037,35 @@ mod tests {
         let server = start_http(BatchPolicy::batched(4, Duration::from_millis(1)));
         let mut client = HttpClient::connect(server.local_addr());
         let mut rng = Rng::new(23);
-        let q = Matrix::random_normal(32, 16, 0.0, 1.0, &mut rng);
-        let k = Matrix::random_normal(32, 16, 0.0, 1.0, &mut rng);
-        let v = Matrix::random_normal(32, 16, 0.0, 1.0, &mut rng);
-        let body = Json::obj(vec![
-            ("q", matrix_body(&q)),
-            ("k", matrix_body(&k)),
-            ("v", matrix_body(&v)),
-        ]);
-        let out = client
-            .call("POST", "/v1/prefill", Some(&body))
-            .expect("served");
-        let rows = out.get("output").and_then(Json::as_arr).expect("output");
-        let got: Vec<f32> = rows
-            .iter()
-            .flat_map(|r| r.to_f32_row().expect("row"))
-            .collect();
-        let mut sctx = GpuCtx::a100();
-        let want = mech.forward(&mut sctx, &q, &k, &v);
-        assert_eq!(got.len(), want.as_slice().len());
-        for (a, b) in got.iter().zip(want.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "output diverged through HTTP");
+        // 32 rows run whole; 96 rows split into two chunks under the
+        // default 64-row `SchedPolicy`.
+        for n in [32, 96] {
+            let q = Matrix::random_normal(n, 16, 0.0, 1.0, &mut rng);
+            let k = Matrix::random_normal(n, 16, 0.0, 1.0, &mut rng);
+            let v = Matrix::random_normal(n, 16, 0.0, 1.0, &mut rng);
+            let body = Json::obj(vec![
+                ("q", matrix_body(&q)),
+                ("k", matrix_body(&k)),
+                ("v", matrix_body(&v)),
+            ]);
+            let out = client
+                .call("POST", "/v1/prefill", Some(&body))
+                .expect("served");
+            let rows = out.get("output").and_then(Json::as_arr).expect("output");
+            let got: Vec<f32> = rows
+                .iter()
+                .flat_map(|r| r.to_f32_row().expect("row"))
+                .collect();
+            let mut sctx = GpuCtx::a100();
+            let want = mech.forward(&mut sctx, &q, &k, &v);
+            assert_eq!(got.len(), want.as_slice().len());
+            for (a, b) in got.iter().zip(want.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "output diverged through HTTP");
+            }
         }
         let stats = server.shutdown();
-        assert_eq!(stats.served, 1);
+        assert_eq!(stats.served, 2);
+        assert_eq!(stats.prefill_chunks, 3);
         assert_eq!(stats.http_connections_accepted, 1);
         assert_eq!(stats.http_parse_rejects, 0);
     }
@@ -1635,45 +1448,72 @@ mod tests {
         // Work in flight shows in the gauges: a prefill and a decode step
         // each ride a slowed launch (front-door ops 2 and 3, in whichever
         // order they arrive), and each must read 1 on `/metrics` while
-        // its launch runs.
+        // its launch runs. Ops 4–6 are the V-width case below: op 4 holds
+        // the worker for a second, long enough for ops 5 and 6 to queue
+        // behind it, and those two launch slowly enough to be seen.
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let slow = FaultKind::SlowLaunch(Duration::from_millis(400));
+        let hold = FaultKind::SlowLaunch(Duration::from_secs(1));
+        let plan = FaultPlan::new()
+            .inject(2, slow)
+            .inject(3, slow)
+            .inject(4, hold)
+            .inject(5, slow)
+            .inject(6, slow);
         let att = AttentionServer::start_continuous_with_kv_faults(
             mech,
             BatchPolicy::per_request(),
             SchedPolicy::default(),
             KvConfig::default(),
-            FaultPlan::new().inject(2, slow).inject(3, slow),
+            plan,
         );
         let session = att.open_session(4, 4).unwrap();
         att.extend(session, Matrix::zeros(2, 4), Matrix::zeros(2, 4))
             .unwrap();
         let server = HttpServer::bind(att, quick_config()).unwrap();
         let addr = server.local_addr();
-        let zeros = || matrix_body(&Matrix::<f32>::zeros(4, 4));
-        let prefill = Json::obj(vec![("q", zeros()), ("k", zeros()), ("v", zeros())]);
+        let prefill = move |d_v: usize| {
+            let zeros = |cols| matrix_body(&Matrix::<f32>::zeros(4, cols));
+            let body = Json::obj(vec![("q", zeros(4)), ("k", zeros(4)), ("v", zeros(d_v))]);
+            let mut bg = HttpClient::connect(addr);
+            std::thread::spawn(move || bg.call("POST", "/v1/prefill", Some(&body)))
+        };
         let step = Json::obj(vec![("q_row", Json::f32_row(&[0.0; 4]))]);
         let path = format!("/v1/sessions/{}/decode", session.0);
-        let mut bg = HttpClient::connect(addr);
-        let t_prefill = std::thread::spawn(move || bg.call("POST", "/v1/prefill", Some(&prefill)));
+        let t_prefill = prefill(4);
         let mut bg = HttpClient::connect(addr);
         let t_decode = std::thread::spawn(move || bg.call("POST", &path, Some(&step)));
         let mut client = HttpClient::connect(addr);
+        // Poll `/metrics` until `done` holds, checking on every scrape
+        // that no two prefill samples share a label set.
+        let mut scrape_until = |done: &mut dyn FnMut(&str) -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut text = String::new();
+            while Instant::now() < deadline {
+                let metrics = client.request("GET", "/metrics", None).expect("metrics");
+                text = String::from_utf8(metrics.body).unwrap();
+                let mut labels: Vec<&str> = text
+                    .lines()
+                    .filter(|l| l.starts_with("dfss_queue_depth_prefill{"))
+                    .filter_map(|l| l.split_once('}').map(|(labels, _)| labels))
+                    .collect();
+                let samples = labels.len();
+                labels.sort_unstable();
+                labels.dedup();
+                assert_eq!(labels.len(), samples, "duplicate label sets:\n{text}");
+                if done(&text) {
+                    return text;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            panic!("metrics never showed the work in flight:\n{text}");
+        };
         let (mut saw_prefill, mut saw_decode) = (false, false);
-        let mut text = String::new();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !(saw_prefill && saw_decode) && Instant::now() < deadline {
-            let metrics = client.request("GET", "/metrics", None).expect("metrics");
-            text = String::from_utf8(metrics.body).unwrap();
-            saw_prefill |= text.contains("dfss_queue_depth_prefill{n=\"4\",d=\"4\"} 1");
+        let text = scrape_until(&mut |text| {
+            saw_prefill |= text.contains("dfss_queue_depth_prefill{n=\"4\",d=\"4\",d_v=\"4\"} 1");
             saw_decode |= text.contains("dfss_queue_depth_decode 1");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(saw_prefill, "the prefill in flight never showed:\n{text}");
-        assert!(
-            saw_decode,
-            "the decode step in flight never showed:\n{text}"
-        );
+            saw_prefill && saw_decode
+        });
         let backend = dfss_kernels::simd::active().name();
         assert!(
             text.contains(&format!("dfss_simd_backend{{name=\"{backend}\"}} 1")),
@@ -1681,6 +1521,18 @@ mod tests {
         );
         assert!(t_prefill.join().unwrap().is_ok());
         assert!(t_decode.join().unwrap().is_ok());
+        // Prefills that differ only in V width are distinct series: the
+        // two queued behind the held worker show as two samples with two
+        // label sets.
+        let depth_line =
+            |d_v: usize| format!("dfss_queue_depth_prefill{{n=\"4\",d=\"4\",d_v=\"{d_v}\"}} 1");
+        let held = prefill(3);
+        scrape_until(&mut |text| text.contains(&depth_line(3)));
+        let queued = [prefill(4), prefill(2)];
+        scrape_until(&mut |text| text.contains(&depth_line(4)) && text.contains(&depth_line(2)));
+        for t in std::iter::once(held).chain(queued) {
+            assert!(t.join().unwrap().is_ok());
+        }
         let _ = server.shutdown();
     }
 

@@ -107,7 +107,6 @@ mod kv;
 pub mod retry;
 pub mod sched;
 mod server;
-mod shard;
 pub mod wire;
 
 pub use dfss_core::engine::KvRows;
@@ -121,7 +120,6 @@ pub use server::{
     AttentionServer, DecodeHandle, QueueDepths, ResponseHandle, Served, ServedDecode, ShapeKey,
     Ticket,
 };
-pub use shard::ShardedServer;
 
 use std::time::Duration;
 
@@ -388,68 +386,5 @@ impl ServeStats {
         } else {
             self.decode_steps as f64 / self.decode_batches as f64
         }
-    }
-
-    /// Fold another engine's counters into this one — the fleet-wide
-    /// rollup a sharded front door reports alongside its per-shard
-    /// gauges. Monotone counters add; the batch high-water marks take
-    /// the max. `kv_bytes_peak` adds too: shards own independent pools,
-    /// so the sum of per-pool peaks bounds the fleet's true peak (the
-    /// per-shard gauges keep the exact values). The destructuring is
-    /// exhaustive on purpose: adding a `ServeStats` field without
-    /// deciding its rollup is a compile error.
-    pub fn absorb(&mut self, other: &ServeStats) {
-        let ServeStats {
-            served,
-            rejected,
-            batches,
-            max_batch,
-            decode_steps,
-            decode_batches,
-            max_decode_batch,
-            sessions_opened,
-            sessions_closed,
-            kv_rows_appended,
-            kv_bytes_peak,
-            kv_pages_allocated,
-            kv_pages_freed,
-            evictions,
-            admission_rejections,
-            batch_panics,
-            deadline_sheds,
-            overload_sheds,
-            total_sim_latency_s,
-            http_connections_accepted,
-            http_connections_shed,
-            http_parse_rejects,
-            drain_force_closed,
-            sched_iterations,
-            prefill_chunks,
-        } = other;
-        self.served += served;
-        self.rejected += rejected;
-        self.batches += batches;
-        self.max_batch = self.max_batch.max(*max_batch);
-        self.decode_steps += decode_steps;
-        self.decode_batches += decode_batches;
-        self.max_decode_batch = self.max_decode_batch.max(*max_decode_batch);
-        self.sessions_opened += sessions_opened;
-        self.sessions_closed += sessions_closed;
-        self.kv_rows_appended += kv_rows_appended;
-        self.kv_bytes_peak += kv_bytes_peak;
-        self.kv_pages_allocated += kv_pages_allocated;
-        self.kv_pages_freed += kv_pages_freed;
-        self.evictions += evictions;
-        self.admission_rejections += admission_rejections;
-        self.batch_panics += batch_panics;
-        self.deadline_sheds += deadline_sheds;
-        self.overload_sheds += overload_sheds;
-        self.total_sim_latency_s += total_sim_latency_s;
-        self.http_connections_accepted += http_connections_accepted;
-        self.http_connections_shed += http_connections_shed;
-        self.http_parse_rejects += http_parse_rejects;
-        self.drain_force_closed += drain_force_closed;
-        self.sched_iterations += sched_iterations;
-        self.prefill_chunks += prefill_chunks;
     }
 }

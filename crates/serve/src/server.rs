@@ -300,7 +300,7 @@ fn lock_healed(registry: &Mutex<Registry>) -> MutexGuard<'_, Registry> {
 /// catch panics before they can unwind through a critical section, but
 /// the counters, gauges and trace are observable live (`/metrics`), so a
 /// reader must never be brickable by a writer's death either.
-pub(crate) fn lock<U>(m: &Mutex<U>) -> MutexGuard<'_, U> {
+fn lock<U>(m: &Mutex<U>) -> MutexGuard<'_, U> {
     match m.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -593,8 +593,8 @@ impl<T: Scalar> AttentionServer<T> {
         plan.get(op)
     }
 
-    /// Shed at admission when the unresolved-request count ([`depth`](Self::depth))
-    /// is at the policy bound. Returns the observed depth on refusal.
+    /// Shed at admission when the unresolved-request count (`depth`) is
+    /// at the policy bound. Returns the observed depth on refusal.
     fn check_depth(&self) -> Result<(), usize> {
         if let Some(bound) = self.policy.max_queue_depth {
             let depth = self.depth.load(Ordering::SeqCst) as usize;
@@ -604,14 +604,6 @@ impl<T: Scalar> AttentionServer<T> {
             }
         }
         Ok(())
-    }
-
-    /// Unresolved requests — a prefill from admission until it finishes
-    /// or fails, a decode step until its launch begins. The quantity
-    /// [`BatchPolicy::max_queue_depth`] bounds, and the load signal a
-    /// [`crate::ShardedServer`] routes prefill by.
-    pub(crate) fn depth(&self) -> u64 {
-        self.depth.load(Ordering::SeqCst)
     }
 
     /// The server's KV geometry and budget.
@@ -1963,13 +1955,23 @@ mod tests {
             err,
             ServeError::Rejected(RequestError::KShapeMismatch { .. })
         ));
+        // K narrower than Q.
+        let k_narrow = Matrix::<f32>::zeros(32, 4);
+        let err = server
+            .submit(q32.clone(), k_narrow, q32.clone())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::Rejected(RequestError::KShapeMismatch { .. })
+        ));
+        assert_eq!(server.stats_snapshot().rejected, 3, "live count");
         // The server still serves valid traffic afterwards.
         let mut rng = Rng::new(11);
         let (q, k, v) = request(32, 8, &mut rng);
         let served = server.submit(q, k, v).unwrap().wait().expect("served");
         assert_eq!(served.batch_size, 1);
         let stats = server.shutdown();
-        assert_eq!((stats.served, stats.rejected), (1, 2));
+        assert_eq!((stats.served, stats.rejected), (1, 3));
     }
 
     #[test]

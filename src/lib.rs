@@ -39,7 +39,7 @@ pub mod prelude {
     pub use dfss_serve::wire::{Json as WireJson, WireError, WireLimits};
     pub use dfss_serve::{
         AttentionServer, BatchPolicy, DecodeRequest, FaultKind, FaultPlan, KvConfig, KvPool,
-        PagedKvCache, SchedPolicy, SchedTrace, Scheduler, ServeError, SessionId, ShardedServer,
+        PagedKvCache, SchedPolicy, SchedTrace, Scheduler, ServeError, SessionId,
     };
     pub use dfss_tensor::{BatchedMatrix, Bf16, Matrix, PagedPanel, RaggedBatch, Rng, Scalar};
     pub use dfss_transformer::{AttnKind, Encoder, EncoderConfig, Precision};

@@ -10,7 +10,7 @@
 //! - **Chunking is exact**: the chunks planned for a job partition its
 //!   row range `[0, rows)` in order, each at most `prefill_chunk` rows.
 //! - **Bit-parity**: outputs of the chunked, interleaved continuous
-//!   server are bit-identical to solo unchunked, unsharded computation.
+//!   server are bit-identical to solo unchunked computation.
 //! - **Trace determinism**: the same admission sequence under the same
 //!   policy renders byte-identical [`SchedTrace`]s — across runs, across
 //!   serial vs parallel kernel execution, and against a pure replay of
@@ -34,7 +34,7 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Solo, unchunked, unsharded reference computation.
+/// Solo, unchunked reference computation.
 fn solo_forward(
     mech: &(dyn Attention<f32> + Send + Sync),
     q: &Matrix<f32>,
