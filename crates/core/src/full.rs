@@ -123,6 +123,34 @@ mod tests {
     }
 
     #[test]
+    fn zero_softmax_weight_keeps_an_inf_value_row_out() {
+        // Key 1 scores ~500 below key 0 in every row, so its softmax weight
+        // is exactly 0.0 and the AV stage skips its term: a +Inf V row there
+        // must not turn the output into NaN (0 · Inf).
+        let (n, d) = (37, 8);
+        let mut rng = Rng::new(5);
+        let mut q = Matrix::<f32>::random_normal(n, d, 0.0, 0.1, &mut rng);
+        let mut k = Matrix::<f32>::random_normal(n, d, 0.0, 0.1, &mut rng);
+        for i in 0..n {
+            q.set(i, 0, 10.0);
+        }
+        k.set(0, 0, 50.0);
+        k.set(1, 0, -50.0);
+        let v_zero = {
+            let mut v = Matrix::<f32>::random_normal(n, d, 0.0, 1.0, &mut rng);
+            (0..d).for_each(|c| v.set(1, c, 0.0));
+            v
+        };
+        let mut v_inf = v_zero.clone();
+        (0..d).for_each(|c| v_inf.set(1, c, f32::INFINITY));
+        let got = FullAttention.forward(&mut GpuCtx::a100(), &q, &k, &v_inf);
+        let want = FullAttention.forward(&mut GpuCtx::a100(), &q, &k, &v_zero);
+        assert!(got.as_slice().iter().all(|x| x.is_finite()));
+        let bits = |m: &Matrix<f32>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
     fn output_rows_are_convex_combinations() {
         // Each output row is a softmax-weighted average of V rows, so it
         // must lie inside V's per-column min/max envelope.

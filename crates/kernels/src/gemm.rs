@@ -12,17 +12,18 @@
 //! borrowed slices: the solo kernel is the one-panel case of the batched
 //! one, and both make one pool fan-out over (panel, 16-row tile) work
 //! items. `NT` packs B once per call into tile-major blocks and accumulates
-//! 4-row register tiles with [`micro::panel_product`]; `NN` streams B rows
-//! through row-pair [`micro::axpy2`] updates, skipping zero A entries.
-//! Every per-element sum runs in serial k-order. Packing is layout work a
-//! real GPU kernel gets for free from `ldmatrix`, so it is not charged.
+//! 4-row register tiles with [`micro::panel_product`]; `NN` accumulates
+//! 4-row register tiles with [`simd::nn_tile`] against the row-major B,
+//! skipping zero A entries. Every per-element sum runs in serial k-order.
+//! Packing is layout work a real GPU kernel gets for free from `ldmatrix`,
+//! so it is not charged.
 //!
 //! The decode score row (`gemm_nt_paged`, one query row per stream against
 //! its cached K pages) shares the decode kernels' per-stream routines.
 
 use crate::batched::{fan_out, ROW_TILE};
 use crate::ctx::{dense_class, GpuCtx};
-use crate::micro;
+use crate::{micro, simd};
 use dfss_gpusim::{KernelProfile, Stage};
 use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
 use rayon::prelude::*;
@@ -189,7 +190,10 @@ pub fn gemm_nn_batched<T: Scalar>(
 
 /// The one NN exec body, over borrowed slices: `batch` stacked `m × ka`
 /// A panels against their `ka × n` B panels, one pool fan-out over (panel,
-/// row-tile) work items, each running [`nn_chunk_exec`].
+/// row-tile) work items, each cut into [`simd::TILE_ROWS`]-row register
+/// tiles of [`simd::nn_tile`] (serial k-order per element; a zero A entry's
+/// term is skipped, so a non-finite B row under it never reaches the
+/// output).
 fn gemm_nn_exec<T: Scalar>(
     (batch, m, n, ka): (usize, usize, usize, usize),
     a: &[T],
@@ -197,79 +201,18 @@ fn gemm_nn_exec<T: Scalar>(
 ) -> Vec<T> {
     let aw = micro::widen(a);
     let bw = micro::widen(b);
+    let backend = simd::active();
     let mut out = vec![T::zero(); batch * m * n];
     fan_out(&mut out, m * n, ROW_TILE * n, |p, e0, chunk| {
-        let aw_p = &aw[p * m * ka..(p + 1) * m * ka];
         let bw_p = &bw[p * ka * n..(p + 1) * ka * n];
-        nn_chunk_exec::<T>(aw_p, bw_p, chunk, e0 / n, n, ka);
+        for (t, orows) in chunk.chunks_mut(simd::TILE_ROWS * n).enumerate() {
+            // Row index within the whole stack.
+            let i = p * m + e0 / n + t * simd::TILE_ROWS;
+            let rcnt = orows.len() / n;
+            simd::nn_tile(backend, rcnt, &aw[i * ka..(i + rcnt) * ka], bw_p, n, orows);
+        }
     });
     out
-}
-
-/// NN row accumulation: output rows of `chunk` are built by
-/// streaming B rows, pairing output rows so each B row is loaded once for
-/// two accumulators. Rows whose A entry is zero are skipped exactly as the
-/// single-row path skips them (pruned entries cost nothing numerically, and
-/// skipping — rather than multiplying by zero — also keeps non-finite B
-/// values from poisoning outputs the old code left finite); only a
-/// both-nonzero pair takes the fused `axpy2`.
-pub(crate) fn nn_chunk_exec<T: Scalar>(
-    aw: &[f32],
-    bw: &[f32],
-    chunk: &mut [T],
-    row0: usize,
-    n: usize,
-    ka: usize,
-) {
-    let rows_here = chunk.len() / n;
-    // Stale scratch: both accumulators are zeroed per output row.
-    let mut acc0 = dfss_tensor::scratch_f32_stale(n);
-    let mut acc1 = dfss_tensor::scratch_f32_stale(n);
-    let mut local = 0;
-    while local + 2 <= rows_here {
-        let i = row0 + local;
-        acc0.iter_mut().for_each(|v| *v = 0.0);
-        acc1.iter_mut().for_each(|v| *v = 0.0);
-        let a0 = &aw[i * ka..(i + 1) * ka];
-        let a1 = &aw[(i + 1) * ka..(i + 2) * ka];
-        for kk in 0..ka {
-            let (s0, s1) = (a0[kk], a1[kk]);
-            let brow = &bw[kk * n..(kk + 1) * n];
-            if s0 == 0.0 {
-                if s1 != 0.0 {
-                    micro::axpy(&mut acc1, s1, brow);
-                }
-            } else if s1 == 0.0 {
-                micro::axpy(&mut acc0, s0, brow);
-            } else {
-                micro::axpy2(&mut acc0, &mut acc1, s0, s1, brow);
-            }
-        }
-        let (o0, rest) = chunk[local * n..].split_at_mut(n);
-        let o1 = &mut rest[..n];
-        for (o, &v) in o0.iter_mut().zip(acc0.iter()) {
-            *o = T::from_acc(v);
-        }
-        for (o, &v) in o1.iter_mut().zip(acc1.iter()) {
-            *o = T::from_acc(v);
-        }
-        local += 2;
-    }
-    if local < rows_here {
-        let i = row0 + local;
-        acc0.iter_mut().for_each(|v| *v = 0.0);
-        let arow = &aw[i * ka..(i + 1) * ka];
-        for (kk, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            micro::axpy(&mut acc0, av, &bw[kk * n..(kk + 1) * n]);
-        }
-        let orow = &mut chunk[local * n..(local + 1) * n];
-        for (o, &v) in orow.iter_mut().zip(acc0.iter()) {
-            *o = T::from_acc(v);
-        }
-    }
 }
 
 /// Per-stream charge of one dense decode score row (`1 × len` against the
@@ -361,6 +304,44 @@ mod tests {
         let mut ctx = ctx();
         let c = gemm_nn(&mut ctx, Stage::Av, &a, &b);
         assert!(c.max_abs_diff(&a.matmul_ref(&b)) < 2e-2);
+    }
+
+    /// A column of zeros in A over a +Inf row of B: the zero terms are
+    /// skipped (0 · Inf would be NaN), so the product is finite and equal to
+    /// the one with that B row zeroed.
+    fn nn_skips_zero_column_over_inf_row<T: Scalar>() {
+        let (m, ka, n, k0) = (37, 20, 70, 11);
+        let mut rng = Rng::new(3);
+        let mut a = Matrix::<f32>::random_normal(m, ka, 0.0, 1.0, &mut rng);
+        for i in 0..m {
+            a.set(i, k0, if i % 2 == 0 { 0.0 } else { -0.0 });
+        }
+        let b = Matrix::<f32>::random_normal(ka, n, 0.0, 1.0, &mut rng);
+        let (mut b_inf, mut b_zero) = (b.clone(), b);
+        for j in 0..n {
+            b_inf.set(k0, j, f32::INFINITY);
+            b_zero.set(k0, j, 0.0);
+        }
+        let cast = |x: &Matrix<f32>| {
+            Matrix::<T>::from_fn(x.rows(), x.cols(), |r, c| T::from_f32(x.get(r, c)))
+        };
+        let a = cast(&a);
+        let got = gemm_nn(&mut ctx(), Stage::Av, &a, &cast(&b_inf));
+        let want = gemm_nn(&mut ctx(), Stage::Av, &a, &cast(&b_zero));
+        let bits = |x: &Matrix<T>| {
+            x.as_slice()
+                .iter()
+                .map(|v| v.to_f32().to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert!(got.as_slice().iter().all(|v| v.to_f32().is_finite()));
+        assert_eq!(bits(&got), bits(&want), "{}", T::NAME);
+    }
+
+    #[test]
+    fn nn_zero_weights_keep_non_finite_rows_out() {
+        nn_skips_zero_column_over_inf_row::<f32>();
+        nn_skips_zero_column_over_inf_row::<Bf16>();
     }
 
     #[test]

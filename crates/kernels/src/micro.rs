@@ -18,13 +18,17 @@
 //!   row-tile driver compute every dense score with it. Per-element sums
 //!   run in *serial left-to-right* k-order, so scores are bit-identical
 //!   across every kernel that computes them.
-//! * [`axpy`] / [`axpy2`] — `acc[j] += s · row[j]` over a long contiguous
-//!   row; the lanes are independent. `gemm_nn` streams B rows through them,
-//!   [`axpy2`] updating two output rows per B-row load. The blocked-ELL
-//!   SDDMM accumulates its active blocks as an outer product over a
-//!   [`widen_transposed`] K panel, in the same serial k-order as
-//!   [`panel_product`]; the CSR and blocked-ELL SpMMs gather V rows with
-//!   [`axpy`].
+//! * [`simd::nn_tile`] — the register-tiled dense NN microkernel: 4 rows ×
+//!   64 columns (AVX-512; 4 × 16 on AVX2) accumulated in registers over the
+//!   whole k extent against a row-major operand, each operand row loaded
+//!   once per k for all four rows. `gemm_nn` and the row-tile driver's
+//!   dense AV stage call it directly, as the N:M SpMM calls
+//!   [`simd::spmm_tile`].
+//! * [`axpy`] — `acc[j] += s · row[j]` over a long contiguous row; the
+//!   lanes are independent. The blocked-ELL SDDMM accumulates its active
+//!   blocks as an outer product over a [`widen_transposed`] K panel, in the
+//!   same serial k-order as [`panel_product`]; the CSR and blocked-ELL
+//!   SpMMs gather V rows with [`axpy`].
 //! * [`dot`] — 8-lane blocked reduction, for call sites that genuinely need
 //!   a single standalone dot product.
 //!
@@ -59,19 +63,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn axpy(acc: &mut [f32], s: f32, row: &[f32]) {
     simd::active().axpy(acc, s, row);
-}
-
-/// Fused update of **two** accumulator rows against one shared operand row:
-/// `acc0[j] += s0 · row[j]; acc1[j] += s1 · row[j]`.
-///
-/// Each `row[j]` is loaded once for both outputs — the operand-panel stream
-/// is what bounds the outer-product GEMM, so pairing output rows nearly
-/// doubles its arithmetic intensity. Per accumulator row the update is the
-/// **same element-wise operation in the same order** as [`axpy`], so pairing
-/// rows never changes a result bit.
-#[inline]
-pub fn axpy2(acc0: &mut [f32], acc1: &mut [f32], s0: f32, s1: f32, row: &[f32]) {
-    simd::active().axpy2(acc0, acc1, s0, s1, row);
 }
 
 /// Column-tile width of the register-tiled batched kernels: 16 f32 lanes =
@@ -223,26 +214,6 @@ mod tests {
         let mut acc = vec![1.0f32; 5];
         axpy(&mut acc, 2.0, &[1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(acc, vec![3.0, 5.0, 7.0, 9.0, 11.0]);
-    }
-
-    #[test]
-    fn axpy2_bit_identical_to_two_axpys() {
-        let mut rng = Rng::new(7);
-        for len in [0usize, 1, 7, 64, 129] {
-            let row: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
-            let init: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
-            let (s0, s1) = (rng.normal(0.0, 1.0), rng.normal(0.0, 1.0));
-            let mut p0 = init.clone();
-            let mut p1 = init.clone();
-            axpy2(&mut p0, &mut p1, s0, s1, &row);
-            let mut r0 = init.clone();
-            let mut r1 = init.clone();
-            axpy(&mut r0, s0, &row);
-            axpy(&mut r1, s1, &row);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&p0), bits(&r0), "len {len}");
-            assert_eq!(bits(&p1), bits(&r1), "len {len}");
-        }
     }
 
     #[test]

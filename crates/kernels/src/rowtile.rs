@@ -9,8 +9,8 @@
 //! makes **one** pool fan-out over (panel, 16-row tile) work items and runs
 //! each 4-row register tile through the staged kernels' own tile routines:
 //! [`micro::panel_product`]; the N:M prune epilogue or the dense
-//! `from_acc(x · scale)` store; the row softmax; [`simd::spmm_tile`] or the
-//! dense NN row loop (zero-skip included). Q is widened, K packed and V
+//! `from_acc(x · scale)` store; the row softmax; [`simd::spmm_tile`] or
+//! [`simd::nn_tile`] (zero-skip included). Q is widened, K packed and V
 //! widened once per call; nothing larger than a tile lives between stages.
 //!
 //! Values round through `T` at the staged stage boundaries and the softmax
@@ -153,9 +153,9 @@ fn exec<T: Scalar>(
 /// Dense stages of one register tile's `rcnt × cols` raw scores: each row
 /// is stored through `T` as `from_acc(x · scale)` (the `gemm_nt` store)
 /// into `weights`, normalised by `softmax_into` (the `softmax_dense` row)
-/// and widened into the tile's AV operand, which `nn_chunk_exec` (the
-/// `gemm_nn` rows, zero-skip included) multiplies by the panel's widened V
-/// into the tile's `rcnt × d_v` output rows.
+/// and widened into the tile's AV operand, which `nn_tile` (the `gemm_nn`
+/// tile, zero-skip included) multiplies by the panel's widened V into the
+/// tile's `rcnt × d_v` output rows.
 fn dense_stages<T: Scalar>(
     scores: &mut [f32],
     cols: usize,
@@ -179,7 +179,7 @@ fn dense_stages<T: Scalar>(
             *a = w.to_mul();
         }
     }
-    gemm::nn_chunk_exec::<T>(&aw, vw_p, out, 0, d_v, cols);
+    simd::nn_tile(simd::active(), out.len() / d_v, &aw, vw_p, d_v, out);
 }
 
 /// N:M stages of one register tile's `rcnt × cols` raw scores:

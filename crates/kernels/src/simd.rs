@@ -20,9 +20,9 @@
 //!   (`acc += s * x` is an IEEE multiply then an IEEE add); fused
 //!   multiply-add keeps the infinite-precision product and produces
 //!   different bits. All backends use separate multiply and add.
-//! * **Element-wise ops vectorise freely.** [`Backend::axpy`],
-//!   [`Backend::axpy2`] and the register tiles of [`Backend::panel_tile`]
-//!   and [`spmm_tile`] update independent output lanes in serial k-order;
+//! * **Element-wise ops vectorise freely.** [`Backend::axpy`] and the
+//!   register tiles of [`Backend::panel_tile`], [`nn_tile`] and
+//!   [`spmm_tile`] update independent output lanes in serial k-order;
 //!   lane width does not touch the per-lane operation order, so any width
 //!   is bit-identical.
 //! * **Reductions keep the scalar shape.** [`crate::micro::dot`]
@@ -54,10 +54,11 @@
 // The one place the workspace's `unsafe_code = "deny"` is relaxed:
 // `std::arch` intrinsics are inherently `unsafe fn`. Safety arguments are
 // local and mechanical — every vector load/store stays inside `full`
-// (the largest lane multiple ≤ len; the SpMM tile's gathered rows stay in
-// bounds by its asserted slice lengths and total code decoding, and its
-// AVX-512 tail loads are lane-masked) and every `target_feature` function is
-// reached only through a `Backend` variant whose `available()` check passed.
+// (the largest lane multiple ≤ len; the NN and SpMM tiles' rows stay in
+// bounds by their asserted slice lengths, the SpMM tile's also by total code
+// decoding, and their AVX-512 tail loads are lane-masked) and every
+// `target_feature` function is reached only through a `Backend` variant
+// whose `available()` check passed.
 #![allow(unsafe_code)]
 
 use dfss_nmsparse::{NmPattern, MAX_M};
@@ -262,17 +263,6 @@ pub fn axpy_ref(acc: &mut [f32], s: f32, row: &[f32]) {
     }
 }
 
-/// Reference paired-row axpy (each `row[j]` loaded once for both outputs).
-#[inline(always)]
-pub fn axpy2_ref(acc0: &mut [f32], acc1: &mut [f32], s0: f32, s1: f32, row: &[f32]) {
-    debug_assert_eq!(acc0.len(), row.len());
-    debug_assert_eq!(acc1.len(), row.len());
-    for ((o0, o1), &x) in acc0.iter_mut().zip(acc1.iter_mut()).zip(row) {
-        *o0 += s0 * x;
-        *o1 += s1 * x;
-    }
-}
-
 #[inline(always)]
 fn panel_tile_ref_r<const R: usize>(
     arows: &[&[f32]; 4],
@@ -374,15 +364,15 @@ pub fn axpy_widen_ref<S: Scalar>(acc: &mut [f32], s: f32, row: &[S]) {
     }
 }
 
-/// Compressed rows one [`spmm_tile`] call accumulates together. Every
-/// backend keeps all of them in registers for the whole group scan, so the
-/// `M` candidate V rows of a group are pulled into L1 once and serve every
-/// row of the tile.
-pub const SPMM_TILE_ROWS: usize = 4;
+/// Output rows one [`nn_tile`] or [`spmm_tile`] call accumulates together.
+/// Every backend keeps all of them in registers for the whole k scan, so
+/// each B row (for SpMM, the `M` candidate V rows of a group) is pulled
+/// into L1 once and serves every row of the tile.
+pub const TILE_ROWS: usize = 4;
 
-/// Columns of one accumulator window of the scalar reference (and of the
-/// AVX-512 tile, `4 × 16` lanes per row).
-const SPMM_WINDOW: usize = 64;
+/// Columns of one accumulator window of the scalar references (and of the
+/// AVX-512 tiles, `4 × 16` lanes per row).
+const WINDOW: usize = 64;
 
 /// Lane pairs of the 2:4 code table, indexed by `code & 0xF`: the two
 /// lowest set bits, or lanes `(0, 1)` when fewer than two bits are set.
@@ -504,7 +494,7 @@ fn spmm_window_ref<T: Scalar, L: Lanes, const R: usize>(
     out: &mut [T],
 ) {
     let (n, m) = (lanes.n(), lanes.m());
-    let mut acc = [[0.0f32; SPMM_WINDOW]; R];
+    let mut acc = [[0.0f32; WINDOW]; R];
     let mut sel = [0usize; MAX_M];
     for g in 0..gpr {
         for (r, acc) in acc.iter_mut().enumerate() {
@@ -536,7 +526,7 @@ fn spmm_rows_ref<T: Scalar, L: Lanes, const R: usize>(
 ) {
     let mut j0 = 0;
     while j0 < d {
-        let w = SPMM_WINDOW.min(d - j0);
+        let w = WINDOW.min(d - j0);
         spmm_window_ref::<T, L, R>(lanes, gpr, nz, codes, v, d, j0, w, out);
         j0 += w;
     }
@@ -554,6 +544,55 @@ pub fn spmm_tile_ref<T: Scalar>(
     out: &mut [T],
 ) {
     spmm_tile(Backend::Scalar, pattern, rcnt, nz, codes, v, d, out);
+}
+
+/// One scalar window of [`nn_tile`]: `R` rows × columns `j0 .. j0 + w`
+/// (`w ≤ 64`), accumulated from `0.0` in ascending k, skipping each term
+/// whose A entry is `±0.0`. It defines the op's semantics, and the AVX2
+/// backend runs its column tails through it.
+#[inline(always)]
+fn nn_window_ref<T: Scalar, const R: usize>(
+    a: &[f32],
+    ka: usize,
+    b: &[f32],
+    n: usize,
+    j0: usize,
+    w: usize,
+    out: &mut [T],
+) {
+    let mut acc = [[0.0f32; WINDOW]; R];
+    for kk in 0..ka {
+        let row = &b[kk * n + j0..][..w];
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let s = a[r * ka + kk];
+            if s == 0.0 {
+                continue;
+            }
+            for (o, &x) in acc[..w].iter_mut().zip(row) {
+                *o += s * x;
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        for (o, &x) in out[r * n + j0..][..w].iter_mut().zip(&acc[..w]) {
+            *o = T::from_acc(x);
+        }
+    }
+}
+
+fn nn_rows_ref<T: Scalar, const R: usize>(
+    a: &[f32],
+    ka: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [T],
+) {
+    let mut j0 = 0;
+    while j0 < n {
+        let w = WINDOW.min(n - j0);
+        nn_window_ref::<T, R>(a, ka, b, n, j0, w, out);
+        j0 += w;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -588,22 +627,6 @@ impl Backend {
             #[cfg(target_arch = "aarch64")]
             Backend::Neon => unsafe { neon::axpy_neon(acc, s, row) },
             _ => axpy_ref(acc, s, row),
-        }
-    }
-
-    /// Paired-row axpy (each operand element loaded once for both rows).
-    #[inline]
-    pub fn axpy2(self, acc0: &mut [f32], acc1: &mut [f32], s0: f32, s1: f32, row: &[f32]) {
-        debug_assert_eq!(acc0.len(), row.len());
-        debug_assert_eq!(acc1.len(), row.len());
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 => unsafe { x86::axpy2_avx512(acc0, acc1, s0, s1, row) },
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { x86::axpy2_avx2(acc0, acc1, s0, s1, row) },
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => unsafe { neon::axpy2_neon(acc0, acc1, s0, s1, row) },
-            _ => axpy2_ref(acc0, acc1, s0, s1, row),
         }
     }
 
@@ -740,7 +763,62 @@ pub fn axpy_widen<S: Scalar>(backend: Backend, acc: &mut [f32], s: f32, row: &[S
     }
 }
 
-/// Register-tiled N:M SpMM: `rcnt ≤` [`SPMM_TILE_ROWS`] compressed rows
+/// Register-tiled dense NN product: `rcnt ≤` [`TILE_ROWS`] widened A rows
+/// (`a`, row-major, `ka = a.len() / rcnt` columns) against a widened
+/// row-major `ka × n` B, written into the `rcnt × n` output `out`:
+/// `out[r][j] = Σ a[r][k] · b[k][j]`, the terms added from `0.0` in
+/// ascending k (multiply, then add: no FMA) and converted once with
+/// `from_acc`. A term whose A entry is `0.0` or `−0.0` is skipped, not
+/// multiplied, so a non-finite B row under a zero weight (a softmax weight
+/// that underflowed, a masked one) never reaches the output.
+///
+/// The tile shape is per backend (AVX-512: 4 rows × 64 columns; AVX2:
+/// 4 rows × 16; NEON runs the scalar reference window); only the
+/// per-element order is fixed, so every backend is bit-identical to
+/// `Backend::Scalar`.
+///
+/// # Panics
+/// If `backend` is not available on this CPU, `rcnt` is outside `1..=4`,
+/// or a slice length disagrees with the shape above (the unchecked
+/// backends rely on these checks).
+pub fn nn_tile<T: Scalar>(
+    backend: Backend,
+    rcnt: usize,
+    a: &[f32],
+    b: &[f32],
+    n: usize,
+    out: &mut [T],
+) {
+    assert!(
+        backend.available(),
+        "backend {} not available",
+        backend.name()
+    );
+    assert!(
+        (1..=TILE_ROWS).contains(&rcnt),
+        "tile of {rcnt} rows (1..={TILE_ROWS})"
+    );
+    let ka = a.len() / rcnt;
+    assert_eq!(a.len(), rcnt * ka, "A does not split into {rcnt} rows");
+    assert_eq!(b.len(), ka * n, "B is not {ka} rows of {n}");
+    assert_eq!(out.len(), rcnt * n, "output is not {rcnt} rows of {n}");
+    match backend {
+        // SAFETY (both): the lengths of `a`, `b` and `out` were checked
+        // against `rcnt`, `ka` and `n` above.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe { x86::nn_tile_avx512(rcnt, a, ka, b, n, out) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { x86::nn_tile_avx2(rcnt, a, ka, b, n, out) },
+        _ => match rcnt {
+            4 => nn_rows_ref::<T, 4>(a, ka, b, n, out),
+            3 => nn_rows_ref::<T, 3>(a, ka, b, n, out),
+            2 => nn_rows_ref::<T, 2>(a, ka, b, n, out),
+            _ => nn_rows_ref::<T, 1>(a, ka, b, n, out),
+        },
+    }
+}
+
+/// Register-tiled N:M SpMM: `rcnt ≤` [`TILE_ROWS`] compressed rows
 /// against a widened `inner × d` V panel. `nz` holds the rows' kept values
 /// (`N` per group, row-major), `codes` one selection byte per group, and
 /// `out` the `rcnt × d` result:
@@ -776,8 +854,8 @@ pub fn spmm_tile<T: Scalar>(
         backend.name()
     );
     assert!(
-        (1..=SPMM_TILE_ROWS).contains(&rcnt),
-        "tile of {rcnt} rows (1..={SPMM_TILE_ROWS})"
+        (1..=TILE_ROWS).contains(&rcnt),
+        "tile of {rcnt} rows (1..={TILE_ROWS})"
     );
     let gpr = codes.len() / rcnt;
     assert_eq!(
@@ -972,74 +1050,6 @@ mod x86 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy2_avx2(
-        acc0: &mut [f32],
-        acc1: &mut [f32],
-        s0: f32,
-        s1: f32,
-        row: &[f32],
-    ) {
-        let n = row.len();
-        let full = n / 8 * 8;
-        let v0 = _mm256_set1_ps(s0);
-        let v1 = _mm256_set1_ps(s1);
-        let mut i = 0;
-        while i < full {
-            let x = _mm256_loadu_ps(row.as_ptr().add(i));
-            let o0 = _mm256_loadu_ps(acc0.as_ptr().add(i));
-            let o1 = _mm256_loadu_ps(acc1.as_ptr().add(i));
-            _mm256_storeu_ps(
-                acc0.as_mut_ptr().add(i),
-                _mm256_add_ps(o0, _mm256_mul_ps(v0, x)),
-            );
-            _mm256_storeu_ps(
-                acc1.as_mut_ptr().add(i),
-                _mm256_add_ps(o1, _mm256_mul_ps(v1, x)),
-            );
-            i += 8;
-        }
-        for j in full..n {
-            let x = *row.get_unchecked(j);
-            *acc0.get_unchecked_mut(j) += s0 * x;
-            *acc1.get_unchecked_mut(j) += s1 * x;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn axpy2_avx512(
-        acc0: &mut [f32],
-        acc1: &mut [f32],
-        s0: f32,
-        s1: f32,
-        row: &[f32],
-    ) {
-        let n = row.len();
-        let full = n / 16 * 16;
-        let v0 = _mm512_set1_ps(s0);
-        let v1 = _mm512_set1_ps(s1);
-        let mut i = 0;
-        while i < full {
-            let x = _mm512_loadu_ps(row.as_ptr().add(i));
-            let o0 = _mm512_loadu_ps(acc0.as_ptr().add(i));
-            let o1 = _mm512_loadu_ps(acc1.as_ptr().add(i));
-            _mm512_storeu_ps(
-                acc0.as_mut_ptr().add(i),
-                _mm512_add_ps(o0, _mm512_mul_ps(v0, x)),
-            );
-            _mm512_storeu_ps(
-                acc1.as_mut_ptr().add(i),
-                _mm512_add_ps(o1, _mm512_mul_ps(v1, x)),
-            );
-            i += 16;
-        }
-        for j in full..n {
-            let x = *row.get_unchecked(j);
-            *acc0.get_unchecked_mut(j) += s0 * x;
-            *acc1.get_unchecked_mut(j) += s1 * x;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn axpy_tf32_avx2(acc: &mut [f32], s: f32, row: &[f32]) {
         let n = acc.len();
         let full = n / 8 * 8;
@@ -1157,6 +1167,153 @@ mod x86 {
             max = max.max(*buf.get_unchecked(i));
         }
         max
+    }
+
+    /// # Safety
+    /// AVX-512F must be available, and the slices must have the lengths
+    /// `super::nn_tile` checks for `rcnt` rows of `ka` columns.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn nn_tile_avx512<T: Scalar>(
+        rcnt: usize,
+        a: &[f32],
+        ka: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [T],
+    ) {
+        match rcnt {
+            4 => nn_rows_avx512::<T, 4>(a, ka, b, n, out),
+            3 => nn_rows_avx512::<T, 3>(a, ka, b, n, out),
+            2 => nn_rows_avx512::<T, 2>(a, ka, b, n, out),
+            _ => nn_rows_avx512::<T, 1>(a, ka, b, n, out),
+        }
+    }
+
+    /// `R` rows × a 64-column window in `4R` zmm accumulators; each B row's
+    /// window is loaded once per k and serves all `R` rows. Vectors past
+    /// the window's width load under a lane mask (masked-off lanes touch no
+    /// memory), so column tails need no scalar loop.
+    ///
+    /// # Safety
+    /// As for `nn_tile_avx512`, with `R` rows.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn nn_rows_avx512<T: Scalar, const R: usize>(
+        a: &[f32],
+        ka: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [T],
+    ) {
+        let mut tile = [0.0f32; 64];
+        let mut j0 = 0;
+        while j0 < n {
+            let w = (n - j0).min(64);
+            let masks: [__mmask16; 4] = std::array::from_fn(|c| {
+                let live = w.saturating_sub(16 * c).min(16);
+                ((1u32 << live) - 1) as __mmask16
+            });
+            let mut acc = [[_mm512_setzero_ps(); 4]; R];
+            let mut x = [_mm512_setzero_ps(); 4];
+            for kk in 0..ka {
+                // `wrapping_add`: a fully masked vector may sit past the end
+                // of `b`; its address is never dereferenced.
+                let row = b.as_ptr().wrapping_add(kk * n + j0);
+                for (c, x) in x.iter_mut().enumerate() {
+                    *x = _mm512_maskz_loadu_ps(masks[c], row.wrapping_add(16 * c));
+                }
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let s = *a.get_unchecked(r * ka + kk);
+                    if s == 0.0 {
+                        continue;
+                    }
+                    let s = _mm512_set1_ps(s);
+                    for (v, &x) in acc.iter_mut().zip(&x) {
+                        *v = _mm512_add_ps(*v, _mm512_mul_ps(s, x));
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                for (c, v) in acc.iter().enumerate() {
+                    _mm512_storeu_ps(tile.as_mut_ptr().add(16 * c), *v);
+                }
+                let orow = out.get_unchecked_mut(r * n + j0..r * n + j0 + w);
+                for (o, &x) in orow.iter_mut().zip(&tile[..w]) {
+                    *o = T::from_acc(x);
+                }
+            }
+            j0 += w;
+        }
+    }
+
+    /// # Safety
+    /// AVX2 must be available, and the slices must have the lengths
+    /// `super::nn_tile` checks for `rcnt` rows of `ka` columns.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn nn_tile_avx2<T: Scalar>(
+        rcnt: usize,
+        a: &[f32],
+        ka: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [T],
+    ) {
+        match rcnt {
+            4 => nn_rows_avx2::<T, 4>(a, ka, b, n, out),
+            3 => nn_rows_avx2::<T, 3>(a, ka, b, n, out),
+            2 => nn_rows_avx2::<T, 2>(a, ka, b, n, out),
+            _ => nn_rows_avx2::<T, 1>(a, ka, b, n, out),
+        }
+    }
+
+    /// `R` rows × 16 columns in `2R` ymm accumulators (a wider tile would
+    /// not fit the 16 registers); a column tail narrower than 16 runs the
+    /// scalar reference window.
+    ///
+    /// # Safety
+    /// As for `nn_tile_avx2`, with `R` rows.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn nn_rows_avx2<T: Scalar, const R: usize>(
+        a: &[f32],
+        ka: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [T],
+    ) {
+        let mut tile = [0.0f32; 16];
+        let full = n / 16 * 16;
+        let mut j0 = 0;
+        while j0 < full {
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            for kk in 0..ka {
+                let row = b.as_ptr().add(kk * n + j0);
+                let x = [_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8))];
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let s = *a.get_unchecked(r * ka + kk);
+                    if s == 0.0 {
+                        continue;
+                    }
+                    let s = _mm256_set1_ps(s);
+                    for (v, &x) in acc.iter_mut().zip(&x) {
+                        *v = _mm256_add_ps(*v, _mm256_mul_ps(s, x));
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                for (c, v) in acc.iter().enumerate() {
+                    _mm256_storeu_ps(tile.as_mut_ptr().add(8 * c), *v);
+                }
+                let orow = out.get_unchecked_mut(r * n + j0..r * n + j0 + 16);
+                for (o, &x) in orow.iter_mut().zip(&tile) {
+                    *o = T::from_acc(x);
+                }
+            }
+            j0 += 16;
+        }
+        if full < n {
+            super::nn_window_ref::<T, R>(a, ka, b, n, full, n - full, out);
+        }
     }
 
     /// # Safety
@@ -1433,34 +1590,6 @@ mod neon {
         }
         for j in full..n {
             *acc.get_unchecked_mut(j) += s * row.get_unchecked(j);
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy2_neon(
-        acc0: &mut [f32],
-        acc1: &mut [f32],
-        s0: f32,
-        s1: f32,
-        row: &[f32],
-    ) {
-        let n = row.len();
-        let full = n / 4 * 4;
-        let v0 = vdupq_n_f32(s0);
-        let v1 = vdupq_n_f32(s1);
-        let mut i = 0;
-        while i < full {
-            let x = vld1q_f32(row.as_ptr().add(i));
-            let o0 = vld1q_f32(acc0.as_ptr().add(i));
-            let o1 = vld1q_f32(acc1.as_ptr().add(i));
-            vst1q_f32(acc0.as_mut_ptr().add(i), vaddq_f32(o0, vmulq_f32(v0, x)));
-            vst1q_f32(acc1.as_mut_ptr().add(i), vaddq_f32(o1, vmulq_f32(v1, x)));
-            i += 4;
-        }
-        for j in full..n {
-            let x = *row.get_unchecked(j);
-            *acc0.get_unchecked_mut(j) += s0 * x;
-            *acc1.get_unchecked_mut(j) += s1 * x;
         }
     }
 

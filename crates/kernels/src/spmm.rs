@@ -75,7 +75,7 @@ pub fn spmm_nm<T: Scalar>(ctx: &mut GpuCtx, a: &NmCompressed<T>, v: &Matrix<T>) 
 /// The one N:M SpMM exec body, over borrowed slices: `batch` stacked
 /// `rows × inner` compressed panels against their `inner × d` V panels.
 /// One pool fan-out over (panel, row-tile) work items, each cut into
-/// [`simd::SPMM_TILE_ROWS`]-row register tiles of [`simd::spmm_tile`];
+/// [`simd::TILE_ROWS`]-row register tiles of [`simd::spmm_tile`];
 /// solo [`spmm_nm`] is the one-panel case. Per output element the terms add
 /// in ascending group/lane order (the `scan_row` order), and nonzeros
 /// convert with `to_mul` as the tile broadcasts them.
@@ -90,13 +90,13 @@ fn spmm_nm_exec<T: Scalar>(
     let kept = pattern.kept_per_row(inner);
     let gpr = inner / pattern.m();
     let backend = simd::active();
-    let tile = simd::SPMM_TILE_ROWS * d;
+    let tile = simd::TILE_ROWS * d;
     let mut out = vec![T::zero(); batch * rows * d];
     crate::batched::fan_out(&mut out, rows * d, ROW_TILE * d, |p, e0, chunk| {
         let vw_p = &vw[p * inner * d..(p + 1) * inner * d];
         for (t, orows) in chunk.chunks_mut(tile).enumerate() {
             // Row index within the whole stack.
-            let r = p * rows + e0 / d + t * simd::SPMM_TILE_ROWS;
+            let r = p * rows + e0 / d + t * simd::TILE_ROWS;
             let rcnt = orows.len() / d;
             simd::spmm_tile(
                 backend,

@@ -13,8 +13,9 @@
 //! multiples±1 and large-ish odd sizes, for both the 8-lane (AVX2/NEON
 //! pairs) and 16-lane (AVX-512) widths.
 
+use dfss_kernels::micro;
 use dfss_kernels::simd::{
-    self, axpy2_ref, axpy_ref, axpy_widen, axpy_widen_ref, dot_ref, dot_widen, dot_widen_ref,
+    self, axpy_ref, axpy_widen, axpy_widen_ref, dot_ref, dot_widen, dot_widen_ref, nn_tile,
     panel_tile_ref, row_max_ref, spmm_tile, spmm_tile_ref, Backend,
 };
 use dfss_nmsparse::NmPattern;
@@ -82,27 +83,79 @@ fn axpy_is_bit_identical_across_backends() {
     }
 }
 
-#[test]
-fn axpy2_is_bit_identical_across_backends() {
-    let mut rng = Rng::new(0xA22);
-    for &len in LENGTHS {
-        let row = vec_of(len, &mut rng);
-        let acc0 = vec_of(len, &mut rng);
-        let acc1 = vec_of(len, &mut rng);
-        let (s0, s1) = (rng.normal(0.0, 1.0), rng.normal(0.0, 1.0));
-        let (mut w0, mut w1) = (acc0.clone(), acc1.clone());
-        axpy2_ref(&mut w0, &mut w1, s0, s1, &row);
-        for backend in available_backends() {
-            let (mut g0, mut g1) = (acc0.clone(), acc1.clone());
-            backend.axpy2(&mut g0, &mut g1, s0, s1, &row);
-            let same = g0
-                .iter()
-                .zip(&w0)
-                .chain(g1.iter().zip(&w1))
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "axpy2 len {len} diverged on {}", backend.name());
+/// Every backend's dense NN tile against `Backend::Scalar`, and the scalar
+/// tile against a serial-k, zero-skipping `axpy_ref` model, for one output
+/// type.
+fn nn_tile_gauntlet<T: Scalar>(seed: u64) {
+    let mut rng = Rng::new(seed);
+    for &ka in &[0usize, 1, 7, 33, 1024] {
+        for &n in &[1usize, 15, 16, 17, 63, 64, 65, 130] {
+            // NaN and ±Inf in B, at most one special per column: no output
+            // element then meets two NaN sources, so payloads are exact.
+            let mut b = vec_of(ka * n, &mut rng);
+            let mut first_special_row = None;
+            if ka > 0 {
+                for j in (0..n).step_by(3) {
+                    let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][j / 3 % 3];
+                    let kk = rng.below(ka);
+                    b[kk * n + j] = special;
+                    first_special_row.get_or_insert(kk);
+                }
+            }
+            for rcnt in 1usize..=4 {
+                // A is widened as the kernels widen it: ±1e-45 rounds to ±0.0
+                // under TF32, so its term is skipped like a ±0.0 weight's.
+                let raw: Vec<f32> = (0..rcnt * ka)
+                    .map(|_| match rng.below(8) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => 1e-45,
+                        3 => -1e-45,
+                        _ => rng.normal(0.0, 1.0),
+                    })
+                    .collect();
+                let mut a = micro::widen(&raw).to_vec();
+                // Every row skips the first special, whatever the draw.
+                if let Some(kk) = first_special_row {
+                    for r in 0..rcnt {
+                        a[r * ka + kk] = [0.0, -0.0][r % 2];
+                    }
+                }
+                let mut model = vec![T::zero(); rcnt * n];
+                for (r, orow) in model.chunks_mut(n).enumerate() {
+                    let mut acc = vec![0.0f32; n];
+                    for kk in 0..ka {
+                        let s = a[r * ka + kk];
+                        if s != 0.0 {
+                            axpy_ref(&mut acc, s, &b[kk * n..(kk + 1) * n]);
+                        }
+                    }
+                    for (o, &x) in orow.iter_mut().zip(&acc) {
+                        *o = T::from_acc(x);
+                    }
+                }
+                let bits = |o: &[T]| o.iter().map(|x| x.to_f32().to_bits()).collect::<Vec<_>>();
+                let what = format!("{} ka={ka} n={n} rcnt={rcnt}", T::NAME);
+                let mut want = vec![T::from_f32(-7.0); rcnt * n];
+                nn_tile(Backend::Scalar, rcnt, &a, &b, n, &mut want);
+                assert_eq!(bits(&want), bits(&model), "scalar vs model, {what}");
+                for backend in available_backends() {
+                    let mut got = vec![T::from_f32(-7.0); rcnt * n];
+                    nn_tile(backend, rcnt, &a, &b, n, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{what} on {}", backend.name());
+                }
+            }
         }
     }
+}
+
+#[test]
+fn nn_tile_is_bit_identical_across_backends() {
+    // Column counts cross every lane width (16 for AVX2, the 64-wide
+    // AVX-512 window), so each backend's tail path runs; zero weights sit
+    // over non-finite B rows, which they must keep out of the output.
+    nn_tile_gauntlet::<f32>(0x4E4E);
+    nn_tile_gauntlet::<Bf16>(0x4E16);
 }
 
 #[test]
