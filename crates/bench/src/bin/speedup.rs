@@ -914,7 +914,7 @@ fn check_simd_section(doc: &Json, mode: &str) -> Result<(), String> {
         .get("backend")
         .and_then(Json::as_str)
         .ok_or("simd: missing backend")?;
-    if !["scalar", "avx2", "avx512", "neon"].contains(&backend) {
+    if !["scalar", "avx2", "avx512"].contains(&backend) {
         return Err(format!("simd: unknown backend `{backend}`"));
     }
     let kernels = simd

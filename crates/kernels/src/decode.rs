@@ -20,12 +20,13 @@
 //! and then keeps the dense tail.
 //!
 //! Unlike the prefill score kernels (serial-k outer products through
-//! [`micro::panel_product`]), the decode scores use the lane-blocked
-//! [`micro::dot`] shape: a decode step has one output row per stream, so
-//! there is no operand panel to stream and the dot's higher arithmetic
-//! intensity wins. Decode outputs are
-//! therefore *not* bit-comparable to a prefill forward over the same cache
-//! — only to other decode paths, which is the invariant the engine pins.
+//! [`micro::panel_product`]), the decode scores use the lane-blocked shape
+//! of [`simd::dot_widen`] (8 lane accumulators folded by a fixed tree): a
+//! decode step has one output row per stream, so there is no operand panel
+//! to stream and the dot's higher arithmetic intensity wins. Decode outputs
+//! are therefore *not* bit-comparable to a prefill forward over the same
+//! cache — only to other decode paths, which is the invariant the engine
+//! pins.
 //!
 //! The routines are generic over the cached K/V element type `S`
 //! separately from the compute type `T`: the serving layer can quantise the

@@ -135,10 +135,10 @@ fn gemm_nt_exec<T: Scalar>(
     fan_out(&mut out, m * n, ROW_TILE * n, |p, e0, chunk| {
         let aw_p = &aw[p * m * ka..(p + 1) * m * ka];
         let bp_p = &bp[p * ppl..(p + 1) * ppl];
-        let mut acc = scratch_f32_stale(micro::TILE_ROWS * n);
-        for (t, orows) in chunk.chunks_mut(micro::TILE_ROWS * n).enumerate() {
+        let mut acc = scratch_f32_stale(simd::TILE_ROWS * n);
+        for (t, orows) in chunk.chunks_mut(simd::TILE_ROWS * n).enumerate() {
             let rcnt = orows.len() / n;
-            let i0 = e0 / n + t * micro::TILE_ROWS;
+            let i0 = e0 / n + t * simd::TILE_ROWS;
             micro::panel_product(aw_p, i0, rcnt, ka, bp_p, n, &mut acc);
             for (o, &v) in orows.iter_mut().zip(acc.iter()) {
                 *o = T::from_acc(v * scale);

@@ -33,8 +33,9 @@
 //!   honestly (it is the overhead §4.3 says sinks the top-k baseline).
 //! * [`ctx`] — the [`GpuCtx`] bundle of device config, kernel timeline and
 //!   memory tracker threaded through every kernel.
-//! * [`simd`] — explicit-SIMD microkernel backends (AVX2 / AVX-512 / NEON)
-//!   with one-time runtime dispatch; every hot loop above routes through it.
+//! * [`simd`] — explicit-SIMD microkernel backends (AVX2 / AVX-512, and the
+//!   scalar reference every other target runs) with one-time runtime
+//!   dispatch; every hot loop above routes through it.
 //!
 //! [`PagedPanel`]: dfss_tensor::PagedPanel
 //! [`NmPattern::compress_groups_into`]: dfss_nmsparse::NmPattern::compress_groups_into

@@ -3,11 +3,11 @@
 //!
 //! The paper's speedups presume the three attention kernels run at hardware
 //! speed; on the host side that means the inner loops must run wide. Each
-//! public microkernel here routes through [`crate::simd::active`] — AVX2,
-//! AVX-512 or NEON when the CPU has them, the always-compiled scalar
-//! reference otherwise (or under `DFSS_SIMD=scalar`). Every backend is
-//! bit-identical to the scalar reference by construction (no FMA, scalar
-//! reduction tree preserved; see the parity gauntlet in
+//! public microkernel here routes through [`crate::simd::active`] — AVX2
+//! or AVX-512 when the CPU has them, the always-compiled scalar reference
+//! otherwise (every non-x86 target, or under `DFSS_SIMD=scalar`). Every
+//! backend is bit-identical to the scalar reference by construction (no
+//! FMA, scalar reduction tree preserved; see the parity gauntlet in
 //! `tests/simd_parity.rs`), so kernel results do not depend on the host CPU.
 //!
 //! Loop-shape inventory:
@@ -29,8 +29,6 @@
 //!   blocks as an outer product over a [`widen_transposed`] K panel, in the
 //!   same serial k-order as [`panel_product`]; the CSR and blocked-ELL
 //!   SpMMs gather V rows with [`axpy`].
-//! * [`dot`] — 8-lane blocked reduction, for call sites that genuinely need
-//!   a single standalone dot product.
 //!
 //! Operand widening ([`widen`], [`widen_transposed`]) goes through the
 //! thread-local scratch arena: the f32 copies (and the per-row accumulators
@@ -38,40 +36,24 @@
 //! instead of re-allocated — the persistent worker pool keeps each worker's
 //! arena warm for the whole process lifetime.
 
-use crate::simd;
+use crate::simd::{self, TILE_ROWS};
 use dfss_tensor::{scratch_f32_from, Scalar, ScratchF32};
-
-/// Accumulator width of the [`dot`] microkernel. Eight f32 lanes = one AVX2
-/// register (or two NEON registers).
-pub const LANES: usize = 8;
-
-/// Lane-blocked dot product with a fixed, deterministic reduction order
-/// (8 lane accumulators, pairwise tree reduce — see [`simd::dot_ref`]).
-///
-/// `a` and `b` must have equal length. The result is *not* equal to a serial
-/// left-to-right sum (the prefill score kernels use [`panel_product`]
-/// precisely so their sums stay serial-order); use this only where a
-/// standalone dot is needed and no cross-kernel bit-identity is required.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    simd::active().dot(a, b)
-}
 
 /// `acc[j] += s * row[j]` over the whole slice. The lanes are independent,
 /// so any SIMD width computes the same bits; the helper exists to keep the
 /// update in one place (and one idiom) across every row-accumulation loop.
+///
+/// # Panics
+/// If `acc` and `row` differ in length.
 #[inline]
 pub fn axpy(acc: &mut [f32], s: f32, row: &[f32]) {
     simd::active().axpy(acc, s, row);
 }
 
 /// Column-tile width of the register-tiled batched kernels: 16 f32 lanes =
-/// two AVX2 registers (four NEON), leaving room for [`TILE_ROWS`] rows of
-/// accumulators in the register file.
+/// one AVX-512 register or two AVX2 registers, leaving room for
+/// [`TILE_ROWS`] rows of accumulators in the register file.
 pub const TILE_COLS: usize = 16;
-
-/// Output rows per register tile of [`panel_product`].
-pub const TILE_ROWS: usize = 4;
 
 /// Widen an `n × ka` operand directly into the **tile-packed** layout the
 /// register-tiled batched kernels stream: the (logical) `ka × n` transpose is
@@ -110,11 +92,11 @@ pub fn pack_into<T: Scalar>(src: &[T], ka: usize, out: &mut [f32]) {
     }
 }
 
-/// Register-tiled product of `rcnt ≤ 4` consecutive rows of `aw` (row-major,
-/// `ka` columns, starting at row `i0`) against a [`widen_packed`] panel of
-/// logical shape `ka × n`: **overwrites** the first `rcnt × n` entries of
-/// `acc` with the row sums (no caller zeroing needed — accumulation happens
-/// in registers and spills once per tile).
+/// Register-tiled product of `rcnt ≤` [`TILE_ROWS`] consecutive rows of
+/// `aw` (row-major, `ka` columns, starting at row `i0`) against a
+/// [`widen_packed`] panel of logical shape `ka × n`: **overwrites** the
+/// first `rcnt × n` entries of `acc` with the row sums (no caller zeroing
+/// needed — accumulation happens in registers and spills once per tile).
 ///
 /// Per-element sums run in serial k-order, exactly like an [`axpy`]
 /// outer-product accumulation, so results are bit-identical to one; only
@@ -185,29 +167,6 @@ pub fn widen_transposed<T: Scalar>(
 mod tests {
     use super::*;
     use dfss_tensor::{Bf16, Matrix, Rng};
-
-    #[test]
-    fn dot_matches_serial_within_rounding() {
-        let mut rng = Rng::new(1);
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
-            let a: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
-            let b: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
-            let serial: f64 = a.iter().zip(&b).map(|(&x, &y)| (x * y) as f64).sum();
-            let blocked = dot(&a, &b) as f64;
-            assert!(
-                (serial - blocked).abs() < 1e-3 * (1.0 + serial.abs()),
-                "len {len}: {serial} vs {blocked}"
-            );
-        }
-    }
-
-    #[test]
-    fn dot_is_deterministic() {
-        let mut rng = Rng::new(2);
-        let a: Vec<f32> = (0..77).map(|_| rng.normal(0.0, 1.0)).collect();
-        let b: Vec<f32> = (0..77).map(|_| rng.normal(0.0, 1.0)).collect();
-        assert_eq!(dot(&a, &b).to_bits(), dot(&a, &b).to_bits());
-    }
 
     #[test]
     fn axpy_accumulates() {

@@ -21,8 +21,8 @@
 //! [`MemTracker`](dfss_gpusim::MemTracker).
 
 use crate::batched::{fan_out, ROW_TILE};
-use crate::micro::{self, TILE_ROWS};
-use crate::{gemm, sddmm, simd, softmax, spmm, GpuCtx};
+use crate::simd::{self, TILE_ROWS};
+use crate::{gemm, micro, sddmm, softmax, spmm, GpuCtx};
 use dfss_gpusim::Stage;
 use dfss_nmsparse::NmPattern;
 use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, Scalar};

@@ -135,10 +135,10 @@ fn sddmm_nm_fused_exec<T: Scalar>(
             let kp_p = &kp[p * ppl..(p + 1) * ppl];
             let rows_here = nz_chunk.len() / kept_per_row;
             let row0 = e0 / kept_per_row;
-            let mut acc = scratch_f32_stale(micro::TILE_ROWS * cols);
+            let mut acc = scratch_f32_stale(simd::TILE_ROWS * cols);
             let mut local = 0;
             while local < rows_here {
-                let rcnt = micro::TILE_ROWS.min(rows_here - local);
+                let rcnt = simd::TILE_ROWS.min(rows_here - local);
                 micro::panel_product(qw_p, row0 + local, rcnt, dq, kp_p, cols, &mut acc);
                 prune_rows_dispatch(
                     pattern,

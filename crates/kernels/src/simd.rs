@@ -6,10 +6,10 @@
 //! microkernels ([`crate::micro`], the decode routines in the private
 //! `decode` module) routes through a [`Backend`] chosen **once per
 //! process** by `std::arch` runtime feature detection — AVX-512 / AVX2 on
-//! x86-64, NEON on aarch64 — with the scalar reference path always
-//! compiled in (it is the semantics every SIMD implementation must match
-//! bit for bit, and the `DFSS_SIMD=scalar` CI leg runs the whole suite on
-//! it).
+//! x86-64 — with the scalar reference path always compiled in: it is the
+//! semantics every SIMD implementation must match bit for bit, the code
+//! every other target runs, and the `DFSS_SIMD=scalar` CI leg runs the
+//! whole suite on it.
 //!
 //! **Bit-parity is a hard contract**, not a best-effort goal. The existing
 //! test suites pin exact bitwise equality between kernels (batched vs
@@ -25,51 +25,61 @@
 //!   [`spmm_tile`] update independent output lanes in serial k-order;
 //!   lane width does not touch the per-lane operation order, so any width
 //!   is bit-identical.
-//! * **Reductions keep the scalar shape.** [`crate::micro::dot`]
-//!   accumulates into 8 lanes (serially across 8-blocks) and reduces with
-//!   a fixed tree `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))`. The AVX2
-//!   horizontal sum — add the high 128-bit half onto the low, then
-//!   pairwise-add — performs *exactly* that tree. AVX-512 must **not**
-//!   widen the dot accumulator to 16 lanes (that changes the summation
-//!   order); it reuses the 8-lane dot and spends its width on the
-//!   element-wise ops instead.
+//! * **Reductions keep the scalar shape.** The decode score dot
+//!   ([`dot_widen`]) accumulates into 8 lanes (serially across 8-blocks)
+//!   and reduces with a fixed tree `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))`
+//!   ([`dot_widen_ref`]). The AVX2 horizontal sum — add the high 128-bit
+//!   half onto the low, then pairwise-add — performs *exactly* that tree.
+//!   AVX-512 must **not** widen the dot accumulator to 16 lanes (that
+//!   changes the summation order); it reuses the 8-lane dot and spends its
+//!   width on the element-wise ops instead.
 //!
 //! The decode path additionally gets **fused widen-on-load** operands
 //! ([`dot_widen`] / [`axpy_widen`]): cached K/V rows stored as `f32` are
 //! TF32-rounded in-register (bit-exact replica of
 //! [`dfss_tensor::tf32_round`], including NaN/Inf passthrough), and rows
-//! stored as [`Bf16`] are widened by a zero-extend + 16-bit shift — exact
-//! by construction — so the bf16-quantised KV cache is read at half the
-//! memory traffic with no intermediate widened buffer. Because bf16→f32
-//! widening is exact and TF32 keeps more mantissa bits than bf16 has,
-//! the fused bf16 path is bitwise identical to a host-side
+//! stored as [`Bf16`](dfss_tensor::Bf16) are widened by a zero-extend +
+//! 16-bit shift — exact by construction — so the bf16-quantised KV cache
+//! is read at half the memory traffic with no intermediate widened buffer.
+//! Because bf16→f32 widening is exact and TF32 keeps more mantissa bits
+//! than bf16 has, the fused bf16 path is bitwise identical to a host-side
 //! widen-then-f32 model.
 //!
-//! Dispatch order: `DFSS_SIMD` env override (`scalar`/`avx2`/`avx512`/
-//! `neon`) → runtime detection → scalar. The choice is logged once to
-//! stderr at startup (the serving layer also exports it in `/metrics`).
-//! [`force`] overrides the choice at runtime for A/B benchmarking
-//! (`dfss-bench`'s scalar-vs-dispatched section).
+//! Dispatch order: `DFSS_SIMD` env override (`scalar`/`avx2`/`avx512`) →
+//! runtime detection → scalar. The choice is logged once to stderr at
+//! startup (the serving layer also exports it in `/metrics`). [`force`]
+//! overrides the choice at runtime for A/B benchmarking (`dfss-bench`'s
+//! scalar-vs-dispatched section).
 
 // The one place the workspace's `unsafe_code = "deny"` is relaxed:
 // `std::arch` intrinsics are inherently `unsafe fn`. Safety arguments are
-// local and mechanical — every vector load/store stays inside `full`
-// (the largest lane multiple ≤ len; the NN and SpMM tiles' rows stay in
-// bounds by their asserted slice lengths, the SpMM tile's also by total code
-// decoding, and their AVX-512 tail loads are lane-masked) and every
-// `target_feature` function is reached only through a `Backend` variant
-// whose `available()` check passed.
+// local and mechanical — every public entry asserts the slice lengths its
+// unchecked backends rely on, every vector load/store stays inside `full`
+// (the largest lane multiple ≤ len) or inside those asserted lengths (the
+// SpMM tile's also by total code decoding, and the AVX-512 tiles' tail
+// loads are lane-masked), and every `target_feature` function is reached
+// only through a `Backend` variant: `active()` and `force()` yield only
+// available ones, and the tiles assert `available()` (the other ops trust
+// their caller's variant).
 #![allow(unsafe_code)]
 
 use dfss_nmsparse::{NmPattern, MAX_M};
-use dfss_tensor::{tf32_round, Bf16, Scalar};
+use dfss_tensor::Scalar;
+#[cfg(target_arch = "x86_64")]
 use std::any::TypeId;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Lane width of the blocked-dot accumulator (see [`crate::micro::LANES`]);
-/// every backend must reduce over exactly this many lanes.
+/// Lane width of the blocked-dot accumulator of [`dot_widen`] (and of the
+/// row-max fold); every backend must reduce over exactly this many lanes.
 const LANES: usize = 8;
+
+/// Output rows of one register tile: [`Backend::panel_tile`], [`nn_tile`]
+/// and [`spmm_tile`] each keep up to this many rows' accumulators in
+/// registers for the whole k scan, so each operand row (for SpMM, the `M`
+/// candidate V rows of a group) is pulled into L1 once and serves every
+/// row of the tile.
+pub const TILE_ROWS: usize = 4;
 
 /// One SIMD instruction-set backend. `Scalar` is the always-available
 /// reference; the others are selected only when the CPU supports them.
@@ -83,8 +93,6 @@ pub enum Backend {
     /// 512-bit x86-64 path: 16-lane element-wise ops, 8-lane dot (the dot's
     /// reduction shape is part of the bit contract and cannot widen).
     Avx512,
-    /// 128-bit aarch64 path (4 f32 lanes, paired to 8-lane blocks).
-    Neon,
 }
 
 impl Backend {
@@ -94,7 +102,6 @@ impl Backend {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
             Backend::Avx512 => "avx512",
-            Backend::Neon => "neon",
         }
     }
 
@@ -122,16 +129,6 @@ impl Backend {
                     false
                 }
             }
-            Backend::Neon => {
-                #[cfg(target_arch = "aarch64")]
-                {
-                    std::arch::is_aarch64_feature_detected!("neon")
-                }
-                #[cfg(not(target_arch = "aarch64"))]
-                {
-                    false
-                }
-            }
         }
     }
 
@@ -140,7 +137,6 @@ impl Backend {
             "scalar" => Some(Backend::Scalar),
             "avx2" => Some(Backend::Avx2),
             "avx512" => Some(Backend::Avx512),
-            "neon" => Some(Backend::Neon),
             _ => None,
         }
     }
@@ -148,7 +144,7 @@ impl Backend {
 
 /// Best backend the current CPU supports.
 fn detect() -> Backend {
-    for b in [Backend::Avx512, Backend::Avx2, Backend::Neon] {
+    for b in [Backend::Avx512, Backend::Avx2] {
         if b.available() {
             return b;
         }
@@ -175,7 +171,7 @@ fn choose() -> Backend {
             None => {
                 eprintln!(
                     "dfss-simd: unknown DFSS_SIMD value {req:?} \
-                     (expected scalar|avx2|avx512|neon), using {}",
+                     (expected scalar|avx2|avx512), using {}",
                     detected.name()
                 );
                 detected
@@ -183,7 +179,7 @@ fn choose() -> Backend {
         },
     };
     eprintln!(
-        "dfss-simd: backend={} (detected={}; set DFSS_SIMD=scalar|avx2|avx512|neon to override)",
+        "dfss-simd: backend={} (detected={}; set DFSS_SIMD=scalar|avx2|avx512 to override)",
         chosen.name(),
         detected.name()
     );
@@ -203,7 +199,6 @@ pub fn active() -> Backend {
         1 => Backend::Scalar,
         2 => Backend::Avx2,
         3 => Backend::Avx512,
-        4 => Backend::Neon,
         _ => *CHOSEN.get_or_init(choose),
     }
 }
@@ -220,7 +215,6 @@ pub fn force(backend: Option<Backend>) {
                 Backend::Scalar => 1,
                 Backend::Avx2 => 2,
                 Backend::Avx512 => 3,
-                Backend::Neon => 4,
             }
         }
     };
@@ -230,29 +224,6 @@ pub fn force(backend: Option<Backend>) {
 // ---------------------------------------------------------------------------
 // Scalar reference implementations (the bit-exact semantics).
 // ---------------------------------------------------------------------------
-
-/// Reference 8-lane blocked dot (see [`crate::micro::dot`] for the shape's
-/// rationale). Every SIMD backend must reproduce this bit for bit.
-#[inline(always)]
-pub fn dot_ref(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let full = a.len() / LANES * LANES;
-    let mut lanes = [0.0f32; LANES];
-    for c in (0..full).step_by(LANES) {
-        let xa: &[f32; LANES] = a[c..c + LANES].try_into().unwrap();
-        let xb: &[f32; LANES] = b[c..c + LANES].try_into().unwrap();
-        for l in 0..LANES {
-            lanes[l] += xa[l] * xb[l];
-        }
-    }
-    let q0 = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
-    let q1 = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
-    let mut acc = q0 + q1;
-    for (x, y) in a[full..].iter().zip(&b[full..]) {
-        acc += x * y;
-    }
-    acc
-}
 
 /// Reference `acc[j] += s · row[j]`.
 #[inline(always)]
@@ -265,7 +236,7 @@ pub fn axpy_ref(acc: &mut [f32], s: f32, row: &[f32]) {
 
 #[inline(always)]
 fn panel_tile_ref_r<const R: usize>(
-    arows: &[&[f32]; 4],
+    arows: &[&[f32]; TILE_ROWS],
     block: &[f32],
     n: usize,
     j0: usize,
@@ -288,10 +259,11 @@ fn panel_tile_ref_r<const R: usize>(
     }
 }
 
-/// Reference register tile of [`crate::micro::panel_product`]: `rcnt ≤ 4`
-/// accumulator rows of one 16-column tile, serial k-order per element.
+/// Reference register tile of [`crate::micro::panel_product`]: `rcnt ≤`
+/// [`TILE_ROWS`] accumulator rows of one 16-column tile, serial k-order per
+/// element.
 pub fn panel_tile_ref(
-    arows: &[&[f32]; 4],
+    arows: &[&[f32]; TILE_ROWS],
     rcnt: usize,
     block: &[f32],
     n: usize,
@@ -330,10 +302,14 @@ pub fn row_max_ref(buf: &[f32]) -> f32 {
     max
 }
 
-/// Reference fused widen-on-load dot: `dot(q, to_mul(row))` without the
-/// intermediate widened buffer — TF32 rounding for `f32` KV, exact widening
-/// for [`Bf16`] KV, via [`Scalar::to_mul`]. Bitwise equal to widening the
-/// row first and calling [`dot_ref`].
+/// Reference fused widen-on-load dot: `Σ q[i] · to_mul(row[i])` without
+/// the intermediate widened buffer — TF32 rounding for `f32` KV, exact
+/// widening for [`Bf16`](dfss_tensor::Bf16) KV, via [`Scalar::to_mul`].
+/// The sum has the published 8-lane shape every backend reproduces bit for
+/// bit: lane `l` accumulates the products at `i ≡ l (mod 8)` over the whole
+/// 8-blocks, the lanes fold by the tree
+/// `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))`, and the tail products then add
+/// serially.
 #[inline(always)]
 pub fn dot_widen_ref<S: Scalar>(q: &[f32], row: &[S]) -> f32 {
     debug_assert_eq!(q.len(), row.len());
@@ -364,15 +340,27 @@ pub fn axpy_widen_ref<S: Scalar>(acc: &mut [f32], s: f32, row: &[S]) {
     }
 }
 
-/// Output rows one [`nn_tile`] or [`spmm_tile`] call accumulates together.
-/// Every backend keeps all of them in registers for the whole k scan, so
-/// each B row (for SpMM, the `M` candidate V rows of a group) is pulled
-/// into L1 once and serves every row of the tile.
-pub const TILE_ROWS: usize = 4;
-
 /// Columns of one accumulator window of the scalar references (and of the
 /// AVX-512 tiles, `4 × 16` lanes per row).
 const WINDOW: usize = 64;
+
+/// Store `R` rows of reference window accumulators into
+/// `out[r·stride + j0 ..][..w]`, one `from_acc` per element. Both
+/// reference tiles end each window with it.
+#[inline(always)]
+fn spill_ref<T: Scalar, const R: usize>(
+    acc: &[[f32; WINDOW]; R],
+    out: &mut [T],
+    stride: usize,
+    j0: usize,
+    w: usize,
+) {
+    for (r, acc) in acc.iter().enumerate() {
+        for (o, &x) in out[r * stride + j0..][..w].iter_mut().zip(&acc[..w]) {
+            *o = T::from_acc(x);
+        }
+    }
+}
 
 /// Lane pairs of the 2:4 code table, indexed by `code & 0xF`: the two
 /// lowest set bits, or lanes `(0, 1)` when fewer than two bits are set.
@@ -508,28 +496,7 @@ fn spmm_window_ref<T: Scalar, L: Lanes, const R: usize>(
             }
         }
     }
-    for (r, acc) in acc.iter().enumerate() {
-        for (o, &x) in out[r * d + j0..][..w].iter_mut().zip(&acc[..w]) {
-            *o = T::from_acc(x);
-        }
-    }
-}
-
-fn spmm_rows_ref<T: Scalar, L: Lanes, const R: usize>(
-    lanes: L,
-    gpr: usize,
-    nz: &[T],
-    codes: &[u8],
-    v: &[f32],
-    d: usize,
-    out: &mut [T],
-) {
-    let mut j0 = 0;
-    while j0 < d {
-        let w = WINDOW.min(d - j0);
-        spmm_window_ref::<T, L, R>(lanes, gpr, nz, codes, v, d, j0, w, out);
-        j0 += w;
-    }
+    spill_ref(&acc, out, d, j0, w);
 }
 
 /// Reference N:M SpMM tile: the bit-exact semantics of [`spmm_tile`].
@@ -573,26 +540,7 @@ fn nn_window_ref<T: Scalar, const R: usize>(
             }
         }
     }
-    for (r, acc) in acc.iter().enumerate() {
-        for (o, &x) in out[r * n + j0..][..w].iter_mut().zip(&acc[..w]) {
-            *o = T::from_acc(x);
-        }
-    }
-}
-
-fn nn_rows_ref<T: Scalar, const R: usize>(
-    a: &[f32],
-    ka: usize,
-    b: &[f32],
-    n: usize,
-    out: &mut [T],
-) {
-    let mut j0 = 0;
-    while j0 < n {
-        let w = WINDOW.min(n - j0);
-        nn_window_ref::<T, R>(a, ka, b, n, j0, w, out);
-        j0 += w;
-    }
+    spill_ref(&acc, out, n, j0, w);
 }
 
 // ---------------------------------------------------------------------------
@@ -600,44 +548,39 @@ fn nn_rows_ref<T: Scalar, const R: usize>(
 // ---------------------------------------------------------------------------
 
 impl Backend {
-    /// Lane-blocked dot product (bit-identical across backends).
-    #[inline]
-    pub fn dot(self, a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            // AVX-512 keeps the 8-lane dot: widening the accumulator would
-            // change the reduction order (see module docs).
-            Backend::Avx2 | Backend::Avx512 => unsafe { x86::dot_avx2(a, b) },
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => unsafe { neon::dot_neon(a, b) },
-            _ => dot_ref(a, b),
-        }
-    }
-
     /// `acc[j] += s · row[j]` (element-wise; bit-identical at any width).
+    ///
+    /// # Panics
+    /// If `acc` and `row` differ in length (the unchecked backends rely on
+    /// this check).
     #[inline]
     pub fn axpy(self, acc: &mut [f32], s: f32, row: &[f32]) {
-        debug_assert_eq!(acc.len(), row.len());
+        assert_eq!(acc.len(), row.len(), "axpy row length differs from acc");
         match self {
+            // SAFETY (both): `row` is as long as `acc`, checked above.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx512 => unsafe { x86::axpy_avx512(acc, s, row) },
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => unsafe { x86::axpy_avx2(acc, s, row) },
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => unsafe { neon::axpy_neon(acc, s, row) },
             _ => axpy_ref(acc, s, row),
         }
     }
 
-    /// One register tile of `panel_product`: `rcnt ≤ 4` rows × 16 columns,
-    /// accumulated over the whole k extent in registers. `block` holds
-    /// `ka × 16` packed elements; results overwrite
-    /// `acc_out[r·n + j0 .. r·n + j0 + w]`.
+    /// One register tile of `panel_product`: `rcnt ≤` [`TILE_ROWS`] rows ×
+    /// 16 columns, accumulated over the whole k extent in registers. The
+    /// first `rcnt` entries of `arows` are A rows of `ka = arows[0].len()`
+    /// elements, `block` holds `ka × 16` packed elements, and results
+    /// overwrite `acc_out[r·n + j0 .. r·n + j0 + w]`.
+    ///
+    /// # Panics
+    /// If `rcnt` is outside `1..=TILE_ROWS`, one of the first `rcnt` rows
+    /// is not `ka` long, or `block` is shorter than `ka × 16` (the unchecked
+    /// backends rely on these checks); also if `w > 16` or an output range
+    /// falls outside `acc_out`.
     #[inline]
     pub fn panel_tile(
         self,
-        arows: &[&[f32]; 4],
+        arows: &[&[f32]; TILE_ROWS],
         rcnt: usize,
         block: &[f32],
         n: usize,
@@ -645,19 +588,29 @@ impl Backend {
         w: usize,
         acc_out: &mut [f32],
     ) {
-        debug_assert!((1..=4).contains(&rcnt));
-        debug_assert!(block.len() >= arows[0].len() * 16);
+        assert!(
+            (1..=TILE_ROWS).contains(&rcnt),
+            "tile of {rcnt} rows (1..={TILE_ROWS})"
+        );
+        let ka = arows[0].len();
+        assert!(
+            arows[..rcnt].iter().all(|row| row.len() == ka),
+            "tile rows are not all {ka} long"
+        );
+        assert!(
+            block.len() / 16 >= ka,
+            "block shorter than {ka} packed rows"
+        );
         match self {
+            // SAFETY (both): the first `rcnt` rows hold `ka` elements and
+            // `block` at least `ka × 16`, checked above; the output stores
+            // are bounds-checked.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx512 => unsafe {
                 x86::panel_tile_avx512(arows, rcnt, block, n, j0, w, acc_out)
             },
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => unsafe { x86::panel_tile_avx2(arows, rcnt, block, n, j0, w, acc_out) },
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => unsafe {
-                neon::panel_tile_neon(arows, rcnt, block, n, j0, w, acc_out)
-            },
             _ => panel_tile_ref(arows, rcnt, block, n, j0, w, acc_out),
         }
     }
@@ -669,21 +622,24 @@ impl Backend {
         match self {
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 | Backend::Avx512 => unsafe { x86::row_max_avx2(buf) },
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => unsafe { neon::row_max_neon(buf) },
             _ => row_max_ref(buf),
         }
     }
 }
 
 /// Fused widen-on-load dot against a raw KV row (`f32` → TF32-rounded
-/// in-register, [`Bf16`] → exact widen in-register): the decode score
-/// microkernel. Bitwise equal to [`dot_widen_ref`] (= widen then
-/// [`dot_ref`]) on every backend.
+/// in-register, [`Bf16`](dfss_tensor::Bf16) → exact widen in-register):
+/// the decode score microkernel. Bitwise equal to [`dot_widen_ref`] on
+/// every backend.
+///
+/// # Panics
+/// If `q` and `row` differ in length (the unchecked backends rely on this
+/// check).
 #[inline]
 pub fn dot_widen<S: Scalar>(backend: Backend, q: &[f32], row: &[S]) -> f32 {
-    debug_assert_eq!(q.len(), row.len());
+    assert_eq!(q.len(), row.len(), "dot_widen row length differs from q");
     match backend {
+        // SAFETY (every call below): `row` is as long as `q`, checked above.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 => {
             if TypeId::of::<S>() == TypeId::of::<f32>() {
@@ -693,27 +649,11 @@ pub fn dot_widen<S: Scalar>(backend: Backend, q: &[f32], row: &[S]) -> f32 {
                     unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<f32>(), row.len()) };
                 return unsafe { x86::dot_tf32_avx2(q, row) };
             }
-            if TypeId::of::<S>() == TypeId::of::<Bf16>() {
+            if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
                 // SAFETY: S == Bf16, which is repr(transparent) over u16.
                 let row =
                     unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<u16>(), row.len()) };
                 return unsafe { x86::dot_bf16_avx2(q, row) };
-            }
-            dot_widen_ref(q, row)
-        }
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => {
-            if TypeId::of::<S>() == TypeId::of::<f32>() {
-                // SAFETY: S == f32 (checked above).
-                let row =
-                    unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<f32>(), row.len()) };
-                return unsafe { neon::dot_tf32_neon(q, row) };
-            }
-            if TypeId::of::<S>() == TypeId::of::<Bf16>() {
-                // SAFETY: S == Bf16, which is repr(transparent) over u16.
-                let row =
-                    unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<u16>(), row.len()) };
-                return unsafe { neon::dot_bf16_neon(q, row) };
             }
             dot_widen_ref(q, row)
         }
@@ -723,10 +663,20 @@ pub fn dot_widen<S: Scalar>(backend: Backend, q: &[f32], row: &[S]) -> f32 {
 
 /// Fused widen-on-load axpy against a raw KV row: the decode SpMM
 /// microkernel. Bitwise equal to [`axpy_widen_ref`] on every backend.
+///
+/// # Panics
+/// If `acc` and `row` differ in length (the unchecked backends rely on
+/// this check).
 #[inline]
 pub fn axpy_widen<S: Scalar>(backend: Backend, acc: &mut [f32], s: f32, row: &[S]) {
-    debug_assert_eq!(acc.len(), row.len());
+    assert_eq!(
+        acc.len(),
+        row.len(),
+        "axpy_widen row length differs from acc"
+    );
     match backend {
+        // SAFETY (every call below): `row` is as long as `acc`, checked
+        // above.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 => {
             if TypeId::of::<S>() == TypeId::of::<f32>() {
@@ -735,27 +685,11 @@ pub fn axpy_widen<S: Scalar>(backend: Backend, acc: &mut [f32], s: f32, row: &[S
                     unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<f32>(), row.len()) };
                 return unsafe { x86::axpy_tf32_avx2(acc, s, row) };
             }
-            if TypeId::of::<S>() == TypeId::of::<Bf16>() {
+            if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
                 // SAFETY: S == Bf16, which is repr(transparent) over u16.
                 let row =
                     unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<u16>(), row.len()) };
                 return unsafe { x86::axpy_bf16_avx2(acc, s, row) };
-            }
-            axpy_widen_ref(acc, s, row)
-        }
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => {
-            if TypeId::of::<S>() == TypeId::of::<f32>() {
-                // SAFETY: S == f32 (checked above).
-                let row =
-                    unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<f32>(), row.len()) };
-                return unsafe { neon::axpy_tf32_neon(acc, s, row) };
-            }
-            if TypeId::of::<S>() == TypeId::of::<Bf16>() {
-                // SAFETY: S == Bf16, which is repr(transparent) over u16.
-                let row =
-                    unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<u16>(), row.len()) };
-                return unsafe { neon::axpy_bf16_neon(acc, s, row) };
             }
             axpy_widen_ref(acc, s, row)
         }
@@ -773,7 +707,7 @@ pub fn axpy_widen<S: Scalar>(backend: Backend, acc: &mut [f32], s: f32, row: &[S
 /// that underflowed, a masked one) never reaches the output.
 ///
 /// The tile shape is per backend (AVX-512: 4 rows × 64 columns; AVX2:
-/// 4 rows × 16; NEON runs the scalar reference window); only the
+/// 4 rows × 16; scalar: 64-column reference windows); only the
 /// per-element order is fixed, so every backend is bit-identical to
 /// `Backend::Scalar`.
 ///
@@ -802,19 +736,39 @@ pub fn nn_tile<T: Scalar>(
     assert_eq!(a.len(), rcnt * ka, "A does not split into {rcnt} rows");
     assert_eq!(b.len(), ka * n, "B is not {ka} rows of {n}");
     assert_eq!(out.len(), rcnt * n, "output is not {rcnt} rows of {n}");
+    match rcnt {
+        4 => nn_rows::<T, 4>(backend, a, ka, b, n, out),
+        3 => nn_rows::<T, 3>(backend, a, ka, b, n, out),
+        2 => nn_rows::<T, 2>(backend, a, ka, b, n, out),
+        _ => nn_rows::<T, 1>(backend, a, ka, b, n, out),
+    }
+}
+
+/// [`nn_tile`] with `R` rows: the backend's register tile, or the
+/// reference windows.
+fn nn_rows<T: Scalar, const R: usize>(
+    backend: Backend,
+    a: &[f32],
+    ka: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [T],
+) {
     match backend {
-        // SAFETY (both): the lengths of `a`, `b` and `out` were checked
-        // against `rcnt`, `ka` and `n` above.
+        // SAFETY (both): `nn_tile` checked the lengths of `a`, `b` and `out`
+        // against `R`, `ka` and `n`.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::nn_tile_avx512(rcnt, a, ka, b, n, out) },
+        Backend::Avx512 => unsafe { x86::nn_rows_avx512::<T, R>(a, ka, b, n, out) },
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::nn_tile_avx2(rcnt, a, ka, b, n, out) },
-        _ => match rcnt {
-            4 => nn_rows_ref::<T, 4>(a, ka, b, n, out),
-            3 => nn_rows_ref::<T, 3>(a, ka, b, n, out),
-            2 => nn_rows_ref::<T, 2>(a, ka, b, n, out),
-            _ => nn_rows_ref::<T, 1>(a, ka, b, n, out),
-        },
+        Backend::Avx2 => unsafe { x86::nn_rows_avx2::<T, R>(a, ka, b, n, out) },
+        _ => {
+            let mut j0 = 0;
+            while j0 < n {
+                let w = WINDOW.min(n - j0);
+                nn_window_ref::<T, R>(a, ka, b, n, j0, w, out);
+                j0 += w;
+            }
+        }
     }
 }
 
@@ -830,8 +784,8 @@ pub fn nn_tile<T: Scalar>(
 /// so any byte selects in-bounds V rows, the same ones on every backend.
 ///
 /// The tile shape is per backend (AVX-512: 4 rows × 64 columns; AVX2:
-/// 4 rows × 16; NEON has no tile yet and runs the scalar reference); only
-/// the per-element order is fixed, so every backend is bit-identical to
+/// 4 rows × 16; scalar: 64-column reference windows); only the
+/// per-element order is fixed, so every backend is bit-identical to
 /// [`spmm_tile_ref`].
 ///
 /// # Panics
@@ -892,20 +846,46 @@ fn spmm_tile_lanes<T: Scalar, L: Lanes>(
     d: usize,
     out: &mut [T],
 ) {
+    match rcnt {
+        4 => spmm_rows::<T, L, 4>(backend, lanes, gpr, nz, codes, v, d, out),
+        3 => spmm_rows::<T, L, 3>(backend, lanes, gpr, nz, codes, v, d, out),
+        2 => spmm_rows::<T, L, 2>(backend, lanes, gpr, nz, codes, v, d, out),
+        _ => spmm_rows::<T, L, 1>(backend, lanes, gpr, nz, codes, v, d, out),
+    }
+}
+
+/// [`spmm_tile`] with `R` rows: the backend's register tile, or the
+/// reference windows.
+fn spmm_rows<T: Scalar, L: Lanes, const R: usize>(
+    backend: Backend,
+    lanes: L,
+    gpr: usize,
+    nz: &[T],
+    codes: &[u8],
+    v: &[f32],
+    d: usize,
+    out: &mut [T],
+) {
     match backend {
-        // SAFETY (both): `spmm_tile` checked the slice lengths against
-        // `rcnt`, `gpr`, `d` and the pattern, and `Lanes::decode` keeps every
-        // lane below `M` and every nonzero index below `N` per group.
+        // SAFETY (both): `spmm_tile` checked the slice lengths against `R`,
+        // `gpr`, `d` and the pattern, and `Lanes::decode` keeps every lane
+        // below `M` and every nonzero index below `N` per group.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::spmm_tile_avx512(lanes, rcnt, gpr, nz, codes, v, d, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::spmm_tile_avx2(lanes, rcnt, gpr, nz, codes, v, d, out) },
-        _ => match rcnt {
-            4 => spmm_rows_ref::<T, L, 4>(lanes, gpr, nz, codes, v, d, out),
-            3 => spmm_rows_ref::<T, L, 3>(lanes, gpr, nz, codes, v, d, out),
-            2 => spmm_rows_ref::<T, L, 2>(lanes, gpr, nz, codes, v, d, out),
-            _ => spmm_rows_ref::<T, L, 1>(lanes, gpr, nz, codes, v, d, out),
+        Backend::Avx512 => unsafe {
+            x86::spmm_rows_avx512::<T, L, R>(lanes, gpr, nz, codes, v, d, out)
         },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe {
+            x86::spmm_rows_avx2::<T, L, R>(lanes, gpr, nz, codes, v, d, out)
+        },
+        _ => {
+            let mut j0 = 0;
+            while j0 < d {
+                let w = WINDOW.min(d - j0);
+                spmm_window_ref::<T, L, R>(lanes, gpr, nz, codes, v, d, j0, w, out);
+                j0 += w;
+            }
+        }
     }
 }
 
@@ -915,14 +895,15 @@ fn spmm_tile_lanes<T: Scalar, L: Lanes>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{tf32_round, Lanes, Scalar, MAX_M};
+    use super::{Lanes, Scalar, MAX_M, TILE_ROWS};
+    use dfss_tensor::tf32_round;
     use std::arch::x86_64::*;
 
     /// Horizontal sum of an 8-lane accumulator in the scalar tree order:
     /// adding the high 128-bit half onto the low yields
     /// `[l0+l4, l1+l5, l2+l6, l3+l7]`, one `hadd` yields
     /// `[(l0+l4)+(l1+l5), (l2+l6)+(l3+l7), …]`, and the final scalar add
-    /// is `q0 + q1` — exactly `dot_ref`'s reduction.
+    /// is `q0 + q1` — exactly `super::dot_widen_ref`'s reduction.
     #[inline(always)]
     unsafe fn hsum_tree(acc: __m256) -> f32 {
         let hi = _mm256_extractf128_ps::<1>(acc);
@@ -953,24 +934,6 @@ mod x86 {
         let half = _mm_loadu_si128(p.cast::<__m128i>());
         let wide = _mm256_cvtepu16_epi32(half);
         _mm256_castsi256_ps(_mm256_slli_epi32::<16>(wide))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        let full = a.len() / 8 * 8;
-        let mut acc = _mm256_setzero_ps();
-        let mut c = 0;
-        while c < full {
-            let va = _mm256_loadu_ps(a.as_ptr().add(c));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(c));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-            c += 8;
-        }
-        let mut out = hsum_tree(acc);
-        for i in full..a.len() {
-            out += a.get_unchecked(i) * b.get_unchecked(i);
-        }
-        out
     }
 
     #[target_feature(enable = "avx2")]
@@ -1089,9 +1052,12 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    /// AVX2 must be available, and the slices must have the lengths
+    /// `Backend::panel_tile` checks.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn panel_tile_avx2(
-        arows: &[&[f32]; 4],
+        arows: &[&[f32]; TILE_ROWS],
         rcnt: usize,
         block: &[f32],
         n: usize,
@@ -1100,8 +1066,8 @@ mod x86 {
         acc_out: &mut [f32],
     ) {
         let ka = arows[0].len();
-        let mut lo = [_mm256_setzero_ps(); 4];
-        let mut hi = [_mm256_setzero_ps(); 4];
+        let mut lo = [_mm256_setzero_ps(); TILE_ROWS];
+        let mut hi = [_mm256_setzero_ps(); TILE_ROWS];
         for kk in 0..ka {
             let b0 = _mm256_loadu_ps(block.as_ptr().add(kk * 16));
             let b1 = _mm256_loadu_ps(block.as_ptr().add(kk * 16 + 8));
@@ -1119,9 +1085,12 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    /// AVX-512F must be available, and the slices must have the lengths
+    /// `Backend::panel_tile` checks.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn panel_tile_avx512(
-        arows: &[&[f32]; 4],
+        arows: &[&[f32]; TILE_ROWS],
         rcnt: usize,
         block: &[f32],
         n: usize,
@@ -1130,7 +1099,7 @@ mod x86 {
         acc_out: &mut [f32],
     ) {
         let ka = arows[0].len();
-        let mut acc = [_mm512_setzero_ps(); 4];
+        let mut acc = [_mm512_setzero_ps(); TILE_ROWS];
         for kk in 0..ka {
             let b = _mm512_loadu_ps(block.as_ptr().add(kk * 16));
             for r in 0..rcnt {
@@ -1169,23 +1138,65 @@ mod x86 {
         max
     }
 
+    /// Lane masks of an AVX-512 tile's window of `w ≤ 64` columns: vector
+    /// `c` covers columns `16c .. 16c + 16`, and its lanes past `w` are off.
+    #[inline(always)]
+    fn window_masks(w: usize) -> [__mmask16; 4] {
+        std::array::from_fn(|c| {
+            let live = w.saturating_sub(16 * c).min(16);
+            ((1u32 << live) - 1) as __mmask16
+        })
+    }
+
+    /// Store `R` rows of an AVX-512 tile's window accumulators:
+    /// `out[r·stride + j0 ..][..w] = from_acc(acc[r])`, through a stack
+    /// spill. Both AVX-512 tiles end each window with it.
+    ///
     /// # Safety
-    /// AVX-512F must be available, and the slices must have the lengths
-    /// `super::nn_tile` checks for `rcnt` rows of `ka` columns.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn nn_tile_avx512<T: Scalar>(
-        rcnt: usize,
-        a: &[f32],
-        ka: usize,
-        b: &[f32],
-        n: usize,
+    /// AVX-512F must be available, `w ≤ 64`, and every row's range must lie
+    /// in `out`.
+    #[inline(always)]
+    unsafe fn spill_avx512<T: Scalar, const R: usize>(
+        acc: &[[__m512; 4]; R],
         out: &mut [T],
+        stride: usize,
+        j0: usize,
+        w: usize,
     ) {
-        match rcnt {
-            4 => nn_rows_avx512::<T, 4>(a, ka, b, n, out),
-            3 => nn_rows_avx512::<T, 3>(a, ka, b, n, out),
-            2 => nn_rows_avx512::<T, 2>(a, ka, b, n, out),
-            _ => nn_rows_avx512::<T, 1>(a, ka, b, n, out),
+        let mut tile = [0.0f32; 64];
+        for (r, acc) in acc.iter().enumerate() {
+            for (c, v) in acc.iter().enumerate() {
+                _mm512_storeu_ps(tile.as_mut_ptr().add(16 * c), *v);
+            }
+            let orow = out.get_unchecked_mut(r * stride + j0..r * stride + j0 + w);
+            for (o, &x) in orow.iter_mut().zip(&tile[..w]) {
+                *o = T::from_acc(x);
+            }
+        }
+    }
+
+    /// Store `R` rows of an AVX2 tile's 16-column accumulators:
+    /// `out[r·stride + j0 ..][..16] = from_acc(acc[r])`, through a stack
+    /// spill. Both AVX2 tiles end each full window with it.
+    ///
+    /// # Safety
+    /// AVX2 must be available, and every row's range must lie in `out`.
+    #[inline(always)]
+    unsafe fn spill_avx2<T: Scalar, const R: usize>(
+        acc: &[[__m256; 2]; R],
+        out: &mut [T],
+        stride: usize,
+        j0: usize,
+    ) {
+        let mut tile = [0.0f32; 16];
+        for (r, acc) in acc.iter().enumerate() {
+            for (c, v) in acc.iter().enumerate() {
+                _mm256_storeu_ps(tile.as_mut_ptr().add(8 * c), *v);
+            }
+            let orow = out.get_unchecked_mut(r * stride + j0..r * stride + j0 + 16);
+            for (o, &x) in orow.iter_mut().zip(&tile) {
+                *o = T::from_acc(x);
+            }
         }
     }
 
@@ -1195,24 +1206,20 @@ mod x86 {
     /// memory), so column tails need no scalar loop.
     ///
     /// # Safety
-    /// As for `nn_tile_avx512`, with `R` rows.
+    /// AVX-512F must be available, and the slices must have the lengths
+    /// `super::nn_tile` checks for `R` rows of `ka` columns.
     #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn nn_rows_avx512<T: Scalar, const R: usize>(
+    pub(super) unsafe fn nn_rows_avx512<T: Scalar, const R: usize>(
         a: &[f32],
         ka: usize,
         b: &[f32],
         n: usize,
         out: &mut [T],
     ) {
-        let mut tile = [0.0f32; 64];
         let mut j0 = 0;
         while j0 < n {
             let w = (n - j0).min(64);
-            let masks: [__mmask16; 4] = std::array::from_fn(|c| {
-                let live = w.saturating_sub(16 * c).min(16);
-                ((1u32 << live) - 1) as __mmask16
-            });
+            let masks = window_masks(w);
             let mut acc = [[_mm512_setzero_ps(); 4]; R];
             let mut x = [_mm512_setzero_ps(); 4];
             for kk in 0..ka {
@@ -1233,36 +1240,8 @@ mod x86 {
                     }
                 }
             }
-            for (r, acc) in acc.iter().enumerate() {
-                for (c, v) in acc.iter().enumerate() {
-                    _mm512_storeu_ps(tile.as_mut_ptr().add(16 * c), *v);
-                }
-                let orow = out.get_unchecked_mut(r * n + j0..r * n + j0 + w);
-                for (o, &x) in orow.iter_mut().zip(&tile[..w]) {
-                    *o = T::from_acc(x);
-                }
-            }
+            spill_avx512(&acc, out, n, j0, w);
             j0 += w;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be available, and the slices must have the lengths
-    /// `super::nn_tile` checks for `rcnt` rows of `ka` columns.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn nn_tile_avx2<T: Scalar>(
-        rcnt: usize,
-        a: &[f32],
-        ka: usize,
-        b: &[f32],
-        n: usize,
-        out: &mut [T],
-    ) {
-        match rcnt {
-            4 => nn_rows_avx2::<T, 4>(a, ka, b, n, out),
-            3 => nn_rows_avx2::<T, 3>(a, ka, b, n, out),
-            2 => nn_rows_avx2::<T, 2>(a, ka, b, n, out),
-            _ => nn_rows_avx2::<T, 1>(a, ka, b, n, out),
         }
     }
 
@@ -1271,17 +1250,16 @@ mod x86 {
     /// scalar reference window.
     ///
     /// # Safety
-    /// As for `nn_tile_avx2`, with `R` rows.
+    /// AVX2 must be available, and the slices must have the lengths
+    /// `super::nn_tile` checks for `R` rows of `ka` columns.
     #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn nn_rows_avx2<T: Scalar, const R: usize>(
+    pub(super) unsafe fn nn_rows_avx2<T: Scalar, const R: usize>(
         a: &[f32],
         ka: usize,
         b: &[f32],
         n: usize,
         out: &mut [T],
     ) {
-        let mut tile = [0.0f32; 16];
         let full = n / 16 * 16;
         let mut j0 = 0;
         while j0 < full {
@@ -1300,41 +1278,11 @@ mod x86 {
                     }
                 }
             }
-            for (r, acc) in acc.iter().enumerate() {
-                for (c, v) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(tile.as_mut_ptr().add(8 * c), *v);
-                }
-                let orow = out.get_unchecked_mut(r * n + j0..r * n + j0 + 16);
-                for (o, &x) in orow.iter_mut().zip(&tile) {
-                    *o = T::from_acc(x);
-                }
-            }
+            spill_avx2(&acc, out, n, j0);
             j0 += 16;
         }
         if full < n {
             super::nn_window_ref::<T, R>(a, ka, b, n, full, n - full, out);
-        }
-    }
-
-    /// # Safety
-    /// AVX-512F must be available, and the slices must have the lengths
-    /// `super::spmm_tile` checks for `rcnt` rows of `gpr` groups.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn spmm_tile_avx512<T: Scalar, L: Lanes>(
-        lanes: L,
-        rcnt: usize,
-        gpr: usize,
-        nz: &[T],
-        codes: &[u8],
-        v: &[f32],
-        d: usize,
-        out: &mut [T],
-    ) {
-        match rcnt {
-            4 => spmm_rows_avx512::<T, L, 4>(lanes, gpr, nz, codes, v, d, out),
-            3 => spmm_rows_avx512::<T, L, 3>(lanes, gpr, nz, codes, v, d, out),
-            2 => spmm_rows_avx512::<T, L, 2>(lanes, gpr, nz, codes, v, d, out),
-            _ => spmm_rows_avx512::<T, L, 1>(lanes, gpr, nz, codes, v, d, out),
         }
     }
 
@@ -1343,10 +1291,10 @@ mod x86 {
     /// memory), so column tails need no scalar loop.
     ///
     /// # Safety
-    /// As for `spmm_tile_avx512`, with `R` rows.
+    /// AVX-512F must be available, and the slices must have the lengths
+    /// `super::spmm_tile` checks for `R` rows of `gpr` groups.
     #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn spmm_rows_avx512<T: Scalar, L: Lanes, const R: usize>(
+    pub(super) unsafe fn spmm_rows_avx512<T: Scalar, L: Lanes, const R: usize>(
         lanes: L,
         gpr: usize,
         nz: &[T],
@@ -1357,14 +1305,10 @@ mod x86 {
     ) {
         let (n, m) = (lanes.n(), lanes.m());
         let mut sel = [0usize; MAX_M];
-        let mut tile = [0.0f32; 64];
         let mut j0 = 0;
         while j0 < d {
             let w = (d - j0).min(64);
-            let masks: [__mmask16; 4] = std::array::from_fn(|c| {
-                let live = w.saturating_sub(16 * c).min(16);
-                ((1u32 << live) - 1) as __mmask16
-            });
+            let masks = window_masks(w);
             let mut acc = [[_mm512_setzero_ps(); 4]; R];
             for g in 0..gpr {
                 for (r, acc) in acc.iter_mut().enumerate() {
@@ -1381,38 +1325,8 @@ mod x86 {
                     }
                 }
             }
-            for (r, acc) in acc.iter().enumerate() {
-                for (c, a) in acc.iter().enumerate() {
-                    _mm512_storeu_ps(tile.as_mut_ptr().add(16 * c), *a);
-                }
-                let orow = out.get_unchecked_mut(r * d + j0..r * d + j0 + w);
-                for (o, &x) in orow.iter_mut().zip(&tile[..w]) {
-                    *o = T::from_acc(x);
-                }
-            }
+            spill_avx512(&acc, out, d, j0, w);
             j0 += w;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be available, and the slices must have the lengths
-    /// `super::spmm_tile` checks for `rcnt` rows of `gpr` groups.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn spmm_tile_avx2<T: Scalar, L: Lanes>(
-        lanes: L,
-        rcnt: usize,
-        gpr: usize,
-        nz: &[T],
-        codes: &[u8],
-        v: &[f32],
-        d: usize,
-        out: &mut [T],
-    ) {
-        match rcnt {
-            4 => spmm_rows_avx2::<T, L, 4>(lanes, gpr, nz, codes, v, d, out),
-            3 => spmm_rows_avx2::<T, L, 3>(lanes, gpr, nz, codes, v, d, out),
-            2 => spmm_rows_avx2::<T, L, 2>(lanes, gpr, nz, codes, v, d, out),
-            _ => spmm_rows_avx2::<T, L, 1>(lanes, gpr, nz, codes, v, d, out),
         }
     }
 
@@ -1421,10 +1335,10 @@ mod x86 {
     /// scalar reference window.
     ///
     /// # Safety
-    /// As for `spmm_tile_avx2`, with `R` rows.
+    /// AVX2 must be available, and the slices must have the lengths
+    /// `super::spmm_tile` checks for `R` rows of `gpr` groups.
     #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn spmm_rows_avx2<T: Scalar, L: Lanes, const R: usize>(
+    pub(super) unsafe fn spmm_rows_avx2<T: Scalar, L: Lanes, const R: usize>(
         lanes: L,
         gpr: usize,
         nz: &[T],
@@ -1435,7 +1349,6 @@ mod x86 {
     ) {
         let (n, m) = (lanes.n(), lanes.m());
         let mut sel = [0usize; MAX_M];
-        let mut tile = [0.0f32; 16];
         let full = d / 16 * 16;
         let mut j0 = 0;
         while j0 < full {
@@ -1453,233 +1366,12 @@ mod x86 {
                     }
                 }
             }
-            for (r, acc) in acc.iter().enumerate() {
-                for (c, a) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(tile.as_mut_ptr().add(8 * c), *a);
-                }
-                let orow = out.get_unchecked_mut(r * d + j0..r * d + j0 + 16);
-                for (o, &x) in orow.iter_mut().zip(&tile) {
-                    *o = T::from_acc(x);
-                }
-            }
+            spill_avx2(&acc, out, d, j0);
             j0 += 16;
         }
         if full < d {
             super::spmm_window_ref::<T, L, R>(lanes, gpr, nz, codes, v, d, full, d - full, out);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// aarch64 implementations (4-lane NEON, paired into the 8-lane block shape).
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::tf32_round;
-    use std::arch::aarch64::*;
-
-    /// Reduce the paired accumulators `[l0..l3]`/`[l4..l7]` in the scalar
-    /// tree order: the vector add gives `[l0+l4, l1+l5, l2+l6, l3+l7]`,
-    /// one pairwise add gives `[q0, q1, …]`, and the final scalar add is
-    /// `q0 + q1`.
-    #[inline(always)]
-    unsafe fn hsum_tree(acc_lo: float32x4_t, acc_hi: float32x4_t) -> f32 {
-        let s = vaddq_f32(acc_lo, acc_hi);
-        let p = vpaddq_f32(s, s);
-        vgetq_lane_f32::<0>(p) + vgetq_lane_f32::<1>(p)
-    }
-
-    /// Bit-exact vector replica of `tf32_round` (see the x86 twin).
-    #[inline(always)]
-    unsafe fn tf32_round4(v: float32x4_t) -> float32x4_t {
-        let bits = vreinterpretq_u32_f32(v);
-        let lsb = vandq_u32(vshrq_n_u32::<13>(bits), vdupq_n_u32(1));
-        let rounded = vaddq_u32(bits, vaddq_u32(vdupq_n_u32(0xFFF), lsb));
-        let masked = vandq_u32(rounded, vdupq_n_u32(!0x1FFF));
-        let exp = vandq_u32(bits, vdupq_n_u32(0x7F80_0000));
-        let special = vceqq_u32(exp, vdupq_n_u32(0x7F80_0000));
-        vreinterpretq_f32_u32(vbslq_u32(special, bits, masked))
-    }
-
-    /// Widen 4 bf16 values (raw u16 bits) to f32: zero-extend + shift 16.
-    #[inline(always)]
-    unsafe fn widen_bf16_4(p: *const u16) -> float32x4_t {
-        let half = vld1_u16(p);
-        let wide = vmovl_u16(half);
-        vreinterpretq_f32_u32(vshlq_n_u32::<16>(wide))
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
-        let full = a.len() / 8 * 8;
-        let mut acc_lo = vdupq_n_f32(0.0);
-        let mut acc_hi = vdupq_n_f32(0.0);
-        let mut c = 0;
-        while c < full {
-            let a0 = vld1q_f32(a.as_ptr().add(c));
-            let a1 = vld1q_f32(a.as_ptr().add(c + 4));
-            let b0 = vld1q_f32(b.as_ptr().add(c));
-            let b1 = vld1q_f32(b.as_ptr().add(c + 4));
-            acc_lo = vaddq_f32(acc_lo, vmulq_f32(a0, b0));
-            acc_hi = vaddq_f32(acc_hi, vmulq_f32(a1, b1));
-            c += 8;
-        }
-        let mut out = hsum_tree(acc_lo, acc_hi);
-        for i in full..a.len() {
-            out += a.get_unchecked(i) * b.get_unchecked(i);
-        }
-        out
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dot_tf32_neon(a: &[f32], b: &[f32]) -> f32 {
-        let full = a.len() / 8 * 8;
-        let mut acc_lo = vdupq_n_f32(0.0);
-        let mut acc_hi = vdupq_n_f32(0.0);
-        let mut c = 0;
-        while c < full {
-            let a0 = vld1q_f32(a.as_ptr().add(c));
-            let a1 = vld1q_f32(a.as_ptr().add(c + 4));
-            let b0 = tf32_round4(vld1q_f32(b.as_ptr().add(c)));
-            let b1 = tf32_round4(vld1q_f32(b.as_ptr().add(c + 4)));
-            acc_lo = vaddq_f32(acc_lo, vmulq_f32(a0, b0));
-            acc_hi = vaddq_f32(acc_hi, vmulq_f32(a1, b1));
-            c += 8;
-        }
-        let mut out = hsum_tree(acc_lo, acc_hi);
-        for i in full..a.len() {
-            out += a.get_unchecked(i) * tf32_round(*b.get_unchecked(i));
-        }
-        out
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dot_bf16_neon(a: &[f32], b: &[u16]) -> f32 {
-        let full = a.len() / 8 * 8;
-        let mut acc_lo = vdupq_n_f32(0.0);
-        let mut acc_hi = vdupq_n_f32(0.0);
-        let mut c = 0;
-        while c < full {
-            let a0 = vld1q_f32(a.as_ptr().add(c));
-            let a1 = vld1q_f32(a.as_ptr().add(c + 4));
-            let b0 = widen_bf16_4(b.as_ptr().add(c));
-            let b1 = widen_bf16_4(b.as_ptr().add(c + 4));
-            acc_lo = vaddq_f32(acc_lo, vmulq_f32(a0, b0));
-            acc_hi = vaddq_f32(acc_hi, vmulq_f32(a1, b1));
-            c += 8;
-        }
-        let mut out = hsum_tree(acc_lo, acc_hi);
-        for i in full..a.len() {
-            out += a.get_unchecked(i) * f32::from_bits((*b.get_unchecked(i) as u32) << 16);
-        }
-        out
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_neon(acc: &mut [f32], s: f32, row: &[f32]) {
-        let n = acc.len();
-        let full = n / 4 * 4;
-        let vs = vdupq_n_f32(s);
-        let mut i = 0;
-        while i < full {
-            let o = vld1q_f32(acc.as_ptr().add(i));
-            let x = vld1q_f32(row.as_ptr().add(i));
-            vst1q_f32(acc.as_mut_ptr().add(i), vaddq_f32(o, vmulq_f32(vs, x)));
-            i += 4;
-        }
-        for j in full..n {
-            *acc.get_unchecked_mut(j) += s * row.get_unchecked(j);
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_tf32_neon(acc: &mut [f32], s: f32, row: &[f32]) {
-        let n = acc.len();
-        let full = n / 4 * 4;
-        let vs = vdupq_n_f32(s);
-        let mut i = 0;
-        while i < full {
-            let o = vld1q_f32(acc.as_ptr().add(i));
-            let x = tf32_round4(vld1q_f32(row.as_ptr().add(i)));
-            vst1q_f32(acc.as_mut_ptr().add(i), vaddq_f32(o, vmulq_f32(vs, x)));
-            i += 4;
-        }
-        for j in full..n {
-            *acc.get_unchecked_mut(j) += s * tf32_round(*row.get_unchecked(j));
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_bf16_neon(acc: &mut [f32], s: f32, row: &[u16]) {
-        let n = acc.len();
-        let full = n / 4 * 4;
-        let vs = vdupq_n_f32(s);
-        let mut i = 0;
-        while i < full {
-            let o = vld1q_f32(acc.as_ptr().add(i));
-            let x = widen_bf16_4(row.as_ptr().add(i));
-            vst1q_f32(acc.as_mut_ptr().add(i), vaddq_f32(o, vmulq_f32(vs, x)));
-            i += 4;
-        }
-        for j in full..n {
-            *acc.get_unchecked_mut(j) += s * f32::from_bits((*row.get_unchecked(j) as u32) << 16);
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn panel_tile_neon(
-        arows: &[&[f32]; 4],
-        rcnt: usize,
-        block: &[f32],
-        n: usize,
-        j0: usize,
-        w: usize,
-        acc_out: &mut [f32],
-    ) {
-        let ka = arows[0].len();
-        // rcnt ≤ 4 rows × 4 quads of 4 lanes = up to 16 accumulator regs.
-        let mut acc = [[vdupq_n_f32(0.0); 4]; 4];
-        for kk in 0..ka {
-            let b0 = vld1q_f32(block.as_ptr().add(kk * 16));
-            let b1 = vld1q_f32(block.as_ptr().add(kk * 16 + 4));
-            let b2 = vld1q_f32(block.as_ptr().add(kk * 16 + 8));
-            let b3 = vld1q_f32(block.as_ptr().add(kk * 16 + 12));
-            for r in 0..rcnt {
-                let s = vdupq_n_f32(*arows[r].get_unchecked(kk));
-                acc[r][0] = vaddq_f32(acc[r][0], vmulq_f32(s, b0));
-                acc[r][1] = vaddq_f32(acc[r][1], vmulq_f32(s, b1));
-                acc[r][2] = vaddq_f32(acc[r][2], vmulq_f32(s, b2));
-                acc[r][3] = vaddq_f32(acc[r][3], vmulq_f32(s, b3));
-            }
-        }
-        let mut tile = [0.0f32; 16];
-        for r in 0..rcnt {
-            for q in 0..4 {
-                vst1q_f32(tile.as_mut_ptr().add(q * 4), acc[r][q]);
-            }
-            acc_out[r * n + j0..r * n + j0 + w].copy_from_slice(&tile[..w]);
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn row_max_neon(buf: &[f32]) -> f32 {
-        let full = buf.len() / 4 * 4;
-        let mut acc = vdupq_n_f32(f32::NEG_INFINITY);
-        let mut c = 0;
-        // Unlike `row_max_ref`, `vmaxq_f32` propagates NaN, so an all-NaN
-        // row softmaxes to NaN here and to zeros on every other backend
-        // (ARCHITECTURE.md, "The parity contract"); no aarch64 target is
-        // built to test a fix.
-        while c < full {
-            acc = vmaxq_f32(acc, vld1q_f32(buf.as_ptr().add(c)));
-            c += 4;
-        }
-        let mut max = vmaxvq_f32(acc);
-        for i in full..buf.len() {
-            max = max.max(*buf.get_unchecked(i));
-        }
-        max
     }
 }
 
@@ -1690,15 +1382,12 @@ mod tests {
     #[test]
     fn scalar_is_always_available_and_parse_round_trips() {
         assert!(Backend::Scalar.available());
-        for b in [
-            Backend::Scalar,
-            Backend::Avx2,
-            Backend::Avx512,
-            Backend::Neon,
-        ] {
+        for b in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
             assert_eq!(Backend::parse(b.name()), Some(b));
         }
-        assert_eq!(Backend::parse("sse9"), None);
+        for unknown in ["sse9", "neon"] {
+            assert_eq!(Backend::parse(unknown), None);
+        }
     }
 
     #[test]

@@ -10,28 +10,25 @@
 //! lane-blocked order.
 //!
 //! Lengths cover 0, 1, lane−1, lane, lane+1, tail-only, exact multiples,
-//! multiples±1 and large-ish odd sizes, for both the 8-lane (AVX2/NEON
-//! pairs) and 16-lane (AVX-512) widths.
+//! multiples±1 and large-ish odd sizes, for both the 8-lane (AVX2) and
+//! 16-lane (AVX-512) widths. The public entry points must also reject
+//! slices whose lengths disagree, in every build profile, before an
+//! unchecked backend reads past one.
 
-use dfss_kernels::micro;
 use dfss_kernels::simd::{
-    self, axpy_ref, axpy_widen, axpy_widen_ref, dot_ref, dot_widen, dot_widen_ref, nn_tile,
-    panel_tile_ref, row_max_ref, spmm_tile, spmm_tile_ref, Backend,
+    self, axpy_ref, axpy_widen, axpy_widen_ref, dot_widen, dot_widen_ref, nn_tile, panel_tile_ref,
+    row_max_ref, spmm_tile, spmm_tile_ref, Backend,
 };
+use dfss_kernels::{micro, softmax, GpuCtx};
 use dfss_nmsparse::NmPattern;
-use dfss_tensor::{Bf16, Rng, Scalar};
+use dfss_tensor::{Bf16, Matrix, Rng, Scalar};
 
 /// Every backend the host CPU can actually run (always includes Scalar).
 fn available_backends() -> Vec<Backend> {
-    [
-        Backend::Scalar,
-        Backend::Avx2,
-        Backend::Avx512,
-        Backend::Neon,
-    ]
-    .into_iter()
-    .filter(|b| b.available())
-    .collect()
+    [Backend::Scalar, Backend::Avx2, Backend::Avx512]
+        .into_iter()
+        .filter(|b| b.available())
+        .collect()
 }
 
 /// Adversarial slice lengths around both vector widths.
@@ -41,25 +38,6 @@ const LENGTHS: &[usize] = &[
 
 fn vec_of(len: usize, rng: &mut Rng) -> Vec<f32> {
     (0..len).map(|_| rng.normal(0.0, 1.0)).collect()
-}
-
-#[test]
-fn dot_is_bit_identical_across_backends() {
-    let mut rng = Rng::new(0xD07);
-    for &len in LENGTHS {
-        let a = vec_of(len, &mut rng);
-        let b = vec_of(len, &mut rng);
-        let want = dot_ref(&a, &b);
-        for backend in available_backends() {
-            let got = backend.dot(&a, &b);
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "dot len {len} on {}: {got} != {want}",
-                backend.name()
-            );
-        }
-    }
 }
 
 #[test]
@@ -480,31 +458,92 @@ fn tf32_widen_preserves_nan_and_infinity_lanes() {
 
 #[test]
 fn forcing_each_available_backend_runs_the_full_dispatched_surface() {
-    // Drive the public micro-kernel entry points (the ones production code
-    // calls) under each forced backend and compare against Scalar-forced
-    // runs: the dispatcher must route every family, not just the ones the
-    // unit tests above touch directly.
+    // Drive public entry points that production code calls through
+    // `simd::active()` under each forced backend and compare against
+    // Scalar-forced runs: the dispatcher must route every family, not just
+    // the ones the tests above call per backend. `panel_product` runs the
+    // score tile (3 rows, a 5-column tail tile) and `softmax_dense` runs
+    // `row_max` over finite, part-NaN and all-NaN rows.
     let mut rng = Rng::new(0xF0);
     let a = vec_of(100, &mut rng);
-    let b = vec_of(100, &mut rng);
     let acc0 = vec_of(100, &mut rng);
     let s = rng.normal(0.0, 1.0);
+    let (rows, n, ka) = (3usize, 37usize, 13usize);
+    let aw = micro::widen(&vec_of(rows * ka, &mut rng)).to_vec();
+    let packed = micro::widen_packed(&vec_of(n * ka, &mut rng), 1, n, ka).to_vec();
+    let mut scores = Matrix::<f32>::random_normal(3, 100, 0.0, 1.0, &mut rng);
+    let cells = scores.as_mut_slice();
+    for j in (100..200).step_by(7) {
+        cells[j] = f32::NAN;
+    }
+    cells[200..].fill(f32::NAN);
+    let run = || {
+        let mut axpy = acc0.clone();
+        micro::axpy(&mut axpy, s, &a);
+        let mut tile = vec![0.0f32; rows * n];
+        micro::panel_product(&aw, 0, rows, ka, &packed, n, &mut tile);
+        let weights = softmax::softmax_dense(&mut GpuCtx::a100(), &scores);
+        [axpy, tile, weights.as_slice().to_vec()]
+    };
     simd::force(Some(Backend::Scalar));
-    let want_dot = dfss_kernels::micro::dot(&a, &b);
-    let mut want_axpy = acc0.clone();
-    dfss_kernels::micro::axpy(&mut want_axpy, s, &a);
+    let want = run();
     for backend in available_backends() {
         simd::force(Some(backend));
         assert_eq!(simd::active(), backend);
-        let got_dot = dfss_kernels::micro::dot(&a, &b);
-        assert_eq!(got_dot.to_bits(), want_dot.to_bits(), "{}", backend.name());
-        let mut got_axpy = acc0.clone();
-        dfss_kernels::micro::axpy(&mut got_axpy, s, &a);
-        let same = got_axpy
-            .iter()
-            .zip(&want_axpy)
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(same, "micro::axpy diverged under forced {}", backend.name());
+        let got = run();
+        for (what, (got, want)) in ["micro::axpy", "micro::panel_product", "softmax_dense"]
+            .into_iter()
+            .zip(got.iter().zip(&want))
+        {
+            let same = got
+                .iter()
+                .zip(want)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
+            assert!(same, "{what} diverged under forced {}", backend.name());
+        }
     }
     simd::force(None);
+}
+
+// Mismatched slice lengths must panic at the public entry, on the
+// dispatched backend and in every build profile: the x86 bodies index
+// unchecked, so a check that release builds compile out would let them
+// read out of bounds.
+
+#[test]
+#[should_panic(expected = "tile rows are not all 64 long")]
+fn panel_tile_rejects_a_short_row() {
+    let (long, short) = (vec![1.0f32; 64], vec![1.0f32; 3]);
+    let arows: [&[f32]; 4] = [&long, &short, &long, &long];
+    let block = vec![1.0f32; 64 * 16];
+    let mut out = vec![0.0f32; 2 * 16];
+    simd::active().panel_tile(&arows, 2, &block, 16, 0, 16, &mut out);
+}
+
+#[test]
+#[should_panic(expected = "block shorter than 4096 packed rows")]
+fn panel_tile_rejects_a_short_block() {
+    let row = vec![1.0f32; 4096];
+    let arows: [&[f32]; 4] = [&row; 4];
+    let block = vec![1.0f32; 16];
+    let mut out = vec![0.0f32; 4 * 16];
+    simd::active().panel_tile(&arows, 4, &block, 16, 0, 16, &mut out);
+}
+
+#[test]
+#[should_panic(expected = "axpy row length differs from acc")]
+fn axpy_rejects_a_short_row() {
+    micro::axpy(&mut [0.0; 64], 1.0, &[1.0; 3]);
+}
+
+#[test]
+#[should_panic(expected = "dot_widen row length differs from q")]
+fn dot_widen_rejects_a_short_row() {
+    dot_widen::<Bf16>(simd::active(), &[1.0; 64], &[Bf16::from_f32(1.0); 3]);
+}
+
+#[test]
+#[should_panic(expected = "axpy_widen row length differs from acc")]
+fn axpy_widen_rejects_a_short_row() {
+    axpy_widen::<f32>(simd::active(), &mut [0.0; 64], 1.0, &[1.0; 3]);
 }
