@@ -32,7 +32,15 @@
 //!   half onto the low, then pairwise-add — performs *exactly* that tree.
 //!   AVX-512 must **not** widen the dot accumulator to 16 lanes (that
 //!   changes the summation order); it reuses the 8-lane dot and spends its
-//!   width on the element-wise ops instead.
+//!   width on the element-wise ops instead. The one reduction published
+//!   at 16 lanes is the softmax exp pass's sum
+//!   ([`Backend::softmax_exp_pass`], reference
+//!   [`dfss_tensor::math::softmax_exp_pass`]): AVX-512 holds it in one
+//!   register, AVX2 in two, and both fold lanes `l` and `l + 8` before the
+//!   same 8-lane tree.
+//! * **Transcendentals are polynomials.** The exp of that pass is
+//!   [`dfss_tensor::math::softmax_exp`]: a fixed sequence of multiplies,
+//!   adds and bit operations, which a vector body replays lane by lane.
 //!
 //! The decode path additionally gets **fused widen-on-load** operands
 //! ([`dot_widen`] / [`axpy_widen`]): cached K/V rows stored as `f32` are
@@ -59,12 +67,13 @@
 // SpMM tile's also by total code decoding, and the AVX-512 tiles' tail
 // loads are lane-masked), and every `target_feature` function is reached
 // only through a `Backend` variant: `active()` and `force()` yield only
-// available ones, and the tiles assert `available()` (the other ops trust
+// available ones, and the tiles, `row_max` and the exp pass assert
+// `available()` (`axpy`, `panel_tile`, `dot_widen` and `axpy_widen` trust
 // their caller's variant).
 #![allow(unsafe_code)]
 
 use dfss_nmsparse::{NmPattern, MAX_M};
-use dfss_tensor::Scalar;
+use dfss_tensor::{math, Scalar};
 #[cfg(target_arch = "x86_64")]
 use std::any::TypeId;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -90,8 +99,9 @@ pub enum Backend {
     Scalar,
     /// 256-bit x86-64 path (8 f32 lanes).
     Avx2,
-    /// 512-bit x86-64 path: 16-lane element-wise ops, 8-lane dot (the dot's
-    /// reduction shape is part of the bit contract and cannot widen).
+    /// 512-bit x86-64 path: 16-lane element-wise ops and exp-pass sum,
+    /// 8-lane dot (the dot's reduction shape is part of the bit contract and
+    /// cannot widen).
     Avx512,
 }
 
@@ -617,12 +627,41 @@ impl Backend {
 
     /// Row maximum (softmax phase 1; order-insensitive by `f32::max`
     /// algebra, see [`row_max_ref`]).
+    ///
+    /// # Panics
+    /// If this backend is not available on this CPU.
     #[inline]
     pub fn row_max(self, buf: &[f32]) -> f32 {
+        assert!(self.available(), "backend {} not available", self.name());
         match self {
+            // SAFETY: AVX2 is available, checked above; the body loads only
+            // whole 8-blocks inside `buf`.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 | Backend::Avx512 => unsafe { x86::row_max_avx2(buf) },
             _ => row_max_ref(buf),
+        }
+    }
+
+    /// The softmax exp pass (phase 2): overwrites each entry of `row` with
+    /// `exp(x - max)` and returns the normaliser `1/Σ`. Bitwise equal to
+    /// the scalar reference [`math::softmax_exp_pass`] on every backend,
+    /// which defines the exp, the 16-lane sum and the empty, all-masked and
+    /// NaN rows.
+    ///
+    /// # Panics
+    /// If this backend is not available on this CPU.
+    #[inline]
+    pub fn softmax_exp_pass(self, row: &mut [f32], max: f32) -> f32 {
+        assert!(self.available(), "backend {} not available", self.name());
+        match self {
+            _ if row.is_empty() || max == f32::NEG_INFINITY => math::softmax_exp_pass(row, max),
+            // SAFETY (both): the backend is available, checked above; the
+            // bodies load and store only whole 16-blocks inside `row`.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => unsafe { x86::softmax_exp_pass_avx512(row, max) },
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => unsafe { x86::softmax_exp_pass_avx2(row, max) },
+            _ => math::softmax_exp_pass(row, max),
         }
     }
 }
@@ -896,6 +935,7 @@ fn spmm_rows<T: Scalar, L: Lanes, const R: usize>(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{Lanes, Scalar, MAX_M, TILE_ROWS};
+    use dfss_tensor::math::{self, exp_consts::*, EXP_SUM_LANES};
     use dfss_tensor::tf32_round;
     use std::arch::x86_64::*;
 
@@ -903,7 +943,8 @@ mod x86 {
     /// adding the high 128-bit half onto the low yields
     /// `[l0+l4, l1+l5, l2+l6, l3+l7]`, one `hadd` yields
     /// `[(l0+l4)+(l1+l5), (l2+l6)+(l3+l7), …]`, and the final scalar add
-    /// is `q0 + q1` — exactly `super::dot_widen_ref`'s reduction.
+    /// is `q0 + q1` — exactly `super::dot_widen_ref`'s reduction, and the
+    /// exp pass's once its 16 lanes have folded to 8.
     #[inline(always)]
     unsafe fn hsum_tree(acc: __m256) -> f32 {
         let hi = _mm256_extractf128_ps::<1>(acc);
@@ -1136,6 +1177,122 @@ mod x86 {
             max = max.max(*buf.get_unchecked(i));
         }
         max
+    }
+
+    /// [`math::softmax_exp`] of 16 lanes, the reference's steps in its
+    /// order; the special cases are lane blends (the three are exclusive,
+    /// so their order does not matter).
+    #[inline(always)]
+    unsafe fn exp16(x: __m512) -> __m512 {
+        let z = _mm512_mul_ps(x, _mm512_set1_ps(LOG2E));
+        let round = _mm512_set1_ps(ROUND);
+        let n = _mm512_sub_ps(_mm512_add_ps(z, round), round);
+        let r = _mm512_sub_ps(x, _mm512_mul_ps(n, _mm512_set1_ps(LN2_HI)));
+        let r = _mm512_sub_ps(r, _mm512_mul_ps(n, _mm512_set1_ps(LN2_LO)));
+        let mut q = _mm512_set1_ps(P[0]);
+        for &c in &P[1..] {
+            q = _mm512_add_ps(_mm512_mul_ps(q, r), _mm512_set1_ps(c));
+        }
+        let p = _mm512_add_ps(
+            _mm512_add_ps(_mm512_mul_ps(q, _mm512_mul_ps(r, r)), r),
+            _mm512_set1_ps(1.0),
+        );
+        // Lanes whose `n` is out of range build a junk scale; every one of
+        // them is replaced below.
+        let biased = _mm512_add_epi32(_mm512_cvttps_epi32(n), _mm512_set1_epi32(127));
+        let y = _mm512_mul_ps(p, _mm512_castsi512_ps(_mm512_slli_epi32::<23>(biased)));
+        let low = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(n, _mm512_set1_ps(MIN_N));
+        let high = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(n, _mm512_set1_ps(MAX_N));
+        let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x);
+        let y = _mm512_mask_mov_ps(y, low, _mm512_setzero_ps());
+        let y = _mm512_mask_mov_ps(y, high, _mm512_set1_ps(f32::INFINITY));
+        _mm512_mask_mov_ps(y, nan, x)
+    }
+
+    /// [`math::softmax_exp`] of 8 lanes; see [`exp16`].
+    #[inline(always)]
+    unsafe fn exp8(x: __m256) -> __m256 {
+        let z = _mm256_mul_ps(x, _mm256_set1_ps(LOG2E));
+        let round = _mm256_set1_ps(ROUND);
+        let n = _mm256_sub_ps(_mm256_add_ps(z, round), round);
+        let r = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI)));
+        let r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)));
+        let mut q = _mm256_set1_ps(P[0]);
+        for &c in &P[1..] {
+            q = _mm256_add_ps(_mm256_mul_ps(q, r), _mm256_set1_ps(c));
+        }
+        let p = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(q, _mm256_mul_ps(r, r)), r),
+            _mm256_set1_ps(1.0),
+        );
+        let biased = _mm256_add_epi32(_mm256_cvttps_epi32(n), _mm256_set1_epi32(127));
+        let y = _mm256_mul_ps(p, _mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased)));
+        let low = _mm256_cmp_ps::<_CMP_LT_OQ>(n, _mm256_set1_ps(MIN_N));
+        let high = _mm256_cmp_ps::<_CMP_GT_OQ>(n, _mm256_set1_ps(MAX_N));
+        let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
+        let y = _mm256_blendv_ps(y, _mm256_setzero_ps(), low);
+        let y = _mm256_blendv_ps(y, _mm256_set1_ps(f32::INFINITY), high);
+        _mm256_blendv_ps(y, x, nan)
+    }
+
+    /// The exp pass's tail: the entries past the last whole 16-block, added
+    /// serially onto the folded lanes; returns the normaliser.
+    #[inline(always)]
+    fn exp_pass_tail(tail: &mut [f32], max: f32, mut sum: f32) -> f32 {
+        for v in tail {
+            *v = math::softmax_exp(*v - max);
+            sum += *v;
+        }
+        1.0 / sum
+    }
+
+    /// The 16-lane sum in one zmm accumulator; the fold adds the high
+    /// 256-bit half onto the low (lanes `l + 8` onto `l`) and then runs
+    /// [`hsum_tree`].
+    ///
+    /// # Safety
+    /// AVX-512F must be available.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn softmax_exp_pass_avx512(row: &mut [f32], max: f32) -> f32 {
+        let full = row.len() / EXP_SUM_LANES * EXP_SUM_LANES;
+        let vmax = _mm512_set1_ps(max);
+        let mut acc = _mm512_setzero_ps();
+        let mut c = 0;
+        while c < full {
+            let p = row.as_mut_ptr().add(c);
+            let e = exp16(_mm512_sub_ps(_mm512_loadu_ps(p), vmax));
+            _mm512_storeu_ps(p, e);
+            acc = _mm512_add_ps(acc, e);
+            c += EXP_SUM_LANES;
+        }
+        let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(acc)));
+        let sum = hsum_tree(_mm256_add_ps(_mm512_castps512_ps256(acc), hi));
+        exp_pass_tail(&mut row[full..], max, sum)
+    }
+
+    /// The 16-lane sum in two ymm accumulators, lanes `0..8` and `8..16`;
+    /// the fold adds them and then runs [`hsum_tree`].
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn softmax_exp_pass_avx2(row: &mut [f32], max: f32) -> f32 {
+        let full = row.len() / EXP_SUM_LANES * EXP_SUM_LANES;
+        let vmax = _mm256_set1_ps(max);
+        let (mut lo, mut hi) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+        let mut c = 0;
+        while c < full {
+            let p = row.as_mut_ptr().add(c);
+            let e0 = exp8(_mm256_sub_ps(_mm256_loadu_ps(p), vmax));
+            let e1 = exp8(_mm256_sub_ps(_mm256_loadu_ps(p.add(8)), vmax));
+            _mm256_storeu_ps(p, e0);
+            _mm256_storeu_ps(p.add(8), e1);
+            lo = _mm256_add_ps(lo, e0);
+            hi = _mm256_add_ps(hi, e1);
+            c += EXP_SUM_LANES;
+        }
+        let sum = hsum_tree(_mm256_add_ps(lo, hi));
+        exp_pass_tail(&mut row[full..], max, sum)
     }
 
     /// Lane masks of an AVX-512 tile's window of `w ≤ 64` columns: vector

@@ -12,7 +12,7 @@ use crate::batched::ROW_TILE;
 use crate::GpuCtx;
 use dfss_gpusim::{KernelProfile, Stage};
 use dfss_nmsparse::{Csr, NmBatch, NmCompressed, NmRagged};
-use dfss_tensor::{math, BatchedMatrix, Matrix, Scalar};
+use dfss_tensor::{BatchedMatrix, Matrix, Scalar};
 use rayon::prelude::*;
 
 /// ALU ops per element: exp ≈ 4, plus max/sum/normalise passes ≈ 2.
@@ -37,29 +37,24 @@ pub(crate) fn record_softmax_batched<T: Scalar>(
     );
 }
 
-/// Lane-blocked row maximum (a serial `fold(NEG_INFINITY, f32::max)` is a
-/// scalar dependency chain the vectorizer cannot break), dispatched to the
-/// SIMD backend. `f32::max` is associative, commutative, and NaN-ignoring,
-/// and the only order-sensitive case — a `±0.0` tie for the row maximum —
-/// is invisible downstream because `exp(x - -0.0) == exp(x - 0.0)` exactly;
-/// softmax results are identical to the serial fold on every backend. The
-/// exp pass and the normalising sum stay scalar: they are order-sensitive
-/// and part of the bit contract.
-fn row_max(buf: &[f32]) -> f32 {
-    crate::simd::active().row_max(buf)
-}
-
 /// Stable softmax of one row in place through a caller-provided f32 scratch
-/// slice (`buf.len() >= row.len()`): vectorizable widening copy, a
-/// lane-blocked max, the shared exp pass, and the normalising multiply
+/// slice (`buf.len() >= row.len()`): vectorizable widening copy, the
+/// dispatched lane-blocked max and exp pass, and the normalising multiply
 /// fused into the narrowing write-back — one fewer pass over the row than
-/// the textbook four, with bit-identical results.
+/// the textbook four. The result is bit-identical to
+/// [`dfss_tensor::math::softmax_row`] on every backend: the exp pass is
+/// bitwise its reference, and the max may regroup lanes because `f32::max`
+/// is associative, commutative and NaN-ignoring — its one order-sensitive
+/// case, a `±0.0` tie for the maximum, is invisible downstream because
+/// `x - -0.0` and `x - 0.0` differ only for `x = ±0.0`, whose exp is `1`
+/// either way.
 pub(crate) fn softmax_into<T: Scalar>(row: &mut [T], buf: &mut [f32]) {
     let buf = &mut buf[..row.len()];
     for (b, v) in buf.iter_mut().zip(row.iter()) {
         *b = v.to_f32();
     }
-    let inv = math::softmax_exp_pass(buf, row_max(buf));
+    let backend = crate::simd::active();
+    let inv = backend.softmax_exp_pass(buf, backend.row_max(buf));
     for (dst, &v) in row.iter_mut().zip(buf.iter()) {
         *dst = T::from_f32(v * inv);
     }
@@ -196,7 +191,7 @@ pub fn softmax_csr<T: Scalar>(ctx: &mut GpuCtx, csr: &mut Csr<T>) {
 mod tests {
     use super::*;
     use dfss_nmsparse::NmPattern;
-    use dfss_tensor::Rng;
+    use dfss_tensor::{math, Rng};
 
     #[test]
     fn dense_rows_sum_to_one() {

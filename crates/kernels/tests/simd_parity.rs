@@ -21,7 +21,9 @@ use dfss_kernels::simd::{
 };
 use dfss_kernels::{micro, softmax, GpuCtx};
 use dfss_nmsparse::NmPattern;
+use dfss_tensor::math::{self, exp_consts};
 use dfss_tensor::{Bf16, Matrix, Rng, Scalar};
+use rayon::prelude::*;
 
 /// Every backend the host CPU can actually run (always includes Scalar).
 fn available_backends() -> Vec<Backend> {
@@ -306,6 +308,189 @@ fn row_max_is_bit_identical_across_backends() {
     }
 }
 
+/// Bits of `−0.0` and `−104.0`: the exp sweeps cover every `f32` between
+/// them, the whole range of a softmax argument `x − max` down past the
+/// flush to `+0` and past the last subnormal of `f32::exp` (≈ −103.97).
+const EXP_LO: u32 = 0x8000_0000;
+const EXP_HI: u32 = 0xC2D0_0000;
+
+/// Inputs per sweep chunk: whole 16-lane blocks plus a 5-entry tail.
+const EXP_CHUNK: u32 = 16 * 1024 + 5;
+
+/// Stride of the sweeps the debug profile runs in place of the exhaustive
+/// ones (about 1.1·10⁶ inputs each).
+const EXP_STRIDE: u32 = 997;
+
+/// Largest distance, in ulp, of `math::softmax_exp` from `f32::exp` where
+/// the latter is a normal `f32`.
+const EXP_ULP_BOUND: u32 = 1;
+
+/// Map `f` over the exp domain `[−104, −0]`, every `stride`-th input in
+/// ascending bit order, as parallel chunks of up to [`EXP_CHUNK`] inputs;
+/// returns the messages `f` reports.
+fn sweep_exp_domain<F>(stride: u32, f: F) -> Vec<String>
+where
+    F: Fn(&[f32]) -> Option<String> + Sync,
+{
+    let count = (EXP_HI - EXP_LO) / stride + 1;
+    let reports: Vec<Option<String>> = (0..count.div_ceil(EXP_CHUNK))
+        .into_par_iter()
+        .map(|c| {
+            let first = c * EXP_CHUNK;
+            let xs: Vec<f32> = (first..count.min(first + EXP_CHUNK))
+                .map(|i| f32::from_bits(EXP_LO + i * stride))
+                .collect();
+            f(&xs)
+        })
+        .collect();
+    reports.into_iter().flatten().collect()
+}
+
+/// Every backend's exp pass against the reference, bit for bit: the
+/// entries it writes and the normaliser it returns, with `max = 0` so each
+/// entry's argument is the input itself.
+fn exp_pass_sweep(stride: u32) {
+    let backends = available_backends();
+    let failures = sweep_exp_domain(stride, |xs| {
+        let mut want = xs.to_vec();
+        let want_inv = math::softmax_exp_pass(&mut want, 0.0);
+        for &backend in &backends {
+            let mut got = xs.to_vec();
+            let inv = backend.softmax_exp_pass(&mut got, 0.0);
+            if let Some(i) = (0..xs.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+                return Some(format!(
+                    "exp({:e}) = {:e} on {}, reference {:e}",
+                    xs[i],
+                    got[i],
+                    backend.name(),
+                    want[i]
+                ));
+            }
+            if inv.to_bits() != want_inv.to_bits() {
+                return Some(format!(
+                    "normaliser from {:e} = {inv:e} on {}, reference {want_inv:e}",
+                    xs[0],
+                    backend.name()
+                ));
+            }
+        }
+        None
+    });
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn exp_pass_is_bit_identical_to_the_reference_on_every_input() {
+    exp_pass_sweep(1);
+}
+
+#[test]
+fn exp_pass_is_bit_identical_to_the_reference_on_a_strided_sweep() {
+    exp_pass_sweep(EXP_STRIDE);
+}
+
+/// The reference exp against libm wherever libm's result is a normal
+/// `f32`.
+fn exp_ulp_sweep(stride: u32) {
+    let failures = sweep_exp_domain(stride, |xs| {
+        xs.iter().find_map(|&x| {
+            let want = x.exp();
+            let got = math::softmax_exp(x);
+            let ulp = got.to_bits().abs_diff(want.to_bits());
+            (want >= f32::MIN_POSITIVE && ulp > EXP_ULP_BOUND)
+                .then(|| format!("exp({x:e}) = {got:e}, libm {want:e}: {ulp} ulp"))
+        })
+    });
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn softmax_exp_is_within_its_ulp_bound_of_libm_on_every_normal_result() {
+    exp_ulp_sweep(1);
+}
+
+#[test]
+fn softmax_exp_is_within_its_ulp_bound_of_libm_on_a_strided_sweep() {
+    exp_ulp_sweep(EXP_STRIDE);
+}
+
+/// The two inputs either side of the flush rule: the smallest-magnitude
+/// one with `RNE(x·log₂e) = −127`, whose exp is `+0`, and its neighbour
+/// toward zero, the last with `−126`, whose exp is subnormal.
+fn flush_sides() -> (f32, f32) {
+    use exp_consts::{LOG2E, ROUND};
+    let n = |x: f32| (x * LOG2E + ROUND) - ROUND;
+    let mut x = -87.0f32;
+    while n(x) >= -126.0 {
+        x = f32::from_bits(x.to_bits() + 1);
+    }
+    (x, f32::from_bits(x.to_bits() - 1))
+}
+
+#[test]
+fn exp_pass_special_values_are_bit_identical_across_backends() {
+    let (flushed, kept) = flush_sides();
+    assert_eq!(math::softmax_exp(flushed).to_bits(), 0, "flushed side");
+    let sub = math::softmax_exp(kept);
+    assert!(sub > 0.0 && sub < f32::MIN_POSITIVE, "kept side: {sub:e}");
+    for (x, want) in [
+        (0.0, 1.0),
+        (-0.0, 1.0),
+        (f32::NEG_INFINITY, 0.0),
+        (f32::INFINITY, f32::INFINITY),
+    ] {
+        assert_eq!(math::softmax_exp(x).to_bits(), want.to_bits(), "exp({x})");
+    }
+    let nan = f32::from_bits(0x7FC0_1234);
+    assert_eq!(
+        math::softmax_exp(nan).to_bits(),
+        nan.to_bits(),
+        "NaN passes"
+    );
+
+    // Each special at every position of rows across the 16-lane blocks
+    // and tails, under a zero and a nonzero max. One NaN source per row
+    // keeps even the NaN normaliser's payload deterministic.
+    let mut rng = Rng::new(0xE8);
+    let specials = [
+        0.0,
+        -0.0,
+        f32::NEG_INFINITY,
+        f32::INFINITY,
+        nan,
+        flushed,
+        kept,
+    ];
+    for len in [1usize, 15, 16, 17, 33] {
+        let base: Vec<f32> = (0..len).map(|_| -rng.normal(0.0, 4.0).abs()).collect();
+        for &special in &specials {
+            for pos in 0..len {
+                for max in [0.0f32, 0.75] {
+                    let mut row = base.clone();
+                    row[pos] = special;
+                    let mut want = row.clone();
+                    let want_inv = math::softmax_exp_pass(&mut want, max);
+                    for backend in available_backends() {
+                        let mut got = row.clone();
+                        let inv = backend.softmax_exp_pass(&mut got, max);
+                        let what = format!("{special:e} at {pos}/{len}, max {max}");
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{what} on {}", backend.name());
+                        assert_eq!(
+                            inv.to_bits(),
+                            want_inv.to_bits(),
+                            "normaliser, {what} on {}",
+                            backend.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn dot_widen_f32_is_bit_identical_across_backends() {
     // S = f32 runs the TF32-truncating widen (to_mul) inside the dot.
@@ -463,7 +648,9 @@ fn forcing_each_available_backend_runs_the_full_dispatched_surface() {
     // Scalar-forced runs: the dispatcher must route every family, not just
     // the ones the tests above call per backend. `panel_product` runs the
     // score tile (3 rows, a 5-column tail tile) and `softmax_dense` runs
-    // `row_max` over finite, part-NaN and all-NaN rows.
+    // `row_max` and the exp pass over finite, part-NaN and all-NaN rows of
+    // 100, and over rows of 1, 15, 16, 17 and 33 (around the exp pass's
+    // 16-lane blocks) that hold one −∞, one NaN, all −∞ and all NaN.
     let mut rng = Rng::new(0xF0);
     let a = vec_of(100, &mut rng);
     let acc0 = vec_of(100, &mut rng);
@@ -477,13 +664,28 @@ fn forcing_each_available_backend_runs_the_full_dispatched_surface() {
         cells[j] = f32::NAN;
     }
     cells[200..].fill(f32::NAN);
+    let masked: Vec<Matrix<f32>> = [1usize, 15, 16, 17, 33]
+        .into_iter()
+        .map(|len| {
+            let mut m = Matrix::<f32>::random_normal(4, len, 0.0, 1.0, &mut rng);
+            let pos = rng.below(len);
+            m.row_mut(0)[pos] = f32::NEG_INFINITY;
+            m.row_mut(1)[pos] = f32::NAN;
+            m.row_mut(2).fill(f32::NEG_INFINITY);
+            m.row_mut(3).fill(f32::NAN);
+            m
+        })
+        .collect();
     let run = || {
         let mut axpy = acc0.clone();
         micro::axpy(&mut axpy, s, &a);
         let mut tile = vec![0.0f32; rows * n];
         micro::panel_product(&aw, 0, rows, ka, &packed, n, &mut tile);
-        let weights = softmax::softmax_dense(&mut GpuCtx::a100(), &scores);
-        [axpy, tile, weights.as_slice().to_vec()]
+        let mut weights = softmax::softmax_dense(&mut GpuCtx::a100(), &scores).into_vec();
+        for m in &masked {
+            weights.extend(softmax::softmax_dense(&mut GpuCtx::a100(), m).as_slice());
+        }
+        [axpy, tile, weights]
     };
     simd::force(Some(Backend::Scalar));
     let want = run();

@@ -125,42 +125,137 @@ pub fn gelu_grad(x: f32) -> f32 {
 }
 
 /// Numerically stable in-place softmax over a dense row (Equation 10):
-/// `softmax(x)_i = exp(x_i - max x) / Σ_j exp(x_j - max x)`.
+/// `softmax(x)_i = exp(x_i - max x) / Σ_j exp(x_j - max x)`, with `max`
+/// the left-to-right `f32::max` fold (NaN-ignoring), the exp and the sum of
+/// [`softmax_exp_pass`], and one multiply by its normaliser per entry.
 ///
 /// Rows that are entirely `-inf` (fully masked) become all zeros rather than
 /// NaN, which is the convention masked attention needs.
 pub fn softmax_row(row: &mut [f32]) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    softmax_row_with_max(row, max);
-}
-
-/// [`softmax_row`] with the row maximum already known — for callers that
-/// fuse the max reduction into a preceding copy/widen pass. `max` must be
-/// the left-to-right `f32::max` fold of `row` for identical numerics.
-pub fn softmax_row_with_max(row: &mut [f32], max: f32) {
     let inv = softmax_exp_pass(row, max);
     for v in row.iter_mut() {
         *v *= inv;
     }
 }
 
-/// The exp phase of a stable softmax: overwrites `row` with
-/// `exp(x - max)` and returns the normaliser `1/Σ`, letting callers fuse
-/// the final multiply into their own write-back pass (`v * inv` there is
-/// the exact multiplication [`softmax_row`] would perform in place). For an
-/// all-`-∞` row the entries become `0.0` and the returned normaliser is
-/// `0.0`, so a fused `v * inv` write-back still produces the zero row.
+/// Constants of [`softmax_exp`], public so that vector bodies of the same
+/// op evaluate exactly these values.
+pub mod exp_consts {
+    /// log₂e, the Cody–Waite reduction's scale.
+    pub const LOG2E: f32 = std::f32::consts::LOG2_E;
+    /// 1.5·2²³: adding and then subtracting it rounds any `|z| < 2²²` to
+    /// the nearest integer, ties to even.
+    pub const ROUND: f32 = 12_582_912.0;
+    /// ln 2 in two parts: `LN2_HI = 355/512` has 9 significant bits, so
+    /// `n · LN2_HI` is exact for every `n` that reaches the polynomial.
+    pub const LN2_HI: f32 = 355.0 / 512.0;
+    /// `ln 2 − LN2_HI`, rounded to `f32`.
+    pub const LN2_LO: f32 = -2.121_944_4e-4;
+    /// The polynomial's coefficients, highest degree first: Cephes `expf`'s
+    /// `p(r) = 1 + r + r²·(P[5] + r·(P[4] + … + r·P[0]))`, rounded to
+    /// `f32`.
+    pub const P: [f32; 6] = [
+        1.987_569_1e-4,
+        1.398_199_9e-3,
+        8.333_452e-3,
+        4.166_579_6e-2,
+        0.166_666_66,
+        0.5,
+    ];
+    /// Smallest exponent `n = RNE(x·log₂e)` that is not flushed to `+0`.
+    pub const MIN_N: f32 = -126.0;
+    /// Largest exponent `n` that is not `+∞`.
+    pub const MAX_N: f32 = 127.0;
+}
+
+/// `eˣ` of the softmax, the scalar reference every SIMD backend reproduces
+/// bit for bit. Cody–Waite reduction `x = n·ln 2 + r` with
+/// `n = RNE(x·log₂e)` (through [`exp_consts::ROUND`], since a rounding call
+/// can lower to libm), `r = (x − n·LN2_HI) − n·LN2_LO`, Cephes's degree-7
+/// polynomial by Horner in [`exp_consts::P`], and the scale `2ⁿ` built from
+/// its exponent bits. Every step is one IEEE multiply, add or subtract,
+/// rounded to nearest even (never a fused multiply-add), in this order:
+///
+/// ```text
+/// n = (x·LOG2E + ROUND) − ROUND
+/// r = (x − n·LN2_HI) − n·LN2_LO
+/// q = P[0]; for c in P[1..]: q = q·r + c
+/// eˣ = ((q·(r·r) + r) + 1) · 2ⁿ
+/// ```
+///
+/// Special cases, checked in this order:
+/// * NaN returns `x` unchanged;
+/// * `n < −126` returns `+0`: every result below `2^-126.5` is flushed
+///   (from `x ≈ −87.683`), while `n = −126` still yields subnormals;
+///   `−∞` lands here;
+/// * `n > 127` returns `+∞` (from `x ≈ 88.03`; a softmax argument `x − max`
+///   is never positive); `+∞` lands here.
+///
+/// `±0` give exactly `1`. On `[−87.33, 0]`, where `eˣ` is a normal
+/// `f32`, the result is within 1 ulp of `f32::exp` (the kernels'
+/// `simd_parity.rs` pins this on every input).
+#[inline]
+pub fn softmax_exp(x: f32) -> f32 {
+    use exp_consts::*;
+    if x.is_nan() {
+        return x;
+    }
+    let n = (x * LOG2E + ROUND) - ROUND;
+    if n < MIN_N {
+        return 0.0;
+    }
+    if n > MAX_N {
+        return f32::INFINITY;
+    }
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let mut q = P[0];
+    for &c in &P[1..] {
+        q = q * r + c;
+    }
+    // `n` is an integer in [−126, 127], so the exponent field is in range.
+    let scale = f32::from_bits(((n as i32 + 127) as u32) << 23);
+    ((q * (r * r) + r) + 1.0) * scale
+}
+
+/// Lanes of the blocked sum of [`softmax_exp_pass`] (one AVX-512 register,
+/// two AVX2 ones).
+pub const EXP_SUM_LANES: usize = 16;
+
+/// The exp phase of a stable softmax, the scalar reference of one op:
+/// overwrites each entry with [`softmax_exp`]`(x - max)` and returns the
+/// normaliser `1/Σ`, letting callers fuse the final multiply into their own
+/// write-back pass (`v * inv` there is the exact multiplication
+/// [`softmax_row`] performs in place).
+///
+/// The sum has a published shape that every backend reproduces bit for
+/// bit: lane `l` of [`EXP_SUM_LANES`] adds, from `0.0` and in ascending
+/// order, the entries at `i ≡ l (mod 16)` of the whole 16-blocks; lanes `l`
+/// and `l + 8` then add into `m_l`, the eight fold by the tree
+/// `((m0+m4)+(m1+m5)) + ((m2+m6)+(m3+m7))`, and the tail entries add
+/// serially.
+///
+/// An empty row, or `max = −∞` (an all-`−∞` row, or all-NaN with the
+/// NaN-ignoring max), leaves every entry `0.0` and returns `0.0`, so a fused
+/// `v * inv` write-back still produces the zero row. A NaN entry stays NaN
+/// and makes the sum, and so every weight, NaN.
 pub fn softmax_exp_pass(row: &mut [f32], max: f32) -> f32 {
-    if row.is_empty() {
+    if row.is_empty() || max == f32::NEG_INFINITY {
+        row.fill(0.0);
         return 0.0;
     }
-    if max == f32::NEG_INFINITY {
-        row.iter_mut().for_each(|v| *v = 0.0);
-        return 0.0;
+    let full = row.len() / EXP_SUM_LANES * EXP_SUM_LANES;
+    let mut lanes = [0.0f32; EXP_SUM_LANES];
+    for block in row[..full].chunks_exact_mut(EXP_SUM_LANES) {
+        for (lane, v) in lanes.iter_mut().zip(block) {
+            *v = softmax_exp(*v - max);
+            *lane += *v;
+        }
     }
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
+    let m: [f32; 8] = std::array::from_fn(|l| lanes[l] + lanes[l + 8]);
+    let mut sum = ((m[0] + m[4]) + (m[1] + m[5])) + ((m[2] + m[6]) + (m[3] + m[7]));
+    for v in &mut row[full..] {
+        *v = softmax_exp(*v - max);
         sum += *v;
     }
     1.0 / sum
