@@ -1,29 +1,7 @@
-//! `serving` — open-loop load generator for the attention serving layer.
+//! `serving` — load generator for the attention serving layer.
 //!
-//! Sweeps offered load × batch policy against `dfss-serve`: requests with
-//! heterogeneous shapes arrive on a Poisson schedule, the server coalesces
-//! them per policy, and every response's latency breakdown feeds the tail
-//! statistics. Two policies run on the *same* arrival schedule per load:
-//!
-//! * **baseline** — the per-request loop a deployment without a batcher
-//!   runs: a FIFO worker serving each request as one solo
-//!   `Attention::forward` with a fresh context, no coalescing;
-//! * **batched** — `dfss-serve`'s serving loop under a `SchedPolicy` that
-//!   keeps every prefill whole (`prefill_chunk` = the largest shape's `n`,
-//!   `iter_budget_rows` = `max_batch` × that `n`): same-shape jobs that
-//!   queued while the worker was busy share one batched launch per op
-//!   through the `AttentionEngine`, at most `max_batch` per launch. Groups
-//!   form from the backlog, never by waiting, so the `max_delay_ms` the
-//!   artifact records is not applied.
-//!
-//! Reported per (load, policy): host wall-clock p50/p95/p99, simulated-
-//! device p50 (the device latency of the batch each request rode in), mean
-//! batch size and sustained throughput. Served outputs are asserted
-//! bit-identical to solo `Attention::forward` calls on a deterministic
-//! subset of requests.
-//!
-//! A second sweep covers **decode**: `streams` concurrent sessions, each
-//! with a (ragged, deliberately misaligned) cached K/V length around a base
+//! The **decode** sweep: `streams` concurrent sessions, each with a
+//! (ragged, deliberately misaligned) cached K/V length around a base
 //! `cached_len`, take decode steps either through the per-stream **solo
 //! loop** (`Attention::decode` with a fresh context per step — the
 //! deployment without ragged batching) or through
@@ -38,7 +16,7 @@
 //! along un-gated: the host fan-out only pays off with worker threads, and
 //! a single-core CI runner cannot parallelise it.
 //!
-//! A third sweep covers **memory pressure**: a fixed decode fleet
+//! A second sweep covers **memory pressure**: a fixed decode fleet
 //! (`sessions` concurrent streams growing to `target_len` cached rows,
 //! decoding every few appends) runs against shrinking KV byte budgets —
 //! multiples of the fleet's exact working-set page count — with LRU
@@ -49,22 +27,27 @@
 //! rate at the starved point — both deterministic, the op order is
 //! single-threaded — so the gate holds in quick mode too.
 //!
-//! A fourth sweep covers **overload**: the same Poisson generator drives
-//! the batched server (same whole-job policy) at 0.6/1.0/1.5/2.0× its own
-//! saturated-burst capacity with `max_queue_depth` bounding the
-//! unresolved backlog.
-//! Reported per load: goodput, the typed-shed rate
+//! A third sweep covers **overload**: requests with heterogeneous shapes
+//! arrive on a Poisson schedule at 0.6/1.0/1.5/2.0× the server's own
+//! saturated-burst capacity, with `max_queue_depth` bounding the
+//! unresolved backlog. The server runs every prefill whole, one launch
+//! each, in arrival order. Reported per load: goodput, the typed-shed rate
 //! (`ServeError::Overloaded` at admission) and p50/p99 of the served
-//! requests. The artifact must show **zero** sheds at the sub-capacity
-//! point and a **non-zero** shed count at 2.0× — load shedding engages
-//! exactly when the queue can no longer drain.
+//! requests, whose outputs are asserted bit-identical to solo
+//! `Attention::forward` calls on a deterministic subset. The artifact must
+//! show **zero** sheds at the sub-capacity point and a **non-zero** shed
+//! count at 2.0× — load shedding engages exactly when the queue can no
+//! longer drain.
 //!
-//! A fifth **chaos** row drives the server through an injected
+//! A fourth **chaos** row drives the server through an injected
 //! mid-flush kernel panic (`FaultPlan` → `FaultKind::PanicInBatch` at a
 //! fixed request ordinal): the artifact must show every request resolving
 //! typed (`served + panicked == requests`), at least one `BatchPanicked`
-//! failure, and requests submitted after the poisoned batch being served
+//! failure, and requests submitted after the poisoned launch being served
 //! normally — the recovery story, measured.
+//!
+//! A fifth sweep runs the overload story again through the **HTTP** front
+//! door, over loopback sockets against the wire-measured capacity.
 //!
 //! `--check` re-proves the continuous scheduler's parity claim live: a
 //! fresh continuous server with chunks far smaller than its requests must
@@ -75,13 +58,10 @@
 //! p99 at or above it — a tail inversion means the percentile pipeline
 //! broke, and a zero tail under load means the row never measured.
 //!
-//! Emits schema-stable `results/bench_serving.json`. In full mode the
-//! artifact must show the batched policy beating the baseline on p50 at
-//! ≥ 3 offered loads; every artifact must show batched decode beating the
-//! solo loop on (simulated) tokens/sec at ≥ 2 stream counts (asserted at
-//! generation time and re-validated by `serving --check`, which CI runs
-//! against the checked-in artifact; quick mode validates the wall-clock
-//! p50 schema only — CI smoke runners are too noisy to gate on host time).
+//! Emits schema-stable `results/bench_serving.json`. Every artifact must
+//! show batched decode beating the solo loop on (simulated) tokens/sec at
+//! ≥ 2 stream counts (asserted at generation time and re-validated by
+//! `serving --check`, which CI runs against the checked-in artifact).
 //!
 //! Knobs: `DFSS_QUICK=1` (small shapes, short run), `DFSS_RESULTS=<dir>`.
 
@@ -95,38 +75,30 @@ use dfss_serve::http::{HttpConfig, HttpServer};
 use dfss_serve::wire::{self, Json as WireJson, RequestReader, WireLimits};
 use dfss_serve::{
     AttentionServer, BatchPolicy, DecodeRequest, FaultKind, FaultPlan, KvConfig, SchedPolicy,
-    ServeError, ServeStats, Served, SessionError, SessionId,
+    ServeError, ServeStats, SessionError, SessionId,
 };
 use dfss_tensor::{Matrix, Rng};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const SCHEMA_VERSION: f64 = 8.0;
+const SCHEMA_VERSION: f64 = 9.0;
 
-/// Offered-load multipliers of the measured per-request capacity. The
-/// first is deliberately sub-capacity (the regime where a backlog to
-/// group rarely forms); the rest saturate the per-request loop so the
-/// batched server's higher throughput shows up in the tails.
-const LOAD_MULTS: [f64; 4] = [0.6, 1.05, 1.2, 1.4];
-/// How many of the swept loads the batched policy must win on p50 for a
-/// full-mode artifact to be acceptable.
-const MIN_P50_WINS: usize = 3;
 /// How many distinct concurrent-stream counts batched decode must win on
 /// tokens/sec (at every cached length) for a full-mode artifact.
 const MIN_DECODE_WINS: usize = 2;
-/// Overload sweep: offered load as multiples of the batched server's own
+/// Overload sweep: offered load as multiples of the server's own
 /// saturated-burst capacity. The first point is comfortably sub-capacity
 /// (zero sheds expected), the last is a 2× overload (sheds required).
 const OVERLOAD_MULTS: [f64; 4] = [0.6, 1.0, 1.5, 2.0];
-/// Queue bound for the overload sweep, in units of `max_batch`.
-const OVERLOAD_DEPTH_BATCHES: usize = 4;
 
 struct WorkloadSpec {
     shapes: Vec<(usize, usize)>,
     requests_per_load: usize,
-    max_batch: usize,
-    max_delay: Duration,
+    /// `max_queue_depth` of the overload sweep's server.
+    queue_depth: usize,
+    /// Requests in the saturated burst that measures the server's capacity.
+    capacity_burst: usize,
 }
 
 fn workload() -> WorkloadSpec {
@@ -134,15 +106,15 @@ fn workload() -> WorkloadSpec {
         WorkloadSpec {
             shapes: vec![(64, 32), (128, 32)],
             requests_per_load: 32,
-            max_batch: 8,
-            max_delay: Duration::from_micros(500),
+            queue_depth: 32,
+            capacity_burst: 64,
         }
     } else {
         WorkloadSpec {
             shapes: vec![(256, 64), (512, 64)],
             requests_per_load: 96,
-            max_batch: 16,
-            max_delay: Duration::from_millis(2),
+            queue_depth: 64,
+            capacity_burst: 128,
         }
     }
 }
@@ -192,66 +164,9 @@ fn build_requests(
         .collect()
 }
 
-/// Saturated throughput of the per-request loop: a warm back-to-back burst
-/// of solo `forward` calls over the shape mix — exactly the work the
-/// baseline runner does per request. Offered loads are scaled against this
-/// honest capacity.
-fn measure_capacity(spec: &WorkloadSpec, mech: &dyn Attention<f32>) -> f64 {
-    let burst = if quick() { 16 } else { 48 };
-    let mut rng = Rng::new(0xCA11B);
-    let reqs: Vec<(Matrix<f32>, Matrix<f32>, Matrix<f32>)> = (0..burst + 1)
-        .map(|i| {
-            let (n, d) = spec.shapes[i % spec.shapes.len()];
-            (
-                Matrix::random_normal(n, d, 0.0, 1.0, &mut rng),
-                Matrix::random_normal(n, d, 0.0, 1.0, &mut rng),
-                Matrix::random_normal(n, d, 0.0, 1.0, &mut rng),
-            )
-        })
-        .collect();
-    // Warm-up call (pool spawn, allocator, caches) before the timed burst.
-    let mut ctx = GpuCtx::a100();
-    std::hint::black_box(mech.forward(&mut ctx, &reqs[0].0, &reqs[0].1, &reqs[0].2));
-    let t0 = Instant::now();
-    for (q, k, v) in &reqs[1..] {
-        let mut ctx = GpuCtx::a100();
-        std::hint::black_box(mech.forward(&mut ctx, q, k, v));
-    }
-    burst as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// Tail statistics of one (load, policy) run.
-struct PolicyResult {
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    sim_p50_ms: f64,
-    mean_batch: f64,
-    throughput_rps: f64,
-}
-
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-fn summarize(
-    mut host_ms: Vec<f64>,
-    mut sim_ms: Vec<f64>,
-    mean_batch: f64,
-    makespan_s: f64,
-) -> PolicyResult {
-    let n = host_ms.len();
-    host_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    sim_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    PolicyResult {
-        p50_ms: percentile(&host_ms, 50.0),
-        p95_ms: percentile(&host_ms, 95.0),
-        p99_ms: percentile(&host_ms, 99.0),
-        sim_p50_ms: percentile(&sim_ms, 50.0),
-        mean_batch,
-        throughput_rps: n as f64 / makespan_s.max(1e-9),
-    }
 }
 
 fn assert_bit_identical(reference: &Matrix<f32>, got: &Matrix<f32>, i: usize, side: &str) {
@@ -263,108 +178,17 @@ fn assert_bit_identical(reference: &Matrix<f32>, got: &Matrix<f32>, i: usize, si
     assert!(same, "{side} output {i} diverged from solo forward");
 }
 
-/// The per-request-loop baseline: the deployment a batcher replaces. A
-/// worker thread serves the same arrival stream FIFO, one solo `forward`
-/// with a fresh context per request — no coalescing, no engine.
-fn run_baseline(
-    mech: &Arc<dyn Attention<f32> + Send + Sync>,
-    requests: &[Request],
-) -> PolicyResult {
-    type Job = (usize, Matrix<f32>, Matrix<f32>, Matrix<f32>, Instant);
-    let (tx, rx) = std::sync::mpsc::channel::<Job>();
-    let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, Matrix<f32>, Duration, f64)>();
-    let worker_mech = Arc::clone(mech);
-    let worker = std::thread::spawn(move || {
-        while let Ok((i, q, k, v, submitted)) = rx.recv() {
-            let mut ctx = GpuCtx::a100();
-            let out = worker_mech.forward(&mut ctx, &q, &k, &v);
-            let _ = res_tx.send((i, out, submitted.elapsed(), ctx.latency()));
-        }
-    });
-    let start = Instant::now();
-    for (i, req) in requests.iter().enumerate() {
-        if let Some(wait) = req.arrival.checked_sub(start.elapsed()) {
-            std::thread::sleep(wait);
-        }
-        tx.send((
-            i,
-            req.q.clone(),
-            req.k.clone(),
-            req.v.clone(),
-            Instant::now(),
-        ))
-        .expect("baseline worker alive");
-    }
-    drop(tx);
-    let mut host_ms = vec![0.0f64; requests.len()];
-    let mut sim_ms = vec![0.0f64; requests.len()];
-    for _ in 0..requests.len() {
-        let (i, out, latency, sim_s) = res_rx.recv().expect("baseline worker alive");
-        if let Some(reference) = &requests[i].reference {
-            assert_bit_identical(reference, &out, i, "baseline");
-        }
-        host_ms[i] = latency.as_secs_f64() * 1e3;
-        sim_ms[i] = sim_s * 1e3;
-    }
-    let makespan = start.elapsed().as_secs_f64();
-    worker.join().expect("baseline worker");
-    summarize(host_ms, sim_ms, 1.0, makespan)
-}
-
-/// The batched server of the load and overload sweeps: a scheduler policy
-/// that keeps every prefill of `spec` whole — chunks as large as the
-/// largest `n`, and room for `max_batch` such jobs per iteration — so the
-/// `batched` column measures cross-request batching.
+/// The server of the overload sweep: a scheduler policy that keeps every
+/// prefill of `spec` whole — chunks as large as the largest `n` and no row
+/// budget — so each queued job runs as one launch, in arrival order.
 fn start_batched(
     mech: &Arc<dyn Attention<f32> + Send + Sync>,
     spec: &WorkloadSpec,
     policy: BatchPolicy,
 ) -> AttentionServer<f32> {
     let n = spec.shapes.iter().map(|&(n, _)| n).max().expect("shapes");
-    let sched = SchedPolicy::new(n, spec.max_batch * n);
+    let sched = SchedPolicy::new(n, usize::MAX);
     AttentionServer::start_continuous_with_kv(Arc::clone(mech), policy, sched, KvConfig::default())
-}
-
-/// Offer one request stream to the batched server and collect tails.
-/// Outputs on the reference subset are asserted bit-identical to solo
-/// forward.
-fn run_batched(
-    mech: &Arc<dyn Attention<f32> + Send + Sync>,
-    spec: &WorkloadSpec,
-    policy: BatchPolicy,
-    requests: &[Request],
-) -> PolicyResult {
-    let server = start_batched(mech, spec, policy);
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(requests.len());
-    for req in requests {
-        if let Some(wait) = req.arrival.checked_sub(start.elapsed()) {
-            std::thread::sleep(wait);
-        }
-        let handle = server
-            .submit(req.q.clone(), req.k.clone(), req.v.clone())
-            .expect("generated requests are servable");
-        handles.push(handle);
-    }
-    let served: Vec<Served<f32>> = handles
-        .into_iter()
-        .map(|h| h.wait().expect("server alive"))
-        .collect();
-    let makespan = start.elapsed().as_secs_f64();
-    let stats = server.shutdown();
-    assert_eq!(stats.served as usize, requests.len());
-
-    for (i, (req, out)) in requests.iter().zip(&served).enumerate() {
-        if let Some(reference) = &req.reference {
-            assert_bit_identical(reference, &out.output, i, "batched");
-        }
-    }
-    let host_ms: Vec<f64> = served
-        .iter()
-        .map(|s| s.latency.as_secs_f64() * 1e3)
-        .collect();
-    let sim_ms: Vec<f64> = served.iter().map(|s| s.sim_latency_s * 1e3).collect();
-    summarize(host_ms, sim_ms, stats.mean_batch(), makespan)
 }
 
 /// Decode sweep grid: base cached lengths × concurrent stream counts.
@@ -642,11 +466,7 @@ fn run_memory_point(
         budget_bytes: budget_pages * geometry.storage_page_bytes::<f32>(),
         ..geometry
     };
-    let server = AttentionServer::start_with_kv(
-        Arc::clone(mech),
-        BatchPolicy::batched(spec.sessions.max(1), Duration::from_micros(200)),
-        kv,
-    );
+    let server = AttentionServer::start_with_kv(Arc::clone(mech), BatchPolicy::default(), kv);
     let mut rng = Rng::new(seed);
     // Per slot: the open session and the rows it has cached so far.
     let mut slots: Vec<Option<(SessionId, usize)>> = vec![None; spec.sessions];
@@ -755,16 +575,16 @@ fn run_memory_sweep(
         .collect()
 }
 
-/// Saturated throughput of the **batched** server itself: a warm
-/// back-to-back burst through `submit`, full groups all the way down.
-/// This is the rate the server cannot exceed, so offered overloads are
-/// scaled against it — 2× this rate *must* grow the queue.
+/// Saturated throughput of the overload sweep's server itself: a warm
+/// back-to-back burst through `submit`. This is the rate the server cannot
+/// exceed, so offered overloads are scaled against it — 2× this rate
+/// *must* grow the queue.
 fn measure_batched_capacity(
     spec: &WorkloadSpec,
     mech: &Arc<dyn Attention<f32> + Send + Sync>,
 ) -> f64 {
-    let burst = 8 * spec.max_batch;
-    let warm = spec.max_batch;
+    let burst = spec.capacity_burst;
+    let warm = burst / 8;
     let mut rng = Rng::new(0xBCA11B);
     let reqs: Vec<(Matrix<f32>, Matrix<f32>, Matrix<f32>)> = (0..warm + burst)
         .map(|i| {
@@ -776,11 +596,7 @@ fn measure_batched_capacity(
             )
         })
         .collect();
-    let server = start_batched(
-        mech,
-        spec,
-        BatchPolicy::batched(spec.max_batch, spec.max_delay),
-    );
+    let server = start_batched(mech, spec, BatchPolicy::default());
     let submit_all = |range: std::ops::Range<usize>| {
         let handles: Vec<_> = range
             .map(|i| {
@@ -814,7 +630,7 @@ struct OverloadPoint {
     p99_ms: f64,
 }
 
-/// Offer one Poisson stream to a **depth-bounded** batched server. Every
+/// Offer one Poisson stream to a **depth-bounded** server. Every
 /// submission either returns a handle or the typed `Overloaded` shed —
 /// nothing blocks, nothing is silently dropped — and every admitted
 /// request is served (references stay bit-identical under overload).
@@ -874,16 +690,14 @@ fn run_overload_sweep(
     spec: &WorkloadSpec,
     batched_capacity_rps: f64,
 ) -> Vec<OverloadPoint> {
-    let depth = OVERLOAD_DEPTH_BATCHES * spec.max_batch;
-    let policy = BatchPolicy::batched(spec.max_batch, spec.max_delay).with_queue_depth(depth);
-    // 3× the latency sweep's request count: a 2× overload must outrun the
+    let policy = BatchPolicy::default().with_queue_depth(spec.queue_depth);
+    // 3× the chaos row's request count: a 2× overload must outrun the
     // queue bound (backlog grows ~half the offered count), and the longer
     // stream keeps the sub-capacity point honest about steady state.
     let ospec = WorkloadSpec {
         shapes: spec.shapes.clone(),
         requests_per_load: 3 * spec.requests_per_load,
-        max_batch: spec.max_batch,
-        max_delay: spec.max_delay,
+        ..*spec
     };
     println!(
         "{:>6}  {:>9}  {:>8}  {:>6}  {:>9}  {:>10}  {:>10}",
@@ -922,18 +736,14 @@ struct ChaosRow {
 }
 
 /// Drive the server through an injected mid-flush kernel panic at a fixed
-/// front-door ordinal: the poisoned batch fails typed, everything after it
+/// front-door ordinal: the poisoned launch fails typed, everything after it
 /// is served — and the served outputs stay bit-identical on the reference
 /// subset even across the recovery.
 fn run_chaos_row(mech: &Arc<dyn Attention<f32> + Send + Sync>, spec: &WorkloadSpec) -> ChaosRow {
     let total = spec.requests_per_load;
     let fault_at = total / 4;
     let plan = FaultPlan::new().inject(fault_at as u64, FaultKind::PanicInBatch);
-    let server = AttentionServer::start_with_faults(
-        Arc::clone(mech),
-        BatchPolicy::batched(spec.max_batch, spec.max_delay),
-        plan,
-    );
+    let server = AttentionServer::start_with_faults(Arc::clone(mech), BatchPolicy::default(), plan);
     let mut rng = Rng::new(0xC4A05);
     let mut handles = Vec::with_capacity(total);
     for i in 0..total {
@@ -976,10 +786,10 @@ fn run_chaos_row(mech: &Arc<dyn Attention<f32> + Send + Sync>, spec: &WorkloadSp
         total as u64,
         "every chaos request must resolve typed"
     );
-    assert!(panicked >= 1, "the injected panic must fail its batch");
+    assert!(panicked >= 1, "the injected panic must fail its launch");
     assert!(
         post_fault_served > 0,
-        "requests after the poisoned batch must be served — the worker recovered"
+        "requests after the poisoned launch must be served — the worker recovered"
     );
     assert!(stats.batch_panics >= 1);
     ChaosRow {
@@ -993,14 +803,14 @@ fn run_chaos_row(mech: &Arc<dyn Attention<f32> + Send + Sync>, spec: &WorkloadSp
 }
 
 /// Socket-level sweep shape: one fixed prefill shape through the HTTP
-/// front door, batched behind a bounded queue.
+/// front door, behind a bounded queue.
 struct HttpSpec {
     shape: (usize, usize),
     requests_per_load: usize,
-    max_batch: usize,
-    max_delay: Duration,
     queue_depth: usize,
     max_connections: usize,
+    /// Closed-loop clients of the wire capacity burst.
+    capacity_clients: usize,
 }
 
 fn http_workload() -> HttpSpec {
@@ -1008,19 +818,17 @@ fn http_workload() -> HttpSpec {
         HttpSpec {
             shape: (32, 16),
             requests_per_load: 96,
-            max_batch: 8,
-            max_delay: Duration::from_micros(500),
             queue_depth: 16,
             max_connections: 256,
+            capacity_clients: 16,
         }
     } else {
         HttpSpec {
             shape: (64, 32),
             requests_per_load: 192,
-            max_batch: 16,
-            max_delay: Duration::from_millis(1),
             queue_depth: 32,
             max_connections: 256,
+            capacity_clients: 32,
         }
     }
 }
@@ -1107,15 +915,12 @@ fn http_exchange(addr: SocketAddr, bytes: &[u8]) -> wire::Response {
     wire::read_response(&mut reader, &WireLimits::default()).expect("typed response")
 }
 
-/// Saturated throughput of the whole front door — parse, batch, serve,
-/// render — measured with `2 × max_batch` closed-loop clients so batching
-/// is fully engaged. Offered wire loads are scaled against this rate:
-/// 2× of it *must* grow the bounded queue.
+/// Saturated throughput of the whole front door — parse, serve, render —
+/// measured with `capacity_clients` closed-loop clients, so the worker
+/// never idles. Offered wire loads are scaled against this rate: 2× of it
+/// *must* grow the bounded queue.
 fn measure_http_capacity(mech: &Arc<dyn Attention<f32> + Send + Sync>, spec: &HttpSpec) -> f64 {
-    let att = AttentionServer::start(
-        Arc::clone(mech),
-        BatchPolicy::batched(spec.max_batch, spec.max_delay),
-    );
+    let att = AttentionServer::start(Arc::clone(mech), BatchPolicy::default());
     let http = HttpServer::bind(
         att,
         HttpConfig {
@@ -1125,7 +930,7 @@ fn measure_http_capacity(mech: &Arc<dyn Attention<f32> + Send + Sync>, spec: &Ht
     )
     .expect("bind loopback");
     let addr = http.local_addr();
-    let clients = 2 * spec.max_batch;
+    let clients = spec.capacity_clients;
     let per_client = 6usize;
     let mut rng = Rng::new(0x117CAB);
     let (n, d) = spec.shape;
@@ -1199,8 +1004,7 @@ fn run_http_point(
     rate: f64,
     requests: Vec<HttpRequest>,
 ) -> HttpPoint {
-    let policy =
-        BatchPolicy::batched(spec.max_batch, spec.max_delay).with_queue_depth(spec.queue_depth);
+    let policy = BatchPolicy::default().with_queue_depth(spec.queue_depth);
     let att = AttentionServer::start(Arc::clone(mech), policy);
     let http = HttpServer::bind(
         att,
@@ -1333,17 +1137,6 @@ fn round3(x: f64) -> f64 {
     (x * 1e3).round() / 1e3
 }
 
-fn policy_json(r: &PolicyResult) -> Json {
-    Json::obj(vec![
-        ("p50_ms", Json::Num(round3(r.p50_ms))),
-        ("p95_ms", Json::Num(round3(r.p95_ms))),
-        ("p99_ms", Json::Num(round3(r.p99_ms))),
-        ("sim_p50_ms", Json::Num(round3(r.sim_p50_ms))),
-        ("mean_batch", Json::Num(round3(r.mean_batch))),
-        ("throughput_rps", Json::Num(round3(r.throughput_rps))),
-    ])
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.len() > 1 {
@@ -1361,49 +1154,7 @@ fn main() {
     let spec = workload();
     let mech_concrete = DfssAttention::new(NmPattern::P1_2);
     let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(mech_concrete);
-    let capacity_rps = measure_capacity(&spec, mech.as_ref());
-    eprintln!(
-        "[serving] {} mode, per-request capacity ~{capacity_rps:.1} req/s",
-        if quick() { "quick" } else { "full" }
-    );
-
-    let batched_policy = BatchPolicy::batched(spec.max_batch, spec.max_delay);
-    let mut rows = Vec::new();
-    let mut wins = 0usize;
-    println!(
-        "{:>6}  {:>9}  {:>12}  {:>12}  {:>8}  {:>10}",
-        "load", "rps", "base p50 ms", "batch p50 ms", "speedup", "mean batch"
-    );
-    for (li, &mult) in LOAD_MULTS.iter().enumerate() {
-        let rate = mult * capacity_rps;
-        let requests = build_requests(&spec, mech.as_ref(), rate, 1000 + li as u64);
-        let baseline = run_baseline(&mech, &requests);
-        let batched = run_batched(&mech, &spec, batched_policy, &requests);
-        let speedup = baseline.p50_ms / batched.p50_ms.max(1e-9);
-        if batched.p50_ms < baseline.p50_ms {
-            wins += 1;
-        }
-        println!(
-            "{mult:>6.2}  {rate:>9.1}  {:>12.3}  {:>12.3}  {speedup:>7.2}x  {:>10.2}",
-            baseline.p50_ms, batched.p50_ms, batched.mean_batch
-        );
-        rows.push(Json::obj(vec![
-            ("load_mult", Json::Num(mult)),
-            ("offered_rps", Json::Num(round3(rate))),
-            ("requests", Json::Num(requests.len() as f64)),
-            ("baseline", policy_json(&baseline)),
-            ("batched", policy_json(&batched)),
-            ("p50_speedup", Json::Num(round3(speedup))),
-        ]));
-    }
-
-    if !quick() {
-        assert!(
-            wins >= MIN_P50_WINS,
-            "batched serving won p50 at only {wins}/{} loads (need {MIN_P50_WINS})",
-            LOAD_MULTS.len()
-        );
-    }
+    eprintln!("[serving] {} mode", if quick() { "quick" } else { "full" });
 
     // Decode sweep: tokens/sec vs concurrent streams at several cached
     // lengths, ragged batched flush vs the per-stream solo loop.
@@ -1502,7 +1253,7 @@ fn main() {
     // capacity. The shed gates are effectively deterministic — 0.6× of a
     // just-measured capacity drains, 2.0× cannot — so both modes assert.
     let batched_capacity_rps = measure_batched_capacity(&spec, &mech);
-    eprintln!("[serving] overload sweep, batched capacity ~{batched_capacity_rps:.1} req/s");
+    eprintln!("[serving] overload sweep, server capacity ~{batched_capacity_rps:.1} req/s");
     let overload_points = run_overload_sweep(&mech, &spec, batched_capacity_rps);
     for p in &overload_points {
         if p.load_mult < 1.0 {
@@ -1545,7 +1296,7 @@ fn main() {
     // Chaos row: one injected mid-flush panic; the default hook would spray
     // a "thread panicked" banner into the bench output, so silence it for
     // the duration (the panic is expected and asserted on).
-    eprintln!("[serving] chaos row (injected batch panic)");
+    eprintln!("[serving] chaos row (injected launch panic)");
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let chaos = run_chaos_row(&mech, &spec);
@@ -1621,19 +1372,6 @@ fn main() {
             "mechanism",
             Json::Str(Attention::<f32>::name(&mech_concrete)),
         ),
-        ("capacity_rps", Json::Num(round3(capacity_rps))),
-        (
-            "policy",
-            Json::obj(vec![
-                ("max_batch", Json::Num(spec.max_batch as f64)),
-                (
-                    "max_delay_ms",
-                    Json::Num(round3(spec.max_delay.as_secs_f64() * 1e3)),
-                ),
-            ]),
-        ),
-        ("p50_wins", Json::Num(wins as f64)),
-        ("loads", Json::Arr(rows)),
         (
             "decode",
             Json::obj(vec![
@@ -1661,10 +1399,7 @@ fn main() {
         (
             "overload",
             Json::obj(vec![
-                (
-                    "max_queue_depth",
-                    Json::Num((OVERLOAD_DEPTH_BATCHES * spec.max_batch) as f64),
-                ),
+                ("max_queue_depth", Json::Num(spec.queue_depth as f64)),
                 (
                     "batched_capacity_rps",
                     Json::Num(round3(batched_capacity_rps)),
@@ -1691,7 +1426,6 @@ fn main() {
             Json::obj(vec![
                 ("shape_n", Json::Num(hspec.shape.0 as f64)),
                 ("shape_d", Json::Num(hspec.shape.1 as f64)),
-                ("max_batch", Json::Num(hspec.max_batch as f64)),
                 ("max_queue_depth", Json::Num(hspec.queue_depth as f64)),
                 ("max_connections", Json::Num(hspec.max_connections as f64)),
                 ("wire_capacity_rps", Json::Num(round3(wire_capacity_rps))),
@@ -1704,9 +1438,8 @@ fn main() {
     println!("[saved {}]", path.display());
 }
 
-/// Schema validation (`serving --check <path>`): structure always; the
-/// "batched beats the per-request loop on p50 at ≥ 3 loads" acceptance gate
-/// on full-mode artifacts.
+/// Schema validation (`serving --check <path>`): structure and the sweeps'
+/// gates.
 fn check(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let doc = Json::parse(&text)?;
@@ -1728,73 +1461,12 @@ fn check(path: &str) -> Result<(), String> {
     if mode != "quick" && mode != "full" {
         return Err(format!("mode `{mode}` not in {{quick, full}}"));
     }
-    for field in ["threads", "capacity_rps", "p50_wins"] {
-        doc.get(field)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric {field}"))?;
-    }
+    doc.get("threads")
+        .and_then(Json::as_f64)
+        .ok_or("missing numeric threads")?;
     doc.get("mechanism")
         .and_then(Json::as_str)
         .ok_or("missing mechanism")?;
-    let policy = doc.get("policy").ok_or("missing policy")?;
-    for field in ["max_batch", "max_delay_ms"] {
-        policy
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric policy.{field}"))?;
-    }
-    let loads = doc
-        .get("loads")
-        .and_then(Json::as_arr)
-        .ok_or("missing loads array")?;
-    if loads.len() < 3 {
-        return Err(format!("need >= 3 offered loads, got {}", loads.len()));
-    }
-    let mut wins = 0usize;
-    for (i, l) in loads.iter().enumerate() {
-        for field in ["load_mult", "offered_rps", "requests", "p50_speedup"] {
-            let x = l
-                .get(field)
-                .and_then(Json::as_f64)
-                .ok_or(format!("load {i}: missing numeric {field}"))?;
-            if !x.is_finite() || x < 0.0 {
-                return Err(format!("load {i}: {field} = {x} not finite non-negative"));
-            }
-        }
-        let mut p50 = [0.0f64; 2];
-        for (slot, side) in ["baseline", "batched"].iter().enumerate() {
-            let s = l.get(side).ok_or(format!("load {i}: missing {side}"))?;
-            for field in [
-                "p50_ms",
-                "p95_ms",
-                "p99_ms",
-                "sim_p50_ms",
-                "mean_batch",
-                "throughput_rps",
-            ] {
-                let x = s
-                    .get(field)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("load {i}: missing numeric {side}.{field}"))?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(format!(
-                        "load {i}: {side}.{field} = {x} not finite non-negative"
-                    ));
-                }
-            }
-            p50[slot] = s.get("p50_ms").and_then(Json::as_f64).unwrap_or(0.0);
-        }
-        if p50[1] < p50[0] {
-            wins += 1;
-        }
-    }
-    if mode == "full" && wins < MIN_P50_WINS {
-        return Err(format!(
-            "full-mode artifact: batched p50 beats baseline at only {wins}/{} loads (need {MIN_P50_WINS})",
-            loads.len()
-        ));
-    }
-
     // Decode sweep section: structure always; the "batched decode beats the
     // solo loop at >= 2 stream counts" gate on full-mode artifacts.
     let decode = doc.get("decode").ok_or("missing decode section")?;
@@ -2088,7 +1760,6 @@ fn check(path: &str) -> Result<(), String> {
     for field in [
         "shape_n",
         "shape_d",
-        "max_batch",
         "max_queue_depth",
         "max_connections",
         "wire_capacity_rps",
@@ -2205,8 +1876,7 @@ fn check(path: &str) -> Result<(), String> {
     verify_chunk_parity()?;
 
     println!(
-        "{path}: schema OK (bench_serving {mode} mode, {} loads, {wins} p50 wins, {} decode points, {decode_wins} decode stream-count wins, {} memory budgets, {starved_rejections} rejections at {starved_mult}x, {heavy_shed} sheds at {heavy_mult}x overload, {c_panicked} panicked/{c_post} served post-fault in chaos, {h_heavy_shed} wire 503s at {h_heavy_mult}x over http, chunk parity re-proven)",
-        loads.len(),
+        "{path}: schema OK (bench_serving {mode} mode, {} decode points, {decode_wins} decode stream-count wins, {} memory budgets, {starved_rejections} rejections at {starved_mult}x, {heavy_shed} sheds at {heavy_mult}x overload, {c_panicked} panicked/{c_post} served post-fault in chaos, {h_heavy_shed} wire 503s at {h_heavy_mult}x over http, chunk parity re-proven)",
         drows.len(),
         mrows.len()
     );
@@ -2221,7 +1891,7 @@ fn verify_chunk_parity() -> Result<(), String> {
     let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(DfssAttention::new(NmPattern::P1_2));
     let server = AttentionServer::start_continuous_with_kv(
         Arc::clone(&mech),
-        BatchPolicy::per_request(),
+        BatchPolicy::default(),
         // Chunks far smaller than the rows: every request is split into
         // at least three chunks, interleaved with the others'.
         SchedPolicy::new(16, 32),

@@ -3,19 +3,16 @@
 //!
 //! [`AttentionEngine`] owns the per-launch state a caller would otherwise
 //! rebuild on every call — the simulated device context (timeline + memory
-//! ledger) and the pack/unpack plumbing of the paper's one-launch-per-op
-//! batching (A.1.2) — and has one entry point per kind of traffic:
+//! ledger) and the decode pack/unpack plumbing of the paper's
+//! one-launch-per-op batching (A.1.2) — and has one entry point per kind of
+//! traffic:
 //!
-//! * [`launch`](AttentionEngine::launch) — **prefill**: borrowed
-//!   `(q_rows, k, v)` chunks, validated against the mechanism's shape
-//!   constraints with a typed [`RequestError`] (never a panic) before
-//!   anything runs. One chunk — a whole request, or a row slice of one for
-//!   a mechanism that can chunk — runs [`Attention::forward`]; two or more
-//!   whole requests of one shape gather into one stack and run a single
-//!   `forward_batched` (one simulated launch per op). Outputs are
-//!   bit-identical to solo `forward` calls.
-//!   [`forward_chunk`](AttentionEngine::forward_chunk) is its one-chunk
-//!   case.
+//! * [`forward_chunk`](AttentionEngine::forward_chunk) — **prefill**: one
+//!   borrowed `(q_rows, k, v)` chunk — a whole request, or a row slice of
+//!   one for a mechanism that can chunk — validated against the mechanism's
+//!   shape constraints with a typed [`RequestError`] (never a panic) before
+//!   anything runs, then run through [`Attention::forward`]. Outputs are
+//!   bit-identical to those rows of a solo `forward` call.
 //! * [`flush_decode`](AttentionEngine::flush_decode) — **decode**: one new
 //!   query row per stream against that stream's cached K/V, with
 //!   per-stream lengths free to differ, as one **ragged** launch per op
@@ -24,8 +21,8 @@
 //!   single profile), bit-identical to a per-stream solo
 //!   [`Attention::decode`] loop.
 //!
-//! The serving layer (`dfss-serve`) and the load generator sit on this
-//! engine; none of them touch `BatchedMatrix` assembly directly.
+//! The serving layer (`dfss-serve`) and the serving bench sit on this
+//! engine.
 //!
 //! ```
 //! use dfss_core::dfss::DfssAttention;
@@ -63,7 +60,7 @@
 
 use crate::mechanism::{try_check_qkv, Attention, KvViews, RequestError};
 use dfss_kernels::GpuCtx;
-use dfss_tensor::{BatchedMatrix, Bf16, Matrix, PagedPanel, Scalar};
+use dfss_tensor::{Bf16, Matrix, PagedPanel, Scalar};
 
 /// Where one stream's cached K or V rows live in caller storage.
 ///
@@ -324,20 +321,19 @@ fn bucket_views<'a, T: Scalar>(
 }
 
 /// One completed prefill **chunk** out of a
-/// [`launch`](AttentionEngine::launch) — `c` query rows of one request run
-/// against its full K/V: the whole request, or a row slice of it (the
-/// resumable unit the continuous batching scheduler interleaves with decode
-/// steps).
+/// [`forward_chunk`](AttentionEngine::forward_chunk) — `c` query rows of one
+/// request run against its full K/V: the whole request, or a row slice of it
+/// (the resumable unit the continuous batching scheduler interleaves with
+/// decode steps).
 #[derive(Debug)]
 pub struct FlushedChunk<T: Scalar> {
     /// Query rows in the chunk.
     pub rows: usize,
     /// The `c × d_v` output rows — `None` under a charge-only context.
     pub output: Option<Matrix<T>>,
-    /// Simulated-device latency of the launch the chunk rode — every chunk
-    /// of a batched group waits for the whole launch.
+    /// Simulated-device latency of the chunk's launches.
     pub sim_latency_s: f64,
-    /// Kernel launches that launch recorded (one per op).
+    /// Kernel launches the chunk recorded (one per op).
     pub launches: u64,
 }
 
@@ -439,92 +435,36 @@ impl<'m, T: Scalar> AttentionEngine<'m, T> {
         &self.last_decode
     }
 
-    /// Launch prefill **chunks** — each `(q_rows, k, v)` is `c` query rows
-    /// of one request against its full `n`-key K/V — as one launch group,
-    /// returning one [`FlushedChunk`] per chunk, in chunk order.
+    /// Run one prefill **chunk** — `q_rows` (`c × d`) of one request
+    /// against its full `n`-key K/V — through the mechanism's
+    /// [`forward`](Attention::forward): the whole request (`c = n`), or,
+    /// when the mechanism
+    /// [`supports_row_chunking`](Attention::supports_row_chunking), a row
+    /// slice of one, bit-identical to those rows of the whole-Q forward (the
+    /// parity contract the scheduler gauntlet and the serving bench's
+    /// `--check` pin).
     ///
-    /// * One chunk runs the mechanism's [`forward`](Attention::forward): a
-    ///   whole request (`c = n`), or — when the mechanism
-    ///   [`supports_row_chunking`](Attention::supports_row_chunking) — a
-    ///   row slice of one, bit-identical to those rows of the whole-Q
-    ///   forward (the parity contract the scheduler gauntlet and the
-    ///   serving bench's `--check` pin).
-    /// * Two or more chunks must be whole requests of one shape: they
-    ///   gather into one contiguous stack and run a single
-    ///   [`forward_batched`](Attention::forward_batched) — one simulated
-    ///   launch per op for the group — and unpack bit-identically to solo
-    ///   `forward` calls.
-    ///
-    /// Every chunk is validated before anything launches: a malformed
-    /// triple, a shape the mechanism cannot run, a partial chunk of a
-    /// mechanism that cannot chunk, or a group that is not whole requests
-    /// of one shape comes back as a typed error with no launch recorded.
-    /// No chunks is a no-op.
-    pub fn launch(
-        &mut self,
-        chunks: &[(&Matrix<T>, &Matrix<T>, &Matrix<T>)],
-    ) -> Result<Vec<FlushedChunk<T>>, RequestError> {
-        for &(q, k, v) in chunks {
-            try_check_qkv(self.mech, q, k, v)?;
-        }
-        let Some(&(q0, _, v0)) = chunks.first() else {
-            return Ok(Vec::new());
-        };
-        let whole_of_one_shape = |&(q, k, v): &(&Matrix<T>, &Matrix<T>, &Matrix<T>)| {
-            q.rows() == k.rows() && (q.shape(), v.cols()) == (q0.shape(), v0.cols())
-        };
-        if chunks.len() > 1 && !chunks.iter().all(whole_of_one_shape) {
-            return Err(RequestError::Unsupported {
-                mechanism: self.mech.name(),
-                reason: "a batched launch takes whole requests of one shape".into(),
-            });
-        }
-
-        let mark = self.ctx.timeline.entries().len();
-        let outputs: Vec<Option<Matrix<T>>> = if let [(q, k, v)] = chunks {
-            let out = self.mech.forward(&mut self.ctx, q, k, v);
-            vec![self.ctx.exec.then_some(out)]
-        } else {
-            let stack = |part: usize| {
-                let panels: Vec<&Matrix<T>> =
-                    chunks.iter().map(|c| [c.0, c.1, c.2][part]).collect();
-                BatchedMatrix::gather(&panels)
-            };
-            let out = self
-                .mech
-                .forward_batched(&mut self.ctx, &stack(0), &stack(1), &stack(2));
-            if out.is_materialized() {
-                out.into_panels().into_iter().map(Some).collect()
-            } else {
-                chunks.iter().map(|_| None).collect()
-            }
-        };
-        let entries = &self.ctx.timeline.entries()[mark..];
-        let sim_latency_s: f64 = entries.iter().map(|e| e.latency(&self.ctx.dev)).sum();
-        let launches: u64 = entries.iter().map(|e| e.launches).sum();
-        Ok(chunks
-            .iter()
-            .zip(outputs)
-            .map(|(&(q, _, _), output)| FlushedChunk {
-                rows: q.rows(),
-                output,
-                sim_latency_s,
-                launches,
-            })
-            .collect())
-    }
-
-    /// Run one prefill chunk — the one-chunk case of
-    /// [`launch`](Self::launch): `q_rows` (`c × d`) against the full
-    /// `n`-key K/V through the mechanism's `forward`.
+    /// The chunk is validated before anything launches: a malformed triple,
+    /// a shape the mechanism cannot run, or a partial chunk of a mechanism
+    /// that cannot chunk comes back as a typed error with no launch recorded.
     pub fn forward_chunk(
         &mut self,
         q_rows: &Matrix<T>,
         k: &Matrix<T>,
         v: &Matrix<T>,
     ) -> Result<FlushedChunk<T>, RequestError> {
-        let mut done = self.launch(&[(q_rows, k, v)])?;
-        Ok(done.pop().expect("one chunk in, one result out"))
+        try_check_qkv(self.mech, q_rows, k, v)?;
+        let mark = self.ctx.timeline.entries().len();
+        let out = self.mech.forward(&mut self.ctx, q_rows, k, v);
+        let entries = &self.ctx.timeline.entries()[mark..];
+        let sim_latency_s: f64 = entries.iter().map(|e| e.latency(&self.ctx.dev)).sum();
+        let launches: u64 = entries.iter().map(|e| e.launches).sum();
+        Ok(FlushedChunk {
+            rows: q_rows.rows(),
+            output: self.ctx.exec.then_some(out),
+            sim_latency_s,
+            launches,
+        })
     }
 
     /// Batch a set of **decode steps** (one new query row per stream
@@ -615,7 +555,7 @@ impl<'m, T: Scalar> AttentionEngine<'m, T> {
     }
 
     /// Restore the engine to a serviceable state after a panic unwound
-    /// through [`launch`](Self::launch) or
+    /// through [`forward_chunk`](Self::forward_chunk) or
     /// [`flush_decode`](Self::flush_decode) and was caught by the caller
     /// (the serving layer's batch-panic isolation): a panic mid-launch can
     /// leave a partially recorded launch timeline and a stale decode report
@@ -653,99 +593,14 @@ mod tests {
     }
 
     #[test]
-    fn launch_is_bit_identical_to_solo_forward_per_group() {
-        let mech = DfssAttention::new(NmPattern::P1_2);
-        let mut engine = AttentionEngine::new(&mech);
-        let mut rng = Rng::new(7);
-        // Two shape groups interleaved in arrival order.
-        let shapes = [(32, 16), (64, 8), (32, 16), (64, 8), (32, 16)];
-        let reqs: Vec<_> = shapes
-            .iter()
-            .map(|&(n, d)| request(n, d, &mut rng))
-            .collect();
-        let solo: Vec<Matrix<f32>> = reqs
-            .iter()
-            .map(|(q, k, v)| mech.forward(&mut GpuCtx::a100(), q, k, v))
-            .collect();
-        for (n, size) in [(32usize, 3usize), (64, 2)] {
-            let idxs: Vec<usize> = (0..reqs.len()).filter(|&i| reqs[i].0.rows() == n).collect();
-            let group: Vec<_> = idxs
-                .iter()
-                .map(|&i| (&reqs[i].0, &reqs[i].1, &reqs[i].2))
-                .collect();
-            let done = engine.launch(&group).unwrap();
-            assert_eq!(done.len(), size);
-            for (res, &i) in done.iter().zip(&idxs) {
-                assert_eq!(res.rows, n);
-                assert!(res.sim_latency_s > 0.0);
-                let got = res.output.as_ref().expect("exec mode");
-                assert_eq!(bits(got), bits(&solo[i]), "request {i} diverged from solo");
-            }
-        }
-    }
-
-    #[test]
-    fn one_launch_per_op_per_group() {
-        // Dfss runs 3 ops (fused SDDMM, softmax, SpMM): two groups record
-        // exactly 6 launches no matter how many requests each holds.
-        let mech = DfssAttention::new(NmPattern::P1_2);
-        let mut engine = AttentionEngine::new(&mech);
-        let mut rng = Rng::new(9);
-        for (n, size) in [(32usize, 3usize), (64, 2)] {
-            let reqs: Vec<_> = (0..size).map(|_| request(n, 8, &mut rng)).collect();
-            let group: Vec<_> = reqs.iter().map(|(q, k, v)| (q, k, v)).collect();
-            let done = engine.launch(&group).unwrap();
-            assert!(done.iter().all(|r| r.launches == 3));
-        }
-        assert_eq!(engine.ctx().timeline.launches(), 6);
-    }
-
-    #[test]
-    fn launch_rejects_unservable_chunks_without_launching() {
-        let mech = DfssAttention::new(NmPattern::P1_2);
-        let mut engine = AttentionEngine::new(&mech);
-        let mut rng = Rng::new(10);
-        // n = 31 is not a multiple of M = 2 → typed rejection.
-        let q = Matrix::<f32>::zeros(31, 8);
-        let err = engine.launch(&[(&q, &q, &q)]).unwrap_err();
-        assert!(matches!(err, RequestError::Unsupported { .. }));
-        // Mismatched K → typed rejection.
-        let (q32, k32, v32) = request(32, 8, &mut rng);
-        let k_bad = Matrix::<f32>::zeros(32, 4);
-        let err = engine.launch(&[(&q32, &k_bad, &v32)]).unwrap_err();
-        assert!(matches!(err, RequestError::KShapeMismatch { .. }));
-        // A zero-width V has nothing to attend into.
-        let v_empty = Matrix::<f32>::zeros(32, 0);
-        let err = engine.launch(&[(&q32, &k32, &v_empty)]).unwrap_err();
-        assert_eq!(err, RequestError::EmptyRequest);
-        // One bad chunk fails the whole group before anything runs.
-        let err = engine
-            .launch(&[(&q32, &k32, &v32), (&q32, &k_bad, &v32)])
-            .unwrap_err();
-        assert!(matches!(err, RequestError::KShapeMismatch { .. }));
-        // A group holds whole requests of one shape only.
-        let (q64, k64, v64) = request(64, 8, &mut rng);
-        let q_rows = q64.take_rows(0, 32);
-        for group in [
-            [(&q32, &k32, &v32), (&q64, &k64, &v64)],
-            [(&q32, &k32, &v32), (&q_rows, &k64, &v64)],
-        ] {
-            let err = engine.launch(&group).unwrap_err();
-            assert!(matches!(err, RequestError::Unsupported { .. }));
-        }
-        assert_eq!(engine.ctx().timeline.launches(), 0);
-        assert!(engine.ctx().timeline.is_empty());
-    }
-
-    #[test]
     fn ctx_persists_across_launches_until_reset() {
         let mech = FullAttention;
         let mut engine = AttentionEngine::new(&mech);
         let mut rng = Rng::new(11);
         let (q, k, v) = request(16, 8, &mut rng);
-        engine.launch(&[(&q, &k, &v)]).unwrap();
+        engine.forward_chunk(&q, &k, &v).unwrap();
         let launches_after_first = engine.ctx().timeline.launches();
-        engine.launch(&[(&q, &k, &v)]).unwrap();
+        engine.forward_chunk(&q, &k, &v).unwrap();
         // The context is owned and reused: the timeline accumulated both
         // launches until explicitly reset.
         assert_eq!(engine.ctx().timeline.launches(), 2 * launches_after_first);
@@ -864,15 +719,6 @@ mod tests {
         assert!(engine.last_decode().buckets.is_empty());
     }
 
-    #[test]
-    fn empty_launch_is_a_no_op_too() {
-        let mech = FullAttention;
-        let mut engine: AttentionEngine<'_, f32> = AttentionEngine::new(&mech);
-        assert!(engine.launch(&[]).unwrap().is_empty());
-        assert_eq!(engine.ctx().timeline.launches(), 0);
-        assert!(engine.ctx().timeline.is_empty());
-    }
-
     /// A mechanism that panics on its next forward while armed — stand-in
     /// for a kernel bug the serving layer must survive.
     struct PanicOnce {
@@ -906,16 +752,15 @@ mod tests {
         let mut rng = Rng::new(61);
         let (q, k, v) = request(16, 8, &mut rng);
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            let _ = engine.launch(&[(&q, &k, &v)]);
+            let _ = engine.forward_chunk(&q, &k, &v);
         }));
         assert!(unwound.is_err(), "armed mechanism must panic mid-launch");
         engine.recover_after_panic();
         assert!(engine.ctx().timeline.is_empty());
         assert!(engine.last_decode().buckets.is_empty());
         // The next launch serves normally.
-        let done = engine.launch(&[(&q, &k, &v)]).unwrap();
-        assert_eq!(done.len(), 1);
-        assert!(done[0].output.is_some());
+        let done = engine.forward_chunk(&q, &k, &v).unwrap();
+        assert!(done.output.is_some());
     }
 
     #[test]
@@ -1191,20 +1036,16 @@ mod tests {
         let mut exec_engine = AttentionEngine::new(&mech);
         let mut charge_engine = AttentionEngine::with_ctx(&mech, GpuCtx::a100_charge_only());
         let mut rng = Rng::new(13);
-        let reqs: Vec<_> = (0..3).map(|_| request(32, 16, &mut rng)).collect();
-        let group: Vec<_> = reqs.iter().map(|(q, k, v)| (q, k, v)).collect();
-        // A group and a single partial chunk, both ways.
-        let chunk = reqs[0].0.take_rows(4, 20);
-        for launch in [group, vec![(&chunk, &reqs[0].1, &reqs[0].2)]] {
-            let exec_out = exec_engine.launch(&launch).unwrap();
-            let charge_out = charge_engine.launch(&launch).unwrap();
-            assert!(exec_out.iter().all(|r| r.output.is_some()));
-            assert!(charge_out.iter().all(|r| r.output.is_none()));
+        let (q, k, v) = request(32, 16, &mut rng);
+        // A whole request and a partial chunk, both ways.
+        for q_rows in [q.clone(), q.take_rows(4, 20)] {
+            let e = exec_engine.forward_chunk(&q_rows, &k, &v).unwrap();
+            let c = charge_engine.forward_chunk(&q_rows, &k, &v).unwrap();
+            assert!(e.output.is_some());
+            assert!(c.output.is_none());
             // Identical charges either way.
-            for (e, c) in exec_out.iter().zip(&charge_out) {
-                assert_eq!((e.rows, e.launches), (c.rows, c.launches));
-                assert!((e.sim_latency_s - c.sim_latency_s).abs() < 1e-15);
-            }
+            assert_eq!((e.rows, e.launches), (c.rows, c.launches));
+            assert!((e.sim_latency_s - c.sim_latency_s).abs() < 1e-15);
             assert_eq!(
                 exec_engine.ctx().timeline.total_bytes(),
                 charge_engine.ctx().timeline.total_bytes()
@@ -1313,6 +1154,11 @@ mod tests {
             engine.forward_chunk(&q_rows, &k_odd, &v_odd),
             Err(RequestError::Unsupported { .. })
         ));
+        // A zero-width V has nothing to attend into.
+        let err = engine
+            .forward_chunk(&q_rows, &k, &Matrix::zeros(32, 0))
+            .unwrap_err();
+        assert_eq!(err, RequestError::EmptyRequest);
         assert_eq!(engine.ctx().timeline.entries().len(), 0);
     }
 }

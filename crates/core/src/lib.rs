@@ -19,7 +19,7 @@
 //! | [`quality`] | the `Q^p` lottery-ticket quality metric (Def 4.1) | Fig 12, 13 |
 //! | [`theory`] | Props 4.2/4.3, Eqs 5/6/33, the Performer MSE bounds (Eqs 30/31) | §4, A.2–A.5 |
 //! | [`visualize`] | ASCII/CSV attention heat maps | Fig 19 |
-//! | [`engine`] | [`AttentionEngine`]: one prefill launch call (a chunk, or a same-shape group of whole requests) and ragged decode batching over any mechanism | §5.2 serving, A.1.2 |
+//! | [`engine`] | [`AttentionEngine`]: one prefill entry (`forward_chunk`: a whole request, or a row slice of one) and ragged decode batching over any mechanism | §5.2 serving, A.1.2 |
 
 pub mod cluster_baselines;
 pub mod dfss;

@@ -87,43 +87,6 @@ impl<T: Scalar> NmBatch<T> {
         }
     }
 
-    /// Gather borrowed same-shape compressed panels into one stack — the
-    /// serving path's *pack* step for mechanisms that exchange compressed
-    /// weights (mirrors [`BatchedMatrix::gather`]). Inverse of
-    /// [`into_panels`](Self::into_panels) up to the copy.
-    ///
-    /// [`BatchedMatrix::gather`]: dfss_tensor::BatchedMatrix
-    pub fn gather(panels: &[&NmCompressed<T>]) -> NmBatch<T> {
-        assert!(!panels.is_empty(), "empty panel list");
-        let (pattern, rows, cols) = (panels[0].pattern(), panels[0].rows(), panels[0].cols());
-        let mut nonzeros = Vec::with_capacity(panels.len() * rows * pattern.kept_per_row(cols));
-        let mut codes = Vec::with_capacity(panels.len() * rows * cols / pattern.m());
-        for p in panels {
-            assert_eq!(
-                (p.pattern(), p.rows(), p.cols()),
-                (pattern, rows, cols),
-                "panel shape/pattern mismatch"
-            );
-            nonzeros.extend_from_slice(p.nonzeros());
-            codes.extend_from_slice(p.codes());
-        }
-        NmBatch {
-            pattern,
-            batch: panels.len(),
-            rows,
-            cols,
-            nonzeros,
-            codes,
-        }
-    }
-
-    /// Scatter the stack back into standalone compressed panels (the
-    /// serving path's *unpack* step). Bit-preserving.
-    pub fn into_panels(self) -> Vec<NmCompressed<T>> {
-        self.assert_materialized();
-        (0..self.batch).map(|b| self.to_compressed(b)).collect()
-    }
-
     /// Shape-only placeholder for charge-only (`!ctx.exec`) kernel results.
     pub fn charge_only(pattern: NmPattern, batch: usize, rows: usize, cols: usize) -> NmBatch<T> {
         assert_eq!(cols % pattern.m(), 0);
@@ -305,16 +268,6 @@ mod tests {
         let (panels, stack) = stack(4, 32, 3);
         assert_eq!(stack.nonzeros_bytes(), 4 * panels[0].nonzeros_bytes());
         assert_eq!(stack.meta_bytes(), 4 * panels[0].meta_bytes());
-    }
-
-    #[test]
-    fn gather_then_into_panels_is_identity() {
-        let (panels, _) = stack(3, 16, 5);
-        let refs: Vec<&NmCompressed<f32>> = panels.iter().collect();
-        let gathered = NmBatch::gather(&refs);
-        assert_eq!(gathered.batch(), 3);
-        let back = gathered.into_panels();
-        assert_eq!(back, panels);
     }
 
     #[test]

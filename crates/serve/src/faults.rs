@@ -15,7 +15,7 @@
 
 use dfss_core::mechanism::{Attention, KvViews, RequestError};
 use dfss_kernels::GpuCtx;
-use dfss_tensor::{BatchedMatrix, Matrix, Scalar};
+use dfss_tensor::{Matrix, Scalar};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,8 +25,10 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The launch containing the targeted prefill or decode request
-    /// panics mid-flush ("injected kernel panic"). Every request packed
-    /// into that launch fails with
+    /// panics mid-flush ("injected kernel panic"). A prefill launch
+    /// carries one chunk of one job (the fault fires at the job's first
+    /// chunk), so the targeted job alone fails; a ragged decode launch
+    /// fails every step packed into it. Each fails with
     /// [`ServeError::BatchPanicked`](crate::ServeError::BatchPanicked);
     /// the server recovers and keeps serving. Ignored on session
     /// operations (open/append/extend), which never launch.
@@ -142,13 +144,13 @@ pub(crate) struct FaultArm {
 }
 
 impl FaultArm {
-    /// Arm a panic for the next batched launch.
+    /// Arm a panic for the next launch.
     pub fn arm_panic(&self) {
         self.panic_next.store(true, Ordering::SeqCst);
     }
 
-    /// Arm a sleep for the next batched launch (longest wins if several
-    /// tags land in one batch).
+    /// Arm a sleep for the next launch (longest wins if several tags land
+    /// in one decode flush).
     pub fn arm_slow(&self, delay: Duration) {
         let ns = delay.as_nanos().min(u64::MAX as u128) as u64;
         self.slow_next_ns.fetch_max(ns, Ordering::SeqCst);
@@ -177,10 +179,10 @@ impl FaultArm {
 }
 
 /// A delegating mechanism wrapper that trips armed faults at the engine's
-/// launch entry points — `forward` (one chunk), `forward_batched` (a group
-/// of whole jobs) and `decode_paged` (a ragged decode launch) — so the
-/// panic unwinds from inside the mechanism call, exactly where a real
-/// kernel bug would surface.
+/// two launch entry points — `forward` (one prefill chunk) and
+/// `decode_paged` (a ragged decode launch) — so the panic unwinds from
+/// inside the mechanism call, exactly where a real kernel bug would
+/// surface.
 pub(crate) struct FaultyAttention<T: Scalar> {
     pub inner: Arc<dyn Attention<T> + Send + Sync>,
     pub arm: Arc<FaultArm>,
@@ -194,17 +196,6 @@ impl<T: Scalar> Attention<T> for FaultyAttention<T> {
     fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
         self.arm.trip();
         self.inner.forward(ctx, q, k, v)
-    }
-
-    fn forward_batched(
-        &self,
-        ctx: &mut GpuCtx,
-        q: &BatchedMatrix<T>,
-        k: &BatchedMatrix<T>,
-        v: &BatchedMatrix<T>,
-    ) -> BatchedMatrix<T> {
-        self.arm.trip();
-        self.inner.forward_batched(ctx, q, k, v)
     }
 
     fn scale_for(&self, d: usize) -> f32 {
@@ -262,30 +253,20 @@ mod tests {
     }
 
     #[test]
-    fn armed_panic_fires_once_inside_the_batched_launch() {
+    fn armed_panic_fires_once_inside_the_launch() {
         let arm = Arc::new(FaultArm::default());
         let mech = FaultyAttention::<f32> {
             inner: Arc::new(FullAttention),
             arm: Arc::clone(&arm),
         };
-        let q = BatchedMatrix::<f32>::zeros(1, 4, 4);
-        arm.arm_panic();
-        let mut ctx = GpuCtx::a100();
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            let _ = mech.forward_batched(&mut ctx, &q, &q, &q);
-        }));
-        assert!(unwound.is_err(), "armed wrapper must panic at launch");
-        // The latch cleared: the next launch runs clean.
-        let out = mech.forward_batched(&mut ctx, &q, &q, &q);
-        assert_eq!(out.shape(), (1, 4, 4));
-
-        // The one-chunk entry trips the same way, once.
         let (rows, kv) = (Matrix::<f32>::zeros(2, 4), Matrix::<f32>::zeros(4, 4));
         arm.arm_panic();
+        let mut ctx = GpuCtx::a100();
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             let _ = mech.forward(&mut ctx, &rows, &kv, &kv);
         }));
         assert!(unwound.is_err(), "armed wrapper must panic at a chunk");
+        // The latch cleared: the next launch runs clean.
         assert_eq!(mech.forward(&mut ctx, &rows, &kv, &kv).shape(), (2, 4));
     }
 }

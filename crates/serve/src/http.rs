@@ -147,12 +147,9 @@ struct Inner {
 /// use dfss_serve::http::{HttpConfig, HttpServer};
 /// use dfss_serve::{AttentionServer, BatchPolicy};
 /// use dfss_core::full::FullAttention;
-/// use std::{sync::Arc, time::Duration};
+/// use std::sync::Arc;
 ///
-/// let att = AttentionServer::<f32>::start(
-///     Arc::new(FullAttention),
-///     BatchPolicy::batched(8, Duration::from_millis(1)),
-/// );
+/// let att = AttentionServer::<f32>::start(Arc::new(FullAttention), BatchPolicy::default());
 /// let server = HttpServer::bind(att, HttpConfig::default()).unwrap();
 /// println!("serving on {}", server.url());
 /// // ... curl http://127.0.0.1:PORT/healthz ...
@@ -653,7 +650,6 @@ fn prefill(shared: &Shared, body: &[u8]) -> Reply {
             Json::obj(vec![
                 ("output", matrix_json(&served.output)),
                 ("ticket", Json::Num(served.ticket.0 as f64)),
-                ("batch_size", Json::Num(served.batch_size as f64)),
                 (
                     "queue_wait_us",
                     Json::Num(served.queue_wait.as_micros() as f64),
@@ -757,8 +753,6 @@ fn metrics_text(shared: &Shared) -> String {
     let ServeStats {
         served,
         rejected,
-        batches,
-        max_batch,
         decode_steps,
         decode_batches,
         max_decode_batch,
@@ -796,8 +790,6 @@ fn metrics_text(shared: &Shared) -> String {
     };
     line("served", served as f64);
     line("rejected", rejected as f64);
-    line("batches", batches as f64);
-    line("max_batch", max_batch as f64);
     line("decode_steps", decode_steps as f64);
     line("decode_batches", decode_batches as f64);
     line("max_decode_batch", max_decode_batch as f64);
@@ -1034,7 +1026,7 @@ mod tests {
     fn prefill_over_http_is_bit_identical_to_solo_forward() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
-        let server = start_http(BatchPolicy::batched(4, Duration::from_millis(1)));
+        let server = start_http(BatchPolicy::default());
         let mut client = HttpClient::connect(server.local_addr());
         let mut rng = Rng::new(23);
         // 32 rows run whole; 96 rows split into two chunks under the
@@ -1072,7 +1064,7 @@ mod tests {
 
     #[test]
     fn session_lifecycle_and_decode_over_http() {
-        let server = start_http(BatchPolicy::per_request());
+        let server = start_http(BatchPolicy::default());
         let mut client = HttpClient::connect(server.local_addr());
         let opened = client
             .call(
@@ -1123,7 +1115,7 @@ mod tests {
 
     #[test]
     fn unknown_routes_bad_ids_and_bad_bodies_are_typed() {
-        let server = start_http(BatchPolicy::per_request());
+        let server = start_http(BatchPolicy::default());
         let mut client = HttpClient::connect(server.local_addr());
         for (method, path, body, want) in [
             ("GET", "/nope", None, 404),
@@ -1159,7 +1151,7 @@ mod tests {
 
     #[test]
     fn garbage_bytes_get_400_and_count_as_parse_rejects() {
-        let server = start_http(BatchPolicy::per_request());
+        let server = start_http(BatchPolicy::default());
         let addr = server.local_addr();
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
@@ -1186,7 +1178,7 @@ mod tests {
 
     #[test]
     fn slow_loris_gets_typed_408_not_a_hung_acceptor() {
-        let server = start_http(BatchPolicy::per_request());
+        let server = start_http(BatchPolicy::default());
         let addr = server.local_addr();
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
@@ -1206,7 +1198,7 @@ mod tests {
     #[test]
     fn oversized_body_is_typed_413() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let att = AttentionServer::start(mech, BatchPolicy::per_request());
+        let att = AttentionServer::start(mech, BatchPolicy::default());
         let config = HttpConfig {
             limits: WireLimits {
                 max_body_bytes: 64,
@@ -1231,7 +1223,7 @@ mod tests {
     #[test]
     fn connection_cap_sheds_typed_503_with_retry_after() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let att = AttentionServer::start(mech, BatchPolicy::per_request());
+        let att = AttentionServer::start(mech, BatchPolicy::default());
         let config = HttpConfig {
             max_connections: 1,
             ..quick_config()
@@ -1258,7 +1250,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let att = AttentionServer::start_with_faults(
             mech,
-            BatchPolicy::per_request().with_queue_depth(1),
+            BatchPolicy::default().with_queue_depth(1),
             FaultPlan::new().inject(0, FaultKind::SlowLaunch(Duration::from_millis(300))),
         );
         let server = HttpServer::bind(att, quick_config()).unwrap();
@@ -1295,7 +1287,7 @@ mod tests {
     #[test]
     fn readyz_flips_and_drain_force_closes_stragglers() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let att = AttentionServer::start(mech, BatchPolicy::per_request());
+        let att = AttentionServer::start(mech, BatchPolicy::default());
         let config = HttpConfig {
             // Long read deadline: the straggler below would otherwise
             // pin its handler far past the drain deadline.
@@ -1333,7 +1325,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let att = AttentionServer::start_with_kv(
             mech,
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             KvConfig {
                 page_elems: 64,
                 budget_bytes: 16 * 1024,
@@ -1416,7 +1408,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let att = AttentionServer::start_with_faults(
             mech,
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             FaultPlan::new().inject(1, FaultKind::ExhaustPool),
         );
         let server = HttpServer::bind(att, quick_config()).unwrap();
@@ -1462,7 +1454,7 @@ mod tests {
             .inject(6, slow);
         let att = AttentionServer::start_continuous_with_kv_faults(
             mech,
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             SchedPolicy::default(),
             KvConfig::default(),
             plan,
@@ -1538,7 +1530,7 @@ mod tests {
 
     #[test]
     fn keep_alive_serves_many_requests_on_one_connection() {
-        let server = start_http(BatchPolicy::per_request());
+        let server = start_http(BatchPolicy::default());
         let mut client = HttpClient::connect(server.local_addr());
         for _ in 0..5 {
             client.call("GET", "/healthz", None).expect("healthz");
@@ -1555,7 +1547,7 @@ mod tests {
         // A client that sends a request and then refuses to read the
         // response: the write lands in the socket buffer (or fails the
         // bounded write deadline) and drain still completes.
-        let server = start_http(BatchPolicy::per_request());
+        let server = start_http(BatchPolicy::default());
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .write_all(b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n")

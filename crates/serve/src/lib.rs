@@ -5,12 +5,11 @@
 //! * **Prefill** — independent `(Q, K, V)` requests arrive at unpredictable
 //!   times; each becomes a resumable **job** that the continuous scheduler
 //!   ([`sched`]) plans in chunks of at most
-//!   [`SchedPolicy::prefill_chunk`] rows. Chunks that cover a whole job and
-//!   share its shape run through the [`AttentionEngine`] as **one batched
-//!   launch per op** over at most [`BatchPolicy::max_batch`] jobs — the
-//!   deployment regime the paper motivates with its "drop-in module at
-//!   inference time" claim (§5.2, A.1.2). Longer jobs run chunk by chunk,
-//!   interleaved with decode.
+//!   [`SchedPolicy::prefill_chunk`] rows — a whole job, or a row slice of
+//!   one interleaved with decode. Every planned chunk runs as its own
+//!   [`AttentionEngine::forward_chunk`], in plan order, bit-identical to
+//!   those rows of a solo `forward` — the paper's "drop-in module at
+//!   inference time" claim (§5.2).
 //! * **Decode** — the traffic that dominates production inference: each
 //!   open **session** owns an append-only KV page table ([`PagedKvCache`])
 //!   over one server-owned block pool ([`KvPool`]), and every
@@ -57,8 +56,8 @@
 //!                                   │
 //!                                   ▼
 //!         engine.flush_decode(steps)       all ready decode steps
-//!         engine.launch(chunks)            each partial chunk, then whole
-//!                                          jobs, one group per shape
+//!         engine.forward_chunk(chunk)      each planned chunk, in plan
+//!                                          order
 //!                                   │ one (ragged) launch per op
 //!                                   ▼
 //!              ResponseHandle / DecodeHandle ::wait() on each client
@@ -66,11 +65,11 @@
 //!
 //! Every response carries the request's full latency breakdown (queue wait,
 //! service wall-clock, end-to-end) plus the simulated-device latency of its
-//! batch, so the load generator in `dfss-bench` can report host and device
-//! tail latency against offered load — and tokens/sec against concurrent
-//! decode streams.
+//! launches, so the load generator in `dfss-bench` can report host tail
+//! latency against offered load — and tokens/sec against concurrent decode
+//! streams.
 //!
-//! [`AttentionEngine`]: dfss_core::engine::AttentionEngine
+//! [`AttentionEngine::forward_chunk`]: dfss_core::engine::AttentionEngine::forward_chunk
 //! [`AttentionEngine::flush_decode`]: dfss_core::engine::AttentionEngine::flush_decode
 //!
 //! ```
@@ -78,11 +77,11 @@
 //! use dfss_core::dfss::DfssAttention;
 //! use dfss_core::mechanism::Attention;
 //! use dfss_nmsparse::NmPattern;
-//! use std::{sync::Arc, time::Duration};
+//! use std::sync::Arc;
 //!
 //! let mech: Arc<dyn Attention<f32> + Send + Sync> =
 //!     Arc::new(DfssAttention::new(NmPattern::P1_2));
-//! let server = AttentionServer::start(mech, BatchPolicy::batched(8, Duration::ZERO));
+//! let server = AttentionServer::start(mech, BatchPolicy::default());
 //!
 //! // A decode session: open, prime the cache, then decode step by step.
 //! let session = server.open_session(16, 16).unwrap();
@@ -123,53 +122,29 @@ pub use server::{
 
 use std::time::Duration;
 
-/// How the worker batches prefill, and how deep its queue may grow.
+/// How deep the worker's queue may grow.
 ///
-/// * **`max_batch`** caps a whole-job group. Planned chunks that each
-///   cover a whole prefill job and share its [`ShapeKey`] run as one
-///   batched launch per op over at most `max_batch` jobs. A group is
-///   whatever backlog the worker's channel drain found, so nothing waits
-///   for batch-mates, and a job longer than
-///   [`SchedPolicy::prefill_chunk`] runs chunk by chunk and never joins a
-///   group. Decode steps are not capped: every ready step packs into the
-///   next iteration.
-/// * **Load shedding**: with [`max_queue_depth`](Self::max_queue_depth)
-///   set, admission counts unresolved requests — a prefill from admission
-///   until it finishes or fails, on every path, and a decode step until
-///   its launch begins — and refuses submissions beyond the bound with
-///   typed [`ServeError::Overloaded`] / [`SessionError::Overloaded`].
-///   Queue memory stays bounded at any offered load, and callers get an
-///   immediate, retryable signal ([`retry::with_backoff`]) instead of an
-///   ever-growing tail latency.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// **Load shedding**: with [`max_queue_depth`](Self::max_queue_depth) set,
+/// admission counts unresolved requests — a prefill from admission until it
+/// finishes or fails, on every path, and a decode step until its launch
+/// begins — and refuses submissions beyond the bound with typed
+/// [`ServeError::Overloaded`] / [`SessionError::Overloaded`]. Queue memory
+/// stays bounded at any offered load, and callers get an immediate,
+/// retryable signal ([`retry::with_backoff`]) instead of an ever-growing
+/// tail latency. The default admits without bound.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Most whole prefill jobs of one shape that share a batched launch.
-    pub max_batch: usize,
     /// Refuse new submissions while this many requests (prefill + decode)
     /// are unresolved. `None` (the default) admits without bound.
     pub max_queue_depth: Option<usize>,
 }
 
 impl BatchPolicy {
-    /// Run every prefill job as its own launch — the per-request-loop
-    /// baseline of the serving bench.
-    pub fn per_request() -> BatchPolicy {
-        BatchPolicy {
-            max_batch: 1,
-            max_queue_depth: None,
-        }
-    }
-
-    /// Group up to `max_batch` same-shape whole jobs per launch.
-    /// `_max_delay` is ignored: a group forms from the backlog already
-    /// queued, never by waiting. The parameter stays so existing callers
-    /// keep compiling.
-    pub fn batched(max_batch: usize, _max_delay: Duration) -> BatchPolicy {
-        assert!(max_batch >= 1, "max_batch must be at least 1");
-        BatchPolicy {
-            max_batch,
-            max_queue_depth: None,
-        }
+    /// The [`default`](Self::default) policy. Both arguments are ignored:
+    /// every planned prefill chunk runs as its own launch. A compatibility
+    /// shim for existing callers, not a knob.
+    pub fn batched(_max_batch: usize, _max_delay: Duration) -> BatchPolicy {
+        BatchPolicy::default()
     }
 
     /// Bound the admission queue: submissions beyond `depth` unresolved
@@ -304,12 +279,6 @@ pub struct ServeStats {
     pub served: u64,
     /// Requests rejected at admission with a typed error.
     pub rejected: u64,
-    /// Whole-job prefill launches executed: one per same-shape group run
-    /// as one [`AttentionEngine::launch`](dfss_core::engine::AttentionEngine::launch).
-    /// Chunked jobs count in `prefill_chunks` only.
-    pub batches: u64,
-    /// Largest whole-job prefill group observed.
-    pub max_batch: usize,
     /// Decode steps served to completion.
     pub decode_steps: u64,
     /// Ragged decode launches executed (closed decode batches).
@@ -336,8 +305,9 @@ pub struct ServeStats {
     pub evictions: u64,
     /// Session operations refused with [`SessionError::KvBudgetExhausted`].
     pub admission_rejections: u64,
-    /// Batched launches (prefill or decode) that panicked and were
-    /// isolated: their requests failed typed, the worker kept serving.
+    /// Launches (a prefill chunk or a ragged decode flush) that panicked
+    /// and were isolated: their requests failed typed, the worker kept
+    /// serving.
     pub batch_panics: u64,
     /// Requests shed with [`ServeError::DeadlineExceeded`] before packing.
     pub deadline_sheds: u64,
@@ -363,22 +333,13 @@ pub struct ServeStats {
     pub drain_force_closed: u64,
     /// Scheduler iterations executed.
     pub sched_iterations: u64,
-    /// Prefill chunks executed. A job planned whole is one chunk; a longer
-    /// job contributes at least `ceil(rows / prefill_chunk)`.
+    /// Prefill chunks executed, one launch each. A job planned whole is
+    /// one chunk; a longer job contributes at least
+    /// `ceil(rows / prefill_chunk)`.
     pub prefill_chunks: u64,
 }
 
 impl ServeStats {
-    /// Mean prefill requests served per whole-job launch — the mean group
-    /// size when every prefill runs whole.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.served as f64 / self.batches as f64
-        }
-    }
-
     /// Mean concurrent streams per ragged decode launch.
     pub fn mean_decode_batch(&self) -> f64 {
         if self.decode_batches == 0 {

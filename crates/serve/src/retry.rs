@@ -85,7 +85,7 @@ impl Transient for SessionError {
 /// // admitted as if the KV pool had zero free pages.
 /// let att = AttentionServer::<f32>::start_with_faults(
 ///     Arc::new(FullAttention),
-///     BatchPolicy::per_request(),
+///     BatchPolicy::default(),
 ///     FaultPlan::new().inject(1, FaultKind::ExhaustPool),
 /// );
 /// let server = HttpServer::bind(att, HttpConfig::default()).unwrap();

@@ -379,9 +379,18 @@ impl Scheduler {
         Some(plan)
     }
 
-    /// The replayable event log so far.
+    /// The replayable event log since the last
+    /// [`drain_trace`](Self::drain_trace) — the whole log for a scheduler
+    /// that is never drained.
     pub fn trace(&self) -> &SchedTrace {
         &self.trace
+    }
+
+    /// Take the events logged since the last drain, in order, leaving the
+    /// log empty — for an owner that keeps the one copy of the trace
+    /// itself (the server appends them to the trace it publishes).
+    pub fn drain_trace(&mut self) -> impl Iterator<Item = SchedEvent> + '_ {
+        self.trace.events.drain(..)
     }
 }
 
@@ -464,20 +473,33 @@ mod tests {
 
     #[test]
     fn same_admissions_render_byte_identical_traces() {
-        let run = || {
+        // With `drain_midway`, the log is drained after the first
+        // iteration and the rest appended behind it, as the server does.
+        let run = |drain_midway: bool| {
             let mut s = Scheduler::new(SchedPolicy::new(16, 32));
+            let mut kept = SchedTrace::default();
             s.admit_prefill(0, 100);
             s.admit_decode(7);
             s.admit_decode(8);
             let _ = s.next_iteration();
+            if drain_midway {
+                for e in s.drain_trace() {
+                    kept.push(e);
+                }
+                assert!(s.trace().events().is_empty());
+            }
             s.admit_prefill(1, 40);
             let _ = s.force_decode_flush();
             while s.next_iteration().is_some() {}
-            s.trace().render()
+            for e in s.drain_trace() {
+                kept.push(e);
+            }
+            kept.render()
         };
-        let a = run();
-        let b = run();
+        let a = run(false);
+        let b = run(false);
         assert_eq!(a.as_bytes(), b.as_bytes());
+        assert_eq!(a.as_bytes(), run(true).as_bytes());
         assert!(a.contains("admit_prefill job=0 rows=100"));
         assert!(a.contains("iter=0 decode=[7,8]"));
     }

@@ -3,9 +3,8 @@
 //!
 //! The worker drains the front door's channel, then runs one
 //! [`Scheduler`] iteration: every ready decode step as one ragged launch
-//! per op, then the planned prefill chunks. Chunks that cover a whole job
-//! and share its shape run as one batched launch per op (bucket batching
-//! is this loop's whole-job case); partial chunks run one launch each.
+//! per op, then each planned prefill chunk — a whole job or a row slice of
+//! one — as its own launch, in plan order.
 //! Sessions add a registry (synchronous admission checks on the caller's
 //! thread) and per-session [`PagedKvCache`] page tables over one
 //! worker-owned [`KvPool`].
@@ -49,8 +48,8 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ticket(pub u64);
 
-/// The shape a prefill job is admitted with. Whole jobs that agree on the
-/// sequence length, head dim and value dim stack into one batched launch.
+/// The shape a prefill job is admitted with — the key of the prefill
+/// queue-depth gauges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShapeKey {
     /// Sequence length (query rows = keys).
@@ -70,18 +69,15 @@ pub struct Served<T: Scalar> {
     pub ticket: Ticket,
     /// The request's shape.
     pub bucket: ShapeKey,
-    /// Jobs that shared this request's batched launch (1 for a job run
-    /// chunk by chunk).
-    pub batch_size: usize,
     /// Admission → first launch.
     pub queue_wait: std::time::Duration,
     /// First launch → output ready (host wall-clock of the launches).
     pub service: std::time::Duration,
     /// Admission → response (end-to-end host latency).
     pub latency: std::time::Duration,
-    /// Simulated-device latency of the request's launches: of its whole
-    /// group's launch (every job in it waits for the full launch), or the
-    /// sum over its chunks.
+    /// Simulated-device latency of the request's launches, summed over its
+    /// chunks — a job run whole is one chunk, charged as its solo
+    /// `forward`.
     pub sim_latency_s: f64,
 }
 
@@ -374,11 +370,9 @@ enum Msg<T: Scalar> {
 /// [`RequestError`], never a panic) and enqueues it to the worker thread,
 /// returning a [`ResponseHandle`] immediately. The worker's [`Scheduler`]
 /// plans each job in chunks under the server's [`SchedPolicy`], and every
-/// launch is one [`AttentionEngine::launch`]: whole-job chunks of one shape
-/// run together — a single batched launch per op over at most
-/// [`BatchPolicy::max_batch`] jobs — and partial chunks one at a time. A
-/// mechanism without row chunking ([`Attention::supports_row_chunking`])
-/// always runs its jobs whole.
+/// planned chunk runs as one [`AttentionEngine::forward_chunk`], in plan
+/// order. A mechanism without row chunking
+/// ([`Attention::supports_row_chunking`]) always runs its jobs whole.
 ///
 /// `open_session` / `append` / `submit_decode` / `close_session` are the
 /// decode front door: sessions own [`PagedKvCache`] page tables over one
@@ -464,9 +458,8 @@ impl<T: Scalar> AttentionServer<T> {
     /// rows, resumable across iterations, under
     /// `SchedPolicy::iter_budget_rows`: no decode step waits behind a
     /// whole cold prefill, and no prefill starves under decode-heavy
-    /// load. A `prefill_chunk` at least every request's `n` (and a budget
-    /// of `max_batch` such jobs) keeps every prefill whole, which is
-    /// bucket batching.
+    /// load. A `prefill_chunk` and an `iter_budget_rows` of at least every
+    /// request's `n` keep every prefill whole.
     pub fn start_continuous_with_kv(
         mech: Arc<dyn Attention<T> + Send + Sync>,
         policy: BatchPolicy,
@@ -541,11 +534,9 @@ impl<T: Scalar> AttentionServer<T> {
                     store: KvStore::new(&kv),
                     kv,
                     pending: Vec::new(),
-                    max_batch: policy.max_batch,
                     next_job: 0,
                     next_step: 0,
                     next_ticket: 0,
-                    published: 0,
                     registry: w_registry,
                     depth: w_depth,
                     stats: w_stats,
@@ -1284,13 +1275,10 @@ struct Worker<'m, T: Scalar> {
     kv: KvConfig,
     /// Decode steps drained and not yet launched, in admission order.
     pending: Vec<PendingDecode<T>>,
-    max_batch: usize,
     next_job: u64,
     next_step: u64,
     /// Ticket of the next successful reply, prefill or decode.
     next_ticket: u64,
-    /// Scheduler events already copied to `trace_out`.
-    published: usize,
     registry: Arc<Mutex<Registry>>,
     depth: Arc<AtomicU64>,
     stats: Arc<Mutex<ServeStats>>,
@@ -1437,84 +1425,47 @@ impl<T: Scalar> Worker<'_, T> {
         self.serve_decode()
     }
 
-    /// Run one planned iteration: the decode steps, then the prefill
-    /// chunks — partial chunks one launch each in plan order, then chunks
-    /// that each cover a whole job, grouped by shape into one batched
-    /// launch over at most `max_batch` jobs. `false` on an injected kill.
+    /// Run one planned iteration: the decode steps, then each prefill
+    /// chunk as its own launch, in plan order. `false` on an injected kill.
     fn execute(&mut self, plan: IterationPlan) -> bool {
         if !plan.decode.is_empty() && !self.serve_decode() {
             return false;
         }
-        let mut groups: Vec<(ShapeKey, Vec<ChunkPlan>)> = Vec::new();
         for chunk in plan.chunks {
-            let Some(job) = self.jobs.get(&chunk.job) else {
-                continue;
-            };
-            if !job.is_whole(&chunk) {
-                self.launch(&[chunk]);
-                continue;
-            }
-            let key = job.adm.key;
-            let open = groups
-                .iter_mut()
-                .find(|(k, group)| *k == key && group.len() < self.max_batch);
-            match open {
-                Some((_, group)) => group.push(chunk),
-                None => groups.push((key, vec![chunk])),
-            }
-        }
-        for (_, group) in groups {
-            self.launch(&group);
+            self.launch(chunk);
         }
         true
     }
 
-    /// Launch planned chunks — one partial chunk, or whole jobs of one
-    /// shape — as one [`AttentionEngine::launch`], append each chunk's
-    /// output rows to its job, and reply to a job when its last row lands.
-    /// Expired jobs are shed before the launch (their faults never arm); a
-    /// panic or a typed launch error fails only this launch's jobs.
-    fn launch(&mut self, chunks: &[ChunkPlan]) {
+    /// Launch one planned chunk as one [`AttentionEngine::forward_chunk`],
+    /// append its output rows to its job, and reply to the job when its
+    /// last row lands. An expired job is shed before the launch (its fault
+    /// never arms); a panic or a typed launch error fails only this job.
+    fn launch(&mut self, chunk: ChunkPlan) {
         let now = Instant::now();
-        let mut live = Vec::with_capacity(chunks.len());
-        for &chunk in chunks {
-            let Some(job) = self.jobs.get_mut(&chunk.job) else {
-                continue;
-            };
-            if expired(job.adm.deadline, now) {
-                let job = self.drop_job(chunk.job);
-                self.shed(job.adm, now);
-                continue;
-            }
-            job.started.get_or_insert(now);
-            self.arm.arm_for(job.adm.fault.take());
-            live.push(chunk);
-        }
-        let Some(first) = live.first() else {
+        let Some(job) = self.jobs.get_mut(&chunk.job) else {
             return;
         };
-        let whole = self.jobs[&first.job].is_whole(first);
+        if expired(job.adm.deadline, now) {
+            let job = self.drop_job(chunk.job);
+            self.shed(job.adm, now);
+            return;
+        }
+        job.started.get_or_insert(now);
+        self.arm.arm_for(job.adm.fault.take());
 
-        let jobs = &self.jobs;
-        let q_rows: Vec<Cow<'_, Matrix<T>>> = live
-            .iter()
-            .map(|c| {
-                let job = &jobs[&c.job];
-                if job.is_whole(c) {
-                    Cow::Borrowed(&job.q)
-                } else {
-                    Cow::Owned(job.q.take_rows(c.lo, c.hi))
-                }
-            })
-            .collect();
-        let triples: Vec<_> = live
-            .iter()
-            .zip(&q_rows)
-            .map(|(c, q)| (q.as_ref(), &jobs[&c.job].k, &jobs[&c.job].v))
-            .collect();
+        let job = &self.jobs[&chunk.job];
+        let q_rows = if job.is_whole(&chunk) {
+            Cow::Borrowed(&job.q)
+        } else {
+            Cow::Owned(job.q.take_rows(chunk.lo, chunk.hi))
+        };
         let engine = &mut self.engine;
-        let result = match catch_unwind(AssertUnwindSafe(|| engine.launch(&triples))) {
-            Ok(launched) => launched.map_err(ServeError::Rejected),
+        let launched = catch_unwind(AssertUnwindSafe(|| {
+            engine.forward_chunk(&q_rows, &job.k, &job.v)
+        }));
+        let result = match launched {
+            Ok(done) => done.map_err(ServeError::Rejected),
             Err(payload) => Err(ServeError::BatchPanicked {
                 payload: self.recover(payload),
             }),
@@ -1522,36 +1473,30 @@ impl<T: Scalar> Worker<'_, T> {
         let done = match result {
             Ok(done) => done,
             // Admission ran the same checks, so a typed launch error means
-            // they diverged; either way only this launch's jobs fail.
+            // they diverged; either way only this job fails.
             Err(err) => {
-                for c in &live {
-                    let job = self.drop_job(c.job);
-                    self.fail(job.adm, err.clone());
-                }
+                let job = self.drop_job(chunk.job);
+                self.fail(job.adm, err);
                 return;
             }
         };
         {
             let mut st = lock(&self.stats);
-            st.prefill_chunks += live.len() as u64;
-            // Every chunk rode the one launch.
-            st.total_sim_latency_s += done[0].sim_latency_s;
-            if whole {
-                st.batches += 1;
-                st.max_batch = st.max_batch.max(live.len());
-            }
+            st.prefill_chunks += 1;
+            st.total_sim_latency_s += done.sim_latency_s;
         }
-        for (c, res) in live.iter().zip(done) {
-            let job = self.jobs.get_mut(&c.job).expect("live jobs are mapped");
-            job.sim_latency_s += res.sim_latency_s;
-            job.out
-                .extend_from_slice(res.output.as_ref().expect(EXEC).as_slice());
-            if c.hi == job.q.rows() {
-                let job = self.drop_job(c.job);
-                let output = Matrix::from_vec(job.q.rows(), job.v.cols(), job.out);
-                let started = job.started.unwrap_or(now);
-                self.reply(job.adm, output, started, live.len(), job.sim_latency_s);
-            }
+        let job = self
+            .jobs
+            .get_mut(&chunk.job)
+            .expect("the launched job is mapped");
+        job.sim_latency_s += done.sim_latency_s;
+        job.out
+            .extend_from_slice(done.output.as_ref().expect(EXEC).as_slice());
+        if chunk.hi == job.q.rows() {
+            let job = self.drop_job(chunk.job);
+            let output = Matrix::from_vec(job.q.rows(), job.v.cols(), job.out);
+            let started = job.started.unwrap_or(now);
+            self.reply(job.adm, output, started, job.sim_latency_s);
         }
         self.engine.reset_timeline();
     }
@@ -1578,14 +1523,12 @@ impl<T: Scalar> Worker<'_, T> {
         adm: Admission<T>,
         output: Matrix<T>,
         started: Instant,
-        batch_size: usize,
         sim_latency_s: f64,
     ) {
         let served = Served {
             output,
             ticket: Ticket(self.next_ticket),
             bucket: adm.key,
-            batch_size,
             queue_wait: started.saturating_duration_since(adm.submitted),
             service: started.elapsed(),
             latency: adm.submitted.elapsed(),
@@ -1717,16 +1660,14 @@ impl<T: Scalar> Worker<'_, T> {
         true
     }
 
-    /// Copy new scheduler events to the shared trace and refresh the
-    /// queue-depth gauges.
+    /// Move new scheduler events to the shared trace — the one copy kept —
+    /// and refresh the queue-depth gauges.
     fn publish(&mut self) {
-        let events = self.sched.trace().events();
-        if self.published < events.len() {
+        if !self.sched.trace().events().is_empty() {
             let mut trace = lock(&self.trace_out);
-            for e in &events[self.published..] {
-                trace.push(e.clone());
+            for e in self.sched.drain_trace() {
+                trace.push(e);
             }
-            self.published = events.len();
         }
         let mut prefill: Vec<(ShapeKey, usize)> = Vec::new();
         for job in self.jobs.values() {
@@ -1847,10 +1788,7 @@ mod tests {
     fn served_outputs_are_bit_identical_to_solo_forward() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
-        let server = AttentionServer::start(
-            Arc::clone(&mech),
-            BatchPolicy::batched(4, Duration::from_millis(5)),
-        );
+        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::default());
         let mut rng = Rng::new(3);
         let mut handles = Vec::new();
         let mut solo = Vec::new();
@@ -1869,77 +1807,66 @@ mod tests {
                 .zip(want.as_slice())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "request {i} diverged from solo forward");
-            assert!(served.batch_size >= 1 && served.batch_size <= 4);
             assert!(served.sim_latency_s > 0.0);
             assert!(served.latency >= served.service);
         }
         let stats = server.shutdown();
         assert_eq!(stats.served, 8);
-        assert!(stats.batches >= 2); // max_batch 4 caps every launch
         assert_eq!(stats.rejected, 0);
     }
 
     #[test]
-    fn queued_backlog_fills_a_launch_up_to_max_batch() {
-        let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start_with_faults(
-            Arc::clone(&mech),
-            BatchPolicy::batched(3, Duration::ZERO),
-            slow_op(2),
-        );
-        let mut rng = Rng::new(5);
-        // Three same-shape jobs queue behind a held decode launch and are
-        // drained together: one group, one launch.
-        let _held = hold_with_decode(&server, &mut rng);
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let (q, k, v) = request(16, 8, &mut rng);
-            handles.push(server.submit(q, k, v).unwrap());
-        }
-        for h in handles {
-            let served = h.wait().expect("served");
-            assert_eq!(served.batch_size, 3);
-        }
-        let stats = server.shutdown();
-        assert_eq!((stats.served, stats.batches), (3, 1));
-        assert_eq!(stats.max_batch, 3);
-    }
-
-    #[test]
-    fn heterogeneous_shapes_never_share_a_launch() {
+    fn queued_backlog_runs_one_launch_per_job_in_plan_order() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
         // Chunks and budget that keep all six jobs whole in one iteration.
         let server = AttentionServer::start_continuous_with_kv_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(8, Duration::ZERO),
+            BatchPolicy::default(),
             SchedPolicy::new(64, 8 * 64),
             KvConfig::default(),
             slow_op(2),
         );
         let mut rng = Rng::new(9);
+        // Six jobs of two shapes queue behind a held decode launch and are
+        // drained as one backlog: each still runs as its own launch, in
+        // admission order, charged exactly as its solo forward.
         let _held = hold_with_decode(&server, &mut rng);
         let mut handles = Vec::new();
         for i in 0..6 {
             let n = if i % 2 == 0 { 32 } else { 64 };
             let (q, k, v) = request(n, 8, &mut rng);
-            handles.push((n, server.submit(q, k, v).unwrap()));
+            let mut sctx = GpuCtx::a100();
+            let solo = mech.forward(&mut sctx, &q, &k, &v);
+            handles.push((solo, sctx.latency(), server.submit(q, k, v).unwrap()));
         }
-        for (n, h) in handles {
+        let mut tickets = Vec::new();
+        for (solo, solo_sim_s, h) in handles {
             let served = h.wait().expect("served");
-            assert_eq!(served.bucket.n, n);
-            assert_eq!(served.batch_size, 3);
-            assert_eq!(served.output.rows(), n);
+            assert_eq!(served.bucket.n, solo.rows());
+            let same = served
+                .output
+                .as_slice()
+                .iter()
+                .zip(solo.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "a queued job diverged from solo forward");
+            assert_eq!(
+                served.sim_latency_s, solo_sim_s,
+                "charged as its solo forward"
+            );
+            tickets.push(served.ticket);
         }
+        assert!(tickets.windows(2).all(|w| w[0] < w[1]), "{tickets:?}");
         let stats = server.shutdown();
-        assert_eq!((stats.served, stats.batches), (6, 2));
+        assert_eq!((stats.served, stats.prefill_chunks), (6, 6));
     }
 
     #[test]
     fn bad_requests_get_typed_errors_and_server_survives() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
-        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::per_request());
+        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::default());
         // n = 31 violates the 1:2 group alignment.
         let q = Matrix::<f32>::zeros(31, 8);
         let err = server.submit(q.clone(), q.clone(), q.clone()).unwrap_err();
@@ -1969,7 +1896,7 @@ mod tests {
         let mut rng = Rng::new(11);
         let (q, k, v) = request(32, 8, &mut rng);
         let served = server.submit(q, k, v).unwrap().wait().expect("served");
-        assert_eq!(served.batch_size, 1);
+        assert_eq!(served.output.shape(), (32, 8));
         let stats = server.shutdown();
         assert_eq!((stats.served, stats.rejected), (1, 3));
     }
@@ -1978,7 +1905,7 @@ mod tests {
     fn zero_width_v_is_rejected_at_admission_and_holds_no_queue_slot() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> =
             Arc::new(DfssAttention::new(NmPattern::P1_2));
-        let policy = BatchPolicy::batched(8, Duration::ZERO).with_queue_depth(1);
+        let policy = BatchPolicy::default().with_queue_depth(1);
         let server = AttentionServer::start(Arc::clone(&mech), policy);
         let mut rng = Rng::new(12);
         let (q, k, v) = request(32, 16, &mut rng);
@@ -1996,7 +1923,7 @@ mod tests {
     #[test]
     fn a_request_is_a_whole_q_even_for_a_chunking_mechanism() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::per_request());
+        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::default());
         let mut rng = Rng::new(13);
         let (q, k, v) = request(32, 8, &mut rng);
         // Fewer query rows than keys is a chunk, which only the worker cuts.
@@ -2013,7 +1940,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::ZERO),
+            BatchPolicy::default(),
             slow_op(2),
         );
         let mut rng = Rng::new(13);
@@ -2026,7 +1953,7 @@ mod tests {
             handles.push(server.submit(q, k, v).unwrap());
         }
         let stats = server.shutdown();
-        assert_eq!((stats.served, stats.batches), (4, 1));
+        assert_eq!((stats.served, stats.prefill_chunks), (4, 4));
         for h in handles {
             assert!(h.wait().is_ok());
         }
@@ -2040,7 +1967,7 @@ mod tests {
         // holding prefill (6).
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(3, Duration::ZERO),
+            BatchPolicy::default(),
             slow_op(6),
         );
         let mut rng = Rng::new(17);
@@ -2126,9 +2053,9 @@ mod tests {
             ..KvConfig::default()
         };
         let server_q =
-            AttentionServer::start_with_kv(Arc::clone(&mech), BatchPolicy::per_request(), quant_kv);
-        let server_model = AttentionServer::start(Arc::clone(&mech), BatchPolicy::per_request());
-        let server_f32 = AttentionServer::start(Arc::clone(&mech), BatchPolicy::per_request());
+            AttentionServer::start_with_kv(Arc::clone(&mech), BatchPolicy::default(), quant_kv);
+        let server_model = AttentionServer::start(Arc::clone(&mech), BatchPolicy::default());
+        let server_f32 = AttentionServer::start(Arc::clone(&mech), BatchPolicy::default());
         let mut rng = Rng::new(41);
         let (d, d_v) = (8usize, 8usize);
         for len in [1usize, 5, 12, 33] {
@@ -2203,7 +2130,7 @@ mod tests {
             kv_dtype: KvDtype::Bf16,
             ..KvConfig::default()
         };
-        let policy = BatchPolicy::per_request;
+        let policy = BatchPolicy::default;
         let sched = SchedPolicy::default;
         let pairs = [(
             AttentionServer::start_continuous_with_kv(Arc::clone(&mech), policy(), sched(), kv),
@@ -2267,7 +2194,7 @@ mod tests {
             kv_dtype: KvDtype::Native,
         };
         let native =
-            AttentionServer::start_with_kv(Arc::clone(&mech), BatchPolicy::per_request(), tight);
+            AttentionServer::start_with_kv(Arc::clone(&mech), BatchPolicy::default(), tight);
         assert!(matches!(
             native.open_session(4, 4),
             Err(SessionError::KvBudgetExhausted { .. })
@@ -2275,7 +2202,7 @@ mod tests {
         let _ = native.shutdown();
         let quant = AttentionServer::start_with_kv(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             KvConfig {
                 kv_dtype: KvDtype::Bf16,
                 ..tight
@@ -2311,7 +2238,7 @@ mod tests {
             Arc::new(DfssAttention::new(NmPattern::P1_2));
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             slow_op(2),
         );
         let mut rng = Rng::new(19);
@@ -2350,7 +2277,7 @@ mod tests {
     #[test]
     fn session_front_door_rejects_bad_operations() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::per_request());
+        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::default());
         let ghost = SessionId(999);
         assert_eq!(
             server
@@ -2392,7 +2319,7 @@ mod tests {
         // Front-door ops: open 0, extend 1, the holding prefill 2.
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             slow_op(2),
         );
         let mut rng = Rng::new(23);
@@ -2428,7 +2355,7 @@ mod tests {
         // holding prefill (4).
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(2, Duration::ZERO),
+            BatchPolicy::default(),
             slow_op(4),
         );
         let mut rng = Rng::new(29);
@@ -2484,7 +2411,7 @@ mod tests {
         // (2 K pages + 2 V pages).
         let server = AttentionServer::start_with_kv(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             tight_kv(4, false),
         );
         let mut rng = Rng::new(41);
@@ -2534,7 +2461,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let server = AttentionServer::start_with_kv(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             tight_kv(4, true),
         );
         let mut rng = Rng::new(43);
@@ -2617,7 +2544,7 @@ mod tests {
         // inflight while the newcomer asks for pages.
         let server = AttentionServer::start_continuous_with_kv_faults(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             SchedPolicy::default(),
             tight_kv(2, true),
             slow_op(2),
@@ -2654,7 +2581,7 @@ mod tests {
         // Regression: PR 5 never decremented kv_bytes on close, so
         // open→append→close cycles ratcheted kv_bytes_peak forever.
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::per_request());
+        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::default());
         let mut rng = Rng::new(53);
         for _ in 0..3 {
             let s = server.open_session(8, 8).unwrap();
@@ -2678,13 +2605,11 @@ mod tests {
         // An idle worker blocks on its channel: a server that saw no
         // traffic reports zero launches of either kind.
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server: AttentionServer<f32> = AttentionServer::start(
-            Arc::clone(&mech),
-            BatchPolicy::batched(4, Duration::from_millis(1)),
-        );
+        let server: AttentionServer<f32> =
+            AttentionServer::start(Arc::clone(&mech), BatchPolicy::default());
         std::thread::sleep(Duration::from_millis(20));
         let stats = server.shutdown();
-        assert_eq!((stats.batches, stats.decode_batches), (0, 0));
+        assert_eq!((stats.prefill_chunks, stats.decode_batches), (0, 0));
         assert_eq!(stats.total_sim_latency_s, 0.0);
     }
 
@@ -2693,7 +2618,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let server = AttentionServer::start_with_kv(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             tight_kv(4, false),
         );
         let mut rng = Rng::new(59);
@@ -2740,42 +2665,37 @@ mod tests {
     }
 
     #[test]
-    fn batch_panic_fails_only_its_batch_and_the_server_keeps_serving() {
+    fn prefill_panic_fails_only_its_job_and_the_server_keeps_serving() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         // Ops 0..3 hold the worker; the panic rides request 0 (op 3).
         let plan = slow_op(2).inject(3, FaultKind::PanicInBatch);
-        let server = AttentionServer::start_with_faults(
-            Arc::clone(&mech),
-            BatchPolicy::batched(2, Duration::ZERO),
-            plan,
-        );
+        let server =
+            AttentionServer::start_with_faults(Arc::clone(&mech), BatchPolicy::default(), plan);
         let mut rng = Rng::new(61);
         let _held = hold_with_decode(&server, &mut rng);
-        // Four jobs drain together and split into two groups of two. The
-        // first is poisoned by the fault riding request 0: both its
-        // requests fail typed, with the payload preserved.
+        // Four jobs drain together. Each runs as its own launch, so the
+        // fault riding request 0 fails that job alone, typed, with the
+        // payload preserved.
         let mut handles = Vec::new();
         for _ in 0..4 {
             let (q, k, v) = request(16, 8, &mut rng);
             handles.push(server.submit(q, k, v).unwrap());
         }
-        let h3 = handles.pop().unwrap();
-        let h2 = handles.pop().unwrap();
-        for h in handles {
-            match h.wait().expect_err("batch poisoned") {
-                ServeError::BatchPanicked { payload } => {
-                    assert!(payload.contains("injected kernel panic"));
-                }
-                other => panic!("want BatchPanicked, got {other}"),
+        let mut handles = handles.into_iter();
+        match handles.next().unwrap().wait().expect_err("launch poisoned") {
+            ServeError::BatchPanicked { payload } => {
+                assert!(payload.contains("injected kernel panic"));
             }
+            other => panic!("want BatchPanicked, got {other}"),
         }
-        // The next group is served normally by the same recovered worker.
-        assert!(h2.wait().is_ok());
-        assert!(h3.wait().is_ok());
+        // The jobs queued with it are served by the same recovered worker.
+        for h in handles {
+            assert!(h.wait().is_ok());
+        }
         let stats = server.shutdown();
         assert_eq!(stats.batch_panics, 1);
-        assert_eq!(stats.served, 2);
-        assert_eq!(stats.batches, 1, "the poisoned launch never counts");
+        assert_eq!(stats.served, 3);
+        assert_eq!(stats.prefill_chunks, 3, "the poisoned launch never counts");
     }
 
     #[test]
@@ -2784,7 +2704,7 @@ mod tests {
         // Front-door ordinals: open = 0, extend = 1, decode = 2.
         let plan = FaultPlan::new().inject(2, FaultKind::PanicInBatch);
         let server =
-            AttentionServer::start_with_faults(Arc::clone(&mech), BatchPolicy::per_request(), plan);
+            AttentionServer::start_with_faults(Arc::clone(&mech), BatchPolicy::default(), plan);
         let mut rng = Rng::new(67);
         let s = server.open_session(8, 8).unwrap();
         server
@@ -2827,14 +2747,14 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(8, Duration::ZERO),
+            BatchPolicy::default(),
             slow_op(2),
         );
         let mut rng = Rng::new(71);
         let _held = hold_with_decode(&server, &mut rng);
         let (q, k, v) = request(16, 8, &mut rng);
-        // Already expired at submission: drained in one group with the
-        // live request, shed before packing, never launched.
+        // Already expired at submission: drained in one backlog with the
+        // live request, shed before its launch, never launched.
         let past = Instant::now() - Duration::from_millis(1);
         let doomed = server.submit_with_deadline(q, k, v, Some(past)).unwrap();
         let (q, k, v) = request(16, 8, &mut rng);
@@ -2843,20 +2763,17 @@ mod tests {
             ServeError::DeadlineExceeded { queued_for } => assert!(queued_for > Duration::ZERO),
             other => panic!("want DeadlineExceeded, got {other}"),
         }
-        let served = live.wait().expect("served");
-        assert_eq!(served.batch_size, 1, "the shed request freed its slot");
+        assert!(live.wait().is_ok());
         let stats = server.shutdown();
         assert_eq!(stats.deadline_sheds, 1);
         assert_eq!(stats.served, 1);
+        assert_eq!(stats.prefill_chunks, 1, "the shed request never launched");
     }
 
     #[test]
     fn expired_decode_deadlines_shed_typed() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
-        let server = AttentionServer::start(
-            Arc::clone(&mech),
-            BatchPolicy::batched(8, Duration::from_millis(20)),
-        );
+        let server = AttentionServer::start(Arc::clone(&mech), BatchPolicy::default());
         let mut rng = Rng::new(73);
         let s = server.open_session(8, 8).unwrap();
         server
@@ -2902,7 +2819,7 @@ mod tests {
         // the third submission observes the bound deterministically.
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(1000, Duration::ZERO).with_queue_depth(2),
+            BatchPolicy::default().with_queue_depth(2),
             slow_op(0),
         );
         let mut rng = Rng::new(79);
@@ -2945,7 +2862,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let plan = FaultPlan::new().inject(0, FaultKind::KillServer);
         let server =
-            AttentionServer::start_with_faults(Arc::clone(&mech), BatchPolicy::per_request(), plan);
+            AttentionServer::start_with_faults(Arc::clone(&mech), BatchPolicy::default(), plan);
         let mut rng = Rng::new(83);
         let (q, k, v) = request(16, 8, &mut rng);
         let h = server.submit(q, k, v).unwrap();
@@ -2970,7 +2887,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let server = AttentionServer::start_continuous_with_kv_faults(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             SchedPolicy::default(),
             KvConfig::default(),
             FaultPlan::new().inject(0, FaultKind::KillServer),
@@ -2997,7 +2914,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let server = AttentionServer::start_continuous_with_kv(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             SchedPolicy::new(16, 32),
             KvConfig::default(),
         );
@@ -3035,7 +2952,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             slow_op(2),
         );
         let mut rng = Rng::new(97);
@@ -3053,7 +2970,7 @@ mod tests {
         assert!(waiter.is_finished(), "wait() hung across shutdown");
         let resolved = waiter.join().expect("waiter must not panic");
         let served = resolved.expect("the shutdown drain serves queued work");
-        assert_eq!(served.batch_size, 1);
+        assert_eq!(served.output.shape(), (16, 8));
         assert_eq!(stats.served, 1);
     }
 
@@ -3062,7 +2979,7 @@ mod tests {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             slow_op(2),
         );
         let mut rng = Rng::new(89);
@@ -3079,7 +2996,7 @@ mod tests {
         // and the same handle then resolves with the output.
         let stats = server.shutdown();
         let served = h.wait().expect("drained at shutdown");
-        assert_eq!(served.batch_size, 1);
+        assert_eq!(served.output.shape(), (16, 8));
         assert_eq!(stats.served, 1);
     }
 
@@ -3091,7 +3008,7 @@ mod tests {
         let plan = FaultPlan::new().inject(5, FaultKind::SlowLaunch(Duration::from_millis(2)));
         let server = AttentionServer::start_continuous_with_kv_faults(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             SchedPolicy::default(),
             tight_kv(8, false),
             plan,

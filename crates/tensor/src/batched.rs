@@ -91,11 +91,9 @@ impl<T: Scalar> BatchedMatrix<T> {
         }
     }
 
-    /// Gather heterogeneous same-shape panels (borrowed from anywhere — a
-    /// request queue, a head split, …) into one contiguous stack. This is
-    /// the serving path's *pack* step: independent requests that share a
-    /// shape bucket coalesce into a single batched launch without the
-    /// caller hand-assembling buffers. Inverse of
+    /// Gather borrowed same-shape panels (a head split, per-head
+    /// transposes, …) into one contiguous stack without the caller
+    /// hand-assembling buffers. Inverse of
     /// [`into_panels`](Self::into_panels) up to the copy.
     pub fn gather(panels: &[&Matrix<T>]) -> BatchedMatrix<T> {
         assert!(!panels.is_empty(), "empty panel list");
@@ -113,8 +111,8 @@ impl<T: Scalar> BatchedMatrix<T> {
         }
     }
 
-    /// Scatter the stack back into per-panel matrices (the serving path's
-    /// *unpack* step): always `batch` of them, zero-sized panels included.
+    /// Scatter the stack back into per-panel matrices: always `batch` of
+    /// them, zero-sized panels included.
     /// Bit-preserving: panel `b` of the result holds exactly the bytes
     /// [`panel(b)`](Self::panel) held.
     pub fn into_panels(self) -> Vec<Matrix<T>> {

@@ -38,10 +38,7 @@ fn main() {
     }
 
     let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(DfssAttention::new(NmPattern::P1_2));
-    let att = AttentionServer::start(
-        mech,
-        BatchPolicy::batched(8, Duration::from_millis(1)).with_queue_depth(64),
-    );
+    let att = AttentionServer::start(mech, BatchPolicy::default().with_queue_depth(64));
     let server = HttpServer::bind(att, HttpConfig::default()).expect("bind loopback");
     println!("LISTENING {}", server.url());
 

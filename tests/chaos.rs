@@ -61,7 +61,7 @@ proptest! {
         }
         let server = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(3, Duration::from_millis(2)),
+            BatchPolicy::default(),
             plan,
         );
         let (d, d_v) = (8usize, 8usize);

@@ -142,7 +142,7 @@ proptest! {
         }
         let att = AttentionServer::start_with_faults(
             Arc::clone(&mech),
-            BatchPolicy::batched(3, Duration::from_millis(2)),
+            BatchPolicy::default(),
             plan.clone(),
         );
         let config = HttpConfig {

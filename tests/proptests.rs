@@ -136,12 +136,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The serving contract of the engine's one prefill launch call, for
-    // both the Dfss pipeline and the dense baseline: an interleaved stream
-    // of random-shape requests, grouped by shape in arrival order, runs
-    // one launch per group (pack → batched forward → unpack), bit-identical
-    // to per-request solo `forward`; and a random partial chunk of a
-    // request's query rows is bit-identical to those rows of its solo
+    // The serving contract of the engine's one prefill entry,
+    // `forward_chunk`, for both the Dfss pipeline and the dense baseline:
+    // every request of an interleaved stream of random shapes, run whole,
+    // is bit-identical to its solo `forward`; and a random partial chunk of
+    // a request's query rows is bit-identical to those rows of its solo
     // `forward`.
     #[test]
     fn engine_pack_forward_unpack_matches_solo(
@@ -165,27 +164,22 @@ proptest! {
             let v = Matrix::<f32>::random_normal(n, d, 0.0, 1.0, &mut rng);
             let mut sctx = GpuCtx::a100();
             solo.push(mech.forward(&mut sctx, &q, &k, &v));
-            reqs.push((p, q, k, v));
+            reqs.push((q, k, v));
         }
         let same_bits = |got: &[f32], want: &[f32]| {
             got.len() == want.len() && got.iter().zip(want).all(|(x, y)| x.to_bits() == y.to_bits())
         };
-        for shape in 0..shapes.len() {
-            let idxs: Vec<usize> = (0..reqs.len()).filter(|&i| reqs[i].0 == shape).collect();
-            let group: Vec<_> = idxs.iter().map(|&i| (&reqs[i].1, &reqs[i].2, &reqs[i].3)).collect();
-            let done = engine.launch(&group).expect("servable shapes");
-            prop_assert_eq!(done.len(), idxs.len());
-            for (res, &i) in done.iter().zip(&idxs) {
-                let got = res.output.as_ref().expect("exec mode");
-                prop_assert_eq!(got.shape(), solo[i].shape());
-                prop_assert!(same_bits(got.as_slice(), solo[i].as_slice()),
-                    "request {} diverged from solo forward", i);
-            }
+        for (i, (q, k, v)) in reqs.iter().enumerate() {
+            let done = engine.forward_chunk(q, k, v).expect("servable shapes");
+            let got = done.output.as_ref().expect("exec mode");
+            prop_assert_eq!(got.shape(), solo[i].shape());
+            prop_assert!(same_bits(got.as_slice(), solo[i].as_slice()),
+                "request {} diverged from solo forward", i);
             engine.reset_timeline();
         }
         // A random partial chunk [lo, hi) of one request's query rows.
         let pick = rng.below(reqs.len());
-        let (_, q, k, v) = &reqs[pick];
+        let (q, k, v) = &reqs[pick];
         let n = q.rows();
         let c = 1 + rng.below(n - 1);
         let lo = rng.below(n - c + 1);
@@ -262,7 +256,6 @@ proptest! {
     ) {
         use dfss_serve::DecodeRequest;
         use std::sync::Arc;
-        use std::time::Duration;
 
         let mech_dfss = DfssAttention::new(NmPattern::P1_2);
         let mech_full = FullAttention;
@@ -273,7 +266,7 @@ proptest! {
         };
         let server = dfss_serve::AttentionServer::start(
             Arc::clone(&mech),
-            dfss_serve::BatchPolicy::batched(3, Duration::from_millis(2)),
+            dfss_serve::BatchPolicy::default(),
         );
         let (d, d_v) = (8usize, 8usize);
         let mut rng = Rng::new(seed);

@@ -16,9 +16,9 @@
 //!   serial vs parallel kernel execution, and against a pure replay of
 //!   the admission sequence (the property that makes the trace an
 //!   executable spec for `RAYON_NUM_THREADS=1` vs default CI legs).
-//! - **Whole-job grouping**: chunks that each cover a whole job and share
-//!   its shape run as one batched launch over at most `max_batch` jobs —
-//!   bucket batching as the scheduler's whole-job case.
+//! - **One launch per planned chunk**: every planned chunk — a whole job or
+//!   a row slice of one — runs as its own launch, in plan order, and a job
+//!   run whole is charged exactly its solo forward's simulated latency.
 
 use dfss::prelude::*;
 use dfss_serve::sched::SchedEvent;
@@ -153,7 +153,7 @@ proptest! {
         };
         let server = AttentionServer::start_continuous_with_kv(
             Arc::clone(&mech),
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             SchedPolicy::new(5, 8), // chunks of 5 rows: every prefill splits
             KvConfig::default(),
         );
@@ -217,7 +217,7 @@ fn server_traces_are_byte_identical_across_runs_and_match_pure_replay() {
         let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
         let server = AttentionServer::start_continuous_with_kv(
             mech,
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             policy,
             KvConfig::default(),
         );
@@ -264,7 +264,7 @@ fn trace_is_identical_under_serial_kernel_execution() {
             Arc::new(DfssAttention::new(NmPattern::P1_2));
         let server = AttentionServer::start_continuous_with_kv(
             mech,
-            BatchPolicy::per_request(),
+            BatchPolicy::default(),
             policy,
             KvConfig::default(),
         );
@@ -302,7 +302,7 @@ fn non_chunkable_mechanism_runs_whole_and_matches_solo() {
     let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(mech_concrete);
     let server = AttentionServer::start_continuous_with_kv(
         Arc::clone(&mech),
-        BatchPolicy::per_request(),
+        BatchPolicy::default(),
         SchedPolicy::new(5, 8),
         KvConfig::default(),
     );
@@ -346,7 +346,7 @@ fn forced_decode_flush_is_traced_and_preserves_decode_determinism() {
     let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
     let server = AttentionServer::start_continuous_with_kv(
         Arc::clone(&mech),
-        BatchPolicy::per_request(),
+        BatchPolicy::default(),
         SchedPolicy::default(),
         KvConfig::default(),
     );
@@ -401,36 +401,93 @@ fn wait_for_first_iteration(server: &AttentionServer<f32>) {
     }
 }
 
-/// Submit every triple behind a held launch and return the served
-/// outputs with their batch sizes, each checked bit-identical to solo
-/// forward. Front-door op 0 is the holding prefill, which the server's
-/// plan must slow.
+/// Submit every triple behind a held launch on a fresh server over `mech`
+/// and check the one-launch-per-chunk rule on the backlog:
+///
+/// - every output is bit-identical to solo forward;
+/// - a job planned as one whole chunk reports exactly the simulated
+///   latency of its own solo forward;
+/// - replies come back in plan order (a job replies when its last chunk
+///   runs);
+/// - `prefill_chunks` counts one launch per planned chunk.
+///
+/// Front-door op 0 is the holding prefill, which the server's plan slows.
+/// Returns the planned chunks as `(job, lo, hi)`; the hold is job 0.
 fn serve_behind_a_hold(
-    server: &AttentionServer<f32>,
-    mech: &(dyn Attention<f32> + Send + Sync),
+    mech: Arc<dyn Attention<f32> + Send + Sync>,
+    sched: SchedPolicy,
     hold: (Matrix<f32>, Matrix<f32>, Matrix<f32>),
     jobs: &[(Matrix<f32>, Matrix<f32>, Matrix<f32>)],
-) -> Vec<usize> {
+) -> Vec<(u64, usize, usize)> {
+    let slow = FaultPlan::new().inject(0, FaultKind::SlowLaunch(Duration::from_millis(300)));
+    let server = AttentionServer::start_continuous_with_kv_faults(
+        Arc::clone(&mech),
+        BatchPolicy::default(),
+        sched,
+        KvConfig::default(),
+        slow,
+    );
+    let hold_rows = hold.0.rows();
     let held = server.submit(hold.0, hold.1, hold.2).unwrap();
-    wait_for_first_iteration(server);
+    wait_for_first_iteration(&server);
     let handles: Vec<_> = jobs
         .iter()
         .map(|(q, k, v)| server.submit(q.clone(), k.clone(), v.clone()).unwrap())
         .collect();
-    assert_eq!(held.wait_timeout(NO_HANG).unwrap().batch_size, 1);
-    handles
+    held.wait_timeout(NO_HANG).unwrap();
+    let served: Vec<_> = handles
         .into_iter()
-        .zip(jobs)
-        .map(|(h, (q, k, v))| {
-            let served = h.wait_timeout(NO_HANG).unwrap();
-            let solo = solo_forward(mech, q, k, v);
-            assert!(
-                bits_equal(served.output.as_slice(), solo.as_slice()),
-                "grouped output diverged from solo forward"
-            );
-            served.batch_size
+        .map(|h| h.wait_timeout(NO_HANG).unwrap())
+        .collect();
+    let trace = server.sched_trace();
+    let stats = server.shutdown();
+    let planned: Vec<(u64, usize, usize)> = trace
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            SchedEvent::Iteration { chunks, .. } => Some(chunks.clone()),
+            _ => None,
         })
-        .collect()
+        .flatten()
+        .collect();
+    assert_eq!(stats.prefill_chunks, planned.len() as u64);
+    assert_eq!(stats.served, 1 + jobs.len() as u64);
+
+    for (i, (served, (q, k, v))) in served.iter().zip(jobs).enumerate() {
+        let mut ctx = GpuCtx::a100();
+        let solo = mech.forward(&mut ctx, q, k, v);
+        assert!(
+            bits_equal(served.output.as_slice(), solo.as_slice()),
+            "job {} diverged from solo forward",
+            i + 1
+        );
+        if planned.contains(&(i as u64 + 1, 0, q.rows())) {
+            assert_eq!(
+                served.sim_latency_s.to_bits(),
+                ctx.latency().to_bits(),
+                "whole job {} was not charged as its solo forward",
+                i + 1
+            );
+        }
+    }
+    let rows = |job: u64| match job {
+        0 => hold_rows,
+        j => jobs[j as usize - 1].0.rows(),
+    };
+    let finish_order: Vec<u64> = planned
+        .iter()
+        .filter(|&&(job, _, hi)| hi == rows(job))
+        .map(|&(job, _, _)| job)
+        .collect();
+    let mut by_ticket: Vec<_> = served
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.ticket, i as u64 + 1))
+        .collect();
+    by_ticket.sort();
+    let reply_order: Vec<u64> = by_ticket.into_iter().map(|(_, job)| job).collect();
+    assert_eq!(reply_order, finish_order[1..], "replies left plan order");
+    planned
 }
 
 fn triple(n: usize, d: usize, rng: &mut Rng) -> (Matrix<f32>, Matrix<f32>, Matrix<f32>) {
@@ -441,64 +498,28 @@ fn triple(n: usize, d: usize, rng: &mut Rng) -> (Matrix<f32>, Matrix<f32>, Matri
     )
 }
 
-/// Bucket batching is the whole-job case of the one loop: whole prefills
-/// of one shape that queued behind a held launch share one batched launch
-/// of at most `max_batch` jobs, and `batches` counts those launches. A
-/// different shape, or a job longer than `prefill_chunk`, never joins a
-/// group. A non-chunkable mechanism's jobs are planned whole and group
-/// the same way. Every output is bit-identical to solo forward.
+/// Every planned chunk runs as its own launch, in plan order — whole jobs
+/// of one shape never share a launch. A backlog of whole jobs of two shapes
+/// and one job longer than a chunk, then a non-chunkable mechanism's
+/// backlog, which it plans whole, both pass [`serve_behind_a_hold`]'s
+/// checks.
 #[test]
-fn whole_jobs_of_one_shape_share_a_launch_up_to_max_batch() {
-    let slow = FaultPlan::new().inject(0, FaultKind::SlowLaunch(Duration::from_millis(300)));
+fn every_planned_chunk_runs_as_its_own_launch_in_plan_order() {
     let mut rng = Rng::new(21);
 
-    let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(DfssAttention::new(NmPattern::P2_4));
-    let server = AttentionServer::start_continuous_with_kv_faults(
-        Arc::clone(&mech),
-        BatchPolicy::batched(3, Duration::ZERO),
-        SchedPolicy::new(16, 1024),
-        KvConfig::default(),
-        slow.clone(),
-    );
-    let hold = triple(16, 8, &mut rng);
     // Five jobs of one shape, two of another, and one longer than a chunk.
+    let hold = triple(16, 8, &mut rng);
     let mut jobs: Vec<_> = (0..5).map(|_| triple(16, 8, &mut rng)).collect();
     jobs.extend((0..2).map(|_| triple(8, 8, &mut rng)));
     jobs.push(triple(32, 8, &mut rng));
-    let sizes = serve_behind_a_hold(&server, mech.as_ref(), hold, &jobs);
-    assert_eq!(sizes, vec![3, 3, 3, 2, 2, 2, 2, 1]);
-    let stats = server.shutdown();
-    // The hold, groups of 3 + 2 (n = 16) and 2 (n = 8); the long job's two
-    // chunks are no group launch.
-    assert_eq!(stats.batches, 4);
-    assert_eq!(stats.max_batch, 3);
-    assert_eq!(stats.prefill_chunks, 1 + 7 + 2);
-    assert_eq!(stats.served, 9);
+    let mech = Arc::new(DfssAttention::new(NmPattern::P2_4));
+    let planned = serve_behind_a_hold(mech, SchedPolicy::new(16, 1024), hold, &jobs);
+    // The hold, seven whole jobs, and the long job's two chunks.
+    assert_eq!(planned.len(), 1 + 7 + 2);
 
-    let mech: Arc<dyn Attention<f32> + Send + Sync> =
-        Arc::new(DfssEllAttention::new(NmPattern::P2_4, 8, 2));
-    let server = AttentionServer::start_continuous_with_kv_faults(
-        Arc::clone(&mech),
-        BatchPolicy::batched(4, Duration::ZERO),
-        SchedPolicy::new(5, 8),
-        KvConfig::default(),
-        slow,
-    );
     let hold = triple(32, 16, &mut rng);
     let jobs: Vec<_> = (0..3).map(|_| triple(32, 16, &mut rng)).collect();
-    let sizes = serve_behind_a_hold(&server, mech.as_ref(), hold, &jobs);
-    assert_eq!(sizes, vec![3, 3, 3]);
-    let trace = server.sched_trace();
-    let stats = server.shutdown();
-    assert_eq!((stats.batches, stats.prefill_chunks), (2, 4));
-    let planned: Vec<(u64, usize, usize)> = trace
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            SchedEvent::Iteration { chunks, .. } => Some(chunks.clone()),
-            _ => None,
-        })
-        .flatten()
-        .collect();
+    let mech = Arc::new(DfssEllAttention::new(NmPattern::P2_4, 8, 2));
+    let planned = serve_behind_a_hold(mech, SchedPolicy::new(5, 8), hold, &jobs);
     assert_eq!(planned, (0..4).map(|job| (job, 0, 32)).collect::<Vec<_>>());
 }
