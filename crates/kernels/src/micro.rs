@@ -12,12 +12,14 @@
 //!
 //! Loop-shape inventory:
 //!
-//! * [`panel_product`] — the register-tiled score microkernel: 4 rows × 16
-//!   columns per tile, accumulated in registers over the whole k extent
+//! * [`panel_product`] — the register-tiled score microkernel: 4 rows × 32
+//!   columns per tile (two packed 16-column blocks; AVX-512 holds all
+//!   eight accumulators at once, AVX2 and the scalar reference run the
+//!   blocks in turn), accumulated in registers over the whole k extent
 //!   against a [`widen_packed`] operand. `gemm_nt`, the fused SDDMM and the
 //!   row-tile driver compute every dense score with it. Per-element sums
 //!   run in *serial left-to-right* k-order, so scores are bit-identical
-//!   across every kernel that computes them.
+//!   across every kernel and backend that computes them.
 //! * [`simd::nn_tile`] — the register-tiled dense NN microkernel: 4 rows ×
 //!   64 columns (AVX-512; 4 × 16 on AVX2) accumulated in registers over the
 //!   whole k extent against a row-major operand, each operand row loaded
@@ -50,9 +52,9 @@ pub fn axpy(acc: &mut [f32], s: f32, row: &[f32]) {
     simd::active().axpy(acc, s, row);
 }
 
-/// Column-tile width of the register-tiled batched kernels: 16 f32 lanes =
-/// one AVX-512 register or two AVX2 registers, leaving room for
-/// [`TILE_ROWS`] rows of accumulators in the register file.
+/// Column width of one packed block of the register-tiled score kernels:
+/// 16 f32 lanes = one AVX-512 register or two AVX2 registers. A score tile
+/// spans one or two blocks ([`simd::Backend::panel_tile`]).
 pub const TILE_COLS: usize = 16;
 
 /// Widen an `n × ka` operand directly into the **tile-packed** layout the
@@ -122,13 +124,13 @@ pub fn panel_product(
     });
     let backend = simd::active();
     let mut j0 = 0;
-    let mut jt = 0;
     while j0 < n {
-        let w = TILE_COLS.min(n - j0);
-        let block = &packed[jt * ka * TILE_COLS..(jt + 1) * ka * TILE_COLS];
+        // Two packed blocks per tile; an odd last block runs alone.
+        let w = (2 * TILE_COLS).min(n - j0);
+        let (jt, blocks) = (j0 / TILE_COLS, w.div_ceil(TILE_COLS));
+        let block = &packed[jt * ka * TILE_COLS..(jt + blocks) * ka * TILE_COLS];
         backend.panel_tile(&arows, rcnt, block, n, j0, w, acc);
         j0 += w;
-        jt += 1;
     }
 }
 

@@ -154,83 +154,12 @@ fn sddmm_nm_fused_exec<T: Scalar>(
     (nonzeros, codes)
 }
 
-/// Fast 1:2 prune of score rows: per pair, keep the strictly larger value
-/// (ties to the earlier index) — branchless, so the compare/select loop
-/// vectorizes. The *selection* is exactly
-/// [`NmPattern::select_group_into`]'s (`group[1] > group[0]` is the same
-/// predicate its insertion sort applies), so codes and values are
-/// bit-identical to [`prune_rows_into`]; only the host wall-clock differs.
-fn prune_rows_into_1_2<T: Scalar>(
-    scores: &[f32],
-    scale: f32,
-    nz_out: &mut [T],
-    code_out: &mut [u8],
-) {
-    for ((pair, nz), code) in scores
-        .chunks_exact(2)
-        .zip(nz_out.iter_mut())
-        .zip(code_out.iter_mut())
-    {
-        let hi = (pair[1] > pair[0]) as usize;
-        *code = 1 + hi as u8;
-        *nz = T::from_acc(pair[hi] * scale);
-    }
-}
-
-/// Keep-mask of one NaN-free 2:4 group by rank: lane `i` is kept iff
-/// fewer than two lanes beat it, where lane `j` beats lane `i` iff
-/// `g[j] > g[i]`, or `g[j] == g[i]` and `j < i`. That is a strict total
-/// order on NaN-free groups, so exactly two lanes are kept — the same two
-/// [`NmPattern::select_group_into`]'s stable descending sort keeps.
-#[inline]
-fn rank_code_2_4(g: &[f32; 4]) -> u8 {
-    let mut beaten = [0u8; 4];
-    for i in 0..4 {
-        for j in i + 1..4 {
-            // On a tie the lower index `i` wins.
-            let j_wins = u8::from(g[j] > g[i]);
-            beaten[i] += j_wins;
-            beaten[j] += 1 - j_wins;
-        }
-    }
-    (0..4).fold(0, |code, i| code | (u8::from(beaten[i] < 2) << i))
-}
-
-/// Fast 2:4 prune of score rows: the branchless rank rule of
-/// [`rank_code_2_4`] per group. `>` is no order once a NaN is present, so
-/// a group containing one takes [`NmPattern::select_group_into`]'s
-/// insertion sort instead; codes and values are therefore bit-identical to
-/// [`prune_rows_into`] on every group.
-fn prune_rows_into_2_4<T: Scalar>(
-    scores: &[f32],
-    scale: f32,
-    nz_out: &mut [T],
-    code_out: &mut [u8],
-) {
-    let mut kept = [0usize; dfss_nmsparse::MAX_M];
-    for ((group, nz), code) in scores
-        .chunks_exact(4)
-        .zip(nz_out.chunks_exact_mut(2))
-        .zip(code_out.iter_mut())
-    {
-        let g: &[f32; 4] = group.try_into().expect("chunks_exact(4) yields 4 scores");
-        *code = if g.iter().any(|x| x.is_nan()) {
-            let n_kept = NmPattern::P2_4.select_group_into(g, &mut kept);
-            kept[..n_kept].iter().fold(0, |c, &i| c | (1 << i))
-        } else {
-            rank_code_2_4(g)
-        };
-        // Both rules keep exactly two lanes: the table's pair, ascending.
-        let [a, b] = simd::PAIRS_2_4[*code as usize];
-        nz[0] = T::from_acc(g[a as usize] * scale);
-        nz[1] = T::from_acc(g[b as usize] * scale);
-    }
-}
-
 /// Prune a block of whole M-groups of f32 scores with the fastest
 /// epilogue for the pattern: the one scaled N:M selection every kernel that
 /// prunes accumulators runs (fused SDDMM, blocked-ELL SDDMM, the row-tile
-/// driver and the decode prune).
+/// driver and the decode prune). 1:2 and 2:4 run the dispatched
+/// [`simd::Backend::prune_nm`], every other pattern [`prune_rows_into`];
+/// both select as [`NmPattern::select_group_into`] does.
 pub(crate) fn prune_rows_dispatch<T: Scalar>(
     pattern: NmPattern,
     scores: &[f32],
@@ -239,8 +168,7 @@ pub(crate) fn prune_rows_dispatch<T: Scalar>(
     code_out: &mut [u8],
 ) {
     match (pattern.n(), pattern.m()) {
-        (1, 2) => prune_rows_into_1_2(scores, scale, nz_out, code_out),
-        (2, 4) => prune_rows_into_2_4(scores, scale, nz_out, code_out),
+        (1, 2) | (2, 4) => simd::active().prune_nm(pattern, scores, scale, nz_out, code_out),
         _ => prune_rows_into(pattern, scores, scale, nz_out, code_out),
     }
 }
@@ -653,7 +581,11 @@ mod tests {
     }
 
     #[test]
-    fn branchless_2_4_epilogue_matches_select_on_every_special_group() {
+    fn decode_prune_row_prunes_full_groups_and_keeps_the_dense_tail() {
+        // The decode prune row: its full groups through the prefill
+        // epilogue, its dense tail (1 or 3 positions, or the whole of a row
+        // shorter than M) kept and scaled. The rows hold every group of four
+        // over eight special values, NaN included.
         let vals = [
             f32::NEG_INFINITY,
             -1.0,
@@ -664,49 +596,14 @@ mod tests {
             f32::INFINITY,
             f32::NAN,
         ];
+        let scores: Vec<f32> = (0..4096usize)
+            .flat_map(|i| (0..4).map(move |lane| vals[(i >> (3 * lane)) & 7]))
+            .collect();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // Every group of four over the eight special values: 4096 groups.
-        let groups: Vec<[f32; 4]> = (0..4096usize)
-            .map(|i| std::array::from_fn(|lane| vals[(i >> (3 * lane)) & 7]))
-            .collect();
-        let scores: Vec<f32> = groups.iter().flatten().copied().collect();
-        let (mut nz_fast, mut code_fast) = (vec![0.0f32; 2 * 4096], vec![0u8; 4096]);
-        let (mut nz_ref, mut code_ref) = (vec![0.0f32; 2 * 4096], vec![0u8; 4096]);
-        let p = NmPattern::P2_4;
-        prune_rows_dispatch(p, &scores, 0.5, &mut nz_fast, &mut code_fast);
-        prune_rows_into(p, &scores, 0.5, &mut nz_ref, &mut code_ref);
-        assert_eq!(code_fast, code_ref);
-        assert_eq!(bits(&nz_fast), bits(&nz_ref));
-
-        // The rank rule alone agrees on all 2401 NaN-free groups and not on
-        // every NaN group, so the NaN fallback is load-bearing.
-        let (clean, nan): (Vec<_>, Vec<_>) = groups
-            .iter()
-            .zip(&code_ref)
-            .partition(|(g, _)| !g.iter().any(|x| x.is_nan()));
-        assert_eq!(clean.len(), 2401);
-        assert!(clean.iter().all(|(g, &c)| rank_code_2_4(g) == c));
-        assert!(nan.iter().any(|(g, &c)| rank_code_2_4(g) != c));
-
-        // Every pair over the same values: the branchless 1:2 epilogue.
-        let pairs: Vec<f32> = (0..64usize)
-            .flat_map(|i| [vals[i & 7], vals[i >> 3]])
-            .collect();
-        let (mut nz_fast, mut code_fast) = (vec![0.0f32; 64], vec![0u8; 64]);
-        let (mut nz_ref, mut code_ref) = (vec![0.0f32; 64], vec![0u8; 64]);
-        let p = NmPattern::P1_2;
-        prune_rows_dispatch(p, &pairs, 0.5, &mut nz_fast, &mut code_fast);
-        prune_rows_into(p, &pairs, 0.5, &mut nz_ref, &mut code_ref);
-        assert_eq!(code_fast, code_ref);
-        assert_eq!(bits(&nz_fast), bits(&nz_ref));
-
-        // The decode prune row: its full groups through the same epilogue,
-        // its dense tail (1 or 3 positions, or the whole of a row shorter
-        // than M) kept and scaled.
         for p in [NmPattern::P1_2, NmPattern::P2_4, NmPattern::new(1, 4)] {
             let (n, m) = (p.n(), p.m());
             for tail in [1usize, 3].into_iter().filter(|&t| t < m) {
-                for full in [0usize, 64] {
+                for full in [0usize, 64, 4096] {
                     let row = &scores[..full + tail];
                     let kept = full / m * n + tail;
                     let (mut nz, mut codes) = (vec![7.0f32; kept], vec![0u8; full / m]);

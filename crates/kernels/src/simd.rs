@@ -3,8 +3,9 @@
 //! The paper's premise is that N:M sparsity exists to feed fixed-function
 //! units at their roofline; the host engine chases the same roofline here
 //! instead of hoping autovectorisation fires. Every hot inner loop of the
-//! microkernels ([`crate::micro`], the decode routines in the private
-//! `decode` module) routes through a [`Backend`] chosen **once per
+//! microkernels ([`crate::micro`], the N:M prune epilogue, the decode
+//! routines in the private `decode` module) routes through a [`Backend`]
+//! chosen **once per
 //! process** by `std::arch` runtime feature detection — AVX-512 / AVX2 on
 //! x86-64 — with the scalar reference path always compiled in: it is the
 //! semantics every SIMD implementation must match bit for bit, the code
@@ -24,7 +25,15 @@
 //!   register tiles of [`Backend::panel_tile`], [`nn_tile`] and
 //!   [`spmm_tile`] update independent output lanes in serial k-order;
 //!   lane width does not touch the per-lane operation order, so any width
-//!   is bit-identical.
+//!   or tile shape is bit-identical (the AVX-512 score tile holds 4 rows ×
+//!   32 columns, AVX2's 4 × 16).
+//! * **Selections compare, they do not sum.** The N:M prune epilogue
+//!   ([`Backend::prune_nm`]) decides each group with the reference's own
+//!   predicates — 1:2 `pair[1] > pair[0]`, 2:4 the rank rule's `>` and `==`
+//!   with its tie order — and multiplies each kept score by the scale once,
+//!   so the AVX-512 bodies (16 pairs or 4 groups per step) reproduce the
+//!   scalar codes and values exactly; a 2:4 step holding a NaN runs the
+//!   reference, whose sort defines that case.
 //! * **Reductions keep the scalar shape.** The decode score dot
 //!   ([`dot_widen`]) accumulates into 8 lanes (serially across 8-blocks)
 //!   and reduces with a fixed tree `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))`
@@ -65,13 +74,13 @@
 // unchecked backends rely on, every vector load/store stays inside `full`
 // (the largest lane multiple ≤ len) or inside those asserted lengths (the
 // SpMM tile's also by total code decoding, and the AVX-512 tiles' tail
-// loads are lane-masked), and every `target_feature` function is reached
-// only through a `Backend` variant: `active()` and `force()` yield only
-// available ones, and the tiles, `row_max` and the exp pass assert
-// `available()` (`axpy`, `panel_tile`, `dot_widen` and `axpy_widen` trust
-// their caller's variant).
+// loads and stores are lane-masked), and every `target_feature` function
+// is reached only through a public entry that asserts its `Backend`
+// variant is `available()` on this CPU, so no safe call can run an
+// instruction the CPU lacks.
 #![allow(unsafe_code)]
 
+use crate::micro::TILE_COLS;
 use dfss_nmsparse::{NmPattern, MAX_M};
 use dfss_tensor::{math, Scalar};
 #[cfg(target_arch = "x86_64")]
@@ -244,8 +253,14 @@ pub fn axpy_ref(acc: &mut [f32], s: f32, row: &[f32]) {
     }
 }
 
-#[inline(always)]
-fn panel_tile_ref_r<const R: usize>(
+/// One scalar block of [`Backend::panel_tile`]: `R` rows × the `w ≤ 16`
+/// columns `j0 ..` of one packed `ka × 16` block, accumulated from `0.0` in
+/// serial k-order. It defines the op's semantics; the scalar backend runs
+/// a tile's blocks through it one after the other. Kept out of line:
+/// inlined into the dispatch, the scalar score tile measured up to 1.3×
+/// slower.
+#[inline(never)]
+fn panel_block_ref<const R: usize>(
     arows: &[&[f32]; TILE_ROWS],
     block: &[f32],
     n: usize,
@@ -254,9 +269,11 @@ fn panel_tile_ref_r<const R: usize>(
     acc_out: &mut [f32],
 ) {
     let ka = arows[0].len();
-    let mut acc = [[0.0f32; 16]; R];
+    let mut acc = [[0.0f32; TILE_COLS]; R];
     for kk in 0..ka {
-        let row: &[f32; 16] = block[kk * 16..(kk + 1) * 16].try_into().unwrap();
+        let row: &[f32; TILE_COLS] = block[kk * TILE_COLS..(kk + 1) * TILE_COLS]
+            .try_into()
+            .unwrap();
         for r in 0..R {
             let s = arows[r][kk];
             for (o, &x) in acc[r].iter_mut().zip(row) {
@@ -269,9 +286,8 @@ fn panel_tile_ref_r<const R: usize>(
     }
 }
 
-/// Reference register tile of [`crate::micro::panel_product`]: `rcnt ≤`
-/// [`TILE_ROWS`] accumulator rows of one 16-column tile, serial k-order per
-/// element.
+/// Reference register tile of [`crate::micro::panel_product`]: the
+/// bit-exact semantics of [`Backend::panel_tile`].
 pub fn panel_tile_ref(
     arows: &[&[f32]; TILE_ROWS],
     rcnt: usize,
@@ -281,12 +297,7 @@ pub fn panel_tile_ref(
     w: usize,
     acc_out: &mut [f32],
 ) {
-    match rcnt {
-        4 => panel_tile_ref_r::<4>(arows, block, n, j0, w, acc_out),
-        3 => panel_tile_ref_r::<3>(arows, block, n, j0, w, acc_out),
-        2 => panel_tile_ref_r::<2>(arows, block, n, j0, w, acc_out),
-        _ => panel_tile_ref_r::<1>(arows, block, n, j0, w, acc_out),
-    }
+    Backend::Scalar.panel_tile(arows, rcnt, block, n, j0, w, acc_out);
 }
 
 /// Reference lane-blocked row maximum (see `softmax`): `f32::max` is
@@ -375,7 +386,7 @@ fn spill_ref<T: Scalar, const R: usize>(
 /// Lane pairs of the 2:4 code table, indexed by `code & 0xF`: the two
 /// lowest set bits, or lanes `(0, 1)` when fewer than two bits are set.
 /// Shared by the SpMM decode and the 2:4 prune epilogue.
-pub(crate) const PAIRS_2_4: [[u8; 2]; 16] = pairs_2_4();
+const PAIRS_2_4: [[u8; 2]; 16] = pairs_2_4();
 
 const fn pairs_2_4() -> [[u8; 2]; 16] {
     let mut table = [[0, 1]; 16];
@@ -553,6 +564,80 @@ fn nn_window_ref<T: Scalar, const R: usize>(
     spill_ref(&acc, out, n, j0, w);
 }
 
+/// Reference 1:2 prune of score rows: per pair, keep the strictly larger
+/// value (ties and NaN to the earlier index). The *selection* is exactly
+/// [`NmPattern::select_group_into`]'s (`group[1] > group[0]` is the same
+/// predicate its insertion sort applies), so codes and values are
+/// bit-identical to a prune through it. The loop has no branch, but the
+/// compiler does not vectorise it: on a 2-vCPU AVX-512 host it takes
+/// about 1.6 ns per pair, 8–9× the AVX-512 body.
+fn prune_rows_into_1_2<T: Scalar>(
+    scores: &[f32],
+    scale: f32,
+    nz_out: &mut [T],
+    code_out: &mut [u8],
+) {
+    for ((pair, nz), code) in scores
+        .chunks_exact(2)
+        .zip(nz_out.iter_mut())
+        .zip(code_out.iter_mut())
+    {
+        let hi = (pair[1] > pair[0]) as usize;
+        *code = 1 + hi as u8;
+        *nz = T::from_acc(pair[hi] * scale);
+    }
+}
+
+/// Keep-mask of one NaN-free 2:4 group by rank: lane `i` is kept iff
+/// fewer than two lanes beat it, where lane `j` beats lane `i` iff
+/// `g[j] > g[i]`, or `g[j] == g[i]` and `j < i`. That is a strict total
+/// order on NaN-free groups, so exactly two lanes are kept — the same two
+/// [`NmPattern::select_group_into`]'s stable descending sort keeps.
+#[inline]
+fn rank_code_2_4(g: &[f32; 4]) -> u8 {
+    let mut beaten = [0u8; 4];
+    for i in 0..4 {
+        for j in i + 1..4 {
+            // On a tie the lower index `i` wins.
+            let j_wins = u8::from(g[j] > g[i]);
+            beaten[i] += j_wins;
+            beaten[j] += 1 - j_wins;
+        }
+    }
+    (0..4).fold(0, |code, i| code | (u8::from(beaten[i] < 2) << i))
+}
+
+/// Reference 2:4 prune of score rows: the rank rule of [`rank_code_2_4`]
+/// per group. `>` is no order once a NaN is present, so a group containing
+/// one takes [`NmPattern::select_group_into`]'s insertion sort instead;
+/// codes and values are therefore bit-identical to a prune through it on
+/// every group.
+fn prune_rows_into_2_4<T: Scalar>(
+    scores: &[f32],
+    scale: f32,
+    nz_out: &mut [T],
+    code_out: &mut [u8],
+) {
+    let mut kept = [0usize; MAX_M];
+    for ((group, nz), code) in scores
+        .chunks_exact(4)
+        .zip(nz_out.chunks_exact_mut(2))
+        .zip(code_out.iter_mut())
+    {
+        let g: &[f32; 4] = group.try_into().expect("chunks_exact(4) yields 4 scores");
+        *code = if g.iter().any(|x| x.is_nan()) {
+            let n_kept = NmPattern::P2_4.select_group_into(g, &mut kept);
+            kept[..n_kept].iter().fold(0, |c, &i| c | (1 << i))
+        } else {
+            rank_code_2_4(g)
+        };
+        // Both rules keep exactly two lanes: the table's pair, ascending.
+        let [a, b] = PAIRS_2_4[*code as usize];
+        nz[0] = T::from_acc(g[a as usize] * scale);
+        nz[1] = T::from_acc(g[b as usize] * scale);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Dispatched operations.
 // ---------------------------------------------------------------------------
@@ -561,13 +646,15 @@ impl Backend {
     /// `acc[j] += s · row[j]` (element-wise; bit-identical at any width).
     ///
     /// # Panics
-    /// If `acc` and `row` differ in length (the unchecked backends rely on
-    /// this check).
+    /// If this backend is not available on this CPU, or `acc` and `row`
+    /// differ in length (the unchecked backends rely on these checks).
     #[inline]
     pub fn axpy(self, acc: &mut [f32], s: f32, row: &[f32]) {
+        assert!(self.available(), "backend {} not available", self.name());
         assert_eq!(acc.len(), row.len(), "axpy row length differs from acc");
         match self {
-            // SAFETY (both): `row` is as long as `acc`, checked above.
+            // SAFETY (both): the backend is available and `row` is as long
+            // as `acc`, checked above.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx512 => unsafe { x86::axpy_avx512(acc, s, row) },
             #[cfg(target_arch = "x86_64")]
@@ -577,16 +664,22 @@ impl Backend {
     }
 
     /// One register tile of `panel_product`: `rcnt ≤` [`TILE_ROWS`] rows ×
-    /// 16 columns, accumulated over the whole k extent in registers. The
-    /// first `rcnt` entries of `arows` are A rows of `ka = arows[0].len()`
-    /// elements, `block` holds `ka × 16` packed elements, and results
-    /// overwrite `acc_out[r·n + j0 .. r·n + j0 + w]`.
+    /// `w ≤ 32` columns, accumulated over the whole k extent in registers.
+    /// The first `rcnt` entries of `arows` are A rows of
+    /// `ka = arows[0].len()` elements; `block` holds the `⌈w/16⌉` packed
+    /// `ka × 16` blocks the columns come from, back to back; results
+    /// overwrite `acc_out[r·n + j0 .. r·n + j0 + w]`. Every element sums its
+    /// `ka` products from `0.0` in serial k-order (multiply, then add: no
+    /// FMA), so the tile's shape — AVX-512 holds both blocks in registers
+    /// at once, AVX2 and the scalar reference run them one after the other
+    /// — never changes a bit.
     ///
     /// # Panics
-    /// If `rcnt` is outside `1..=TILE_ROWS`, one of the first `rcnt` rows
-    /// is not `ka` long, or `block` is shorter than `ka × 16` (the unchecked
-    /// backends rely on these checks); also if `w > 16` or an output range
-    /// falls outside `acc_out`.
+    /// If this backend is not available on this CPU, `rcnt` is outside
+    /// `1..=TILE_ROWS`, `w` is outside `1..=32`, one of the first `rcnt`
+    /// rows is not `ka` long, `block` is shorter than its `⌈w/16⌉` blocks,
+    /// or an output range falls outside `acc_out` (the unchecked backends
+    /// rely on these checks).
     #[inline]
     pub fn panel_tile(
         self,
@@ -598,30 +691,89 @@ impl Backend {
         w: usize,
         acc_out: &mut [f32],
     ) {
+        assert!(self.available(), "backend {} not available", self.name());
         assert!(
             (1..=TILE_ROWS).contains(&rcnt),
             "tile of {rcnt} rows (1..={TILE_ROWS})"
+        );
+        assert!(
+            (1..=2 * TILE_COLS).contains(&w),
+            "tile of {w} columns (1..={})",
+            2 * TILE_COLS
         );
         let ka = arows[0].len();
         assert!(
             arows[..rcnt].iter().all(|row| row.len() == ka),
             "tile rows are not all {ka} long"
         );
+        let rows = w.div_ceil(TILE_COLS) * ka;
         assert!(
-            block.len() / 16 >= ka,
-            "block shorter than {ka} packed rows"
+            block.len() / TILE_COLS >= rows,
+            "block shorter than {rows} packed rows"
         );
-        match self {
-            // SAFETY (both): the first `rcnt` rows hold `ka` elements and
-            // `block` at least `ka × 16`, checked above; the output stores
-            // are bounds-checked.
+        let end = (rcnt - 1)
+            .checked_mul(n)
+            .and_then(|e| e.checked_add(j0))
+            .and_then(|e| e.checked_add(w));
+        assert!(
+            end.is_some_and(|e| e <= acc_out.len()),
+            "tile output outside acc_out"
+        );
+        match rcnt {
+            4 => panel_rows::<4>(self, arows, block, n, j0, w, acc_out),
+            3 => panel_rows::<3>(self, arows, block, n, j0, w, acc_out),
+            2 => panel_rows::<2>(self, arows, block, n, j0, w, acc_out),
+            _ => panel_rows::<1>(self, arows, block, n, j0, w, acc_out),
+        }
+    }
+
+    /// The N:M prune epilogue of f32 score accumulators for 1:2 and 2:4:
+    /// for each `M`-group of `scores`, its code (the kept lanes' bits) into
+    /// `code_out` and `from_acc(x · scale)` of its kept scores, in ascending
+    /// lane order, into `nz_out`. Selection runs on the unscaled scores and
+    /// is [`NmPattern::select_group_into`]'s: 1:2 keeps lane 1 iff
+    /// `pair[1] > pair[0]`; 2:4 keeps the two lanes fewer than two others
+    /// beat, where lane `j` beats lane `i` iff `g[j] > g[i]`, or they are
+    /// equal and `j < i`, and a group holding a NaN takes the sort itself.
+    /// Bitwise equal on every backend to the scalar references.
+    ///
+    /// # Panics
+    /// If this backend is not available on this CPU, `pattern` is neither
+    /// 1:2 nor 2:4, `scores` is not whole groups, or `code_out` (one per
+    /// group) or `nz_out` (`N` per group) disagrees with them (the
+    /// unchecked backends rely on these checks).
+    #[inline]
+    pub fn prune_nm<T: Scalar>(
+        self,
+        pattern: NmPattern,
+        scores: &[f32],
+        scale: f32,
+        nz_out: &mut [T],
+        code_out: &mut [u8],
+    ) {
+        assert!(self.available(), "backend {} not available", self.name());
+        let (n, m) = (pattern.n(), pattern.m());
+        assert!(
+            matches!((n, m), (1, 2) | (2, 4)),
+            "prune_nm prunes 1:2 and 2:4, not {pattern}"
+        );
+        let groups = scores.len() / m;
+        assert_eq!(scores.len(), groups * m, "scores are not whole groups");
+        assert_eq!(code_out.len(), groups, "codes do not fit the groups");
+        assert_eq!(nz_out.len(), groups * n, "nonzeros do not fit the groups");
+        match (self, m) {
+            // SAFETY (both): AVX-512F is available and the slices hold
+            // `groups` groups, checked above.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 => unsafe {
-                x86::panel_tile_avx512(arows, rcnt, block, n, j0, w, acc_out)
+            (Backend::Avx512, 2) => unsafe {
+                x86::prune_1_2_avx512(scores, scale, nz_out, code_out)
             },
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { x86::panel_tile_avx2(arows, rcnt, block, n, j0, w, acc_out) },
-            _ => panel_tile_ref(arows, rcnt, block, n, j0, w, acc_out),
+            (Backend::Avx512, _) => unsafe {
+                x86::prune_2_4_avx512(scores, scale, nz_out, code_out)
+            },
+            (_, 2) => prune_rows_into_1_2(scores, scale, nz_out, code_out),
+            _ => prune_rows_into_2_4(scores, scale, nz_out, code_out),
         }
     }
 
@@ -666,19 +818,66 @@ impl Backend {
     }
 }
 
+/// [`Backend::panel_tile`] with `R` rows: the backend's register tile over
+/// both blocks at once (AVX-512), or its blocks one after the other.
+#[inline]
+fn panel_rows<const R: usize>(
+    backend: Backend,
+    arows: &[&[f32]; TILE_ROWS],
+    block: &[f32],
+    n: usize,
+    j0: usize,
+    w: usize,
+    acc_out: &mut [f32],
+) {
+    match backend {
+        // SAFETY (all three): `panel_tile` checked the backend, the first
+        // `R` rows' length `ka`, `block` against `⌈w/16⌉ · ka` packed rows
+        // and every row's output range against `acc_out`.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 if w > TILE_COLS => unsafe {
+            x86::panel_tile_avx512::<R, 2>(arows, block, n, j0, w, acc_out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe {
+            x86::panel_tile_avx512::<R, 1>(arows, block, n, j0, w, acc_out)
+        },
+        _ => {
+            let ka = arows[0].len();
+            for (c, jc) in (0..w).step_by(TILE_COLS).enumerate() {
+                let blk = &block[c * ka * TILE_COLS..];
+                let (jc, wc) = (j0 + jc, TILE_COLS.min(w - jc));
+                match backend {
+                    #[cfg(target_arch = "x86_64")]
+                    Backend::Avx2 => unsafe {
+                        x86::panel_block_avx2::<R>(arows, blk, n, jc, wc, acc_out)
+                    },
+                    _ => panel_block_ref::<R>(arows, blk, n, jc, wc, acc_out),
+                }
+            }
+        }
+    }
+}
+
 /// Fused widen-on-load dot against a raw KV row (`f32` → TF32-rounded
 /// in-register, [`Bf16`](dfss_tensor::Bf16) → exact widen in-register):
 /// the decode score microkernel. Bitwise equal to [`dot_widen_ref`] on
 /// every backend.
 ///
 /// # Panics
-/// If `q` and `row` differ in length (the unchecked backends rely on this
-/// check).
+/// If `backend` is not available on this CPU, or `q` and `row` differ in
+/// length (the unchecked backends rely on these checks).
 #[inline]
 pub fn dot_widen<S: Scalar>(backend: Backend, q: &[f32], row: &[S]) -> f32 {
+    assert!(
+        backend.available(),
+        "backend {} not available",
+        backend.name()
+    );
     assert_eq!(q.len(), row.len(), "dot_widen row length differs from q");
     match backend {
-        // SAFETY (every call below): `row` is as long as `q`, checked above.
+        // SAFETY (every call below): the backend is available and `row` is
+        // as long as `q`, checked above.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 => {
             if TypeId::of::<S>() == TypeId::of::<f32>() {
@@ -704,18 +903,23 @@ pub fn dot_widen<S: Scalar>(backend: Backend, q: &[f32], row: &[S]) -> f32 {
 /// microkernel. Bitwise equal to [`axpy_widen_ref`] on every backend.
 ///
 /// # Panics
-/// If `acc` and `row` differ in length (the unchecked backends rely on
-/// this check).
+/// If `backend` is not available on this CPU, or `acc` and `row` differ in
+/// length (the unchecked backends rely on these checks).
 #[inline]
 pub fn axpy_widen<S: Scalar>(backend: Backend, acc: &mut [f32], s: f32, row: &[S]) {
+    assert!(
+        backend.available(),
+        "backend {} not available",
+        backend.name()
+    );
     assert_eq!(
         acc.len(),
         row.len(),
         "axpy_widen row length differs from acc"
     );
     match backend {
-        // SAFETY (every call below): `row` is as long as `acc`, checked
-        // above.
+        // SAFETY (every call below): the backend is available and `row` is
+        // as long as `acc`, checked above.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 => {
             if TypeId::of::<S>() == TypeId::of::<f32>() {
@@ -1093,13 +1297,16 @@ mod x86 {
         }
     }
 
+    /// `R` rows × one 16-column block in `2R` ymm accumulators (two blocks
+    /// would not fit the 16 registers; a tile runs its blocks in turn).
+    ///
     /// # Safety
-    /// AVX2 must be available, and the slices must have the lengths
-    /// `Backend::panel_tile` checks.
+    /// AVX2 must be available, `block` must start a packed `ka × 16` block
+    /// and `w ≤ 16`, and the other slices must have the lengths
+    /// `Backend::panel_tile` checks for `R` rows.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn panel_tile_avx2(
+    pub(super) unsafe fn panel_block_avx2<const R: usize>(
         arows: &[&[f32]; TILE_ROWS],
-        rcnt: usize,
         block: &[f32],
         n: usize,
         j0: usize,
@@ -1107,32 +1314,35 @@ mod x86 {
         acc_out: &mut [f32],
     ) {
         let ka = arows[0].len();
-        let mut lo = [_mm256_setzero_ps(); TILE_ROWS];
-        let mut hi = [_mm256_setzero_ps(); TILE_ROWS];
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
         for kk in 0..ka {
             let b0 = _mm256_loadu_ps(block.as_ptr().add(kk * 16));
             let b1 = _mm256_loadu_ps(block.as_ptr().add(kk * 16 + 8));
-            for r in 0..rcnt {
+            for (r, [lo, hi]) in acc.iter_mut().enumerate() {
                 let s = _mm256_set1_ps(*arows[r].get_unchecked(kk));
-                lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(s, b0));
-                hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(s, b1));
+                *lo = _mm256_add_ps(*lo, _mm256_mul_ps(s, b0));
+                *hi = _mm256_add_ps(*hi, _mm256_mul_ps(s, b1));
             }
         }
         let mut tile = [0.0f32; 16];
-        for r in 0..rcnt {
-            _mm256_storeu_ps(tile.as_mut_ptr(), lo[r]);
-            _mm256_storeu_ps(tile.as_mut_ptr().add(8), hi[r]);
+        for (r, [lo, hi]) in acc.iter().enumerate() {
+            _mm256_storeu_ps(tile.as_mut_ptr(), *lo);
+            _mm256_storeu_ps(tile.as_mut_ptr().add(8), *hi);
             acc_out[r * n + j0..r * n + j0 + w].copy_from_slice(&tile[..w]);
         }
     }
 
+    /// `R` rows × `NB` packed 16-column blocks in `R·NB` zmm accumulators:
+    /// each k step loads one 16-lane row per block, and each broadcast A
+    /// element serves every block. Stores go straight to `acc_out`, lane-
+    /// masked to the tile's `w` columns.
+    ///
     /// # Safety
-    /// AVX-512F must be available, and the slices must have the lengths
-    /// `Backend::panel_tile` checks.
+    /// AVX-512F must be available, `NB = ⌈w/16⌉`, and the slices must have
+    /// the lengths `Backend::panel_tile` checks for `R` rows.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn panel_tile_avx512(
+    pub(super) unsafe fn panel_tile_avx512<const R: usize, const NB: usize>(
         arows: &[&[f32]; TILE_ROWS],
-        rcnt: usize,
         block: &[f32],
         n: usize,
         j0: usize,
@@ -1140,18 +1350,25 @@ mod x86 {
         acc_out: &mut [f32],
     ) {
         let ka = arows[0].len();
-        let mut acc = [_mm512_setzero_ps(); TILE_ROWS];
+        let mut acc = [[_mm512_setzero_ps(); NB]; R];
+        let mut b = [_mm512_setzero_ps(); NB];
         for kk in 0..ka {
-            let b = _mm512_loadu_ps(block.as_ptr().add(kk * 16));
-            for r in 0..rcnt {
+            for (c, b) in b.iter_mut().enumerate() {
+                *b = _mm512_loadu_ps(block.as_ptr().add((c * ka + kk) * 16));
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
                 let s = _mm512_set1_ps(*arows[r].get_unchecked(kk));
-                acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(s, b));
+                for (v, &b) in acc.iter_mut().zip(&b) {
+                    *v = _mm512_add_ps(*v, _mm512_mul_ps(s, b));
+                }
             }
         }
-        let mut tile = [0.0f32; 16];
-        for r in 0..rcnt {
-            _mm512_storeu_ps(tile.as_mut_ptr(), acc[r]);
-            acc_out[r * n + j0..r * n + j0 + w].copy_from_slice(&tile[..w]);
+        let masks = window_masks(w);
+        for (r, acc) in acc.iter().enumerate() {
+            let row = acc_out.as_mut_ptr().add(r * n + j0);
+            for (c, &v) in acc.iter().enumerate() {
+                _mm512_mask_storeu_ps(row.add(16 * c), masks[c], v);
+            }
         }
     }
 
@@ -1530,6 +1747,121 @@ mod x86 {
             super::spmm_window_ref::<T, L, R>(lanes, gpr, nz, codes, v, d, full, d - full, out);
         }
     }
+
+    /// The 1:2 epilogue, 16 pairs per step: one two-source permute gathers
+    /// the pairs' first scores and one their second, the reference's
+    /// `pair[1] > pair[0]` (false on NaN) picks each lane, and the codes
+    /// `1 + pick` narrow to bytes. Kept values leave through `from_acc` per
+    /// element; the pairs past the last whole step run the reference.
+    ///
+    /// # Safety
+    /// AVX-512F must be available, and `scores` must hold two scores per
+    /// entry of `code_out` and of `nz_out`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn prune_1_2_avx512<T: Scalar>(
+        scores: &[f32],
+        scale: f32,
+        nz_out: &mut [T],
+        code_out: &mut [u8],
+    ) {
+        let full = code_out.len() / 16 * 16;
+        let first = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        let second = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
+        let vscale = _mm512_set1_ps(scale);
+        let (one, two) = (_mm512_set1_epi32(1), _mm512_set1_epi32(2));
+        let mut kept = [0.0f32; 16];
+        let mut p = 0;
+        while p < full {
+            let src = scores.as_ptr().add(2 * p);
+            let (lo, hi) = (_mm512_loadu_ps(src), _mm512_loadu_ps(src.add(16)));
+            let a = _mm512_permutex2var_ps(lo, first, hi);
+            let b = _mm512_permutex2var_ps(lo, second, hi);
+            let pick = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(b, a);
+            let v = _mm512_mul_ps(_mm512_mask_blend_ps(pick, a, b), vscale);
+            _mm512_storeu_ps(kept.as_mut_ptr(), v);
+            let nz = nz_out.get_unchecked_mut(p..p + 16);
+            for (o, &x) in nz.iter_mut().zip(&kept) {
+                *o = T::from_acc(x);
+            }
+            let codes = _mm512_cvtepi32_epi8(_mm512_mask_blend_epi32(pick, one, two));
+            _mm_storeu_si128(code_out.as_mut_ptr().add(p).cast(), codes);
+            p += 16;
+        }
+        super::prune_rows_into_1_2(
+            &scores[2 * full..],
+            scale,
+            &mut nz_out[full..],
+            &mut code_out[full..],
+        );
+    }
+
+    /// Lanes of `v` beaten in-group by their neighbour `(i + t) % 4`, for
+    /// the rotation `t` that `IMM` encodes: it beats lane `i` iff it is
+    /// greater, or equal with the lower index — the lanes `tie` holds.
+    #[inline(always)]
+    unsafe fn beaten<const IMM: i32>(v: __m512, tie: __mmask16) -> __mmask16 {
+        let rot = _mm512_permute_ps::<IMM>(v);
+        _mm512_cmp_ps_mask::<_CMP_GT_OQ>(rot, v) | (_mm512_cmp_ps_mask::<_CMP_EQ_OQ>(rot, v) & tie)
+    }
+
+    /// The 2:4 epilogue, four groups per step, one per 128-bit lane: three
+    /// in-group rotations give each lane its three rivals, and a lane is
+    /// kept unless at least two of them beat it — the reference's rank
+    /// rule. A compress of the scaled scores under the keep mask writes
+    /// each group's two kept lanes in ascending order, and the mask's
+    /// nibbles are the codes. A step holding a NaN, and the groups past
+    /// the last whole step, run the reference.
+    ///
+    /// # Safety
+    /// AVX-512F must be available, and `scores` must hold four scores per
+    /// entry of `code_out` and two per entry of `nz_out`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn prune_2_4_avx512<T: Scalar>(
+        scores: &[f32],
+        scale: f32,
+        nz_out: &mut [T],
+        code_out: &mut [u8],
+    ) {
+        let full = code_out.len() / 4 * 4;
+        let vscale = _mm512_set1_ps(scale);
+        let mut kept = [0.0f32; 16];
+        let mut g = 0;
+        while g < full {
+            let v = _mm512_loadu_ps(scores.as_ptr().add(4 * g));
+            if _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v) != 0 {
+                super::prune_rows_into_2_4(
+                    &scores[4 * g..4 * g + 16],
+                    scale,
+                    &mut nz_out[2 * g..2 * g + 8],
+                    &mut code_out[g..g + 4],
+                );
+                g += 4;
+                continue;
+            }
+            // Rotation `t` shows lane `i` its rival `(i + t) % 4`, which
+            // has the lower index iff `i ≥ 4 − t`.
+            let b1 = beaten::<0b00_11_10_01>(v, 0x8888);
+            let b2 = beaten::<0b01_00_11_10>(v, 0xCCCC);
+            let b3 = beaten::<0b10_01_00_11>(v, 0xEEEE);
+            let keep = !((b1 & b2) | (b1 & b3) | (b2 & b3));
+            let packed = _mm512_maskz_compress_ps(keep, _mm512_mul_ps(v, vscale));
+            _mm512_storeu_ps(kept.as_mut_ptr(), packed);
+            let nz = nz_out.get_unchecked_mut(2 * g..2 * g + 8);
+            for (o, &x) in nz.iter_mut().zip(&kept) {
+                *o = T::from_acc(x);
+            }
+            for (q, code) in code_out.get_unchecked_mut(g..g + 4).iter_mut().enumerate() {
+                *code = (keep >> (4 * q)) as u8 & 0xF;
+            }
+            g += 4;
+        }
+        super::prune_rows_into_2_4(
+            &scores[4 * full..],
+            scale,
+            &mut nz_out[2 * full..],
+            &mut code_out[full..],
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1566,5 +1898,37 @@ mod tests {
     #[test]
     fn detect_never_picks_an_unavailable_backend() {
         assert!(detect().available());
+    }
+
+    #[test]
+    fn rank_rule_alone_matches_select_only_on_nan_free_groups() {
+        // Every group of four over eight special values: the rank rule
+        // agrees with the sort on all 2401 NaN-free groups and not on every
+        // NaN group, so the reference's NaN fallback is load-bearing.
+        let vals = [
+            f32::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            1.0,
+            2.0,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        let (mut clean, mut nan_disagrees) = (0, false);
+        let mut kept = [0usize; MAX_M];
+        for i in 0..4096usize {
+            let g: [f32; 4] = std::array::from_fn(|lane| vals[(i >> (3 * lane)) & 7]);
+            let n_kept = NmPattern::P2_4.select_group_into(&g, &mut kept);
+            let code = kept[..n_kept].iter().fold(0u8, |c, &l| c | (1 << l));
+            if g.iter().any(|x| x.is_nan()) {
+                nan_disagrees |= rank_code_2_4(&g) != code;
+            } else {
+                assert_eq!(rank_code_2_4(&g), code, "{g:?}");
+                clean += 1;
+            }
+        }
+        assert_eq!(clean, 2401);
+        assert!(nan_disagrees);
     }
 }

@@ -19,8 +19,8 @@ use dfss_kernels::simd::{
     self, axpy_ref, axpy_widen, axpy_widen_ref, dot_widen, dot_widen_ref, nn_tile, panel_tile_ref,
     row_max_ref, spmm_tile, spmm_tile_ref, Backend,
 };
-use dfss_kernels::{micro, softmax, GpuCtx};
-use dfss_nmsparse::NmPattern;
+use dfss_kernels::{micro, sddmm, softmax, GpuCtx};
+use dfss_nmsparse::{NmPattern, MAX_M};
 use dfss_tensor::math::{self, exp_consts};
 use dfss_tensor::{Bf16, Matrix, Rng, Scalar};
 use rayon::prelude::*;
@@ -140,35 +140,171 @@ fn nn_tile_is_bit_identical_across_backends() {
 
 #[test]
 fn panel_tile_is_bit_identical_across_backends() {
-    // One register tile: rcnt rows × w≤16 columns over ka packed steps.
-    // Element-wise mul+add per k step, so any lane width is exact — but
-    // the tails (w < 16, rcnt < 4) are where the masking bugs live.
+    // One register tile: rcnt rows × w ≤ 32 columns of one or two packed
+    // blocks over ka steps. Element-wise mul+add per k step, so any lane
+    // width or block order is exact — but the tails (w around 16 and 32,
+    // rcnt < 4) are where the masking bugs live. The reference itself is
+    // checked against a serial-k model.
     let mut rng = Rng::new(0x7113);
-    for &ka in &[1usize, 2, 3, 7, 8, 9, 33] {
+    let (n, j0) = (40usize, 3usize); // acc stride wider than the tile
+    for &ka in &[1usize, 7, 33, 64] {
+        let rows: Vec<Vec<f32>> = (0..4).map(|_| vec_of(ka, &mut rng)).collect();
+        let arows: [&[f32]; 4] = std::array::from_fn(|r| rows[r].as_slice());
+        let block = vec_of(2 * ka * 16, &mut rng);
         for rcnt in 1usize..=4 {
-            for &w in &[1usize, 7, 8, 9, 15, 16] {
-                let rows: Vec<Vec<f32>> = (0..4).map(|_| vec_of(ka, &mut rng)).collect();
-                let arows: [&[f32]; 4] =
-                    [&rows[0], &rows[1], &rows[2], &rows[3]].map(|r: &Vec<f32>| r.as_slice());
-                let block = vec_of(ka * 16, &mut rng);
-                let n = 24usize; // acc stride wider than the tile
-                let j0 = 3usize;
-                let mut want = vec![0.0f32; 4 * n];
-                panel_tile_ref(&arows, rcnt, &block, n, j0, w, &mut want);
+            for w in 1usize..=32 {
+                let block = &block[..w.div_ceil(16) * ka * 16];
+                let mut model = vec![-7.0f32; 4 * n];
+                for r in 0..rcnt {
+                    for j in 0..w {
+                        let (c, l) = (j / 16, j % 16);
+                        let mut acc = 0.0f32;
+                        for (kk, &s) in arows[r].iter().enumerate() {
+                            acc += s * block[(c * ka + kk) * 16 + l];
+                        }
+                        model[r * n + j0 + j] = acc;
+                    }
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let what = format!("panel_tile ka={ka} rcnt={rcnt} w={w}");
+                let mut want = vec![-7.0f32; 4 * n];
+                panel_tile_ref(&arows, rcnt, block, n, j0, w, &mut want);
+                assert_eq!(bits(&want), bits(&model), "reference vs model, {what}");
                 for backend in available_backends() {
-                    let mut got = vec![0.0f32; 4 * n];
-                    backend.panel_tile(&arows, rcnt, &block, n, j0, w, &mut got);
-                    let same = got
-                        .iter()
-                        .zip(&want)
-                        .all(|(x, y)| x.to_bits() == y.to_bits());
-                    assert!(
-                        same,
-                        "panel_tile ka={ka} rcnt={rcnt} w={w} diverged on {}",
-                        backend.name()
-                    );
+                    let mut got = vec![-7.0f32; 4 * n];
+                    backend.panel_tile(&arows, rcnt, block, n, j0, w, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{what} on {}", backend.name());
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn panel_product_matches_the_one_block_reference() {
+    // `panel_product` steps two packed blocks per tile and runs an odd last
+    // block alone; a loop of one-block reference tiles is the column tiling
+    // it replaced, which every width must reproduce bit for bit.
+    let mut rng = Rng::new(0x9A9E);
+    let ka = 13usize;
+    for &n in &[16usize, 17, 31, 32, 33, 48, 1040] {
+        let aw = micro::widen(&vec_of(4 * ka, &mut rng)).to_vec();
+        let packed = micro::widen_packed(&vec_of(n * ka, &mut rng), 1, n, ka).to_vec();
+        let arows: [&[f32]; 4] = std::array::from_fn(|r| &aw[r * ka..(r + 1) * ka]);
+        for rcnt in 1usize..=4 {
+            let mut want = vec![0.0f32; rcnt * n];
+            for j0 in (0..n).step_by(16) {
+                let block = &packed[j0 * ka..(j0 + 16) * ka];
+                panel_tile_ref(&arows, rcnt, block, n, j0, 16.min(n - j0), &mut want);
+            }
+            let mut got = vec![f32::NAN; rcnt * n];
+            micro::panel_product(&aw, 0, rcnt, ka, &packed, n, &mut got);
+            let same = got
+                .iter()
+                .zip(&want)
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "panel_product n={n} rcnt={rcnt}");
+        }
+    }
+}
+
+/// The selection the prune epilogue must reproduce: each group through
+/// [`NmPattern::select_group_into`], its code the kept lanes' bits and its
+/// nonzeros `from_acc(x · scale)` of the kept scores, ascending.
+fn prune_model<T: Scalar>(pattern: NmPattern, scores: &[f32], scale: f32) -> (Vec<T>, Vec<u8>) {
+    let mut kept = [0usize; MAX_M];
+    let (mut nz, mut codes) = (Vec::new(), Vec::new());
+    for g in scores.chunks_exact(pattern.m()) {
+        let n_kept = pattern.select_group_into(g, &mut kept);
+        codes.push(kept[..n_kept].iter().fold(0u8, |c, &l| c | (1 << l)));
+        nz.extend(kept[..n_kept].iter().map(|&l| T::from_acc(g[l] * scale)));
+    }
+    (nz, codes)
+}
+
+/// Every available backend's `prune_nm` of `scores` against
+/// [`prune_model`], codes and nonzeros bit for bit.
+fn check_prune<T: Scalar>(pattern: NmPattern, scores: &[f32], scale: f32, what: &str) {
+    let (want_nz, want_codes) = prune_model::<T>(pattern, scores, scale);
+    let bits = |v: &[T]| v.iter().map(|x| x.to_f32().to_bits()).collect::<Vec<_>>();
+    for backend in available_backends() {
+        let mut nz = vec![T::from_f32(-7.0); want_nz.len()];
+        let mut codes = vec![0xA5u8; want_codes.len()];
+        backend.prune_nm(pattern, scores, scale, &mut nz, &mut codes);
+        let what = format!("{pattern} {} {what} on {}", T::NAME, backend.name());
+        assert_eq!(codes, want_codes, "codes, {what}");
+        assert_eq!(bits(&nz), bits(&want_nz), "nonzeros, {what}");
+    }
+}
+
+/// Eight special values: every group of four over them is 4096 groups
+/// (2401 of them NaN-free), every pair 64.
+const SPECIALS: [f32; 8] = [
+    f32::NEG_INFINITY,
+    -1.0,
+    -0.0,
+    0.0,
+    1.0,
+    2.0,
+    f32::INFINITY,
+    f32::NAN,
+];
+
+#[test]
+fn prune_nm_matches_select_on_every_special_group_at_every_slot() {
+    // Rotating a list of whole groups by 0..slots puts each group at every
+    // group slot of a vector step (16 pairs, or 4 groups), so the NaN
+    // fallback and the tie rule fire at every lane position. The NaN-free
+    // list keeps its neighbours off the NaN fallback: there every 2:4
+    // group runs the vector rank rule, and its 2401 groups leave a tail.
+    let groups: Vec<[f32; 4]> = (0..4096usize)
+        .map(|i| std::array::from_fn(|lane| SPECIALS[(i >> (3 * lane)) & 7]))
+        .collect();
+    let clean: Vec<[f32; 4]> = groups
+        .iter()
+        .filter(|g| !g.iter().any(|x| x.is_nan()))
+        .copied()
+        .collect();
+    assert_eq!(clean.len(), 2401);
+    let pairs: Vec<[f32; 2]> = (0..64usize)
+        .map(|i| [SPECIALS[i & 7], SPECIALS[i >> 3]])
+        .collect();
+    fn rotations<const M: usize>(list: &[[f32; M]], slots: usize) -> Vec<Vec<f32>> {
+        (0..slots)
+            .map(|s| {
+                (0..list.len())
+                    .flat_map(|i| list[(i + s) % list.len()])
+                    .collect()
+            })
+            .collect()
+    }
+    for (pattern, rows) in [
+        (NmPattern::P2_4, rotations(&groups, 4)),
+        (NmPattern::P2_4, rotations(&clean, 4)),
+        (NmPattern::P1_2, rotations(&pairs, 16)),
+    ] {
+        for (s, row) in rows.iter().enumerate() {
+            let what = format!("special sweep of {} rotated {s}", row.len());
+            check_prune::<f32>(pattern, row, 0.5, &what);
+            check_prune::<Bf16>(pattern, row, 0.5, &what);
+        }
+    }
+}
+
+#[test]
+fn prune_nm_matches_select_on_random_rows_with_every_tail() {
+    // Whole vector steps plus 0..=15 tail pairs or groups; scores on a
+    // coarse grid so ties are common, in both output types.
+    let mut rng = Rng::new(0x9E11);
+    for pattern in [NmPattern::P1_2, NmPattern::P2_4] {
+        for tail in 0..16usize {
+            let groups = 3 * 16 + tail;
+            let row: Vec<f32> = (0..groups * pattern.m())
+                .map(|_| (rng.normal(0.0, 2.0) * 4.0).round() / 4.0)
+                .collect();
+            let what = format!("random row of {groups} groups");
+            check_prune::<f32>(pattern, &row, 0.125, &what);
+            check_prune::<Bf16>(pattern, &row, 0.125, &what);
         }
     }
 }
@@ -651,6 +787,9 @@ fn forcing_each_available_backend_runs_the_full_dispatched_surface() {
     // `row_max` and the exp pass over finite, part-NaN and all-NaN rows of
     // 100, and over rows of 1, 15, 16, 17 and 33 (around the exp pass's
     // 16-lane blocks) that hold one −∞, one NaN, all −∞ and all NaN.
+    // `sddmm_nm_fused` 1:2 and 2:4 run the score tile and the prune
+    // epilogue over 76 keys: two-block tiles, a 12-column tail, and whole
+    // vector steps plus a tail of pairs and of groups.
     let mut rng = Rng::new(0xF0);
     let a = vec_of(100, &mut rng);
     let acc0 = vec_of(100, &mut rng);
@@ -676,6 +815,14 @@ fn forcing_each_available_backend_runs_the_full_dispatched_surface() {
             m
         })
         .collect();
+    let q = Matrix::<f32>::random_normal(9, 13, 0.0, 1.0, &mut rng);
+    let k = Matrix::<f32>::random_normal(76, 13, 0.0, 1.0, &mut rng);
+    let fused = |pattern| {
+        let c = sddmm::sddmm_nm_fused(&mut GpuCtx::a100(), &q, &k, 0.25, pattern);
+        let mut out = c.nonzeros().to_vec();
+        out.extend(c.codes().iter().map(|&b| f32::from(b)));
+        out
+    };
     let run = || {
         let mut axpy = acc0.clone();
         micro::axpy(&mut axpy, s, &a);
@@ -685,7 +832,13 @@ fn forcing_each_available_backend_runs_the_full_dispatched_surface() {
         for m in &masked {
             weights.extend(softmax::softmax_dense(&mut GpuCtx::a100(), m).as_slice());
         }
-        [axpy, tile, weights]
+        [
+            axpy,
+            tile,
+            weights,
+            fused(NmPattern::P1_2),
+            fused(NmPattern::P2_4),
+        ]
     };
     simd::force(Some(Backend::Scalar));
     let want = run();
@@ -693,9 +846,15 @@ fn forcing_each_available_backend_runs_the_full_dispatched_surface() {
         simd::force(Some(backend));
         assert_eq!(simd::active(), backend);
         let got = run();
-        for (what, (got, want)) in ["micro::axpy", "micro::panel_product", "softmax_dense"]
-            .into_iter()
-            .zip(got.iter().zip(&want))
+        for (what, (got, want)) in [
+            "micro::axpy",
+            "micro::panel_product",
+            "softmax_dense",
+            "sddmm_nm_fused 1:2",
+            "sddmm_nm_fused 2:4",
+        ]
+        .into_iter()
+        .zip(got.iter().zip(&want))
         {
             let same = got
                 .iter()
@@ -748,4 +907,61 @@ fn dot_widen_rejects_a_short_row() {
 #[should_panic(expected = "axpy_widen row length differs from acc")]
 fn axpy_widen_rejects_a_short_row() {
     axpy_widen::<f32>(simd::active(), &mut [0.0; 64], 1.0, &[1.0; 3]);
+}
+
+/// Every entry that dispatches to a `target_feature` body asserts that its
+/// backend is available, so no safe call runs an instruction the CPU
+/// lacks. Vacuous on a host that has every backend: there is then no
+/// unavailable backend to call.
+#[test]
+fn every_simd_entry_rejects_an_unavailable_backend() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let row = vec![1.0f32; 64];
+    let arows: [&[f32]; 4] = [&row; 4];
+    let block = vec![1.0f32; 64 * 16];
+    let (mut acc, mut nz, mut codes) = ([0.0f32; 64], [0.0f32; 32], [0u8; 32]);
+    for backend in [Backend::Avx2, Backend::Avx512] {
+        if backend.available() {
+            continue;
+        }
+        let rejects = |what: &str, call: &mut dyn FnMut()| {
+            let err = catch_unwind(AssertUnwindSafe(call)).expect_err(what);
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("not available"), "{what}: {msg}");
+        };
+        rejects("axpy", &mut || backend.axpy(&mut acc, 1.0, &row));
+        rejects("panel_tile", &mut || {
+            backend.panel_tile(&arows, 4, &block, 16, 0, 16, &mut acc)
+        });
+        rejects("dot_widen", &mut || {
+            dot_widen::<f32>(backend, &row, &row);
+        });
+        rejects("axpy_widen", &mut || {
+            axpy_widen::<f32>(backend, &mut acc, 1.0, &row)
+        });
+        rejects("prune_nm", &mut || {
+            backend.prune_nm(NmPattern::P1_2, &row, 1.0, &mut nz, &mut codes)
+        });
+    }
+}
+
+#[test]
+#[should_panic(expected = "nonzeros do not fit the groups")]
+fn prune_nm_rejects_short_nonzeros() {
+    simd::active().prune_nm::<f32>(
+        NmPattern::P2_4,
+        &[1.0; 64],
+        1.0,
+        &mut [0.0; 31],
+        &mut [0; 16],
+    );
+}
+
+#[test]
+#[should_panic(expected = "tile output outside acc_out")]
+fn panel_tile_rejects_a_short_output() {
+    let row = vec![1.0f32; 8];
+    let arows: [&[f32]; 4] = [&row; 4];
+    let block = vec![1.0f32; 2 * 8 * 16];
+    simd::active().panel_tile(&arows, 4, &block, 32, 0, 32, &mut [0.0; 3 * 32 + 31]);
 }
