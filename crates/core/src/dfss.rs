@@ -7,19 +7,20 @@
 //! 2. compressed softmax over the nonzeros (rows are N/M as long);
 //! 3. SpMM with `V` on the simulated sparse tensor core.
 //!
-//! Three variants share the code: the production fused kernel, the unfused
-//! ablation (separate prune kernel — what §2.3 says existing libraries do),
-//! and the blocked-ELL hybrid for long sequences (A.1.2). On the host the
-//! fused prefill runs all three stages through the row-tile driver
-//! ([`dfss_kernels::rowtile`]), charged as the three launches above; the
-//! ablation, `forward_with_weights` and decode run the staged kernels.
+//! Two mechanisms share the code: [`DfssAttention`], and the blocked-ELL
+//! hybrid for long sequences ([`DfssEllAttention`], A.1.2). On the host
+//! Dfss prefill runs all three stages through the row-tile driver
+//! ([`dfss_kernels::rowtile`]), charged as the three launches above;
+//! `forward_with_weights` and decode run the staged kernels. The unfused
+//! ablation (a separate prune kernel, what §2.3 says existing libraries
+//! do) is a kernel-level comparison, [`sddmm::sddmm_nm_unfused`], not a
+//! mechanism.
 
 use crate::mechanism::{
     check_decode, check_decode_paged, check_qkv, check_qkv_batched, check_qkv_rows, Attention,
     KvViews, RequestError,
 };
-use dfss_gpusim::Stage;
-use dfss_kernels::{ell, gemm, rowtile, sddmm, softmax, spmm, GpuCtx};
+use dfss_kernels::{ell, rowtile, sddmm, softmax, spmm, GpuCtx};
 use dfss_nmsparse::{BlockedEll, NmCompressed, NmPattern, NmRagged};
 use dfss_tensor::{BatchedMatrix, Matrix, PagedPanel, Scalar};
 
@@ -27,35 +28,18 @@ use dfss_tensor::{BatchedMatrix, Matrix, PagedPanel, Scalar};
 #[derive(Clone, Copy, Debug)]
 pub struct DfssAttention {
     pattern: NmPattern,
-    /// Use the fused prune epilogue (`true` in production; `false` gives the
-    /// unfused ablation).
-    fused: bool,
 }
 
 impl DfssAttention {
     /// Dfss with the hardware pattern for the scalar type (1:2 for float,
     /// 2:4 for bf16) — the paper's default configuration.
     pub fn for_dtype<T: Scalar>() -> DfssAttention {
-        DfssAttention {
-            pattern: NmPattern::for_dtype::<T>(),
-            fused: true,
-        }
+        DfssAttention::new(NmPattern::for_dtype::<T>())
     }
 
     /// Dfss with an explicit pattern.
     pub fn new(pattern: NmPattern) -> DfssAttention {
-        DfssAttention {
-            pattern,
-            fused: true,
-        }
-    }
-
-    /// The unfused ablation: dense GEMM + separate prune kernel.
-    pub fn unfused(pattern: NmPattern) -> DfssAttention {
-        DfssAttention {
-            pattern,
-            fused: false,
-        }
+        DfssAttention { pattern }
     }
 
     pub fn pattern(&self) -> NmPattern {
@@ -70,8 +54,9 @@ impl DfssAttention {
     }
 
     /// Run the staged pipeline and also return the normalised sparse
-    /// attention weights (used by the quality experiments and Figure 19).
-    /// `q` may be any `c` query rows, like [`forward`](Attention::forward).
+    /// attention weights (`examples/quickstart.rs` reads them). `q` may be
+    /// any `c` query rows, like [`forward`](Attention::forward), whose
+    /// output bits, profiles and memory peak it shares.
     pub fn forward_with_weights<T: Scalar>(
         &self,
         ctx: &mut GpuCtx,
@@ -84,17 +69,7 @@ impl DfssAttention {
         let comp_id = ctx
             .mem
             .alloc("scores_nm_compressed", self.compressed_bytes::<T>(c, n));
-        let mut comp = if self.fused {
-            sddmm::sddmm_nm_fused(ctx, q, k, scale, self.pattern)
-        } else {
-            // The unfused path additionally materialises the dense scores.
-            let dense_id = ctx
-                .mem
-                .alloc("scores_dense_unfused", (c * n * T::BYTES) as u64);
-            let comp = sddmm::sddmm_nm_unfused(ctx, q, k, scale, self.pattern);
-            ctx.mem.free(dense_id);
-            comp
-        };
+        let mut comp = sddmm::sddmm_nm_fused(ctx, q, k, scale, self.pattern);
         softmax::softmax_nm(ctx, &mut comp);
         let out = spmm::spmm_nm(ctx, &comp, v);
         ctx.mem.free(comp_id);
@@ -124,18 +99,7 @@ impl DfssAttention {
             "scores_nm_decode",
             kept * T::BYTES as u64 + (groups * 4).div_ceil(8),
         );
-        let mut comp = if self.fused {
-            sddmm::sddmm_nm_fused_paged(ctx, q, k, scale, self.pattern)
-        } else {
-            // The unfused ablation additionally materialises every stream's
-            // dense score row.
-            let dense_bytes = k.iter().map(|view| view.len as u64).sum::<u64>() * T::BYTES as u64;
-            let dense_id = ctx.mem.alloc("scores_decode_dense_unfused", dense_bytes);
-            let scores = gemm::gemm_nt_paged(ctx, Stage::Qk, q, k, scale);
-            let comp = sddmm::dense_prune_ragged(ctx, &scores, self.pattern);
-            ctx.mem.free(dense_id);
-            comp
-        };
+        let mut comp = sddmm::sddmm_nm_fused_paged(ctx, q, k, scale, self.pattern);
         softmax::softmax_nm_ragged(ctx, &mut comp);
         let out = spmm::spmm_nm_paged(ctx, &comp, v, d_v);
         ctx.mem.free(comp_id);
@@ -148,17 +112,13 @@ impl<T: Scalar> Attention<T> for DfssAttention {
         format!("Dfss {} ({})", self.pattern, T::NAME)
     }
 
-    /// The fused pipeline runs on the row-tile driver (charged as the three
-    /// staged launches); the unfused ablation runs the staged kernels. `q`
-    /// may be any `c` query rows: each of the `c` score rows is pruned over
-    /// its `n/M` groups exactly as in the whole-Q run (the prune epilogue
-    /// never looks at the query row's global index), and the compressed
-    /// softmax and SpMM are per-row too — so chunk outputs stack
+    /// Runs on the row-tile driver, charged as the three staged launches.
+    /// `q` may be any `c` query rows: each of the `c` score rows is pruned
+    /// over its `n/M` groups exactly as in the whole-Q run (the prune
+    /// epilogue never looks at the query row's global index), and the
+    /// compressed softmax and SpMM are per-row too — so chunk outputs stack
     /// bit-identically to a whole-Q forward.
     fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
-        if !self.fused {
-            return self.forward_with_weights(ctx, q, k, v).0;
-        }
         let (c, n, d) = check_qkv_rows(q, k, v);
         let scale = 1.0 / (d as f32).sqrt();
         let comp_id = ctx
@@ -172,9 +132,8 @@ impl<T: Scalar> Attention<T> for DfssAttention {
     /// Natively batched pipeline: the whole B×H stack runs through one
     /// fused-SDDMM launch, one compressed-softmax launch and one SpMM
     /// launch, each charging a single profile of exactly `batch ×` the
-    /// per-head cost — executed by the row-tile driver (the unfused
-    /// ablation runs the staged kernels). Outputs are bit-identical to a
-    /// per-head loop.
+    /// per-head cost — executed by the row-tile driver. Outputs are
+    /// bit-identical to a per-head loop.
     fn forward_batched(
         &self,
         ctx: &mut GpuCtx,
@@ -191,19 +150,7 @@ impl<T: Scalar> Attention<T> for DfssAttention {
             "scores_nm_compressed",
             self.compressed_bytes::<T>(batch * n, n),
         );
-        let out = if self.fused {
-            rowtile::attend_batched(ctx, Some(self.pattern), q, k, v, scale)
-        } else {
-            // The unfused path additionally materialises every panel's
-            // dense scores.
-            let dense_id = ctx
-                .mem
-                .alloc("scores_dense_unfused", (batch * n * n * T::BYTES) as u64);
-            let mut comp = sddmm::sddmm_nm_unfused_batched(ctx, q, k, scale, self.pattern);
-            ctx.mem.free(dense_id);
-            softmax::softmax_nm_batched(ctx, &mut comp);
-            spmm::spmm_nm_batched(ctx, &comp, v)
-        };
+        let out = rowtile::attend_batched(ctx, Some(self.pattern), q, k, v, scale);
         ctx.mem.free(comp_id);
         out
     }
@@ -222,9 +169,9 @@ impl<T: Scalar> Attention<T> for DfssAttention {
     /// [`NmRagged`] format), so *any* cache length is servable — unlike
     /// prefill, decode has no alignment rule, and the most recently cached
     /// positions are never pruned until their group fills. Pipeline: fused
-    /// decode SDDMM (or the unfused ablation's dense row + separate prune)
-    /// → compressed decode softmax → decode SpMM on the sparse tensor core,
-    /// run as the one-stream case of [`decode_paged`](Self::decode_paged).
+    /// decode SDDMM → compressed decode softmax → decode SpMM on the sparse
+    /// tensor core, run as the one-stream case of
+    /// [`decode_paged`](Self::decode_paged).
     fn decode(
         &self,
         ctx: &mut GpuCtx,
@@ -385,6 +332,8 @@ impl<T: Scalar> Attention<T> for DfssEllAttention {
 mod tests {
     use super::*;
     use crate::full::reference_attention;
+    use dfss_gpusim::Stage;
+    use dfss_kernels::gemm;
     use dfss_tensor::{Bf16, Rng};
 
     fn qkv(n: usize, d: usize, seed: u64) -> (Matrix<f32>, Matrix<f32>, Matrix<f32>) {
@@ -441,19 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn unfused_matches_fused() {
-        let (q, k, v) = qkv(32, 16, 3);
-        let mut c1 = GpuCtx::a100();
-        let mut c2 = GpuCtx::a100();
-        let a = DfssAttention::new(NmPattern::P1_2).forward(&mut c1, &q, &k, &v);
-        let b = DfssAttention::unfused(NmPattern::P1_2).forward(&mut c2, &q, &k, &v);
-        assert!(a.max_abs_diff(&b) < 1e-4);
-        // … but the unfused one moves more bytes and peaks higher in memory.
-        assert!(c2.timeline.total_bytes() > c1.timeline.total_bytes());
-        assert!(c2.mem.peak() > c1.mem.peak());
-    }
-
-    #[test]
     fn dfss_is_faster_than_full_attention_on_sim() {
         // The headline claim, at n = 1024, float/1:2.
         let (q, k, v) = qkv(1024, 64, 4);
@@ -504,6 +440,37 @@ mod tests {
         }
     }
 
+    /// `forward_with_weights` runs the staged kernels and `forward` the
+    /// row-tile driver: both return the same bits and record the same
+    /// profiles and memory peak, over a whole Q and over a 13-row chunk of
+    /// its rows, for 1:2 and 2:4 at f32 and bf16.
+    #[test]
+    fn forward_with_weights_matches_forward() {
+        fn check<T: Scalar>(seed: u64) {
+            let mut rng = Rng::new(seed);
+            let q = Matrix::<T>::random_normal(48, 16, 0.0, 1.0, &mut rng);
+            let k = Matrix::<T>::random_normal(48, 16, 0.0, 1.0, &mut rng);
+            let v = Matrix::<T>::random_normal(48, 24, 0.0, 1.0, &mut rng);
+            let bits = |m: &Matrix<T>| -> Vec<u32> {
+                m.as_slice().iter().map(|x| x.to_f32().to_bits()).collect()
+            };
+            let ledger = |ctx: &GpuCtx| (format!("{:?}", ctx.timeline.entries()), ctx.mem.peak());
+            for pattern in [NmPattern::P1_2, NmPattern::P2_4] {
+                let mech = DfssAttention::new(pattern);
+                for rows in [q.clone(), q.take_rows(7, 20)] {
+                    let what = format!("{pattern} {} rows {}", T::NAME, rows.rows());
+                    let (mut got, mut want) = (GpuCtx::a100(), GpuCtx::a100());
+                    let (out, _) = mech.forward_with_weights(&mut got, &rows, &k, &v);
+                    let expect = mech.forward(&mut want, &rows, &k, &v);
+                    assert_eq!(bits(&out), bits(&expect), "{what}");
+                    assert_eq!(ledger(&got), ledger(&want), "{what}");
+                }
+            }
+        }
+        check::<f32>(17);
+        check::<Bf16>(18);
+    }
+
     #[test]
     fn ell_hybrid_runs_and_is_cheaper_at_long_seq() {
         let (q, k, v) = qkv(512, 32, 8);
@@ -533,35 +500,24 @@ mod tests {
         let qb = BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
         let kb = BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
         let vb = BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
-        for (fused, entries) in [(true, 3usize), (false, 4usize)] {
-            let mech = if fused {
-                DfssAttention::new(NmPattern::P1_2)
-            } else {
-                DfssAttention::unfused(NmPattern::P1_2)
-            };
-            let mut bctx = GpuCtx::a100();
-            let out = mech.forward_batched(&mut bctx, &qb, &kb, &vb);
-            // One launch per op.
-            assert_eq!(bctx.timeline.entries().len(), entries);
-            assert_eq!(bctx.timeline.launches(), entries as u64);
-            let mut sctx = GpuCtx::a100();
-            for b in 0..batch {
-                let single =
-                    mech.forward(&mut sctx, &qb.to_panel(b), &kb.to_panel(b), &vb.to_panel(b));
-                let same = out
-                    .panel(b)
-                    .iter()
-                    .zip(single.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same, "fused={fused} head {b} diverged");
-            }
-            // Exact batch × charge totals.
-            assert_eq!(
-                bctx.timeline.total_bytes(),
-                sctx.timeline.total_bytes(),
-                "fused={fused}"
-            );
+        let mech = DfssAttention::new(NmPattern::P1_2);
+        let mut bctx = GpuCtx::a100();
+        let out = mech.forward_batched(&mut bctx, &qb, &kb, &vb);
+        // One launch per op.
+        assert_eq!(bctx.timeline.entries().len(), 3);
+        assert_eq!(bctx.timeline.launches(), 3);
+        let mut sctx = GpuCtx::a100();
+        for b in 0..batch {
+            let single = mech.forward(&mut sctx, &qb.to_panel(b), &kb.to_panel(b), &vb.to_panel(b));
+            let same = out
+                .panel(b)
+                .iter()
+                .zip(single.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "head {b} diverged");
         }
+        // Exact batch × charge totals.
+        assert_eq!(bctx.timeline.total_bytes(), sctx.timeline.total_bytes());
     }
 
     #[test]

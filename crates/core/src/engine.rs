@@ -1061,11 +1061,7 @@ mod tests {
     fn chunked_forward_stacks_bit_identical_to_whole_forward() {
         let mechs: Vec<(&str, Box<dyn Attention<f32>>)> = vec![
             ("full", Box::new(FullAttention)),
-            ("dfss-fused", Box::new(DfssAttention::new(NmPattern::P1_2))),
-            (
-                "dfss-unfused",
-                Box::new(DfssAttention::unfused(NmPattern::P1_2)),
-            ),
+            ("dfss", Box::new(DfssAttention::new(NmPattern::P1_2))),
         ];
         let mut rng = Rng::new(41);
         for (name, mech) in &mechs {

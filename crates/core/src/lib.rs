@@ -12,7 +12,7 @@
 //! | module | mechanisms | paper role |
 //! |---|---|---|
 //! | [`full`] | dense attention | the baseline of every figure |
-//! | [`dfss`] | Dfss 1:2 / 2:4 / generic N:M, fused & unfused, blocked-ELL hybrid | §3 |
+//! | [`dfss`] | Dfss 1:2 / 2:4 / generic N:M (prune fused into the QKᵀ epilogue), blocked-ELL hybrid | §3 |
 //! | [`sparse_baselines`] | explicit top-k, fixed (truncated columns), local window, BigBird-style block sparse (± Dfss) | §4.3–4.4, Fig 11 |
 //! | [`linear_baselines`] | Performer (FAVOR+), Nyströmformer (± Dfss), Linformer (± Dfss) | Fig 5, A.5, A.7 |
 //! | [`cluster_baselines`] | Reformer (LSH), Routing (k-means), Sinkhorn (block matching) | Fig 5 |

@@ -1,15 +1,14 @@
 //! The pool fan-out shared by the prefill exec bodies.
 //!
 //! A launch covers `batch` same-shape panels (a solo `gemm_nt`, `gemm_nn`,
-//! `sddmm_nm_fused`, `dense_prune`, `spmm_nm` or blocked-ELL call is the
-//! one-panel case). It records
-//! a single [`KernelProfile`] whose counters are exactly `batch ×` the
-//! per-panel charge (shape work such as `GpuCtx::tile_for` runs once per
-//! launch, not once per head), and executes as **one pool fan-out** over
-//! (panel, 16-row tile) work items — the host analogue of folding the
-//! (batch, head) grid into the launch grid. The row-tile attention driver
-//! ([`crate::rowtile`]) runs QK, softmax and AV of a work item inside one
-//! such fan-out.
+//! `sddmm_nm_fused`, `spmm_nm` or blocked-ELL call is the one-panel case).
+//! It records a single [`KernelProfile`] whose counters are exactly
+//! `batch ×` the per-panel charge (shape work such as `GpuCtx::tile_for`
+//! runs once per launch, not once per head), and executes as **one pool
+//! fan-out** over (panel, 16-row tile) work items — the host analogue of
+//! folding the (batch, head) grid into the launch grid. The row-tile
+//! attention driver ([`crate::rowtile`]) runs QK, softmax and AV of a work
+//! item inside one such fan-out.
 //!
 //! [`KernelProfile`]: dfss_gpusim::KernelProfile
 

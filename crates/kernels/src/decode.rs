@@ -14,10 +14,8 @@
 //! — the launch accounting is the only difference (one summed
 //! [`KernelProfile`] vs. B per-stream profiles).
 //!
-//! The prune runs the prefill selection over a row's full M-groups — the
-//! scaled epilogue `prune_rows_dispatch` after the fused score, the
-//! verbatim [`NmPattern::compress_groups_into`] in the unfused ablation —
-//! and then keeps the dense tail.
+//! The prune runs the prefill epilogue (`prune_rows_dispatch`) over a
+//! row's full M-groups and then keeps the dense tail.
 //!
 //! Unlike the prefill score kernels (serial-k outer products through
 //! [`micro::panel_product`]), the decode scores use the lane-blocked shape
@@ -49,21 +47,6 @@ use crate::simd;
 use dfss_nmsparse::{NmPattern, NmRagged};
 use dfss_tensor::{scratch_f32_stale, PagedPanel, Scalar};
 
-/// Dense decode scores of one stream: `acc[j] = dot(q̂, to_mul(K row j))`,
-/// the K rows read in place from their pages and widened in-register from
-/// their stored element type. `acc` holds exactly `k.len` scores.
-pub(crate) fn decode_scores_widen<S: Scalar>(
-    qw: &[f32],
-    k: &PagedPanel<'_, S>,
-    d: usize,
-    acc: &mut [f32],
-) {
-    let backend = simd::active();
-    for (j, row) in k.rows(d).enumerate() {
-        acc[j] = simd::dot_widen(backend, qw, row);
-    }
-}
-
 /// Prune one decode score row from f32 accumulators: the full M-groups
 /// through the prefill epilogue ([`prune_rows_dispatch`], selection on the
 /// raw scores, scale applied at write time), then the dense tail kept,
@@ -85,7 +68,8 @@ pub(crate) fn prune_decode_row<T: Scalar>(
 
 /// Fused score + prune of one stream: widen the query row, stream the
 /// cached K pages at their stored width (widen-on-load), take one dot per
-/// cached position, prune into the stream's output slices.
+/// cached position (`acc[j] = dot(q̂, to_mul(K row j))`), prune into the
+/// stream's output slices.
 pub(crate) fn score_prune_stream<T: Scalar, S: Scalar>(
     q_row: &[T],
     k: &PagedPanel<'_, S>,
@@ -97,42 +81,12 @@ pub(crate) fn score_prune_stream<T: Scalar, S: Scalar>(
 ) {
     let len = k.len;
     let qw = widen(q_row);
+    let backend = simd::active();
     let mut acc = scratch_f32_stale(len);
-    decode_scores_widen(&qw, k, d, &mut acc[..len]);
-    prune_decode_row(pattern, &acc[..len], scale, nz_out, code_out);
-}
-
-/// Dense-score variant of one stream (the unfused ablation's first half):
-/// scale applied at write time like the dense GEMM epilogue.
-pub(crate) fn score_dense_stream<T: Scalar, S: Scalar>(
-    q_row: &[T],
-    k: &PagedPanel<'_, S>,
-    d: usize,
-    scale: f32,
-    out: &mut [T],
-) {
-    let len = k.len;
-    let qw = widen(q_row);
-    let mut acc = scratch_f32_stale(len);
-    decode_scores_widen(&qw, k, d, &mut acc[..len]);
-    for (o, &x) in out.iter_mut().zip(acc.iter()) {
-        *o = T::from_acc(x * scale);
+    for (a, row) in acc[..len].iter_mut().zip(k.rows(d)) {
+        *a = simd::dot_widen(backend, &qw, row);
     }
-}
-
-/// Standalone prune of one stream's already-narrowed score values (the
-/// unfused ablation's second half): the full M-groups through the prefill
-/// `dense_prune`'s verbatim-copy selection, then the dense tail copied.
-pub(crate) fn prune_values_stream<T: Scalar>(
-    pattern: NmPattern,
-    scores: &[T],
-    nz_out: &mut [T],
-    code_out: &mut [u8],
-) {
-    let full = scores.len() / pattern.m() * pattern.m();
-    let (nz_groups, nz_tail) = nz_out.split_at_mut(full / pattern.m() * pattern.n());
-    pattern.compress_groups_into(&scores[..full], nz_groups, code_out);
-    nz_tail.copy_from_slice(&scores[full..]);
+    prune_decode_row(pattern, &acc[..len], scale, nz_out, code_out);
 }
 
 /// SpMM of one stream: contract row `i` of the compressed stack with the
@@ -179,10 +133,7 @@ pub(crate) fn view_lens<S>(views: &[PagedPanel<'_, S>], width: usize) -> Vec<usi
 
 /// Allocate a ragged compressed stack for the given per-stream lengths and
 /// fill it with one pool fan-out over streams: `fill(stream, nz_out,
-/// code_out)` writes stream `i`'s kept values and group codes. Shared by
-/// every ragged prune-producing entry point so the output-assembly
-/// scaffolding (kept/group sizing, buffer partitioning, fan-out) lives in
-/// one place.
+/// code_out)` writes stream `i`'s kept values and group codes.
 pub(crate) fn build_ragged<T: Scalar>(
     pattern: NmPattern,
     lens: &[usize],
@@ -240,16 +191,6 @@ mod tests {
         prune_decode_row(NmPattern::P1_2, &scores, 0.5, &mut nz, &mut codes);
         assert_eq!(codes, [0b10, 0b10]); // 3.0 at lane 1, -1.0 at lane 1
         assert_eq!(nz, [1.5, -0.5, 3.5]); // scaled, tail kept dense
-    }
-
-    #[test]
-    fn prune_values_stream_copies_verbatim() {
-        let scores = [1.0f32, 3.0, -2.0, -1.0, 7.0];
-        let mut nz = [0.0f32; 3];
-        let mut codes = [0u8; 2];
-        prune_values_stream(NmPattern::P1_2, &scores, &mut nz, &mut codes);
-        assert_eq!(nz, [3.0, -1.0, 7.0]);
-        assert_eq!(codes, [0b10, 0b10]);
     }
 
     #[test]

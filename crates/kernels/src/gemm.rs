@@ -17,16 +17,12 @@
 //! skipping zero A entries. Every per-element sum runs in serial k-order.
 //! Packing is layout work a real GPU kernel gets for free from `ldmatrix`,
 //! so it is not charged.
-//!
-//! The decode score row (`gemm_nt_paged`, one query row per stream against
-//! its cached K pages) shares the decode kernels' per-stream routines.
 
 use crate::batched::{fan_out, ROW_TILE};
 use crate::ctx::{dense_class, GpuCtx};
 use crate::{micro, simd};
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
-use rayon::prelude::*;
+use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, Scalar};
 
 /// Charge the simulated cost of a dense `M×K · K×N` GEMM without executing
 /// it here — for mechanisms that fuse the product into a custom host loop
@@ -211,62 +207,6 @@ fn gemm_nn_exec<T: Scalar>(
             let rcnt = orows.len() / n;
             simd::nn_tile(backend, rcnt, &aw[i * ka..(i + rcnt) * ka], bw_p, n, orows);
         }
-    });
-    out
-}
-
-/// Per-stream charge of one dense decode score row (`1 × len` against the
-/// `len × d` cached panel): the `m = 1` tiled-GEMM model. The cached K
-/// panel is charged at its stored element width `S`; the query row and
-/// score outputs stay at the compute width `T`.
-fn decode_score_charge<T: Scalar, S: Scalar>(
-    ctx: &GpuCtx,
-    len: usize,
-    d: usize,
-) -> (u64, u64, u64) {
-    let tn = ctx.tile_for(len) as u64;
-    let (len64, d64) = (len as u64, d as u64);
-    let tiles = len64.div_ceil(tn);
-    let reads = tiles * (d64 * T::BYTES as u64 + d64 * tn * S::BYTES as u64);
-    let writes = len64 * T::BYTES as u64;
-    (reads, writes, len64 * d64)
-}
-
-/// Ragged batched dense decode scores: every stream's new query row (row
-/// `i` of `q`, width `d = q.cols()`) against its own cached K, read in
-/// place through the stream's [`PagedPanel`] view, in **one launch** — a
-/// single profile summing the per-stream charges, one pool fan-out over
-/// streams. Returns each stream's score row as a `cols == 1` panel (one
-/// scalar per cached position).
-pub fn gemm_nt_paged<T: Scalar, S: Scalar>(
-    ctx: &mut GpuCtx,
-    stage: Stage,
-    q: &Matrix<T>,
-    k: &[PagedPanel<'_, S>],
-    scale: f32,
-) -> RaggedBatch<T> {
-    assert_eq!(q.rows(), k.len(), "one query row per stream");
-    let d = q.cols();
-    let lens = crate::decode::view_lens(k, d);
-    let (mut reads, mut writes, mut macs) = (0u64, 0u64, 0u64);
-    for &len in &lens {
-        let (r, w, m) = decode_score_charge::<T, S>(ctx, len, d);
-        reads += r;
-        writes += w;
-        macs += m;
-    }
-    ctx.record(
-        KernelProfile::new("gemm_nt_decode", stage)
-            .with_traffic(reads, writes)
-            .with_tc(macs, dense_class::<T>()),
-    );
-    let mut out = RaggedBatch::zeros(1, &lens);
-    if !ctx.exec {
-        return out;
-    }
-    let items: Vec<(usize, &mut [T])> = out.panels_mut().into_iter().enumerate().collect();
-    items.into_par_iter().for_each(|(s, panel)| {
-        crate::decode::score_dense_stream(q.row(s), &k[s], d, scale, panel);
     });
     out
 }

@@ -16,8 +16,9 @@
 //! ragged stack is the one-page-per-stream case).
 //! * [`gemm`] — tiled dense GEMM (`NT` and `NN` layouts), f32 accumulate,
 //!   TF32 input rounding on the `float` path.
-//! * [`sddmm`] — fused SDDMM + N:M prune epilogue, the unfused ablation, and
-//!   the standalone dense-prune kernel. The scaled N:M selection of
+//! * [`sddmm`] — fused SDDMM + N:M prune epilogue, and the unfused ablation
+//!   it is measured against (`gemm_nt`, then the standalone dense-prune
+//!   kernel; solo only). The scaled N:M selection of
 //!   accumulators is written once (`prune_rows_dispatch`, which the
 //!   blocked-ELL SDDMM, the decode prune and the row-tile driver share);
 //!   the verbatim one is [`NmPattern::compress_groups_into`].

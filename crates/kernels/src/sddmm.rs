@@ -239,76 +239,33 @@ pub fn sddmm_nm_fused_batched<T: Scalar>(
 /// Standalone prune kernel (the unfused path): reads a dense score matrix
 /// from memory, writes nonzeros + metadata. This is what "current software
 /// library designed for pruning under N:M sparsity" does and what §2.3 says
-/// offsets the benefit of sparsity. The one-panel case of
-/// [`dense_prune_batched`]'s exec body.
+/// offsets the benefit of sparsity. Kept values are copied verbatim: the
+/// result is [`NmCompressed::compress`] of the scores.
 pub fn dense_prune<T: Scalar>(
     ctx: &mut GpuCtx,
     scores: &Matrix<T>,
     pattern: NmPattern,
 ) -> NmCompressed<T> {
     let (rows, cols) = scores.shape();
-    record_dense_prune::<T>(ctx, pattern, 1, rows, cols);
+    record_dense_prune::<T>(ctx, pattern, rows, cols);
     if !ctx.exec {
         return NmCompressed::zeros(pattern, rows, cols);
     }
-    let (nonzeros, codes) = dense_prune_exec(pattern, (1, rows, cols), scores.as_slice());
-    NmCompressed::from_parts(pattern, rows, cols, nonzeros, codes)
+    NmCompressed::compress(scores, pattern)
 }
 
-/// Record one standalone-prune launch over `batch` same-shape panels: a
-/// single profile of exactly `batch ×` the per-panel charge (the dense
-/// scores read back, nonzeros + metadata written).
-fn record_dense_prune<T: Scalar>(
-    ctx: &mut GpuCtx,
-    pattern: NmPattern,
-    batch: usize,
-    rows: usize,
-    cols: usize,
-) {
+/// Record one standalone-prune launch: the dense scores read back,
+/// nonzeros + metadata written.
+fn record_dense_prune<T: Scalar>(ctx: &mut GpuCtx, pattern: NmPattern, rows: usize, cols: usize) {
     let kept = pattern.kept_per_row(cols) as u64;
     let groups = (rows * cols / pattern.m()) as u64;
     let nz_bytes = rows as u64 * kept * T::BYTES as u64;
     let meta_bytes = (groups * 4).div_ceil(8);
-    let b64 = batch as u64;
     ctx.record(
         KernelProfile::new("dense_prune", Stage::Overhead)
-            .with_traffic(
-                b64 * (rows * cols * T::BYTES) as u64,
-                b64 * (nz_bytes + meta_bytes),
-            )
-            .with_alu(b64 * groups * epilogue_ops_per_group(pattern)),
+            .with_traffic((rows * cols * T::BYTES) as u64, nz_bytes + meta_bytes)
+            .with_alu(groups * epilogue_ops_per_group(pattern)),
     );
-}
-
-/// The one standalone-prune exec body, over a borrowed stack of `batch`
-/// `rows × cols` score panels: one pool fan-out over (panel, row-tile) work
-/// items, each a run of whole groups through
-/// [`NmPattern::compress_groups_into`] (kept values copied verbatim, so
-/// every panel equals `NmCompressed::compress` of it).
-fn dense_prune_exec<T: Scalar>(
-    pattern: NmPattern,
-    (batch, rows, cols): (usize, usize, usize),
-    scores: &[T],
-) -> (Vec<T>, Vec<u8>) {
-    let kept_per_row = pattern.kept_per_row(cols);
-    let groups_per_row = cols / pattern.m();
-    let mut nonzeros = vec![T::zero(); batch * rows * kept_per_row];
-    let mut codes = vec![0u8; batch * rows * groups_per_row];
-    crate::batched::fan_out2(
-        &mut nonzeros,
-        rows * kept_per_row,
-        crate::batched::ROW_TILE * kept_per_row,
-        &mut codes,
-        rows * groups_per_row,
-        crate::batched::ROW_TILE * groups_per_row,
-        |p, e0, nz_chunk, code_chunk| {
-            let row0 = p * rows + e0 / kept_per_row;
-            let rows_here = nz_chunk.len() / kept_per_row;
-            let block = &scores[row0 * cols..(row0 + rows_here) * cols];
-            pattern.compress_groups_into(block, nz_chunk, code_chunk);
-        },
-    );
-    (nonzeros, codes)
 }
 
 /// Unfused ablation: dense GEMM writes the n×n scores, then a separate
@@ -323,23 +280,6 @@ pub fn sddmm_nm_unfused<T: Scalar>(
 ) -> NmCompressed<T> {
     let scores = crate::gemm::gemm_nt(ctx, Stage::Qk, q, k, scale);
     dense_prune(ctx, &scores, pattern)
-}
-
-/// Batched standalone prune kernel: one launch over the whole stack, a
-/// single profile of exactly `batch ×` the per-panel [`dense_prune`] cost,
-/// and the same exec body.
-pub fn dense_prune_batched<T: Scalar>(
-    ctx: &mut GpuCtx,
-    scores: &BatchedMatrix<T>,
-    pattern: NmPattern,
-) -> NmBatch<T> {
-    let (batch, rows, cols) = scores.shape();
-    record_dense_prune::<T>(ctx, pattern, batch, rows, cols);
-    if !ctx.exec {
-        return NmBatch::charge_only(pattern, batch, rows, cols);
-    }
-    let (nonzeros, codes) = dense_prune_exec(pattern, (batch, rows, cols), scores.as_slice());
-    NmBatch::from_parts(pattern, batch, rows, cols, nonzeros, codes)
 }
 
 /// Per-stream cost counters `(reads, writes, macs, alu)` of one fused
@@ -367,18 +307,6 @@ fn decode_charge<T: Scalar, S: Scalar>(
         reads,
         writes,
         len64 * d64,
-        groups * epilogue_ops_per_group(pattern),
-    )
-}
-
-/// Per-stream cost counters `(reads, writes, alu)` of one standalone decode
-/// prune (the unfused ablation reading a dense score row back from memory).
-fn decode_prune_charge<T: Scalar>(len: usize, pattern: NmPattern) -> (u64, u64, u64) {
-    let kept = NmRagged::<T>::kept_for(pattern, len) as u64;
-    let groups = NmRagged::<T>::groups_for(pattern, len) as u64;
-    (
-        len as u64 * T::BYTES as u64,
-        kept * T::BYTES as u64 + (groups * 4).div_ceil(8),
         groups * epilogue_ops_per_group(pattern),
     )
 }
@@ -432,56 +360,6 @@ pub fn sddmm_nm_fused_paged<T: Scalar, S: Scalar>(
     decode::build_ragged(pattern, &lens, |s, nz, code| {
         decode::score_prune_stream(q.row(s), &k[s], d, scale, pattern, nz, code);
     })
-}
-
-/// Ragged standalone decode prune (the unfused ablation): reads every
-/// stream's dense score column (a `cols == 1` [`RaggedBatch`], one scalar
-/// per cached position) back from memory and writes kept values + metadata
-/// — one launch, per-stream charges summed. Kept values are copied
-/// verbatim like the prefill [`dense_prune`].
-pub fn dense_prune_ragged<T: Scalar>(
-    ctx: &mut GpuCtx,
-    scores: &RaggedBatch<T>,
-    pattern: NmPattern,
-) -> NmRagged<T> {
-    assert_eq!(
-        scores.cols(),
-        1,
-        "decode scores are one scalar per position"
-    );
-    let (mut reads, mut writes, mut alu) = (0u64, 0u64, 0u64);
-    for &len in scores.lens() {
-        let (r, w, a) = decode_prune_charge::<T>(len, pattern);
-        reads += r;
-        writes += w;
-        alu += a;
-    }
-    ctx.record(
-        KernelProfile::new("dense_prune_decode", Stage::Overhead)
-            .with_traffic(reads, writes)
-            .with_alu(alu),
-    );
-    if !ctx.exec {
-        return NmRagged::zeros(pattern, scores.lens());
-    }
-    decode::build_ragged(pattern, scores.lens(), |s, nz, code| {
-        decode::prune_values_stream(pattern, scores.panel(s), nz, code);
-    })
-}
-
-/// Batched unfused ablation: batched dense GEMM materialises every panel's
-/// scores, then the batched prune kernel reads them back — both as single
-/// whole-stack launches. Numerically identical to
-/// [`sddmm_nm_fused_batched`].
-pub fn sddmm_nm_unfused_batched<T: Scalar>(
-    ctx: &mut GpuCtx,
-    q: &BatchedMatrix<T>,
-    k: &BatchedMatrix<T>,
-    scale: f32,
-    pattern: NmPattern,
-) -> NmBatch<T> {
-    let scores = crate::gemm::gemm_nt_batched(ctx, Stage::Qk, q, k, scale);
-    dense_prune_batched(ctx, &scores, pattern)
 }
 
 #[cfg(test)]

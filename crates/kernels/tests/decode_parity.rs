@@ -3,8 +3,7 @@
 //! one-page view of its cache), records exactly ONE profile per op, and its
 //! counters are the sum of the per-stream solo charges.
 
-use dfss_gpusim::Stage;
-use dfss_kernels::{gemm, sddmm, softmax, spmm, GpuCtx};
+use dfss_kernels::{sddmm, softmax, spmm, GpuCtx};
 use dfss_nmsparse::{NmPattern, NmRagged};
 use dfss_tensor::{Matrix, PagedPanel, RaggedBatch, Rng};
 
@@ -108,55 +107,6 @@ fn dense_tail_is_kept_verbatim() {
         6,
         "tail column is the newest position"
     );
-}
-
-#[test]
-fn unfused_ragged_matches_fused_selection() {
-    let f = fixture(&LENS, 8, 4, 3);
-    let pattern = NmPattern::P2_4;
-    let mut c1 = GpuCtx::a100();
-    let fused = sddmm::sddmm_nm_fused_ragged(&mut c1, &f.q, &ragged_of(&f.k_panels), 0.5, pattern);
-    let mut c2 = GpuCtx::a100();
-    let scores = gemm::gemm_nt_paged(
-        &mut c2,
-        Stage::Qk,
-        &f.q,
-        &ragged_of(&f.k_panels).views(),
-        0.5,
-    );
-    let unfused = sddmm::dense_prune_ragged(&mut c2, &scores, pattern);
-    for s in 0..LENS.len() {
-        assert_eq!(fused.row_codes(s), unfused.row_codes(s), "stream {s}");
-        for (a, b) in fused.row_nonzeros(s).iter().zip(unfused.row_nonzeros(s)) {
-            assert!((a - b).abs() < 1e-5);
-        }
-    }
-    // The unfused path costs exactly the dense row writes + reads extra.
-    let dense_elems: u64 = LENS.iter().map(|&l| l as u64).sum();
-    let extra = c2.timeline.total_bytes() - c1.timeline.total_bytes();
-    assert_eq!(extra, 2 * dense_elems * 4);
-    // Two launches (score + prune) instead of one.
-    assert_eq!(c2.timeline.launches(), 2);
-}
-
-#[test]
-fn dense_decode_scores_bit_identical_to_solo_rows() {
-    let f = fixture(&LENS, 16, 8, 4);
-    let mut rctx = GpuCtx::a100();
-    let kb = ragged_of(&f.k_panels);
-    let ragged = gemm::gemm_nt_paged(&mut rctx, Stage::Qk, &f.q, &kb.views(), 0.125);
-    let mut sctx = GpuCtx::a100();
-    for (s, k) in f.k_panels.iter().enumerate() {
-        let solo = gemm::gemm_nt_paged(&mut sctx, Stage::Qk, &q_row(&f, s), &one_view(k), 0.125);
-        let same = solo
-            .panel(0)
-            .iter()
-            .zip(ragged.panel(s))
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "stream {s} diverged");
-    }
-    assert_eq!(rctx.timeline.launches(), 1);
-    assert_eq!(rctx.timeline.total_bytes(), sctx.timeline.total_bytes());
 }
 
 #[test]
@@ -328,9 +278,9 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Run the fused decode pipeline and the dense score kernel once over
-/// page views and once over the same rows packed, and require bitwise
-/// equal outputs and equal charges from single launches.
+/// Run the fused decode pipeline once over page views and once over the
+/// same rows packed, and require bitwise equal outputs and equal charges
+/// from single launches.
 fn assert_views_match_packed(
     f: &Fixture,
     k_views: &[PagedPanel<'_, f32>],
@@ -342,20 +292,17 @@ fn assert_views_match_packed(
     let mut paged = sddmm::sddmm_nm_fused_paged(&mut pctx, &f.q, k_views, 0.25, pattern);
     softmax::softmax_nm_ragged(&mut pctx, &mut paged);
     let out_p = spmm::spmm_nm_paged(&mut pctx, &paged, v_views, f.d_v);
-    let scores_p = gemm::gemm_nt_paged(&mut pctx, Stage::Qk, &f.q, k_views, 0.5);
     let mut rctx = GpuCtx::a100();
     let mut packed = sddmm::sddmm_nm_fused_ragged(&mut rctx, &f.q, &kb, 0.25, pattern);
     softmax::softmax_nm_ragged(&mut rctx, &mut packed);
     let out_r = spmm::spmm_nm_ragged(&mut rctx, &packed, &vb);
-    let scores_r = gemm::gemm_nt_paged(&mut rctx, Stage::Qk, &f.q, &kb.views(), 0.5);
 
     for s in 0..k_views.len() {
         assert_eq!(paged.row_codes(s), packed.row_codes(s), "stream {s} codes");
     }
     assert_eq!(bits(paged.nonzeros()), bits(packed.nonzeros()));
     assert_eq!(bits(out_p.as_slice()), bits(out_r.as_slice()));
-    assert_eq!(bits(scores_p.as_slice()), bits(scores_r.as_slice()));
-    assert_eq!(pctx.timeline.launches(), 4);
+    assert_eq!(pctx.timeline.launches(), 3);
     assert_eq!(pctx.timeline.total_bytes(), rctx.timeline.total_bytes());
 }
 

@@ -225,46 +225,6 @@ fn batched_sddmm_matches_serial_panel_loop() {
     }
 }
 
-/// Batched unfused SDDMM: same results as fused, with the two-kernel charge
-/// exactly batch × the per-panel pair.
-#[test]
-fn batched_unfused_sddmm_matches_serial_panel_loop() {
-    pin_pool();
-    let (batch, n, d) = (3usize, 32usize, 16usize);
-    let q = stack(batch, n, d, 30);
-    let k = stack(batch, n, d, 31);
-    let mut bctx = GpuCtx::a100();
-    let comp = sddmm::sddmm_nm_unfused_batched(&mut bctx, &q, &k, 1.0, NmPattern::P1_2);
-    let mut sctx = GpuCtx::a100();
-    for p in 0..batch {
-        let single = rayon::with_serial(|| {
-            sddmm::sddmm_nm_unfused(
-                &mut sctx,
-                &q.to_panel(p),
-                &k.to_panel(p),
-                1.0,
-                NmPattern::P1_2,
-            )
-        });
-        assert_eq!(comp.panel_codes(p), single.codes(), "codes {p}");
-        assert_eq!(
-            bits(&comp.to_compressed(p).decompress()),
-            bits(&single.decompress()),
-            "values {p}"
-        );
-    }
-    // Two launches (GEMM + prune), each exactly batch × the per-panel one.
-    assert_eq!(bctx.timeline.entries().len(), 2);
-    for j in 0..2 {
-        assert_batched_charge(
-            &bctx.timeline.entries()[j],
-            &sctx.timeline.entries()[j],
-            batch as u64,
-            "sddmm_nm_unfused",
-        );
-    }
-}
-
 /// Batched softmax (dense + compressed): bit-identical rows, exact batch ×
 /// charge.
 #[test]

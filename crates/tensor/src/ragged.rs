@@ -8,10 +8,6 @@
 //! launch: every stream contributes one new query row against its own
 //! cached K/V length, and the kernels fan out once over streams while
 //! charging the simulated device a single summed profile.
-//!
-//! Decode scores (one row of `len(i)` scalars per stream) reuse the same
-//! container with `cols == 1`: panel `i` is then the stream's score column
-//! vector, one scalar per cached position.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -260,21 +256,6 @@ impl<T: Scalar> RaggedBatch<T> {
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
-
-    /// Split the backing buffer into per-panel mutable slices, in stream
-    /// order (the kernels' fan-out uses this to hand each stream its own
-    /// output region).
-    pub fn panels_mut(&mut self) -> Vec<&mut [T]> {
-        let cols = self.cols;
-        let mut rest: &mut [T] = &mut self.data;
-        let mut out = Vec::with_capacity(self.lens.len());
-        for &l in &self.lens {
-            let (head, tail) = rest.split_at_mut(l * cols);
-            out.push(head);
-            rest = tail;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -306,23 +287,6 @@ mod tests {
         for (x, y) in rb.panel(1).iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn panels_mut_covers_the_whole_buffer_in_order() {
-        let mut rb = RaggedBatch::<f32>::zeros(2, &[2, 0, 3]);
-        {
-            let panels = rb.panels_mut();
-            assert_eq!(panels.len(), 3);
-            assert_eq!(panels[0].len(), 4);
-            assert_eq!(panels[1].len(), 0);
-            assert_eq!(panels[2].len(), 6);
-            for (i, p) in panels.into_iter().enumerate() {
-                p.iter_mut().for_each(|v| *v = i as f32);
-            }
-        }
-        assert_eq!(rb.panel(0), &[0.0; 4]);
-        assert_eq!(rb.panel(2), &[2.0; 6]);
     }
 
     #[test]
