@@ -47,9 +47,11 @@
 //!  drain: refuse + stop      write_response ──► keep-alive or close
 //! ```
 //!
-//! The server is `f32`-typed: JSON numbers widen losslessly to `f64` on
-//! the wire, so served outputs survive the round-trip bit-identically
-//! (asserted end to end by the chaos harness).
+//! The server is `f32`-typed, and so are the numbers inside JSON arrays
+//! ([`Json`]): each row parses straight into `f32`s and renders as
+//! shortest round-trip `f32` text, so served outputs survive the
+//! round-trip bit-identically (asserted end to end by the chaos harness),
+//! and a number outside the `f32` range is a typed `400`.
 
 use crate::wire::{self, Json, Request, RequestReader, WireError, WireLimits};
 use crate::{
@@ -578,29 +580,25 @@ fn parse_body(body: &[u8]) -> Result<Json, Reply> {
 }
 
 /// Extract an `n × ?` matrix field from a body (array of equal-width
-/// float rows).
+/// numeric rows), copying the rows into the matrix once.
 fn matrix_field(doc: &Json, field: &str) -> Result<Matrix<f32>, Reply> {
     let rows = doc.get(field).and_then(Json::as_arr).ok_or_else(|| {
         Reply::error(400, "Malformed", &format!("missing matrix field {field:?}"))
     })?;
-    let parsed: Option<Vec<Vec<f32>>> = rows.iter().map(Json::to_f32_row).collect();
-    let parsed = parsed.ok_or_else(|| {
-        Reply::error(400, "Malformed", &format!("{field:?} rows must be numbers"))
-    })?;
-    let n = parsed.len();
-    let d = parsed.first().map_or(0, Vec::len);
-    if n == 0 || d == 0 || parsed.iter().any(|r| r.len() != d) {
+    let rows: Vec<&[f32]> = rows
+        .iter()
+        .map(Json::as_f32_row)
+        .collect::<Option<_>>()
+        .unwrap_or_default();
+    let d = rows.first().map_or(0, |r| r.len());
+    if d == 0 || rows.iter().any(|r| r.len() != d) {
         return Err(Reply::error(
             400,
             "Malformed",
             &format!("{field:?} must be a non-empty rectangle of numbers"),
         ));
     }
-    Ok(Matrix::from_vec(
-        n,
-        d,
-        parsed.into_iter().flatten().collect(),
-    ))
+    Ok(Matrix::from_vec(rows.len(), d, rows.concat()))
 }
 
 fn row_field(doc: &Json, field: &str) -> Result<Vec<f32>, Reply> {
@@ -1147,6 +1145,87 @@ mod tests {
         let health = client.call("GET", "/healthz", None).expect("healthz");
         assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
         let _ = server.shutdown();
+    }
+
+    #[test]
+    fn matrix_field_takes_only_non_empty_rectangles_of_numbers() {
+        let field = |text: &str| {
+            let doc = Json::parse(format!("{{\"q\":{text}}}").as_bytes()).expect("valid JSON");
+            matrix_field(&doc, "q")
+        };
+        let m = field("[[1,2],[3,-0]]").ok().expect("a 2 x 2 matrix");
+        assert_eq!((m.rows(), m.cols()), (2, 2));
+        assert_eq!(m.as_slice()[3].to_bits(), (-0.0f32).to_bits());
+        for bad in [
+            "[[1,2],[3]]",
+            "[[1],[2,3]]",
+            "[]",
+            "[[]]",
+            "[[],[]]",
+            "[1,2]",
+            "[[1,2],[3,\"a\"]]",
+            "[[1,2],null]",
+            "\"q\"",
+        ] {
+            match field(bad) {
+                Err(reply) => assert_eq!(reply.status, 400, "{bad}"),
+                Ok(_) => panic!("accepted {bad} as a matrix"),
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_typed_400_and_never_reach_the_server() {
+        let server = start_http(BatchPolicy::default());
+        let mut client = HttpClient::connect(server.local_addr());
+        let opened = client
+            .call(
+                "POST",
+                "/v1/sessions",
+                Some(&Json::obj(vec![("d", Json::Num(2.0))])),
+            )
+            .expect("open");
+        let sid = opened.get("session").unwrap().as_f64().unwrap() as u64;
+        // 1e39 is a finite f64 but past f32::MAX: inside an array it is
+        // refused as the body parses.
+        let row = |x: f64| Json::Arr(vec![Json::Num(x), Json::Num(0.0)]);
+        let matrix = |x: f64| Json::Arr(vec![row(x), row(1.0)]);
+        for (path, body) in [
+            (
+                "/v1/prefill".to_string(),
+                Json::obj(vec![
+                    ("q", matrix(1e39)),
+                    ("k", matrix(1.0)),
+                    ("v", matrix(1.0)),
+                ]),
+            ),
+            (
+                format!("/v1/sessions/{sid}/append"),
+                Json::obj(vec![("k", matrix(1.0)), ("v", matrix(-1e39))]),
+            ),
+            (
+                format!("/v1/sessions/{sid}/append"),
+                Json::obj(vec![("k_row", row(1e39)), ("v_row", row(1.0))]),
+            ),
+            (
+                format!("/v1/sessions/{sid}/decode"),
+                Json::obj(vec![("q_row", row(-1e39))]),
+            ),
+        ] {
+            match client.call("POST", &path, Some(&body)) {
+                Err(HttpClientError::Status { status, body, .. }) => {
+                    assert_eq!(status, 400, "{path}");
+                    assert!(body.contains("\"kind\":\"Malformed\""), "{path}: {body}");
+                }
+                other => panic!("{path}: expected a typed 400, got {other:?}"),
+            }
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.served, 0);
+        assert_eq!(stats.rejected, 0);
+        assert_eq!(stats.admission_rejections, 0);
+        assert_eq!(stats.kv_rows_appended, 0);
+        assert_eq!(stats.decode_steps, 0);
     }
 
     #[test]

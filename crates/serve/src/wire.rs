@@ -19,7 +19,6 @@
 //! which is exactly what `curl`, the bench load generator, and the
 //! chaos client speak.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::time::Duration;
@@ -103,10 +102,7 @@ pub struct Request {
 impl Request {
     /// First value of a header (name lowercase), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// Whether the client asked to close the connection after this
@@ -122,7 +118,8 @@ impl Request {
 /// in the buffer between [`read_request`](Self::read_request) calls.
 pub struct RequestReader<R: Read> {
     inner: R,
-    buf: VecDeque<u8>,
+    /// Bytes read off the stream and not yet consumed.
+    buf: Vec<u8>,
 }
 
 impl<R: Read> RequestReader<R> {
@@ -131,7 +128,7 @@ impl<R: Read> RequestReader<R> {
     pub fn new(inner: R) -> RequestReader<R> {
         RequestReader {
             inner,
-            buf: VecDeque::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -141,33 +138,30 @@ impl<R: Read> RequestReader<R> {
         loop {
             match self.inner.read(&mut chunk) {
                 Ok(n) => {
-                    self.buf.extend(&chunk[..n]);
+                    self.buf.extend_from_slice(&chunk[..n]);
                     return Ok(n);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Err(WireError::TimedOut)
-                }
-                Err(e) => return Err(WireError::Io(e.to_string())),
+                Err(e) => return Err(read_error(e)),
             }
         }
     }
 
-    /// Read and parse one request. `Ok(None)` is a clean close: the peer
-    /// hung up on a request boundary (no bytes of a next request seen).
-    /// Everything else — partial request then EOF, limits, timeouts,
-    /// garbage — is a typed [`WireError`].
-    pub fn read_request(&mut self, limits: &WireLimits) -> Result<Option<Request>, WireError> {
-        // Accumulate until the blank line that ends the header block.
-        let head_end = loop {
+    /// Read up to the blank line that ends a header block and return the
+    /// head. The separator is consumed; bytes after it stay buffered.
+    /// `Ok(None)` is EOF before any byte of a head.
+    fn read_head(
+        &mut self,
+        limit: usize,
+        what: &'static str,
+    ) -> Result<Option<Vec<u8>>, WireError> {
+        let too_large = WireError::TooLarge { what, limit };
+        let end = loop {
             if let Some(end) = find_head_end(&self.buf) {
                 break end;
             }
-            if self.buf.len() > limits.max_header_bytes {
-                return Err(WireError::TooLarge {
-                    what: "request headers",
-                    limit: limits.max_header_bytes,
-                });
+            if self.buf.len() > limit {
+                return Err(too_large);
             }
             if self.fill()? == 0 {
                 return if self.buf.is_empty() {
@@ -177,29 +171,59 @@ impl<R: Read> RequestReader<R> {
                 };
             }
         };
-        if head_end.head_len > limits.max_header_bytes {
-            return Err(WireError::TooLarge {
-                what: "request headers",
-                limit: limits.max_header_bytes,
-            });
+        if end.head_len > limit {
+            return Err(too_large);
         }
-        let head: Vec<u8> = self.buf.drain(..head_end.head_len).collect();
-        self.buf.drain(..head_end.sep_len);
+        let head = self.buf[..end.head_len].to_vec();
+        self.buf.drain(..end.head_len + end.sep_len);
+        Ok(Some(head))
+    }
+
+    /// Read a `len`-byte body: the buffered bytes first, then straight
+    /// from the stream into the body. It never reads past the body, so
+    /// the next request's bytes stay unread, and the body's memory fills
+    /// only as its bytes arrive.
+    fn read_body(&mut self, len: usize) -> Result<Vec<u8>, WireError> {
+        let buffered = len.min(self.buf.len());
+        let mut body = Vec::with_capacity(len);
+        body.extend_from_slice(&self.buf[..buffered]);
+        self.buf.drain(..buffered);
+        (&mut self.inner)
+            .take((len - buffered) as u64)
+            .read_to_end(&mut body)
+            .map_err(read_error)?;
+        if body.len() < len {
+            return Err(WireError::ConnectionClosed);
+        }
+        Ok(body)
+    }
+
+    /// Read and parse one request. `Ok(None)` is a clean close: the peer
+    /// hung up on a request boundary (no bytes of a next request seen).
+    /// Everything else — partial request then EOF, limits, timeouts,
+    /// garbage — is a typed [`WireError`].
+    pub fn read_request(&mut self, limits: &WireLimits) -> Result<Option<Request>, WireError> {
+        let Some(head) = self.read_head(limits.max_header_bytes, "request headers")? else {
+            return Ok(None);
+        };
         let mut request = parse_head(&head)?;
-        let body_len = content_length(&request)?;
+        let body_len = content_length(&request.headers)?;
         if body_len > limits.max_body_bytes {
             return Err(WireError::TooLarge {
                 what: "request body",
                 limit: limits.max_body_bytes,
             });
         }
-        while self.buf.len() < body_len {
-            if self.fill()? == 0 {
-                return Err(WireError::ConnectionClosed);
-            }
-        }
-        request.body = self.buf.drain(..body_len).collect();
+        request.body = self.read_body(body_len)?;
         Ok(Some(request))
+    }
+}
+
+/// A failed read, typed: an expired read deadline, or a transport error.
+fn read_error(e: std::io::Error) -> WireError {
+    match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => WireError::TimedOut,
+        _ => WireError::Io(e.to_string()),
     }
 }
 
@@ -212,17 +236,7 @@ struct HeadEnd {
 
 /// Find the end of the header block — `\r\n\r\n`, or a tolerated bare
 /// `\n\n`.
-fn find_head_end(buf: &VecDeque<u8>) -> Option<HeadEnd> {
-    let (a, b) = buf.as_slices();
-    // Work over a contiguous view only when the buffer wraps (rare:
-    // the deque is drained from the front each request).
-    let joined;
-    let bytes: &[u8] = if b.is_empty() {
-        a
-    } else {
-        joined = buf.iter().copied().collect::<Vec<u8>>();
-        &joined
-    };
+fn find_head_end(bytes: &[u8]) -> Option<HeadEnd> {
     for i in 0..bytes.len() {
         if bytes[i] != b'\n' {
             continue;
@@ -293,18 +307,25 @@ fn parse_head(head: &[u8]) -> Result<Request, WireError> {
     })
 }
 
-/// The request's declared body length. Chunked transfer encoding is not
-/// supported (typed refusal, not a misframed read).
-fn content_length(req: &Request) -> Result<usize, WireError> {
-    if req
-        .header("transfer-encoding")
+/// First value of header `name` (lowercase), if present.
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// The declared body length of a request or response. Chunked transfer
+/// encoding is not supported (typed refusal, not a misframed read).
+fn content_length(headers: &[(String, String)]) -> Result<usize, WireError> {
+    if find_header(headers, "transfer-encoding")
         .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
     {
         return Err(WireError::Malformed(
             "chunked transfer encoding is not supported".into(),
         ));
     }
-    match req.header("content-length") {
+    match find_header(headers, "content-length") {
         None => Ok(0),
         Some(v) => v
             .parse::<usize>()
@@ -373,10 +394,7 @@ pub struct Response {
 impl Response {
     /// First value of a header (name lowercase), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// The `Retry-After` header in whole seconds, if present and numeric.
@@ -391,22 +409,9 @@ pub fn read_response(
     reader: &mut RequestReader<impl Read>,
     limits: &WireLimits,
 ) -> Result<Response, WireError> {
-    let head_end = loop {
-        if let Some(end) = find_head_end(&reader.buf) {
-            break end;
-        }
-        if reader.buf.len() > limits.max_header_bytes {
-            return Err(WireError::TooLarge {
-                what: "response headers",
-                limit: limits.max_header_bytes,
-            });
-        }
-        if reader.fill()? == 0 {
-            return Err(WireError::ConnectionClosed);
-        }
-    };
-    let head: Vec<u8> = reader.buf.drain(..head_end.head_len).collect();
-    reader.buf.drain(..head_end.sep_len);
+    let head = reader
+        .read_head(limits.max_header_bytes, "response headers")?
+        .ok_or(WireError::ConnectionClosed)?;
     let text = std::str::from_utf8(&head)
         .map_err(|_| WireError::Malformed("response headers are not valid UTF-8".into()))?;
     let mut lines = text.lines();
@@ -432,31 +437,18 @@ pub fn read_response(
             .ok_or_else(|| WireError::Malformed(format!("header line without colon: {line:?}")))?;
         headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
-    let mut resp = Response {
-        status,
-        headers,
-        body: Vec::new(),
-    };
-    let req_view = Request {
-        method: String::new(),
-        target: String::new(),
-        headers: resp.headers.clone(),
-        body: Vec::new(),
-    };
-    let body_len = content_length(&req_view)?;
+    let body_len = content_length(&headers)?;
     if body_len > limits.max_body_bytes {
         return Err(WireError::TooLarge {
             what: "response body",
             limit: limits.max_body_bytes,
         });
     }
-    while reader.buf.len() < body_len {
-        if reader.fill()? == 0 {
-            return Err(WireError::ConnectionClosed);
-        }
-    }
-    resp.body = reader.buf.drain(..body_len).collect();
-    Ok(resp)
+    Ok(Response {
+        status,
+        headers,
+        body: reader.read_body(body_len)?,
+    })
 }
 
 /// Deepest JSON nesting the parser follows before refusing — bounds the
@@ -465,12 +457,25 @@ const MAX_JSON_DEPTH: usize = 64;
 
 /// A JSON value — the endpoint body format of the HTTP front door.
 ///
-/// Same shape as the bench artifact codec, with the two properties the
-/// wire needs: a recursion-depth cap on parsing (network bytes are
-/// hostile) and exact `f32` round-trips (numbers render as shortest
-/// `f64` strings, and every `f32` is exactly representable as `f64`, so
-/// `output` matrices survive serialisation bit-identically — the chaos
-/// harness asserts this end to end).
+/// Same shape as the bench artifact codec, plus a recursion-depth cap on
+/// parsing (network bytes are hostile) and one number contract:
+///
+/// - **Numbers inside an array are `f32`.** Each parses with
+///   `str::parse::<f32>`, which rounds correctly, so no f64 → f32 double
+///   rounding happens. An array whose items are all numbers is one
+///   [`Json::F32Row`] node, and it renders each item as shortest
+///   round-trip `f32` text (`-0.0` as `-0`). Every finite `f32` therefore
+///   crosses the wire with its bits intact, and so do `output` matrices
+///   (the chaos harness asserts this end to end). In a mixed array the
+///   numbers are [`Json::Num`] items holding those `f32` values.
+/// - **Every other number is `f64`** ([`Json::Num`]): object fields such
+///   as `d`, `ticket` and `sim_latency_s`, and a bare document.
+/// - A number that is not finite at its width is refused: `1e39` inside
+///   an array, `1e999` anywhere.
+///
+/// [`as_arr`](Self::as_arr) returns `None` on a numeric row; read one
+/// with [`as_f32_row`](Self::as_f32_row) or
+/// [`to_f32_row`](Self::to_f32_row).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -481,8 +486,11 @@ pub enum Json {
     Num(f64),
     /// A string.
     Str(String),
-    /// An array.
+    /// An array that is empty or holds an item that is not a number.
     Arr(Vec<Json>),
+    /// A non-empty array of numbers, held as `f32` (non-finite items
+    /// render as `null`).
+    F32Row(Vec<f32>),
     /// An insertion-ordered object.
     Obj(Vec<(String, Json)>),
 }
@@ -523,7 +531,8 @@ impl Json {
         }
     }
 
-    /// The items, if this is an array.
+    /// The items, if this is an [`Arr`](Json::Arr) (`None` on a numeric
+    /// row).
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
@@ -531,19 +540,29 @@ impl Json {
         }
     }
 
-    /// A row of `f32`s as a JSON array (exact: each `f32` widens to
-    /// `f64` losslessly).
-    pub fn f32_row(row: &[f32]) -> Json {
-        Json::Arr(row.iter().map(|&x| Json::Num(f64::from(x))).collect())
+    /// The numbers, if this is a numeric row or `[]`.
+    pub fn as_f32_row(&self) -> Option<&[f32]> {
+        match self {
+            Json::F32Row(row) => Some(row),
+            Json::Arr(items) if items.is_empty() => Some(&[]),
+            _ => None,
+        }
     }
 
-    /// Parse this value as a row of `f32`s (exact inverse of
+    /// A row of `f32`s as a JSON array: a numeric row, or `[]` when
+    /// `row` is empty, which is what parsing its rendering gives back.
+    pub fn f32_row(row: &[f32]) -> Json {
+        if row.is_empty() {
+            Json::Arr(Vec::new())
+        } else {
+            Json::F32Row(row.to_vec())
+        }
+    }
+
+    /// The numbers as an owned row (exact inverse of
     /// [`f32_row`](Self::f32_row)).
     pub fn to_f32_row(&self) -> Option<Vec<f32>> {
-        self.as_arr()?
-            .iter()
-            .map(|v| v.as_f64().map(|x| x as f32))
-            .collect()
+        self.as_f32_row().map(<[f32]>::to_vec)
     }
 
     /// Render compactly (single line, no trailing newline) — the wire
@@ -581,6 +600,21 @@ impl Json {
                         out.push(',');
                     }
                     item.write(out);
+                }
+                out.push(']');
+            }
+            Json::F32Row(row) => {
+                out.push('[');
+                for (i, x) in row.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    // `f32`'s Display is its shortest round-trip text.
+                    if x.is_finite() {
+                        let _ = write!(out, "{x}");
+                    } else {
+                        out.push_str("null");
+                    }
                 }
                 out.push(']');
             }
@@ -661,20 +695,38 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
-            let mut items = Vec::new();
             skip_ws(bytes, pos);
             if bytes.get(*pos) == Some(&b']') {
                 *pos += 1;
-                return Ok(Json::Arr(items));
+                return Ok(Json::Arr(Vec::new()));
             }
+            // Numbers go straight into `row` until the first item that is
+            // not a number. That item moves the row into `items`, once,
+            // and the array continues as an `Arr`.
+            let mut row = Vec::new();
+            let mut items: Option<Vec<Json>> = None;
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                skip_ws(bytes, pos);
+                if starts_number(bytes.get(*pos)) {
+                    let x = parse_number::<f32>(bytes, pos)?;
+                    match &mut items {
+                        Some(items) => items.push(Json::Num(f64::from(x))),
+                        None => row.push(x),
+                    }
+                } else {
+                    let item = parse_value(bytes, pos, depth + 1)?;
+                    items
+                        .get_or_insert_with(|| {
+                            row.drain(..).map(|x| Json::Num(f64::from(x))).collect()
+                        })
+                        .push(item);
+                }
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
                     Some(b']') => {
                         *pos += 1;
-                        return Ok(Json::Arr(items));
+                        return Ok(items.map_or(Json::F32Row(row), Json::Arr));
                     }
                     _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
                 }
@@ -706,8 +758,14 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos).map(Json::Num),
+        Some(_) => parse_number::<f64>(bytes, pos).map(Json::Num),
     }
+}
+
+/// Whether a value starting at `b` is a number: what [`parse_value`]
+/// hands to [`parse_number`].
+fn starts_number(b: Option<&u8>) -> bool {
+    !matches!(b, None | Some(b'n' | b't' | b'f' | b'"' | b'[' | b'{'))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -749,18 +807,25 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences arrive
-                // intact because the input was validated as a &str).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one
+                // piece. Both are ASCII, so the run of the validated
+                // input ends on a char boundary.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
+/// One number token, parsed at width `F` (correctly rounded). A result
+/// that is not finite at that width is refused.
+fn parse_number<F: std::str::FromStr + Into<f64> + Copy>(
+    bytes: &[u8],
+    pos: &mut usize,
+) -> Result<F, String> {
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
@@ -769,12 +834,12 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
     }
     let parsed = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|e| e.to_string())?
-        .parse::<f64>()
+        .parse::<F>()
         .map_err(|_| format!("invalid number at byte {start}"))?;
-    if parsed.is_finite() {
+    if parsed.into().is_finite() {
         Ok(parsed)
     } else {
-        Err(format!("non-finite number at byte {start}"))
+        Err(format!("number out of range at byte {start}"))
     }
 }
 
@@ -808,6 +873,53 @@ mod tests {
         let second = reader.read_request(&limits).unwrap().unwrap();
         assert_eq!(second.target, "/healthz");
         assert!(reader.read_request(&limits).unwrap().is_none());
+    }
+
+    /// A stream that hands out at most seven bytes per `read`.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, dst: &mut [u8]) -> std::io::Result<usize> {
+            let n = dst.len().min(self.0.len()).min(7);
+            dst[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn bodies_are_read_in_place_and_never_past_their_end() {
+        let body: Vec<u8> = (0..10_000u32).map(|i| b'a' + (i % 26) as u8).collect();
+        let next = b"GET /healthz HTTP/1.1\r\n\r\n";
+        let mut stream = b"POST /v1/prefill HTTP/1.1\r\ncontent-length: 10000\r\n\r\n".to_vec();
+        stream.extend_from_slice(&body);
+        stream.extend_from_slice(next);
+        let limits = WireLimits::default();
+        // The head's 4 KiB fill reads into the body; the rest of the body
+        // is read straight into place, and not one byte past it.
+        let mut rest = &stream[..];
+        let first = RequestReader::new(&mut rest)
+            .read_request(&limits)
+            .unwrap()
+            .unwrap();
+        assert_eq!(first.body, body);
+        assert_eq!(rest, next, "the next request's bytes stayed unread");
+        // Short reads, split anywhere, frame the same two requests.
+        let mut reader = RequestReader::new(Trickle(&stream));
+        assert_eq!(reader.read_request(&limits).unwrap().unwrap().body, body);
+        assert_eq!(
+            reader.read_request(&limits).unwrap().unwrap().target,
+            "/healthz"
+        );
+        assert!(reader.read_request(&limits).unwrap().is_none());
+        // A body cut short is a typed close, not a short body.
+        let cut = &stream[..stream.len() - next.len() - 1];
+        assert_eq!(
+            RequestReader::new(Trickle(cut))
+                .read_request(&limits)
+                .unwrap_err(),
+            WireError::ConnectionClosed
+        );
     }
 
     #[test]
@@ -895,14 +1007,186 @@ mod tests {
         assert_eq!(resp.body, br#"{"error":"overloaded"}"#);
     }
 
+    fn assert_same_bits(want: &[f32], got: &[f32]) {
+        assert_eq!(want.len(), got.len());
+        for (a, b) in want.iter().zip(got) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a:e} came back as {b:e}");
+        }
+    }
+
     #[test]
     fn json_f32_rows_roundtrip_bit_identically() {
-        let row: Vec<f32> = vec![0.1, -3.25e-8, f32::MIN_POSITIVE, 1.0 / 3.0, -0.0, 123456.78];
+        let row: Vec<f32> = vec![
+            0.1,
+            -3.25e-8,
+            1.0 / 3.0,
+            123456.78,
+            -0.0,
+            0.0,
+            f32::from_bits(1),            // smallest subnormal
+            -f32::from_bits(0x007f_ffff), // largest subnormal
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
         let text = Json::f32_row(&row).render();
-        let back = Json::parse(text.as_bytes()).unwrap().to_f32_row().unwrap();
-        for (a, b) in row.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} diverged through JSON");
+        assert!(text.starts_with("[0.1,"), "shortest f32 text: {text}");
+        assert!(text.contains(",-0,0,"), "-0.0 keeps its sign: {text}");
+        let back = Json::parse(text.as_bytes()).unwrap();
+        assert_eq!(back, Json::f32_row(&row));
+        assert_same_bits(&row, &back.to_f32_row().unwrap());
+    }
+
+    #[test]
+    fn numeric_row_edge_cases_are_typed_or_round_trip_bit_exactly() {
+        for bad in [
+            "[1,]",
+            "[-]",
+            "[1e39]",
+            "[-1e39]",
+            "[1,1e39]",
+            "[1e39,\"a\"]",
+            "[\"a\",1e39]",
+            "[1 2]",
+            "[1,,2]",
+            "[1",
+        ] {
+            assert!(Json::parse(bad.as_bytes()).is_err(), "accepted {bad}");
         }
+        let mixed = Json::parse(br#"[1,"a"]"#).unwrap();
+        assert_eq!(
+            mixed,
+            Json::Arr(vec![Json::Num(1.0), Json::Str("a".into())])
+        );
+        let nested = Json::parse(b"[1,[2]]").unwrap();
+        assert_eq!(
+            nested,
+            Json::Arr(vec![Json::Num(1.0), Json::f32_row(&[2.0])])
+        );
+        // The numbers of a mixed array are f32 values too.
+        assert_eq!(
+            Json::parse(b"[0.1,null]").unwrap().as_arr().unwrap()[0],
+            Json::Num(f64::from(0.1f32))
+        );
+        let neg_zero = Json::parse(b"[-0]").unwrap();
+        assert_same_bits(&[-0.0], neg_zero.as_f32_row().unwrap());
+        // `[]` is the empty row and the empty array at once.
+        let empty = Json::parse(b"[]").unwrap();
+        assert_eq!(empty, Json::f32_row(&[]));
+        assert_eq!(empty.as_arr(), Some(&[][..]));
+        assert_eq!(empty.to_f32_row(), Some(Vec::new()));
+        // A numeric row is not an `Arr`; a ragged matrix parses, as
+        // rows of two widths (the front door refuses it).
+        assert_eq!(neg_zero.as_arr(), None);
+        let ragged = Json::parse(b"[[1,2],[3]]").unwrap();
+        let widths: Vec<usize> = ragged
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|r| r.as_f32_row().unwrap().len())
+            .collect();
+        assert_eq!(widths, [2, 1]);
+        // Scalars stay f64.
+        assert_eq!(Json::parse(b"1e39").unwrap(), Json::Num(1e39));
+        for doc in [mixed, nested, neg_zero, empty, ragged] {
+            let text = doc.render();
+            let back = Json::parse(text.as_bytes()).unwrap();
+            assert_eq!(back, doc);
+            assert_eq!(back.render(), text, "bits changed through {text}");
+        }
+    }
+
+    /// Finite `f32` bit patterns of one sign per sweep chunk.
+    const SWEEP_CHUNK: u32 = 1 << 16;
+
+    /// Stride of the sweeps the debug profile runs in place of the
+    /// exhaustive ones (about 10⁶ values each).
+    const SWEEP_STRIDE: u32 = 4099;
+
+    /// Every `stride`-th finite `f32` magnitude, with both signs, rendered
+    /// a chunk at a time as one array by `render` and parsed back: the
+    /// values whose bits changed.
+    fn round_trip_sweep(stride: u32, render: impl Fn(&[f32]) -> String + Sync) -> Vec<String> {
+        use rayon::prelude::*;
+        let count = f32::INFINITY.to_bits().div_ceil(stride);
+        let reports: Vec<Option<String>> = (0..count.div_ceil(SWEEP_CHUNK))
+            .into_par_iter()
+            .map(|c| {
+                let first = c * SWEEP_CHUNK;
+                let xs: Vec<f32> = (first..count.min(first + SWEEP_CHUNK))
+                    .flat_map(|i| [i * stride, (i * stride) | 0x8000_0000])
+                    .map(f32::from_bits)
+                    .collect();
+                let text = render(&xs);
+                let doc = match Json::parse(text.as_bytes()) {
+                    Ok(doc) => doc,
+                    Err(why) => return Some(format!("chunk from {:e}: {why}", xs[0])),
+                };
+                let back = doc.as_f32_row().unwrap_or_default();
+                if back.len() != xs.len() {
+                    return Some(format!("chunk from {:e} is not a numeric row", xs[0]));
+                }
+                xs.iter()
+                    .zip(back)
+                    .find(|(a, b)| a.to_bits() != b.to_bits())
+                    .map(|(a, b)| format!("{a:e} came back as {b:e}"))
+            })
+            .collect();
+        reports.into_iter().flatten().collect()
+    }
+
+    /// Shortest round-trip `f32` text, as [`Json::f32_row`] renders it.
+    fn f32_text(xs: &[f32]) -> String {
+        Json::f32_row(xs).render()
+    }
+
+    /// Shortest round-trip `f64` text of each value, as the wire rendered
+    /// `f32`s before numeric rows (and as clients may still send them).
+    fn f64_text(xs: &[f32]) -> String {
+        Json::Arr(xs.iter().map(|&x| Json::Num(f64::from(x))).collect()).render()
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn every_finite_f32_round_trips_through_its_shortest_text() {
+        let failures = round_trip_sweep(1, f32_text);
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    #[test]
+    fn finite_f32s_round_trip_through_their_shortest_text_on_a_strided_sweep() {
+        let failures = round_trip_sweep(SWEEP_STRIDE, f32_text);
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn every_finite_f32_round_trips_through_its_shortest_f64_text() {
+        let failures = round_trip_sweep(1, f64_text);
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    #[test]
+    fn finite_f32s_round_trip_through_their_shortest_f64_text_on_a_strided_sweep() {
+        let failures = round_trip_sweep(SWEEP_STRIDE, f64_text);
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    #[test]
+    fn a_4_mib_string_parses_in_linear_time() {
+        let run = "aé\\n€".repeat(1 << 19); // 4 MiB of text with escapes
+        let doc = format!("{{\"s\":\"{run}\"}}");
+        let t0 = std::time::Instant::now();
+        let parsed = Json::parse(doc.as_bytes()).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(
+            parsed.get("s").and_then(Json::as_str),
+            Some("aé\n€".repeat(1 << 19).as_str())
+        );
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "a 4 MiB string took {elapsed:?} to parse"
+        );
     }
 
     #[test]

@@ -226,13 +226,6 @@ impl<T: Scalar> RaggedBatch<T> {
             .collect()
     }
 
-    /// Mutable contiguous slice of panel `i`.
-    #[inline]
-    pub fn panel_mut(&mut self, i: usize) -> &mut [T] {
-        let (lo, hi) = (self.offsets[i] * self.cols, self.offsets[i + 1] * self.cols);
-        &mut self.data[lo..hi]
-    }
-
     /// Copy panel `i` out as a standalone [`Matrix`].
     pub fn to_panel(&self, i: usize) -> Matrix<T> {
         Matrix::from_vec(self.lens[i], self.cols, self.panel(i).to_vec())
@@ -287,16 +280,6 @@ mod tests {
         for (x, y) in rb.panel(1).iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn cols_1_panels_model_score_columns() {
-        let s0 = [1.0f32, 2.0, 3.0];
-        let s1 = [4.0f32];
-        let rb = RaggedBatch::from_slices(1, &[&s0, &s1]);
-        assert_eq!(rb.lens(), &[3, 1]);
-        assert_eq!(rb.panel(0), &s0);
-        assert_eq!(rb.panel(1), &s1);
     }
 
     #[test]

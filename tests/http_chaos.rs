@@ -22,7 +22,9 @@
 //!   sent.
 //!
 //! A second fuzz-style proptest feeds arbitrary byte streams straight at
-//! the parser: it must return typed errors, never panic.
+//! the parser: it must return typed errors, never panic. It also strings
+//! JSON fragments into numeric-row edge cases, each of which must parse
+//! to a typed error or round-trip bit-exactly.
 
 use dfss::prelude::*;
 use dfss_serve::http::{HttpConfig, HttpServer};
@@ -33,6 +35,34 @@ use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The fragments the JSON fuzz strings together: numbers a numeric row
+/// must carry bit for bit once read (`-0`, subnormals,
+/// `f32::MIN_POSITIVE`, `f32::MAX`, and `1e-50`, which reads as `0`),
+/// numbers it must refuse (out of `f32` range, a lone sign, an empty
+/// item), and items that make an array mixed, nested or unbalanced.
+const JSON_ITEMS: [&str; 20] = [
+    "-0",
+    "0",
+    "1",
+    "0.1",
+    "-2.5e-3",
+    "1e-45",
+    "-1.4e-45",
+    "1.1754944e-38",
+    "3.4028235e38",
+    "-3.4028235e38",
+    "1e-50",
+    "1e39",
+    "-",
+    "",
+    "\"a\"",
+    "null",
+    "[]",
+    "[2]",
+    "[-0,1e-45]",
+    "[1,[",
+];
 
 /// Bounded client-side wait: long enough that a live server always
 /// answers, short enough that a hang fails the test instead of wedging
@@ -387,10 +417,12 @@ proptest! {
 
     /// Fuzz the request parser with arbitrary byte streams: it must
     /// answer `Ok` or a typed [`wire::WireError`] — never panic, never
-    /// loop.
+    /// loop. JSON arrays strung from [`JSON_ITEMS`] must parse to a typed
+    /// error or to a value whose rendering parses back to the same bits.
     #[test]
     fn request_parser_never_panics_on_arbitrary_bytes(
         bytes in proptest::collection::vec(0u8..=255u8, 1024),
+        picks in proptest::collection::vec(0usize..JSON_ITEMS.len(), 12),
     ) {
         let limits = WireLimits {
             max_header_bytes: 256,
@@ -407,6 +439,26 @@ proptest! {
         }
         // The JSON parser gets the same treatment.
         let _ = Json::parse(&bytes);
+        let items: Vec<&str> = picks.iter().map(|&i| JSON_ITEMS[i]).collect();
+        let rows: Vec<String> = items.chunks(3).map(|c| format!("[{}]", c.join(","))).collect();
+        let docs = [
+            items.concat(),
+            format!("[{}]", items.join(",")),
+            format!("[{}]", rows.join(",")),
+            format!("{{\"q_row\":{}}}", rows[0]),
+        ];
+        for doc in docs.iter().chain(&rows) {
+            if let Ok(value) = Json::parse(doc.as_bytes()) {
+                // Distinct finite f32 (and f64) bits render as distinct
+                // text, so equal text after a second pass is equal bits.
+                let text = value.render();
+                let back = Json::parse(text.as_bytes());
+                prop_assert!(back.is_ok(), "{doc} rendered as unparseable {text}");
+                let back = back.unwrap();
+                prop_assert_eq!(back.render(), text);
+                prop_assert!(back == value, "{doc} changed through {text}");
+            }
+        }
     }
 
     /// A valid request head with arbitrary trailing junk parses the head
