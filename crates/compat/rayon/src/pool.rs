@@ -4,11 +4,14 @@
 //! call, and parked on a condvar between jobs. A job is a chunked batch of
 //! tasks: the caller pushes one type-erased [`JobRef`] per participating
 //! worker into the shared queue, then helps execute task chunks itself
-//! (help-first), and finally blocks until every pushed ref has been consumed
-//! and finished. Because the caller cannot return before that point, a
-//! `JobRef` may safely point at the job living in the caller's stack frame —
-//! the same lifetime-erasure protocol `rayon-core` uses, confined to this
-//! module.
+//! (help-first). Once every chunk is claimed it takes back the refs no
+//! worker has popped yet, and blocks until the popped ones have finished:
+//! it waits for workers that are running a chunk, never for one that has
+//! still to wake up (a descheduled worker would otherwise stall the caller
+//! for as long as the host keeps it off a CPU). Because the caller returns
+//! only once no worker can still reach its job, a `JobRef` may safely point
+//! at the job living in the caller's stack frame — the same lifetime-erasure
+//! protocol `rayon-core` uses, confined to this module.
 //!
 //! Scheduling invariants that make the pool deadlock-free:
 //! * workers never block on a job — they only run claim-loops to completion;
@@ -160,11 +163,12 @@ impl Pool {
             outstanding_refs: Mutex::new(refs),
             drained: Condvar::new(),
         };
+        let data = (&job as *const Job) as *const ();
         {
             let mut queue = self.shared.queue.lock().expect("pool queue");
             for _ in 0..refs {
                 queue.push_back(JobRef {
-                    data: (&job as *const Job) as *const (),
+                    data,
                     exec: execute_job_ref,
                 });
             }
@@ -172,6 +176,15 @@ impl Pool {
         }
         // Help-first: the caller claims chunks alongside the workers.
         job.claim_loop();
+        // Nothing is left to claim: a ref still queued would only wake a
+        // worker to find no work, so take it back instead of waiting.
+        let unpopped = {
+            let mut queue = self.shared.queue.lock().expect("pool queue");
+            let before = queue.len();
+            queue.retain(|r| r.data != data);
+            before - queue.len()
+        };
+        job.retract_refs(unpopped);
         job.wait_drained();
         let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(payload) = payload {
@@ -193,7 +206,8 @@ fn worker_loop(shared: &'static Shared) {
             }
         };
         // SAFETY: the caller that pushed this ref is blocked in `run` until
-        // `outstanding_refs` hits zero, which `execute_job_ref` only signals
+        // `outstanding_refs` hits zero. It takes back only refs still in the
+        // queue, never a popped one, and `execute_job_ref` signals only
         // after its last touch of the job.
         unsafe { (job_ref.exec)(job_ref.data) };
     }
@@ -249,6 +263,16 @@ impl Job<'_> {
         }
     }
 
+    /// Drop `n` refs the caller took back from the queue unexecuted.
+    fn retract_refs(&self, n: usize) {
+        if n > 0 {
+            *self
+                .outstanding_refs
+                .lock()
+                .unwrap_or_else(|e| e.into_inner()) -= n;
+        }
+    }
+
     fn wait_drained(&self) {
         let mut refs = self
             .outstanding_refs
@@ -272,4 +296,39 @@ unsafe fn execute_job_ref(data: *const ()) {
     let job: &Job<'_> = unsafe { &*(data as *const Job<'_>) };
     job.claim_loop();
     job.finish_ref();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    #[test]
+    fn caller_never_waits_for_a_worker_that_has_not_started() {
+        // A two-wide pool whose one worker never runs: every ref it is sent
+        // stays queued, as it does while the host keeps a worker off a CPU.
+        let shared: &'static Shared = Box::leak(Box::new(Shared {
+            queue: Mutex::new(VecDeque::new()),
+            work_available: Condvar::new(),
+        }));
+        let pool = Pool {
+            shared,
+            threads: 2,
+            workers: 1,
+        };
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let sum = AtomicUsize::new(0);
+            pool.run(8, &|i| {
+                sum.fetch_add(i, Ordering::Relaxed);
+            });
+            done.send(sum.into_inner()).expect("test thread waits");
+        });
+        let sum = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the caller ran every chunk and then waited for a worker that never started");
+        assert_eq!(sum, (0..8).sum::<usize>());
+        assert!(shared.queue.lock().expect("pool queue").is_empty());
+    }
 }
