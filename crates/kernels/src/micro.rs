@@ -6,9 +6,13 @@
 //! public microkernel here routes through [`crate::simd::active`] — AVX2
 //! or AVX-512 when the CPU has them, the always-compiled scalar reference
 //! otherwise (every non-x86 target, or under `DFSS_SIMD=scalar`). Every
-//! backend is bit-identical to the scalar reference by construction (no
-//! FMA, scalar reduction tree preserved; see the parity gauntlet in
-//! `tests/simd_parity.rs`), so kernel results do not depend on the host CPU.
+//! backend is bit-identical to the scalar reference by construction (one
+//! fused multiply-add per tile term on every backend, scalar reduction
+//! tree preserved; see the parity gauntlet in `tests/simd_parity.rs`), so
+//! kernel results do not depend on the host CPU. The tiles' operands are
+//! TF32- or bf16-rounded, so their products are exact and the fused step
+//! gives the bits a multiply then an add would, short of overflow or a
+//! product below 2^−128.
 //!
 //! Loop-shape inventory:
 //!
@@ -26,23 +30,26 @@
 //!   once per k for all four rows. `gemm_nn` and the row-tile driver's
 //!   dense AV stage call it directly, as the N:M SpMM calls
 //!   [`simd::spmm_tile`].
-//! * [`axpy`] — `acc[j] += s · row[j]` over a long contiguous row; the
-//!   lanes are independent. The blocked-ELL SDDMM accumulates its active
-//!   blocks as an outer product over a [`widen_transposed`] K panel, in the
-//!   same serial k-order as [`panel_product`]; the CSR and blocked-ELL
-//!   SpMMs gather V rows with [`axpy`].
+//! * [`axpy`] — `acc[j] = fma(s, row[j], acc[j])` over a long contiguous
+//!   row; the lanes are independent. The blocked-ELL SDDMM accumulates its
+//!   active blocks as an outer product over a [`widen_transposed`] K panel,
+//!   in the same serial k-order as [`panel_product`]; the CSR and
+//!   blocked-ELL SpMMs gather V rows with [`axpy`].
 //!
-//! Operand widening ([`widen`], [`widen_transposed`]) goes through the
-//! thread-local scratch arena: the f32 copies (and the per-row accumulators
-//! kernels take via [`dfss_tensor::scratch_f32`]) are reused across calls
-//! instead of re-allocated — the persistent worker pool keeps each worker's
-//! arena warm for the whole process lifetime.
+//! Operand widening ([`widen`], [`widen_packed`], [`widen_transposed`])
+//! goes through the thread-local scratch arena: the f32 copies (and the
+//! per-row accumulators kernels take via [`dfss_tensor::scratch_f32`]) are
+//! reused across calls instead of re-allocated — the persistent worker
+//! pool keeps each worker's arena warm for the whole process lifetime —
+//! and start on 64-byte boundaries, so a 16-lane load of a row whose width
+//! is a multiple of 16 never splits a cache line.
 
 use crate::simd::{self, TILE_ROWS};
 use dfss_tensor::{scratch_f32_from, Scalar, ScratchF32};
 
-/// `acc[j] += s * row[j]` over the whole slice. The lanes are independent,
-/// so any SIMD width computes the same bits; the helper exists to keep the
+/// `acc[j] = fma(s, row[j], acc[j])` over the whole slice: one rounding per
+/// element, as the register tiles' steps. The lanes are independent, so
+/// any SIMD width computes the same bits; the helper exists to keep the
 /// update in one place (and one idiom) across every row-accumulation loop.
 ///
 /// # Panics
@@ -234,6 +241,26 @@ mod tests {
             }
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&expect), bits(&got), "{m}x{n}x{ka}");
+        }
+    }
+
+    #[test]
+    fn widened_operands_start_on_cache_lines() {
+        // Every widening path hands the tiles a 64-byte-aligned slice,
+        // held across calls or not.
+        let m = Matrix::<f32>::from_fn(5, 13, |r, c| (r * 13 + c) as f32);
+        for round in 0..3 {
+            let held = [
+                widen(m.as_slice()),
+                widen_packed(m.as_slice(), 1, 5, 13),
+                widen_transposed(m.as_slice(), 1, 5, 13),
+            ];
+            for (what, s) in ["widen", "widen_packed", "widen_transposed"]
+                .iter()
+                .zip(&held)
+            {
+                assert_eq!(s.as_ptr() as usize % 64, 0, "{what}, round {round}");
+            }
         }
     }
 

@@ -15,15 +15,23 @@
 //! **Bit-parity is a hard contract**, not a best-effort goal. The existing
 //! test suites pin exact bitwise equality between kernels (batched vs
 //! looped, ragged vs solo, paged vs contiguous), so a SIMD backend may not
-//! change a single ulp. Three rules make that possible:
+//! change a single ulp. These rules make that possible:
 //!
-//! * **No FMA.** The scalar path rounds every product before adding
-//!   (`acc += s * x` is an IEEE multiply then an IEEE add); fused
-//!   multiply-add keeps the infinite-precision product and produces
-//!   different bits. All backends use separate multiply and add.
+//! * **One fused multiply-add per term in the tiles, nowhere else.**
+//!   [`Backend::axpy`] and the register tiles of [`Backend::panel_tile`],
+//!   [`nn_tile`] and [`spmm_tile`] step `acc = fma(s, x, acc)`: the scalar
+//!   references call `f32::mul_add`, the AVX-512 bodies `_mm512_fmadd_ps`
+//!   and the AVX2 bodies `_mm256_fmadd_ps` (so [`Backend::Avx2`] needs the
+//!   `fma` feature). A fused multiply-add rounds once on every backend, so
+//!   it is the same operation everywhere. The operands come through
+//!   [`Scalar::to_mul`]: TF32 (11 significand bits) or bf16 (8), whose
+//!   products fit f32's 24 bits exactly unless they overflow or fall below
+//!   2^−128, so on them the fused step also gives the bits of a multiply
+//!   then an add. Every other op — decode's [`dot_widen`] and
+//!   [`axpy_widen`], the exp polynomial, the prune epilogue's scale —
+//!   rounds each product before adding, on every backend.
 //! * **Element-wise ops vectorise freely.** [`Backend::axpy`] and the
-//!   register tiles of [`Backend::panel_tile`], [`nn_tile`] and
-//!   [`spmm_tile`] update independent output lanes in serial k-order;
+//!   register tiles update independent output lanes in serial k-order;
 //!   lane width does not touch the per-lane operation order, so any width
 //!   or tile shape is bit-identical (the AVX-512 score tile holds 4 rows ×
 //!   32 columns, AVX2's 4 × 16).
@@ -106,11 +114,11 @@ pub enum Backend {
     /// Portable reference implementation (also the `DFSS_SIMD=scalar` CI
     /// leg). Defines the bit-exact semantics of every operation.
     Scalar,
-    /// 256-bit x86-64 path (8 f32 lanes).
+    /// 256-bit x86-64 path (8 f32 lanes); needs AVX2 and FMA.
     Avx2,
     /// 512-bit x86-64 path: 16-lane element-wise ops and exp-pass sum,
     /// 8-lane dot (the dot's reduction shape is part of the bit contract and
-    /// cannot widen).
+    /// cannot widen); needs AVX-512F, and AVX2 and FMA for the 8-lane ops.
     Avx512,
 }
 
@@ -124,14 +132,25 @@ impl Backend {
         }
     }
 
-    /// Whether this backend can run on the current CPU.
+    /// Whether this backend can run on the current CPU. Detected once per
+    /// process: every SIMD entry asserts it per call, and decode calls one
+    /// per cached key.
+    #[inline]
     pub fn available(self) -> bool {
+        static AVAILABLE: OnceLock<[bool; 3]> = OnceLock::new();
+        AVAILABLE.get_or_init(|| {
+            [Backend::Scalar, Backend::Avx2, Backend::Avx512].map(Backend::runs_here)
+        })[self as usize]
+    }
+
+    /// Feature detection behind [`available`](Self::available).
+    fn runs_here(self) -> bool {
         match self {
             Backend::Scalar => true,
             Backend::Avx2 => {
                 #[cfg(target_arch = "x86_64")]
                 {
-                    is_x86_feature_detected!("avx2")
+                    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {
@@ -141,7 +160,9 @@ impl Backend {
             Backend::Avx512 => {
                 #[cfg(target_arch = "x86_64")]
                 {
-                    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("avx512f")
+                    is_x86_feature_detected!("avx2")
+                        && is_x86_feature_detected!("fma")
+                        && is_x86_feature_detected!("avx512f")
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {
@@ -244,21 +265,21 @@ pub fn force(backend: Option<Backend>) {
 // Scalar reference implementations (the bit-exact semantics).
 // ---------------------------------------------------------------------------
 
-/// Reference `acc[j] += s · row[j]`.
+/// Reference `acc[j] = fma(s, row[j], acc[j])`.
 #[inline(always)]
 pub fn axpy_ref(acc: &mut [f32], s: f32, row: &[f32]) {
     debug_assert_eq!(acc.len(), row.len());
     for (o, &x) in acc.iter_mut().zip(row) {
-        *o += s * x;
+        *o = s.mul_add(x, *o);
     }
 }
 
 /// One scalar block of [`Backend::panel_tile`]: `R` rows × the `w ≤ 16`
 /// columns `j0 ..` of one packed `ka × 16` block, accumulated from `0.0` in
-/// serial k-order. It defines the op's semantics; the scalar backend runs
-/// a tile's blocks through it one after the other. Kept out of line:
-/// inlined into the dispatch, the scalar score tile measured up to 1.3×
-/// slower.
+/// serial k-order, one `mul_add` per term. It defines the op's semantics;
+/// the scalar backend runs a tile's blocks through it one after the other.
+/// Kept out of line: inlined into the dispatch, the scalar score tile
+/// measured up to 1.3× slower.
 #[inline(never)]
 fn panel_block_ref<const R: usize>(
     arows: &[&[f32]; TILE_ROWS],
@@ -277,7 +298,7 @@ fn panel_block_ref<const R: usize>(
         for r in 0..R {
             let s = arows[r][kk];
             for (o, &x) in acc[r].iter_mut().zip(row) {
-                *o += s * x;
+                *o = s.mul_add(x, *o);
             }
         }
     }
@@ -487,9 +508,10 @@ impl Lanes for LanesScan {
 }
 
 /// One scalar window of [`spmm_tile`]: `R` rows × columns `j0 .. j0 + w`
-/// (`w ≤ 64`), accumulated from `0.0` in ascending group, then lane, order.
-/// It defines the op's semantics, and the SIMD backends run their column
-/// tails through it, so those tails match the reference by construction.
+/// (`w ≤ 64`), accumulated from `0.0` in ascending group, then lane, order,
+/// one `mul_add` per term. It defines the op's semantics, and the SIMD
+/// backends run their column tails through it, so those tails match the
+/// reference by construction.
 #[inline(always)]
 fn spmm_window_ref<T: Scalar, L: Lanes, const R: usize>(
     lanes: L,
@@ -512,7 +534,7 @@ fn spmm_window_ref<T: Scalar, L: Lanes, const R: usize>(
                 let s = nz[(r * gpr + g) * n + i].to_mul();
                 let row = &v[(g * m + lane) * d + j0..][..w];
                 for (o, &x) in acc[..w].iter_mut().zip(row) {
-                    *o += s * x;
+                    *o = s.mul_add(x, *o);
                 }
             }
         }
@@ -535,9 +557,9 @@ pub fn spmm_tile_ref<T: Scalar>(
 }
 
 /// One scalar window of [`nn_tile`]: `R` rows × columns `j0 .. j0 + w`
-/// (`w ≤ 64`), accumulated from `0.0` in ascending k, skipping each term
-/// whose A entry is `±0.0`. It defines the op's semantics, and the AVX2
-/// backend runs its column tails through it.
+/// (`w ≤ 64`), accumulated from `0.0` in ascending k, one `mul_add` per
+/// term, skipping each term whose A entry is `±0.0`. It defines the op's
+/// semantics, and the AVX2 backend runs its column tails through it.
 #[inline(always)]
 fn nn_window_ref<T: Scalar, const R: usize>(
     a: &[f32],
@@ -557,7 +579,7 @@ fn nn_window_ref<T: Scalar, const R: usize>(
                 continue;
             }
             for (o, &x) in acc[..w].iter_mut().zip(row) {
-                *o += s * x;
+                *o = s.mul_add(x, *o);
             }
         }
     }
@@ -643,7 +665,8 @@ fn prune_rows_into_2_4<T: Scalar>(
 // ---------------------------------------------------------------------------
 
 impl Backend {
-    /// `acc[j] += s · row[j]` (element-wise; bit-identical at any width).
+    /// `acc[j] = fma(s, row[j], acc[j])` (element-wise, one rounding per
+    /// element; bit-identical at any width).
     ///
     /// # Panics
     /// If this backend is not available on this CPU, or `acc` and `row`
@@ -669,8 +692,8 @@ impl Backend {
     /// `ka = arows[0].len()` elements; `block` holds the `⌈w/16⌉` packed
     /// `ka × 16` blocks the columns come from, back to back; results
     /// overwrite `acc_out[r·n + j0 .. r·n + j0 + w]`. Every element sums its
-    /// `ka` products from `0.0` in serial k-order (multiply, then add: no
-    /// FMA), so the tile's shape — AVX-512 holds both blocks in registers
+    /// `ka` terms from `0.0` in serial k-order, one fused multiply-add per
+    /// term, so the tile's shape — AVX-512 holds both blocks in registers
     /// at once, AVX2 and the scalar reference run them one after the other
     /// — never changes a bit.
     ///
@@ -944,7 +967,7 @@ pub fn axpy_widen<S: Scalar>(backend: Backend, acc: &mut [f32], s: f32, row: &[S
 /// (`a`, row-major, `ka = a.len() / rcnt` columns) against a widened
 /// row-major `ka × n` B, written into the `rcnt × n` output `out`:
 /// `out[r][j] = Σ a[r][k] · b[k][j]`, the terms added from `0.0` in
-/// ascending k (multiply, then add: no FMA) and converted once with
+/// ascending k (one fused multiply-add per term) and converted once with
 /// `from_acc`. A term whose A entry is `0.0` or `−0.0` is skipped, not
 /// multiplied, so a non-finite B row under a zero weight (a softmax weight
 /// that underflowed, a masked one) never reaches the output.
@@ -1020,7 +1043,7 @@ fn nn_rows<T: Scalar, const R: usize>(
 /// (`N` per group, row-major), `codes` one selection byte per group, and
 /// `out` the `rcnt × d` result:
 /// `out[r][j] = Σ to_mul(nz) · v[col][j]`, the terms added from `0.0` in
-/// ascending group, then lane, order (multiply, then add: no FMA) and
+/// ascending group, then lane, order (one fused multiply-add per term) and
 /// converted once with `from_acc`. Codes decode totally — 1:2 as
 /// `(code >> 1) & 1`, 2:4 through a 16-entry table of `code & 0xF`, other
 /// patterns as a bit-scan of the low `M` bits that stops after `N` lanes —
@@ -1217,7 +1240,7 @@ mod x86 {
         out
     }
 
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn axpy_avx2(acc: &mut [f32], s: f32, row: &[f32]) {
         let n = acc.len();
         let full = n / 8 * 8;
@@ -1226,18 +1249,16 @@ mod x86 {
         while i < full {
             let o = _mm256_loadu_ps(acc.as_ptr().add(i));
             let x = _mm256_loadu_ps(row.as_ptr().add(i));
-            _mm256_storeu_ps(
-                acc.as_mut_ptr().add(i),
-                _mm256_add_ps(o, _mm256_mul_ps(vs, x)),
-            );
+            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_fmadd_ps(vs, x, o));
             i += 8;
         }
         for j in full..n {
-            *acc.get_unchecked_mut(j) += s * row.get_unchecked(j);
+            let o = acc.get_unchecked_mut(j);
+            *o = s.mul_add(*row.get_unchecked(j), *o);
         }
     }
 
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx512f,fma")]
     pub(super) unsafe fn axpy_avx512(acc: &mut [f32], s: f32, row: &[f32]) {
         let n = acc.len();
         let full = n / 16 * 16;
@@ -1246,14 +1267,12 @@ mod x86 {
         while i < full {
             let o = _mm512_loadu_ps(acc.as_ptr().add(i));
             let x = _mm512_loadu_ps(row.as_ptr().add(i));
-            _mm512_storeu_ps(
-                acc.as_mut_ptr().add(i),
-                _mm512_add_ps(o, _mm512_mul_ps(vs, x)),
-            );
+            _mm512_storeu_ps(acc.as_mut_ptr().add(i), _mm512_fmadd_ps(vs, x, o));
             i += 16;
         }
         for j in full..n {
-            *acc.get_unchecked_mut(j) += s * row.get_unchecked(j);
+            let o = acc.get_unchecked_mut(j);
+            *o = s.mul_add(*row.get_unchecked(j), *o);
         }
     }
 
@@ -1301,10 +1320,10 @@ mod x86 {
     /// would not fit the 16 registers; a tile runs its blocks in turn).
     ///
     /// # Safety
-    /// AVX2 must be available, `block` must start a packed `ka × 16` block
-    /// and `w ≤ 16`, and the other slices must have the lengths
-    /// `Backend::panel_tile` checks for `R` rows.
-    #[target_feature(enable = "avx2")]
+    /// AVX2 and FMA must be available, `block` must start a packed
+    /// `ka × 16` block and `w ≤ 16`, and the other slices must have the
+    /// lengths `Backend::panel_tile` checks for `R` rows.
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn panel_block_avx2<const R: usize>(
         arows: &[&[f32]; TILE_ROWS],
         block: &[f32],
@@ -1320,8 +1339,8 @@ mod x86 {
             let b1 = _mm256_loadu_ps(block.as_ptr().add(kk * 16 + 8));
             for (r, [lo, hi]) in acc.iter_mut().enumerate() {
                 let s = _mm256_set1_ps(*arows[r].get_unchecked(kk));
-                *lo = _mm256_add_ps(*lo, _mm256_mul_ps(s, b0));
-                *hi = _mm256_add_ps(*hi, _mm256_mul_ps(s, b1));
+                *lo = _mm256_fmadd_ps(s, b0, *lo);
+                *hi = _mm256_fmadd_ps(s, b1, *hi);
             }
         }
         let mut tile = [0.0f32; 16];
@@ -1359,7 +1378,7 @@ mod x86 {
             for (r, acc) in acc.iter_mut().enumerate() {
                 let s = _mm512_set1_ps(*arows[r].get_unchecked(kk));
                 for (v, &b) in acc.iter_mut().zip(&b) {
-                    *v = _mm512_add_ps(*v, _mm512_mul_ps(s, b));
+                    *v = _mm512_fmadd_ps(s, b, *v);
                 }
             }
         }
@@ -1610,7 +1629,7 @@ mod x86 {
                     }
                     let s = _mm512_set1_ps(s);
                     for (v, &x) in acc.iter_mut().zip(&x) {
-                        *v = _mm512_add_ps(*v, _mm512_mul_ps(s, x));
+                        *v = _mm512_fmadd_ps(s, x, *v);
                     }
                 }
             }
@@ -1624,9 +1643,9 @@ mod x86 {
     /// scalar reference window.
     ///
     /// # Safety
-    /// AVX2 must be available, and the slices must have the lengths
+    /// AVX2 and FMA must be available, and the slices must have the lengths
     /// `super::nn_tile` checks for `R` rows of `ka` columns.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn nn_rows_avx2<T: Scalar, const R: usize>(
         a: &[f32],
         ka: usize,
@@ -1648,7 +1667,7 @@ mod x86 {
                     }
                     let s = _mm256_set1_ps(s);
                     for (v, &x) in acc.iter_mut().zip(&x) {
-                        *v = _mm256_add_ps(*v, _mm256_mul_ps(s, x));
+                        *v = _mm256_fmadd_ps(s, x, *v);
                     }
                 }
             }
@@ -1694,7 +1713,7 @@ mod x86 {
                         let row = v.as_ptr().wrapping_add((g * m + lane) * d + j0);
                         for (c, a) in acc.iter_mut().enumerate() {
                             let x = _mm512_maskz_loadu_ps(masks[c], row.wrapping_add(16 * c));
-                            *a = _mm512_add_ps(*a, _mm512_mul_ps(s, x));
+                            *a = _mm512_fmadd_ps(s, x, *a);
                         }
                     }
                 }
@@ -1709,9 +1728,9 @@ mod x86 {
     /// scalar reference window.
     ///
     /// # Safety
-    /// AVX2 must be available, and the slices must have the lengths
+    /// AVX2 and FMA must be available, and the slices must have the lengths
     /// `super::spmm_tile` checks for `R` rows of `gpr` groups.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn spmm_rows_avx2<T: Scalar, L: Lanes, const R: usize>(
         lanes: L,
         gpr: usize,
@@ -1735,7 +1754,7 @@ mod x86 {
                         let row = v.as_ptr().add((g * m + lane) * d + j0);
                         for (c, a) in acc.iter_mut().enumerate() {
                             let x = _mm256_loadu_ps(row.add(8 * c));
-                            *a = _mm256_add_ps(*a, _mm256_mul_ps(s, x));
+                            *a = _mm256_fmadd_ps(s, x, *a);
                         }
                     }
                 }

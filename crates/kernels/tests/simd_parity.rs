@@ -5,9 +5,15 @@
 //! This is the contract that lets `DFSS_SIMD` pick a backend freely
 //! without perturbing a single downstream test, proptest, or golden
 //! artifact: the vector kernels keep the scalar reference's reduction
-//! trees and never contract mul+add into FMA, so regrouping into lanes is
-//! the *only* transformation — and the references are written in the same
-//! lane-blocked order.
+//! trees, fuse a multiply into its add exactly where the reference calls
+//! `mul_add` (the register tiles and `axpy`) and nowhere else, so
+//! regrouping into lanes is the *only* transformation — and the references
+//! are written in the same lane-blocked order.
+//!
+//! The tiles' fused steps give the bits of a multiply then an add whenever
+//! the products are exact, which TF32- and bf16-rounded operands make
+//! them unless a product overflows or falls below 2^−128: a random sweep
+//! of such tiles checks the first, and one pinned product the edge.
 //!
 //! Lengths cover 0, 1, lane−1, lane, lane+1, tail-only, exact multiples,
 //! multiples±1 and large-ish odd sizes, for both the 8-lane (AVX2) and
@@ -64,8 +70,8 @@ fn axpy_is_bit_identical_across_backends() {
 }
 
 /// Every backend's dense NN tile against `Backend::Scalar`, and the scalar
-/// tile against a serial-k, zero-skipping `axpy_ref` model, for one output
-/// type.
+/// tile against a serial-k, zero-skipping `axpy_ref` model (one `mul_add`
+/// per term, as the tile), for one output type.
 fn nn_tile_gauntlet<T: Scalar>(seed: u64) {
     let mut rng = Rng::new(seed);
     for &ka in &[0usize, 1, 7, 33, 1024] {
@@ -141,10 +147,10 @@ fn nn_tile_is_bit_identical_across_backends() {
 #[test]
 fn panel_tile_is_bit_identical_across_backends() {
     // One register tile: rcnt rows × w ≤ 32 columns of one or two packed
-    // blocks over ka steps. Element-wise mul+add per k step, so any lane
-    // width or block order is exact — but the tails (w around 16 and 32,
-    // rcnt < 4) are where the masking bugs live. The reference itself is
-    // checked against a serial-k model.
+    // blocks over ka steps. One element-wise fused multiply-add per k step,
+    // so any lane width or block order is exact — but the tails (w around
+    // 16 and 32, rcnt < 4) are where the masking bugs live. The reference
+    // itself is checked against a serial-k `mul_add` model.
     let mut rng = Rng::new(0x7113);
     let (n, j0) = (40usize, 3usize); // acc stride wider than the tile
     for &ka in &[1usize, 7, 33, 64] {
@@ -160,7 +166,7 @@ fn panel_tile_is_bit_identical_across_backends() {
                         let (c, l) = (j / 16, j % 16);
                         let mut acc = 0.0f32;
                         for (kk, &s) in arows[r].iter().enumerate() {
-                            acc += s * block[(c * ka + kk) * 16 + l];
+                            acc = s.mul_add(block[(c * ka + kk) * 16 + l], acc);
                         }
                         model[r * n + j0 + j] = acc;
                     }
@@ -338,8 +344,8 @@ fn code_sets(pattern: NmPattern, groups: usize, rng: &mut Rng) -> Vec<Vec<u8>> {
 }
 
 /// Every backend's N:M SpMM tile against the scalar reference, and the
-/// reference against a serial model of the documented decode, for one
-/// nonzero type over the given column counts.
+/// reference against a serial `mul_add` model of the documented decode, for
+/// one nonzero type over the given column counts.
 fn spmm_tile_gauntlet<T: Scalar>(seed: u64, widths: &[usize]) {
     let mut rng = Rng::new(seed);
     let gpr = 5usize;
@@ -373,7 +379,7 @@ fn spmm_tile_gauntlet<T: Scalar>(seed: u64, widths: &[usize]) {
                                 let s = nz[(r * gpr + g) * n + i].to_mul();
                                 let row = &v[(g * m + lane) * d..(g * m + lane + 1) * d];
                                 for (o, &x) in acc.iter_mut().zip(row) {
-                                    *o += s * x;
+                                    *o = s.mul_add(x, *o);
                                 }
                             }
                         }
@@ -407,6 +413,151 @@ fn spmm_tile_is_bit_identical_across_backends() {
         &[1, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 80, 129],
     );
     spmm_tile_gauntlet::<Bf16>(0x5B16, &[5, 16, 64, 70]);
+}
+
+/// `len` multiply operands as the kernels hand them to a tile after
+/// `to_mul`: TF32 values for `T = f32`, bf16 values for `T = Bf16`. Each
+/// magnitude lies in `[2^−30, 2^31)`, so every product of two is exact in
+/// f32.
+fn mul_operands<T: Scalar>(len: usize, rng: &mut Rng) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+            let scale = 2f32.powi(rng.below(61) as i32 - 30);
+            T::from_f32(sign * rng.uniform_range(1.0, 2.0) * scale).to_mul()
+        })
+        .collect()
+}
+
+/// Random tiles of rounded operands through every available backend's
+/// `panel_tile`, `nn_tile`, `spmm_tile` and `axpy`, against the model the
+/// tiles computed before they fused: each product rounded, then added.
+fn rounded_tiles_sweep<T: Scalar>(seed: u64) {
+    let mut rng = Rng::new(seed);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let t_bits = |v: &[T]| v.iter().map(|x| x.to_f32().to_bits()).collect::<Vec<_>>();
+    for _ in 0..24 {
+        let (rcnt, ka, n) = (1 + rng.below(4), 1 + rng.below(96), 1 + rng.below(80));
+        let a = mul_operands::<T>(rcnt * ka, &mut rng);
+        let b = mul_operands::<T>(ka * n, &mut rng);
+        let unfused = |r: usize, j: usize| {
+            (0..ka).fold(0.0f32, |acc, kk| acc + a[r * ka + kk] * b[kk * n + j])
+        };
+        let nn_model: Vec<T> = (0..rcnt * n)
+            .map(|e| T::from_acc(unfused(e / n, e % n)))
+            .collect();
+        // The panel tile reads B's first w ≤ 32 columns packed as
+        // ⌈w/16⌉ `ka × 16` blocks.
+        let w = n.min(32);
+        let mut block = vec![0.0f32; w.div_ceil(16) * ka * 16];
+        for j in 0..w {
+            for kk in 0..ka {
+                block[((j / 16) * ka + kk) * 16 + j % 16] = b[kk * n + j];
+            }
+        }
+        let panel_model: Vec<f32> = (0..rcnt * w).map(|e| unfused(e / w, e % w)).collect();
+        let arows: [&[f32]; 4] = std::array::from_fn(|r| &a[r.min(rcnt - 1) * ka..][..ka]);
+        let acc0 = mul_operands::<T>(n, &mut rng);
+        let axpy_model: Vec<f32> = (0..n).map(|j| acc0[j] + a[0] * b[j]).collect();
+        for pattern in [NmPattern::P1_2, NmPattern::P2_4] {
+            let (pn, m) = (pattern.n(), pattern.m());
+            let gpr = 1 + rng.below(24);
+            let v = mul_operands::<T>(gpr * m * n, &mut rng);
+            let nz: Vec<T> = mul_operands::<T>(rcnt * gpr * pn, &mut rng)
+                .into_iter()
+                .map(T::from_f32)
+                .collect();
+            let codes = code_sets(pattern, rcnt * gpr, &mut rng).swap_remove(0);
+            let spmm_model: Vec<T> = (0..rcnt * n)
+                .map(|e| {
+                    let (r, j) = (e / n, e % n);
+                    let mut acc = 0.0f32;
+                    for g in 0..gpr {
+                        let lanes = model_lanes(pattern, codes[r * gpr + g]);
+                        for (i, lane) in lanes.into_iter().enumerate() {
+                            let s = nz[(r * gpr + g) * pn + i].to_mul();
+                            acc += s * v[(g * m + lane) * n + j];
+                        }
+                    }
+                    T::from_acc(acc)
+                })
+                .collect();
+            for backend in available_backends() {
+                let what = format!(
+                    "{} {pattern} {rcnt}x{ka}x{n} on {}",
+                    T::NAME,
+                    backend.name()
+                );
+                let mut got = vec![T::from_f32(-7.0); rcnt * n];
+                spmm_tile(backend, pattern, rcnt, &nz, &codes, &v, n, &mut got);
+                assert_eq!(t_bits(&got), t_bits(&spmm_model), "spmm_tile {what}");
+            }
+        }
+        for backend in available_backends() {
+            let what = format!("{} {rcnt}x{ka}x{n} on {}", T::NAME, backend.name());
+            let mut got = vec![T::from_f32(-7.0); rcnt * n];
+            nn_tile(backend, rcnt, &a, &b, n, &mut got);
+            assert_eq!(t_bits(&got), t_bits(&nn_model), "nn_tile {what}");
+            let mut got = vec![-7.0f32; rcnt * w];
+            backend.panel_tile(&arows, rcnt, &block, w, 0, w, &mut got);
+            assert_eq!(bits(&got), bits(&panel_model), "panel_tile {what}");
+            let mut got = acc0.clone();
+            backend.axpy(&mut got, a[0], &b[..n]);
+            assert_eq!(bits(&got), bits(&axpy_model), "axpy {what}");
+        }
+    }
+}
+
+#[test]
+fn tiles_on_rounded_operands_match_multiply_then_add() {
+    // TF32 products need 22 significand bits and bf16 products 16, so
+    // away from overflow and 2^−128 each one is exact in f32, and a fused
+    // step rounds where a rounded multiply then an add would.
+    rounded_tiles_sweep::<f32>(0xF32A);
+    rounded_tiles_sweep::<Bf16>(0xB16A);
+}
+
+#[test]
+fn a_product_below_two_to_the_minus_128_fuses_differently_on_every_backend() {
+    // 2^−75 · 2^−75 = 2^−150, half the least subnormal. Rounded alone it
+    // ties to +0, so multiply-then-add leaves an accumulated 2^−149 as it
+    // is; the fused step rounds 2^−149 + 2^−150 once and ties to 2^−148.
+    // This is the edge of the exactness argument, pinned: the tiles and
+    // axpy give the fused bits on every backend.
+    let tiny = f32::from_bits((127 - 75) << 23);
+    let least = f32::from_bits(1);
+    let (a, b) = ([tiny, tiny], [2.0 * tiny, tiny]);
+    let unfused = (0.0 + a[0] * b[0]) + a[1] * b[1];
+    let fused = a[1].mul_add(b[1], a[0].mul_add(b[0], 0.0));
+    assert_eq!(unfused.to_bits(), least.to_bits());
+    assert_eq!(fused.to_bits(), (2.0 * least).to_bits());
+    let mut block = vec![0.0f32; 2 * 16];
+    (block[0], block[16]) = (b[0], b[1]);
+    // 1:2 groups `[b[g], 0]` whose code 0b01 keeps lane 0.
+    let v = [b[0], 0.0, b[1], 0.0];
+    for backend in available_backends() {
+        let mut panel = [f32::NAN];
+        backend.panel_tile(&[&a[..]; 4], 1, &block, 1, 0, 1, &mut panel);
+        let mut nn = [f32::NAN];
+        nn_tile(backend, 1, &a, &b, 1, &mut nn);
+        let mut spmm = [f32::NAN];
+        spmm_tile(backend, NmPattern::P1_2, 1, &a, &[1, 1], &v, 1, &mut spmm);
+        let mut axpy = [least];
+        backend.axpy(&mut axpy, tiny, &[tiny]);
+        for (what, got) in [
+            ("panel_tile", panel),
+            ("nn_tile", nn),
+            ("spmm_tile", spmm),
+            ("axpy", axpy),
+        ] {
+            assert_eq!(
+                got[0].to_bits(),
+                fused.to_bits(),
+                "{what} on {}",
+                backend.name()
+            );
+        }
+    }
 }
 
 #[test]

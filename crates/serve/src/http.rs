@@ -1229,6 +1229,52 @@ mod tests {
     }
 
     #[test]
+    fn numbers_and_escapes_outside_json_are_typed_400() {
+        let server = start_http(BatchPolicy::default());
+        let addr = server.local_addr();
+        let mut client = HttpClient::connect(addr);
+        let opened = client
+            .call(
+                "POST",
+                "/v1/sessions",
+                Some(&Json::obj(vec![("d", Json::Num(2.0))])),
+            )
+            .expect("open");
+        let sid = opened.get("session").unwrap().as_f64().unwrap() as u64;
+        let path = format!("/v1/sessions/{sid}/decode");
+        // Rust's float parser and `from_str_radix` took each of these.
+        for body in [
+            r#"{"q_row":[+1,0]}"#,
+            r#"{"q_row":[.5,0]}"#,
+            r#"{"q_row":[1.,0]}"#,
+            r#"{"q_row":[01,0]}"#,
+            r#"{"q_row":[-.5e-3,0]}"#,
+            r#"{"q_row":[1,0],"x":"\u+041"}"#,
+            r#"{"q_row":[1,0],"x":"\ud83d"}"#,
+        ] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let head = format!(
+                "POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+                body.len()
+            );
+            stream.write_all(head.as_bytes()).unwrap();
+            stream.write_all(body.as_bytes()).unwrap();
+            let mut reader = RequestReader::new(stream.try_clone().unwrap());
+            let resp =
+                wire::read_response(&mut reader, &WireLimits::default()).expect("a response");
+            let text = String::from_utf8_lossy(&resp.body);
+            assert_eq!(resp.status, 400, "{body}: {text}");
+            assert!(text.contains("\"kind\":\"Malformed\""), "{body}: {text}");
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.served, 0);
+        assert_eq!(stats.decode_steps, 0);
+    }
+
+    #[test]
     fn garbage_bytes_get_400_and_count_as_parse_rejects() {
         let server = start_http(BatchPolicy::default());
         let addr = server.local_addr();

@@ -471,7 +471,11 @@ const MAX_JSON_DEPTH: usize = 64;
 /// - **Every other number is `f64`** ([`Json::Num`]): object fields such
 ///   as `d`, `ticket` and `sim_latency_s`, and a bare document.
 /// - A number that is not finite at its width is refused: `1e39` inside
-///   an array, `1e999` anywhere.
+///   an array, `1e999` anywhere. So is any text outside RFC 8259's number
+///   grammar, such as `+1`, `.5`, `1.` or `01`.
+/// - Numbers render as shortest round-trip text at their width, in
+///   exponent form (`1e-45`, `3.4028235e38`) outside
+///   `1e-5 ≤ |x| < 1e16`, so no number's text runs past 24 bytes.
 ///
 /// [`as_arr`](Self::as_arr) returns `None` on a numeric row; read one
 /// with [`as_f32_row`](Self::as_f32_row) or
@@ -588,8 +592,12 @@ impl Json {
                     out.push_str("-0");
                 } else if x.fract() == 0.0 && x.abs() < 1e15 {
                     let _ = write!(out, "{}", *x as i64);
-                } else {
+                } else if (1e-5..1e16).contains(&x.abs()) {
                     let _ = write!(out, "{x}");
+                } else {
+                    // Plain decimal would run long here: `1e300` is 301
+                    // digits.
+                    let _ = write!(out, "{x:e}");
                 }
             }
             Json::Str(s) => write_escaped(out, s),
@@ -609,11 +617,16 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    // `f32`'s Display is its shortest round-trip text.
-                    if x.is_finite() {
+                    // `f32`'s Display and LowerExp are both its shortest
+                    // round-trip text.
+                    if !x.is_finite() {
+                        out.push_str("null");
+                    } else if *x == 0.0 || (1e-5..1e16).contains(&x.abs()) {
                         let _ = write!(out, "{x}");
                     } else {
-                        out.push_str("null");
+                        // Plain decimal would run long here:
+                        // `f32::MIN_POSITIVE` is 47 bytes.
+                        let _ = write!(out, "{x:e}");
                     }
                 }
                 out.push(']');
@@ -791,16 +804,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
+                        let mut code = hex4(bytes, *pos + 1)?;
                         *pos += 4;
+                        if (0xD800..0xDC00).contains(&code) {
+                            // A high surrogate and the escaped low one
+                            // after it are one char.
+                            let low = match bytes.get(*pos + 1..*pos + 3) {
+                                Some(b"\\u") => hex4(bytes, *pos + 3)?,
+                                _ => return Err(UNPAIRED.into()),
+                            };
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err(UNPAIRED.into());
+                            }
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            *pos += 6;
+                        }
+                        // A lone low surrogate is no char.
+                        out.push(char::from_u32(code).ok_or(UNPAIRED)?);
                     }
                     other => return Err(format!("bad escape {other:?}")),
                 }
@@ -820,22 +840,67 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-/// One number token, parsed at width `F` (correctly rounded). A result
-/// that is not finite at that width is refused.
+const UNPAIRED: &str = "unpaired surrogate in \\u escape";
+
+/// The code unit of the four hex digits at `bytes[at..]`, the digits of a
+/// `\u` escape.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let hex = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    hex.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or("\\u escape without four hex digits")?;
+        Ok(code << 4 | digit)
+    })
+}
+
+/// One number token, parsed at width `F` (correctly rounded). The token
+/// must have RFC 8259's form
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, and a result that is
+/// not finite at that width is refused.
 fn parse_number<F: std::str::FromStr + Into<f64> + Copy>(
     bytes: &[u8],
     pos: &mut usize,
 ) -> Result<F, String> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    let invalid = || format!("invalid number at byte {start}");
+    let at = |pos: &usize| bytes.get(*pos).copied();
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while matches!(at(pos), Some(b'0'..=b'9')) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    if at(pos) == Some(b'-') {
         *pos += 1;
+    }
+    match at(pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(invalid()),
+    }
+    if at(pos) == Some(b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(invalid());
+        }
+    }
+    if matches!(at(pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(at(pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(invalid());
+        }
     }
     let parsed = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|e| e.to_string())?
         .parse::<F>()
-        .map_err(|_| format!("invalid number at byte {start}"))?;
+        .map_err(|_| invalid())?;
     if parsed.into().is_finite() {
         Ok(parsed)
     } else {
@@ -1187,6 +1252,122 @@ mod tests {
             elapsed < Duration::from_secs(5),
             "a 4 MiB string took {elapsed:?} to parse"
         );
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for bad in [
+            "[+1]",
+            "[.5]",
+            "[1.]",
+            "[01]",
+            "[-.5e-3]",
+            "+1",
+            "01",
+            "-01",
+            "00",
+            "1e",
+            "1e+",
+            "[1E]",
+            "--1",
+            "[-]",
+            "1.e5",
+            "[0x10]",
+            "[1e5.0]",
+            "[Infinity]",
+            "[NaN]",
+            "-",
+            ".",
+        ] {
+            assert!(Json::parse(bad.as_bytes()).is_err(), "accepted {bad}");
+        }
+        for (good, want) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5e-3", -0.5e-3),
+            ("1E+2", 100.0),
+            ("1e5", 1e5),
+            ("2.5E-1", 0.25),
+        ] {
+            let x = Json::parse(good.as_bytes()).unwrap().as_f64().unwrap();
+            assert_eq!(x.to_bits(), f64::to_bits(want), "{good}");
+            let row = Json::parse(format!("[{good},{good}]").as_bytes()).unwrap();
+            assert_same_bits(row.as_f32_row().unwrap(), &[want as f32; 2]);
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_and_pair_surrogates() {
+        for (doc, want) in [
+            (r#""\u0041""#, "A"),
+            (r#""\u00e9\u20AC""#, "é€"),
+            (r#""\ud83d\ude00""#, "😀"),
+            (r#""a\uD83D\uDE00b""#, "a😀b"),
+        ] {
+            let parsed = Json::parse(doc.as_bytes()).unwrap();
+            assert_eq!(parsed.as_str(), Some(want), "{doc}");
+            assert_eq!(Json::parse(parsed.render().as_bytes()).unwrap(), parsed);
+        }
+        for bad in [
+            r#""\u+041""#,
+            r#""\u004""#,
+            r#""\u004g""#,
+            r#""\u 041""#,
+            r#""\u""#,
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\u12""#,
+            r#""\ude00""#,
+        ] {
+            assert!(Json::parse(bad.as_bytes()).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn number_text_takes_exponent_form_outside_its_plain_range() {
+        for (x, want) in [
+            (f32::MIN_POSITIVE, "1.1754944e-38"),
+            (-f32::MAX, "-3.4028235e38"),
+            (f32::from_bits(1), "1e-45"),
+            (1e16, "1e16"),
+            (9.9e-6, "9.9e-6"),
+            // In the range the text is what it was before exponent form.
+            (1e-5, "0.00001"),
+            (0.1, "0.1"),
+            (-2.5, "-2.5"),
+            (1e15, "1000000000000000"),
+            (0.0, "0"),
+            (-0.0, "-0"),
+        ] {
+            assert_eq!(Json::f32_row(&[x]).render(), format!("[{want}]"), "{x:e}");
+        }
+        for (x, want) in [
+            (1e300, "1e300"),
+            (-1e-300, "-1e-300"),
+            (f64::MIN_POSITIVE, "2.2250738585072014e-308"),
+            (1e16, "1e16"),
+            (123456.5, "123456.5"),
+            (1e15, "1000000000000000"),
+            (0.25, "0.25"),
+        ] {
+            assert_eq!(Json::Num(x).render(), want, "{x:e}");
+        }
+        // Bit patterns strided over every sign and exponent: no text runs
+        // past 17 bytes for an f32 or 24 for an f64.
+        for bits in (0..u32::MAX).step_by(40_009) {
+            let x = f32::from_bits(bits);
+            let text = Json::f32_row(&[x]).render();
+            assert!(text.len() <= 17 + 2, "{x:e} renders as {text}");
+        }
+        for bits in (0..u64::MAX).step_by(1 << 44) {
+            let x = f64::from_bits(bits);
+            let text = Json::Num(x).render();
+            assert!(text.len() <= 24, "{x:e} renders as {text}");
+        }
     }
 
     #[test]

@@ -13,9 +13,25 @@
 //! thread's free list survives across kernel calls — the steady state of a
 //! benchmark loop or a transformer forward pass performs **zero** scratch
 //! allocations.
+//!
+//! Every slice starts on a 64-byte boundary. The allocator aligns a
+//! `Vec<f32>` to 16 bytes only, and a large one lands at 16 mod 64; a
+//! widened row of d = 64 then straddles two cache lines on every 64-byte
+//! load. So each buffer is over-allocated by up to 15 elements and the
+//! slice starts at its first aligned element. The free list still parks
+//! whole `Vec`s, and a reused buffer keeps its address, so its slice keeps
+//! its start.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
+
+/// Alignment of every scratch slice, in bytes: one cache line, one
+/// AVX-512 register.
+const ALIGN: usize = 64;
+
+/// Elements a buffer holds past its slice, at most, so that an aligned
+/// start always fits.
+const ALIGN_PAD: usize = ALIGN / std::mem::size_of::<f32>() - 1;
 
 /// Retain at most this many buffers per thread; enough for the deepest
 /// kernel (two widened operands + transpose panel + accumulator) with room
@@ -32,25 +48,28 @@ thread_local! {
     static FREE_LIST: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// RAII handle to a pooled `f32` buffer; dereferences to `[f32]` and returns
-/// the storage to the thread-local free list on drop.
+/// RAII handle to a pooled `f32` buffer; dereferences to a 64-byte-aligned
+/// `[f32]` and returns the storage to the thread-local free list on drop.
 #[derive(Debug)]
 pub struct ScratchF32 {
     buf: Vec<f32>,
+    /// Index in `buf` of the slice's first element; the slice runs to the
+    /// end of `buf`.
+    off: usize,
 }
 
 impl Deref for ScratchF32 {
     type Target = [f32];
     #[inline]
     fn deref(&self) -> &[f32] {
-        &self.buf
+        &self.buf[self.off..]
     }
 }
 
 impl DerefMut for ScratchF32 {
     #[inline]
     fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.buf
+        &mut self.buf[self.off..]
     }
 }
 
@@ -90,6 +109,18 @@ fn pop_best_fit(len: usize) -> Option<Vec<f32>> {
     })
 }
 
+/// A buffer with room for `len` elements from its first 64-byte-aligned
+/// element on, and that element's index. Its capacity is final: nothing
+/// later in an acquisition reallocates it, so the start stays aligned.
+fn aligned_buffer(len: usize) -> (Vec<f32>, usize) {
+    let mut buf = pop_best_fit(len + ALIGN_PAD).unwrap_or_default();
+    buf.reserve((len + ALIGN_PAD).saturating_sub(buf.len()));
+    // `align_offset` may decline (`usize::MAX`); the slice then starts
+    // unaligned, still inside the buffer.
+    let off = buf.as_ptr().align_offset(ALIGN).min(ALIGN_PAD);
+    (buf, off)
+}
+
 /// Acquire a zero-filled scratch buffer of exactly `len` elements, reusing
 /// pooled storage when available.
 pub fn scratch_f32(len: usize) -> ScratchF32 {
@@ -104,26 +135,21 @@ pub fn scratch_f32(len: usize) -> ScratchF32 {
 /// re-zero it per iteration anyway — this skips [`scratch_f32`]'s zero-fill
 /// pass.
 pub fn scratch_f32_stale(len: usize) -> ScratchF32 {
-    let mut buf = pop_best_fit(len).unwrap_or_default();
-    if buf.len() > len {
-        buf.truncate(len);
-    } else {
-        // Only the growth tail is written; the retained prefix keeps its
-        // stale values.
-        buf.resize(len, 0.0);
-    }
-    ScratchF32 { buf }
+    let (mut buf, off) = aligned_buffer(len);
+    // Only a growth tail is written; the retained prefix keeps its stale
+    // values.
+    buf.resize(off + len, 0.0);
+    ScratchF32 { buf, off }
 }
 
 /// Acquire a scratch buffer filled from an iterator that yields exactly
 /// `len` elements (skips the zero-fill of [`scratch_f32`]).
 pub fn scratch_f32_from(len: usize, values: impl Iterator<Item = f32>) -> ScratchF32 {
-    let mut buf = pop_best_fit(len).unwrap_or_default();
-    buf.clear();
-    buf.reserve(len);
+    let (mut buf, off) = aligned_buffer(len);
+    buf.resize(off, 0.0);
     buf.extend(values);
-    assert_eq!(buf.len(), len, "scratch iterator length mismatch");
-    ScratchF32 { buf }
+    assert_eq!(buf.len() - off, len, "scratch iterator length mismatch");
+    ScratchF32 { buf, off }
 }
 
 /// Number of buffers currently parked on this thread's free list (test
@@ -198,9 +224,9 @@ mod tests {
 
     #[test]
     fn pool_is_byte_bounded() {
-        // Two buffers of MAX_POOLED_BYTES/2 fill the cap; a third is freed
-        // rather than parked.
-        let half = MAX_POOLED_BYTES / 2 / 4;
+        // Two buffers of MAX_POOLED_BYTES/2 (alignment padding included)
+        // fill the cap; a third is freed rather than parked.
+        let half = MAX_POOLED_BYTES / 2 / 4 - ALIGN_PAD;
         let held: Vec<ScratchF32> = (0..3).map(|_| scratch_f32(half)).collect();
         drop(held);
         FREE_LIST.with(|fl| {
@@ -227,6 +253,43 @@ mod tests {
         });
         drop(s);
         FREE_LIST.with(|fl| fl.borrow_mut().clear());
+    }
+
+    #[test]
+    fn every_acquisition_path_is_aligned_and_sized() {
+        let aligned = |s: &ScratchF32, len: usize, what: &str| {
+            assert_eq!(s.len(), len, "{what}: length");
+            assert_eq!(s.as_ptr() as usize % ALIGN, 0, "{what}: {:p}", s.as_ptr());
+        };
+        FREE_LIST.with(|fl| fl.borrow_mut().clear());
+        for len in [0usize, 1, 15, 16, 17, 1000] {
+            let s = scratch_f32(len);
+            aligned(&s, len, &format!("zeroed {len}"));
+            assert!(s.iter().all(|&x| x == 0.0));
+            drop(s);
+            aligned(&scratch_f32_stale(len), len, &format!("stale {len}"));
+            let from = scratch_f32_from(len, (0..len).map(|i| i as f32));
+            aligned(&from, len, &format!("from an iterator {len}"));
+            assert!(from.iter().enumerate().all(|(i, &x)| x == i as f32));
+        }
+        // A reused buffer keeps its address, so its slice keeps its start.
+        FREE_LIST.with(|fl| fl.borrow_mut().clear());
+        let first = scratch_f32_stale(64);
+        let at = first.as_ptr();
+        drop(first);
+        let reused = scratch_f32_stale(48);
+        assert_eq!(reused.as_ptr(), at, "reused buffer moved");
+        aligned(&reused, 48, "reused");
+        drop(reused);
+        // One parked buffer too small for the request grows (reallocates)
+        // and is aligned again at its new address.
+        let regrown = scratch_f32_stale(1 << 16);
+        aligned(&regrown, 1 << 16, "regrown");
+        drop(regrown);
+        FREE_LIST.with(|fl| {
+            assert_eq!(fl.borrow().len(), 1, "the regrown buffer is parked");
+            fl.borrow_mut().clear();
+        });
     }
 
     #[test]

@@ -40,8 +40,10 @@ use std::time::Duration;
 /// must carry bit for bit once read (`-0`, subnormals,
 /// `f32::MIN_POSITIVE`, `f32::MAX`, and `1e-50`, which reads as `0`),
 /// numbers it must refuse (out of `f32` range, a lone sign, an empty
-/// item), and items that make an array mixed, nested or unbalanced.
-const JSON_ITEMS: [&str; 20] = [
+/// item, and forms outside JSON's number grammar), strings whose `\u`
+/// escapes must pair or be refused, and items that make an array mixed,
+/// nested or unbalanced.
+const JSON_ITEMS: [&str; 29] = [
     "-0",
     "0",
     "1",
@@ -62,6 +64,15 @@ const JSON_ITEMS: [&str; 20] = [
     "[2]",
     "[-0,1e-45]",
     "[1,[",
+    "+1",
+    ".5",
+    "1.",
+    "01",
+    "-.5e-3",
+    r#""\u+041""#,
+    r#""\ud83d\ude00""#,
+    r#""\ud83d""#,
+    r#""\ude00""#,
 ];
 
 /// Bounded client-side wait: long enough that a live server always
