@@ -7,21 +7,26 @@
 //! 2. compressed softmax over the nonzeros (rows are N/M as long);
 //! 3. SpMM with `V` on the simulated sparse tensor core.
 //!
-//! Two mechanisms share the code: [`DfssAttention`], and the blocked-ELL
-//! hybrid for long sequences ([`DfssEllAttention`], A.1.2). On the host
-//! Dfss prefill runs all three stages through the row-tile driver
-//! ([`dfss_kernels::rowtile`]), charged as the three launches above;
-//! `forward_with_weights` and decode run the staged kernels. The unfused
-//! ablation (a separate prune kernel, what §2.3 says existing libraries
-//! do) is a kernel-level comparison, [`sddmm::sddmm_nm_unfused`], not a
-//! mechanism.
+//! On the host [`DfssAttention`]'s prefill runs all three stages through
+//! the row-tile driver ([`dfss_kernels::rowtile`]), charged as the three
+//! launches above; `forward_with_weights` and decode run the staged
+//! kernels. The unfused ablation (a separate prune kernel, what §2.3 says
+//! existing libraries do) is a kernel-level comparison,
+//! [`sddmm::sddmm_nm_unfused`], not a mechanism.
+//!
+//! The paper's kernel also supports hybrid blocked-ELL × N:M sparsity for
+//! long sequences (A.1.2), and Figure 18 combines Dfss with BigBird and
+//! Linformer. No figure or table here reproduces those, so neither is
+//! built. A long-sequence figure would bring the hybrid back as a block
+//! map over the row-tile driver's `panel_product` blocks, not as a
+//! separate kernel family.
 
 use crate::mechanism::{
-    check_decode, check_decode_paged, check_qkv, check_qkv_batched, check_qkv_rows, Attention,
-    KvViews, RequestError,
+    check_decode, check_decode_paged, check_qkv_batched, check_qkv_rows, Attention, KvViews,
+    RequestError,
 };
-use dfss_kernels::{ell, rowtile, sddmm, softmax, spmm, GpuCtx};
-use dfss_nmsparse::{BlockedEll, NmCompressed, NmPattern, NmRagged};
+use dfss_kernels::{rowtile, sddmm, softmax, spmm, GpuCtx};
+use dfss_nmsparse::{NmCompressed, NmPattern, NmRagged};
 use dfss_tensor::{BatchedMatrix, Matrix, PagedPanel, Scalar};
 
 /// The Dfss attention mechanism.
@@ -157,9 +162,6 @@ impl<T: Scalar> Attention<T> for DfssAttention {
 
     /// The N:M prune, compressed softmax and SpMM are all per-score-row
     /// over the key columns, so chunked prefill stacks bit-identically.
-    /// (The blocked-ELL hybrid does **not** share this property — its
-    /// sliding window depends on the query row's global index — and keeps
-    /// the default `false`.)
     fn supports_row_chunking(&self) -> bool {
         true
     }
@@ -224,104 +226,6 @@ impl<T: Scalar> Attention<T> for DfssAttention {
             return Err(RequestError::Unsupported {
                 mechanism: Attention::<T>::name(self),
                 reason: format!("n = {n} is not a multiple of M = {}", self.pattern.m()),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Dfss combined with blocked-ELL sparsity for long sequences: scores are
-/// computed only inside the active blocks, pruned N:M within them.
-#[derive(Clone, Debug)]
-pub struct DfssEllAttention {
-    pattern: NmPattern,
-    /// Diagonal window width in blocks.
-    pub window_blocks: usize,
-    /// Block edge (= GEMM thread-block tile in the paper).
-    pub block: usize,
-}
-
-impl DfssEllAttention {
-    pub fn new(pattern: NmPattern, block: usize, window_blocks: usize) -> DfssEllAttention {
-        DfssEllAttention {
-            pattern,
-            window_blocks,
-            block,
-        }
-    }
-}
-
-impl<T: Scalar> Attention<T> for DfssEllAttention {
-    fn name(&self) -> String {
-        format!(
-            "Dfss {} + ELL(w={}) ({})",
-            self.pattern,
-            self.window_blocks,
-            T::NAME
-        )
-    }
-
-    fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
-        let (n, d) = check_qkv(q, k, v);
-        let scale = 1.0 / (d as f32).sqrt();
-        let ell = BlockedEll::sliding_window(n, n, self.block, self.window_blocks);
-        let packed_cols = ell.ell_width() * self.block;
-        let kept = self.pattern.kept_per_row(packed_cols);
-        let bytes = (n * kept * T::BYTES) as u64
-            + ((n * packed_cols / self.pattern.m()) as u64 * 4).div_ceil(8);
-        let id = ctx.mem.alloc("scores_ell_nm", bytes);
-        let mut a = ell::sddmm_ell_nm_fused(ctx, q, k, scale, self.pattern, &ell);
-        ell::softmax_ell_nm(ctx, &mut a);
-        let out = ell::spmm_ell_nm(ctx, &a, v);
-        ctx.mem.free(id);
-        out
-    }
-
-    /// Natively batched hybrid pipeline: one launch per op for the whole
-    /// stack (the ELL block map is shape-derived, so every head shares it).
-    fn forward_batched(
-        &self,
-        ctx: &mut GpuCtx,
-        q: &BatchedMatrix<T>,
-        k: &BatchedMatrix<T>,
-        v: &BatchedMatrix<T>,
-    ) -> BatchedMatrix<T> {
-        let (batch, n, d) = check_qkv_batched(q, k, v);
-        let scale = 1.0 / (d as f32).sqrt();
-        let ell = BlockedEll::sliding_window(n, n, self.block, self.window_blocks);
-        let packed_cols = ell.ell_width() * self.block;
-        let kept = self.pattern.kept_per_row(packed_cols);
-        let bytes = (batch * n * kept * T::BYTES) as u64
-            + ((batch * n * packed_cols / self.pattern.m()) as u64 * 4).div_ceil(8);
-        let id = ctx.mem.alloc("scores_ell_nm", bytes);
-        let mut a = ell::sddmm_ell_nm_fused_batched(ctx, q, k, scale, self.pattern, &ell);
-        ell::softmax_ell_nm_batched(ctx, &mut a);
-        let out = ell::spmm_ell_nm_batched(ctx, &a, v);
-        ctx.mem.free(id);
-        out
-    }
-
-    /// The hybrid needs whole ELL blocks (`n` a multiple of the block edge)
-    /// and the packed window rows to split into M-groups.
-    fn check_shape(&self, n: usize, _d: usize) -> Result<(), RequestError> {
-        if n == 0 {
-            return Err(RequestError::EmptyRequest);
-        }
-        let name = Attention::<T>::name(self);
-        if self.block == 0 || !n.is_multiple_of(self.block) {
-            return Err(RequestError::Unsupported {
-                mechanism: name,
-                reason: format!("n = {n} is not a multiple of block = {}", self.block),
-            });
-        }
-        let packed_cols = self.window_blocks.min(n / self.block) * self.block;
-        if packed_cols == 0 || !packed_cols.is_multiple_of(self.pattern.m()) {
-            return Err(RequestError::Unsupported {
-                mechanism: name,
-                reason: format!(
-                    "packed window width {packed_cols} is not a positive multiple of M = {}",
-                    self.pattern.m()
-                ),
             });
         }
         Ok(())
@@ -472,17 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn ell_hybrid_runs_and_is_cheaper_at_long_seq() {
-        let (q, k, v) = qkv(512, 32, 8);
-        let mut ch = GpuCtx::a100();
-        let mut cd = GpuCtx::a100();
-        let hybrid = DfssEllAttention::new(NmPattern::P1_2, 128, 2);
-        let _ = hybrid.forward(&mut ch, &q, &k, &v);
-        let _ = DfssAttention::new(NmPattern::P1_2).forward(&mut cd, &q, &k, &v);
-        assert!(ch.timeline.total_bytes() < cd.timeline.total_bytes());
-    }
-
-    #[test]
     fn drop_in_name_matches_paper_notation() {
         let m = DfssAttention::for_dtype::<f32>();
         assert_eq!(Attention::<f32>::name(&m), "Dfss 1:2 (float)");
@@ -538,30 +431,6 @@ mod tests {
                 &kb.to_panel(b),
                 &vb.to_panel(b),
             );
-            let same = out
-                .panel(b)
-                .iter()
-                .zip(single.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "head {b} diverged");
-        }
-        assert_eq!(bctx.timeline.total_bytes(), sctx.timeline.total_bytes());
-    }
-
-    #[test]
-    fn batched_ell_forward_matches_per_head_loop() {
-        let (batch, n, d) = (3usize, 128usize, 16usize);
-        let mut rng = Rng::new(14);
-        let qb = BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
-        let kb = BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
-        let vb = BatchedMatrix::<f32>::random_normal(batch, n, d, 0.0, 1.0, &mut rng);
-        let mech = DfssEllAttention::new(NmPattern::P1_2, 32, 2);
-        let mut bctx = GpuCtx::a100();
-        let out = mech.forward_batched(&mut bctx, &qb, &kb, &vb);
-        assert_eq!(bctx.timeline.entries().len(), 3);
-        let mut sctx = GpuCtx::a100();
-        for b in 0..batch {
-            let single = mech.forward(&mut sctx, &qb.to_panel(b), &kb.to_panel(b), &vb.to_panel(b));
             let same = out
                 .panel(b)
                 .iter()

@@ -1099,14 +1099,15 @@ mod tests {
 
     /// A mechanism that cannot chunk runs a whole chunk through its own
     /// `forward` — never a dense stand-in — and refuses a partial one typed,
-    /// before anything launches.
+    /// before anything launches. Nyström's landmarks are segment means of
+    /// the whole Q, and Performer's feature stabiliser is a max over all of
+    /// Q's projections.
     #[test]
     fn forward_chunk_runs_the_mechanism_and_refuses_partial_chunks_it_cannot_chunk() {
-        use crate::dfss::DfssEllAttention;
-        use crate::sparse_baselines::LocalAttention;
+        use crate::linear_baselines::{NystromAttention, PerformerAttention};
         let mechs: Vec<Box<dyn Attention<f32>>> = vec![
-            Box::new(LocalAttention::new(4)),
-            Box::new(DfssEllAttention::new(NmPattern::P2_4, 8, 2)),
+            Box::new(NystromAttention::new(8)),
+            Box::new(PerformerAttention::new(4)),
         ];
         let mut rng = Rng::new(3);
         let (q, k, v) = request(32, 16, &mut rng);

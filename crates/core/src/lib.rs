@@ -12,14 +12,19 @@
 //! | module | mechanisms | paper role |
 //! |---|---|---|
 //! | [`full`] | dense attention | the baseline of every figure |
-//! | [`dfss`] | Dfss 1:2 / 2:4 / generic N:M (prune fused into the QKᵀ epilogue), blocked-ELL hybrid | §3 |
-//! | [`sparse_baselines`] | explicit top-k, fixed (truncated columns), local window, BigBird-style block sparse (± Dfss) | §4.3–4.4, Fig 11 |
-//! | [`linear_baselines`] | Performer (FAVOR+), Nyströmformer (± Dfss), Linformer (± Dfss) | Fig 5, A.5, A.7 |
+//! | [`dfss`] | Dfss 1:2 / 2:4 / generic N:M (prune fused into the QKᵀ epilogue) | §3 |
+//! | [`sparse_baselines`] | explicit top-k, fixed (truncated columns) | §4.3–4.4, Fig 11 |
+//! | [`linear_baselines`] | Performer (FAVOR+), Nyströmformer (± Dfss) | Fig 5, A.5, A.7 |
 //! | [`cluster_baselines`] | Reformer (LSH), Routing (k-means), Sinkhorn (block matching) | Fig 5 |
 //! | [`quality`] | the `Q^p` lottery-ticket quality metric (Def 4.1) | Fig 12, 13 |
 //! | [`theory`] | Props 4.2/4.3, Eqs 5/6/33, the Performer MSE bounds (Eqs 30/31) | §4, A.2–A.5 |
 //! | [`visualize`] | ASCII/CSV attention heat maps | Fig 19 |
 //! | [`engine`] | [`AttentionEngine`]: one prefill entry (`forward_chunk`: a whole request, or a row slice of one) and ragged decode batching over any mechanism | §5.2 serving, A.1.2 |
+//!
+//! Table 4's Local, BigBird and Linformer rows train the transformer's own
+//! masked or projected attention (`dfss_transformer::AttnKind`). The
+//! paper's blocked-ELL hybrid (A.1.2) and Figure 18's combinations are not
+//! built here (see [`dfss`]).
 
 pub mod cluster_baselines;
 pub mod dfss;

@@ -1,10 +1,11 @@
-//! Linear-complexity baselines: Performer (FAVOR+), Nyströmformer and
-//! Linformer — plus the Dfss combinations of Appendix A.7.
+//! Linear-complexity baselines: Performer (FAVOR+) and Nyströmformer —
+//! plus the Dfss combination of Appendix A.7.
 //!
 //! These reduce the quadratic complexity but pay per-step overheads that
 //! dominate at short and moderate sequence length (Figure 5); Dfss composes
-//! with Nyströmformer (Figure 17) and Linformer (Figure 18(B)) because both
-//! still contain softmax-GEMM pairs over an `n×m` / `n×k` score matrix.
+//! with Nyströmformer (Figure 17) because it still contains softmax-GEMM
+//! pairs over an `n×m` score matrix. Table 4's Linformer row trains the
+//! transformer's own projection (`dfss_transformer::AttnKind`).
 
 use crate::mechanism::{check_qkv, Attention};
 use dfss_gpusim::{KernelProfile, Stage};
@@ -376,98 +377,6 @@ impl<T: Scalar> Attention<T> for NystromAttention {
     }
 }
 
-/// Linformer (Wang et al. 2020): project the sequence dimension of K and V
-/// to `k ≪ n` with matrices E, F. For inference benchmarking the projections
-/// are seeded Gaussians; the trainable variant lives in `dfss-transformer`.
-#[derive(Clone, Debug)]
-pub struct LinformerAttention {
-    pub proj_dim: usize,
-    pub seed: u64,
-    /// `Some(pattern)` prunes the n×k score matrix on the fly
-    /// (Figure 18(B)).
-    pub dfss: Option<NmPattern>,
-}
-
-impl LinformerAttention {
-    pub fn new(proj_dim: usize, seed: u64) -> LinformerAttention {
-        LinformerAttention {
-            proj_dim,
-            seed,
-            dfss: None,
-        }
-    }
-
-    pub fn with_dfss(mut self, pattern: NmPattern) -> LinformerAttention {
-        self.dfss = Some(pattern);
-        self
-    }
-}
-
-impl<T: Scalar> Attention<T> for LinformerAttention {
-    fn name(&self) -> String {
-        match self.dfss {
-            Some(p) => format!("Linformer+Dfss {} ({})", p, T::NAME),
-            None => format!("Linformer ({})", T::NAME),
-        }
-    }
-
-    fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
-        let (n, d) = check_qkv(q, k, v);
-        let kdim = self.proj_dim.min(n);
-        let scale = 1.0 / (d as f32).sqrt();
-        let mut rng = Rng::new(self.seed);
-        let sigma = 1.0 / (n as f32).sqrt();
-        let e = Matrix::<f32>::random_normal(kdim, n, 0.0, sigma, &mut rng);
-        let f = Matrix::<f32>::random_normal(kdim, n, 0.0, sigma, &mut rng);
-
-        // EK and FV projections (Overhead).
-        gemm::charge_gemm::<T>(ctx, "linformer_ek", Stage::Overhead, kdim, d, n);
-        gemm::charge_gemm::<T>(ctx, "linformer_fv", Stage::Overhead, kdim, d, n);
-        let ek = e.matmul_ref(&k.to_f32());
-        let fv = f.matmul_ref(&v.to_f32());
-        let id = ctx
-            .mem
-            .alloc("linformer_scores", (n * kdim * T::BYTES) as u64);
-
-        if !ctx.exec && self.dfss.is_none() {
-            gemm::charge_gemm::<T>(ctx, "linformer_qk", Stage::Qk, n, kdim, d);
-            ctx.record(
-                KernelProfile::new("linformer_softmax", Stage::Softmax)
-                    .with_traffic(
-                        (2 * n * kdim * T::BYTES) as u64,
-                        (n * kdim * T::BYTES) as u64,
-                    )
-                    .with_alu((n * kdim) as u64 * 6),
-            );
-            gemm::charge_gemm::<T>(ctx, "linformer_av", Stage::Av, n, d, kdim);
-            ctx.mem.free(id);
-            return Matrix::zeros(n, v.cols());
-        }
-        let out = if let Some(pattern) = self.dfss {
-            let q_t: Matrix<T> = q.clone();
-            let ek_t: Matrix<T> = ek.cast();
-            let mut comp = sddmm::sddmm_nm_fused(ctx, &q_t, &ek_t, scale, pattern);
-            softmax::softmax_nm(ctx, &mut comp);
-            spmm::spmm_nm(ctx, &comp, &fv.cast::<T>())
-        } else {
-            gemm::charge_gemm::<T>(ctx, "linformer_qk", Stage::Qk, n, kdim, d);
-            ctx.record(
-                KernelProfile::new("linformer_softmax", Stage::Softmax)
-                    .with_traffic(
-                        (2 * n * kdim * T::BYTES) as u64,
-                        (n * kdim * T::BYTES) as u64,
-                    )
-                    .with_alu((n * kdim) as u64 * 6),
-            );
-            gemm::charge_gemm::<T>(ctx, "linformer_av", Stage::Av, n, d, kdim);
-            let scores = softmax_rows_scaled(&q.to_f32().matmul_ref(&ek.transpose()), scale);
-            scores.matmul_ref(&fv).cast()
-        };
-        ctx.mem.free(id);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,25 +500,5 @@ mod tests {
         assert_eq!(base.shape(), combo.shape());
         // The combined version compresses both n-sized factors.
         assert!(c2.timeline.total_bytes() < c1.timeline.total_bytes());
-    }
-
-    #[test]
-    fn linformer_shapes_and_overhead() {
-        let (q, k, v) = qkv(128, 16, 8);
-        let mut ctx = GpuCtx::a100();
-        let out = LinformerAttention::new(32, 1).forward(&mut ctx, &q, &k, &v);
-        assert_eq!(out.shape(), (128, 16));
-        assert!(ctx.timeline.stage_bytes(Stage::Overhead) > 0);
-    }
-
-    #[test]
-    fn linformer_dfss_matches_shape_and_runs() {
-        let (q, k, v) = qkv(128, 16, 9);
-        let mut ctx = GpuCtx::a100();
-        let out = LinformerAttention::new(32, 1)
-            .with_dfss(NmPattern::P1_2)
-            .forward(&mut ctx, &q, &k, &v);
-        assert_eq!(out.shape(), (128, 16));
-        assert!(out.as_slice().iter().all(|x| x.is_finite()));
     }
 }

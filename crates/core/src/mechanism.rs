@@ -218,7 +218,7 @@ pub trait Attention<T: Scalar> {
     /// rejects unservable shapes with a typed error before admission.
     ///
     /// The default accepts any non-empty shape; mechanisms with structural
-    /// requirements (N:M group alignment, ELL block tiling) override it.
+    /// requirements (N:M group alignment) override it.
     fn check_shape(&self, n: usize, d: usize) -> Result<(), RequestError> {
         let _ = d;
         if n == 0 {
@@ -236,8 +236,8 @@ pub trait Attention<T: Scalar> {
     /// is row-separable over the key columns — scores keep the serial-k
     /// per-element sum order, softmax and any pruning act per score row —
     /// which is true of the dense pipeline and of Dfss's N:M epilogue, but
-    /// *not* of row-position-dependent structures (the blocked-ELL sliding
-    /// window).
+    /// *not* of mechanisms that depend on the whole Q (Nyström's landmarks
+    /// are segment means of all of Q's rows).
     ///
     /// `false` (the default) keeps Q square and tells the serving scheduler
     /// to run this mechanism's prefills whole — correctness never depends

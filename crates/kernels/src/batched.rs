@@ -1,7 +1,7 @@
 //! The pool fan-out shared by the prefill exec bodies.
 //!
 //! A launch covers `batch` same-shape panels (a solo `gemm_nt`, `gemm_nn`,
-//! `sddmm_nm_fused`, `spmm_nm` or blocked-ELL call is the one-panel case).
+//! `sddmm_nm_fused` or `spmm_nm` call is the one-panel case).
 //! It records a single [`KernelProfile`] whose counters are exactly
 //! `batch ×` the per-panel charge (shape work such as `GpuCtx::tile_for`
 //! runs once per launch, not once per head), and executes as **one pool

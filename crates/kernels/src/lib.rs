@@ -18,15 +18,14 @@
 //!   TF32 input rounding on the `float` path.
 //! * [`sddmm`] — fused SDDMM + N:M prune epilogue, and the unfused ablation
 //!   it is measured against (`gemm_nt`, then the standalone dense-prune
-//!   kernel; solo only). The scaled N:M selection of
-//!   accumulators is written once (`prune_rows_dispatch`, which the
-//!   blocked-ELL SDDMM, the decode prune and the row-tile driver share);
-//!   the verbatim one is [`NmPattern::compress_groups_into`].
+//!   kernel; solo only). The scaled N:M selection of accumulators is
+//!   written once (`prune_rows_dispatch`, which the decode prune and the
+//!   row-tile driver share); the verbatim one is
+//!   [`NmPattern::compress_groups_into`].
 //! * [`softmax`] — dense softmax, compressed N:M softmax (half-length rows),
 //!   CSR softmax; register-cached vs streaming traffic per row length.
 //! * [`spmm`] — N:M SpMM on the simulated sparse tensor core, CSR SpMM with
 //!   the vector tiling of Figure 10(B).
-//! * [`ell`] — the blocked-ELL × N:M hybrid SDDMM, softmax and SpMM.
 //! * [`rowtile`] — the row-tile attention driver: QK → prune → softmax → AV
 //!   on one 16-row tile at a time, bit-identical to (and charged as) the
 //!   three staged launches, without their whole-stack intermediates.
@@ -44,7 +43,6 @@
 pub mod batched;
 pub mod ctx;
 pub(crate) mod decode;
-pub mod ell;
 pub mod gemm;
 pub mod micro;
 pub mod rowtile;

@@ -31,12 +31,9 @@
 //!   dense AV stage call it directly, as the N:M SpMM calls
 //!   [`simd::spmm_tile`].
 //! * [`axpy`] — `acc[j] = fma(s, row[j], acc[j])` over a long contiguous
-//!   row; the lanes are independent. The blocked-ELL SDDMM accumulates its
-//!   active blocks as an outer product over a [`widen_transposed`] K panel,
-//!   in the same serial k-order as [`panel_product`]; the CSR and
-//!   blocked-ELL SpMMs gather V rows with [`axpy`].
+//!   row; the lanes are independent. The CSR SpMM gathers V rows with it.
 //!
-//! Operand widening ([`widen`], [`widen_packed`], [`widen_transposed`])
+//! Operand widening ([`widen`], [`widen_packed`])
 //! goes through the thread-local scratch arena: the f32 copies (and the
 //! per-row accumulators kernels take via [`dfss_tensor::scratch_f32`]) are
 //! reused across calls instead of re-allocated — the persistent worker
@@ -149,29 +146,6 @@ pub fn widen<T: Scalar>(src: &[T]) -> ScratchF32 {
     scratch_f32_from(src.len(), src.iter().map(|v| v.to_mul()))
 }
 
-/// Widen `batch` stacked `rows × cols` row-major panels directly into
-/// their `cols × rows` transposes, stored panel-major (fused widen +
-/// transpose, one pass, no intermediate `Matrix`).
-pub fn widen_transposed<T: Scalar>(
-    src: &[T],
-    batch: usize,
-    rows: usize,
-    cols: usize,
-) -> ScratchF32 {
-    let mut out = dfss_tensor::scratch_f32(batch * rows * cols);
-    for (panel, dst) in src
-        .chunks_exact((rows * cols).max(1))
-        .zip(out.chunks_exact_mut((rows * cols).max(1)))
-    {
-        for (r, row) in panel.chunks_exact(cols.max(1)).enumerate() {
-            for (c, v) in row.iter().enumerate() {
-                dst[c * rows + r] = v.to_mul();
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,15 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn widen_transposed_matches_transpose_then_widen() {
-        let mut rng = Rng::new(3);
-        let m = Matrix::<f32>::random_normal(7, 5, 0.0, 1.0, &mut rng);
-        let expect = widen(m.transpose().as_slice());
-        let got = widen_transposed(m.as_slice(), 1, 7, 5);
-        assert_eq!(&*expect, &*got);
-    }
-
-    #[test]
     fn panel_product_bit_identical_to_axpy_accumulation() {
         let mut rng = Rng::new(9);
         // Ragged shapes: odd rows (tail rcnt < 4) and a non-multiple-of-16
@@ -217,7 +182,7 @@ mod tests {
             let a = Matrix::<f32>::random_normal(m, ka, 0.0, 1.0, &mut rng);
             let b = Matrix::<f32>::random_normal(n, ka, 0.0, 1.0, &mut rng);
             let aw = widen(a.as_slice());
-            let bt = widen_transposed(b.as_slice(), 1, n, ka);
+            let bt = widen(b.transpose().as_slice());
             let bp = widen_packed(b.as_slice(), 1, n, ka);
             // Reference: serial axpy accumulation (the single-head order).
             let mut expect = vec![0.0f32; m * n];
@@ -250,15 +215,8 @@ mod tests {
         // held across calls or not.
         let m = Matrix::<f32>::from_fn(5, 13, |r, c| (r * 13 + c) as f32);
         for round in 0..3 {
-            let held = [
-                widen(m.as_slice()),
-                widen_packed(m.as_slice(), 1, 5, 13),
-                widen_transposed(m.as_slice(), 1, 5, 13),
-            ];
-            for (what, s) in ["widen", "widen_packed", "widen_transposed"]
-                .iter()
-                .zip(&held)
-            {
+            let held = [widen(m.as_slice()), widen_packed(m.as_slice(), 1, 5, 13)];
+            for (what, s) in ["widen", "widen_packed"].iter().zip(&held) {
                 assert_eq!(s.as_ptr() as usize % 64, 0, "{what}, round {round}");
             }
         }

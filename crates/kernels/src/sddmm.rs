@@ -156,8 +156,8 @@ fn sddmm_nm_fused_exec<T: Scalar>(
 
 /// Prune a block of whole M-groups of f32 scores with the fastest
 /// epilogue for the pattern: the one scaled N:M selection every kernel that
-/// prunes accumulators runs (fused SDDMM, blocked-ELL SDDMM, the row-tile
-/// driver and the decode prune). 1:2 and 2:4 run the dispatched
+/// prunes accumulators runs (fused SDDMM, the row-tile driver and the
+/// decode prune). 1:2 and 2:4 run the dispatched
 /// [`simd::Backend::prune_nm`], every other pattern [`prune_rows_into`];
 /// both select as [`NmPattern::select_group_into`] does.
 pub(crate) fn prune_rows_dispatch<T: Scalar>(

@@ -5,7 +5,7 @@
 //!
 //! The batched B×H entry points carry the same contract twice over: their
 //! outputs must be bit-identical to a **per-panel serial loop** of the
-//! single-head kernels (for all five kernel families), and their single
+//! single-head kernels (for all four kernel families), and their single
 //! recorded profile must charge **exactly batch ×** the single-head
 //! `KernelProfile` in one launch. The row-tile attention driver must
 //! equal the staged three-launch pipeline it replaces, bit for bit and
@@ -15,8 +15,8 @@
 //! paths are exercised even on single-core CI runners.
 
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_kernels::{ell, gemm, rowtile, sddmm, softmax, spmm, GpuCtx};
-use dfss_nmsparse::{BlockedEll, Csr, NmBatch, NmCompressed, NmPattern};
+use dfss_kernels::{gemm, rowtile, sddmm, softmax, spmm, GpuCtx};
+use dfss_nmsparse::{Csr, NmBatch, NmCompressed, NmPattern};
 use dfss_tensor::{BatchedMatrix, Bf16, Matrix, Rng, Scalar};
 
 /// Pin the pool width before its lazy initialisation (call first in every
@@ -99,21 +99,6 @@ fn spmm_matches_serial_bitwise() {
     let par = spmm::spmm_csr(&mut GpuCtx::a100(), &csr, &v);
     let ser = rayon::with_serial(|| spmm::spmm_csr(&mut GpuCtx::a100(), &csr, &v));
     assert_eq!(bits(&par), bits(&ser), "spmm_csr");
-}
-
-#[test]
-fn ell_pipeline_matches_serial_bitwise() {
-    pin_pool();
-    let (q, k, v) = qkv(64, 16, 5);
-    let ell_map = BlockedEll::sliding_window(64, 64, 16, 2);
-    let run = |ctx: &mut GpuCtx| {
-        let mut a = ell::sddmm_ell_nm_fused(ctx, &q, &k, 0.25, NmPattern::P1_2, &ell_map);
-        ell::softmax_ell_nm(ctx, &mut a);
-        ell::spmm_ell_nm(ctx, &a, &v)
-    };
-    let par = run(&mut GpuCtx::a100());
-    let ser = rayon::with_serial(|| run(&mut GpuCtx::a100()));
-    assert_eq!(bits(&par), bits(&ser));
 }
 
 /// A stack of `batch` distinct random n×d panels.
@@ -365,59 +350,6 @@ fn batched_sddmm_with_tied_scores_matches_dense_prune() {
                 );
             }
         }
-    }
-}
-
-/// Batched blocked-ELL pipeline: bit-identical end to end, exact batch ×
-/// charge for all three launches.
-#[test]
-fn batched_ell_pipeline_matches_serial_panel_loop() {
-    pin_pool();
-    let (batch, n, d) = (3usize, 64usize, 16usize);
-    let ell_map = BlockedEll::sliding_window(n, n, 16, 2);
-    let q = stack(batch, n, d, 60);
-    let k = stack(batch, n, d, 61);
-    let v = stack(batch, n, d, 62);
-    let mut bctx = GpuCtx::a100();
-    let mut a = ell::sddmm_ell_nm_fused_batched(&mut bctx, &q, &k, 0.25, NmPattern::P1_2, &ell_map);
-    ell::softmax_ell_nm_batched(&mut bctx, &mut a);
-    let out = ell::spmm_ell_nm_batched(&mut bctx, &a, &v);
-
-    let mut sctx = GpuCtx::a100();
-    for p in 0..batch {
-        let (single_a, single_o) = rayon::with_serial(|| {
-            let mut sa = ell::sddmm_ell_nm_fused(
-                &mut sctx,
-                &q.to_panel(p),
-                &k.to_panel(p),
-                0.25,
-                NmPattern::P1_2,
-                &ell_map,
-            );
-            ell::softmax_ell_nm(&mut sctx, &mut sa);
-            let so = ell::spmm_ell_nm(&mut sctx, &sa, &v.to_panel(p));
-            (sa, so)
-        });
-        assert_eq!(
-            a.packed.panel_codes(p),
-            single_a.packed.codes(),
-            "panel {p}"
-        );
-        assert_eq!(
-            bits(&a.packed.to_compressed(p).decompress()),
-            bits(&single_a.packed.decompress()),
-            "packed values {p}"
-        );
-        assert_eq!(bits(&out.to_panel(p)), bits(&single_o), "output {p}");
-    }
-    assert_eq!(bctx.timeline.entries().len(), 3);
-    for j in 0..3 {
-        assert_batched_charge(
-            &bctx.timeline.entries()[j],
-            &sctx.timeline.entries()[j],
-            batch as u64,
-            "ell pipeline",
-        );
     }
 }
 

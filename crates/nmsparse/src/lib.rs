@@ -22,11 +22,8 @@
 //!   2:4 group inside one "thread" during the fused pruning epilogue.
 //! * [`csr`] — compressed sparse row, the encoding the explicit top-k
 //!   baseline (§4.3) must build at runtime.
-//! * [`blocked_ell`] — blocked-ELL sparsity and the hybrid
-//!   blocked-ELL × N:M layout the kernel supports for long sequences.
 
 pub mod batch;
-pub mod blocked_ell;
 pub mod compressed;
 pub mod csr;
 pub mod interleave;
@@ -35,7 +32,6 @@ pub mod pattern;
 pub mod ragged;
 
 pub use batch::NmBatch;
-pub use blocked_ell::BlockedEll;
 pub use compressed::{scan_codes, NmCompressed};
 pub use csr::Csr;
 pub use meta::MetaError;

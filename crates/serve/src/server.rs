@@ -509,7 +509,7 @@ impl<T: Scalar> AttentionServer<T> {
         } else {
             Arc::clone(&mech)
         };
-        // Without row-separable scores (the blocked-ELL hybrid) a job must
+        // Without row-separable scores (Nyström, Performer) a job must
         // run whole: an unbounded chunk and budget plan every job as one
         // whole chunk, so correctness never depends on chunking.
         let sched = if mech.supports_row_chunking() {

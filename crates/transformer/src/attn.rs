@@ -16,7 +16,7 @@
 
 use crate::linear::{matmul, Linear};
 use crate::param::Param;
-use dfss_nmsparse::{BlockedEll, NmPattern};
+use dfss_nmsparse::NmPattern;
 use dfss_tensor::{math, BatchedMatrix, Bf16, Matrix, Rng};
 
 /// Which attention mechanism a layer uses.
@@ -187,21 +187,42 @@ fn build_mask(
             })
         }
         AttnKind::BigBird { block, seed } => {
+            // Per row block: column block 0 (global), the 3 blocks around
+            // the diagonal (clamped at the edges), then seeded random
+            // blocks until 6 are active.
             let block = block.min(n).max(1);
-            let n_round = n - n % block;
-            if n_round == 0 {
-                return Matrix::from_fn(n, n, |_, _| 1.0);
-            }
-            let mut rng = Rng::new(seed);
-            let ell = BlockedEll::bigbird(n_round, n_round, block, 1, 3, 2, &mut rng);
-            let sub = ell.to_mask();
-            Matrix::from_fn(n, n, |r, c| {
-                if r < n_round && c < n_round {
-                    sub.get(r, c)
+            let blocks = n / block;
+            let n_round = blocks * block;
+            let width = blocks.min(6);
+            // Ragged tail rows/cols attend globally.
+            let mut mask = Matrix::from_fn(n, n, |r, c| {
+                if r >= n_round || c >= n_round {
+                    1.0
                 } else {
-                    1.0 // ragged tail rows/cols attend globally
+                    0.0
                 }
-            })
+            });
+            let mut rng = Rng::new(seed);
+            let mut active = Vec::with_capacity(width);
+            for rb in 0..blocks {
+                let lo = rb.saturating_sub(1).min(blocks.saturating_sub(3));
+                active.clear();
+                active.push(0);
+                active.extend(lo.max(1)..(lo + 3).min(blocks));
+                while active.len() < width {
+                    let cand = rng.below(blocks);
+                    if !active.contains(&cand) {
+                        active.push(cand);
+                    }
+                }
+                for r in rb * block..(rb + 1) * block {
+                    let row = mask.row_mut(r);
+                    for &cb in &active {
+                        row[cb * block..(cb + 1) * block].fill(1.0);
+                    }
+                }
+            }
+            mask
         }
         AttnKind::Longformer {
             window,
@@ -1185,6 +1206,65 @@ mod tests {
     #[test]
     fn local_gradcheck() {
         check_dx(AttnKind::Local(4), 8, 8, 2, 3e-2);
+    }
+
+    /// The BigBird keep-mask's active column blocks per row block, checking
+    /// on the way that the mask is constant over every block.
+    fn bigbird_blocks(n: usize, block: usize, seed: u64) -> Vec<Vec<usize>> {
+        let scores = Matrix::<f32>::zeros(n, n);
+        let mask = build_mask(
+            &AttnKind::BigBird { block, seed },
+            &scores,
+            &scores,
+            &scores,
+        );
+        let blocks = n / block;
+        let active: Vec<Vec<usize>> = (0..blocks)
+            .map(|rb| {
+                let row = mask.row(rb * block);
+                (0..blocks).filter(|&cb| row[cb * block] == 1.0).collect()
+            })
+            .collect();
+        for r in 0..n {
+            for c in 0..n {
+                let expect = r >= blocks * block
+                    || c >= blocks * block
+                    || active[r / block].contains(&(c / block));
+                assert_eq!(mask.get(r, c) == 1.0, expect, "n = {n}: ({r}, {c})");
+            }
+        }
+        active
+    }
+
+    #[test]
+    fn bigbird_contains_global_and_diagonal() {
+        let active = bigbird_blocks(256, 32, 1);
+        assert_eq!(active.len(), 8);
+        for (rb, blocks) in active.iter().enumerate() {
+            assert_eq!(blocks.len(), 6, "row block {rb}");
+            assert!(blocks.contains(&0), "global block, row block {rb}");
+            assert!(blocks.contains(&rb), "diagonal block, row block {rb}");
+        }
+    }
+
+    /// Table 4's BigBird row (block 8, seed 13) at n = 64, and with a
+    /// ragged tail that attends globally: the seeded random blocks are
+    /// pinned, so a change in the order of the draws fails here.
+    #[test]
+    fn bigbird_mask_pins_table4_draws() {
+        let want: Vec<Vec<usize>> = vec![
+            vec![0, 1, 2, 4, 6, 7],
+            vec![0, 1, 2, 3, 5, 6],
+            vec![0, 1, 2, 3, 5, 6],
+            vec![0, 2, 3, 4, 5, 6],
+            vec![0, 2, 3, 4, 5, 7],
+            vec![0, 3, 4, 5, 6, 7],
+            vec![0, 3, 4, 5, 6, 7],
+            vec![0, 2, 4, 5, 6, 7],
+        ];
+        for n in [64, 68] {
+            assert_eq!(bigbird_blocks(n, 8, 13), want, "n = {n}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use dfss_transformer as transformer;
 
 /// The items most users need.
 pub mod prelude {
-    pub use dfss_core::dfss::{DfssAttention, DfssEllAttention};
+    pub use dfss_core::dfss::DfssAttention;
     pub use dfss_core::engine::{AttentionEngine, DecodeStep, KvRows};
     pub use dfss_core::full::FullAttention;
     pub use dfss_core::mechanism::{Attention, RequestError};

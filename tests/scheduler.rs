@@ -20,6 +20,7 @@
 //!   a row slice of one — runs as its own launch, in plan order, and a job
 //!   run whole is charged exactly its solo forward's simulated latency.
 
+use dfss::core::linear_baselines::NystromAttention;
 use dfss::prelude::*;
 use dfss_serve::sched::SchedEvent;
 use proptest::prelude::*;
@@ -288,16 +289,16 @@ fn trace_is_identical_under_serial_kernel_execution() {
     assert_eq!(parallel.as_bytes(), serial.as_bytes());
 }
 
-/// Mechanisms without row-separable scores (the blocked-ELL hybrid) run
-/// every prefill whole: the scheduler plans the job as exactly one chunk
-/// covering all its rows, whatever the server's `SchedPolicy`, and the
-/// output stays bit-identical to solo forward.
+/// Mechanisms without row-separable scores (Nyström) run every prefill
+/// whole: the scheduler plans the job as exactly one chunk covering all its
+/// rows, whatever the server's `SchedPolicy`, and the output stays
+/// bit-identical to solo forward.
 #[test]
 fn non_chunkable_mechanism_runs_whole_and_matches_solo() {
-    let mech_concrete = DfssEllAttention::new(NmPattern::P2_4, 8, 2);
+    let mech_concrete = NystromAttention::new(8);
     assert!(
         !Attention::<f32>::supports_row_chunking(&mech_concrete),
-        "the ELL hybrid's sliding window depends on global row indices"
+        "Nyström's landmarks are segment means of the whole Q"
     );
     let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(mech_concrete);
     let server = AttentionServer::start_continuous_with_kv(
@@ -519,7 +520,7 @@ fn every_planned_chunk_runs_as_its_own_launch_in_plan_order() {
 
     let hold = triple(32, 16, &mut rng);
     let jobs: Vec<_> = (0..3).map(|_| triple(32, 16, &mut rng)).collect();
-    let mech = Arc::new(DfssEllAttention::new(NmPattern::P2_4, 8, 2));
+    let mech = Arc::new(NystromAttention::new(8));
     let planned = serve_behind_a_hold(mech, SchedPolicy::new(5, 8), hold, &jobs);
     assert_eq!(planned, (0..4).map(|job| (job, 0, 32)).collect::<Vec<_>>());
 }
