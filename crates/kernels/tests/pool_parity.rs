@@ -32,6 +32,19 @@ fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_f32().to_bits()).collect()
 }
 
+/// Panel `p` of a compressed stack as a standalone [`NmCompressed`], built
+/// from the panel's nonzeros and its slice of the stack's codes.
+fn panel_of(comp: &NmBatch<f32>, p: usize) -> NmCompressed<f32> {
+    let pl = comp.rows() * comp.groups_per_row();
+    NmCompressed::from_parts(
+        comp.pattern(),
+        comp.rows(),
+        comp.cols(),
+        comp.panel_nonzeros(p).to_vec(),
+        comp.codes()[p * pl..(p + 1) * pl].to_vec(),
+    )
+}
+
 fn qkv(n: usize, d: usize, seed: u64) -> (Matrix<f32>, Matrix<f32>, Matrix<f32>) {
     let mut rng = Rng::new(seed);
     (
@@ -193,9 +206,10 @@ fn batched_sddmm_matches_serial_panel_loop() {
             let single = rayon::with_serial(|| {
                 sddmm::sddmm_nm_fused(&mut sctx, &q.to_panel(p), &k.to_panel(p), 0.2, pattern)
             });
-            assert_eq!(comp.panel_codes(p), single.codes(), "{pattern} codes {p}");
+            let panel = panel_of(&comp, p);
+            assert_eq!(panel.codes(), single.codes(), "{pattern} codes {p}");
             assert_eq!(
-                bits(&comp.to_compressed(p).decompress()),
+                bits(&panel.decompress()),
                 bits(&single.decompress()),
                 "{pattern} values {p}"
             );
@@ -242,7 +256,7 @@ fn batched_softmax_matches_serial_panel_loop() {
         let mut single = panel;
         rayon::with_serial(|| softmax::softmax_nm(&mut sctx, &mut single));
         assert_eq!(
-            bits(&comp.to_compressed(p).decompress()),
+            bits(&panel_of(&comp, p).decompress()),
             bits(&single.decompress()),
             "nm panel {p}"
         );
@@ -341,7 +355,7 @@ fn batched_sddmm_with_tied_scores_matches_dense_prune() {
             let single = sddmm::sddmm_nm_fused(&mut GpuCtx::a100(), &q_p, &k_p, 0.25, pattern);
             let dense = gemm::gemm_nt(&mut GpuCtx::a100(), Stage::Qk, &q_p, &k_p, 0.25);
             let want = NmCompressed::compress(&dense, pattern);
-            for (got, what) in [(comp.to_compressed(p), "batched"), (single, "solo")] {
+            for (got, what) in [(panel_of(&comp, p), "batched"), (single, "solo")] {
                 assert_eq!(got.codes(), want.codes(), "{pattern} {what} codes {p}");
                 assert_eq!(
                     bits(&got.decompress()),

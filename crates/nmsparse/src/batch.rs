@@ -153,14 +153,6 @@ impl<T: Scalar> NmBatch<T> {
         &self.nonzeros[b * pl..(b + 1) * pl]
     }
 
-    /// Selection codes of panel `b` (row-major, one byte per group).
-    #[inline]
-    pub fn panel_codes(&self, b: usize) -> &[u8] {
-        self.assert_materialized();
-        let pl = self.rows * self.groups_per_row();
-        &self.codes[b * pl..(b + 1) * pl]
-    }
-
     /// All nonzeros (panel-major).
     #[inline]
     pub fn nonzeros(&self) -> &[T] {
@@ -177,17 +169,6 @@ impl<T: Scalar> NmBatch<T> {
     #[inline]
     pub fn codes(&self) -> &[u8] {
         &self.codes
-    }
-
-    /// Copy panel `b` out as a standalone [`NmCompressed`].
-    pub fn to_compressed(&self, b: usize) -> NmCompressed<T> {
-        NmCompressed::from_parts(
-            self.pattern,
-            self.rows,
-            self.cols,
-            self.panel_nonzeros(b).to_vec(),
-            self.panel_codes(b).to_vec(),
-        )
     }
 
     /// Call `f(col, value)` for every kept entry of row `r` of panel `b`,
@@ -242,10 +223,19 @@ mod tests {
     fn from_panels_round_trips() {
         let (panels, stack) = stack(3, 16, 1);
         assert_eq!(stack.batch(), 3);
+        let pl = stack.rows() * stack.groups_per_row();
         for (b, p) in panels.iter().enumerate() {
-            assert_eq!(&stack.to_compressed(b), p);
+            let codes = &stack.codes()[b * pl..(b + 1) * pl];
+            let panel = NmCompressed::from_parts(
+                stack.pattern(),
+                stack.rows(),
+                stack.cols(),
+                stack.panel_nonzeros(b).to_vec(),
+                codes.to_vec(),
+            );
+            assert_eq!(&panel, p);
             assert_eq!(stack.panel_nonzeros(b), p.nonzeros());
-            assert_eq!(stack.panel_codes(b), p.codes());
+            assert_eq!(codes, p.codes());
         }
     }
 

@@ -13,6 +13,16 @@
 //!   grab whole pages from the pool instead of reallocating, and
 //!   [`release`](PagedKvCache::release) returns every page in O(pages).
 //!
+//! Every row write takes one path: [`append`](PagedKvCache::append) is the
+//! one-row case of [`extend`](PagedKvCache::extend), and both accept rows
+//! of any [`Scalar`] dtype `C`. One private routine reserves the pages
+//! all-or-nothing and stores each element of a `PagedKvCache<T>` as
+//! `T::from_f32(x.to_f32())` straight into its page: the identity for f32
+//! rows into an f32 store (NaN payloads included), and the one bf16
+//! narrowing for a bf16 store, with no intermediate buffer. A bf16 row
+//! into a bf16 store takes the same conversion, which quiets a signalling
+//! NaN.
+//!
 //! Pages hold a fixed element count, not a fixed row count, because one
 //! server mixes sessions of different widths: a session of key width `d`
 //! stores `page_elems / d` rows per page (the page's tail beyond
@@ -471,14 +481,13 @@ impl<T: Scalar> PagedKvCache<T> {
     }
 
     /// Append one position (a `d`-wide key row and a `d_v`-wide value
-    /// row), taking fresh pages from `pool` as row boundaries cross page
-    /// boundaries. On [`KvError::PoolExhausted`] nothing is allocated and
-    /// the cache is unchanged.
-    pub fn append(
+    /// row) given at any dtype `C`: the one-row case of
+    /// [`extend`](Self::extend), through the same write.
+    pub fn append<C: Scalar>(
         &mut self,
         pool: &mut KvPool<T>,
-        k_row: &[T],
-        v_row: &[T],
+        k_row: &[C],
+        v_row: &[C],
     ) -> Result<(), KvError> {
         if k_row.len() != self.d || v_row.len() != self.d_v {
             return Err(KvError::Shape {
@@ -491,20 +500,19 @@ impl<T: Scalar> PagedKvCache<T> {
                 ),
             });
         }
-        self.grow(pool, 1)?;
-        self.write_row(pool, self.len, k_row, v_row);
-        self.len += 1;
-        Ok(())
+        self.write(pool, 1, k_row, v_row)
     }
 
     /// Append a block of positions at once (prefill priming): `k` is
-    /// `rows × d`, `v` is `rows × d_v`. Atomic like `append` — on
-    /// exhaustion no page is taken and no row written.
-    pub fn extend(
+    /// `rows × d`, `v` is `rows × d_v`, at any dtype `C`. Pages are taken
+    /// from `pool` as rows cross page boundaries; on
+    /// [`KvError::PoolExhausted`] no page is taken, no row written and the
+    /// cache is unchanged.
+    pub fn extend<C: Scalar>(
         &mut self,
         pool: &mut KvPool<T>,
-        k: &Matrix<T>,
-        v: &Matrix<T>,
+        k: &Matrix<C>,
+        v: &Matrix<C>,
     ) -> Result<(), KvError> {
         if k.cols() != self.d || v.cols() != self.d_v || k.rows() != v.rows() {
             return Err(KvError::Shape {
@@ -519,12 +527,7 @@ impl<T: Scalar> PagedKvCache<T> {
                 ),
             });
         }
-        self.grow(pool, k.rows())?;
-        for r in 0..k.rows() {
-            self.write_row(pool, self.len + r, k.row(r), v.row(r));
-        }
-        self.len += k.rows();
-        Ok(())
+        self.write(pool, k.rows(), k.as_slice(), v.as_slice())
     }
 
     /// Return every page to the pool and reset to empty. The widths (and
@@ -582,10 +585,18 @@ impl<T: Scalar> PagedKvCache<T> {
         Matrix::from_vec(self.len, width, data)
     }
 
-    /// Reserve the pages `new_rows` more positions need — all-or-nothing.
-    fn grow(&mut self, pool: &mut KvPool<T>, new_rows: usize) -> Result<(), KvError> {
-        let need_k = pages_for_growth(self.len, new_rows, self.rows_per_page_k);
-        let need_v = pages_for_growth(self.len, new_rows, self.rows_per_page_v);
+    /// The one row write (see the module doc): reserve the pages `rows`
+    /// more positions need, all-or-nothing, then store the row-major `k`
+    /// (`rows × d`) and `v` (`rows × d_v`) straight into them.
+    fn write<C: Scalar>(
+        &mut self,
+        pool: &mut KvPool<T>,
+        rows: usize,
+        k: &[C],
+        v: &[C],
+    ) -> Result<(), KvError> {
+        let need_k = pages_for_growth(self.len, rows, self.rows_per_page_k);
+        let need_v = pages_for_growth(self.len, rows, self.rows_per_page_v);
         let need = need_k + need_v;
         if need > pool.free_pages() {
             return Err(KvError::PoolExhausted {
@@ -603,51 +614,21 @@ impl<T: Scalar> PagedKvCache<T> {
             self.v_pages
                 .push(pool.alloc().expect("gated on free_pages"));
         }
-        Ok(())
-    }
-
-    /// Append one position given at the compute dtype `C`, narrowing each
-    /// element through bf16 at write time. The quantisation loss is paid
-    /// exactly once — decode widens the stored row back losslessly.
-    pub fn append_narrowed<C: Scalar>(
-        &mut self,
-        pool: &mut KvPool<T>,
-        k_row: &[C],
-        v_row: &[C],
-    ) -> Result<(), KvError> {
-        let narrow =
-            |row: &[C]| -> Vec<T> { row.iter().map(|x| T::from_f32(x.to_f32())).collect() };
-        self.append(pool, &narrow(k_row), &narrow(v_row))
-    }
-
-    /// Block form of [`append_narrowed`](Self::append_narrowed).
-    pub fn extend_narrowed<C: Scalar>(
-        &mut self,
-        pool: &mut KvPool<T>,
-        k: &Matrix<C>,
-        v: &Matrix<C>,
-    ) -> Result<(), KvError> {
-        let narrow = |m: &Matrix<C>| -> Matrix<T> {
-            Matrix::from_vec(
-                m.rows(),
-                m.cols(),
-                m.as_slice()
-                    .iter()
-                    .map(|x| T::from_f32(x.to_f32()))
-                    .collect(),
-            )
+        // Each side's rows land at positions `len..` of its page table.
+        let len = self.len;
+        let mut store = |table: &[PageId], rows_per_page: usize, src: &[C], width: usize| {
+            for (r, row) in src.chunks_exact(width).enumerate() {
+                let off = ((len + r) % rows_per_page) * width;
+                let page = pool.page_mut(table[(len + r) / rows_per_page]);
+                for (dst, &x) in page[off..off + width].iter_mut().zip(row) {
+                    *dst = T::from_f32(x.to_f32());
+                }
+            }
         };
-        self.extend(pool, &narrow(k), &narrow(v))
-    }
-
-    /// Write position `row` (already backed by a page) on both sides.
-    fn write_row(&self, pool: &mut KvPool<T>, row: usize, k_row: &[T], v_row: &[T]) {
-        let kp = self.k_pages[row / self.rows_per_page_k];
-        let ko = (row % self.rows_per_page_k) * self.d;
-        pool.page_mut(kp)[ko..ko + self.d].copy_from_slice(k_row);
-        let vp = self.v_pages[row / self.rows_per_page_v];
-        let vo = (row % self.rows_per_page_v) * self.d_v;
-        pool.page_mut(vp)[vo..vo + self.d_v].copy_from_slice(v_row);
+        store(&self.k_pages, self.rows_per_page_k, k, self.d);
+        store(&self.v_pages, self.rows_per_page_v, v, self.d_v);
+        self.len += rows;
+        Ok(())
     }
 }
 
@@ -839,8 +820,8 @@ mod tests {
         // and must round to the stored bf16, not survive at f32 precision.
         let k = Matrix::from_vec(1, 4, vec![1.0f32, -2.5, 1.000_000_1, 0.0]);
         let v = Matrix::from_vec(1, 2, vec![3.0f32, -0.5]);
-        c.extend_narrowed(&mut pool, &k, &v).unwrap();
-        c.append_narrowed(&mut pool, &[1.0f32, 2.0, 3.0, 4.0], &[5.0f32, 6.0])
+        c.extend(&mut pool, &k, &v).unwrap();
+        c.append(&mut pool, &[1.0f32, 2.0, 3.0, 4.0], &[5.0f32, 6.0])
             .unwrap();
         assert_eq!(c.len(), 2);
         let stored = c.k_matrix(&pool);
@@ -862,5 +843,72 @@ mod tests {
             }
             other => panic!("expected PagedBf16, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn append_and_extend_write_the_same_rows() {
+        // Values the one write must carry unchanged into an f32 store: a
+        // NaN with a non-default payload, ±0, ±∞, a subnormal, and two
+        // ordinary values (the first not representable in bf16).
+        let edges = [
+            f32::from_bits(0x7fa0_1234),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x0000_0001),
+            1.000_000_1,
+            -2.5,
+        ];
+        let (rows, d, d_v) = (5usize, 4usize, 2usize);
+        let k = Matrix::from_fn(rows, d, |r, c| edges[(r * d + c) % edges.len()]);
+        let v = Matrix::from_fn(rows, d_v, |r, c| edges[(r * d_v + c + 3) % edges.len()]);
+        let cfg = config(6, 64);
+        let bits = |m: &Matrix<f32>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut pool_a = KvPool::<f32>::new(&cfg);
+        let mut by_row = PagedKvCache::<f32>::new(&cfg, d, d_v).unwrap();
+        for r in 0..rows {
+            by_row.append(&mut pool_a, k.row(r), v.row(r)).unwrap();
+        }
+        let mut pool_b = KvPool::<f32>::new(&cfg);
+        let mut by_block = PagedKvCache::<f32>::new(&cfg, d, d_v).unwrap();
+        by_block.extend(&mut pool_b, &k, &v).unwrap();
+        for (c, pool) in [(&by_row, &pool_a), (&by_block, &pool_b)] {
+            assert_eq!(bits(&c.k_matrix(pool)), bits(&k));
+            assert_eq!(bits(&c.v_matrix(pool)), bits(&v));
+        }
+        assert_eq!(
+            (by_row.len(), by_row.pages(), by_row.bytes()),
+            (by_block.len(), by_block.pages(), by_block.bytes())
+        );
+
+        // A bf16 store fed the same f32 rows holds `Bf16::from_f32` of
+        // each element, whichever call wrote it.
+        let quant = KvConfig {
+            kv_dtype: KvDtype::Bf16,
+            ..cfg
+        };
+        let narrowed = |m: &Matrix<f32>| {
+            m.as_slice()
+                .iter()
+                .map(|&x| Bf16::from_f32(x).0)
+                .collect::<Vec<_>>()
+        };
+        let stored = |m: Matrix<Bf16>| m.as_slice().iter().map(|x| x.0).collect::<Vec<_>>();
+        let mut pool_q = KvPool::<Bf16>::new(&quant);
+        let mut q_row = PagedKvCache::<Bf16>::new(&quant, d, d_v).unwrap();
+        let mut q_block = PagedKvCache::<Bf16>::new(&quant, d, d_v).unwrap();
+        for r in 0..rows {
+            q_row.append(&mut pool_q, k.row(r), v.row(r)).unwrap();
+        }
+        q_block.extend(&mut pool_q, &k, &v).unwrap();
+        for c in [&q_row, &q_block] {
+            assert_eq!(stored(c.k_matrix(&pool_q)), narrowed(&k));
+            assert_eq!(stored(c.v_matrix(&pool_q)), narrowed(&v));
+        }
+        pool_a.check_invariants().unwrap();
+        pool_b.check_invariants().unwrap();
+        pool_q.check_invariants().unwrap();
     }
 }

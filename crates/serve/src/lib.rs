@@ -116,8 +116,8 @@ pub use kv::{
 };
 pub use sched::{ChunkPlan, IterationPlan, SchedEvent, SchedPolicy, SchedTrace, Scheduler};
 pub use server::{
-    AttentionServer, DecodeHandle, QueueDepths, ResponseHandle, Served, ServedDecode, ShapeKey,
-    Ticket,
+    AttentionServer, DecodeHandle, Handle, QueueDepths, ResponseHandle, Served, ServedDecode,
+    ShapeKey, Ticket,
 };
 
 use std::time::Duration;

@@ -7,7 +7,10 @@
 //! one — as its own launch, in plan order.
 //! Sessions add a registry (synchronous admission checks on the caller's
 //! thread) and per-session [`PagedKvCache`] page tables over one
-//! worker-owned [`KvPool`].
+//! worker-owned [`KvPool`]. Every KV row write takes one path: `append` is
+//! the one-row `extend`, one `Msg::Extend` carries it to the worker, and
+//! one generic body ([`Sessions`]) writes it into the page for either KV
+//! dtype, narrowing to bf16 on write under [`KvDtype::Bf16`].
 //!
 //! **Decode determinism**: a decode step attends over exactly the rows its
 //! session had appended before the step was submitted. The worker
@@ -105,28 +108,33 @@ pub struct ServedDecode<T: Scalar> {
     pub sim_latency_s: f64,
 }
 
-/// Client-side handle for one submitted prefill request.
+/// Client-side handle for one submitted request, resolving to its reply
+/// `R`: a [`Served`] prefill ([`ResponseHandle`]) or a [`ServedDecode`]
+/// step ([`DecodeHandle`]).
 #[derive(Debug)]
-pub struct ResponseHandle<T: Scalar> {
-    rx: Receiver<Result<Served<T>, ServeError>>,
+pub struct Handle<R> {
+    rx: Receiver<Result<R, ServeError>>,
 }
 
-impl<T: Scalar> ResponseHandle<T> {
+/// Client-side handle for one submitted prefill request.
+pub type ResponseHandle<T> = Handle<Served<T>>;
+
+/// Client-side handle for one submitted decode step.
+pub type DecodeHandle<T> = Handle<ServedDecode<T>>;
+
+impl<R> Handle<R> {
     /// Block until the request is served, or fail typed: a dead worker
     /// (crash or shutdown before service) surfaces as
     /// [`ServeError::ServerGone`], never a hang or a propagated panic.
-    pub fn wait(self) -> Result<Served<T>, ServeError> {
-        match self.rx.recv() {
-            Ok(res) => res,
-            Err(_) => Err(ServeError::ServerGone),
-        }
+    pub fn wait(self) -> Result<R, ServeError> {
+        self.rx.recv().unwrap_or(Err(ServeError::ServerGone))
     }
 
     /// Like [`wait`](Self::wait) but bounded: returns
     /// [`ServeError::WaitTimeout`] if the response has not arrived within
     /// `timeout`. Takes `&self`, so a timed-out handle can be waited
     /// again (the request is still in flight).
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<Served<T>, ServeError> {
+    pub fn wait_timeout(&self, timeout: Duration) -> Result<R, ServeError> {
         match self.rx.recv_timeout(timeout) {
             Ok(res) => res,
             Err(RecvTimeoutError::Timeout) => Err(ServeError::WaitTimeout),
@@ -135,37 +143,7 @@ impl<T: Scalar> ResponseHandle<T> {
     }
 }
 
-/// Client-side handle for one submitted decode step.
-#[derive(Debug)]
-pub struct DecodeHandle<T: Scalar> {
-    rx: Receiver<Result<ServedDecode<T>, ServeError>>,
-}
-
-impl<T: Scalar> DecodeHandle<T> {
-    /// Block until the step is served, or fail typed: a dead worker
-    /// surfaces as [`ServeError::ServerGone`], never a hang.
-    pub fn wait(self) -> Result<ServedDecode<T>, ServeError> {
-        match self.rx.recv() {
-            Ok(res) => res,
-            Err(_) => Err(ServeError::ServerGone),
-        }
-    }
-
-    /// Like [`wait`](Self::wait) but bounded: returns
-    /// [`ServeError::WaitTimeout`] if the response has not arrived within
-    /// `timeout`. Takes `&self`, so a timed-out handle can be waited
-    /// again.
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<ServedDecode<T>, ServeError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(res) => res,
-            Err(RecvTimeoutError::Timeout) => Err(ServeError::WaitTimeout),
-            Err(RecvTimeoutError::Disconnected) => Err(ServeError::ServerGone),
-        }
-    }
-}
-
-type Reply<T> = SyncSender<Result<Served<T>, ServeError>>;
-type DecodeReply<T> = SyncSender<Result<ServedDecode<T>, ServeError>>;
+type Reply<R> = SyncSender<Result<R, ServeError>>;
 
 /// Synchronous admission view of one session (the caches themselves live
 /// on the worker thread; the registry mirrors their geometry exactly).
@@ -327,7 +305,7 @@ struct Admission<T: Scalar> {
     deadline: Option<Instant>,
     /// Injected fault, taken (armed) at the job's first launch.
     fault: Option<FaultKind>,
-    reply: Reply<T>,
+    reply: Reply<Served<T>>,
 }
 
 enum Msg<T: Scalar> {
@@ -341,11 +319,6 @@ enum Msg<T: Scalar> {
         id: u64,
         d: usize,
         d_v: usize,
-    },
-    Append {
-        id: u64,
-        k_row: Vec<T>,
-        v_row: Vec<T>,
     },
     Extend {
         id: u64,
@@ -663,7 +636,7 @@ impl<T: Scalar> AttentionServer<T> {
         // A dropped worker surfaces as ServerGone on wait(); submission
         // itself stays infallible for valid requests.
         let _ = self.tx.send(Msg::Request { q, k, v, adm });
-        Ok(ResponseHandle { rx })
+        Ok(Handle { rx })
     }
 
     /// Open a decode session for keys of width `d` and values of width
@@ -788,54 +761,23 @@ impl<T: Scalar> AttentionServer<T> {
     }
 
     /// Append one position (a key row and a value row) to a session's
-    /// cache. Width mismatches and budget exhaustion are rejected
-    /// synchronously with typed errors; the rows themselves land on the
-    /// worker thread in submission order, so a subsequent decode step
-    /// always sees them.
+    /// cache: the one-row case of [`extend`](Self::extend), the rows moved
+    /// into `1 × d` / `1 × d_v` matrices without a copy. Width mismatches
+    /// and budget exhaustion are rejected synchronously with typed errors;
+    /// the rows themselves land on the worker thread in submission order,
+    /// so a subsequent decode step always sees them.
     pub fn append(
         &self,
         session: SessionId,
         k_row: Vec<T>,
         v_row: Vec<T>,
     ) -> Result<(), SessionError> {
-        {
-            let fault = self.next_fault();
-            let mut reg = lock_healed(&self.registry);
-            let meta = reg
-                .sessions
-                .get(&session.0)
-                .ok_or(SessionError::UnknownSession(session))?;
-            if meta.evicted {
-                return Err(SessionError::Evicted(session));
-            }
-            if k_row.len() != meta.d || v_row.len() != meta.d_v {
-                return Err(SessionError::Rejected(RequestError::DecodeShapeMismatch {
-                    reason: format!(
-                        "append rows of width ({}, {}) into a ({}, {}) session",
-                        k_row.len(),
-                        v_row.len(),
-                        meta.d,
-                        meta.d_v
-                    ),
-                }));
-            }
-            let need = crate::kv::pages_for_growth(meta.len, 1, meta.rows_per_page_k)
-                + crate::kv::pages_for_growth(meta.len, 1, meta.rows_per_page_v);
-            if matches!(fault, Some(FaultKind::ExhaustPool)) {
-                reg.admission_rejections += 1;
-                return Err(SessionError::KvBudgetExhausted { need, free: 0 });
-            }
-            self.reserve_pages(&mut reg, session.0, need)?;
-            self.charge_rows(&mut reg, session.0, 1, need);
-            // Send under the lock: the worker sees mutations in admission
-            // order, so the pages reserved above are free when this lands.
-            let _ = self.tx.send(Msg::Append {
-                id: session.0,
-                k_row,
-                v_row,
-            });
-        }
-        Ok(())
+        let (d, d_v) = (k_row.len(), v_row.len());
+        self.extend(
+            session,
+            Matrix::from_vec(1, d, k_row),
+            Matrix::from_vec(1, d_v, v_row),
+        )
     }
 
     /// Append a block of positions at once (prefill priming): `k` is
@@ -879,6 +821,8 @@ impl<T: Scalar> AttentionServer<T> {
             }
             self.reserve_pages(&mut reg, session.0, need)?;
             self.charge_rows(&mut reg, session.0, rows, need);
+            // Send under the lock: the worker sees mutations in admission
+            // order, so the pages reserved above are free when this lands.
             let _ = self.tx.send(Msg::Extend {
                 id: session.0,
                 k,
@@ -948,7 +892,7 @@ impl<T: Scalar> AttentionServer<T> {
                 reply,
             }));
         }
-        Ok(DecodeHandle { rx })
+        Ok(Handle { rx })
     }
 
     /// Close a session and return its KV pages to the pool. Queued decode
@@ -978,23 +922,17 @@ impl<T: Scalar> AttentionServer<T> {
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
-        let mut stats = lock(&self.stats).clone();
-        stats.rejected = self.rejected.load(Ordering::Relaxed);
-        stats.overload_sheds = self.overload_sheds.load(Ordering::Relaxed);
-        let mut reg = lock_healed(&self.registry);
-        // The worker's exit released every remaining cache into the pool;
-        // mirror that drain here so the lifetime counters reconcile.
-        let remaining: u64 = reg.sessions.values().map(|m| m.pages as u64).sum();
-        reg.kv_pages_freed += remaining;
-        reg.pages_used = 0;
-        reg.kv_bytes = 0;
-        reg.sessions.clear();
-        stats.kv_bytes_peak = reg.kv_bytes_peak;
-        stats.kv_pages_allocated = reg.kv_pages_allocated;
-        stats.kv_pages_freed = reg.kv_pages_freed;
-        stats.evictions = reg.evictions;
-        stats.admission_rejections = reg.admission_rejections;
-        stats
+        {
+            let mut reg = lock_healed(&self.registry);
+            // The worker's exit released every remaining cache into the
+            // pool; mirror that drain so the lifetime counters reconcile.
+            let remaining: u64 = reg.sessions.values().map(|m| m.pages as u64).sum();
+            reg.kv_pages_freed += remaining;
+            reg.pages_used = 0;
+            reg.kv_bytes = 0;
+            reg.sessions.clear();
+        }
+        self.stats_snapshot()
     }
 
     /// A live copy of the lifetime counters — the same aggregates
@@ -1054,129 +992,95 @@ struct PendingDecode<T: Scalar> {
     submitted: Instant,
     deadline: Option<Instant>,
     fault: Option<FaultKind>,
-    reply: DecodeReply<T>,
+    reply: Reply<ServedDecode<T>>,
 }
 
-/// The worker's KV storage, resolved once from [`KvConfig::kv_dtype`]:
-/// one pool plus the per-session page tables over it, either at the
-/// compute dtype (`Native`) or bf16-quantised (`Quant`). Appends narrow
-/// at write time in the `Quant` arm; decode steps carry the stored pages
-/// to the engine tagged with their quantisation so the launch widens on
-/// load instead of materialising an f32 copy.
-enum KvStore<T: Scalar> {
-    Native {
-        pool: KvPool<T>,
-        caches: HashMap<u64, PagedKvCache<T>>,
-    },
-    Quant {
-        pool: KvPool<Bf16>,
-        caches: HashMap<u64, PagedKvCache<Bf16>>,
-    },
+/// One pool plus the per-session page tables over it, storing rows at
+/// dtype `S`. Every session mutation is written here once for both KV
+/// dtypes: rows arrive at the compute dtype and [`PagedKvCache::extend`]
+/// converts them on write, straight into the pages.
+struct Sessions<S: Scalar> {
+    pool: KvPool<S>,
+    caches: HashMap<u64, PagedKvCache<S>>,
 }
 
-impl<T: Scalar> KvStore<T> {
-    fn new(config: &KvConfig) -> KvStore<T> {
-        match config.kv_dtype {
-            KvDtype::Native => KvStore::Native {
-                pool: KvPool::new(config),
-                caches: HashMap::new(),
-            },
-            KvDtype::Bf16 => KvStore::Quant {
-                pool: KvPool::new(config),
-                caches: HashMap::new(),
-            },
+impl<S: Scalar> Sessions<S> {
+    fn new(config: &KvConfig) -> Sessions<S> {
+        Sessions {
+            pool: KvPool::new(config),
+            caches: HashMap::new(),
         }
     }
 
     /// Create the session's (empty) page table. `false` if the geometry
     /// cannot back it (admission already validated, so this is defensive).
     fn open(&mut self, config: &KvConfig, id: u64, d: usize, d_v: usize) -> bool {
-        match self {
-            KvStore::Native { caches, .. } => match PagedKvCache::new(config, d, d_v) {
-                Ok(cache) => {
-                    caches.insert(id, cache);
-                    true
-                }
-                Err(_) => false,
-            },
-            KvStore::Quant { caches, .. } => match PagedKvCache::new(config, d, d_v) {
-                Ok(cache) => {
-                    caches.insert(id, cache);
-                    true
-                }
-                Err(_) => false,
-            },
-        }
+        let Ok(cache) = PagedKvCache::new(config, d, d_v) else {
+            return false;
+        };
+        self.caches.insert(id, cache);
+        true
     }
 
-    /// Append one position, narrowing to bf16 in the `Quant` arm. `false`
-    /// when the session is unknown or the pool refuses (admission reserved
-    /// the pages, so a refusal is defensive).
-    fn append(&mut self, id: u64, k_row: &[T], v_row: &[T]) -> bool {
-        match self {
-            KvStore::Native { pool, caches } => caches
-                .get_mut(&id)
-                .is_some_and(|c| c.append(pool, k_row, v_row).is_ok()),
-            KvStore::Quant { pool, caches } => caches
-                .get_mut(&id)
-                .is_some_and(|c| c.append_narrowed(pool, k_row, v_row).is_ok()),
-        }
-    }
-
-    /// Append a block of positions (see [`append`](Self::append)).
-    fn extend(&mut self, id: u64, k: &Matrix<T>, v: &Matrix<T>) -> bool {
-        match self {
-            KvStore::Native { pool, caches } => caches
-                .get_mut(&id)
-                .is_some_and(|c| c.extend(pool, k, v).is_ok()),
-            KvStore::Quant { pool, caches } => caches
-                .get_mut(&id)
-                .is_some_and(|c| c.extend_narrowed(pool, k, v).is_ok()),
-        }
+    /// Append a block of positions (one row for a front-door `append`).
+    /// `false` when the session is unknown or the pool refuses (admission
+    /// reserved the pages, so a refusal is defensive).
+    fn extend<C: Scalar>(&mut self, id: u64, k: &Matrix<C>, v: &Matrix<C>) -> bool {
+        let pool = &mut self.pool;
+        let cache = self.caches.get_mut(&id);
+        cache.is_some_and(|c| c.extend(pool, k, v).is_ok())
     }
 
     /// Drop the session and return its pages. `false` if unknown.
     fn close(&mut self, id: u64) -> bool {
-        match self {
-            KvStore::Native { pool, caches } => match caches.remove(&id) {
-                Some(mut cache) => {
-                    cache.release(pool);
-                    true
-                }
-                None => false,
-            },
-            KvStore::Quant { pool, caches } => match caches.remove(&id) {
-                Some(mut cache) => {
-                    cache.release(pool);
-                    true
-                }
-                None => false,
-            },
-        }
+        self.evict(id);
+        self.caches.remove(&id).is_some()
     }
 
     /// Return the session's pages but keep its (now empty) table — the
     /// eviction half-close.
     fn evict(&mut self, id: u64) {
-        match self {
-            KvStore::Native { pool, caches } => {
-                if let Some(cache) = caches.get_mut(&id) {
-                    cache.release(pool);
-                }
-            }
-            KvStore::Quant { pool, caches } => {
-                if let Some(cache) = caches.get_mut(&id) {
-                    cache.release(pool);
-                }
-            }
+        if let Some(cache) = self.caches.get_mut(&id) {
+            cache.release(&mut self.pool);
         }
     }
 
-    /// Cached positions of a session, `None` if unknown.
-    fn len_of(&self, id: u64) -> Option<usize> {
-        match self {
-            KvStore::Native { caches, .. } => caches.get(&id).map(|c| c.len()),
-            KvStore::Quant { caches, .. } => caches.get(&id).map(|c| c.len()),
+    /// Shutdown drain: return every session's pages to the pool.
+    fn release_all(&mut self) {
+        for (_, mut cache) in self.caches.drain() {
+            cache.release(&mut self.pool);
+        }
+    }
+}
+
+/// Run `$body` with `$s` bound to the [`Sessions`] a [`KvStore`] holds,
+/// whichever dtype it stores: the body is written once and compiled for
+/// both.
+macro_rules! with_sessions {
+    ($store:expr, $s:ident => $body:expr) => {
+        match $store {
+            KvStore::Native($s) => $body,
+            KvStore::Quant($s) => $body,
+        }
+    };
+}
+
+/// The worker's KV storage, resolved once from [`KvConfig::kv_dtype`]:
+/// [`Sessions`] at the compute dtype (`Native`) or bf16-quantised
+/// (`Quant`). Every operation but `new` and [`step`](Self::step) is one
+/// generic body reached through [`with_sessions!`]; `step` hands the stored
+/// pages to the engine tagged with their quantisation, so a `Quant` launch
+/// widens on load instead of materialising an f32 copy.
+enum KvStore<T: Scalar> {
+    Native(Sessions<T>),
+    Quant(Sessions<Bf16>),
+}
+
+impl<T: Scalar> KvStore<T> {
+    fn new(config: &KvConfig) -> KvStore<T> {
+        match config.kv_dtype {
+            KvDtype::Native => KvStore::Native(Sessions::new(config)),
+            KvDtype::Bf16 => KvStore::Quant(Sessions::new(config)),
         }
     }
 
@@ -1185,52 +1089,25 @@ impl<T: Scalar> KvStore<T> {
     /// [`dfss_core::engine::KvRows::PagedBf16`] so the engine routes the
     /// step through the fused widen-on-load path.
     fn step<'a>(&'a self, id: u64, q_row: &'a [T]) -> DecodeStep<'a, T> {
-        match self {
-            KvStore::Native { pool, caches } => {
-                let cache = &caches[&id];
-                DecodeStep {
-                    q_row,
-                    k_rows: cache.k_rows(pool),
-                    v_rows: cache.v_rows(pool),
-                    len: cache.len(),
-                    d: cache.d(),
-                    d_v: cache.d_v(),
-                }
+        let ((len, d, d_v), (k_rows, v_rows)) = match self {
+            KvStore::Native(s) => {
+                let c = &s.caches[&id];
+                let rows = (c.k_rows(&s.pool), c.v_rows(&s.pool));
+                ((c.len(), c.d(), c.d_v()), rows)
             }
-            KvStore::Quant { pool, caches } => {
-                let cache = &caches[&id];
-                DecodeStep {
-                    q_row,
-                    k_rows: cache.k_rows_quant(pool),
-                    v_rows: cache.v_rows_quant(pool),
-                    len: cache.len(),
-                    d: cache.d(),
-                    d_v: cache.d_v(),
-                }
+            KvStore::Quant(s) => {
+                let c = &s.caches[&id];
+                let rows = (c.k_rows_quant(&s.pool), c.v_rows_quant(&s.pool));
+                ((c.len(), c.d(), c.d_v()), rows)
             }
-        }
-    }
-
-    /// Shutdown drain: return every session's pages to the pool.
-    fn release_all(&mut self) {
-        match self {
-            KvStore::Native { pool, caches } => {
-                for (_, mut cache) in caches.drain() {
-                    cache.release(pool);
-                }
-            }
-            KvStore::Quant { pool, caches } => {
-                for (_, mut cache) in caches.drain() {
-                    cache.release(pool);
-                }
-            }
-        }
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        match self {
-            KvStore::Native { pool, .. } => pool.check_invariants(),
-            KvStore::Quant { pool, .. } => pool.check_invariants(),
+        };
+        DecodeStep {
+            q_row,
+            k_rows,
+            v_rows,
+            len,
+            d,
+            d_v,
         }
     }
 }
@@ -1335,8 +1212,8 @@ impl<T: Scalar> Worker<'_, T> {
         // Shutdown drain: return every open session's pages to the pool so
         // the pool invariants (free + used == capacity, no leaked pages)
         // verify even when clients abandon sessions without closing them.
-        self.store.release_all();
-        debug_assert!(self.store.check_invariants().is_ok());
+        with_sessions!(&mut self.store, s => s.release_all());
+        debug_assert!(with_sessions!(&self.store, s => s.pool.check_invariants()).is_ok());
     }
 
     /// Apply one drained message. `false` when an injected
@@ -1366,25 +1243,17 @@ impl<T: Scalar> Worker<'_, T> {
             }
             Msg::Open { id, d, d_v } => {
                 // Admission validated that a page can hold the widths.
-                if self.store.open(&self.kv, id, d, d_v) {
+                if with_sessions!(&mut self.store, s => s.open(&self.kv, id, d, d_v)) {
                     lock(&self.stats).sessions_opened += 1;
                 }
             }
             // Admission reserved the pages under the registry lock before
             // sending, so the pool cannot come up short on the mutations.
-            Msg::Append { id, k_row, v_row } => {
-                if !self.settle(id) {
-                    return false;
-                }
-                if self.store.append(id, &k_row, &v_row) {
-                    lock(&self.stats).kv_rows_appended += 1;
-                }
-            }
             Msg::Extend { id, k, v } => {
                 if !self.settle(id) {
                     return false;
                 }
-                if self.store.extend(id, &k, &v) {
+                if with_sessions!(&mut self.store, s => s.extend(id, &k, &v)) {
                     lock(&self.stats).kv_rows_appended += k.rows() as u64;
                 }
             }
@@ -1392,7 +1261,7 @@ impl<T: Scalar> Worker<'_, T> {
                 if !self.settle(id) {
                     return false;
                 }
-                if self.store.close(id) {
+                if with_sessions!(&mut self.store, s => s.close(id)) {
                     lock(&self.stats).sessions_closed += 1;
                 }
             }
@@ -1402,7 +1271,7 @@ impl<T: Scalar> Worker<'_, T> {
                 if !self.settle(id) {
                     return false;
                 }
-                self.store.evict(id);
+                with_sessions!(&mut self.store, s => s.evict(id));
             }
             Msg::Decode(step) => {
                 self.pending.push(step);
@@ -1588,7 +1457,7 @@ impl<T: Scalar> Worker<'_, T> {
                 }));
                 continue;
             }
-            match self.store.len_of(p.id) {
+            match with_sessions!(&self.store, s => s.caches.get(&p.id).map(|c| c.len())) {
                 Some(len) if len > 0 => live.push(p),
                 _ => {
                     let _ = p

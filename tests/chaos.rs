@@ -10,13 +10,18 @@
 //! - **Isolation + recovery**: requests that succeed are **bit-identical**
 //!   to fault-free solo computation against a host-side model of each
 //!   session's cache at submission time — including every request served
-//!   *after* a panic poisoned an earlier batch.
+//!   *after* a panic poisoned an earlier batch. Odd seeds store the KV
+//!   cache bf16-quantised; their model holds each admitted row rounded
+//!   through bf16, and the decode must match that host-widen model.
 //! - **Reconciliation**: after closing every session, lifetime counters
 //!   balance (`kv_pages_allocated == kv_pages_freed`) and the stats agree
 //!   with the per-handle outcomes.
 
 use dfss::prelude::*;
-use dfss_serve::{AttentionServer, BatchPolicy, DecodeRequest, FaultKind, FaultPlan, ServeError};
+use dfss_serve::{
+    AttentionServer, BatchPolicy, DecodeRequest, FaultKind, FaultPlan, KvConfig, KvDtype,
+    ServeError,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,11 +64,22 @@ proptest! {
             };
             plan = plan.inject(op, kind);
         }
-        let server = AttentionServer::start_with_faults(
+        // The KV-dtype draw: odd seeds run the bf16 store.
+        let kv_dtype = if seed % 2 == 1 { KvDtype::Bf16 } else { KvDtype::Native };
+        let kv = KvConfig { kv_dtype, ..KvConfig::default() };
+        let server = AttentionServer::start_continuous_with_kv_faults(
             Arc::clone(&mech),
             BatchPolicy::default(),
+            SchedPolicy::default(),
+            kv,
             plan,
         );
+        // What the store holds of an admitted row: the row itself, or its
+        // bf16 rounding widened back to f32.
+        let stored = |m: &Matrix<f32>| match kv_dtype {
+            KvDtype::Native => m.clone(),
+            KvDtype::Bf16 => m.map(|x| Bf16::from_f32(x).to_f32()),
+        };
         let (d, d_v) = (8usize, 8usize);
         let mut rng = Rng::new(seed);
         // Host-side model of every open session's cache, updated only on
@@ -82,7 +98,7 @@ proptest! {
                     let v = Matrix::<f32>::random_normal(len, d_v, 0.0, 1.0, &mut rng);
                     let Ok(s) = server.open_session(d, d_v) else { continue };
                     if server.extend(s, k.clone(), v.clone()).is_ok() {
-                        model.push((s, k, v));
+                        model.push((s, stored(&k), stored(&v)));
                     } else {
                         // Primed nothing: retire the empty session.
                         server.close_session(s).expect("open session closes");
@@ -96,8 +112,8 @@ proptest! {
                     let v_row: Vec<f32> = (0..d_v).map(|_| rng.normal(0.0, 1.0)).collect();
                     if server.append(model[i].0, k_row.clone(), v_row.clone()).is_ok() {
                         let (_, k, v) = &mut model[i];
-                        *k = k.vstack(&Matrix::from_vec(1, d, k_row));
-                        *v = v.vstack(&Matrix::from_vec(1, d_v, v_row));
+                        *k = k.vstack(&stored(&Matrix::from_vec(1, d, k_row)));
+                        *v = v.vstack(&stored(&Matrix::from_vec(1, d_v, v_row)));
                     }
                 }
                 // Decode on a random open session; the expected output is a
