@@ -103,17 +103,15 @@ fn grouped_attention<T: Scalar>(
 #[derive(Clone, Debug)]
 pub struct ReformerAttention {
     pub chunk: usize,
-    pub buckets: usize,
     pub seed: u64,
 }
 
+/// LSH buckets of the one hash round.
+const REFORMER_BUCKETS: usize = 16;
+
 impl ReformerAttention {
     pub fn new(chunk: usize, seed: u64) -> ReformerAttention {
-        ReformerAttention {
-            chunk,
-            buckets: 16,
-            seed,
-        }
+        ReformerAttention { chunk, seed }
     }
 }
 
@@ -125,7 +123,7 @@ impl<T: Scalar> Attention<T> for ReformerAttention {
     fn forward(&self, ctx: &mut GpuCtx, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
         let (n, d) = check_qkv(q, k, v);
         let scale = 1.0 / (d as f32).sqrt();
-        let b = self.buckets.max(2);
+        let b = REFORMER_BUCKETS;
         let mut rng = Rng::new(self.seed);
         let r = Matrix::<f32>::random_normal(b / 2, d, 0.0, 1.0, &mut rng);
 
@@ -181,17 +179,15 @@ impl<T: Scalar> Attention<T> for ReformerAttention {
 #[derive(Clone, Debug)]
 pub struct RoutingAttention {
     pub clusters: usize,
-    pub kmeans_iters: usize,
     pub seed: u64,
 }
 
+/// k-means iterations over the keys.
+const ROUTING_KMEANS_ITERS: usize = 3;
+
 impl RoutingAttention {
     pub fn new(clusters: usize, seed: u64) -> RoutingAttention {
-        RoutingAttention {
-            clusters,
-            kmeans_iters: 3,
-            seed,
-        }
+        RoutingAttention { clusters, seed }
     }
 }
 
@@ -213,7 +209,7 @@ impl<T: Scalar> Attention<T> for RoutingAttention {
         // about.
         let mut centroids = kf.gather_rows(&rng.sample_indices(n, c));
         let mut assign = vec![0usize; n];
-        for _ in 0..self.kmeans_iters {
+        for _ in 0..ROUTING_KMEANS_ITERS {
             gemm::charge_gemm::<T>(ctx, "routing_assign", Stage::Overhead, n, c, d);
             for i in 0..n {
                 let mut best = (0usize, f32::NEG_INFINITY);
@@ -285,15 +281,14 @@ impl<T: Scalar> Attention<T> for RoutingAttention {
 #[derive(Clone, Debug)]
 pub struct SinkhornAttention {
     pub block: usize,
-    pub sinkhorn_iters: usize,
 }
+
+/// Alternating row/column normalisations of the block-similarity matrix.
+const SINKHORN_ITERS: usize = 5;
 
 impl SinkhornAttention {
     pub fn new(block: usize) -> SinkhornAttention {
-        SinkhornAttention {
-            block,
-            sinkhorn_iters: 5,
-        }
+        SinkhornAttention { block }
     }
 }
 
@@ -339,7 +334,7 @@ impl<T: Scalar> Attention<T> for SinkhornAttention {
         // Sinkhorn normalisation: alternating row/column softmax in log
         // space (here: direct normalisation of exp).
         let mut p: Vec<f32> = sim.as_slice().iter().map(|&x| (x * scale).exp()).collect();
-        for _ in 0..self.sinkhorn_iters {
+        for _ in 0..SINKHORN_ITERS {
             // Rows.
             for r in 0..nb {
                 let row = &mut p[r * nb..(r + 1) * nb];
@@ -360,10 +355,10 @@ impl<T: Scalar> Attention<T> for SinkhornAttention {
         ctx.record(
             KernelProfile::new("sinkhorn_normalise", Stage::Overhead)
                 .with_traffic(
-                    (2 * self.sinkhorn_iters * nb * nb * 4) as u64,
+                    (2 * SINKHORN_ITERS * nb * nb * 4) as u64,
                     (nb * nb * 4) as u64,
                 )
-                .with_alu((self.sinkhorn_iters * nb * nb * 4) as u64),
+                .with_alu((SINKHORN_ITERS * nb * nb * 4) as u64),
         );
         // Greedy hard matching from the doubly-stochastic matrix.
         let mut matched = vec![usize::MAX; nb];

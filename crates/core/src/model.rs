@@ -12,13 +12,6 @@ use dfss_gpusim::{KernelProfile, Stage};
 use dfss_kernels::{gemm, GpuCtx};
 use dfss_tensor::{BatchedMatrix, Matrix, Rng, Scalar};
 
-/// Split an `n × (H·d_head)` activation into an H-panel stack of `n ×
-/// d_head` head slices (one pass; the batched attention input). Thin
-/// re-export of [`BatchedMatrix::split_heads`], kept for compatibility.
-pub fn split_heads<T: Scalar>(x: &Matrix<T>, heads: usize) -> BatchedMatrix<T> {
-    BatchedMatrix::split_heads(x, heads)
-}
-
 /// End-to-end model shape (defaults follow the paper's A.6 configuration:
 /// 4 layers, head dim 64).
 #[derive(Clone, Copy, Debug)]

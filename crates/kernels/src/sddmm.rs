@@ -23,7 +23,7 @@ use crate::decode;
 use crate::micro;
 use crate::simd;
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_nmsparse::{NmBatch, NmCompressed, NmPattern, NmRagged};
+use dfss_nmsparse::{NmCompressed, NmPattern, NmRagged};
 use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
 
 /// ALU cost of pruning one M-group in the epilogue.
@@ -86,7 +86,7 @@ pub fn sddmm_nm_fused<T: Scalar>(
 
     record_fused::<T>(ctx, pattern, 1, rows, cols, dq);
     if !ctx.exec {
-        return NmCompressed::zeros(pattern, rows, cols);
+        return NmCompressed::charge_only(pattern, rows, cols);
     }
     let (nonzeros, codes) = sddmm_nm_fused_exec(
         pattern,
@@ -206,16 +206,17 @@ pub(crate) fn record_fused<T: Scalar>(
 /// Batched fused SDDMM: `compress_{N:M}(scale · Q·Kᵀ)` for a whole B×H
 /// stack in **one launch** — a single profile of exactly `batch ×` the
 /// per-panel [`sddmm_nm_fused`] cost (tiling hoisted out of the head loop),
-/// one pool fan-out over (panel, row-tile) work items, and nonzeros +
-/// metadata written straight into the stacked [`NmBatch`] buffers — the
-/// same exec body as [`sddmm_nm_fused`].
+/// one pool fan-out over (panel, row-tile) work items, and the same exec
+/// body as [`sddmm_nm_fused`]. The result is one [`NmCompressed`] of
+/// `batch · rows` rows: panel `p`'s scores are rows
+/// `p·rows .. (p+1)·rows`.
 pub fn sddmm_nm_fused_batched<T: Scalar>(
     ctx: &mut GpuCtx,
     q: &BatchedMatrix<T>,
     k: &BatchedMatrix<T>,
     scale: f32,
     pattern: NmPattern,
-) -> NmBatch<T> {
+) -> NmCompressed<T> {
     let (batch, rows, dq) = q.shape();
     let (bb, cols, dk) = k.shape();
     assert_eq!(batch, bb, "batch sizes differ");
@@ -224,7 +225,7 @@ pub fn sddmm_nm_fused_batched<T: Scalar>(
 
     record_fused::<T>(ctx, pattern, batch, rows, cols, dq);
     if !ctx.exec {
-        return NmBatch::charge_only(pattern, batch, rows, cols);
+        return NmCompressed::charge_only(pattern, batch * rows, cols);
     }
     let (nonzeros, codes) = sddmm_nm_fused_exec(
         pattern,
@@ -233,7 +234,7 @@ pub fn sddmm_nm_fused_batched<T: Scalar>(
         k.as_slice(),
         scale,
     );
-    NmBatch::from_parts(pattern, batch, rows, cols, nonzeros, codes)
+    NmCompressed::from_parts(pattern, batch * rows, cols, nonzeros, codes)
 }
 
 /// Standalone prune kernel (the unfused path): reads a dense score matrix
@@ -249,7 +250,7 @@ pub fn dense_prune<T: Scalar>(
     let (rows, cols) = scores.shape();
     record_dense_prune::<T>(ctx, pattern, rows, cols);
     if !ctx.exec {
-        return NmCompressed::zeros(pattern, rows, cols);
+        return NmCompressed::charge_only(pattern, rows, cols);
     }
     NmCompressed::compress(scores, pattern)
 }

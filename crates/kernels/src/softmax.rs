@@ -11,7 +11,7 @@
 use crate::batched::ROW_TILE;
 use crate::GpuCtx;
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_nmsparse::{Csr, NmBatch, NmCompressed, NmRagged};
+use dfss_nmsparse::{Csr, NmCompressed, NmRagged};
 use dfss_tensor::{BatchedMatrix, Matrix, Scalar};
 use rayon::prelude::*;
 
@@ -123,17 +123,11 @@ pub fn softmax_dense_batched<T: Scalar>(
     out
 }
 
-/// Batched compressed softmax: normalises the nonzeros of every panel in
-/// one launch (single profile = `batch ×` the per-panel [`softmax_nm`]
-/// charge). Bit-identical to a per-panel loop.
-pub fn softmax_nm_batched<T: Scalar>(ctx: &mut GpuCtx, comp: &mut NmBatch<T>) {
-    let (batch, rows, kept) = (comp.batch(), comp.rows(), comp.kept_per_row());
-    record_softmax_batched::<T>(ctx, "softmax_nm", batch, rows, kept);
-    if !ctx.exec {
-        return;
-    }
-    softmax_rows(comp.nonzeros_mut(), kept);
-}
+/// Batched compressed softmax over a B×H stack's scores, one
+/// [`NmCompressed`] of `batch · rows` rows: [`softmax_nm`] itself, whose
+/// profile is linear in rows, so one launch charges exactly `batch ×` the
+/// per-panel charge and is bit-identical to a per-panel loop.
+pub use softmax_nm as softmax_nm_batched;
 
 /// Ragged decode softmax: normalises every stream's kept score values
 /// (full-group nonzeros + dense tail) in place, in **one launch** — a

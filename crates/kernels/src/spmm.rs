@@ -15,7 +15,7 @@ use crate::decode;
 use crate::micro;
 use crate::simd;
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_nmsparse::{Csr, NmBatch, NmCompressed, NmPattern, NmRagged};
+use dfss_nmsparse::{Csr, NmCompressed, NmPattern, NmRagged};
 use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
 use rayon::prelude::*;
 
@@ -116,15 +116,25 @@ fn spmm_nm_exec<T: Scalar>(
 /// Batched `O = Aᶜ · V` over a whole B×H stack in **one launch**: a single
 /// profile of exactly `batch ×` the per-panel [`spmm_nm`] cost (tiling
 /// hoisted out of the head loop) and one pool fan-out over (panel,
-/// row-tile) work items — the same exec body as [`spmm_nm`].
+/// row-tile) work items — the same exec body as [`spmm_nm`]. `a` holds the
+/// stack's scores as one [`NmCompressed`] of `batch · rows` rows (as
+/// [`crate::sddmm::sddmm_nm_fused_batched`] returns them); the panel height
+/// `rows` is `a.rows() / v.batch()`.
 pub fn spmm_nm_batched<T: Scalar>(
     ctx: &mut GpuCtx,
-    a: &NmBatch<T>,
+    a: &NmCompressed<T>,
     v: &BatchedMatrix<T>,
 ) -> BatchedMatrix<T> {
-    let (batch, rows, inner) = (a.batch(), a.rows(), a.cols());
-    let (bb, vr, d) = v.shape();
-    assert_eq!(batch, bb, "batch sizes differ");
+    let (batch, vr, d) = v.shape();
+    let inner = a.cols();
+    // A zero-panel stack has zero rows: an empty result, not a division.
+    let rows = a.rows().checked_div(batch).unwrap_or(0);
+    assert_eq!(
+        rows * batch,
+        a.rows(),
+        "A rows {} do not split into {batch} panels",
+        a.rows()
+    );
     assert_eq!(inner, vr, "A cols {inner} != V rows {vr}");
 
     record_spmm_nm::<T>(ctx, a.pattern(), batch, rows, inner, d);
@@ -291,6 +301,21 @@ mod tests {
         let mut ctx = GpuCtx::a100();
         let o = spmm_nm(&mut ctx, &comp, &v);
         assert!(o.max_abs_diff(&comp.decompress().matmul_ref(&v)) < 1e-2);
+    }
+
+    #[test]
+    fn batched_spmm_of_zero_panels_is_empty() {
+        let a = NmCompressed::<f32>::compress(&Matrix::zeros(0, 8), NmPattern::P1_2);
+        let v = BatchedMatrix::<f32>::zeros(0, 8, 4);
+        let out = spmm_nm_batched(&mut GpuCtx::a100(), &a, &v);
+        assert_eq!(out.shape(), (0, 0, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "do not split into 2 panels")]
+    fn batched_spmm_refuses_rows_that_do_not_split() {
+        let a = NmCompressed::<f32>::compress(&Matrix::zeros(7, 8), NmPattern::P1_2);
+        let _ = spmm_nm_batched(&mut GpuCtx::a100(), &a, &BatchedMatrix::zeros(2, 8, 4));
     }
 
     #[test]

@@ -5,18 +5,19 @@
 //!
 //! The batched B×H entry points carry the same contract twice over: their
 //! outputs must be bit-identical to a **per-panel serial loop** of the
-//! single-head kernels (for all four kernel families), and their single
-//! recorded profile must charge **exactly batch ×** the single-head
-//! `KernelProfile` in one launch. The row-tile attention driver must
-//! equal the staged three-launch pipeline it replaces, bit for bit and
-//! profile for profile.
+//! single-head kernels (for all four kernel families; a stack's N:M scores
+//! are one `NmCompressed` whose panel `p` is a range of its rows), and
+//! their single recorded profile must charge **exactly batch ×** the
+//! single-head `KernelProfile` in one launch. The row-tile attention
+//! driver must equal the staged three-launch pipeline it replaces, bit for
+//! bit and profile for profile.
 //!
 //! `RAYON_NUM_THREADS=4` is pinned before the first pool use so the fan-out
 //! paths are exercised even on single-core CI runners.
 
 use dfss_gpusim::{KernelProfile, Stage};
 use dfss_kernels::{gemm, rowtile, sddmm, softmax, spmm, GpuCtx};
-use dfss_nmsparse::{Csr, NmBatch, NmCompressed, NmPattern};
+use dfss_nmsparse::{Csr, NmCompressed, NmPattern};
 use dfss_tensor::{BatchedMatrix, Bf16, Matrix, Rng, Scalar};
 
 /// Pin the pool width before its lazy initialisation (call first in every
@@ -32,17 +33,23 @@ fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_f32().to_bits()).collect()
 }
 
-/// Panel `p` of a compressed stack as a standalone [`NmCompressed`], built
-/// from the panel's nonzeros and its slice of the stack's codes.
-fn panel_of(comp: &NmBatch<f32>, p: usize) -> NmCompressed<f32> {
-    let pl = comp.rows() * comp.groups_per_row();
+/// Panel `p` of a stack of `rows`-row panels' compressed scores — rows
+/// `p·rows .. (p+1)·rows` — as a standalone [`NmCompressed`].
+fn panel_of(comp: &NmCompressed<f32>, rows: usize, p: usize) -> NmCompressed<f32> {
+    let (kept, gpr) = (rows * comp.kept_per_row(), rows * comp.groups_per_row());
     NmCompressed::from_parts(
         comp.pattern(),
-        comp.rows(),
+        rows,
         comp.cols(),
-        comp.panel_nonzeros(p).to_vec(),
-        comp.codes()[p * pl..(p + 1) * pl].to_vec(),
+        comp.nonzeros()[p * kept..(p + 1) * kept].to_vec(),
+        comp.codes()[p * gpr..(p + 1) * gpr].to_vec(),
     )
+}
+
+/// A whole stack as one matrix of `batch · rows` rows, the layout a
+/// batched launch's compressed scores take.
+fn stacked(m: &BatchedMatrix<f32>) -> Matrix<f32> {
+    Matrix::from_vec(m.batch() * m.rows(), m.cols(), m.as_slice().to_vec())
 }
 
 fn qkv(n: usize, d: usize, seed: u64) -> (Matrix<f32>, Matrix<f32>, Matrix<f32>) {
@@ -201,12 +208,13 @@ fn batched_sddmm_matches_serial_panel_loop() {
         let k = stack(batch, cols, d, 21);
         let mut bctx = GpuCtx::a100();
         let comp = sddmm::sddmm_nm_fused_batched(&mut bctx, &q, &k, 0.2, pattern);
+        assert_eq!((comp.rows(), comp.cols()), (batch * n, cols));
         let mut sctx = GpuCtx::a100();
         for p in 0..batch {
             let single = rayon::with_serial(|| {
                 sddmm::sddmm_nm_fused(&mut sctx, &q.to_panel(p), &k.to_panel(p), 0.2, pattern)
             });
-            let panel = panel_of(&comp, p);
+            let panel = panel_of(&comp, n, p);
             assert_eq!(panel.codes(), single.codes(), "{pattern} codes {p}");
             assert_eq!(
                 bits(&panel.decompress()),
@@ -248,7 +256,7 @@ fn batched_softmax_matches_serial_panel_loop() {
     let panels: Vec<NmCompressed<f32>> = (0..batch)
         .map(|p| NmCompressed::compress(&scores.to_panel(p), NmPattern::P1_2))
         .collect();
-    let mut comp = dfss_nmsparse::NmBatch::from_panels(&panels);
+    let mut comp = NmCompressed::compress(&stacked(&scores), NmPattern::P1_2);
     let mut bctx = GpuCtx::a100();
     softmax::softmax_nm_batched(&mut bctx, &mut comp);
     let mut sctx = GpuCtx::a100();
@@ -256,7 +264,7 @@ fn batched_softmax_matches_serial_panel_loop() {
         let mut single = panel;
         rayon::with_serial(|| softmax::softmax_nm(&mut sctx, &mut single));
         assert_eq!(
-            bits(&panel_of(&comp, p).decompress()),
+            bits(&panel_of(&comp, n, p).decompress()),
             bits(&single.decompress()),
             "nm panel {p}"
         );
@@ -269,13 +277,14 @@ fn batched_softmax_matches_serial_panel_loop() {
     );
 }
 
-/// Independent serial reference of one N:M SpMM panel: `scan_row` plus a
-/// serial axpy per kept entry, in ascending column order.
-fn spmm_reference(a: &NmBatch<f32>, p: usize, v: &Matrix<f32>) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.rows() * v.cols());
-    for r in 0..a.rows() {
+/// Independent serial reference of one N:M SpMM panel (rows
+/// `p·rows .. (p+1)·rows` of `a`): `scan_row` plus a serial axpy per kept
+/// entry, in ascending column order.
+fn spmm_reference(a: &NmCompressed<f32>, rows: usize, p: usize, v: &Matrix<f32>) -> Vec<u32> {
+    let mut out = Vec::with_capacity(rows * v.cols());
+    for r in p * rows..(p + 1) * rows {
         let mut acc = vec![0.0f32; v.cols()];
-        a.scan_row(p, r, |col, val| {
+        a.scan_row(r, |col, val| {
             let s = val.to_mul();
             for (o, x) in acc.iter_mut().zip(v.row(col)) {
                 *o += s * x.to_mul();
@@ -306,7 +315,7 @@ fn batched_spmm_matches_serial_panel_loop() {
             let panels: Vec<NmCompressed<f32>> = (0..batch)
                 .map(|p| NmCompressed::compress(&scores.to_panel(p), pattern))
                 .collect();
-            let comp = NmBatch::from_panels(&panels);
+            let comp = NmCompressed::compress(&stacked(&scores), pattern);
             for d in [1usize, 15, 16, 24, 64, 80, 128] {
                 let v = stack(batch, inner, d, 51);
                 let mut bctx = GpuCtx::a100();
@@ -314,7 +323,7 @@ fn batched_spmm_matches_serial_panel_loop() {
                 let mut sctx = GpuCtx::a100();
                 for (p, panel) in panels.iter().enumerate() {
                     let v_p = v.to_panel(p);
-                    let want = spmm_reference(&comp, p, &v_p);
+                    let want = spmm_reference(&comp, rows, p, &v_p);
                     let single = rayon::with_serial(|| spmm::spmm_nm(&mut sctx, panel, &v_p));
                     let what = format!("{pattern} rows {rows} d {d} panel {p}");
                     assert_eq!(bits(&out.to_panel(p)), want, "batched {what}");
@@ -355,7 +364,7 @@ fn batched_sddmm_with_tied_scores_matches_dense_prune() {
             let single = sddmm::sddmm_nm_fused(&mut GpuCtx::a100(), &q_p, &k_p, 0.25, pattern);
             let dense = gemm::gemm_nt(&mut GpuCtx::a100(), Stage::Qk, &q_p, &k_p, 0.25);
             let want = NmCompressed::compress(&dense, pattern);
-            for (got, what) in [(panel_of(&comp, p), "batched"), (single, "solo")] {
+            for (got, what) in [(panel_of(&comp, n, p), "batched"), (single, "solo")] {
                 assert_eq!(got.codes(), want.codes(), "{pattern} {what} codes {p}");
                 assert_eq!(
                     bits(&got.decompress()),
@@ -380,6 +389,7 @@ fn batched_charge_only_profiles_match_executed() {
     let mut charge = GpuCtx::a100_charge_only();
     let comp = sddmm::sddmm_nm_fused_batched(&mut charge, &q, &k, 0.125, NmPattern::P1_2);
     assert!(!comp.is_materialized());
+    assert_eq!((comp.rows(), comp.cols()), (batch * n, n));
     let (e, c) = (&exec.timeline.entries()[0], &charge.timeline.entries()[0]);
     assert_eq!(e.bytes_read, c.bytes_read);
     assert_eq!(e.bytes_written, c.bytes_written);

@@ -7,13 +7,19 @@
 //! patterns (1:2 float, 2:4 bf16) the codes convert losslessly to and from
 //! the swizzled [`DeviceMeta`] layout.
 //!
+//! A B×H launch's scores are one `NmCompressed` over the stacked rows
+//! (panel `p` of `rows`-row panels is rows `p·rows .. (p+1)·rows`), since
+//! every score row is pruned, normalised and multiplied on its own.
+//!
 //! [`DeviceMeta`]: crate::meta::DeviceMeta
 
 use crate::meta::{self, DeviceMeta, MetaError};
 use crate::pattern::NmPattern;
 use dfss_tensor::{Matrix, Scalar};
 
-/// A matrix pruned to an N:M pattern and stored compressed.
+/// A matrix pruned to an N:M pattern and stored compressed. A charge-only
+/// placeholder ([`charge_only`](Self::charge_only)) has empty buffers: its
+/// byte counts still come from its shape, and its row accessors panic.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NmCompressed<T> {
     pattern: NmPattern,
@@ -31,22 +37,30 @@ impl<T: Scalar> NmCompressed<T> {
     /// entries (by value — softmax is monotone, paper §3.1).
     pub fn compress(dense: &Matrix<T>, pattern: NmPattern) -> NmCompressed<T> {
         let (rows, cols) = dense.shape();
-        let mut out = NmCompressed::zeros(pattern, rows, cols);
+        assert_eq!(cols % pattern.m(), 0);
+        let mut nonzeros = vec![T::zero(); rows * pattern.kept_per_row(cols)];
+        let mut codes = vec![0u8; rows * cols / pattern.m()];
         // Rows are contiguous and whole groups, so one pass covers them all.
-        pattern.compress_groups_into(dense.as_slice(), &mut out.nonzeros, &mut out.codes);
-        out
+        pattern.compress_groups_into(dense.as_slice(), &mut nonzeros, &mut codes);
+        NmCompressed::from_parts(pattern, rows, cols, nonzeros, codes)
     }
 
-    /// Structurally valid all-zero matrix (first-N selection per group) —
-    /// what charge-only (`!exec`) kernels return.
-    pub fn zeros(pattern: NmPattern, rows: usize, cols: usize) -> NmCompressed<T> {
-        NmCompressed::from_parts(
+    /// Shape-only placeholder for charge-only (`!ctx.exec`) kernel results.
+    pub fn charge_only(pattern: NmPattern, rows: usize, cols: usize) -> NmCompressed<T> {
+        assert_eq!(cols % pattern.m(), 0);
+        NmCompressed {
             pattern,
             rows,
             cols,
-            vec![T::zero(); rows * pattern.kept_per_row(cols)],
-            vec![pattern.first_n_code(); rows * cols / pattern.m()],
-        )
+            nonzeros: Vec::new(),
+            codes: Vec::new(),
+        }
+    }
+
+    /// Whether the buffers are populated (false only for a placeholder).
+    #[inline]
+    pub fn is_materialized(&self) -> bool {
+        self.nonzeros.len() == self.rows * self.kept_per_row()
     }
 
     /// Assemble directly from parts (used by the fused SDDMM epilogue, which
@@ -110,6 +124,7 @@ impl<T: Scalar> NmCompressed<T> {
     /// Kept values of one row, compressed order.
     #[inline]
     pub fn row_nonzeros(&self, r: usize) -> &[T] {
+        assert!(self.is_materialized(), "charge-only NmCompressed: no rows");
         let k = self.kept_per_row();
         &self.nonzeros[r * k..(r + 1) * k]
     }
@@ -117,6 +132,7 @@ impl<T: Scalar> NmCompressed<T> {
     /// Mutable kept values of one row (softmax normalises these in place).
     #[inline]
     pub fn row_nonzeros_mut(&mut self, r: usize) -> &mut [T] {
+        assert!(self.is_materialized(), "charge-only NmCompressed: no rows");
         let k = self.kept_per_row();
         &mut self.nonzeros[r * k..(r + 1) * k]
     }
@@ -150,9 +166,10 @@ impl<T: Scalar> NmCompressed<T> {
     /// entry of row `r` in ascending column order (see [`scan_codes`]).
     #[inline]
     pub fn scan_row(&self, r: usize, f: impl FnMut(usize, T)) {
+        let row_nz = self.row_nonzeros(r);
         let gpr = self.groups_per_row();
         let row_codes = &self.codes[r * gpr..(r + 1) * gpr];
-        scan_codes(self.pattern.m(), row_codes, self.row_nonzeros(r), f);
+        scan_codes(self.pattern.m(), row_codes, row_nz, f);
     }
 
     /// Reconstruct the dense matrix (zeros at pruned positions).
@@ -168,7 +185,7 @@ impl<T: Scalar> NmCompressed<T> {
     /// Nonzero storage footprint in bytes.
     #[inline]
     pub fn nonzeros_bytes(&self) -> usize {
-        self.nonzeros.len() * T::BYTES
+        self.rows * self.kept_per_row() * T::BYTES
     }
 
     /// Logical metadata footprint in bytes (4 bits per group for the
@@ -176,7 +193,7 @@ impl<T: Scalar> NmCompressed<T> {
     #[inline]
     pub fn meta_bytes(&self) -> usize {
         // 4 bits per group, rounded up to whole bytes per matrix.
-        (self.codes.len() * 4).div_ceil(8)
+        (self.rows * self.groups_per_row() * 4).div_ceil(8)
     }
 
     /// Total compressed footprint in bytes.
@@ -494,6 +511,24 @@ mod tests {
         let codes = vec![0b01u8, 0b10, 0b01, 0b10];
         let c = NmCompressed::from_parts(NmPattern::P1_2, 2, 4, nz, codes);
         assert_eq!(c.kept_per_row(), 2);
+    }
+
+    #[test]
+    fn charge_only_carries_shape() {
+        let p = NmCompressed::<f32>::charge_only(NmPattern::P1_2, 8 * 64, 64);
+        assert!(!p.is_materialized());
+        assert_eq!(p.kept_per_row(), 32);
+        assert_eq!(p.bytes(), 8 * (64 * 32 * 4 + 64 * 32 / 2));
+        let full = NmCompressed::compress(&Matrix::<f32>::zeros(8 * 64, 64), NmPattern::P1_2);
+        assert!(full.is_materialized());
+        assert_eq!(p.bytes(), full.bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "charge-only")]
+    fn charge_only_row_access_panics() {
+        let p = NmCompressed::<f32>::charge_only(NmPattern::P1_2, 16, 8);
+        let _ = p.row_nonzeros(0);
     }
 
     #[test]

@@ -10,28 +10,22 @@
 //! * [`compressed`] — the logical compressed format
 //!   ([`NmCompressed`]): nonzeros (`n/m` of the dense row) + one 4-bit
 //!   selection code per group, with compress / decompress / masked-dense.
-//! * [`batch`] — [`NmBatch`], a contiguous stack of same-shape compressed
-//!   panels with per-panel metadata views, produced and consumed by the
-//!   batched B×H kernels in one launch.
+//!   Every prefill's scores, a B×H launch's as one over its stacked rows.
+//! * [`ragged`] — [`NmRagged`], a decode launch's ragged score rows.
 //! * [`meta`] — the *device* metadata layout of Appendix A.1.1 / Figure 6:
 //!   4-bit codes (`0x4, 0x8, 0xC, 0x9, 0xD, 0xE`), concatenation into 2-byte
 //!   blocks, the row interleave of Equation (9), the sub-diagonal 2×2 swap,
 //!   and the interleaved column-major store — all invertible and property
 //!   tested as a bijection.
-//! * [`interleave`] — the bf16 column interleave of Figure 9 that keeps each
-//!   2:4 group inside one "thread" during the fused pruning epilogue.
 //! * [`csr`] — compressed sparse row, the encoding the explicit top-k
 //!   baseline (§4.3) must build at runtime.
 
-pub mod batch;
 pub mod compressed;
 pub mod csr;
-pub mod interleave;
 pub mod meta;
 pub mod pattern;
 pub mod ragged;
 
-pub use batch::NmBatch;
 pub use compressed::{scan_codes, NmCompressed};
 pub use csr::Csr;
 pub use meta::MetaError;

@@ -474,12 +474,6 @@ impl<T: Scalar> PagedKvCache<T> {
         (self.len * (self.d + self.d_v) * T::BYTES) as u64
     }
 
-    /// Pool pages `new_rows` more positions would need.
-    pub fn pages_needed(&self, new_rows: usize) -> usize {
-        pages_for_growth(self.len, new_rows, self.rows_per_page_k)
-            + pages_for_growth(self.len, new_rows, self.rows_per_page_v)
-    }
-
     /// Append one position (a `d`-wide key row and a `d_v`-wide value
     /// row) given at any dtype `C`: the one-row case of
     /// [`extend`](Self::extend), through the same write.

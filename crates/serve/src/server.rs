@@ -557,17 +557,24 @@ impl<T: Scalar> AttentionServer<T> {
         plan.get(op)
     }
 
-    /// Shed at admission when the unresolved-request count (`depth`) is
-    /// at the policy bound. Returns the observed depth on refusal.
-    fn check_depth(&self) -> Result<(), usize> {
-        if let Some(bound) = self.policy.max_queue_depth {
-            let depth = self.depth.load(Ordering::SeqCst) as usize;
-            if depth >= bound {
+    /// Count one request into the unresolved-request count (`depth`), or
+    /// shed it when `depth` is at the policy bound. The test and the
+    /// increment are one atomic step, so concurrent submitters can never
+    /// overrun the bound. Returns the observed depth on refusal.
+    fn admit(&self) -> Result<(), usize> {
+        let Some(bound) = self.policy.max_queue_depth else {
+            self.depth.fetch_add(1, Ordering::SeqCst);
+            return Ok(());
+        };
+        self.depth
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| {
+                ((d as usize) < bound).then_some(d + 1)
+            })
+            .map(drop)
+            .map_err(|depth| {
                 self.overload_sheds.fetch_add(1, Ordering::Relaxed);
-                return Err(depth);
-            }
-        }
-        Ok(())
+                depth as usize
+            })
     }
 
     /// The server's KV geometry and budget.
@@ -615,10 +622,9 @@ impl<T: Scalar> AttentionServer<T> {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Rejected(e));
         }
-        if let Err(depth) = self.check_depth() {
+        if let Err(depth) = self.admit() {
             return Err(ServeError::Overloaded { depth });
         }
-        self.depth.fetch_add(1, Ordering::SeqCst);
         // Rendezvous capacity 1: the worker never blocks sending a
         // response, clients may wait lazily.
         let (reply, rx) = mpsc::sync_channel(1);
@@ -876,10 +882,9 @@ impl<T: Scalar> AttentionServer<T> {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(SessionError::Rejected(RequestError::EmptyRequest));
             }
-            if let Err(depth) = self.check_depth() {
+            if let Err(depth) = self.admit() {
                 return Err(SessionError::Overloaded { depth });
             }
-            self.depth.fetch_add(1, Ordering::SeqCst);
             let meta = reg.sessions.get_mut(&req.session.0).expect("checked above");
             meta.inflight += 1;
             reg.touch(req.session.0);
@@ -2724,6 +2729,53 @@ mod tests {
         assert_eq!(stats.overload_sheds, 2);
         assert_eq!(stats.served, 2);
         assert_eq!(stats.decode_steps, 0);
+    }
+
+    #[test]
+    fn concurrent_submitters_never_overrun_the_depth_bound() {
+        let mech: Arc<dyn Attention<f32> + Send + Sync> = Arc::new(FullAttention);
+        // The first prefill rides a slowed launch and stays unresolved
+        // while eight submitters, released together, race for the two
+        // slots a bound of 3 leaves.
+        let server = AttentionServer::start_with_faults(
+            Arc::clone(&mech),
+            BatchPolicy::default().with_queue_depth(3),
+            slow_op(0),
+        );
+        let mut rng = Rng::new(97);
+        let (q, k, v) = request(16, 8, &mut rng);
+        let held = server.submit(q, k, v).unwrap();
+        let requests: Vec<_> = (0..8).map(|_| request(16, 8, &mut rng)).collect();
+        let gate = std::sync::Barrier::new(requests.len());
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let submitters: Vec<_> = requests
+                .into_iter()
+                .map(|(q, k, v)| {
+                    let (server, gate) = (&server, &gate);
+                    scope.spawn(move || {
+                        gate.wait();
+                        server.submit(q, k, v)
+                    })
+                })
+                .collect();
+            submitters
+                .into_iter()
+                .map(|t| t.join().expect("submitter thread"))
+                .collect()
+        });
+        let (admitted, shed): (Vec<_>, Vec<_>) = outcomes.into_iter().partition(Result::is_ok);
+        assert_eq!(admitted.len(), 2, "exactly the free slots admit");
+        assert_eq!(shed.len(), 6);
+        for refused in &shed {
+            assert!(matches!(refused, Err(ServeError::Overloaded { depth: 3 })));
+        }
+        let stats = server.shutdown();
+        assert!(held.wait().is_ok(), "admitted requests drain at shutdown");
+        for h in admitted {
+            assert!(h.unwrap().wait().is_ok());
+        }
+        assert_eq!(stats.overload_sheds, 6);
+        assert_eq!(stats.served, 3);
     }
 
     #[test]

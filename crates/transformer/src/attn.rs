@@ -739,31 +739,9 @@ impl MultiHeadAttention {
                     }),
                 )
             }
-            _ => {
-                debug_assert!(self.kind.is_mask_family());
-                let mut s = matmul(qh, &kh.transpose());
-                s.scale(scale);
-                let mask = build_mask(&self.kind, &s, qh, kh);
-                for r in 0..n {
-                    let row = s.row_mut(r);
-                    for (c, x) in row.iter_mut().enumerate() {
-                        if mask.get(r, c) == 0.0 {
-                            *x = f32::NEG_INFINITY;
-                        }
-                    }
-                    math::softmax_row(row);
-                }
-                let out = matmul(&s, vh);
-                (
-                    out,
-                    HeadCache::Mask(MaskCache {
-                        q: qh.clone(),
-                        k: kh.clone(),
-                        v: vh.clone(),
-                        a: s,
-                    }),
-                )
-            }
+            _ => unreachable!(
+                "mask-family attention runs through mask_family_forward_batched, not per head"
+            ),
         }
     }
 

@@ -33,7 +33,7 @@ pub mod prelude {
     pub use dfss_core::full::FullAttention;
     pub use dfss_core::mechanism::{Attention, RequestError};
     pub use dfss_kernels::GpuCtx;
-    pub use dfss_nmsparse::{NmBatch, NmCompressed, NmPattern, NmRagged};
+    pub use dfss_nmsparse::{NmCompressed, NmPattern, NmRagged};
     pub use dfss_serve::http::{HttpClient, HttpClientError, HttpConfig, HttpServer};
     pub use dfss_serve::retry::{with_backoff, Backoff, Transient};
     pub use dfss_serve::wire::{Json as WireJson, WireError, WireLimits};

@@ -14,7 +14,9 @@
 //!   within a bounded read.
 //! - **Bit-identity for untouched requests**: every `200` response is
 //!   bit-identical to fault-free solo computation against a host-side
-//!   model of the session state at submission time.
+//!   model of the session state at submission time. Odd seeds store the
+//!   KV cache bf16-quantised; their model holds each admitted row rounded
+//!   through bf16.
 //! - **Reconciliation**: post-drain, `kv_pages_allocated ==
 //!   kv_pages_freed` (abandoned sessions included),
 //!   `http_connections_accepted` equals the connections this test
@@ -29,7 +31,7 @@
 use dfss::prelude::*;
 use dfss_serve::http::{HttpConfig, HttpServer};
 use dfss_serve::wire::{self, Json, RequestReader, WireLimits};
-use dfss_serve::{AttentionServer, BatchPolicy, FaultKind, FaultPlan};
+use dfss_serve::{AttentionServer, BatchPolicy, FaultKind, FaultPlan, KvDtype};
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -181,11 +183,21 @@ proptest! {
             };
             plan = plan.inject(op, kind);
         }
-        let att = AttentionServer::start_with_faults(
+        // The KV-dtype draw: odd seeds run the bf16 store.
+        let kv_dtype = if seed % 2 == 1 { KvDtype::Bf16 } else { KvDtype::Native };
+        let att = AttentionServer::start_continuous_with_kv_faults(
             Arc::clone(&mech),
             BatchPolicy::default(),
+            SchedPolicy::default(),
+            KvConfig { kv_dtype, ..KvConfig::default() },
             plan.clone(),
         );
+        // What the store holds of an admitted row: the row itself, or its
+        // bf16 rounding widened back to f32.
+        let stored = |m: &Matrix<f32>| match kv_dtype {
+            KvDtype::Native => m.clone(),
+            KvDtype::Bf16 => m.map(|x| Bf16::from_f32(x).to_f32()),
+        };
         let config = HttpConfig {
             read_timeout: Duration::from_millis(500),
             write_timeout: Duration::from_millis(500),
@@ -271,7 +283,9 @@ proptest! {
                         &mut garbage_sent,
                     )?;
                     match resp {
-                        Some(resp) if resp.status == 200 => model.push((sid, k, v)),
+                        Some(resp) if resp.status == 200 => {
+                            model.push((sid, stored(&k), stored(&v)));
+                        }
                         Some(resp) => {
                             prop_assert!(
                                 matches!(resp.status, 503),
@@ -306,8 +320,8 @@ proptest! {
                     match resp {
                         Some(resp) if resp.status == 200 => {
                             let (_, k, v) = &mut model[i];
-                            *k = k.vstack(&Matrix::from_vec(1, d, k_row));
-                            *v = v.vstack(&Matrix::from_vec(1, d_v, v_row));
+                            *k = k.vstack(&stored(&Matrix::from_vec(1, d, k_row)));
+                            *v = v.vstack(&stored(&Matrix::from_vec(1, d_v, v_row)));
                         }
                         Some(resp) => {
                             prop_assert!(

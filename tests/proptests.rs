@@ -248,13 +248,15 @@ proptest! {
     // steps computed against a host-side model of each session's cache at
     // submission time. Decode steps from different sessions (with ragged,
     // often M-misaligned cached lengths) coalesce into one ragged launch
-    // per op; appends racing a queued decode must not leak into it.
+    // per op; appends racing a queued decode must not leak into it. Odd
+    // seeds store the KV cache bf16-quantised; their model holds each
+    // admitted row rounded through bf16.
     #[test]
     fn server_interleaved_prefill_and_decode_matches_solo(
         seed in 0u64..10_000,
         ops in proptest::collection::vec(0usize..8, 24),
     ) {
-        use dfss_serve::DecodeRequest;
+        use dfss_serve::{DecodeRequest, KvDtype};
         use std::sync::Arc;
 
         let mech_dfss = DfssAttention::new(NmPattern::P1_2);
@@ -264,10 +266,19 @@ proptest! {
         } else {
             Arc::new(mech_dfss)
         };
-        let server = dfss_serve::AttentionServer::start(
+        // The KV-dtype draw: odd seeds run the bf16 store.
+        let kv_dtype = if seed % 2 == 1 { KvDtype::Bf16 } else { KvDtype::Native };
+        let server = dfss_serve::AttentionServer::start_with_kv(
             Arc::clone(&mech),
             dfss_serve::BatchPolicy::default(),
+            KvConfig { kv_dtype, ..KvConfig::default() },
         );
+        // What the store holds of an admitted row: the row itself, or its
+        // bf16 rounding widened back to f32.
+        let stored = |m: &Matrix<f32>| match kv_dtype {
+            KvDtype::Native => m.clone(),
+            KvDtype::Bf16 => m.map(|x| Bf16::from_f32(x).to_f32()),
+        };
         let (d, d_v) = (8usize, 8usize);
         let mut rng = Rng::new(seed);
         // Host-side model: (session, K rows so far, V rows so far).
@@ -283,7 +294,7 @@ proptest! {
                     let v = Matrix::<f32>::random_normal(len, d_v, 0.0, 1.0, &mut rng);
                     let s = server.open_session(d, d_v).expect("open");
                     server.extend(s, k.clone(), v.clone()).expect("extend");
-                    model.push((s, k, v));
+                    model.push((s, stored(&k), stored(&v)));
                 }
                 // Append one row to a random open session.
                 2 | 3 => {
@@ -295,8 +306,8 @@ proptest! {
                         .append(model[i].0, k_row.clone(), v_row.clone())
                         .expect("append");
                     let (_, k, v) = &mut model[i];
-                    *k = k.vstack(&Matrix::from_vec(1, d, k_row));
-                    *v = v.vstack(&Matrix::from_vec(1, d_v, v_row));
+                    *k = k.vstack(&stored(&Matrix::from_vec(1, d, k_row)));
+                    *v = v.vstack(&stored(&Matrix::from_vec(1, d_v, v_row)));
                 }
                 // Decode on a random open session; expected output from the
                 // model's snapshot of the cache.
