@@ -129,14 +129,6 @@ impl<T: Scalar> NmCompressed<T> {
         &self.nonzeros[r * k..(r + 1) * k]
     }
 
-    /// Mutable kept values of one row (softmax normalises these in place).
-    #[inline]
-    pub fn row_nonzeros_mut(&mut self, r: usize) -> &mut [T] {
-        assert!(self.is_materialized(), "charge-only NmCompressed: no rows");
-        let k = self.kept_per_row();
-        &mut self.nonzeros[r * k..(r + 1) * k]
-    }
-
     /// All nonzeros (row-major).
     #[inline]
     pub fn nonzeros(&self) -> &[T] {
@@ -152,14 +144,6 @@ impl<T: Scalar> NmCompressed<T> {
     #[inline]
     pub fn codes(&self) -> &[u8] {
         &self.codes
-    }
-
-    /// Iterate `(col, value)` pairs of a row in ascending column
-    /// order.
-    pub fn iter_row(&self, r: usize) -> impl Iterator<Item = (usize, T)> {
-        let mut out = Vec::with_capacity(self.kept_per_row());
-        self.scan_row(r, |c, v| out.push((c, v)));
-        out.into_iter()
     }
 
     /// Allocation-free row scan: calls `f(col, value)` for every kept
@@ -376,20 +360,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_row_ascending_columns() {
+    fn scan_row_visits_ascending_columns() {
         let dense = Matrix::<f32>::from_vec(1, 8, vec![5., 1., 2., 6., 0., 9., 8., 7.]);
         let comp = NmCompressed::compress(&dense, NmPattern::P2_4);
-        let entries: Vec<(usize, f32)> = comp.iter_row(0).collect();
+        let mut entries: Vec<(usize, f32)> = Vec::new();
+        comp.scan_row(0, |c, v| entries.push((c, v)));
         assert_eq!(entries, vec![(0, 5.0), (3, 6.0), (5, 9.0), (6, 8.0)]);
-    }
-
-    #[test]
-    fn row_nonzeros_mut_supports_softmax_in_place() {
-        let dense = Matrix::<f32>::from_vec(1, 4, vec![1., 2., 3., 4.]);
-        let mut comp = NmCompressed::compress(&dense, NmPattern::P2_4);
-        dfss_tensor::math::softmax_row(comp.row_nonzeros_mut(0));
-        let s: f32 = comp.row_nonzeros(0).iter().sum();
-        assert!((s - 1.0).abs() < 1e-6);
     }
 
     #[test]

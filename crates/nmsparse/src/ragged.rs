@@ -154,13 +154,6 @@ impl<T: Scalar> NmRagged<T> {
         &self.nonzeros[self.nz_offsets[i]..self.nz_offsets[i + 1]]
     }
 
-    /// Mutable kept values of row `i` (the decode softmax normalises in
-    /// place).
-    #[inline]
-    pub fn row_nonzeros_mut(&mut self, i: usize) -> &mut [T] {
-        &mut self.nonzeros[self.nz_offsets[i]..self.nz_offsets[i + 1]]
-    }
-
     /// Selection codes of row `i`, one byte per full group.
     #[inline]
     pub fn row_codes(&self, i: usize) -> &[u8] {

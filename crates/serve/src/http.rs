@@ -347,12 +347,12 @@ fn shed_connection(mut stream: TcpStream, config: &HttpConfig) {
         ("error", Json::Str("connection cap reached".into())),
         ("kind", Json::Str("Overloaded".into())),
     ])
-    .render();
+    .render_bytes();
     let _ = wire::write_response(
         &mut stream,
         503,
         "application/json",
-        body.as_bytes(),
+        &body,
         Some(Duration::from_secs(1)),
         true,
     );
@@ -423,7 +423,7 @@ impl Reply {
         Reply {
             status,
             content_type: "application/json",
-            body: body.render().into_bytes(),
+            body: body.render_bytes(),
             retry_after: None,
         }
     }
@@ -931,18 +931,17 @@ impl HttpClient {
         path: &str,
         body: Option<&Json>,
     ) -> Result<wire::Response, HttpClientError> {
-        let rendered = body.map(Json::render);
-        let payload = rendered.as_deref().unwrap_or("").as_bytes();
+        let payload = body.map(Json::render_bytes).unwrap_or_default();
         let head = format!(
             "{method} {path} HTTP/1.1\r\nhost: dfss\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
             payload.len()
         );
         let limits = self.limits;
         let (reader, writer) = self.ensure_conn()?;
-        let sent = writer
-            .write_all(head.as_bytes())
-            .and_then(|()| writer.write_all(payload))
-            .and_then(|()| writer.flush());
+        let sent = wire::write_message(writer, head.as_bytes(), &payload);
+        // The body is on the wire: free it before the reply arrives, so a
+        // large body and its reply are never held at once.
+        drop(payload);
         if let Err(e) = sent {
             self.conn = None;
             return Err(HttpClientError::Transport(e.to_string()));
@@ -1299,6 +1298,35 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.http_parse_rejects, 1);
         assert_eq!(stats.http_connections_accepted, 2);
+    }
+
+    #[test]
+    fn content_lengths_that_disagree_or_carry_a_sign_get_400() {
+        let server = start_http(BatchPolicy::default());
+        let addr = server.local_addr();
+        for fields in [
+            "content-length: 3\r\ncontent-length: 5\r\n",
+            "content-length: +5\r\n",
+        ] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let request = format!("POST /v1/sessions HTTP/1.1\r\n{fields}\r\n{{\"d\":4}}");
+            stream.write_all(request.as_bytes()).unwrap();
+            let mut reader = RequestReader::new(stream.try_clone().unwrap());
+            let resp =
+                wire::read_response(&mut reader, &WireLimits::default()).expect("a response");
+            let text = String::from_utf8_lossy(&resp.body);
+            assert_eq!(resp.status, 400, "{fields:?}: {text}");
+            assert!(
+                text.contains("\"kind\":\"Malformed\""),
+                "{fields:?}: {text}"
+            );
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.http_parse_rejects, 2);
+        assert_eq!(stats.sessions_opened, 0);
     }
 
     #[test]

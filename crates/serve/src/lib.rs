@@ -103,6 +103,7 @@
 mod faults;
 pub mod http;
 mod kv;
+mod num;
 pub mod retry;
 pub mod sched;
 mod server;

@@ -19,8 +19,9 @@
 //! which is exactly what `curl`, the bench load generator, and the
 //! chaos client speak.
 
+use crate::num;
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::time::Duration;
 
 /// Byte budgets for one parsed request. Exceeding either limit is a
@@ -317,6 +318,9 @@ fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a st
 
 /// The declared body length of a request or response. Chunked transfer
 /// encoding is not supported (typed refusal, not a misframed read).
+/// Every `Content-Length` field must be digits only (RFC 9110 §8.6), and
+/// all of them must give the same length (RFC 9112 §6.3): a message that
+/// disagrees with itself cannot be framed.
 fn content_length(headers: &[(String, String)]) -> Result<usize, WireError> {
     if find_header(headers, "transfer-encoding")
         .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
@@ -325,12 +329,22 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, WireError> {
             "chunked transfer encoding is not supported".into(),
         ));
     }
-    match find_header(headers, "content-length") {
-        None => Ok(0),
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| WireError::Malformed(format!("bad content-length {v:?}"))),
+    let mut declared = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let bad = || WireError::Malformed(format!("bad content-length {v:?}"));
+        // `usize::from_str` alone would also take a leading `+`.
+        if !v.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(bad());
+        }
+        let len = v.parse::<usize>().map_err(|_| bad())?;
+        if declared.is_some_and(|first| first != len) {
+            return Err(WireError::Malformed(
+                "content-length fields disagree".into(),
+            ));
+        }
+        declared = Some(len);
     }
+    Ok(declared.unwrap_or(0))
 }
 
 /// Standard reason phrase for the status codes the front door emits.
@@ -373,8 +387,30 @@ pub fn write_response(
         head.push_str("connection: close\r\n");
     }
     head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
+    write_message(w, head.as_bytes(), body)
+}
+
+/// Send one HTTP message, `head` then `body`, and flush. The two go out
+/// as one vectored write when the writer takes them (one segment on a
+/// socket, not two), and the body is never copied.
+pub(crate) fn write_message(w: &mut impl Write, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let mut parts = [IoSlice::new(head), IoSlice::new(body)];
+    let mut parts = &mut parts[..];
+    // Drop empty parts up front, so an empty message writes nothing.
+    IoSlice::advance_slices(&mut parts, 0);
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    ErrorKind::WriteZero,
+                    "failed to write whole message",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -460,11 +496,12 @@ const MAX_JSON_DEPTH: usize = 64;
 /// Same shape as the bench artifact codec, plus a recursion-depth cap on
 /// parsing (network bytes are hostile) and one number contract:
 ///
-/// - **Numbers inside an array are `f32`.** Each parses with
-///   `str::parse::<f32>`, which rounds correctly, so no f64 → f32 double
-///   rounding happens. An array whose items are all numbers is one
-///   [`Json::F32Row`] node, and it renders each item as shortest
-///   round-trip `f32` text (`-0.0` as `-0`). Every finite `f32` therefore
+/// - **Numbers inside an array are `f32`.** Each parses correctly
+///   rounded to `f32`, the value `str::parse::<f32>` gives, so no
+///   f64 → f32 double rounding happens. An array whose items are all
+///   numbers is one [`Json::F32Row`] node, and it renders each item as
+///   shortest round-trip `f32` text (`-0.0` as `-0`), byte for byte the
+///   text of core's `{}` / `{:e}`. Every finite `f32` therefore
 ///   crosses the wire with its bits intact, and so do `output` matrices
 ///   (the chaos harness asserts this end to end). In a mixed array the
 ///   numbers are [`Json::Num`] items holding those `f32` values.
@@ -572,24 +609,49 @@ impl Json {
     /// Render compactly (single line, no trailing newline) — the wire
     /// format of request and response bodies.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        String::from_utf8(self.render_bytes()).expect("JSON text is UTF-8")
+    }
+
+    /// [`render`](Self::render)'s text as bytes, ready for the wire.
+    pub(crate) fn render_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.text_len_hint());
         self.write(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// About the length of this value's text (a row number at its usual
+    /// 12 bytes with its comma), so that a body renders into one
+    /// allocation instead of a doubling series.
+    fn text_len_hint(&self) -> usize {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
+            Json::Null | Json::Bool(_) => 5,
+            Json::Num(_) => 24,
+            Json::Str(s) => s.len() + 2,
+            Json::Arr(items) => {
+                items.iter().map(Json::text_len_hint).sum::<usize>() + items.len() + 2
             }
+            Json::F32Row(row) => 12 * row.len() + 2,
+            Json::Obj(fields) => {
+                let text: usize = fields
+                    .iter()
+                    .map(|(k, v)| k.len() + 4 + v.text_len_hint())
+                    .sum();
+                text + 2
+            }
+        }
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             Json::Num(x) => {
                 if !x.is_finite() {
-                    out.push_str("null");
+                    out.extend_from_slice(b"null");
                 } else if *x == 0.0 && x.is_sign_negative() {
                     // The integer fast-path below would erase the sign
                     // of -0.0, breaking f32 bit-identity on the wire.
-                    out.push_str("-0");
+                    out.extend_from_slice(b"-0");
                 } else if x.fract() == 0.0 && x.abs() < 1e15 {
                     let _ = write!(out, "{}", *x as i64);
                 } else if (1e-5..1e16).contains(&x.abs()) {
@@ -602,46 +664,36 @@ impl Json {
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::F32Row(row) => {
-                out.push('[');
-                for (i, x) in row.iter().enumerate() {
+                out.push(b'[');
+                for (i, &x) in row.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    // `f32`'s Display and LowerExp are both its shortest
-                    // round-trip text.
-                    if !x.is_finite() {
-                        out.push_str("null");
-                    } else if *x == 0.0 || (1e-5..1e16).contains(&x.abs()) {
-                        let _ = write!(out, "{x}");
-                    } else {
-                        // Plain decimal would run long here:
-                        // `f32::MIN_POSITIVE` is 47 bytes.
-                        let _ = write!(out, "{x:e}");
-                    }
+                    num::write_f32(out, x);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(out, k);
-                    out.push(':');
+                    out.push(b':');
                     v.write(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -662,22 +714,24 @@ impl Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+fn write_escaped(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    // Every byte this escapes is ASCII, and no byte of a multi-byte
+    // character is, so the bytes can be copied one by one.
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b if b < 0x20 => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
+            b => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -721,7 +775,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
             loop {
                 skip_ws(bytes, pos);
                 if starts_number(bytes.get(*pos)) {
-                    let x = parse_number::<f32>(bytes, pos)?;
+                    let x = num::scan::<f32>(bytes, pos)?;
                     match &mut items {
                         Some(items) => items.push(Json::Num(f64::from(x))),
                         None => row.push(x),
@@ -771,12 +825,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 }
             }
         }
-        Some(_) => parse_number::<f64>(bytes, pos).map(Json::Num),
+        Some(_) => num::scan::<f64>(bytes, pos).map(Json::Num),
     }
 }
 
 /// Whether a value starting at `b` is a number: what [`parse_value`]
-/// hands to [`parse_number`].
+/// hands to [`num::scan`].
 fn starts_number(b: Option<&u8>) -> bool {
     !matches!(b, None | Some(b'n' | b't' | b'f' | b'"' | b'[' | b'{'))
 }
@@ -852,60 +906,6 @@ fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
             .ok_or("\\u escape without four hex digits")?;
         Ok(code << 4 | digit)
     })
-}
-
-/// One number token, parsed at width `F` (correctly rounded). The token
-/// must have RFC 8259's form
-/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, and a result that is
-/// not finite at that width is refused.
-fn parse_number<F: std::str::FromStr + Into<f64> + Copy>(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<F, String> {
-    let start = *pos;
-    let invalid = || format!("invalid number at byte {start}");
-    let at = |pos: &usize| bytes.get(*pos).copied();
-    let digits = |pos: &mut usize| {
-        let from = *pos;
-        while matches!(at(pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-        *pos - from
-    };
-    if at(pos) == Some(b'-') {
-        *pos += 1;
-    }
-    match at(pos) {
-        Some(b'0') => *pos += 1,
-        Some(b'1'..=b'9') => {
-            digits(pos);
-        }
-        _ => return Err(invalid()),
-    }
-    if at(pos) == Some(b'.') {
-        *pos += 1;
-        if digits(pos) == 0 {
-            return Err(invalid());
-        }
-    }
-    if matches!(at(pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(at(pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if digits(pos) == 0 {
-            return Err(invalid());
-        }
-    }
-    let parsed = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|e| e.to_string())?
-        .parse::<F>()
-        .map_err(|_| invalid())?;
-    if parsed.into().is_finite() {
-        Ok(parsed)
-    } else {
-        Err(format!("number out of range at byte {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -1072,6 +1072,152 @@ mod tests {
         assert_eq!(resp.body, br#"{"error":"overloaded"}"#);
     }
 
+    /// A writer that takes at most seven bytes per call, across parts,
+    /// and is interrupted before every other call.
+    #[derive(Default)]
+    struct Sip {
+        got: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Sip {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, parts: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 2 == 1 {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let mut room = 7;
+            for part in parts {
+                let n = part.len().min(room);
+                self.got.extend_from_slice(&part[..n]);
+                room -= n;
+            }
+            Ok(7 - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A writer whose every write takes nothing.
+    struct Stuck;
+
+    impl Write for Stuck {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Ok(0)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn messages_reach_a_short_writer_whole_and_a_stuck_one_is_an_error() {
+        let body = br#"{"error":"overloaded"}"#;
+        let mut sent = Vec::new();
+        write_response(
+            &mut sent,
+            503,
+            "application/json",
+            body,
+            Some(Duration::from_secs(1)),
+            true,
+        )
+        .unwrap();
+        let mut want = b"HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+            content-length: 22\r\nretry-after: 1\r\nconnection: close\r\n\r\n"
+            .to_vec();
+        want.extend_from_slice(body);
+        assert_eq!(sent, want);
+        let mut sip = Sip::default();
+        write_response(
+            &mut sip,
+            503,
+            "application/json",
+            body,
+            Some(Duration::from_secs(1)),
+            true,
+        )
+        .unwrap();
+        assert_eq!(sip.got, want);
+        // Head and body of every length up to three short writes each,
+        // empty ones included.
+        let bytes: Vec<u8> = (0..44u8).collect();
+        for head in 0..22 {
+            for tail in 0..22 {
+                let mut sip = Sip::default();
+                write_message(&mut sip, &bytes[..head], &bytes[head..head + tail]).unwrap();
+                assert_eq!(sip.got, &bytes[..head + tail]);
+            }
+        }
+        let err = write_response(&mut Stuck, 200, "text/plain", b"x", None, false).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
+        let err = write_message(&mut Stuck, b"", b"x").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
+        write_message(&mut Stuck, b"", b"").unwrap();
+    }
+
+    #[test]
+    fn content_length_is_digits_only_and_one_value() {
+        let limits = WireLimits::default();
+        let request =
+            |fields: &str| format!("POST / HTTP/1.1\r\n{fields}\r\nhelloGET / HTTP/1.1\r\n\r\n");
+        let response = |fields: &str| format!("HTTP/1.1 200 OK\r\n{fields}\r\nhello");
+        for bad in [
+            "content-length: +5\r\n",
+            "content-length: -5\r\n",
+            "content-length: 5,5\r\n",
+            "content-length: 5 5\r\n",
+            "content-length: 0x5\r\n",
+            "content-length: 5.0\r\n",
+            "content-length:\r\n",
+            "content-length: 99999999999999999999999\r\n",
+            "content-length: 3\r\ncontent-length: 5\r\n",
+            "content-length: 5\r\nhost: x\r\ncontent-length: 3\r\n",
+            "content-length: 5\r\ncontent-length: +5\r\n",
+        ] {
+            assert!(
+                matches!(
+                    parse_bytes(request(bad).as_bytes()),
+                    Err(WireError::Malformed(_))
+                ),
+                "request framed with {bad:?}"
+            );
+            let text = response(bad);
+            let mut reader = RequestReader::new(text.as_bytes());
+            assert!(
+                matches!(
+                    read_response(&mut reader, &limits),
+                    Err(WireError::Malformed(_))
+                ),
+                "response framed with {bad:?}"
+            );
+        }
+        for good in [
+            "content-length: 5\r\n",
+            "content-length: 0005\r\n",
+            "content-length: 5\r\ncontent-length: 5\r\n",
+            "Content-Length: 5\r\ncontent-length: 05\r\n",
+        ] {
+            let text = request(good);
+            let mut reader = RequestReader::new(text.as_bytes());
+            assert_eq!(
+                reader.read_request(&limits).unwrap().unwrap().body,
+                b"hello"
+            );
+            assert_eq!(reader.read_request(&limits).unwrap().unwrap().target, "/");
+            let text = response(good);
+            let mut reader = RequestReader::new(text.as_bytes());
+            assert_eq!(read_response(&mut reader, &limits).unwrap().body, b"hello");
+        }
+    }
+
     fn assert_same_bits(want: &[f32], got: &[f32]) {
         assert_eq!(want.len(), got.len());
         for (a, b) in want.iter().zip(got) {
@@ -1170,8 +1316,11 @@ mod tests {
 
     /// Every `stride`-th finite `f32` magnitude, with both signs, rendered
     /// a chunk at a time as one array by `render` and parsed back: the
-    /// values whose bits changed.
-    fn round_trip_sweep(stride: u32, render: impl Fn(&[f32]) -> String + Sync) -> Vec<String> {
+    /// chunks `render` refused and the values whose bits changed.
+    fn round_trip_sweep(
+        stride: u32,
+        render: impl Fn(&[f32]) -> Result<String, String> + Sync,
+    ) -> Vec<String> {
         use rayon::prelude::*;
         let count = f32::INFINITY.to_bits().div_ceil(stride);
         let reports: Vec<Option<String>> = (0..count.div_ceil(SWEEP_CHUNK))
@@ -1182,7 +1331,10 @@ mod tests {
                     .flat_map(|i| [i * stride, (i * stride) | 0x8000_0000])
                     .map(f32::from_bits)
                     .collect();
-                let text = render(&xs);
+                let text = match render(&xs) {
+                    Ok(text) => text,
+                    Err(why) => return Some(why),
+                };
                 let doc = match Json::parse(text.as_bytes()) {
                     Ok(doc) => doc,
                     Err(why) => return Some(format!("chunk from {:e}: {why}", xs[0])),
@@ -1200,17 +1352,41 @@ mod tests {
         reports.into_iter().flatten().collect()
     }
 
-    /// Shortest round-trip `f32` text, as [`Json::f32_row`] renders it.
-    fn f32_text(xs: &[f32]) -> String {
-        Json::f32_row(xs).render()
+    /// Shortest round-trip `f32` text, as [`Json::f32_row`] renders it,
+    /// refused unless it is byte for byte core's `{}` / `{:e}` text.
+    fn f32_text(xs: &[f32]) -> Result<String, String> {
+        let text = Json::f32_row(xs).render();
+        let mut core = String::from("[");
+        for (i, x) in xs.iter().enumerate() {
+            if i > 0 {
+                core.push(',');
+            }
+            let _ = if (1e-5..1e16).contains(&x.abs()) || *x == 0.0 {
+                write!(core, "{x}")
+            } else {
+                write!(core, "{x:e}")
+            };
+        }
+        core.push(']');
+        if text == core {
+            return Ok(text);
+        }
+        let (ours, theirs) = text
+            .split(',')
+            .zip(core.split(','))
+            .find(|(a, b)| a != b)
+            .unwrap_or(("the row", "another row"));
+        Err(format!("rendered {ours} where core writes {theirs}"))
     }
 
     /// Shortest round-trip `f64` text of each value, as the wire rendered
     /// `f32`s before numeric rows (and as clients may still send them).
-    fn f64_text(xs: &[f32]) -> String {
-        Json::Arr(xs.iter().map(|&x| Json::Num(f64::from(x))).collect()).render()
+    fn f64_text(xs: &[f32]) -> Result<String, String> {
+        Ok(Json::Arr(xs.iter().map(|&x| Json::Num(f64::from(x))).collect()).render())
     }
 
+    /// Each value's text is core's, byte for byte, and reads back as the
+    /// same bits.
     #[test]
     #[cfg_attr(debug_assertions, ignore)]
     fn every_finite_f32_round_trips_through_its_shortest_text() {
