@@ -5,7 +5,6 @@
 //! (b) finetune briefly with the mechanism active, and evaluate. bf16 rows
 //! cast the finished model to bf16 before evaluation.
 
-use dfss_nmsparse::NmPattern;
 use dfss_tasks::protocol::{
     eval_classifier, eval_mlm_ppl, eval_qa_f1, train_classifier, train_mlm, train_qa, TrainSpec,
 };
@@ -174,13 +173,4 @@ pub fn train_eval_lra(
     let _ = train_classifier(&mut enc, &mut head, &ds.train, &spec);
     enc.set_precision(precision);
     100.0 * eval_classifier(&mut enc, &mut head, &ds.test)
-}
-
-/// The Dfss mechanisms as AttnKind values.
-pub fn dfss_1_2() -> AttnKind {
-    AttnKind::Nm(NmPattern::P1_2)
-}
-
-pub fn dfss_2_4() -> AttnKind {
-    AttnKind::Nm(NmPattern::P2_4)
 }

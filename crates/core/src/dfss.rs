@@ -54,8 +54,8 @@ impl DfssAttention {
     /// Device bytes of `rows` compressed score rows over `cols` keys:
     /// `rows·cols·N/M` values plus 4 bits of metadata per group.
     fn compressed_bytes<T: Scalar>(&self, rows: usize, cols: usize) -> u64 {
-        let nz_bytes = (rows * self.pattern.kept_per_row(cols) * T::BYTES) as u64;
-        nz_bytes + ((rows * cols / self.pattern.m()) as u64 * 4).div_ceil(8)
+        let kept = rows * self.pattern.kept_per_row(cols);
+        dfss_nmsparse::compressed_bytes::<T>(kept as u64, (rows * cols / self.pattern.m()) as u64)
     }
 
     /// Run the staged pipeline and also return the normalised sparse
@@ -102,7 +102,7 @@ impl DfssAttention {
         }
         let comp_id = ctx.mem.alloc(
             "scores_nm_decode",
-            kept * T::BYTES as u64 + (groups * 4).div_ceil(8),
+            dfss_nmsparse::compressed_bytes::<T>(kept, groups),
         );
         let mut comp = sddmm::sddmm_nm_fused_paged(ctx, q, k, scale, self.pattern);
         softmax::softmax_nm_ragged(ctx, &mut comp);

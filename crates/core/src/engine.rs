@@ -62,94 +62,40 @@ use crate::mechanism::{try_check_qkv, Attention, KvViews, RequestError};
 use dfss_kernels::GpuCtx;
 use dfss_tensor::{Bf16, Matrix, PagedPanel, Scalar};
 
-/// Where one stream's cached K or V rows live in caller storage.
+/// Where one stream's cached K or V rows live in caller storage: a
+/// [`PagedPanel`] view of its page table, at the element width the cache
+/// stores. A contiguous slab is the one-page view
+/// ([`PagedPanel::one_page`]).
 ///
-/// The engine never copies these rows: it hands each source to the decode
-/// kernels as a [`PagedPanel`] view (a contiguous slab is the one-page
-/// view), and the kernels read every row in place in the same order either
-/// way, so a paged source produces **bit-identical** launches to a
-/// contiguous slab of the same rows (pinned by
+/// The engine never copies these rows: it hands each view to the decode
+/// kernels, which read every row in place in the same order whatever the
+/// page geometry, so a paged source produces **bit-identical** launches to
+/// a contiguous slab of the same rows (pinned by
 /// `paged_steps_match_contiguous_steps` here and the workspace proptest
 /// `paged_decode_matches_contiguous`).
 #[derive(Clone, Debug)]
 pub enum KvRows<'a, T> {
-    /// One contiguous row-major slab (`len × width` elements).
-    Contiguous(&'a [T]),
-    /// Fixed-size pages in table order: page `p` holds rows
-    /// `[p·rows_per_page, (p+1)·rows_per_page)`, and every page slice
-    /// carries at least `rows_per_page × width` elements (pool pages may
-    /// have a dead tail when the block size is not a multiple of the row
-    /// width). The last page is partially live.
-    Paged {
-        /// The stream's pages, in table order.
-        pages: Vec<&'a [T]>,
-        /// Rows stored per page.
-        rows_per_page: usize,
-    },
-    /// Same page-table layout, but the cache stores **bf16-quantised**
-    /// rows regardless of the compute type `T`: decode widens them to f32
-    /// in-register (fused widen-on-load, see `dfss_kernels::simd`), so the
-    /// launch reads the cache at 2 bytes per element. Both sides (K and V)
-    /// of a step must agree on quantisation.
-    PagedBf16 {
-        /// The stream's pages, in table order.
-        pages: Vec<&'a [Bf16]>,
-        /// Rows stored per page.
-        rows_per_page: usize,
-    },
+    /// Rows stored at the compute type `T`.
+    Native(PagedPanel<'a, T>),
+    /// Rows stored **bf16-quantised** whatever `T` is: decode widens them
+    /// to f32 in-register (fused widen-on-load, see `dfss_kernels::simd`),
+    /// so the launch reads the cache at 2 bytes per element. Both sides (K
+    /// and V) of a step must agree on quantisation.
+    Bf16(PagedPanel<'a, Bf16>),
 }
 
-impl<'a, T> KvRows<'a, T> {
-    /// View this source as a [`PagedPanel`] of `len` live rows — a
-    /// contiguous slab is the degenerate one-page table. `None` for a
-    /// quantised source (see [`Self::as_panel_bf16`]).
-    fn as_panel(&self, len: usize) -> Option<PagedPanel<'a, T>> {
-        match self {
-            KvRows::Contiguous(slab) => Some(PagedPanel {
-                pages: vec![slab],
-                rows_per_page: len.max(1),
-                len,
-            }),
-            KvRows::Paged {
-                pages,
-                rows_per_page,
-            } => Some(PagedPanel {
-                pages: pages.clone(),
-                rows_per_page: *rows_per_page,
-                len,
-            }),
-            KvRows::PagedBf16 { .. } => None,
-        }
-    }
-
-    /// View a quantised source as a [`PagedPanel`] of bf16 rows; `None`
-    /// for native (`T`-width) sources.
-    fn as_panel_bf16(&self, len: usize) -> Option<PagedPanel<'a, Bf16>> {
-        match self {
-            KvRows::PagedBf16 {
-                pages,
-                rows_per_page,
-            } => Some(PagedPanel {
-                pages: pages.clone(),
-                rows_per_page: *rows_per_page,
-                len,
-            }),
-            _ => None,
-        }
-    }
-
+impl<T> KvRows<'_, T> {
     /// Whether the rows are stored bf16-quantised.
     fn is_quantized(&self) -> bool {
-        matches!(self, KvRows::PagedBf16 { .. })
+        matches!(self, KvRows::Bf16(_))
     }
 }
 
 /// One pending decode step, borrowing the caller's KV storage: the
-/// stream's new query row and its cached K/V rows — either contiguous
-/// row-major slabs (`len × d` / `len × d_v` elements) or page tables of
-/// fixed-size blocks ([`KvRows`]). The serving layer's session caches hand
-/// these out without copying; the engine runs a whole batch of steps as
-/// one ragged launch per op that reads them in place.
+/// stream's new query row and page views of its cached K and V rows
+/// ([`KvRows`]), each holding the step's `len` rows. The serving layer's
+/// session caches hand these out without copying; the engine runs a whole
+/// batch of steps as one ragged launch per op that reads them in place.
 #[derive(Clone, Debug)]
 pub struct DecodeStep<'a, T> {
     /// The new query row (`d` elements).
@@ -167,8 +113,9 @@ pub struct DecodeStep<'a, T> {
 }
 
 impl<'a, T> DecodeStep<'a, T> {
-    /// A step over contiguous K/V slabs (`len × d` and `len × d_v`
-    /// row-major elements) — the PR 5 call convention.
+    /// A step over contiguous row-major K/V slabs, read to their first
+    /// `len` rows (`len × d` and `len × d_v` elements; longer slabs are
+    /// fine, shorter ones a typed rejection).
     pub fn contiguous(
         q_row: &'a [T],
         k_rows: &'a [T],
@@ -179,8 +126,8 @@ impl<'a, T> DecodeStep<'a, T> {
     ) -> DecodeStep<'a, T> {
         DecodeStep {
             q_row,
-            k_rows: KvRows::Contiguous(k_rows),
-            v_rows: KvRows::Contiguous(v_rows),
+            k_rows: KvRows::Native(PagedPanel::one_page(k_rows, len)),
+            v_rows: KvRows::Native(PagedPanel::one_page(v_rows, len)),
             len,
             d,
             d_v,
@@ -190,134 +137,75 @@ impl<'a, T> DecodeStep<'a, T> {
 
 /// Validate one decode step's declared shape against its buffers, without
 /// panicking — the serving front door rejects malformed steps with a typed
-/// error before they reach a launch.
+/// error before they reach a launch. Each view must pass
+/// [`PagedPanel::check`] and hold exactly the step's `len` rows.
 pub fn try_check_decode_step<T: Scalar>(step: &DecodeStep<'_, T>) -> Result<(), RequestError> {
+    let mismatch = |reason| RequestError::DecodeShapeMismatch { reason };
     if step.len == 0 || step.d == 0 || step.d_v == 0 {
         return Err(RequestError::EmptyRequest);
     }
     if step.q_row.len() != step.d {
-        return Err(RequestError::DecodeShapeMismatch {
-            reason: format!(
-                "query row has {} elements, d = {}",
-                step.q_row.len(),
-                step.d
-            ),
-        });
+        return Err(mismatch(format!(
+            "query row has {} elements, d = {}",
+            step.q_row.len(),
+            step.d
+        )));
     }
     if step.k_rows.is_quantized() != step.v_rows.is_quantized() {
-        return Err(RequestError::DecodeShapeMismatch {
-            reason: format!(
-                "K and V disagree on KV quantisation (K bf16: {}, V bf16: {})",
-                step.k_rows.is_quantized(),
-                step.v_rows.is_quantized()
-            ),
-        });
+        return Err(mismatch(format!(
+            "K and V disagree on KV quantisation (K bf16: {}, V bf16: {})",
+            step.k_rows.is_quantized(),
+            step.v_rows.is_quantized()
+        )));
     }
-    check_kv_rows(&step.k_rows, step.len, step.d, "K")?;
-    check_kv_rows(&step.v_rows, step.len, step.d_v, "V")?;
-    Ok(())
-}
-
-/// Validate one cache side of a decode step: a contiguous slab must hold
-/// exactly `len × width` elements; a page table must hold exactly the pages
-/// its length implies, each big enough for `rows_per_page` full rows.
-fn check_kv_rows<T: Scalar>(
-    rows: &KvRows<'_, T>,
-    len: usize,
-    width: usize,
-    which: &str,
-) -> Result<(), RequestError> {
-    match rows {
-        KvRows::Contiguous(slab) => {
-            if slab.len() != len * width {
-                return Err(RequestError::DecodeShapeMismatch {
-                    reason: format!(
-                        "{which} cache has {} elements, expected len x width = {len} x {width}",
-                        slab.len()
-                    ),
-                });
-            }
+    for (which, rows, width) in [("K", &step.k_rows, step.d), ("V", &step.v_rows, step.d_v)] {
+        let len = match rows {
+            KvRows::Native(view) => view.check(width),
+            KvRows::Bf16(view) => view.check(width),
         }
-        KvRows::Paged {
-            pages,
-            rows_per_page,
-        } => check_page_table(pages, *rows_per_page, len, width, which)?,
-        KvRows::PagedBf16 {
-            pages,
-            rows_per_page,
-        } => check_page_table(pages, *rows_per_page, len, width, which)?,
+        .map_err(|e| mismatch(format!("{which} {e}")))?;
+        if len != step.len {
+            return Err(mismatch(format!(
+                "{which} view holds {len} rows, the step declares len = {}",
+                step.len
+            )));
+        }
     }
     Ok(())
 }
 
-/// Validate one page table (any element type): exactly the pages `len`
-/// implies, each big enough for `rows_per_page` full rows.
-fn check_page_table<E>(
-    pages: &[&[E]],
-    rows_per_page: usize,
-    len: usize,
-    width: usize,
-    which: &str,
-) -> Result<(), RequestError> {
-    if rows_per_page == 0 {
-        return Err(RequestError::DecodeShapeMismatch {
-            reason: format!("{which} cache declares zero rows per page"),
-        });
-    }
-    let want_pages = len.div_ceil(rows_per_page);
-    if pages.len() != want_pages {
-        return Err(RequestError::DecodeShapeMismatch {
-            reason: format!(
-                "{which} page table holds {} pages, expected {want_pages} for {len} rows \
-                 at {rows_per_page} rows/page",
-                pages.len()
-            ),
-        });
-    }
-    if let Some((p, page)) = pages
-        .iter()
-        .enumerate()
-        .find(|(_, page)| page.len() < rows_per_page * width)
-    {
-        return Err(RequestError::DecodeShapeMismatch {
-            reason: format!(
-                "{which} page {p} holds {} elements, need rows_per_page x width = \
-                 {rows_per_page} x {width}",
-                page.len()
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// The K/V page views of one decode bucket's steps, in bucket order (a
-/// contiguous slab is the one-page view). `quantized` is the bucket's key,
-/// so every source matches it.
+/// The K/V views of one decode bucket's steps, in bucket order. `quantized`
+/// is the bucket's key, so every source matches it.
 fn bucket_views<'a, T: Scalar>(
     steps: &[DecodeStep<'a, T>],
     idxs: &[usize],
     quantized: bool,
 ) -> KvViews<'a, T> {
-    let bucket = idxs.iter().map(|&i| &steps[i]);
-    if quantized {
-        let view = |rows: &KvRows<'a, T>, len| {
-            rows.as_panel_bf16(len)
-                .expect("a bf16 bucket holds bf16 sources")
-        };
+    let mut kv = if quantized {
         KvViews::Bf16 {
-            k: bucket.clone().map(|s| view(&s.k_rows, s.len)).collect(),
-            v: bucket.map(|s| view(&s.v_rows, s.len)).collect(),
+            k: Vec::with_capacity(idxs.len()),
+            v: Vec::with_capacity(idxs.len()),
         }
     } else {
-        let view = |rows: &KvRows<'a, T>, len| {
-            rows.as_panel(len)
-                .expect("a native bucket holds native sources")
-        };
         KvViews::Native {
-            k: bucket.clone().map(|s| view(&s.k_rows, s.len)).collect(),
-            v: bucket.map(|s| view(&s.v_rows, s.len)).collect(),
+            k: Vec::with_capacity(idxs.len()),
+            v: Vec::with_capacity(idxs.len()),
+        }
+    };
+    for step in idxs.iter().map(|&i| &steps[i]) {
+        match (&mut kv, &step.k_rows, &step.v_rows) {
+            (KvViews::Native { k, v }, KvRows::Native(kr), KvRows::Native(vr)) => {
+                k.push(kr.clone());
+                v.push(vr.clone());
+            }
+            (KvViews::Bf16 { k, v }, KvRows::Bf16(kr), KvRows::Bf16(vr)) => {
+                k.push(kr.clone());
+                v.push(vr.clone());
+            }
+            _ => unreachable!("a bucket's sources share its quantisation"),
         }
     }
+    kv
 }
 
 /// One completed prefill **chunk** out of a
@@ -781,11 +669,12 @@ mod tests {
         // Paged: a page table that disagrees with the declared length.
         let short_table = DecodeStep {
             q_row: &q,
-            k_rows: KvRows::Paged {
+            k_rows: KvRows::Native(PagedPanel {
                 pages: vec![&k[..16]],
                 rows_per_page: 2,
-            },
-            v_rows: KvRows::Contiguous(&v),
+                len: 4,
+            }),
+            v_rows: KvRows::Native(PagedPanel::one_page(&v, 4)),
             len: 4,
             d: 8,
             d_v: 8,
@@ -795,17 +684,85 @@ mod tests {
         // Paged: a page too small for its declared rows_per_page.
         let thin_page = DecodeStep {
             q_row: &q,
-            k_rows: KvRows::Paged {
+            k_rows: KvRows::Native(PagedPanel {
                 pages: vec![&k[..16], &k[16..24]],
                 rows_per_page: 2,
-            },
-            v_rows: KvRows::Contiguous(&v),
+                len: 4,
+            }),
+            v_rows: KvRows::Native(PagedPanel::one_page(&v, 4)),
             len: 4,
             d: 8,
             d_v: 8,
         };
         let err = engine.flush_decode(&[thin_page]).unwrap_err();
         assert!(matches!(err, RequestError::DecodeShapeMismatch { .. }));
+        assert_eq!(engine.ctx().timeline.launches(), 0);
+    }
+
+    #[test]
+    fn a_view_of_another_length_than_the_step_is_a_typed_rejection() {
+        let mech = DfssAttention::new(NmPattern::P1_2);
+        let mut engine = AttentionEngine::new(&mech);
+        let q = vec![0.0f32; 8];
+        let kv = vec![0.0f32; 4 * 8];
+        // Each view is a valid table of its own rows; only the step's `len`
+        // disagrees with one of them.
+        for (k_len, v_len) in [(3usize, 4usize), (4, 3)] {
+            let step = DecodeStep {
+                q_row: &q,
+                k_rows: KvRows::Native(PagedPanel::one_page(&kv, k_len)),
+                v_rows: KvRows::Native(PagedPanel::one_page(&kv, v_len)),
+                len: 4,
+                d: 8,
+                d_v: 8,
+            };
+            let err = engine.flush_decode(&[step]).unwrap_err();
+            assert!(matches!(err, RequestError::DecodeShapeMismatch { .. }));
+            assert!(err.to_string().contains("view holds 3 rows"), "got: {err}");
+        }
+        assert_eq!(engine.ctx().timeline.launches(), 0);
+    }
+
+    #[test]
+    fn a_contiguous_slab_is_read_to_len_rows() {
+        // A slab one row longer than `len × d` decodes bit-identically to
+        // the exact slab (its last row is NaN, so reading it would show);
+        // one row shorter is refused before anything launches.
+        let mech = DfssAttention::new(NmPattern::P1_2);
+        let mut rng = Rng::new(53);
+        let (len, d) = (6usize, 8usize);
+        let (k, v) = cache(len, d, d, &mut rng);
+        let q = Matrix::<f32>::random_normal(1, d, 0.0, 1.0, &mut rng);
+        let longer = |m: &Matrix<f32>| {
+            let mut slab = m.as_slice().to_vec();
+            slab.resize(slab.len() + d, f32::NAN);
+            slab
+        };
+        let (k_long, v_long) = (longer(&k), longer(&v));
+        let mut eng_x = AttentionEngine::new(&mech);
+        let exact = DecodeStep::contiguous(q.row(0), k.as_slice(), v.as_slice(), len, d, d);
+        let want = eng_x.flush_decode(&[exact]).unwrap();
+        let mut eng_l = AttentionEngine::new(&mech);
+        let long = DecodeStep::contiguous(q.row(0), &k_long, &v_long, len, d, d);
+        let got = eng_l.flush_decode(&[long]).unwrap();
+        assert_eq!(
+            bits(got[0].output.as_ref().unwrap()),
+            bits(want[0].output.as_ref().unwrap())
+        );
+        assert_eq!(
+            eng_l.ctx().timeline.total_bytes(),
+            eng_x.ctx().timeline.total_bytes()
+        );
+
+        let mut engine = AttentionEngine::new(&mech);
+        let short = &k.as_slice()[..(len - 1) * d];
+        for step in [
+            DecodeStep::contiguous(q.row(0), short, v.as_slice(), len, d, d),
+            DecodeStep::contiguous(q.row(0), k.as_slice(), short, len, d, d),
+        ] {
+            let err = engine.flush_decode(&[step]).unwrap_err();
+            assert!(matches!(err, RequestError::DecodeShapeMismatch { .. }));
+        }
         assert_eq!(engine.ctx().timeline.launches(), 0);
     }
 
@@ -860,14 +817,16 @@ mod tests {
             let paged: Vec<DecodeStep<'_, f32>> = (0..lens.len())
                 .map(|i| DecodeStep {
                     q_row: q.row(i),
-                    k_rows: KvRows::Paged {
+                    k_rows: KvRows::Native(PagedPanel {
                         pages: k_pages[i].iter().map(|p| p.as_slice()).collect(),
                         rows_per_page,
-                    },
-                    v_rows: KvRows::Paged {
+                        len: lens[i],
+                    }),
+                    v_rows: KvRows::Native(PagedPanel {
                         pages: v_pages[i].iter().map(|p| p.as_slice()).collect(),
                         rows_per_page,
-                    },
+                        len: lens[i],
+                    }),
                     len: lens[i],
                     d,
                     d_v,
@@ -961,14 +920,16 @@ mod tests {
         let quant: Vec<DecodeStep<'_, f32>> = (0..lens.len())
             .map(|i| DecodeStep {
                 q_row: q.row(i),
-                k_rows: KvRows::PagedBf16 {
+                k_rows: KvRows::Bf16(PagedPanel {
                     pages: k_pages[i].iter().map(|p| p.as_slice()).collect(),
                     rows_per_page,
-                },
-                v_rows: KvRows::PagedBf16 {
+                    len: lens[i],
+                }),
+                v_rows: KvRows::Bf16(PagedPanel {
                     pages: v_pages[i].iter().map(|p| p.as_slice()).collect(),
                     rows_per_page,
-                },
+                    len: lens[i],
+                }),
                 len: lens[i],
                 d,
                 d_v,
@@ -1015,11 +976,8 @@ mod tests {
         let v_f32: Vec<f32> = (0..4 * 8).map(|_| rng.normal(0.0, 1.0)).collect();
         let step = DecodeStep {
             q_row: &q,
-            k_rows: KvRows::PagedBf16 {
-                pages: vec![k_bf16.as_slice()],
-                rows_per_page: 4,
-            },
-            v_rows: KvRows::Contiguous(&v_f32),
+            k_rows: KvRows::Bf16(PagedPanel::one_page(&k_bf16, 4)),
+            v_rows: KvRows::Native(PagedPanel::one_page(&v_f32, 4)),
             len: 4,
             d: 8,
             d_v: 8,

@@ -88,26 +88,11 @@ pub trait Attention<T: Scalar> {
         v: &BatchedMatrix<T>,
     ) -> BatchedMatrix<T> {
         let (batch, n, _) = check_qkv_batched(q, k, v);
-        let mark = ctx.timeline.entries().len();
         let mut out = BatchedMatrix::zeros(batch, n, v.cols());
-        if batch == 0 {
-            return out;
-        }
-        // First panel doubles as the transient-footprint measurement.
-        let resident = ctx.mem.current();
-        ctx.mem.begin_window();
-        let ob = self.forward(ctx, &q.to_panel(0), &k.to_panel(0), &v.to_panel(0));
-        out.panel_mut(0).copy_from_slice(ob.as_slice());
-        let transient = ctx.mem.window_peak().saturating_sub(resident);
-        let rsv = ctx
-            .mem
-            .alloc("batched_panels_concurrent", (batch as u64 - 1) * transient);
-        for b in 1..batch {
+        run_batched(ctx, batch, "batched_panels_concurrent", |ctx, b| {
             let ob = self.forward(ctx, &q.to_panel(b), &k.to_panel(b), &v.to_panel(b));
             out.panel_mut(b).copy_from_slice(ob.as_slice());
-        }
-        ctx.mem.free(rsv);
-        batch_panel_launches(ctx, mark, batch);
+        });
         out
     }
 
@@ -175,28 +160,12 @@ pub trait Attention<T: Scalar> {
     ) -> Matrix<T> {
         let streams = check_decode_paged(q, kv, d_v);
         let mut out = Matrix::zeros(streams, d_v);
-        if streams == 0 {
-            return out;
-        }
         let d = q.cols();
-        let one = |ctx: &mut GpuCtx, s: usize| {
+        run_batched(ctx, streams, "decode_streams_concurrent", |ctx, s| {
             let (k, v) = kv.to_matrices(s, d, d_v);
-            self.decode(ctx, &Matrix::from_vec(1, d, q.row(s).to_vec()), &k, &v)
-        };
-        let mark = ctx.timeline.entries().len();
-        let resident = ctx.mem.current();
-        ctx.mem.begin_window();
-        out.row_mut(0).copy_from_slice(one(ctx, 0).as_slice());
-        let transient = ctx.mem.window_peak().saturating_sub(resident);
-        let rsv = ctx.mem.alloc(
-            "decode_streams_concurrent",
-            (streams as u64 - 1) * transient,
-        );
-        for s in 1..streams {
-            out.row_mut(s).copy_from_slice(one(ctx, s).as_slice());
-        }
-        ctx.mem.free(rsv);
-        batch_panel_launches(ctx, mark, streams);
+            let os = self.decode(ctx, &Matrix::from_vec(1, d, q.row(s).to_vec()), &k, &v);
+            out.row_mut(s).copy_from_slice(os.as_slice());
+        });
         out
     }
 
@@ -348,6 +317,34 @@ pub fn check_qkv_rows<T: Scalar>(
     (c, n, d)
 }
 
+/// Run `count` items of one batched launch through `item`, one at a time,
+/// as the two trait defaults do: item 0 doubles as the measurement of one
+/// item's transient footprint, the other items run with `count − 1` times
+/// it reserved under `label` (a batched launch holds every item's working
+/// set at once), and the per-item kernel logs then merge through
+/// [`batch_panel_launches`]. Zero items run nothing.
+fn run_batched(
+    ctx: &mut GpuCtx,
+    count: usize,
+    label: &'static str,
+    mut item: impl FnMut(&mut GpuCtx, usize),
+) {
+    if count == 0 {
+        return;
+    }
+    let mark = ctx.timeline.entries().len();
+    let resident = ctx.mem.current();
+    ctx.mem.begin_window();
+    item(ctx, 0);
+    let transient = ctx.mem.window_peak().saturating_sub(resident);
+    let rsv = ctx.mem.alloc(label, (count as u64 - 1) * transient);
+    for i in 1..count {
+        item(ctx, i);
+    }
+    ctx.mem.free(rsv);
+    batch_panel_launches(ctx, mark, count);
+}
+
 /// Merge the per-panel kernel logs recorded since `mark` into batched
 /// launches — the paper's batched kernel model ("using a batched kernel …
 /// reduce kernel launching overhead", A.1.2).
@@ -379,7 +376,7 @@ pub fn check_qkv_rows<T: Scalar>(
 ///
 /// `mechanism::tests::merged_launch_latency_is_max_of_pipe_totals` pins
 /// this model.
-pub fn batch_panel_launches(ctx: &mut GpuCtx, mark: usize, batch: usize) {
+fn batch_panel_launches(ctx: &mut GpuCtx, mark: usize, batch: usize) {
     let entries = ctx.timeline.entries();
     let total = entries.len() - mark;
     if batch <= 1 || total == 0 {

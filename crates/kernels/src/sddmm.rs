@@ -23,7 +23,7 @@ use crate::decode;
 use crate::micro;
 use crate::simd;
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_nmsparse::{NmCompressed, NmPattern, NmRagged};
+use dfss_nmsparse::{compressed_bytes, NmCompressed, NmPattern, NmRagged};
 use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
 
 /// ALU cost of pruning one M-group in the epilogue.
@@ -190,14 +190,13 @@ pub(crate) fn record_fused<T: Scalar>(
     let (rows64, cols64, d64) = (rows as u64, cols as u64, d as u64);
     let tiles = rows64.div_ceil(tm) * cols64.div_ceil(tn);
     let reads = tiles * (tm * d64 + d64 * tn) * T::BYTES as u64;
-    let kept = pattern.kept_per_row(cols) as u64;
-    let nz_bytes = rows64 * kept * T::BYTES as u64;
-    let meta_bytes = (rows64 * (cols64 / pattern.m() as u64) * 4).div_ceil(8);
+    let kept = rows64 * pattern.kept_per_row(cols) as u64;
+    let writes = compressed_bytes::<T>(kept, rows64 * (cols64 / pattern.m() as u64));
     let groups = rows64 * cols64 / pattern.m() as u64;
     let b64 = batch as u64;
     ctx.record(
         KernelProfile::new("sddmm_nm_fused", Stage::Qk)
-            .with_traffic(b64 * reads, b64 * (nz_bytes + meta_bytes))
+            .with_traffic(b64 * reads, b64 * writes)
             .with_tc(b64 * rows64 * cols64 * d64, dense_class::<T>())
             .with_alu(b64 * groups * epilogue_ops_per_group(pattern)),
     );
@@ -258,13 +257,12 @@ pub fn dense_prune<T: Scalar>(
 /// Record one standalone-prune launch: the dense scores read back,
 /// nonzeros + metadata written.
 fn record_dense_prune<T: Scalar>(ctx: &mut GpuCtx, pattern: NmPattern, rows: usize, cols: usize) {
-    let kept = pattern.kept_per_row(cols) as u64;
+    let kept = (rows * pattern.kept_per_row(cols)) as u64;
     let groups = (rows * cols / pattern.m()) as u64;
-    let nz_bytes = rows as u64 * kept * T::BYTES as u64;
-    let meta_bytes = (groups * 4).div_ceil(8);
+    let writes = compressed_bytes::<T>(kept, groups);
     ctx.record(
         KernelProfile::new("dense_prune", Stage::Overhead)
-            .with_traffic((rows * cols * T::BYTES) as u64, nz_bytes + meta_bytes)
+            .with_traffic((rows * cols * T::BYTES) as u64, writes)
             .with_alu(groups * epilogue_ops_per_group(pattern)),
     );
 }
@@ -303,7 +301,7 @@ fn decode_charge<T: Scalar, S: Scalar>(
     let reads = tiles * (d64 * T::BYTES as u64 + d64 * tn * S::BYTES as u64);
     let kept = NmRagged::<T>::kept_for(pattern, len) as u64;
     let groups = NmRagged::<T>::groups_for(pattern, len) as u64;
-    let writes = kept * T::BYTES as u64 + (groups * 4).div_ceil(8);
+    let writes = compressed_bytes::<T>(kept, groups);
     (
         reads,
         writes,

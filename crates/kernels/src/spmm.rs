@@ -15,7 +15,7 @@ use crate::decode;
 use crate::micro;
 use crate::simd;
 use dfss_gpusim::{KernelProfile, Stage};
-use dfss_nmsparse::{Csr, NmCompressed, NmPattern, NmRagged};
+use dfss_nmsparse::{compressed_bytes, Csr, NmCompressed, NmPattern, NmRagged};
 use dfss_tensor::{scratch_f32_stale, BatchedMatrix, Matrix, PagedPanel, RaggedBatch, Scalar};
 use rayon::prelude::*;
 
@@ -36,9 +36,7 @@ pub(crate) fn record_spmm_nm<T: Scalar>(
     let tm = ctx.tile_for(rows) as u64;
     let tn = ctx.tile_for(d) as u64;
     let tiles = (rows as u64).div_ceil(tm) * (d as u64).div_ceil(tn);
-    let kept_row_bytes = (kept * T::BYTES) as u64;
-    let meta_row_bytes = (groups as u64 * 4).div_ceil(8);
-    let a_panel = tm * (kept_row_bytes + meta_row_bytes);
+    let a_panel = tm * compressed_bytes::<T>(kept as u64, groups as u64);
     let v_panel = (inner as u64) * tn * T::BYTES as u64;
     let reads = tiles * (a_panel + v_panel);
     let writes = (rows * d * T::BYTES) as u64;
@@ -166,7 +164,7 @@ fn spmm_decode_charge<T: Scalar, S: Scalar>(
 ) -> (u64, u64, u64) {
     let tn = ctx.tile_for(d_v) as u64;
     let tiles = (d_v as u64).div_ceil(tn);
-    let a_row = (kept * T::BYTES) as u64 + (groups as u64 * 4).div_ceil(8);
+    let a_row = compressed_bytes::<T>(kept as u64, groups as u64);
     let v_panel = len as u64 * tn * S::BYTES as u64;
     let reads = tiles * (a_row + v_panel);
     let writes = (d_v * T::BYTES) as u64;

@@ -177,7 +177,7 @@ impl<T: Scalar> NmCompressed<T> {
     #[inline]
     pub fn meta_bytes(&self) -> usize {
         // 4 bits per group, rounded up to whole bytes per matrix.
-        (self.rows * self.groups_per_row() * 4).div_ceil(8)
+        compressed_bytes::<T>(0, (self.rows * self.groups_per_row()) as u64) as usize
     }
 
     /// Total compressed footprint in bytes.
@@ -285,6 +285,16 @@ impl<T: Scalar> NmCompressed<T> {
             pattern, rows, cols, nonzeros, codes,
         ))
     }
+}
+
+/// Device bytes of compressed N:M scores: `kept` values of `T` plus one
+/// 4-bit selection code per group, the codes rounded up to whole bytes.
+/// Every charge and ledger entry of compressed scores is this over its own
+/// `(kept, groups)` — per matrix, per row or per stream — which fixes where
+/// it rounds.
+#[inline]
+pub fn compressed_bytes<T: Scalar>(kept: u64, groups: u64) -> u64 {
+    kept * T::BYTES as u64 + (groups * 4).div_ceil(8)
 }
 
 /// The one group-code bit scan every compressed format reads rows with:

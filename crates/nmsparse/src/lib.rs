@@ -26,7 +26,7 @@ pub mod meta;
 pub mod pattern;
 pub mod ragged;
 
-pub use compressed::{scan_codes, NmCompressed};
+pub use compressed::{compressed_bytes, scan_codes, NmCompressed};
 pub use csr::Csr;
 pub use meta::MetaError;
 pub use pattern::{NmPattern, MAX_M};

@@ -21,7 +21,7 @@
 //! `kept(i) = ⌊len/M⌋·N + len mod M` values and one code byte per full
 //! group.
 
-use crate::compressed::scan_codes;
+use crate::compressed::{compressed_bytes, scan_codes};
 use crate::pattern::NmPattern;
 use dfss_tensor::Scalar;
 
@@ -210,7 +210,7 @@ impl<T: Scalar> NmRagged<T> {
     /// Logical metadata footprint in bytes (4 bits per full group).
     #[inline]
     pub fn meta_bytes(&self) -> usize {
-        (self.codes.len() * 4).div_ceil(8)
+        compressed_bytes::<T>(0, self.codes.len() as u64) as usize
     }
 
     /// Total compressed footprint in bytes.

@@ -29,17 +29,20 @@
 //! `rows_per_page × d` elements is dead and never read). K and V sides
 //! keep separate page tables so `d ≠ d_v` sessions waste nothing.
 //!
-//! The decode kernels read the table in place:
-//! [`k_rows`](PagedKvCache::k_rows)/[`v_rows`](PagedKvCache::v_rows)
-//! borrow the pool's pages into a [`KvRows::Paged`] source, the engine
-//! hands it on as a page view, and the kernels walk the pages row by row
+//! The decode kernels read the table in place: every read of a side goes
+//! through one [`PagedPanel`] view of the pool's pages.
+//! [`k_rows`](PagedKvCache::k_rows)/[`v_rows`](PagedKvCache::v_rows) hand
+//! it to the engine as a [`KvRows::Native`] source (a bf16 store's
+//! [`k_rows_quant`](PagedKvCache::k_rows_quant) as [`KvRows::Bf16`]), the
+//! engine passes it on unchanged, and the kernels walk the pages row by row
 //! without copying them — bit-identical to decoding the same rows from one
 //! contiguous slab, pinned by the `paged_decode_matches_contiguous`
-//! workspace proptest.
+//! workspace proptest. [`k_matrix`](PagedKvCache::k_matrix) copies the same
+//! view out.
 
 use dfss_core::engine::KvRows;
 use dfss_core::mechanism::RequestError;
-use dfss_tensor::{Bf16, Matrix, Scalar};
+use dfss_tensor::{Bf16, Matrix, PagedPanel, Scalar};
 
 /// Identifier of an open decode session, unique per server for its
 /// lifetime.
@@ -534,49 +537,42 @@ impl<T: Scalar> PagedKvCache<T> {
         self.len = 0;
     }
 
-    /// The cached keys as a borrowed page table the decode kernels read in
+    /// The cached keys as a borrowed page view the decode kernels read in
     /// place.
     pub fn k_rows<'p>(&self, pool: &'p KvPool<T>) -> KvRows<'p, T> {
-        KvRows::Paged {
-            pages: self.k_pages.iter().map(|&id| pool.page(id)).collect(),
-            rows_per_page: self.rows_per_page_k,
-        }
+        KvRows::Native(self.view(pool, false))
     }
 
-    /// The cached values as a borrowed page table the decode kernels read in
+    /// The cached values as a borrowed page view the decode kernels read in
     /// place.
     pub fn v_rows<'p>(&self, pool: &'p KvPool<T>) -> KvRows<'p, T> {
-        KvRows::Paged {
-            pages: self.v_pages.iter().map(|&id| pool.page(id)).collect(),
-            rows_per_page: self.rows_per_page_v,
-        }
+        KvRows::Native(self.view(pool, true))
     }
 
     /// Copy the cached keys out as a `len × d` matrix (test/reference use).
     pub fn k_matrix(&self, pool: &KvPool<T>) -> Matrix<T> {
-        self.assemble(pool, &self.k_pages, self.d, self.rows_per_page_k)
+        self.view(pool, false).to_matrix(self.d)
     }
 
     /// Copy the cached values out as a `len × d_v` matrix.
     pub fn v_matrix(&self, pool: &KvPool<T>) -> Matrix<T> {
-        self.assemble(pool, &self.v_pages, self.d_v, self.rows_per_page_v)
+        self.view(pool, true).to_matrix(self.d_v)
     }
 
-    fn assemble(
-        &self,
-        pool: &KvPool<T>,
-        table: &[PageId],
-        width: usize,
-        rows_per_page: usize,
-    ) -> Matrix<T> {
-        let mut data = Vec::with_capacity(self.len * width);
-        let mut remaining = self.len;
-        for &id in table {
-            let take = remaining.min(rows_per_page);
-            data.extend_from_slice(&pool.page(id)[..take * width]);
-            remaining -= take;
+    /// The K (`values == false`) or V side's `len` cached rows as a view
+    /// of the pool's pages in table order — every read of the cache goes
+    /// through this one view.
+    fn view<'p>(&self, pool: &'p KvPool<T>, values: bool) -> PagedPanel<'p, T> {
+        let (table, rows_per_page) = if values {
+            (&self.v_pages, self.rows_per_page_v)
+        } else {
+            (&self.k_pages, self.rows_per_page_k)
+        };
+        PagedPanel {
+            pages: table.iter().map(|&id| pool.page(id)).collect(),
+            rows_per_page,
+            len: self.len,
         }
-        Matrix::from_vec(self.len, width, data)
     }
 
     /// The one row write (see the module doc): reserve the pages `rows`
@@ -627,23 +623,17 @@ impl<T: Scalar> PagedKvCache<T> {
 }
 
 impl PagedKvCache<Bf16> {
-    /// The cached bf16 keys as a borrowed page table the decode kernels
+    /// The cached bf16 keys as a borrowed page view the decode kernels
     /// read in place, tagged quantised so a `T`-computing engine routes the
     /// step through its fused widen-on-load decode path.
     pub fn k_rows_quant<'p, T: Scalar>(&self, pool: &'p KvPool<Bf16>) -> KvRows<'p, T> {
-        KvRows::PagedBf16 {
-            pages: self.k_pages.iter().map(|&id| pool.page(id)).collect(),
-            rows_per_page: self.rows_per_page_k,
-        }
+        KvRows::Bf16(self.view(pool, false))
     }
 
-    /// The cached bf16 values as a borrowed page table (see
+    /// The cached bf16 values as a borrowed page view (see
     /// [`k_rows_quant`](Self::k_rows_quant)).
     pub fn v_rows_quant<'p, T: Scalar>(&self, pool: &'p KvPool<Bf16>) -> KvRows<'p, T> {
-        KvRows::PagedBf16 {
-            pages: self.v_pages.iter().map(|&id| pool.page(id)).collect(),
-            rows_per_page: self.rows_per_page_v,
-        }
+        KvRows::Bf16(self.view(pool, true))
     }
 }
 
@@ -827,15 +817,12 @@ mod tests {
         // The quant row views carry the bf16 pages under the compute-dtype
         // tag the engine dispatches on.
         match c.k_rows_quant::<f32>(&pool) {
-            KvRows::PagedBf16 {
-                pages,
-                rows_per_page,
-            } => {
-                assert_eq!(rows_per_page, 2);
-                assert_eq!(pages.len(), 1);
-                assert_eq!(pages[0][0], Bf16::from_f32(1.0));
+            KvRows::Bf16(view) => {
+                assert_eq!((view.rows_per_page, view.len), (2, 2));
+                assert_eq!(view.pages.len(), 1);
+                assert_eq!(view.pages[0][0], Bf16::from_f32(1.0));
             }
-            other => panic!("expected PagedBf16, got {other:?}"),
+            other => panic!("expected a bf16 view, got {other:?}"),
         }
     }
 

@@ -275,11 +275,6 @@ impl Scheduler {
         self.jobs.len()
     }
 
-    /// Decode steps ready for the next iteration.
-    pub fn ready_decode(&self) -> usize {
-        self.decode.len()
-    }
-
     /// Remove a job (deadline shed, panic, client gone). Its remaining
     /// rows will never be planned. `false` if the job is unknown or
     /// already complete.

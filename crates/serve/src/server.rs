@@ -1091,7 +1091,7 @@ impl<T: Scalar> KvStore<T> {
 
     /// Build the engine-facing decode step for a known, non-empty session:
     /// `Native` borrows the pages at `T`, `Quant` borrows them as
-    /// [`dfss_core::engine::KvRows::PagedBf16`] so the engine routes the
+    /// [`dfss_core::engine::KvRows::Bf16`] views so the engine routes the
     /// step through the fused widen-on-load path.
     fn step<'a>(&'a self, id: u64, q_row: &'a [T]) -> DecodeStep<'a, T> {
         let ((len, d, d_v), (k_rows, v_rows)) = match self {

@@ -21,10 +21,12 @@ use crate::scalar::Scalar;
 /// `rows_per_page × width` elements (pool pages may carry a dead tail when
 /// the page size is not a multiple of the row width); only the first `len`
 /// rows across the sequence are live, so the last page is usually partially
-/// filled. The row width is not stored: the reader supplies it.
+/// filled. The row width is not stored: the reader supplies it, and
+/// [`check`](Self::check) is the one place this rule is written.
 ///
 /// A contiguous slab is the one-page view ([`one_page`](Self::one_page)),
-/// so one panel of a [`RaggedBatch`] and a paged KV table share one reader.
+/// so one panel of a [`RaggedBatch`], a paged KV table and a decode step's
+/// cached K or V share one reader.
 #[derive(Clone, Debug)]
 pub struct PagedPanel<'a, T> {
     /// The stream's pages, in table order.
@@ -45,29 +47,35 @@ impl<'a, T> PagedPanel<'a, T> {
         }
     }
 
-    /// The live row count, after asserting that the table holds `len` rows
-    /// of `width` elements: a positive `rows_per_page`, exactly the pages
-    /// `len` implies, and no page shorter than `rows_per_page × width`
-    /// elements.
-    pub fn checked_len(&self, width: usize) -> usize {
-        assert!(self.rows_per_page > 0, "rows_per_page must be positive");
-        assert_eq!(
-            self.pages.len(),
-            self.len.div_ceil(self.rows_per_page),
-            "page table holds {} pages for {} rows at {} rows/page",
-            self.pages.len(),
-            self.len,
-            self.rows_per_page
-        );
-        for page in &self.pages {
-            assert!(
-                page.len() >= self.rows_per_page * width,
-                "page holds {} elements, need at least rows_per_page x width = {} x {width}",
-                page.len(),
-                self.rows_per_page
-            );
+    /// The page-table rule: the table holds `len` rows of `width` elements
+    /// when `rows_per_page` is positive, it lists exactly the pages `len`
+    /// implies, and no page is shorter than `rows_per_page × width`
+    /// elements. Returns the live row count, or the first violation.
+    pub fn check(&self, width: usize) -> Result<usize, String> {
+        let rpp = self.rows_per_page;
+        if rpp == 0 {
+            return Err("page table declares zero rows per page".into());
         }
-        self.len
+        let want = self.len.div_ceil(rpp);
+        if self.pages.len() != want {
+            return Err(format!(
+                "page table holds {} pages, expected {want} for {} rows at {rpp} rows/page",
+                self.pages.len(),
+                self.len
+            ));
+        }
+        match self.pages.iter().position(|page| page.len() < rpp * width) {
+            Some(p) => Err(format!(
+                "page {p} holds {} elements, need rows_per_page x width = {rpp} x {width}",
+                self.pages[p].len()
+            )),
+            None => Ok(self.len),
+        }
+    }
+
+    /// The live row count, panicking where [`check`](Self::check) fails.
+    pub fn checked_len(&self, width: usize) -> usize {
+        self.check(width).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The `len` live rows (`width` elements each) in order, read in place
@@ -295,5 +303,67 @@ mod tests {
         let a = Matrix::<f32>::zeros(2, 2);
         let b = Matrix::<f32>::zeros(2, 3);
         let _ = RaggedBatch::gather(&[&a, &b]);
+    }
+
+    /// A 5-row table of width 2 at 2 rows per page: three 4-element pages.
+    fn table(pages: &[f32; 12]) -> PagedPanel<'_, f32> {
+        PagedPanel {
+            pages: pages.chunks(4).collect(),
+            rows_per_page: 2,
+            len: 5,
+        }
+    }
+
+    #[test]
+    fn check_accepts_a_table_holding_its_rows() {
+        let pages = [0.0f32; 12];
+        assert_eq!(table(&pages).check(2), Ok(5));
+        assert_eq!(table(&pages).checked_len(2), 5);
+        // A contiguous slab longer than `len` rows is a valid one-page view.
+        assert_eq!(PagedPanel::one_page(&pages[..], 5).check(2), Ok(5));
+    }
+
+    #[test]
+    fn check_rejects_zero_rows_per_page() {
+        let pages = [0.0f32; 12];
+        let view = PagedPanel {
+            rows_per_page: 0,
+            ..table(&pages)
+        };
+        let err = view.check(2).unwrap_err();
+        assert!(err.contains("zero rows per page"), "got: {err}");
+    }
+
+    #[test]
+    fn check_rejects_a_wrong_page_count() {
+        let pages = [0.0f32; 12];
+        let mut view = table(&pages);
+        view.pages.pop();
+        let err = view.check(2).unwrap_err();
+        assert!(err.contains("holds 2 pages, expected 3"), "got: {err}");
+        view.pages.extend([&pages[..4], &pages[4..8]]);
+        let err = view.check(2).unwrap_err();
+        assert!(err.contains("holds 4 pages, expected 3"), "got: {err}");
+    }
+
+    #[test]
+    fn check_rejects_a_page_shorter_than_its_rows() {
+        let pages = [0.0f32; 12];
+        let mut view = table(&pages);
+        view.pages[1] = &pages[4..7];
+        let err = view.check(2).unwrap_err();
+        assert!(err.contains("page 1 holds 3 elements"), "got: {err}");
+        // A slab one row short of `len` rows is the one-page case.
+        let err = PagedPanel::one_page(&pages[..8], 5).check(2).unwrap_err();
+        assert!(err.contains("page 0 holds 8 elements"), "got: {err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "page table holds")]
+    fn checked_len_panics_where_check_fails() {
+        let pages = [0.0f32; 12];
+        let mut view = table(&pages);
+        view.pages.pop();
+        let _ = view.checked_len(2);
     }
 }

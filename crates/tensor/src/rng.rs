@@ -118,13 +118,6 @@ impl Rng {
         (mu as f64 + sigma as f64 * self.gaussian()) as f32
     }
 
-    /// Fill a slice with i.i.d. N(mu, sigma) values.
-    pub fn fill_normal(&mut self, out: &mut [f32], mu: f32, sigma: f32) {
-        for v in out {
-            *v = self.normal(mu, sigma);
-        }
-    }
-
     /// Zipf-distributed rank in `[0, n)` with exponent `s > 0`, via inverse
     /// CDF over precomputed weights. For repeated sampling prefer
     /// [`ZipfTable`].
@@ -138,13 +131,6 @@ impl Rng {
             let j = self.below(i + 1);
             xs.swap(i, j);
         }
-    }
-
-    /// A random permutation of `0..n`.
-    pub fn permutation(&mut self, n: usize) -> Vec<usize> {
-        let mut p: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut p);
-        p
     }
 
     /// Sample `k` distinct indices from `0..n` (k ≤ n), in random order.
