@@ -45,7 +45,7 @@ use dfss_kernels::{gemm, sddmm, softmax, spmm, GpuCtx};
 use dfss_nmsparse::{NmCompressed, NmPattern};
 use dfss_tensor::{BatchedMatrix, Bf16, Matrix, RaggedBatch, Rng};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SCHEMA_VERSION: f64 = 2.0;
 const HEAD_DIM: usize = 64;
@@ -450,6 +450,21 @@ struct DecodeMeasurement {
     bf16_s: Vec<f64>,
 }
 
+/// Shortest run of calls one decode sample times: a single call takes tens
+/// of microseconds, too short for one clock reading to separate two trees.
+const DECODE_RUN: Duration = Duration::from_millis(2);
+
+/// One decode sample: the mean seconds per call of `f` over a run of calls
+/// lasting at least [`DECODE_RUN`].
+fn per_call_s(mut f: impl FnMut()) -> f64 {
+    let (t, mut calls) = (Instant::now(), 0u32);
+    while calls == 0 || t.elapsed() < DECODE_RUN {
+        f();
+        calls += 1;
+    }
+    t.elapsed().as_secs_f64() / f64::from(calls)
+}
+
 /// Time `f` once under each forced backend, alternating per sample.
 fn measure_forced(
     family: &'static str,
@@ -596,12 +611,12 @@ fn run_simd_grid() -> (Vec<SimdMeasurement>, Vec<DecodeMeasurement>) {
         black_box(mech.decode_paged(&mut ctx, &q, &bf16_kv, d));
         for _ in 0..decode_samples {
             let mut ctx = GpuCtx::a100();
-            let t = Instant::now();
-            black_box(mech.decode_paged(&mut ctx, &q, &f32_kv, d));
-            m.f32_s.push(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            black_box(mech.decode_paged(&mut ctx, &q, &bf16_kv, d));
-            m.bf16_s.push(t.elapsed().as_secs_f64());
+            m.f32_s.push(per_call_s(|| {
+                black_box(mech.decode_paged(&mut ctx, &q, &f32_kv, d));
+            }));
+            m.bf16_s.push(per_call_s(|| {
+                black_box(mech.decode_paged(&mut ctx, &q, &bf16_kv, d));
+            }));
         }
         decode.push(m);
     }

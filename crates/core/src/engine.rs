@@ -673,6 +673,7 @@ mod tests {
                 pages: vec![&k[..16]],
                 rows_per_page: 2,
                 len: 4,
+                operand_form: false,
             }),
             v_rows: KvRows::Native(PagedPanel::one_page(&v, 4)),
             len: 4,
@@ -688,6 +689,7 @@ mod tests {
                 pages: vec![&k[..16], &k[16..24]],
                 rows_per_page: 2,
                 len: 4,
+                operand_form: false,
             }),
             v_rows: KvRows::Native(PagedPanel::one_page(&v, 4)),
             len: 4,
@@ -821,11 +823,13 @@ mod tests {
                         pages: k_pages[i].iter().map(|p| p.as_slice()).collect(),
                         rows_per_page,
                         len: lens[i],
+                        operand_form: false,
                     }),
                     v_rows: KvRows::Native(PagedPanel {
                         pages: v_pages[i].iter().map(|p| p.as_slice()).collect(),
                         rows_per_page,
                         len: lens[i],
+                        operand_form: false,
                     }),
                     len: lens[i],
                     d,
@@ -858,6 +862,77 @@ mod tests {
             assert_eq!(
                 eng_c.ctx().timeline.total_bytes(),
                 eng_p.ctx().timeline.total_bytes()
+            );
+        }
+    }
+
+    #[test]
+    fn operand_form_views_of_rounded_rows_match_raw_contiguous_steps() {
+        // A view flagged `operand_form` over the TF32-rounded rows (what a
+        // serving KV cache hands the engine) skips the rounding on load; a
+        // contiguous step over the raw rows rounds them as it reads. Both
+        // read the same multiply operands, so outputs and charges must be
+        // bit-identical. A 100-row stream keeps 50 values under 1:2, more
+        // than one SpMM batch; d_v = 72 is a 64-column window and a tail.
+        // K carries a NaN with a payload, V an ∞, a subnormal and a value
+        // TF32 rounds.
+        let (d, d_v) = (16usize, 72usize);
+        let lens = [5usize, 40, 17, 100];
+        let mut rng = Rng::new(43);
+        let mut caches: Vec<(Matrix<f32>, Matrix<f32>)> =
+            lens.iter().map(|&l| cache(l, d, d_v, &mut rng)).collect();
+        caches[0].0.row_mut(2)[3] = f32::from_bits(0x7fa0_1234);
+        caches[1].1.row_mut(7)[70] = f32::INFINITY;
+        caches[3].1.row_mut(50)[9] = f32::from_bits(0x0000_0001);
+        caches[3].1.row_mut(51)[9] = 1.000_000_1;
+        let round = |m: &Matrix<f32>| -> Vec<f32> {
+            m.as_slice()
+                .iter()
+                .map(|&x| dfss_tensor::tf32_round(x))
+                .collect()
+        };
+        let rounded: Vec<(Vec<f32>, Vec<f32>)> =
+            caches.iter().map(|(k, v)| (round(k), round(v))).collect();
+        let q = Matrix::<f32>::random_normal(lens.len(), d, 0.0, 1.0, &mut rng);
+        fn operand(slab: &[f32], len: usize) -> PagedPanel<'_, f32> {
+            PagedPanel {
+                operand_form: true,
+                ..PagedPanel::one_page(slab, len)
+            }
+        }
+        let raw_steps: Vec<DecodeStep<'_, f32>> = (0..lens.len())
+            .map(|i| {
+                let (k, v) = &caches[i];
+                DecodeStep::contiguous(q.row(i), k.as_slice(), v.as_slice(), lens[i], d, d_v)
+            })
+            .collect();
+        let operand_steps: Vec<DecodeStep<'_, f32>> = (0..lens.len())
+            .map(|i| DecodeStep {
+                q_row: q.row(i),
+                k_rows: KvRows::Native(operand(&rounded[i].0, lens[i])),
+                v_rows: KvRows::Native(operand(&rounded[i].1, lens[i])),
+                len: lens[i],
+                d,
+                d_v,
+            })
+            .collect();
+        let dfss_1_2 = DfssAttention::new(NmPattern::P1_2);
+        let dfss_2_4 = DfssAttention::new(NmPattern::P2_4);
+        let mechs: [&dyn Attention<f32>; 3] = [&dfss_1_2, &dfss_2_4, &FullAttention];
+        for mech in mechs {
+            let mut eng_raw = AttentionEngine::new(mech);
+            let mut eng_op = AttentionEngine::new(mech);
+            let out_raw = eng_raw.flush_decode(&raw_steps).unwrap();
+            let out_op = eng_op.flush_decode(&operand_steps).unwrap();
+            for (i, (r, o)) in out_raw.iter().zip(&out_op).enumerate() {
+                let (r, o) = (r.output.as_ref().unwrap(), o.output.as_ref().unwrap());
+                let bits =
+                    |m: &Matrix<f32>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(r), bits(o), "{}: stream {i} diverged", mech.name());
+            }
+            assert_eq!(
+                eng_raw.ctx().timeline.total_bytes(),
+                eng_op.ctx().timeline.total_bytes()
             );
         }
     }
@@ -924,11 +999,13 @@ mod tests {
                     pages: k_pages[i].iter().map(|p| p.as_slice()).collect(),
                     rows_per_page,
                     len: lens[i],
+                    operand_form: false,
                 }),
                 v_rows: KvRows::Bf16(PagedPanel {
                     pages: v_pages[i].iter().map(|p| p.as_slice()).collect(),
                     rows_per_page,
                     len: lens[i],
+                    operand_form: false,
                 }),
                 len: lens[i],
                 d,

@@ -29,14 +29,17 @@
 //! The routines are generic over the cached K/V element type `S`
 //! separately from the compute type `T`: the serving layer can quantise the
 //! KV cache to [`dfss_tensor::Bf16`] while queries and outputs stay `T`.
-//! Cached rows are **widened on load inside the microkernel**
-//! ([`crate::simd::dot_widen`] / [`crate::simd::axpy_widen`]) — TF32
-//! rounding for f32 KV, exact widening for bf16 KV, no intermediate widened
-//! panel — so decode reads the cache at its true element width. Each cached
-//! element is touched exactly once per decode step, so fusing the widen
-//! drops the panel-sized scratch buffer without re-doing any conversion,
-//! and because [`Scalar::to_mul`] is applied per element in the same order,
-//! results are bit-identical to the historical widen-then-dot path.
+//! Cached rows are read **in place at their stored width**, with no
+//! intermediate widened panel. A view whose rows are in tensor-core operand
+//! form ([`PagedPanel::operand_form`], set by a writer that rounded each
+//! element through [`Scalar::to_mul`], as the serving KV cache does) is
+//! read as stored ([`simd::dot_operand`], [`simd::axpy_rows`]); any other
+//! view is rounded on load (TF32 for f32 rows, exact widening for bf16).
+//! `to_mul` is idempotent, so both read the same multiply operands, and
+//! every product and sum is formed in the same order: decode outputs are
+//! bit-identical whichever form the rows arrive in. The SpMM gathers a
+//! stream's kept V rows in batches of `SPMM_BATCH` and accumulates each
+//! batch with the output row's 64-column windows held in registers.
 //!
 //! [`KernelProfile`]: dfss_gpusim::KernelProfile
 //! [`NmRagged`]: dfss_nmsparse::NmRagged
@@ -67,9 +70,9 @@ pub(crate) fn prune_decode_row<T: Scalar>(
 }
 
 /// Fused score + prune of one stream: widen the query row, stream the
-/// cached K pages at their stored width (widen-on-load), take one dot per
-/// cached position (`acc[j] = dot(q̂, to_mul(K row j))`), prune into the
-/// stream's output slices.
+/// cached K pages at their stored width, take one dot per cached position
+/// (`acc[j] = dot(q̂, to_mul(K row j))`, the rounding skipped for rows in
+/// operand form), prune into the stream's output slices.
 pub(crate) fn score_prune_stream<T: Scalar, S: Scalar>(
     q_row: &[T],
     k: &PagedPanel<'_, S>,
@@ -83,15 +86,25 @@ pub(crate) fn score_prune_stream<T: Scalar, S: Scalar>(
     let qw = widen(q_row);
     let backend = simd::active();
     let mut acc = scratch_f32_stale(len);
-    for (a, row) in acc[..len].iter_mut().zip(k.rows(d)) {
-        *a = simd::dot_widen(backend, &qw, row);
+    let scores = acc[..len].iter_mut().zip(k.rows(d));
+    if k.operand_form {
+        scores.for_each(|(a, row)| *a = simd::dot_operand(backend, &qw, row));
+    } else {
+        scores.for_each(|(a, row)| *a = simd::dot_widen(backend, &qw, row));
     }
     prune_decode_row(pattern, &acc[..len], scale, nz_out, code_out);
 }
 
+/// Kept V rows the decode SpMM gathers per [`simd::axpy_rows`] call: each
+/// call holds the output row in registers across the batch.
+const SPMM_BATCH: usize = 16;
+
 /// SpMM of one stream: contract row `i` of the compressed stack with the
 /// stream's cached V rows (read in place from their pages at the stored
-/// width, widen-on-load) into one output row.
+/// width) into one output row. The kept rows go to [`simd::axpy_rows`] in
+/// batches of `SPMM_BATCH`, in ascending column order, so every output
+/// element takes `acc += to_mul(a) · to_mul(v)` over the kept columns in
+/// order.
 pub(crate) fn spmm_decode_stream<T: Scalar, S: Scalar>(
     a: &NmRagged<T>,
     i: usize,
@@ -102,7 +115,11 @@ pub(crate) fn spmm_decode_stream<T: Scalar, S: Scalar>(
     let backend = simd::active();
     let rpp = v.rows_per_page;
     let mut acc = scratch_f32_stale(d_v);
-    acc.iter_mut().for_each(|x| *x = 0.0);
+    let acc = &mut acc[..d_v];
+    acc.fill(0.0);
+    let mut weights = [0.0f32; SPMM_BATCH];
+    let mut rows: [&[S]; SPMM_BATCH] = [&[]; SPMM_BATCH];
+    let mut batched = 0;
     // `scan_row` visits kept columns in ascending order, so the page
     // holding row `col` is found by moving a cursor forward, never by
     // dividing.
@@ -113,13 +130,16 @@ pub(crate) fn spmm_decode_stream<T: Scalar, S: Scalar>(
             first += rpp;
         }
         let at = (col - first) * d_v;
-        simd::axpy_widen(
-            backend,
-            &mut acc[..d_v],
-            val.to_mul(),
-            &v.pages[page][at..at + d_v],
-        );
+        weights[batched] = val.to_mul();
+        rows[batched] = &v.pages[page][at..at + d_v];
+        batched += 1;
+        if batched == SPMM_BATCH {
+            simd::axpy_rows(backend, acc, &weights, &rows, v.operand_form);
+            batched = 0;
+        }
     });
+    let (weights, rows) = (&weights[..batched], &rows[..batched]);
+    simd::axpy_rows(backend, acc, weights, rows, v.operand_form);
     for (o, &x) in out_row.iter_mut().zip(acc.iter()) {
         *o = T::from_acc(x);
     }

@@ -27,9 +27,10 @@
 //!   [`Scalar::to_mul`]: TF32 (11 significand bits) or bf16 (8), whose
 //!   products fit f32's 24 bits exactly unless they overflow or fall below
 //!   2^−128, so on them the fused step also gives the bits of a multiply
-//!   then an add. Every other op — decode's [`dot_widen`] and
-//!   [`axpy_widen`], the exp polynomial, the prune epilogue's scale —
-//!   rounds each product before adding, on every backend.
+//!   then an add. Every other op — decode's dots ([`dot_widen`],
+//!   [`dot_operand`]) and SpMM step ([`axpy_rows`]), the exp polynomial,
+//!   the prune epilogue's scale — rounds each product before adding, on
+//!   every backend.
 //! * **Element-wise ops vectorise freely.** [`Backend::axpy`] and the
 //!   register tiles update independent output lanes in serial k-order;
 //!   lane width does not touch the per-lane operation order, so any width
@@ -59,15 +60,18 @@
 //!   [`dfss_tensor::math::softmax_exp`]: a fixed sequence of multiplies,
 //!   adds and bit operations, which a vector body replays lane by lane.
 //!
-//! The decode path additionally gets **fused widen-on-load** operands
-//! ([`dot_widen`] / [`axpy_widen`]): cached K/V rows stored as `f32` are
-//! TF32-rounded in-register (bit-exact replica of
-//! [`dfss_tensor::tf32_round`], including NaN/Inf passthrough), and rows
-//! stored as [`Bf16`](dfss_tensor::Bf16) are widened by a zero-extend +
-//! 16-bit shift — exact by construction — so the bf16-quantised KV cache
-//! is read at half the memory traffic with no intermediate widened buffer.
-//! Because bf16→f32 widening is exact and TF32 keeps more mantissa bits
-//! than bf16 has, the fused bf16 path is bitwise identical to a host-side
+//! The decode path reads cached K/V rows **in operand form or widened on
+//! load**, never through an intermediate widened buffer. A raw `f32` row
+//! is TF32-rounded in-register ([`dot_widen`], and [`axpy_rows`] with
+//! `operand_form` off; a bit-exact replica of [`dfss_tensor::tf32_round`],
+//! NaN/Inf passed through). A row a writer already rounded with
+//! [`round_operands`] is read as stored ([`dot_operand`], and `axpy_rows`
+//! with `operand_form` on): `tf32_round` is idempotent on every bit
+//! pattern, so skipping the second rounding changes no bit. A
+//! [`Bf16`](dfss_tensor::Bf16) row is widened by a zero-extend + 16-bit
+//! shift, exact by construction, so the bf16-quantised KV cache is read at
+//! half the memory traffic; because TF32 keeps more mantissa bits than
+//! bf16 has, the bf16 path is bitwise identical to a host-side
 //! widen-then-f32 model.
 //!
 //! Dispatch order: `DFSS_SIMD` env override (`scalar`/`avx2`/`avx512`) →
@@ -354,6 +358,13 @@ pub fn row_max_ref(buf: &[f32]) -> f32 {
 /// serially.
 #[inline(always)]
 pub fn dot_widen_ref<S: Scalar>(q: &[f32], row: &[S]) -> f32 {
+    dot_lanes_ref(q, row, S::to_mul)
+}
+
+/// The 8-lane dot of [`dot_widen_ref`] over `load(row[i])`: `to_mul` for a
+/// raw row, `to_f32` for a row already in operand form.
+#[inline(always)]
+fn dot_lanes_ref<S: Scalar>(q: &[f32], row: &[S], load: impl Fn(S) -> f32) -> f32 {
     debug_assert_eq!(q.len(), row.len());
     let full = q.len() / LANES * LANES;
     let mut lanes = [0.0f32; LANES];
@@ -361,14 +372,14 @@ pub fn dot_widen_ref<S: Scalar>(q: &[f32], row: &[S]) -> f32 {
         let xq: &[f32; LANES] = q[c..c + LANES].try_into().unwrap();
         let xr: &[S; LANES] = row[c..c + LANES].try_into().unwrap();
         for l in 0..LANES {
-            lanes[l] += xq[l] * xr[l].to_mul();
+            lanes[l] += xq[l] * load(xr[l]);
         }
     }
     let q0 = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
     let q1 = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
     let mut acc = q0 + q1;
-    for (x, y) in q[full..].iter().zip(&row[full..]) {
-        acc += x * y.to_mul();
+    for (x, &y) in q[full..].iter().zip(&row[full..]) {
+        acc += x * load(y);
     }
     acc
 }
@@ -379,6 +390,23 @@ pub fn axpy_widen_ref<S: Scalar>(acc: &mut [f32], s: f32, row: &[S]) {
     debug_assert_eq!(acc.len(), row.len());
     for (o, &x) in acc.iter_mut().zip(row) {
         *o += s * x.to_mul();
+    }
+}
+
+/// The scalar body of [`axpy_rows`] over columns `j0..`: each row in turn,
+/// `acc[j] += s · load(row[j])`.
+#[inline(always)]
+fn axpy_rows_ref<S: Scalar>(
+    acc: &mut [f32],
+    weights: &[f32],
+    rows: &[&[S]],
+    j0: usize,
+    load: impl Fn(S) -> f32,
+) {
+    for (&s, row) in weights.iter().zip(rows) {
+        for (o, &x) in acc[j0..].iter_mut().zip(&row[j0..]) {
+            *o += s * load(x);
+        }
     }
 }
 
@@ -898,68 +926,150 @@ pub fn dot_widen<S: Scalar>(backend: Backend, q: &[f32], row: &[S]) -> f32 {
         backend.name()
     );
     assert_eq!(q.len(), row.len(), "dot_widen row length differs from q");
-    match backend {
-        // SAFETY (every call below): the backend is available and `row` is
-        // as long as `q`, checked above.
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 | Backend::Avx512 => {
-            if TypeId::of::<S>() == TypeId::of::<f32>() {
-                // SAFETY: S == f32 (checked above); slices of a type are
-                // slices of itself.
-                let row =
-                    unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<f32>(), row.len()) };
-                return unsafe { x86::dot_tf32_avx2(q, row) };
-            }
-            if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
-                // SAFETY: S == Bf16, which is repr(transparent) over u16.
-                let row =
-                    unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<u16>(), row.len()) };
-                return unsafe { x86::dot_bf16_avx2(q, row) };
-            }
-            dot_widen_ref(q, row)
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY (both): the backend is available and `row` is as long as
+        // `q`, checked above, and each body reads `S` as its `Load`'s
+        // element: f32 as f32, Bf16 (repr(transparent) over u16) as u16.
+        if TypeId::of::<S>() == TypeId::of::<f32>() {
+            return unsafe { x86::dot_avx2::<S, x86::RoundF32>(q, row) };
         }
-        _ => dot_widen_ref(q, row),
+        if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
+            return unsafe { x86::dot_avx2::<S, x86::WidenBf16>(q, row) };
+        }
     }
+    dot_widen_ref(q, row)
 }
 
-/// Fused widen-on-load axpy against a raw KV row: the decode SpMM
-/// microkernel. Bitwise equal to [`axpy_widen_ref`] on every backend.
+/// [`dot_widen`] against a row already in operand form (every element a
+/// fixed point of [`Scalar::to_mul`], as [`round_operands`] leaves it):
+/// `Σ q[i] · row[i].to_f32()` in [`dot_widen_ref`]'s 8-lane shape, with no
+/// TF32 rounding on load. On such a row it has the bits of
+/// [`dot_widen_ref`]; on any row, bitwise equal on every backend to the
+/// scalar backend. A bf16 row is widened exactly, as [`dot_widen`] does.
 ///
 /// # Panics
-/// If `backend` is not available on this CPU, or `acc` and `row` differ in
+/// If `backend` is not available on this CPU, or `q` and `row` differ in
 /// length (the unchecked backends rely on these checks).
 #[inline]
-pub fn axpy_widen<S: Scalar>(backend: Backend, acc: &mut [f32], s: f32, row: &[S]) {
+pub fn dot_operand<S: Scalar>(backend: Backend, q: &[f32], row: &[S]) -> f32 {
+    assert!(
+        backend.available(),
+        "backend {} not available",
+        backend.name()
+    );
+    assert_eq!(q.len(), row.len(), "dot_operand row length differs from q");
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY: as in `dot_widen`.
+        if TypeId::of::<S>() == TypeId::of::<f32>() {
+            return unsafe { x86::dot_avx2::<S, x86::ExactF32>(q, row) };
+        }
+        if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
+            return unsafe { x86::dot_avx2::<S, x86::WidenBf16>(q, row) };
+        }
+    }
+    dot_lanes_ref(q, row, S::to_f32)
+}
+
+/// The decode SpMM step over a batch of cached V rows:
+/// `acc[j] += weights[i] · load(rows[i][j])` for each row `i` in ascending
+/// order, one multiply then one add per term. `load` is
+/// [`Scalar::to_mul`] for raw rows and `to_f32` for rows in operand form
+/// (`operand_form`, see [`dot_operand`]); a bf16 row widens exactly either
+/// way. On raw rows, on rows in operand form and on bf16 rows it has the
+/// bits of one [`axpy_widen_ref`] per row in turn, on every backend.
+///
+/// The vector backends hold a 64-column window of `acc` in registers (four
+/// zmm on AVX-512, eight ymm on AVX2) across the whole batch, so `acc` is
+/// loaded and stored once per batch instead of once per row; the columns
+/// past the last whole vector run the scalar body. Every element keeps the
+/// reference's operation order, so the window shape changes no bit.
+///
+/// # Panics
+/// If `backend` is not available on this CPU, `weights` and `rows` differ
+/// in length, or a row is not as long as `acc` (the unchecked backends
+/// rely on these checks).
+pub fn axpy_rows<S: Scalar>(
+    backend: Backend,
+    acc: &mut [f32],
+    weights: &[f32],
+    rows: &[&[S]],
+    operand_form: bool,
+) {
     assert!(
         backend.available(),
         "backend {} not available",
         backend.name()
     );
     assert_eq!(
-        acc.len(),
-        row.len(),
-        "axpy_widen row length differs from acc"
+        weights.len(),
+        rows.len(),
+        "axpy_rows takes one weight per row"
     );
-    match backend {
-        // SAFETY (every call below): the backend is available and `row` is
-        // as long as `acc`, checked above.
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 | Backend::Avx512 => {
-            if TypeId::of::<S>() == TypeId::of::<f32>() {
-                // SAFETY: S == f32 (checked above).
-                let row =
-                    unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<f32>(), row.len()) };
-                return unsafe { x86::axpy_tf32_avx2(acc, s, row) };
+    assert!(
+        rows.iter().all(|row| row.len() == acc.len()),
+        "axpy_rows row length differs from acc"
+    );
+    // The columns the vector body covered; the scalar body runs the rest.
+    #[cfg(target_arch = "x86_64")]
+    let done = {
+        let f32_rows = TypeId::of::<S>() == TypeId::of::<f32>();
+        // SAFETY (all three): the backend is available and every row is as
+        // long as `acc`, checked above, and each body reads `S` as its
+        // `Load`'s element: f32 as f32, Bf16 (repr(transparent) over u16)
+        // as u16.
+        unsafe {
+            if backend == Backend::Scalar {
+                0
+            } else if f32_rows && operand_form {
+                x86::axpy_rows::<S, x86::ExactF32>(backend, acc, weights, rows)
+            } else if f32_rows {
+                x86::axpy_rows::<S, x86::RoundF32>(backend, acc, weights, rows)
+            } else if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
+                x86::axpy_rows::<S, x86::WidenBf16>(backend, acc, weights, rows)
+            } else {
+                0
             }
-            if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
-                // SAFETY: S == Bf16, which is repr(transparent) over u16.
-                let row =
-                    unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<u16>(), row.len()) };
-                return unsafe { x86::axpy_bf16_avx2(acc, s, row) };
-            }
-            axpy_widen_ref(acc, s, row)
         }
-        _ => axpy_widen_ref(acc, s, row),
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    if operand_form {
+        axpy_rows_ref(acc, weights, rows, done, S::to_f32);
+    } else {
+        axpy_rows_ref(acc, weights, rows, done, S::to_mul);
+    }
+}
+
+/// Put `row` in tensor-core operand form in place: each element becomes
+/// `S::from_f32(x.to_mul())`. For `f32` that is [`dfss_tensor::tf32_round`]
+/// (the vector bodies replay it 8 or 16 lanes at a time, NaN and ±∞ passed
+/// through); a bf16 value that
+/// [`Bf16::from_f32`](dfss_tensor::Bf16::from_f32) produced keeps its bits.
+/// `tf32_round` is idempotent on every bit pattern, so a row rounded here
+/// can be read by [`dot_operand`] and [`axpy_rows`] without rounding again.
+///
+/// # Panics
+/// If `backend` is not available on this CPU.
+pub fn round_operands<S: Scalar>(backend: Backend, row: &mut [S]) {
+    assert!(
+        backend.available(),
+        "backend {} not available",
+        backend.name()
+    );
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar && TypeId::of::<S>() == TypeId::of::<f32>() {
+        // SAFETY: S == f32 (checked above), and the backend is available.
+        let row =
+            unsafe { std::slice::from_raw_parts_mut(row.as_mut_ptr().cast::<f32>(), row.len()) };
+        return match backend {
+            Backend::Avx512 => unsafe { x86::round_tf32_avx512(row) },
+            _ => unsafe { x86::round_tf32_avx2(row) },
+        };
+    }
+    for x in row {
+        *x = S::from_f32(x.to_mul());
     }
 }
 
@@ -1195,49 +1305,264 @@ mod x86 {
         _mm256_blendv_ps(_mm256_castsi256_ps(masked), v, _mm256_castsi256_ps(special))
     }
 
-    /// Widen 8 bf16 values (as raw u16 bits) to f32: zero-extend, shift
-    /// left 16 — exact, the scalar `Bf16::to_f32` lane by lane.
+    /// [`tf32_round8`] of 16 lanes.
     #[inline(always)]
-    unsafe fn widen_bf16_8(p: *const u16) -> __m256 {
-        let half = _mm_loadu_si128(p.cast::<__m128i>());
-        let wide = _mm256_cvtepu16_epi32(half);
-        _mm256_castsi256_ps(_mm256_slli_epi32::<16>(wide))
+    unsafe fn tf32_round16(v: __m512) -> __m512 {
+        let bits = _mm512_castps_si512(v);
+        let lsb = _mm512_and_si512(_mm512_srli_epi32::<13>(bits), _mm512_set1_epi32(1));
+        let rounded = _mm512_add_epi32(bits, _mm512_add_epi32(_mm512_set1_epi32(0xFFF), lsb));
+        let masked = _mm512_and_si512(rounded, _mm512_set1_epi32(!0x1FFFi32));
+        let exp = _mm512_and_si512(bits, _mm512_set1_epi32(0x7F80_0000));
+        let special = _mm512_cmpeq_epi32_mask(exp, _mm512_set1_epi32(0x7F80_0000));
+        _mm512_mask_blend_ps(special, _mm512_castsi512_ps(masked), v)
     }
 
+    /// How a decode body reads a cached row: the stored element type and
+    /// the conversion to an f32 multiply operand, for 8 lanes, 16 lanes
+    /// and one.
+    pub(super) trait Load {
+        /// The element as the body reads it.
+        type Elem: Copy;
+        /// Eight elements from `p`.
+        unsafe fn ymm(p: *const Self::Elem) -> __m256;
+        /// Sixteen elements from `p` (AVX-512F).
+        unsafe fn zmm(p: *const Self::Elem) -> __m512;
+        /// One element.
+        fn one(x: Self::Elem) -> f32;
+    }
+
+    /// Raw f32 rows: TF32-rounded on load, `f32::to_mul`.
+    pub(super) struct RoundF32;
+    /// f32 rows in operand form: read as stored.
+    pub(super) struct ExactF32;
+    /// bf16 rows as their u16 bits: zero-extend, shift left 16, which is
+    /// exact (`Bf16::to_f32` lane by lane).
+    pub(super) struct WidenBf16;
+
+    impl Load for RoundF32 {
+        type Elem = f32;
+        #[inline(always)]
+        unsafe fn ymm(p: *const f32) -> __m256 {
+            tf32_round8(_mm256_loadu_ps(p))
+        }
+        #[inline(always)]
+        unsafe fn zmm(p: *const f32) -> __m512 {
+            tf32_round16(_mm512_loadu_ps(p))
+        }
+        #[inline(always)]
+        fn one(x: f32) -> f32 {
+            tf32_round(x)
+        }
+    }
+
+    impl Load for ExactF32 {
+        type Elem = f32;
+        #[inline(always)]
+        unsafe fn ymm(p: *const f32) -> __m256 {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn zmm(p: *const f32) -> __m512 {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        fn one(x: f32) -> f32 {
+            x
+        }
+    }
+
+    impl Load for WidenBf16 {
+        type Elem = u16;
+        #[inline(always)]
+        unsafe fn ymm(p: *const u16) -> __m256 {
+            let wide = _mm256_cvtepu16_epi32(_mm_loadu_si128(p.cast::<__m128i>()));
+            _mm256_castsi256_ps(_mm256_slli_epi32::<16>(wide))
+        }
+        #[inline(always)]
+        unsafe fn zmm(p: *const u16) -> __m512 {
+            let wide = _mm512_cvtepu16_epi32(_mm256_loadu_si256(p.cast::<__m256i>()));
+            _mm512_castsi512_ps(_mm512_slli_epi32::<16>(wide))
+        }
+        #[inline(always)]
+        fn one(x: u16) -> f32 {
+            f32::from_bits((x as u32) << 16)
+        }
+    }
+
+    /// The 8-lane decode dot (`super::dot_lanes_ref`'s shape) of `a`
+    /// against `b` read through `L`; AVX-512 runs it too, since the
+    /// reduction shape cannot widen.
+    ///
+    /// # Safety
+    /// AVX2 must be available, `b` as long as `a`, and `S` laid out as
+    /// `L::Elem`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_tf32_avx2(a: &[f32], b: &[f32]) -> f32 {
+    pub(super) unsafe fn dot_avx2<S, L: Load>(a: &[f32], b: &[S]) -> f32 {
+        let b = b.as_ptr().cast::<L::Elem>();
         let full = a.len() / 8 * 8;
         let mut acc = _mm256_setzero_ps();
         let mut c = 0;
         while c < full {
             let va = _mm256_loadu_ps(a.as_ptr().add(c));
-            let vb = tf32_round8(_mm256_loadu_ps(b.as_ptr().add(c)));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, L::ymm(b.add(c))));
             c += 8;
         }
         let mut out = hsum_tree(acc);
         for i in full..a.len() {
-            out += a.get_unchecked(i) * tf32_round(*b.get_unchecked(i));
+            out += a.get_unchecked(i) * L::one(*b.add(i));
         }
         out
     }
 
+    /// [`super::axpy_rows`] on a vector backend, over the columns up to the
+    /// last whole vector; returns how many columns that is.
+    ///
+    /// # Safety
+    /// The backend must be available, every row as long as `acc`, and `S`
+    /// laid out as `L::Elem`.
+    #[inline]
+    pub(super) unsafe fn axpy_rows<S, L: Load>(
+        backend: super::Backend,
+        acc: &mut [f32],
+        weights: &[f32],
+        rows: &[&[S]],
+    ) -> usize {
+        match backend {
+            super::Backend::Avx512 => axpy_rows_avx512::<S, L>(acc, weights, rows),
+            _ => axpy_rows_avx2::<S, L>(acc, weights, rows),
+        }
+    }
+
+    /// `acc[j0 .. j0 + 16·NV] += w · L(row)` for each row and weight in
+    /// turn, in `NV` zmm accumulators loaded and stored once.
+    #[inline(always)]
+    unsafe fn rows_zmm<S, L: Load, const NV: usize>(
+        acc: *mut f32,
+        weights: &[f32],
+        rows: &[&[S]],
+        j0: usize,
+    ) {
+        let mut a = [_mm512_setzero_ps(); NV];
+        for (c, a) in a.iter_mut().enumerate() {
+            *a = _mm512_loadu_ps(acc.add(j0 + 16 * c));
+        }
+        for (&w, row) in weights.iter().zip(rows) {
+            let s = _mm512_set1_ps(w);
+            let p = row.as_ptr().cast::<L::Elem>().add(j0);
+            for (c, a) in a.iter_mut().enumerate() {
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(s, L::zmm(p.add(16 * c))));
+            }
+        }
+        for (c, a) in a.iter().enumerate() {
+            _mm512_storeu_ps(acc.add(j0 + 16 * c), *a);
+        }
+    }
+
+    /// `acc[j0 .. j0 + 8·NV] += w · L(row)` for each row and weight in
+    /// turn, in `NV` ymm accumulators loaded and stored once.
+    #[inline(always)]
+    unsafe fn rows_ymm<S, L: Load, const NV: usize>(
+        acc: *mut f32,
+        weights: &[f32],
+        rows: &[&[S]],
+        j0: usize,
+    ) {
+        let mut a = [_mm256_setzero_ps(); NV];
+        for (c, a) in a.iter_mut().enumerate() {
+            *a = _mm256_loadu_ps(acc.add(j0 + 8 * c));
+        }
+        for (&w, row) in weights.iter().zip(rows) {
+            let s = _mm256_set1_ps(w);
+            let p = row.as_ptr().cast::<L::Elem>().add(j0);
+            for (c, a) in a.iter_mut().enumerate() {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(s, L::ymm(p.add(8 * c))));
+            }
+        }
+        for (c, a) in a.iter().enumerate() {
+            _mm256_storeu_ps(acc.add(j0 + 8 * c), *a);
+        }
+    }
+
+    /// 64-column windows in four zmm, then 8-column ones in a ymm.
+    ///
+    /// # Safety
+    /// As [`axpy_rows`], with AVX-512F and AVX2 available.
+    #[target_feature(enable = "avx512f,avx2")]
+    unsafe fn axpy_rows_avx512<S, L: Load>(
+        acc: &mut [f32],
+        weights: &[f32],
+        rows: &[&[S]],
+    ) -> usize {
+        let full = acc.len() / 8 * 8;
+        let p = acc.as_mut_ptr();
+        let mut j0 = 0;
+        while j0 + 64 <= full {
+            rows_zmm::<S, L, 4>(p, weights, rows, j0);
+            j0 += 64;
+        }
+        while j0 < full {
+            rows_ymm::<S, L, 1>(p, weights, rows, j0);
+            j0 += 8;
+        }
+        full
+    }
+
+    /// 64-column windows in eight ymm, then 8-column ones in one.
+    ///
+    /// # Safety
+    /// As [`axpy_rows`], with AVX2 available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_bf16_avx2(a: &[f32], b: &[u16]) -> f32 {
-        let full = a.len() / 8 * 8;
-        let mut acc = _mm256_setzero_ps();
+    unsafe fn axpy_rows_avx2<S, L: Load>(acc: &mut [f32], weights: &[f32], rows: &[&[S]]) -> usize {
+        let full = acc.len() / 8 * 8;
+        let p = acc.as_mut_ptr();
+        let mut j0 = 0;
+        while j0 + 64 <= full {
+            rows_ymm::<S, L, 8>(p, weights, rows, j0);
+            j0 += 64;
+        }
+        while j0 < full {
+            rows_ymm::<S, L, 1>(p, weights, rows, j0);
+            j0 += 8;
+        }
+        full
+    }
+
+    /// [`super::round_operands`] for f32, 16 lanes per step: the
+    /// [`tf32_round16`] that `RoundF32` loads with, so the exhaustive TF32
+    /// sweep covers it.
+    ///
+    /// # Safety
+    /// AVX-512F must be available.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn round_tf32_avx512(row: &mut [f32]) {
+        let full = row.len() / 16 * 16;
+        let p = row.as_mut_ptr();
         let mut c = 0;
         while c < full {
-            let va = _mm256_loadu_ps(a.as_ptr().add(c));
-            let vb = widen_bf16_8(b.as_ptr().add(c));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
+            _mm512_storeu_ps(p.add(c), tf32_round16(_mm512_loadu_ps(p.add(c))));
+            c += 16;
+        }
+        for x in &mut row[full..] {
+            *x = tf32_round(*x);
+        }
+    }
+
+    /// [`super::round_operands`] for f32, 8 lanes per step.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn round_tf32_avx2(row: &mut [f32]) {
+        let full = row.len() / 8 * 8;
+        let p = row.as_mut_ptr();
+        let mut c = 0;
+        while c < full {
+            _mm256_storeu_ps(p.add(c), tf32_round8(_mm256_loadu_ps(p.add(c))));
             c += 8;
         }
-        let mut out = hsum_tree(acc);
-        for i in full..a.len() {
-            out += a.get_unchecked(i) * f32::from_bits((*b.get_unchecked(i) as u32) << 16);
+        for x in &mut row[full..] {
+            *x = tf32_round(*x);
         }
-        out
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -1273,46 +1598,6 @@ mod x86 {
         for j in full..n {
             let o = acc.get_unchecked_mut(j);
             *o = s.mul_add(*row.get_unchecked(j), *o);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_tf32_avx2(acc: &mut [f32], s: f32, row: &[f32]) {
-        let n = acc.len();
-        let full = n / 8 * 8;
-        let vs = _mm256_set1_ps(s);
-        let mut i = 0;
-        while i < full {
-            let o = _mm256_loadu_ps(acc.as_ptr().add(i));
-            let x = tf32_round8(_mm256_loadu_ps(row.as_ptr().add(i)));
-            _mm256_storeu_ps(
-                acc.as_mut_ptr().add(i),
-                _mm256_add_ps(o, _mm256_mul_ps(vs, x)),
-            );
-            i += 8;
-        }
-        for j in full..n {
-            *acc.get_unchecked_mut(j) += s * tf32_round(*row.get_unchecked(j));
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_bf16_avx2(acc: &mut [f32], s: f32, row: &[u16]) {
-        let n = acc.len();
-        let full = n / 8 * 8;
-        let vs = _mm256_set1_ps(s);
-        let mut i = 0;
-        while i < full {
-            let o = _mm256_loadu_ps(acc.as_ptr().add(i));
-            let x = widen_bf16_8(row.as_ptr().add(i));
-            _mm256_storeu_ps(
-                acc.as_mut_ptr().add(i),
-                _mm256_add_ps(o, _mm256_mul_ps(vs, x)),
-            );
-            i += 8;
-        }
-        for j in full..n {
-            *acc.get_unchecked_mut(j) += s * f32::from_bits((*row.get_unchecked(j) as u32) << 16);
         }
     }
 

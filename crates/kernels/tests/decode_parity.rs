@@ -271,6 +271,7 @@ fn view_of(pages: &[Vec<f32>], rows_per_page: usize, len: usize) -> PagedPanel<'
         pages: pages.iter().map(Vec::as_slice).collect(),
         rows_per_page,
         len,
+        operand_form: false,
     }
 }
 
@@ -383,6 +384,7 @@ fn paged_views_reject_wrong_page_counts() {
         pages: vec![&page[..]],
         rows_per_page: 2,
         len: 3, // needs 2 pages
+        operand_form: false,
     };
     let mut ctx = GpuCtx::a100();
     let _ = sddmm::sddmm_nm_fused_paged(&mut ctx, &f.q, &[short], 1.0, NmPattern::P1_2);

@@ -22,13 +22,13 @@
 //! unchecked backend reads past one.
 
 use dfss_kernels::simd::{
-    self, axpy_ref, axpy_widen, axpy_widen_ref, dot_widen, dot_widen_ref, nn_tile, panel_tile_ref,
-    row_max_ref, spmm_tile, spmm_tile_ref, Backend,
+    self, axpy_ref, axpy_rows, axpy_widen_ref, dot_operand, dot_widen, dot_widen_ref, nn_tile,
+    panel_tile_ref, round_operands, row_max_ref, spmm_tile, spmm_tile_ref, Backend,
 };
 use dfss_kernels::{micro, sddmm, softmax, GpuCtx};
 use dfss_nmsparse::{NmPattern, MAX_M};
 use dfss_tensor::math::{self, exp_consts};
-use dfss_tensor::{Bf16, Matrix, Rng, Scalar};
+use dfss_tensor::{tf32_round, Bf16, Matrix, Rng, Scalar};
 use rayon::prelude::*;
 
 /// Every backend the host CPU can actually run (always includes Scalar).
@@ -819,45 +819,268 @@ fn dot_widen_bf16_is_bit_identical_across_backends() {
     }
 }
 
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `tf32_round` of every element: a row in operand form.
+fn rounded(row: &[f32]) -> Vec<f32> {
+    row.iter().map(|&x| tf32_round(x)).collect()
+}
+
+fn narrowed(row: &[f32]) -> Vec<Bf16> {
+    row.iter().map(|&x| Bf16::from_f32(x)).collect()
+}
+
+/// Lane values the operand-form tests plant at every position: a NaN with
+/// a payload, ±∞, ±0, a subnormal that is a TF32 fixed point and one that
+/// is not (it rounds to `+0`).
+const LANE_SPECIALS: [f32; 7] = [
+    f32::from_bits(0x7fa0_1234),
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    0.0,
+    -0.0,
+    f32::from_bits(0x0000_2000),
+    f32::from_bits(0x0000_0001),
+];
+
+/// `dot_operand` against its contracts on one query and raw row: on every
+/// backend, over the row in operand form it has the bits of
+/// `dot_widen_ref` (of the rounded row and of the raw one), over the raw
+/// row those of the scalar backend, and over the row narrowed to bf16
+/// those of `dot_widen_ref::<Bf16>`.
+fn check_dot_operand(q: &[f32], raw: &[f32], what: &str) {
+    let (fixed, bf16) = (rounded(raw), narrowed(raw));
+    let want = dot_widen_ref::<f32>(q, &fixed).to_bits();
+    assert_eq!(
+        want,
+        dot_widen_ref::<f32>(q, raw).to_bits(),
+        "{what}: idempotence"
+    );
+    let want_raw = dot_operand(Backend::Scalar, q, raw).to_bits();
+    let want_bf16 = dot_widen_ref::<Bf16>(q, &bf16).to_bits();
+    for backend in available_backends() {
+        let on = backend.name();
+        assert_eq!(
+            dot_operand(backend, q, &fixed).to_bits(),
+            want,
+            "{what}, rounded row on {on}"
+        );
+        assert_eq!(
+            dot_operand(backend, q, raw).to_bits(),
+            want_raw,
+            "{what}, raw row on {on}"
+        );
+        let got = dot_operand::<Bf16>(backend, q, &bf16).to_bits();
+        assert_eq!(got, want_bf16, "{what}, bf16 row on {on}");
+    }
+}
+
 #[test]
-fn axpy_widen_is_bit_identical_across_backends_for_both_dtypes() {
-    let mut rng = Rng::new(0xA3);
+fn dot_operand_is_bit_identical_to_the_rounding_dot_on_rounded_rows() {
+    let mut rng = Rng::new(0xD07);
     for &len in LENGTHS {
-        let row_f: Vec<f32> = vec_of(len, &mut rng);
-        let row_b: Vec<Bf16> = (0..len)
-            .map(|_| Bf16::from_f32(rng.normal(0.0, 1.0)))
-            .collect();
-        let acc0 = vec_of(len, &mut rng);
-        let s = rng.normal(0.0, 1.0);
-        let mut want_f = acc0.clone();
-        axpy_widen_ref::<f32>(&mut want_f, s, &row_f);
-        let mut want_b = acc0.clone();
-        axpy_widen_ref::<Bf16>(&mut want_b, s, &row_b);
-        for backend in available_backends() {
-            let mut got = acc0.clone();
-            axpy_widen::<f32>(backend, &mut got, s, &row_f);
-            let same = got
-                .iter()
-                .zip(&want_f)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(
-                same,
-                "axpy_widen<f32> len {len} diverged on {}",
-                backend.name()
+        let q = vec_of(len, &mut rng);
+        let raw = vec_of(len, &mut rng);
+        check_dot_operand(&q, &raw, &format!("len {len}"));
+    }
+    // One special at a time, at every lane of a vector body and of the
+    // tail, so at most one NaN source meets each sum.
+    for len in [19usize, 33] {
+        let q = vec_of(len, &mut rng);
+        let raw = vec_of(len, &mut rng);
+        for &special in &LANE_SPECIALS {
+            for pos in 0..len {
+                let mut row = raw.clone();
+                row[pos] = special;
+                check_dot_operand(&q, &row, &format!("{special:e} at {pos}/{len}"));
+            }
+        }
+    }
+}
+
+/// `axpy_rows` against one `axpy_widen_ref` per row in turn, from `acc0`,
+/// over raw rows (`operand_form` off), the rows in operand form (on, and
+/// equal to the raw rows' result) and the rows narrowed to bf16 (either
+/// way), on every backend; each batch also runs split into two calls, as
+/// a decode stream's kept rows are. Raw rows read with `operand_form` on
+/// must match the scalar backend.
+fn check_axpy_rows(acc0: &[f32], weights: &[f32], raw: &[Vec<f32>], what: &str) {
+    fn reference<S: Scalar>(acc0: &[f32], weights: &[f32], rows: &[Vec<S>]) -> Vec<u32> {
+        let mut acc = acc0.to_vec();
+        for (&s, row) in weights.iter().zip(rows) {
+            axpy_widen_ref(&mut acc, s, row);
+        }
+        bits(&acc)
+    }
+    fn run<S: Scalar>(
+        backend: Backend,
+        acc0: &[f32],
+        weights: &[f32],
+        rows: &[Vec<S>],
+        operand_form: bool,
+        split: usize,
+    ) -> Vec<u32> {
+        let rows: Vec<&[S]> = rows.iter().map(Vec::as_slice).collect();
+        let mut acc = acc0.to_vec();
+        axpy_rows(
+            backend,
+            &mut acc,
+            &weights[..split],
+            &rows[..split],
+            operand_form,
+        );
+        axpy_rows(
+            backend,
+            &mut acc,
+            &weights[split..],
+            &rows[split..],
+            operand_form,
+        );
+        bits(&acc)
+    }
+    let fixed: Vec<Vec<f32>> = raw.iter().map(|row| rounded(row)).collect();
+    let bf16: Vec<Vec<Bf16>> = raw.iter().map(|row| narrowed(row)).collect();
+    let want = reference(acc0, weights, raw);
+    assert_eq!(
+        want,
+        reference(acc0, weights, &fixed),
+        "{what}: idempotence"
+    );
+    let want_bf16 = reference(acc0, weights, &bf16);
+    let want_raw_as_operand = run(Backend::Scalar, acc0, weights, raw, true, 0);
+    for backend in available_backends() {
+        for split in [0, raw.len() / 2] {
+            let on = format!("{what}, split at {split}, on {}", backend.name());
+            assert_eq!(
+                run(backend, acc0, weights, raw, false, split),
+                want,
+                "raw rows, {on}"
             );
-            let mut got = acc0.clone();
-            axpy_widen::<Bf16>(backend, &mut got, s, &row_b);
-            let same = got
-                .iter()
-                .zip(&want_b)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(
-                same,
-                "axpy_widen<Bf16> len {len} diverged on {}",
-                backend.name()
+            assert_eq!(
+                run(backend, acc0, weights, &fixed, true, split),
+                want,
+                "rounded rows, {on}"
+            );
+            for operand_form in [false, true] {
+                let got = run(backend, acc0, weights, &bf16, operand_form, split);
+                assert_eq!(
+                    got, want_bf16,
+                    "bf16 rows, operand_form {operand_form}, {on}"
+                );
+            }
+            let got = run(backend, acc0, weights, raw, true, split);
+            assert_eq!(got, want_raw_as_operand, "raw rows read as operands, {on}");
+        }
+    }
+}
+
+#[test]
+fn axpy_rows_is_bit_identical_to_one_axpy_widen_ref_per_row() {
+    // Widths around both vector widths and past one 64-column window (two
+    // windows at 65..=127, more at 130 and 257); batches of no row, one, a
+    // few, one whole decode batch (16) and one past it.
+    let mut rng = Rng::new(0xA3);
+    for d in [
+        0usize, 1, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 100, 127, 130, 257,
+    ] {
+        for rows in [0usize, 1, 3, 16, 17] {
+            let acc0 = vec_of(d, &mut rng);
+            // Weights arrive as `to_mul` of a softmax weight.
+            let weights = rounded(&vec_of(rows, &mut rng));
+            let raw: Vec<Vec<f32>> = (0..rows).map(|_| vec_of(d, &mut rng)).collect();
+            check_axpy_rows(&acc0, &weights, &raw, &format!("d {d}, {rows} rows"));
+        }
+    }
+    // One special per column, at every column of a vector body, of a
+    // second window and of the scalar tail, so at most one NaN source
+    // meets each sum.
+    for d in [19usize, 70] {
+        let acc0 = vec_of(d, &mut rng);
+        let weights = rounded(&vec_of(3, &mut rng));
+        for &special in &LANE_SPECIALS {
+            let mut raw: Vec<Vec<f32>> = (0..3).map(|_| vec_of(d, &mut rng)).collect();
+            for pos in 0..d {
+                raw[pos % 3][pos] = special;
+            }
+            check_axpy_rows(
+                &acc0,
+                &weights,
+                &raw,
+                &format!("{special:e} in every column, d {d}"),
             );
         }
     }
+}
+
+/// Inputs per chunk of the TF32 sweeps: whole 16-lane blocks plus a
+/// 5-entry tail.
+const TF32_CHUNK: u64 = 64 * 1024 + 5;
+
+/// Stride of the TF32 sweep the debug profile runs in place of the
+/// exhaustive one (about 1.05·10⁶ inputs).
+const TF32_STRIDE: u64 = 4099;
+
+/// Over every `stride`-th f32 bit pattern: `tf32_round` is idempotent
+/// (the property that lets decode read rows rounded at write without
+/// rounding them again), passes NaN and ±∞ bits through unchanged, and
+/// every backend's `round_operands` has its bits.
+fn tf32_sweep(stride: u64) {
+    let backends = available_backends();
+    let count = (1u64 << 32).div_ceil(stride);
+    let reports: Vec<Option<String>> = (0..count.div_ceil(TF32_CHUNK))
+        .into_par_iter()
+        .map(|c| {
+            let first = c * TF32_CHUNK;
+            let xs: Vec<f32> = (first..count.min(first + TF32_CHUNK))
+                .map(|i| f32::from_bits((i * stride) as u32))
+                .collect();
+            let want = rounded(&xs);
+            for (&x, &r) in xs.iter().zip(&want) {
+                if tf32_round(r).to_bits() != r.to_bits() {
+                    return Some(format!(
+                        "tf32_round is not idempotent at {:#010x}",
+                        x.to_bits()
+                    ));
+                }
+                if !x.is_finite() && r.to_bits() != x.to_bits() {
+                    return Some(format!(
+                        "{:#010x} became {:#010x}",
+                        x.to_bits(),
+                        r.to_bits()
+                    ));
+                }
+            }
+            for &backend in &backends {
+                let mut got = xs.clone();
+                round_operands(backend, &mut got);
+                if let Some(i) = (0..xs.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+                    return Some(format!(
+                        "{:#010x} rounds to {:#010x} on {}, tf32_round gives {:#010x}",
+                        xs[i].to_bits(),
+                        got[i].to_bits(),
+                        backend.name(),
+                        want[i].to_bits()
+                    ));
+                }
+            }
+            None
+        })
+        .collect();
+    let failures: Vec<String> = reports.into_iter().flatten().collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn tf32_round_is_idempotent_and_every_backend_matches_it_on_every_input() {
+    tf32_sweep(1);
+}
+
+#[test]
+fn tf32_round_is_idempotent_and_every_backend_matches_it_on_a_strided_sweep() {
+    tf32_sweep(TF32_STRIDE);
 }
 
 #[test]
@@ -1055,9 +1278,29 @@ fn dot_widen_rejects_a_short_row() {
 }
 
 #[test]
-#[should_panic(expected = "axpy_widen row length differs from acc")]
-fn axpy_widen_rejects_a_short_row() {
-    axpy_widen::<f32>(simd::active(), &mut [0.0; 64], 1.0, &[1.0; 3]);
+#[should_panic(expected = "dot_operand row length differs from q")]
+fn dot_operand_rejects_a_short_row() {
+    dot_operand::<f32>(simd::active(), &[1.0; 64], &[1.0; 3]);
+}
+
+#[test]
+#[should_panic(expected = "axpy_rows row length differs from acc")]
+fn axpy_rows_rejects_a_short_row() {
+    let (long, short) = ([1.0f32; 64], [1.0f32; 63]);
+    axpy_rows::<f32>(
+        simd::active(),
+        &mut [0.0; 64],
+        &[1.0; 2],
+        &[&long, &short],
+        true,
+    );
+}
+
+#[test]
+#[should_panic(expected = "axpy_rows takes one weight per row")]
+fn axpy_rows_rejects_a_missing_weight() {
+    let row = [1.0f32; 64];
+    axpy_rows::<f32>(simd::active(), &mut [0.0; 64], &[1.0], &[&row, &row], false);
 }
 
 /// Every entry that dispatches to a `target_feature` body asserts that its
@@ -1087,8 +1330,14 @@ fn every_simd_entry_rejects_an_unavailable_backend() {
         rejects("dot_widen", &mut || {
             dot_widen::<f32>(backend, &row, &row);
         });
-        rejects("axpy_widen", &mut || {
-            axpy_widen::<f32>(backend, &mut acc, 1.0, &row)
+        rejects("dot_operand", &mut || {
+            dot_operand::<f32>(backend, &row, &row);
+        });
+        rejects("axpy_rows", &mut || {
+            axpy_rows::<f32>(backend, &mut acc, &[1.0], &[&row], true)
+        });
+        rejects("round_operands", &mut || {
+            round_operands::<f32>(backend, &mut acc)
         });
         rejects("prune_nm", &mut || {
             backend.prune_nm(NmPattern::P1_2, &row, 1.0, &mut nz, &mut codes)

@@ -16,12 +16,21 @@
 //! Every row write takes one path: [`append`](PagedKvCache::append) is the
 //! one-row case of [`extend`](PagedKvCache::extend), and both accept rows
 //! of any [`Scalar`] dtype `C`. One private routine reserves the pages
-//! all-or-nothing and stores each element of a `PagedKvCache<T>` as
-//! `T::from_f32(x.to_f32())` straight into its page: the identity for f32
-//! rows into an f32 store (NaN payloads included), and the one bf16
-//! narrowing for a bf16 store, with no intermediate buffer. A bf16 row
-//! into a bf16 store takes the same conversion, which quiets a signalling
-//! NaN.
+//! all-or-nothing and stores each element of a `PagedKvCache<T>` straight
+//! into its page in **tensor-core operand form**: `T::from_f32(x.to_f32())`
+//! passed through [`Scalar::to_mul`], with no intermediate buffer. An f32
+//! store therefore holds `tf32_round(x)` (NaN payloads and ±∞ unchanged,
+//! each run of rows rounded once through the SIMD TF32 body), just as a
+//! bf16 store holds `Bf16::from_f32(x)`, whose bits `to_mul` leaves alone.
+//! A bf16 row into a bf16 store takes the same conversion, which quiets a
+//! signalling NaN.
+//!
+//! Every multiply that reads a cached element rounds it through `to_mul`
+//! first, and `to_mul` is idempotent, so storing the rounded value changes
+//! no decode output; only [`k_matrix`](PagedKvCache::k_matrix) and
+//! [`v_matrix`](PagedKvCache::v_matrix) show it. What it saves is the
+//! rounding itself: a decode step reads every cached row, so a row rounded
+//! once at write is not rounded again at each later step.
 //!
 //! Pages hold a fixed element count, not a fixed row count, because one
 //! server mixes sessions of different widths: a session of key width `d`
@@ -30,7 +39,9 @@
 //! keep separate page tables so `d ≠ d_v` sessions waste nothing.
 //!
 //! The decode kernels read the table in place: every read of a side goes
-//! through one [`PagedPanel`] view of the pool's pages.
+//! through one [`PagedPanel`] view of the pool's pages, flagged
+//! [`operand_form`](PagedPanel::operand_form) so the kernels skip the
+//! rounding on load.
 //! [`k_rows`](PagedKvCache::k_rows)/[`v_rows`](PagedKvCache::v_rows) hand
 //! it to the engine as a [`KvRows::Native`] source (a bf16 store's
 //! [`k_rows_quant`](PagedKvCache::k_rows_quant) as [`KvRows::Bf16`]), the
@@ -42,6 +53,7 @@
 
 use dfss_core::engine::KvRows;
 use dfss_core::mechanism::RequestError;
+use dfss_kernels::simd;
 use dfss_tensor::{Bf16, Matrix, PagedPanel, Scalar};
 
 /// Identifier of an open decode session, unique per server for its
@@ -61,8 +73,10 @@ pub struct PageId(pub u32);
 
 /// Storage dtype of a server's KV pages.
 ///
-/// `Native` stores rows at the server's compute dtype `T` (the PR 5
-/// behaviour). `Bf16` stores rows bf16-quantised regardless of `T`:
+/// `Native` stores rows at the server's compute dtype `T` in tensor-core
+/// operand form: an f32 store holds each element TF32-rounded, the
+/// rounding every decode multiply applies to it anyway. `Bf16` stores rows
+/// bf16-quantised regardless of `T`:
 /// appends narrow each element through [`Bf16::from_f32`] once at write
 /// time and the decode microkernels widen on load (exactly — bf16 → f32
 /// is a left shift), so a page holds twice as many f32-computed rows for
@@ -549,12 +563,13 @@ impl<T: Scalar> PagedKvCache<T> {
         KvRows::Native(self.view(pool, true))
     }
 
-    /// Copy the cached keys out as a `len × d` matrix (test/reference use).
+    /// Copy the cached keys out as a `len × d` matrix, as stored: in
+    /// operand form (test/reference use).
     pub fn k_matrix(&self, pool: &KvPool<T>) -> Matrix<T> {
         self.view(pool, false).to_matrix(self.d)
     }
 
-    /// Copy the cached values out as a `len × d_v` matrix.
+    /// Copy the cached values out as a `len × d_v` matrix, as stored.
     pub fn v_matrix(&self, pool: &KvPool<T>) -> Matrix<T> {
         self.view(pool, true).to_matrix(self.d_v)
     }
@@ -572,12 +587,15 @@ impl<T: Scalar> PagedKvCache<T> {
             pages: table.iter().map(|&id| pool.page(id)).collect(),
             rows_per_page,
             len: self.len,
+            // `write` stores every element through `to_mul`.
+            operand_form: true,
         }
     }
 
     /// The one row write (see the module doc): reserve the pages `rows`
     /// more positions need, all-or-nothing, then store the row-major `k`
-    /// (`rows × d`) and `v` (`rows × d_v`) straight into them.
+    /// (`rows × d`) and `v` (`rows × d_v`) straight into them, in operand
+    /// form.
     fn write<C: Scalar>(
         &mut self,
         pool: &mut KvPool<T>,
@@ -604,15 +622,22 @@ impl<T: Scalar> PagedKvCache<T> {
             self.v_pages
                 .push(pool.alloc().expect("gated on free_pages"));
         }
-        // Each side's rows land at positions `len..` of its page table.
-        let len = self.len;
+        // Each side's rows land at positions `len..` of its page table, as
+        // one run of consecutive rows per page, which is rounded in place
+        // once written.
+        let (len, backend) = (self.len, simd::active());
         let mut store = |table: &[PageId], rows_per_page: usize, src: &[C], width: usize| {
-            for (r, row) in src.chunks_exact(width).enumerate() {
-                let off = ((len + r) % rows_per_page) * width;
+            let mut r = 0;
+            while r < rows {
+                let slot = (len + r) % rows_per_page;
+                let run = (rows_per_page - slot).min(rows - r);
                 let page = pool.page_mut(table[(len + r) / rows_per_page]);
-                for (dst, &x) in page[off..off + width].iter_mut().zip(row) {
+                let dst = &mut page[slot * width..(slot + run) * width];
+                for (dst, &x) in dst.iter_mut().zip(&src[r * width..(r + run) * width]) {
                     *dst = T::from_f32(x.to_f32());
                 }
+                simd::round_operands(backend, dst);
+                r += run;
             }
         };
         store(&self.k_pages, self.rows_per_page_k, k, self.d);
@@ -828,9 +853,10 @@ mod tests {
 
     #[test]
     fn append_and_extend_write_the_same_rows() {
-        // Values the one write must carry unchanged into an f32 store: a
-        // NaN with a non-default payload, ±0, ±∞, a subnormal, and two
-        // ordinary values (the first not representable in bf16).
+        // Values the one write must carry into an f32 store as their TF32
+        // rounding: a NaN with a non-default payload, ±0, ±∞, a subnormal,
+        // and two ordinary values (the first representable in neither bf16
+        // nor TF32).
         let edges = [
             f32::from_bits(0x7fa0_1234),
             0.0,
@@ -855,10 +881,25 @@ mod tests {
         let mut pool_b = KvPool::<f32>::new(&cfg);
         let mut by_block = PagedKvCache::<f32>::new(&cfg, d, d_v).unwrap();
         by_block.extend(&mut pool_b, &k, &v).unwrap();
+        let rounded = |m: &Matrix<f32>| {
+            m.as_slice()
+                .iter()
+                .map(|&x| dfss_tensor::tf32_round(x).to_bits())
+                .collect::<Vec<_>>()
+        };
         for (c, pool) in [(&by_row, &pool_a), (&by_block, &pool_b)] {
-            assert_eq!(bits(&c.k_matrix(pool)), bits(&k));
-            assert_eq!(bits(&c.v_matrix(pool)), bits(&v));
+            assert_eq!(bits(&c.k_matrix(pool)), rounded(&k));
+            assert_eq!(bits(&c.v_matrix(pool)), rounded(&v));
         }
+        // Row 0 of K holds edges 0..4, row 1 edges 4..8: the NaN payload
+        // and ±∞ are kept, the subnormal rounds to +0 and 1.000_000_1 to 1.
+        let stored = by_block.k_matrix(&pool_b);
+        assert_eq!(stored.row(0)[0].to_bits(), 0x7fa0_1234);
+        assert_eq!(stored.row(0)[3], f32::INFINITY);
+        assert_eq!(stored.row(1)[0], f32::NEG_INFINITY);
+        assert_eq!(stored.row(1)[1].to_bits(), 0);
+        assert_eq!(stored.row(1)[2], 1.0);
+        assert_eq!(stored.row(1)[3], -2.5);
         assert_eq!(
             (by_row.len(), by_row.pages(), by_row.bytes()),
             (by_block.len(), by_block.pages(), by_block.bytes())
@@ -891,5 +932,39 @@ mod tests {
         pool_a.check_invariants().unwrap();
         pool_b.check_invariants().unwrap();
         pool_q.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn cache_views_are_in_operand_form_and_one_page_views_are_not() {
+        let cfg = config(8, 64);
+        let mut pool = KvPool::<f32>::new(&cfg);
+        let mut c = PagedKvCache::<f32>::new(&cfg, 4, 2).unwrap();
+        let k = Matrix::from_fn(3, 4, |r, col| 1.0 + (r * 4 + col) as f32 * 1e-4);
+        let v = Matrix::from_fn(3, 2, |r, col| -1.0 - (r * 2 + col) as f32 * 1e-4);
+        c.extend(&mut pool, &k, &v).unwrap();
+        for rows in [c.k_rows(&pool), c.v_rows(&pool)] {
+            match rows {
+                KvRows::Native(view) => assert!(view.operand_form),
+                other => panic!("expected a native view, got {other:?}"),
+            }
+        }
+        // Every stored element is a fixed point of `to_mul`, as the flag
+        // promises, and the raw rows are not all fixed points.
+        let stored = c.k_matrix(&pool);
+        assert!(stored.as_slice().iter().all(|&x| x.to_mul() == x));
+        assert!(k.as_slice().iter().any(|&x| x.to_mul() != x));
+        assert!(!PagedPanel::one_page(k.as_slice(), 3).operand_form);
+        // A bf16 store's views carry the flag too.
+        let quant = KvConfig {
+            kv_dtype: KvDtype::Bf16,
+            ..cfg
+        };
+        let mut pool_q = KvPool::<Bf16>::new(&quant);
+        let mut q = PagedKvCache::<Bf16>::new(&quant, 4, 2).unwrap();
+        q.extend(&mut pool_q, &k, &v).unwrap();
+        match q.k_rows_quant::<f32>(&pool_q) {
+            KvRows::Bf16(view) => assert!(view.operand_form),
+            other => panic!("expected a bf16 view, got {other:?}"),
+        }
     }
 }

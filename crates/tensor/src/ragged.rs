@@ -27,6 +27,10 @@ use crate::scalar::Scalar;
 /// A contiguous slab is the one-page view ([`one_page`](Self::one_page)),
 /// so one panel of a [`RaggedBatch`], a paged KV table and a decode step's
 /// cached K or V share one reader.
+///
+/// [`operand_form`](Self::operand_form) says whether the live rows are
+/// already in tensor-core operand form, so the decode kernels may read
+/// them without rounding them again.
 #[derive(Clone, Debug)]
 pub struct PagedPanel<'a, T> {
     /// The stream's pages, in table order.
@@ -35,15 +39,26 @@ pub struct PagedPanel<'a, T> {
     pub rows_per_page: usize,
     /// Live rows of the panel.
     pub len: usize,
+    /// Every live element `x` is a fixed point of [`Scalar::to_mul`]:
+    /// `T::from_f32(x.to_mul())` has the bits of `x`. Only a writer that
+    /// stored each element through `to_mul` may set it (the serving KV
+    /// cache does, and an f32 store then holds TF32-rounded values); the
+    /// decode kernels then skip the TF32 rounding on load, which is exact
+    /// because `to_mul` is idempotent. A view that sets it over raw rows
+    /// decodes with the wrong multiply operands. [`one_page`](Self::one_page)
+    /// leaves it off.
+    pub operand_form: bool,
 }
 
 impl<'a, T> PagedPanel<'a, T> {
-    /// View a contiguous row-major slab of `len` rows as a one-page table.
+    /// View a contiguous row-major slab of `len` rows as a one-page table
+    /// of raw rows (not in operand form).
     pub fn one_page(slab: &'a [T], len: usize) -> PagedPanel<'a, T> {
         PagedPanel {
             pages: if len == 0 { Vec::new() } else { vec![slab] },
             rows_per_page: len.max(1),
             len,
+            operand_form: false,
         }
     }
 
@@ -311,6 +326,7 @@ mod tests {
             pages: pages.chunks(4).collect(),
             rows_per_page: 2,
             len: 5,
+            operand_form: false,
         }
     }
 

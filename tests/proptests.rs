@@ -436,9 +436,10 @@ proptest! {
                     *k = k.vstack(&dk);
                     *v = v.vstack(&dv);
                 }
-                // Decode over every live session: the paged page tables and
-                // the contiguous model slabs must coalesce into bit-identical
-                // ragged launches.
+                // Decode over every live session: the paged page tables (rows
+                // rounded at write, read as operands) and the contiguous
+                // model slabs (raw rows, rounded on load) must coalesce into
+                // bit-identical ragged launches.
                 5 | 6 => {
                     if live.is_empty() { continue; }
                     let q = Matrix::<f32>::random_normal(live.len(), d, 0.0, 1.0, &mut rng);
@@ -454,6 +455,12 @@ proptest! {
                             d_v,
                         })
                         .collect();
+                    for step in &paged_steps {
+                        for rows in [&step.k_rows, &step.v_rows] {
+                            let operand = matches!(rows, KvRows::Native(view) if view.operand_form);
+                            prop_assert!(operand, "a cache view is not in operand form");
+                        }
+                    }
                     let slab_steps: Vec<DecodeStep<'_, f32>> = live
                         .iter()
                         .enumerate()
@@ -490,11 +497,16 @@ proptest! {
                     prop_assert_eq!(c.pages(), 0);
                 }
             }
-            // After every step: reassembled tables match the model bitwise,
-            // and the pool neither leaks nor double-counts a page.
+            // After every step: reassembled tables hold the model's rows in
+            // operand form (TF32-rounded) bitwise, and the pool neither leaks
+            // nor double-counts a page.
+            let operands = |m: &Matrix<f32>| {
+                m.as_slice().iter().map(|&x| dfss_tensor::tf32_round(x).to_bits()).collect::<Vec<_>>()
+            };
+            let bits = |m: &Matrix<f32>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for (c, k, v) in &live {
-                prop_assert_eq!(&c.k_matrix(&pool), k);
-                prop_assert_eq!(&c.v_matrix(&pool), v);
+                prop_assert_eq!(bits(&c.k_matrix(&pool)), operands(k));
+                prop_assert_eq!(bits(&c.v_matrix(&pool)), operands(v));
             }
             if let Err(why) = pool.check_invariants() {
                 return Err(TestCaseError::fail(format!("pool invariants broken: {why}")));
