@@ -43,7 +43,7 @@ use dfss_gpusim::Stage;
 use dfss_kernels::simd::{self, Backend};
 use dfss_kernels::{gemm, sddmm, softmax, spmm, GpuCtx};
 use dfss_nmsparse::{NmCompressed, NmPattern};
-use dfss_tensor::{BatchedMatrix, Bf16, Matrix, RaggedBatch, Rng};
+use dfss_tensor::{tf32_round, BatchedMatrix, Bf16, Matrix, RaggedBatch, Rng};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -441,8 +441,9 @@ struct SimdMeasurement {
 }
 
 /// One decode throughput point: tokens/sec for a fixed stream batch at one
-/// cache length, f32 KV vs bf16-quantised KV (both under the dispatched
-/// backend — this isolates the storage dtype, not the instruction set).
+/// cache length, f32 KV vs bf16-quantised KV, each held as its serving
+/// store holds it (both under the dispatched backend — this isolates the
+/// storage dtype, not the instruction set).
 struct DecodeMeasurement {
     cache_len: usize,
     streams: usize,
@@ -582,8 +583,10 @@ fn run_simd_grid() -> (Vec<SimdMeasurement>, Vec<DecodeMeasurement>) {
         for x in vf.as_mut_slice() {
             *x = rng.normal(0.0, 1.0);
         }
-        // The bf16 side holds the same cache, narrowed once at build time —
-        // exactly what `KvStore::Quant` stores after narrow-on-write.
+        // Each side holds the same cache as its serving store does: the bf16
+        // side narrowed once at build time, as `KvStore::Quant` stores it,
+        // and the f32 side TF32-rounded once and read in operand form, as
+        // `KvStore::Native` stores it.
         let mut kb = RaggedBatch::<Bf16>::zeros(d, &lens);
         let mut vb = RaggedBatch::<Bf16>::zeros(d, &lens);
         for (o, x) in kb.as_mut_slice().iter_mut().zip(kf.as_slice()) {
@@ -592,7 +595,14 @@ fn run_simd_grid() -> (Vec<SimdMeasurement>, Vec<DecodeMeasurement>) {
         for (o, x) in vb.as_mut_slice().iter_mut().zip(vf.as_slice()) {
             *o = Bf16::from_f32(*x);
         }
-        let f32_kv = KvViews::packed(&kf, &vf);
+        for x in kf.as_mut_slice().iter_mut().chain(vf.as_mut_slice()) {
+            *x = tf32_round(*x);
+        }
+        let (mut k, mut v) = (kf.views(), vf.views());
+        for view in k.iter_mut().chain(&mut v) {
+            view.operand_form = true;
+        }
+        let f32_kv = KvViews::Native { k, v };
         let bf16_kv = KvViews::Bf16 {
             k: kb.views(),
             v: vb.views(),

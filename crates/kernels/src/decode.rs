@@ -33,8 +33,9 @@
 //! intermediate widened panel. A view whose rows are in tensor-core operand
 //! form ([`PagedPanel::operand_form`], set by a writer that rounded each
 //! element through [`Scalar::to_mul`], as the serving KV cache does) is
-//! read as stored ([`simd::dot_operand`], [`simd::axpy_rows`]); any other
-//! view is rounded on load (TF32 for f32 rows, exact widening for bf16).
+//! read as stored ([`simd::dot_widen`] and [`simd::axpy_rows`] with
+//! `operand_form` on); any other view is rounded on load (TF32 for f32
+//! rows, exact widening for bf16).
 //! `to_mul` is idempotent, so both read the same multiply operands, and
 //! every product and sum is formed in the same order: decode outputs are
 //! bit-identical whichever form the rows arrive in. The SpMM gathers a
@@ -86,11 +87,8 @@ pub(crate) fn score_prune_stream<T: Scalar, S: Scalar>(
     let qw = widen(q_row);
     let backend = simd::active();
     let mut acc = scratch_f32_stale(len);
-    let scores = acc[..len].iter_mut().zip(k.rows(d));
-    if k.operand_form {
-        scores.for_each(|(a, row)| *a = simd::dot_operand(backend, &qw, row));
-    } else {
-        scores.for_each(|(a, row)| *a = simd::dot_widen(backend, &qw, row));
+    for (a, row) in acc[..len].iter_mut().zip(k.rows(d)) {
+        *a = simd::dot_widen(backend, &qw, row, k.operand_form);
     }
     prune_decode_row(pattern, &acc[..len], scale, nz_out, code_out);
 }

@@ -27,10 +27,9 @@
 //!   [`Scalar::to_mul`]: TF32 (11 significand bits) or bf16 (8), whose
 //!   products fit f32's 24 bits exactly unless they overflow or fall below
 //!   2^−128, so on them the fused step also gives the bits of a multiply
-//!   then an add. Every other op — decode's dots ([`dot_widen`],
-//!   [`dot_operand`]) and SpMM step ([`axpy_rows`]), the exp polynomial,
-//!   the prune epilogue's scale — rounds each product before adding, on
-//!   every backend.
+//!   then an add. Every other op — decode's dot ([`dot_widen`]) and SpMM
+//!   step ([`axpy_rows`]), the exp polynomial, the prune epilogue's scale —
+//!   rounds each product before adding, on every backend.
 //! * **Element-wise ops vectorise freely.** [`Backend::axpy`] and the
 //!   register tiles update independent output lanes in serial k-order;
 //!   lane width does not touch the per-lane operation order, so any width
@@ -62,12 +61,12 @@
 //!
 //! The decode path reads cached K/V rows **in operand form or widened on
 //! load**, never through an intermediate widened buffer. A raw `f32` row
-//! is TF32-rounded in-register ([`dot_widen`], and [`axpy_rows`] with
+//! is TF32-rounded in-register ([`dot_widen`] and [`axpy_rows`] with
 //! `operand_form` off; a bit-exact replica of [`dfss_tensor::tf32_round`],
 //! NaN/Inf passed through). A row a writer already rounded with
-//! [`round_operands`] is read as stored ([`dot_operand`], and `axpy_rows`
-//! with `operand_form` on): `tf32_round` is idempotent on every bit
-//! pattern, so skipping the second rounding changes no bit. A
+//! [`round_operands`] is read as stored (both with `operand_form` on):
+//! `tf32_round` is idempotent on every bit pattern, so skipping the second
+//! rounding changes no bit. A
 //! [`Bf16`](dfss_tensor::Bf16) row is widened by a zero-extend + 16-bit
 //! shift, exact by construction, so the bf16-quantised KV cache is read at
 //! half the memory traffic; because TF32 keeps more mantissa bits than
@@ -95,7 +94,6 @@
 use crate::micro::TILE_COLS;
 use dfss_nmsparse::{NmPattern, MAX_M};
 use dfss_tensor::{math, Scalar};
-#[cfg(target_arch = "x86_64")]
 use std::any::TypeId;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -910,16 +908,21 @@ fn panel_rows<const R: usize>(
     }
 }
 
-/// Fused widen-on-load dot against a raw KV row (`f32` → TF32-rounded
-/// in-register, [`Bf16`](dfss_tensor::Bf16) → exact widen in-register):
-/// the decode score microkernel. Bitwise equal to [`dot_widen_ref`] on
-/// every backend.
+/// Fused widen-on-load dot against a cached KV row, the decode score
+/// microkernel: `Σ q[i] · load(row[i])` in [`dot_widen_ref`]'s 8-lane
+/// shape. `load` is [`Scalar::to_mul`] for a raw row (`f32` TF32-rounded
+/// in-register, [`Bf16`](dfss_tensor::Bf16) widened exactly) and `to_f32`
+/// for a row in operand form (`operand_form`: each element reads as its
+/// own multiply operand, as [`round_operands`] leaves it), which skips the
+/// TF32 rounding; a bf16 row widens exactly either way. On raw rows and on rows
+/// in operand form it has the bits of [`dot_widen_ref`]; on any row and
+/// either flag, the bits of the scalar backend, on every backend.
 ///
 /// # Panics
 /// If `backend` is not available on this CPU, or `q` and `row` differ in
 /// length (the unchecked backends rely on these checks).
 #[inline]
-pub fn dot_widen<S: Scalar>(backend: Backend, q: &[f32], row: &[S]) -> f32 {
+pub fn dot_widen<S: Scalar>(backend: Backend, q: &[f32], row: &[S], operand_form: bool) -> f32 {
     assert!(
         backend.available(),
         "backend {} not available",
@@ -928,63 +931,41 @@ pub fn dot_widen<S: Scalar>(backend: Backend, q: &[f32], row: &[S]) -> f32 {
     assert_eq!(q.len(), row.len(), "dot_widen row length differs from q");
     #[cfg(target_arch = "x86_64")]
     if backend != Backend::Scalar {
-        // SAFETY (both): the backend is available and `row` is as long as
-        // `q`, checked above, and each body reads `S` as its `Load`'s
+        let f32_rows = TypeId::of::<S>() == TypeId::of::<f32>();
+        // SAFETY (all three): the backend is available and `row` is as long
+        // as `q`, checked above, and each body reads `S` as its `Load`'s
         // element: f32 as f32, Bf16 (repr(transparent) over u16) as u16.
-        if TypeId::of::<S>() == TypeId::of::<f32>() {
+        if f32_rows && operand_form {
+            return unsafe { x86::dot_avx2::<S, x86::ExactF32>(q, row) };
+        }
+        if f32_rows {
             return unsafe { x86::dot_avx2::<S, x86::RoundF32>(q, row) };
         }
         if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
             return unsafe { x86::dot_avx2::<S, x86::WidenBf16>(q, row) };
         }
     }
-    dot_widen_ref(q, row)
-}
-
-/// [`dot_widen`] against a row already in operand form (every element a
-/// fixed point of [`Scalar::to_mul`], as [`round_operands`] leaves it):
-/// `Σ q[i] · row[i].to_f32()` in [`dot_widen_ref`]'s 8-lane shape, with no
-/// TF32 rounding on load. On such a row it has the bits of
-/// [`dot_widen_ref`]; on any row, bitwise equal on every backend to the
-/// scalar backend. A bf16 row is widened exactly, as [`dot_widen`] does.
-///
-/// # Panics
-/// If `backend` is not available on this CPU, or `q` and `row` differ in
-/// length (the unchecked backends rely on these checks).
-#[inline]
-pub fn dot_operand<S: Scalar>(backend: Backend, q: &[f32], row: &[S]) -> f32 {
-    assert!(
-        backend.available(),
-        "backend {} not available",
-        backend.name()
-    );
-    assert_eq!(q.len(), row.len(), "dot_operand row length differs from q");
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: as in `dot_widen`.
-        if TypeId::of::<S>() == TypeId::of::<f32>() {
-            return unsafe { x86::dot_avx2::<S, x86::ExactF32>(q, row) };
-        }
-        if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
-            return unsafe { x86::dot_avx2::<S, x86::WidenBf16>(q, row) };
-        }
+    if operand_form {
+        dot_lanes_ref(q, row, S::to_f32)
+    } else {
+        dot_widen_ref(q, row)
     }
-    dot_lanes_ref(q, row, S::to_f32)
 }
 
 /// The decode SpMM step over a batch of cached V rows:
 /// `acc[j] += weights[i] · load(rows[i][j])` for each row `i` in ascending
 /// order, one multiply then one add per term. `load` is
 /// [`Scalar::to_mul`] for raw rows and `to_f32` for rows in operand form
-/// (`operand_form`, see [`dot_operand`]); a bf16 row widens exactly either
+/// (`operand_form`, as in [`dot_widen`]); a bf16 row widens exactly either
 /// way. On raw rows, on rows in operand form and on bf16 rows it has the
 /// bits of one [`axpy_widen_ref`] per row in turn, on every backend.
 ///
-/// The vector backends hold a 64-column window of `acc` in registers (four
-/// zmm on AVX-512, eight ymm on AVX2) across the whole batch, so `acc` is
-/// loaded and stored once per batch instead of once per row; the columns
-/// past the last whole vector run the scalar body. Every element keeps the
-/// reference's operation order, so the window shape changes no bit.
+/// The vector backends (AVX-512 runs the AVX2 body) hold a 64-column
+/// window of `acc` in eight ymm registers across the whole batch, so `acc`
+/// is loaded and stored once per batch instead of once per row; the
+/// columns past the last whole vector run the scalar body. Every element
+/// keeps the reference's operation order, so the window shape changes no
+/// bit.
 ///
 /// # Panics
 /// If `backend` is not available on this CPU, `weights` and `rows` differ
@@ -1023,11 +1004,11 @@ pub fn axpy_rows<S: Scalar>(
             if backend == Backend::Scalar {
                 0
             } else if f32_rows && operand_form {
-                x86::axpy_rows::<S, x86::ExactF32>(backend, acc, weights, rows)
+                x86::axpy_rows_avx2::<S, x86::ExactF32>(acc, weights, rows)
             } else if f32_rows {
-                x86::axpy_rows::<S, x86::RoundF32>(backend, acc, weights, rows)
+                x86::axpy_rows_avx2::<S, x86::RoundF32>(acc, weights, rows)
             } else if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
-                x86::axpy_rows::<S, x86::WidenBf16>(backend, acc, weights, rows)
+                x86::axpy_rows_avx2::<S, x86::WidenBf16>(acc, weights, rows)
             } else {
                 0
             }
@@ -1042,13 +1023,16 @@ pub fn axpy_rows<S: Scalar>(
     }
 }
 
-/// Put `row` in tensor-core operand form in place: each element becomes
-/// `S::from_f32(x.to_mul())`. For `f32` that is [`dfss_tensor::tf32_round`]
-/// (the vector bodies replay it 8 or 16 lanes at a time, NaN and ±∞ passed
-/// through); a bf16 value that
-/// [`Bf16::from_f32`](dfss_tensor::Bf16::from_f32) produced keeps its bits.
+/// Put `row` in tensor-core operand form in place, so that reading an
+/// element with `to_f32` gives what `to_mul` gave before. For `f32` each
+/// element becomes [`dfss_tensor::tf32_round`] of itself (the vector
+/// bodies replay it 8 lanes at a time, NaN and ±∞ passed through); a
+/// [`Bf16`](dfss_tensor::Bf16) row is left as it is, since its `to_mul` is
+/// the exact widening; an element of any other type becomes
+/// `S::from_f32(x.to_mul())`.
 /// `tf32_round` is idempotent on every bit pattern, so a row rounded here
-/// can be read by [`dot_operand`] and [`axpy_rows`] without rounding again.
+/// can be read by [`dot_widen`] and [`axpy_rows`] with `operand_form` on
+/// without rounding again.
 ///
 /// # Panics
 /// If `backend` is not available on this CPU.
@@ -1058,15 +1042,16 @@ pub fn round_operands<S: Scalar>(backend: Backend, row: &mut [S]) {
         "backend {} not available",
         backend.name()
     );
+    if TypeId::of::<S>() == TypeId::of::<dfss_tensor::Bf16>() {
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if backend != Backend::Scalar && TypeId::of::<S>() == TypeId::of::<f32>() {
         // SAFETY: S == f32 (checked above), and the backend is available.
-        let row =
-            unsafe { std::slice::from_raw_parts_mut(row.as_mut_ptr().cast::<f32>(), row.len()) };
-        return match backend {
-            Backend::Avx512 => unsafe { x86::round_tf32_avx512(row) },
-            _ => unsafe { x86::round_tf32_avx2(row) },
-        };
+        unsafe {
+            let row = std::slice::from_raw_parts_mut(row.as_mut_ptr().cast::<f32>(), row.len());
+            return x86::round_tf32_avx2(row);
+        }
     }
     for x in row {
         *x = S::from_f32(x.to_mul());
@@ -1305,28 +1290,13 @@ mod x86 {
         _mm256_blendv_ps(_mm256_castsi256_ps(masked), v, _mm256_castsi256_ps(special))
     }
 
-    /// [`tf32_round8`] of 16 lanes.
-    #[inline(always)]
-    unsafe fn tf32_round16(v: __m512) -> __m512 {
-        let bits = _mm512_castps_si512(v);
-        let lsb = _mm512_and_si512(_mm512_srli_epi32::<13>(bits), _mm512_set1_epi32(1));
-        let rounded = _mm512_add_epi32(bits, _mm512_add_epi32(_mm512_set1_epi32(0xFFF), lsb));
-        let masked = _mm512_and_si512(rounded, _mm512_set1_epi32(!0x1FFFi32));
-        let exp = _mm512_and_si512(bits, _mm512_set1_epi32(0x7F80_0000));
-        let special = _mm512_cmpeq_epi32_mask(exp, _mm512_set1_epi32(0x7F80_0000));
-        _mm512_mask_blend_ps(special, _mm512_castsi512_ps(masked), v)
-    }
-
     /// How a decode body reads a cached row: the stored element type and
-    /// the conversion to an f32 multiply operand, for 8 lanes, 16 lanes
-    /// and one.
+    /// the conversion to an f32 multiply operand, for 8 lanes and one.
     pub(super) trait Load {
         /// The element as the body reads it.
         type Elem: Copy;
         /// Eight elements from `p`.
         unsafe fn ymm(p: *const Self::Elem) -> __m256;
-        /// Sixteen elements from `p` (AVX-512F).
-        unsafe fn zmm(p: *const Self::Elem) -> __m512;
         /// One element.
         fn one(x: Self::Elem) -> f32;
     }
@@ -1346,10 +1316,6 @@ mod x86 {
             tf32_round8(_mm256_loadu_ps(p))
         }
         #[inline(always)]
-        unsafe fn zmm(p: *const f32) -> __m512 {
-            tf32_round16(_mm512_loadu_ps(p))
-        }
-        #[inline(always)]
         fn one(x: f32) -> f32 {
             tf32_round(x)
         }
@@ -1360,10 +1326,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn ymm(p: *const f32) -> __m256 {
             _mm256_loadu_ps(p)
-        }
-        #[inline(always)]
-        unsafe fn zmm(p: *const f32) -> __m512 {
-            _mm512_loadu_ps(p)
         }
         #[inline(always)]
         fn one(x: f32) -> f32 {
@@ -1377,11 +1339,6 @@ mod x86 {
         unsafe fn ymm(p: *const u16) -> __m256 {
             let wide = _mm256_cvtepu16_epi32(_mm_loadu_si128(p.cast::<__m128i>()));
             _mm256_castsi256_ps(_mm256_slli_epi32::<16>(wide))
-        }
-        #[inline(always)]
-        unsafe fn zmm(p: *const u16) -> __m512 {
-            let wide = _mm512_cvtepu16_epi32(_mm256_loadu_si256(p.cast::<__m256i>()));
-            _mm512_castsi512_ps(_mm512_slli_epi32::<16>(wide))
         }
         #[inline(always)]
         fn one(x: u16) -> f32 {
@@ -1414,50 +1371,6 @@ mod x86 {
         out
     }
 
-    /// [`super::axpy_rows`] on a vector backend, over the columns up to the
-    /// last whole vector; returns how many columns that is.
-    ///
-    /// # Safety
-    /// The backend must be available, every row as long as `acc`, and `S`
-    /// laid out as `L::Elem`.
-    #[inline]
-    pub(super) unsafe fn axpy_rows<S, L: Load>(
-        backend: super::Backend,
-        acc: &mut [f32],
-        weights: &[f32],
-        rows: &[&[S]],
-    ) -> usize {
-        match backend {
-            super::Backend::Avx512 => axpy_rows_avx512::<S, L>(acc, weights, rows),
-            _ => axpy_rows_avx2::<S, L>(acc, weights, rows),
-        }
-    }
-
-    /// `acc[j0 .. j0 + 16·NV] += w · L(row)` for each row and weight in
-    /// turn, in `NV` zmm accumulators loaded and stored once.
-    #[inline(always)]
-    unsafe fn rows_zmm<S, L: Load, const NV: usize>(
-        acc: *mut f32,
-        weights: &[f32],
-        rows: &[&[S]],
-        j0: usize,
-    ) {
-        let mut a = [_mm512_setzero_ps(); NV];
-        for (c, a) in a.iter_mut().enumerate() {
-            *a = _mm512_loadu_ps(acc.add(j0 + 16 * c));
-        }
-        for (&w, row) in weights.iter().zip(rows) {
-            let s = _mm512_set1_ps(w);
-            let p = row.as_ptr().cast::<L::Elem>().add(j0);
-            for (c, a) in a.iter_mut().enumerate() {
-                *a = _mm512_add_ps(*a, _mm512_mul_ps(s, L::zmm(p.add(16 * c))));
-            }
-        }
-        for (c, a) in a.iter().enumerate() {
-            _mm512_storeu_ps(acc.add(j0 + 16 * c), *a);
-        }
-    }
-
     /// `acc[j0 .. j0 + 8·NV] += w · L(row)` for each row and weight in
     /// turn, in `NV` ymm accumulators loaded and stored once.
     #[inline(always)]
@@ -1483,36 +1396,19 @@ mod x86 {
         }
     }
 
-    /// 64-column windows in four zmm, then 8-column ones in a ymm.
+    /// [`super::axpy_rows`] on a vector backend (AVX-512 runs it too):
+    /// 64-column windows in eight ymm, then 8-column ones in one, up to the
+    /// last whole vector; returns how many columns that is.
     ///
     /// # Safety
-    /// As [`axpy_rows`], with AVX-512F and AVX2 available.
-    #[target_feature(enable = "avx512f,avx2")]
-    unsafe fn axpy_rows_avx512<S, L: Load>(
+    /// AVX2 must be available, every row as long as `acc`, and `S` laid out
+    /// as `L::Elem`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn axpy_rows_avx2<S, L: Load>(
         acc: &mut [f32],
         weights: &[f32],
         rows: &[&[S]],
     ) -> usize {
-        let full = acc.len() / 8 * 8;
-        let p = acc.as_mut_ptr();
-        let mut j0 = 0;
-        while j0 + 64 <= full {
-            rows_zmm::<S, L, 4>(p, weights, rows, j0);
-            j0 += 64;
-        }
-        while j0 < full {
-            rows_ymm::<S, L, 1>(p, weights, rows, j0);
-            j0 += 8;
-        }
-        full
-    }
-
-    /// 64-column windows in eight ymm, then 8-column ones in one.
-    ///
-    /// # Safety
-    /// As [`axpy_rows`], with AVX2 available.
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_rows_avx2<S, L: Load>(acc: &mut [f32], weights: &[f32], rows: &[&[S]]) -> usize {
         let full = acc.len() / 8 * 8;
         let p = acc.as_mut_ptr();
         let mut j0 = 0;
@@ -1527,27 +1423,9 @@ mod x86 {
         full
     }
 
-    /// [`super::round_operands`] for f32, 16 lanes per step: the
-    /// [`tf32_round16`] that `RoundF32` loads with, so the exhaustive TF32
-    /// sweep covers it.
-    ///
-    /// # Safety
-    /// AVX-512F must be available.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn round_tf32_avx512(row: &mut [f32]) {
-        let full = row.len() / 16 * 16;
-        let p = row.as_mut_ptr();
-        let mut c = 0;
-        while c < full {
-            _mm512_storeu_ps(p.add(c), tf32_round16(_mm512_loadu_ps(p.add(c))));
-            c += 16;
-        }
-        for x in &mut row[full..] {
-            *x = tf32_round(*x);
-        }
-    }
-
-    /// [`super::round_operands`] for f32, 8 lanes per step.
+    /// [`super::round_operands`] for f32, 8 lanes per step: the
+    /// [`tf32_round8`] that `RoundF32` loads with, so the exhaustive TF32
+    /// sweep covers it (AVX-512 runs it too).
     ///
     /// # Safety
     /// AVX2 must be available.

@@ -22,8 +22,8 @@
 //! unchecked backend reads past one.
 
 use dfss_kernels::simd::{
-    self, axpy_ref, axpy_rows, axpy_widen_ref, dot_operand, dot_widen, dot_widen_ref, nn_tile,
-    panel_tile_ref, round_operands, row_max_ref, spmm_tile, spmm_tile_ref, Backend,
+    self, axpy_ref, axpy_rows, axpy_widen_ref, dot_widen, dot_widen_ref, nn_tile, panel_tile_ref,
+    round_operands, row_max_ref, spmm_tile, spmm_tile_ref, Backend,
 };
 use dfss_kernels::{micro, sddmm, softmax, GpuCtx};
 use dfss_nmsparse::{NmPattern, MAX_M};
@@ -787,7 +787,7 @@ fn dot_widen_f32_is_bit_identical_across_backends() {
         let row = vec_of(len, &mut rng);
         let want = dot_widen_ref::<f32>(&q, &row);
         for backend in available_backends() {
-            let got = dot_widen::<f32>(backend, &q, &row);
+            let got = dot_widen::<f32>(backend, &q, &row, false);
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
@@ -808,7 +808,7 @@ fn dot_widen_bf16_is_bit_identical_across_backends() {
             .collect();
         let want = dot_widen_ref::<Bf16>(&q, &row);
         for backend in available_backends() {
-            let got = dot_widen::<Bf16>(backend, &q, &row);
+            let got = dot_widen::<Bf16>(backend, &q, &row, false);
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
@@ -845,12 +845,12 @@ const LANE_SPECIALS: [f32; 7] = [
     f32::from_bits(0x0000_0001),
 ];
 
-/// `dot_operand` against its contracts on one query and raw row: on every
-/// backend, over the row in operand form it has the bits of
-/// `dot_widen_ref` (of the rounded row and of the raw one), over the raw
-/// row those of the scalar backend, and over the row narrowed to bf16
-/// those of `dot_widen_ref::<Bf16>`.
-fn check_dot_operand(q: &[f32], raw: &[f32], what: &str) {
+/// `dot_widen` with `operand_form` on against its contracts on one query
+/// and raw row: on every backend, over the row in operand form it has the
+/// bits of `dot_widen_ref` (of the rounded row and of the raw one), over
+/// the raw row those of the scalar backend, and over the row narrowed to
+/// bf16 those of `dot_widen_ref::<Bf16>`.
+fn check_dot_operand_form(q: &[f32], raw: &[f32], what: &str) {
     let (fixed, bf16) = (rounded(raw), narrowed(raw));
     let want = dot_widen_ref::<f32>(q, &fixed).to_bits();
     assert_eq!(
@@ -858,32 +858,32 @@ fn check_dot_operand(q: &[f32], raw: &[f32], what: &str) {
         dot_widen_ref::<f32>(q, raw).to_bits(),
         "{what}: idempotence"
     );
-    let want_raw = dot_operand(Backend::Scalar, q, raw).to_bits();
+    let want_raw = dot_widen(Backend::Scalar, q, raw, true).to_bits();
     let want_bf16 = dot_widen_ref::<Bf16>(q, &bf16).to_bits();
     for backend in available_backends() {
         let on = backend.name();
         assert_eq!(
-            dot_operand(backend, q, &fixed).to_bits(),
+            dot_widen(backend, q, &fixed, true).to_bits(),
             want,
             "{what}, rounded row on {on}"
         );
         assert_eq!(
-            dot_operand(backend, q, raw).to_bits(),
+            dot_widen(backend, q, raw, true).to_bits(),
             want_raw,
             "{what}, raw row on {on}"
         );
-        let got = dot_operand::<Bf16>(backend, q, &bf16).to_bits();
+        let got = dot_widen::<Bf16>(backend, q, &bf16, true).to_bits();
         assert_eq!(got, want_bf16, "{what}, bf16 row on {on}");
     }
 }
 
 #[test]
-fn dot_operand_is_bit_identical_to_the_rounding_dot_on_rounded_rows() {
+fn dot_widen_in_operand_form_is_bit_identical_to_the_rounding_dot_on_rounded_rows() {
     let mut rng = Rng::new(0xD07);
     for &len in LENGTHS {
         let q = vec_of(len, &mut rng);
         let raw = vec_of(len, &mut rng);
-        check_dot_operand(&q, &raw, &format!("len {len}"));
+        check_dot_operand_form(&q, &raw, &format!("len {len}"));
     }
     // One special at a time, at every lane of a vector body and of the
     // tail, so at most one NaN source meets each sum.
@@ -894,7 +894,7 @@ fn dot_operand_is_bit_identical_to_the_rounding_dot_on_rounded_rows() {
             for pos in 0..len {
                 let mut row = raw.clone();
                 row[pos] = special;
-                check_dot_operand(&q, &row, &format!("{special:e} at {pos}/{len}"));
+                check_dot_operand_form(&q, &row, &format!("{special:e} at {pos}/{len}"));
             }
         }
     }
@@ -1014,7 +1014,7 @@ fn axpy_rows_is_bit_identical_to_one_axpy_widen_ref_per_row() {
     }
 }
 
-/// Inputs per chunk of the TF32 sweeps: whole 16-lane blocks plus a
+/// Inputs per chunk of the TF32 sweeps: whole vector blocks plus a
 /// 5-entry tail.
 const TF32_CHUNK: u64 = 64 * 1024 + 5;
 
@@ -1084,6 +1084,18 @@ fn tf32_round_is_idempotent_and_every_backend_matches_it_on_a_strided_sweep() {
 }
 
 #[test]
+fn round_operands_leaves_every_bf16_bit_pattern_as_it_is() {
+    // A bf16 element's `to_mul` is its exact widening, so a bf16 row is
+    // already in operand form, signalling NaNs included.
+    let all: Vec<Bf16> = (0..=u16::MAX).map(Bf16).collect();
+    for backend in available_backends() {
+        let mut row = all.clone();
+        round_operands(backend, &mut row);
+        assert!(row == all, "a bf16 bit pattern moved on {}", backend.name());
+    }
+}
+
+#[test]
 fn tf32_widen_preserves_nan_and_infinity_lanes() {
     // The SIMD TF32 rounding uses an integer add on the exponent/mantissa
     // bits — a naive version corrupts NaN payloads and can carry Inf into
@@ -1112,7 +1124,7 @@ fn tf32_widen_preserves_nan_and_infinity_lanes() {
         let q = vec![1.0f32; 16];
         let want = dot_widen_ref::<f32>(&q, &row);
         for backend in available_backends() {
-            let got = dot_widen::<f32>(backend, &q, &row);
+            let got = dot_widen::<f32>(backend, &q, &row, false);
             if want.is_nan() {
                 assert!(
                     got.is_nan(),
@@ -1139,7 +1151,7 @@ fn tf32_widen_preserves_nan_and_infinity_lanes() {
             let q = vec![1.0f32; 16];
             let want = dot_widen_ref::<f32>(&q, &row);
             for backend in available_backends() {
-                let got = dot_widen::<f32>(backend, &q, &row);
+                let got = dot_widen::<f32>(backend, &q, &row, false);
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
@@ -1274,13 +1286,7 @@ fn axpy_rejects_a_short_row() {
 #[test]
 #[should_panic(expected = "dot_widen row length differs from q")]
 fn dot_widen_rejects_a_short_row() {
-    dot_widen::<Bf16>(simd::active(), &[1.0; 64], &[Bf16::from_f32(1.0); 3]);
-}
-
-#[test]
-#[should_panic(expected = "dot_operand row length differs from q")]
-fn dot_operand_rejects_a_short_row() {
-    dot_operand::<f32>(simd::active(), &[1.0; 64], &[1.0; 3]);
+    dot_widen::<Bf16>(simd::active(), &[1.0; 64], &[Bf16::from_f32(1.0); 3], false);
 }
 
 #[test]
@@ -1328,10 +1334,7 @@ fn every_simd_entry_rejects_an_unavailable_backend() {
             backend.panel_tile(&arows, 4, &block, 16, 0, 16, &mut acc)
         });
         rejects("dot_widen", &mut || {
-            dot_widen::<f32>(backend, &row, &row);
-        });
-        rejects("dot_operand", &mut || {
-            dot_operand::<f32>(backend, &row, &row);
+            dot_widen::<f32>(backend, &row, &row, true);
         });
         rejects("axpy_rows", &mut || {
             axpy_rows::<f32>(backend, &mut acc, &[1.0], &[&row], true)

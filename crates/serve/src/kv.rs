@@ -330,9 +330,11 @@ impl<T: Scalar> KvPool<T> {
         &self.pages[id.0 as usize]
     }
 
-    /// Mutable page storage.
+    /// Mutable page storage. Private: a cache's views promise that their
+    /// pages hold rows in operand form, so `PagedKvCache::write`, which
+    /// rounds what it stores, is the one way into a page.
     #[inline]
-    pub fn page_mut(&mut self, id: PageId) -> &mut [T] {
+    fn page_mut(&mut self, id: PageId) -> &mut [T] {
         debug_assert!(self.live[id.0 as usize], "writing a freed page");
         &mut self.pages[id.0 as usize]
     }

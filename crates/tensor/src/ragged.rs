@@ -39,8 +39,9 @@ pub struct PagedPanel<'a, T> {
     pub rows_per_page: usize,
     /// Live rows of the panel.
     pub len: usize,
-    /// Every live element `x` is a fixed point of [`Scalar::to_mul`]:
-    /// `T::from_f32(x.to_mul())` has the bits of `x`. Only a writer that
+    /// Every live element `x` reads as its own multiply operand:
+    /// `x.to_f32()` has the bits of [`Scalar::to_mul`] of `x` (an f32 `x`
+    /// is TF32-rounded; every bf16 element qualifies). Only a writer that
     /// stored each element through `to_mul` may set it (the serving KV
     /// cache does, and an f32 store then holds TF32-rounded values); the
     /// decode kernels then skip the TF32 rounding on load, which is exact
