@@ -22,14 +22,15 @@
 //!   [`nn_tile`] and [`spmm_tile`] step `acc = fma(s, x, acc)`: the scalar
 //!   references call `f32::mul_add`, the AVX-512 bodies `_mm512_fmadd_ps`
 //!   and the AVX2 bodies `_mm256_fmadd_ps` (so [`Backend::Avx2`] needs the
-//!   `fma` feature). A fused multiply-add rounds once on every backend, so
-//!   it is the same operation everywhere. The operands come through
-//!   [`Scalar::to_mul`]: TF32 (11 significand bits) or bf16 (8), whose
-//!   products fit f32's 24 bits exactly unless they overflow or fall below
-//!   2^−128, so on them the fused step also gives the bits of a multiply
-//!   then an add. Every other op — decode's dot ([`dot_widen`]) and SpMM
-//!   step ([`axpy_rows`]), the exp polynomial, the prune epilogue's scale —
-//!   rounds each product before adding, on every backend.
+//!   `fma` feature; AVX-512 runs AVX2's `axpy` body). A fused multiply-add
+//!   rounds once on every backend, so it is the same operation everywhere.
+//!   The operands come through [`Scalar::to_mul`]: TF32 (11 significand
+//!   bits) or bf16 (8), whose products fit f32's 24 bits exactly unless
+//!   they overflow or fall below 2^−128, so on them the fused step also
+//!   gives the bits of a multiply then an add. Every other op — decode's
+//!   dot ([`dot_widen`]) and SpMM step ([`axpy_rows`]), the exp polynomial,
+//!   the prune epilogue's scale — rounds each product before adding, on
+//!   every backend.
 //! * **Element-wise ops vectorise freely.** [`Backend::axpy`] and the
 //!   register tiles update independent output lanes in serial k-order;
 //!   lane width does not touch the per-lane operation order, so any width
@@ -702,12 +703,11 @@ impl Backend {
         assert!(self.available(), "backend {} not available", self.name());
         assert_eq!(acc.len(), row.len(), "axpy row length differs from acc");
         match self {
-            // SAFETY (both): the backend is available and `row` is as long
-            // as `acc`, checked above.
+            // SAFETY: AVX2 and FMA are available and `row` is as long as
+            // `acc`, checked above. Each element takes one `fma` at any
+            // width, so AVX-512 runs the AVX2 body.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 => unsafe { x86::axpy_avx512(acc, s, row) },
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { x86::axpy_avx2(acc, s, row) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { x86::axpy_avx2(acc, s, row) },
             _ => axpy_ref(acc, s, row),
         }
     }
@@ -1454,24 +1454,6 @@ mod x86 {
             let x = _mm256_loadu_ps(row.as_ptr().add(i));
             _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_fmadd_ps(vs, x, o));
             i += 8;
-        }
-        for j in full..n {
-            let o = acc.get_unchecked_mut(j);
-            *o = s.mul_add(*row.get_unchecked(j), *o);
-        }
-    }
-
-    #[target_feature(enable = "avx512f,fma")]
-    pub(super) unsafe fn axpy_avx512(acc: &mut [f32], s: f32, row: &[f32]) {
-        let n = acc.len();
-        let full = n / 16 * 16;
-        let vs = _mm512_set1_ps(s);
-        let mut i = 0;
-        while i < full {
-            let o = _mm512_loadu_ps(acc.as_ptr().add(i));
-            let x = _mm512_loadu_ps(row.as_ptr().add(i));
-            _mm512_storeu_ps(acc.as_mut_ptr().add(i), _mm512_fmadd_ps(vs, x, o));
-            i += 16;
         }
         for j in full..n {
             let o = acc.get_unchecked_mut(j);

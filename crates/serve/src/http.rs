@@ -876,7 +876,8 @@ impl std::fmt::Display for HttpClientError {
 impl std::error::Error for HttpClientError {}
 
 /// A minimal blocking HTTP/1.1 client (keep-alive, bounded reads) for
-/// loopback testing, the chaos harness, and the bench load generator.
+/// loopback testing, the chaos harness, and the repository benchmark's
+/// `http_front` clients.
 ///
 /// Non-2xx responses surface as [`HttpClientError::Status`], which
 /// [`crate::retry::Transient`] classifies: `503` (shed / back-pressure,

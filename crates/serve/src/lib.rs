@@ -65,9 +65,9 @@
 //!
 //! Every response carries the request's full latency breakdown (queue wait,
 //! service wall-clock, end-to-end) plus the simulated-device latency of its
-//! launches, so the load generator in `dfss-bench` can report host tail
-//! latency against offered load — and tokens/sec against concurrent decode
-//! streams.
+//! launches, so the repository benchmark's serving workloads (`perfbench/`)
+//! can report host tail latency against offered load, and per-stage queue
+//! wait and service time.
 //!
 //! [`AttentionEngine::forward_chunk`]: dfss_core::engine::AttentionEngine::forward_chunk
 //! [`AttentionEngine::flush_decode`]: dfss_core::engine::AttentionEngine::flush_decode

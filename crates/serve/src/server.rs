@@ -2450,6 +2450,112 @@ mod tests {
         assert_eq!(stats.admission_rejections, 1);
     }
 
+    /// Typed refusals of one churn run, by kind.
+    #[derive(Default)]
+    struct Refusals {
+        exhausted: u64,
+        evicted: u64,
+    }
+
+    /// A decode fleet against a budget of `pages`: three 32-wide sessions
+    /// grow to 16 rows each and decode every 4 append rounds, and a session
+    /// refused `Evicted` is closed and reopened from scratch, as a retrying
+    /// client does. Any refusal other than typed KV back-pressure panics.
+    fn eviction_churn(
+        mech: &Arc<dyn Attention<f32> + Send + Sync>,
+        pages: u64,
+    ) -> (Refusals, ServeStats) {
+        let (sessions, target_len, decode_every, d) = (3, 16, 4, 32);
+        let geometry = crate::KvConfig {
+            page_elems: 128,
+            evict_idle: true,
+            ..crate::KvConfig::default()
+        };
+        let kv = crate::KvConfig {
+            budget_bytes: pages * geometry.storage_page_bytes::<f32>(),
+            ..geometry
+        };
+        let server = AttentionServer::start_with_kv(Arc::clone(mech), BatchPolicy::default(), kv);
+        let mut rng = Rng::new(59);
+        let mut refusals = Refusals::default();
+        let mut refuse = |err: SessionError, slot: &mut Option<(SessionId, usize)>| match err {
+            SessionError::KvBudgetExhausted { .. } => refusals.exhausted += 1,
+            SessionError::Evicted(id) => {
+                refusals.evicted += 1;
+                server
+                    .close_session(id)
+                    .expect("evicted sessions still close");
+                *slot = None;
+            }
+            other => panic!("churn op refused untyped: {other}"),
+        };
+        // Per slot: the open session and the rows it has cached so far.
+        let mut slots: Vec<Option<(SessionId, usize)>> = vec![None; sessions];
+        for round in 0..target_len {
+            for slot in slots.iter_mut() {
+                if slot.is_none() {
+                    match server.open_session(d, d) {
+                        Ok(id) => *slot = Some((id, 0)),
+                        Err(e) => {
+                            refuse(e, slot);
+                            continue;
+                        }
+                    }
+                }
+                let (id, len) = slot.expect("slot just filled");
+                match server.append(id, row(d, &mut rng), row(d, &mut rng)) {
+                    Ok(()) => *slot = Some((id, len + 1)),
+                    Err(e) => refuse(e, slot),
+                }
+            }
+            if (round + 1) % decode_every == 0 {
+                let mut handles = Vec::new();
+                for slot in slots.iter_mut() {
+                    let Some((id, len)) = *slot else { continue };
+                    if len == 0 {
+                        continue;
+                    }
+                    let q_row = row(d, &mut rng);
+                    match server.submit_decode(DecodeRequest { session: id, q_row }) {
+                        Ok(h) => handles.push(h),
+                        Err(e) => refuse(e, slot),
+                    }
+                }
+                for h in handles {
+                    h.wait().expect("admitted decode steps are served");
+                }
+            }
+        }
+        for (id, _) in slots.into_iter().flatten() {
+            server.close_session(id).unwrap();
+        }
+        (refusals, server.shutdown())
+    }
+
+    #[test]
+    fn eviction_churn_at_fleet_scale_refuses_typed_and_drains_the_pool() {
+        let mech: Arc<dyn Attention<f32> + Send + Sync> =
+            Arc::new(DfssAttention::new(NmPattern::P1_2));
+        // 128-element pages hold 4 rows of 32, so the fleet's working set
+        // is 3 sessions × (K + V) × 4 pages = 24 pages: nothing is refused.
+        let (refusals, stats) = eviction_churn(&mech, 24);
+        assert_eq!((refusals.exhausted, refusals.evicted), (0, 0));
+        assert_eq!((stats.evictions, stats.admission_rejections), (0, 0));
+        assert_eq!(stats.kv_pages_allocated, stats.kv_pages_freed);
+        // A quarter of it: sessions are evicted and reopened, every refusal
+        // is typed, and the server's counters agree with the client's.
+        let (refusals, stats) = eviction_churn(&mech, 6);
+        assert!(stats.evictions >= 1, "a starved fleet must evict");
+        assert!(
+            refusals.evicted >= 1,
+            "a victim's next op is refused `Evicted`"
+        );
+        assert!(refusals.evicted <= stats.evictions);
+        assert_eq!(refusals.exhausted, stats.admission_rejections);
+        // Evicted pages went back to the pool, the rest at the closes.
+        assert_eq!(stats.kv_pages_allocated, stats.kv_pages_freed);
+    }
+
     #[test]
     fn close_decrements_kv_bytes_so_peak_stays_flat() {
         // Regression: PR 5 never decremented kv_bytes on close, so

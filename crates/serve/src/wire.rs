@@ -16,8 +16,8 @@
 //!
 //! Framing is deliberately small: request-line + headers +
 //! `Content-Length` bodies (no chunked transfer encoding, no HTTP/2),
-//! which is exactly what `curl`, the bench load generator, and the
-//! chaos client speak.
+//! which is exactly what `curl`, the repository benchmark's HTTP clients,
+//! and the chaos client speak.
 
 use crate::num;
 use std::fmt::Write as _;
