@@ -30,7 +30,9 @@
 //! Knobs: `DFSS_QUICK=1` (small shapes, short run), `DFSS_RESULTS=<dir>`.
 
 use dfss_bench::json::Json;
-use dfss_bench::{quick, results_dir};
+use dfss_bench::{
+    artifact_header, check_array, check_header, check_numbers, mode, quick, round3, save_json,
+};
 use dfss_core::engine::{AttentionEngine, DecodeStep};
 use dfss_core::{Attention, DfssAttention};
 use dfss_kernels::GpuCtx;
@@ -38,7 +40,7 @@ use dfss_nmsparse::NmPattern;
 use dfss_tensor::{Matrix, Rng};
 use std::time::Instant;
 
-const SCHEMA_VERSION: f64 = 10.0;
+const SCHEMA_VERSION: f64 = 11.0;
 
 /// How many distinct concurrent-stream counts batched decode must win on
 /// simulated tokens/sec (at every cached length), in either mode.
@@ -232,26 +234,14 @@ fn run_decode_sweep(mech: &DfssAttention, spec: &DecodeSpec) -> (Vec<DecodePoint
         .count();
     (points, wins)
 }
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
-}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.len() > 1 {
-        if args.len() != 3 || args[1] != "--check" {
-            eprintln!("usage: serving [--check <artifact.json>]");
-            std::process::exit(2);
-        }
-        if let Err(e) = check(&args[2]) {
-            eprintln!("schema validation failed: {e}");
-            std::process::exit(1);
-        }
+    if dfss_bench::handle_check(check) {
         return;
     }
 
     let mech = DfssAttention::new(NmPattern::P1_2);
-    eprintln!("[serving] {} mode", if quick() { "quick" } else { "full" });
+    eprintln!("[serving] {} mode", mode());
 
     // Decode sweep: tokens/sec vs concurrent streams at several cached
     // lengths, ragged batched flush vs the per-stream solo loop.
@@ -288,14 +278,8 @@ fn main() {
         })
         .collect();
 
-    let doc = Json::obj(vec![
-        ("schema_version", Json::Num(SCHEMA_VERSION)),
-        ("artifact", Json::Str("bench_serving".into())),
-        (
-            "mode",
-            Json::Str(if quick() { "quick" } else { "full" }.into()),
-        ),
-        ("threads", Json::Num(rayon::current_num_threads() as f64)),
+    let mut doc = artifact_header(SCHEMA_VERSION, "bench_serving");
+    doc.extend([
         ("mechanism", Json::Str(Attention::<f32>::name(&mech))),
         (
             "decode",
@@ -307,77 +291,40 @@ fn main() {
             ]),
         ),
     ]);
-    let path = results_dir().join("bench_serving.json");
-    std::fs::write(&path, doc.render()).expect("write bench_serving.json");
-    println!("[saved {}]", path.display());
+    save_json("bench_serving", &Json::obj(doc));
 }
 
 /// Schema validation (`serving --check <path>`): structure and the decode
 /// sweep's gate.
-fn check(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let doc = Json::parse(&text)?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_f64)
-        .ok_or("missing schema_version")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!("schema_version {version} != {SCHEMA_VERSION}"));
-    }
-    match doc.get("artifact").and_then(Json::as_str) {
-        Some("bench_serving") => {}
-        other => return Err(format!("artifact {other:?} != \"bench_serving\"")),
-    }
-    let mode = doc
-        .get("mode")
-        .and_then(Json::as_str)
-        .ok_or("missing mode")?;
-    if mode != "quick" && mode != "full" {
-        return Err(format!("mode `{mode}` not in {{quick, full}}"));
-    }
-    doc.get("threads")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric threads")?;
+fn check(doc: &Json) -> Result<String, String> {
+    let mode = check_header(doc, SCHEMA_VERSION, "bench_serving")?;
     doc.get("mechanism")
         .and_then(Json::as_str)
         .ok_or("missing mechanism")?;
     // Decode sweep section: structure, and the "batched decode beats the
     // solo loop at >= 2 stream counts" gate.
     let decode = doc.get("decode").ok_or("missing decode section")?;
-    for field in ["head_dim", "rounds", "winning_stream_counts"] {
-        decode
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric decode.{field}"))?;
-    }
-    let drows = decode
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("missing decode.rows array")?;
-    if drows.is_empty() {
-        return Err("decode.rows is empty".into());
-    }
+    check_numbers(
+        decode,
+        "decode",
+        &["head_dim", "rounds", "winning_stream_counts"],
+    )?;
+    let drows = check_array(decode, "rows")?;
     let mut stream_counts: Vec<u64> = Vec::new();
     for (i, r) in drows.iter().enumerate() {
-        for field in [
-            "cached_len",
-            "streams",
-            "solo_tok_s",
-            "batched_tok_s",
-            "speedup",
-            "host_solo_tok_s",
-            "host_batched_tok_s",
-        ] {
-            let x = r
-                .get(field)
-                .and_then(Json::as_f64)
-                .ok_or(format!("decode row {i}: missing numeric {field}"))?;
-            if !x.is_finite() || x < 0.0 {
-                return Err(format!(
-                    "decode row {i}: {field} = {x} not finite non-negative"
-                ));
-            }
-        }
+        check_numbers(
+            r,
+            &format!("decode row {i}"),
+            &[
+                "cached_len",
+                "streams",
+                "solo_tok_s",
+                "batched_tok_s",
+                "speedup",
+                "host_solo_tok_s",
+                "host_batched_tok_s",
+            ],
+        )?;
         let sc = r.get("streams").and_then(Json::as_f64).unwrap_or(0.0) as u64;
         if !stream_counts.contains(&sc) {
             stream_counts.push(sc);
@@ -403,9 +350,8 @@ fn check(path: &str) -> Result<(), String> {
             "artifact: batched decode wins tokens/sec at only {decode_wins} stream counts (need {MIN_DECODE_WINS})"
         ));
     }
-    println!(
-        "{path}: schema OK (bench_serving {mode} mode, {} decode points, {decode_wins} decode stream-count wins)",
+    Ok(format!(
+        "bench_serving {mode} mode, {} decode points, {decode_wins} decode stream-count wins",
         drows.len()
-    );
-    Ok(())
+    ))
 }

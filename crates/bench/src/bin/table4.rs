@@ -99,7 +99,7 @@ fn main() {
         (500, 150, 8, 48)
     };
 
-    // Scaled-down LRA suite (lengths reduced for CPU training; DESIGN.md §2).
+    // Scaled-down LRA suite (lengths reduced for CPU training).
     let tasks: Vec<(&'static str, ClsDataset)> = vec![
         ("ListOps", listops::generate(n_train, n_test, 48, 100)),
         (

@@ -1,8 +1,8 @@
 //! Minimal JSON value type with emit + parse.
 //!
 //! The build environment is offline (no serde), and the bench artifacts need
-//! a *stable, diffable* JSON schema (`results/bench_kernels.json`, the
-//! per-bench criterion reports). This module implements exactly the JSON
+//! a *stable, diffable* JSON schema (`results/*.json`: the host artifacts and
+//! the figure/table reports). This module implements exactly the JSON
 //! subset those artifacts use: objects, arrays, strings, finite f64 numbers,
 //! booleans and null. Emission is deterministic (object keys keep insertion
 //! order); parsing accepts any whitespace and round-trips everything the

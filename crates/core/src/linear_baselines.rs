@@ -191,8 +191,8 @@ impl<T: Scalar> Attention<T> for PerformerAttention {
 /// Nyströmformer (Xiong et al. 2021): landmark-based softmax approximation
 /// `softmax(QK̃ᵀ) · pinv(softmax(Q̃K̃ᵀ)) · softmax(Q̃Kᵀ) · V` with
 /// segment-means landmarks and an iterative pseudo-inverse. The optional
-/// depth-wise-conv skip connection of the original is omitted (documented in
-/// DESIGN.md) — it does not interact with the attention approximation.
+/// depth-wise-conv skip connection of the original is omitted: it does not
+/// interact with the attention approximation.
 #[derive(Clone, Debug)]
 pub struct NystromAttention {
     pub landmarks: usize,

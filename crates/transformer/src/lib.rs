@@ -2,8 +2,8 @@
 //! attention
 //!
 //! The paper's accuracy experiments finetune BERT-large / roBERTa-large and
-//! train LRA models from scratch. Those checkpoints are a reproduction gate
-//! (see DESIGN.md), so this crate provides the substitute substrate: a
+//! train LRA models from scratch. Those checkpoints are a reproduction gate,
+//! so this crate provides the substitute substrate: a
 //! from-scratch encoder with manual backpropagation, Adam, and a
 //! [`attn::AttnKind`] switch that swaps the attention mechanism *exactly*
 //! like the paper's Figure 3 drop-in replacement — `Full` → `Nm(1:2)` is a

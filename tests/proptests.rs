@@ -1,5 +1,5 @@
-//! Workspace-level property-based tests on the core invariants
-//! (DESIGN.md §6).
+//! Workspace-level property-based tests on the core invariants (README,
+//! "Testing").
 
 use dfss::prelude::*;
 use dfss_core::full::reference_attention;
